@@ -1,9 +1,9 @@
-//! Shared infrastructure for the Koios experiment harness and benches.
+//! Shared infrastructure for the Koios experiment harness.
 //!
 //! [`experiments`] regenerates every table and figure of the paper's
 //! evaluation section (§VIII) as formatted text; the `harness` binary is a
 //! thin CLI over it, and `EXPERIMENTS.md` records one full run. [`setup`]
-//! holds the corpus/benchmark plumbing shared with the criterion benches.
+//! holds the corpus/benchmark plumbing the experiments share.
 
 pub mod experiments;
 pub mod setup;

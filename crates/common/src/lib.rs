@@ -9,6 +9,9 @@
 //!   (edge weights of the semantic-overlap bipartite graph).
 //! * [`fingerprint::Fingerprinter`] — stable 64-bit request fingerprints
 //!   (cache keys for the serving layer).
+//! * [`cache::StripedLru`] — the one weighted, striped LRU of the workspace;
+//!   the service's result cache and the index's token kNN cache are thin
+//!   typed wrappers over it.
 //! * [`Interner`] — a string interner mapping tokens to [`TokenId`]s.
 //! * [`topk::TopKList`] — the bounded score lists the paper calls `Llb` and
 //!   `Lub` (running top-k lower/upper bounds, `θ` = bottom of the list).
@@ -27,6 +30,7 @@
 //! `Repository::intern_query` in `koios-embed`) and import the rest through
 //! [`prelude`]; the other items are engine-internal plumbing.
 
+pub mod cache;
 pub mod fingerprint;
 pub mod ids;
 pub mod interner;

@@ -28,24 +28,23 @@
 //! ([`TokenKnnCache::bump_generation`]), after which entries recorded by
 //! in-flight searches of the old world can never be served again.
 //!
-//! Internally the map is **striped**: entries live in N token-hash-selected
-//! segments, each behind its own mutex, so concurrent searches probing
-//! different tokens never serialize on one lock (the ROADMAP scaling item's
-//! second serializer). The stripes share one byte budget, one generation
-//! counter and one monotone recency clock — eviction still removes the
-//! globally least-recently-used list, wherever it lives — so the striping
-//! is invisible in semantics: completeness, counters and the budget bound
-//! are exactly those of the single-lock cache.
+//! Storage is the workspace's striped LRU
+//! ([`koios_common::cache::StripedLru`]) with `list_bytes` weights against a
+//! byte budget: the budget, the recency order and the TTL are global across
+//! stripes, every lock is a leaf, and admission is decided under the
+//! stripe lock — the contract is stated once, on the core. This module owns
+//! only what is token-specific: the key, the weights, the generation, the
+//! similarity-tag registry and the completeness-preserving [`CachedKnn`].
 
 use crate::knn::KnnSource;
+use koios_common::cache::{CacheSnapshot, StripeRow, StripedLru, STRIPES};
 use koios_common::fingerprint::mix64;
 use koios_common::TokenId;
 use koios_embed::sim::ElementSimilarity;
 use koios_telemetry::Histogram;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
+use std::time::Duration;
 
 /// A complete per-element kNN list: `(similarity, token)` descending by
 /// similarity, ties by ascending token id — exactly the emission order of
@@ -56,12 +55,24 @@ pub type KnnList = Arc<Vec<(f64, TokenId)>>;
 /// `sim_tag` namespaces entries by similarity-function identity so engines
 /// over *different* metrics sharing one cache can never replay each
 /// other's lists (see [`CachedKnn::with_sim_tag`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
     token: TokenId,
     alpha_bits: u64,
     generation: u64,
     sim_tag: u64,
+}
+
+impl Key {
+    /// The 64-bit hash the LRU files this key under. Mixed per component,
+    /// so dense token-id ranges (interning hands them out sequentially)
+    /// spread across stripes; the LRU compares the full key, so a collision
+    /// costs a miss, never a wrong list.
+    fn hash(&self) -> u64 {
+        [self.alpha_bits, self.generation, self.sim_tag]
+            .into_iter()
+            .fold(mix64(u64::from(self.token.0)), |h, part| mix64(h ^ part))
+    }
 }
 
 /// Bytes attributed to one cached list (entry payload + bookkeeping).
@@ -75,54 +86,15 @@ fn list_bytes(list: &KnnList) -> usize {
 /// recency slot, `Arc` header).
 const ENTRY_OVERHEAD: usize = 96;
 
-/// Monotone counters describing global cache behaviour.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct KnnCacheCounters {
-    /// Probes that returned a complete list.
-    pub hits: u64,
-    /// Probes that found nothing.
-    pub misses: u64,
-    /// Complete lists stored.
-    pub insertions: u64,
-    /// Entries displaced by the byte budget.
-    pub evictions: u64,
-    /// Entries dropped by a generation bump.
-    pub invalidations: u64,
-    /// Entries evicted at probe time because they outlived the cache's
-    /// entry TTL (see [`TokenKnnCache::with_ttl`]); each expiry is also a
-    /// miss.
-    pub expirations: u64,
-    /// Inserts skipped because a single list exceeded the whole budget or
-    /// its generation was already stale.
-    pub rejected_inserts: u64,
-}
-
-impl KnnCacheCounters {
-    /// Accumulates another counter set — used to sum per-stripe counters
-    /// into the cache-global view.
-    pub fn merge(&mut self, other: &KnnCacheCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.invalidations += other.invalidations;
-        self.expirations += other.expirations;
-        self.rejected_inserts += other.rejected_inserts;
-    }
-
-    /// `hits / (hits + misses)`, or 0 when the cache was never probed.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+/// The token cache's behaviour counters: the shared LRU counter set.
+/// `invalidations` counts entries dropped by a generation bump,
+/// `rejected_inserts` lists heavier than the whole budget or published
+/// under a stale generation.
+pub type KnnCacheCounters = koios_common::cache::CacheCounters;
 
 /// A point-in-time view of the cache for observability surfaces
-/// (`koios-service` reports this through its `ServiceStats`).
+/// (`koios-service` reports this through its `ServiceStats`), taken in one
+/// sweep of the stripes.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct KnnCacheSnapshot {
     /// Monotone behaviour counters.
@@ -135,32 +107,22 @@ pub struct KnnCacheSnapshot {
     pub budget_bytes: usize,
     /// Current generation.
     pub generation: u64,
+    /// Per-stripe occupancy (`weight` is bytes); sums to `entries`/`bytes`.
+    pub stripes: [StripeRow; STRIPES],
 }
 
-struct Entry {
-    list: KnnList,
-    bytes: usize,
-    stamp: u64,
-    inserted_at: Instant,
+/// The generic LRU view the snapshot was taken from (`weight` = bytes).
+impl From<KnnCacheSnapshot> for CacheSnapshot {
+    fn from(s: KnnCacheSnapshot) -> Self {
+        CacheSnapshot {
+            counters: s.counters,
+            entries: s.entries,
+            weight: s.bytes,
+            budget: s.budget_bytes,
+            stripes: s.stripes,
+        }
+    }
 }
-
-/// One token-hash-selected segment of the cache. Each stripe owns its own
-/// map, recency index and counters behind its own mutex; recency stamps
-/// come from the cache-global [`TokenKnnCache::tick`] clock, so "oldest
-/// stamp across all stripes" is exactly the globally least-recently-used
-/// entry.
-#[derive(Default)]
-struct Stripe {
-    map: HashMap<Key, Entry>,
-    recency: BTreeMap<u64, Key>, // stamp -> key, oldest first
-    bytes: usize,
-    counters: KnnCacheCounters,
-}
-
-/// Stripe count when [`TokenKnnCache::with_stripes`] is not used; a small
-/// power of two that already separates the hot tokens of concurrent
-/// searches without bloating the cross-stripe eviction scan.
-const DEFAULT_STRIPES: usize = 8;
 
 /// A concurrent, memory-bounded cache of complete per-element kNN lists,
 /// keyed by `(token, α, generation, sim_tag)` and shared by any number of
@@ -169,30 +131,9 @@ const DEFAULT_STRIPES: usize = 8;
 /// Eviction is LRU by bytes: inserts displace the least-recently-probed
 /// lists until the payload fits the budget. A single list larger than the
 /// entire budget is not cached at all.
-///
-/// The map is striped by token hash ([`Self::with_stripes`]): probes of
-/// different tokens take different mutexes, while the byte budget,
-/// generation and recency order remain global — see the module docs.
 pub struct TokenKnnCache {
-    budget_bytes: usize,
-    ttl: Option<Duration>,
+    lru: StripedLru<Key, KnnList>,
     generation: AtomicU64,
-    // Token-hash-selected segments; `stripe_mask = len - 1` (len is a
-    // power of two).
-    stripes: Vec<Mutex<Stripe>>,
-    stripe_mask: usize,
-    // Cache-global recency clock: every probe/insert stamps its entry from
-    // here, so stamps are unique and totally ordered across stripes.
-    tick: AtomicU64,
-    // Cache-global resident bytes, kept in sync with the per-stripe
-    // `Stripe::bytes` it sums; the budget check reads this without taking
-    // any stripe lock.
-    bytes: AtomicUsize,
-    // Observability hook: time spent blocked acquiring a stripe mutex on
-    // the hot probe/insert paths, recorded when a serving layer installs a
-    // histogram (see `install_lock_wait`). Empty = one atomic load per
-    // acquisition, no timing.
-    lock_wait: OnceLock<Arc<Histogram>>,
     // Similarity-identity registry for `sim_tag`. Holding a `Weak` pins
     // the `ArcInner` allocation (freed only at strong == weak == 0), so a
     // registered address can never be reused by a *different* similarity
@@ -222,113 +163,41 @@ impl TokenKnnCache {
     /// disables caching (every probe misses, every insert is rejected).
     pub fn new(budget_bytes: usize) -> Self {
         TokenKnnCache {
-            budget_bytes,
-            ttl: None,
+            lru: StripedLru::new(budget_bytes),
             generation: AtomicU64::new(0),
-            stripes: (0..DEFAULT_STRIPES).map(|_| Mutex::default()).collect(),
-            stripe_mask: DEFAULT_STRIPES - 1,
-            tick: AtomicU64::new(0),
-            bytes: AtomicUsize::new(0),
-            lock_wait: OnceLock::new(),
             sim_tags: RwLock::new(Vec::new()),
             // Tag 0 is the untagged namespace of bare `CachedKnn::new`.
             next_sim_tag: AtomicU64::new(1),
         }
     }
 
-    /// Sets the stripe count (builder style, before the cache is shared):
-    /// `n` is rounded up to a power of two and clamped to `[1, 256]`.
-    /// One stripe reproduces the single-lock cache exactly; more stripes
-    /// trade a longer eviction scan for less probe contention.
-    pub fn with_stripes(mut self, n: usize) -> Self {
-        let n = n.clamp(1, 256).next_power_of_two();
-        self.stripes = (0..n).map(|_| Mutex::default()).collect();
-        self.stripe_mask = n - 1;
-        self
-    }
-
-    /// The number of stripes.
-    pub fn stripes(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Per-stripe `(entries, bytes)` occupancy, in stripe order — the
-    /// introspection surface the stripe invariant tests (and telemetry
-    /// gauges) read. Stripes are sampled one at a time.
-    pub fn stripe_usage(&self) -> Vec<(usize, usize)> {
-        self.stripes
-            .iter()
-            .map(|stripe| {
-                let s = stripe.lock().expect("knn cache stripe");
-                (s.map.len(), s.bytes)
-            })
-            .collect()
-    }
-
-    /// Per-stripe `(entries, bytes, oldest entry age)` — the deep
-    /// introspection view `GET /debug/cache` renders. The age is measured
-    /// from insertion (not last probe), so a hot-but-old entry still shows
-    /// its true residency; `None` marks an empty stripe. Stripes are
-    /// sampled one at a time, like [`Self::stripe_usage`].
-    pub fn stripe_debug(&self) -> Vec<(usize, usize, Option<Duration>)> {
-        self.stripes
-            .iter()
-            .map(|stripe| {
-                let s = stripe.lock().expect("knn cache stripe");
-                let oldest = s.map.values().map(|e| e.inserted_at.elapsed()).max();
-                (s.map.len(), s.bytes, oldest)
-            })
-            .collect()
-    }
-
-    /// The stripe index owning `token`. Mixed, not raw, so dense token-id
-    /// ranges (interning hands them out sequentially) spread across
-    /// stripes instead of clustering.
-    fn stripe_of(&self, token: TokenId) -> usize {
-        mix64(u64::from(token.0)) as usize & self.stripe_mask
-    }
-
     /// Gives entries a time-to-live (builder style, before the cache is
-    /// shared): a probe that finds an entry older than `ttl` evicts it and
-    /// misses, so stale similarity lists age out even without memory
+    /// shared): a probe that finds an entry at least `ttl` old evicts it
+    /// and misses, so stale similarity lists age out even without memory
     /// pressure — the knob long-lived services use when embeddings are
     /// refreshed out of band on a schedule rather than via an explicit
     /// [`Self::bump_generation`]. `None` (the default) keeps entries until
     /// displaced or invalidated. Expiries are counted in
     /// [`KnnCacheCounters::expirations`] (each is also a miss).
     pub fn with_ttl(mut self, ttl: Option<Duration>) -> Self {
-        self.ttl = ttl;
+        self.lru = self.lru.with_ttl(ttl);
         self
     }
 
     /// The entry time-to-live, if one was configured.
     pub fn ttl(&self) -> Option<Duration> {
-        self.ttl
+        self.lru.ttl()
     }
 
     /// Installs a histogram that records, in nanoseconds, the time each
-    /// probe/insert spends **blocked acquiring its stripe mutex** — the
-    /// contention signal ROADMAP's scaling item asks for. Idempotent: the
-    /// first installation wins (callers sharing one cache share one
-    /// histogram); before any installation the acquisition path does no
-    /// timing at all. Eviction's cross-stripe scan is not timed — the
-    /// series measures hot-path probe/insert contention only.
+    /// probe/insert spends **blocked acquiring its stripe mutex**.
+    /// Idempotent: the first installation wins (callers sharing one cache
+    /// share one histogram); before any installation the acquisition path
+    /// does no timing at all. Eviction's cross-stripe scan is not timed —
+    /// the series measures hot-path probe/insert contention only.
     pub fn install_lock_wait(&self, histogram: Arc<Histogram>) {
-        let _ = self.lock_wait.set(histogram);
-    }
-
-    /// Acquires stripe `idx`, recording the blocked time when a lock-wait
-    /// histogram is installed.
-    fn lock_stripe(&self, idx: usize) -> MutexGuard<'_, Stripe> {
-        match self.lock_wait.get() {
-            None => self.stripes[idx].lock().expect("knn cache stripe"),
-            Some(h) => {
-                let start = Instant::now();
-                let guard = self.stripes[idx].lock().expect("knn cache stripe");
-                h.record_duration(start.elapsed());
-                guard
-            }
-        }
+        self.lru
+            .install_lock_wait(Arc::new(move |wait| histogram.record_duration(wait)));
     }
 
     /// The stable tag identifying `sim` within this cache (assigned on
@@ -369,7 +238,7 @@ impl TokenKnnCache {
 
     /// The byte budget.
     pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
+        self.lru.budget()
     }
 
     /// The current generation. Sources snapshot this at construction so a
@@ -382,19 +251,13 @@ impl TokenKnnCache {
     /// can never be probed again) and drops current entries eagerly.
     /// Call after swapping the repository, embeddings or similarity model.
     ///
-    /// The bump is published *before* the stripes are swept, so a search
-    /// racing this call either sees its inserts rejected (stale
+    /// The bump is published *before* the stripes are swept, and
+    /// [`Self::insert`] checks the generation under the stripe lock, so a
+    /// search racing this call either sees its inserts rejected (stale
     /// generation) or has them cleared here — a stale list never survives.
     pub fn bump_generation(&self) -> u64 {
         let gen = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
-        for stripe in &self.stripes {
-            let mut s = stripe.lock().expect("knn cache stripe");
-            s.counters.invalidations += s.map.len() as u64;
-            s.map.clear();
-            s.recency.clear();
-            self.bytes.fetch_sub(s.bytes, Ordering::AcqRel);
-            s.bytes = 0;
-        }
+        self.lru.clear();
         gen
     }
 
@@ -413,36 +276,7 @@ impl TokenKnnCache {
             generation,
             sim_tag,
         };
-        let mut stripe = self.lock_stripe(self.stripe_of(token));
-        let stripe = &mut *stripe;
-        // Probe-time TTL eviction: an expired entry is removed and reported
-        // as a miss, so the prober recomputes (and republishes) a fresh
-        // list.
-        let expired = match stripe.map.get(&key) {
-            None => {
-                stripe.counters.misses += 1;
-                return None;
-            }
-            Some(entry) => self
-                .ttl
-                .is_some_and(|ttl| entry.inserted_at.elapsed() > ttl),
-        };
-        if expired {
-            let dead = stripe.map.remove(&key).expect("entry just probed");
-            stripe.recency.remove(&dead.stamp);
-            stripe.bytes -= dead.bytes;
-            self.bytes.fetch_sub(dead.bytes, Ordering::AcqRel);
-            stripe.counters.expirations += 1;
-            stripe.counters.misses += 1;
-            return None;
-        }
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = stripe.map.get_mut(&key).expect("entry just probed");
-        stripe.recency.remove(&entry.stamp);
-        entry.stamp = stamp;
-        stripe.recency.insert(stamp, key);
-        stripe.counters.hits += 1;
-        Some(Arc::clone(&entry.list))
+        self.lru.get(key.hash(), &key)
     }
 
     /// Stores a **complete** list for `(token, α, generation, sim_tag)`,
@@ -457,128 +291,56 @@ impl TokenKnnCache {
         sim_tag: u64,
         list: KnnList,
     ) -> bool {
-        let bytes = list_bytes(&list);
-        let mut stripe = self.lock_stripe(self.stripe_of(token));
-        if bytes > self.budget_bytes || generation != self.generation.load(Ordering::Acquire) {
-            stripe.counters.rejected_inserts += 1;
-            return false;
-        }
         let key = Key {
             token,
             alpha_bits,
             generation,
             sim_tag,
         };
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = Entry {
-            list,
-            bytes,
-            stamp,
-            inserted_at: Instant::now(),
-        };
-        if let Some(old) = stripe.map.insert(key, entry) {
-            stripe.recency.remove(&old.stamp);
-            stripe.bytes -= old.bytes;
-            self.bytes.fetch_sub(old.bytes, Ordering::AcqRel);
-        }
-        stripe.recency.insert(stamp, key);
-        stripe.bytes += bytes;
-        self.bytes.fetch_add(bytes, Ordering::AcqRel);
-        stripe.counters.insertions += 1;
-        drop(stripe);
-        self.rebalance();
-        true
-    }
-
-    /// Evicts globally least-recently-used entries until total bytes fit
-    /// the budget again. Runs after every insert (a no-op while under
-    /// budget): each round peeks every stripe's oldest stamp — one lock at
-    /// a time, never two stripes held together, so concurrent inserts can
-    /// never deadlock against the scan — then re-locks the winning stripe
-    /// and evicts whatever is oldest there *now* (the peeked entry may
-    /// have been touched meanwhile; its successor is then the victim).
-    ///
-    /// The entry an in-progress insert just stored is safe: it carries the
-    /// newest stamp, so it is only ever chosen once it is the last entry —
-    /// at which point total bytes already fit (per-list budget check).
-    fn rebalance(&self) {
-        while self.bytes.load(Ordering::Acquire) > self.budget_bytes {
-            let mut oldest: Option<(u64, usize)> = None;
-            for (i, stripe) in self.stripes.iter().enumerate() {
-                let s = stripe.lock().expect("knn cache stripe");
-                if let Some((&stamp, _)) = s.recency.iter().next() {
-                    if oldest.is_none_or(|(best, _)| stamp < best) {
-                        oldest = Some((stamp, i));
-                    }
-                }
-            }
-            // Every stripe empty while the total reads over budget can
-            // only be a transient of a concurrent sweep — nothing to evict.
-            let Some((_, i)) = oldest else { return };
-            let mut s = self.stripes[i].lock().expect("knn cache stripe");
-            let s = &mut *s;
-            if let Some((&stamp, &victim)) = s.recency.iter().next() {
-                s.recency.remove(&stamp);
-                let evicted = s.map.remove(&victim).expect("recency maps into map");
-                s.bytes -= evicted.bytes;
-                self.bytes.fetch_sub(evicted.bytes, Ordering::AcqRel);
-                s.counters.evictions += 1;
-            }
-        }
+        let bytes = list_bytes(&list);
+        self.lru.insert(key.hash(), key, list, bytes, || {
+            generation == self.generation.load(Ordering::Acquire)
+        })
     }
 
     /// Number of cached lists (sums the stripes, one lock at a time).
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("knn cache stripe").map.len())
-            .sum()
+        self.lru.len()
     }
 
     /// Whether the cache holds no lists.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lru.is_empty()
     }
 
     /// Bytes currently held.
     pub fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Acquire)
+        self.lru.weight()
     }
 
     /// The behaviour counters, summed across stripes. Each monotone
     /// counter is exact once concurrent operations have completed; a
     /// mid-flight read may miss an operation still holding another stripe.
     pub fn counters(&self) -> KnnCacheCounters {
-        let mut total = KnnCacheCounters::default();
-        for stripe in &self.stripes {
-            total.merge(&stripe.lock().expect("knn cache stripe").counters);
-        }
-        total
+        self.lru.counters()
     }
 
     /// Zeroes the behaviour counters (entries are kept) — metric windowing.
     pub fn reset_counters(&self) {
-        for stripe in &self.stripes {
-            stripe.lock().expect("knn cache stripe").counters = KnnCacheCounters::default();
-        }
+        self.lru.reset_counters();
     }
 
-    /// An observability snapshot (consistent in the absence of concurrent
-    /// mutation; stripe sums as in [`Self::counters`] otherwise).
+    /// An observability snapshot from one sweep of the stripes (consistent
+    /// in the absence of concurrent mutation).
     pub fn snapshot(&self) -> KnnCacheSnapshot {
-        let mut entries = 0;
-        let mut counters = KnnCacheCounters::default();
-        for stripe in &self.stripes {
-            let s = stripe.lock().expect("knn cache stripe");
-            entries += s.map.len();
-            counters.merge(&s.counters);
-        }
+        let lru = self.lru.snapshot();
         KnnCacheSnapshot {
-            counters,
-            entries,
-            bytes: self.bytes.load(Ordering::Acquire),
-            budget_bytes: self.budget_bytes,
-            generation: self.generation.load(Ordering::Acquire),
+            counters: lru.counters,
+            entries: lru.entries,
+            bytes: lru.weight,
+            budget_bytes: lru.budget,
+            generation: self.generation(),
+            stripes: lru.stripes,
         }
     }
 }
@@ -1089,65 +851,23 @@ mod tests {
     }
 
     #[test]
-    fn stripe_count_is_configurable_and_rounded() {
-        assert_eq!(TokenKnnCache::new(1 << 20).stripes(), 8, "default");
-        assert_eq!(TokenKnnCache::new(1 << 20).with_stripes(1).stripes(), 1);
-        assert_eq!(TokenKnnCache::new(1 << 20).with_stripes(5).stripes(), 8);
-        assert_eq!(TokenKnnCache::new(1 << 20).with_stripes(0).stripes(), 1);
-        assert_eq!(
-            TokenKnnCache::new(1 << 20).with_stripes(9999).stripes(),
-            256
-        );
-    }
-
-    #[test]
-    fn single_stripe_behaves_like_the_old_single_lock_cache() {
-        let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20).with_stripes(1));
-        let mut cold = cached(&cache, &sim, &q, vocab, 0.3);
-        let lists: Vec<_> = (0..q.len()).map(|i| drain(&mut cold, i)).collect();
-        let mut warm = cached(&cache, &sim, &q, vocab, 0.3);
-        for (i, expect) in lists.iter().enumerate() {
-            assert_eq!(&drain(&mut warm, i), expect);
-        }
-        assert_eq!(cache.stripe_usage().len(), 1);
-        assert_eq!(cache.stripe_usage()[0].0, cache.len());
-    }
-
-    #[test]
     fn stripe_usage_sums_to_cache_totals() {
         let cache = TokenKnnCache::new(1 << 20);
         for t in 0..64u32 {
             let list: KnnList = Arc::new(vec![(0.9, TokenId(t))]);
             assert!(cache.insert(TokenId(t), 0.5f64.to_bits(), 0, 0, list));
         }
-        let usage = cache.stripe_usage();
-        assert_eq!(usage.len(), cache.stripes());
-        assert_eq!(usage.iter().map(|(n, _)| n).sum::<usize>(), cache.len());
-        assert_eq!(usage.iter().map(|(_, b)| b).sum::<usize>(), cache.bytes());
-        // 64 hashed tokens across 8 stripes: more than one stripe is hot.
+        let snap = cache.snapshot();
+        let rows = snap.stripes;
+        assert_eq!(rows.iter().map(|r| r.entries).sum::<usize>(), cache.len());
+        assert_eq!(rows.iter().map(|r| r.weight).sum::<usize>(), cache.bytes());
+        assert_eq!((snap.entries, snap.bytes), (cache.len(), cache.bytes()));
+        // 64 hashed keys across 8 stripes: every stripe is hot, and only
+        // occupied stripes report an age.
         assert!(
-            usage.iter().filter(|(n, _)| *n > 0).count() > 1,
-            "tokens must spread across stripes, got {usage:?}"
+            rows.iter().all(|r| r.entries > 0 && r.oldest_age.is_some()),
+            "tokens must spread across stripes, got {rows:?}"
         );
-    }
-
-    #[test]
-    fn stripe_debug_reports_ages_consistent_with_usage() {
-        let cache = TokenKnnCache::new(1 << 20);
-        for t in 0..16u32 {
-            let list: KnnList = Arc::new(vec![(0.9, TokenId(t))]);
-            assert!(cache.insert(TokenId(t), 0.5f64.to_bits(), 0, 0, list));
-        }
-        let usage = cache.stripe_usage();
-        let debug = cache.stripe_debug();
-        assert_eq!(debug.len(), usage.len());
-        for ((n, b), (dn, db, oldest)) in usage.iter().zip(&debug) {
-            assert_eq!(n, dn);
-            assert_eq!(b, db);
-            // Empty stripes report no age; occupied ones a real elapsed.
-            assert_eq!(oldest.is_some(), *dn > 0, "{debug:?}");
-        }
     }
 
     #[test]
@@ -1168,57 +888,6 @@ mod tests {
         assert!(cache.get(TokenId(2), alpha, 0, 0).is_some(), "newest kept");
         assert_eq!(cache.counters().evictions, 1);
         assert!(cache.bytes() <= cache.budget_bytes());
-    }
-
-    #[test]
-    fn striped_churn_holds_budget_and_counter_invariants() {
-        // 8 threads hammer insert/probe over 64 tokens under a budget that
-        // fits only a fraction of them, forcing constant cross-stripe
-        // eviction. Afterwards every invariant of the single-lock cache
-        // must still hold.
-        let pair = std::mem::size_of::<(f64, TokenId)>();
-        let budget = 8 * (4 * pair + ENTRY_OVERHEAD);
-        let cache = Arc::new(TokenKnnCache::new(budget));
-        let alpha = 0.5f64.to_bits();
-        const THREADS: u64 = 8;
-        const OPS: u64 = 400;
-        std::thread::scope(|sc| {
-            for t in 0..THREADS {
-                let cache = Arc::clone(&cache);
-                sc.spawn(move || {
-                    // Disjoint per-thread token ranges: a list is only
-                    // ever inserted by its owner, so no insert is a
-                    // same-key replacement and the entry identity below
-                    // is exact. Eviction still crosses threads/stripes.
-                    for op in 0..OPS {
-                        let token = TokenId((t * 8 + op % 8) as u32);
-                        if cache.get(token, alpha, 0, 0).is_none() {
-                            let list: KnnList =
-                                Arc::new((0..4).map(|i| (0.9 - i as f64 * 0.1, token)).collect());
-                            cache.insert(token, alpha, 0, 0, list);
-                        }
-                    }
-                });
-            }
-        });
-        let c = cache.counters();
-        // Every get was a hit xor a miss.
-        assert_eq!(c.hits + c.misses, THREADS * OPS);
-        // Every miss triggered exactly one insert attempt.
-        assert_eq!(c.insertions + c.rejected_inserts, c.misses);
-        assert_eq!(c.rejected_inserts, 0, "nothing was stale or over-budget");
-        // Live entries = inserted − (evicted + expired + invalidated).
-        assert_eq!(
-            cache.len() as u64,
-            c.insertions - c.evictions - c.expirations - c.invalidations
-        );
-        assert!(c.evictions > 0, "budget pressure must have evicted");
-        // Byte accounting: global total ≤ budget, and it equals the sum of
-        // the per-stripe totals now that all threads are done.
-        assert!(cache.bytes() <= budget, "{} > {budget}", cache.bytes());
-        let usage = cache.stripe_usage();
-        assert_eq!(usage.iter().map(|(_, b)| b).sum::<usize>(), cache.bytes());
-        assert_eq!(usage.iter().map(|(n, _)| n).sum::<usize>(), cache.len());
     }
 
     #[test]
@@ -1254,7 +923,7 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.bytes(), 0);
         assert_eq!(cache.counters().invalidations, 32);
-        assert!(cache.stripe_usage().iter().all(|&(n, b)| n == 0 && b == 0));
+        assert_eq!(cache.snapshot().stripes, [StripeRow::default(); STRIPES]);
     }
 
     #[test]

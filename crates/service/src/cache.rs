@@ -1,266 +1,33 @@
-//! A dependency-free LRU cache with observability counters.
+//! The result cache: the workspace's striped LRU
+//! ([`koios_common::cache::StripedLru`]) instantiated with weight 1 per
+//! entry against a budget of `capacity` entries.
 //!
-//! The service keys entries by a 64-bit request [fingerprint]
-//! (`koios_common::fingerprint`) but stores the *full* key alongside each
-//! entry and verifies equality on lookup — a fingerprint collision is
-//! reported as a miss (and the colliding insert replaces the entry), never
-//! as a wrong result.
+//! The service keys entries by a 64-bit request [fingerprint] but hands
+//! the *full* key along with it, and the LRU verifies equality on lookup —
+//! a fingerprint collision is reported as a miss (and the colliding insert
+//! replaces the entry), never as a wrong result.
 //!
-//! Recency is tracked with a monotone tick and a `BTreeMap<tick, fp>`
-//! index, giving `O(log n)` touch/insert/evict without unsafe pointer
-//! juggling.
-//!
-//! Entries can carry a **TTL** ([`LruCache::with_ttl`]): each entry
-//! remembers its insertion instant, and a probe that finds an entry older
-//! than the TTL evicts it and reports a miss — the first half of the
-//! ROADMAP "cache admission/TTL policies" item, bounding how stale a served
+//! Capacity, recency order and TTL are global across the stripes, every
+//! lock is a leaf, and a poisoned stripe is dropped rather than propagated
+//! — the contract is stated once, on the core. With a **TTL**
+//! ([`StripedLruCache::with_ttl`]) a probe that finds an entry at least
+//! that old evicts it and reports a miss, bounding how stale a served
 //! answer can be when the corpus changes out of band.
-//!
-//! Two variants share these semantics: [`LruCache`] is the single-owner
-//! (`&mut self`) map, and [`StripedLruCache`] wraps the same behaviour in
-//! N fingerprint-striped segments with interior locking, a global capacity
-//! and a global recency order — the concurrent result cache the service
-//! front-end probes without serializing its worker pool (the ROADMAP
-//! scaling item's third serializer).
 //!
 //! [fingerprint]: koios_common::fingerprint::Fingerprinter
 
-use koios_common::fingerprint::mix64;
+use koios_common::cache::{CacheSnapshot, StripedLru};
 use koios_telemetry::Histogram;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-/// Monotone counters describing cache behaviour since construction (or the
-/// last [`LruCache::reset_counters`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Lookups that returned a value.
-    pub hits: u64,
-    /// Lookups that found nothing (or a fingerprint collision).
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Entries dropped by explicit invalidation.
-    pub invalidations: u64,
-    /// Values stored.
-    pub insertions: u64,
-    /// Entries found past their TTL on probe (evicted, also counted as
-    /// misses).
-    pub expirations: u64,
-}
+pub use koios_common::cache::CacheCounters;
 
-impl CacheCounters {
-    /// Accumulates another counter set — used to sum per-stripe counters
-    /// into the cache-global view.
-    pub fn merge(&mut self, other: &CacheCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.invalidations += other.invalidations;
-        self.insertions += other.insertions;
-        self.expirations += other.expirations;
-    }
-
-    /// `hits / (hits + misses)`, or 0 when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-struct Entry<K, V> {
-    key: K,
-    value: V,
-    stamp: u64,
-    created: Instant,
-}
-
-/// A least-recently-used map from `(fingerprint, full key)` to values,
-/// optionally with a per-entry time-to-live.
-pub struct LruCache<K, V> {
-    map: HashMap<u64, Entry<K, V>>,
-    recency: BTreeMap<u64, u64>, // stamp -> fingerprint, oldest first
-    tick: u64,
-    capacity: usize,
-    ttl: Option<Duration>,
-    counters: CacheCounters,
-}
-
-impl<K: Eq, V: Clone> LruCache<K, V> {
-    /// A cache holding at most `capacity` entries; `capacity == 0` disables
-    /// caching (every lookup misses, inserts are dropped).
-    pub fn new(capacity: usize) -> Self {
-        LruCache {
-            map: HashMap::with_capacity(capacity.min(1024)),
-            recency: BTreeMap::new(),
-            tick: 0,
-            capacity,
-            ttl: None,
-            counters: CacheCounters::default(),
-        }
-    }
-
-    /// Sets a time-to-live: probes evict (and miss on) entries inserted
-    /// more than `ttl` ago. `None` restores the default — entries live
-    /// until displaced or invalidated.
-    pub fn with_ttl(mut self, ttl: Option<Duration>) -> Self {
-        self.ttl = ttl;
-        self
-    }
-
-    /// The configured time-to-live, if any.
-    pub fn ttl(&self) -> Option<Duration> {
-        self.ttl
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Counters since construction or the last reset.
-    pub fn counters(&self) -> CacheCounters {
-        self.counters
-    }
-
-    /// Zeroes the counters (entries are kept).
-    pub fn reset_counters(&mut self) {
-        self.counters = CacheCounters::default();
-    }
-
-    /// Looks up `key` under `fp`, refreshing its recency on a hit. An entry
-    /// past the configured TTL is evicted and reported as a miss — the
-    /// probe is the eviction point, so an idle cache holds expired entries
-    /// only until someone asks for them (or capacity displaces them).
-    pub fn get(&mut self, fp: u64, key: &K) -> Option<V> {
-        let expired = matches!(
-            (self.map.get(&fp), self.ttl),
-            (Some(entry), Some(ttl)) if entry.key == *key && entry.created.elapsed() >= ttl
-        );
-        if expired {
-            let old = self.map.remove(&fp).expect("checked above");
-            self.recency.remove(&old.stamp);
-            self.counters.expirations += 1;
-            self.counters.misses += 1;
-            return None;
-        }
-        let tick = &mut self.tick;
-        match self.map.get_mut(&fp) {
-            Some(entry) if entry.key == *key => {
-                self.recency.remove(&entry.stamp);
-                *tick += 1;
-                entry.stamp = *tick;
-                self.recency.insert(entry.stamp, fp);
-                self.counters.hits += 1;
-                Some(entry.value.clone())
-            }
-            _ => {
-                self.counters.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores `value` under `(fp, key)`, evicting the least-recently-used
-    /// entry when full. An insert with the same fingerprint (same key or a
-    /// collision) replaces the existing entry in place.
-    pub fn insert(&mut self, fp: u64, key: K, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        self.tick += 1;
-        let stamp = self.tick;
-        let created = Instant::now();
-        let entry = Entry {
-            key,
-            value,
-            stamp,
-            created,
-        };
-        if let Some(old) = self.map.insert(fp, entry) {
-            self.recency.remove(&old.stamp);
-        } else if self.map.len() > self.capacity {
-            if let Some((&oldest, &victim)) = self.recency.iter().next() {
-                self.recency.remove(&oldest);
-                self.map.remove(&victim);
-                self.counters.evictions += 1;
-            }
-        }
-        self.recency.insert(stamp, fp);
-        self.counters.insertions += 1;
-    }
-
-    /// Drops every entry (e.g. after the underlying repository or
-    /// similarity model changed).
-    pub fn invalidate_all(&mut self) {
-        self.counters.invalidations += self.map.len() as u64;
-        self.map.clear();
-        self.recency.clear();
-    }
-}
-
-/// One fingerprint-hash-selected segment of a [`StripedLruCache`]: its own
-/// map, recency index and counters behind its own mutex. Recency stamps
-/// come from the cache-global clock, so "oldest stamp across stripes" is
-/// the globally least-recently-used entry.
-struct LruStripe<K, V> {
-    map: HashMap<u64, Entry<K, V>>,
-    recency: BTreeMap<u64, u64>, // stamp -> fingerprint, oldest first
-    counters: CacheCounters,
-}
-
-impl<K, V> Default for LruStripe<K, V> {
-    fn default() -> Self {
-        LruStripe {
-            map: HashMap::new(),
-            recency: BTreeMap::new(),
-            counters: CacheCounters::default(),
-        }
-    }
-}
-
-/// Stripe count when [`StripedLruCache::with_stripes`] is not used.
-const DEFAULT_STRIPES: usize = 8;
-
-/// A concurrent [`LruCache`]: entries live in N fingerprint-striped
-/// segments behind independent mutexes, while capacity, recency order and
-/// TTL semantics stay **global** — `capacity` bounds the total entry count
-/// exactly, and eviction removes the globally least-recently-used entry
-/// wherever it lives. All methods take `&self`; share it freely.
-///
-/// The striping is semantically invisible: collision handling, probe-time
-/// TTL expiry and every [`CacheCounters`] meaning are those of the
-/// single-owner cache.
+/// A concurrent LRU map from `(fingerprint, full key)` to values holding
+/// at most `capacity` entries. All methods take `&self`; share it freely.
+#[derive(Debug)]
 pub struct StripedLruCache<K, V> {
-    stripes: Vec<Mutex<LruStripe<K, V>>>,
-    stripe_mask: usize,
-    // Cache-global recency clock: stamps are unique and totally ordered
-    // across stripes.
-    tick: AtomicU64,
-    // Total entries across stripes; the capacity check reads this without
-    // taking any stripe lock.
-    count: AtomicUsize,
-    capacity: usize,
-    ttl: Option<Duration>,
-    // Observability hook mirroring `TokenKnnCache::install_lock_wait`:
-    // time blocked acquiring a stripe mutex on the probe/insert paths.
-    lock_wait: OnceLock<Arc<Histogram>>,
+    lru: StripedLru<K, V>,
 }
 
 impl<K: Eq, V: Clone> StripedLruCache<K, V> {
@@ -268,369 +35,82 @@ impl<K: Eq, V: Clone> StripedLruCache<K, V> {
     /// disables caching (every lookup misses, inserts are dropped).
     pub fn new(capacity: usize) -> Self {
         StripedLruCache {
-            stripes: (0..DEFAULT_STRIPES).map(|_| Mutex::default()).collect(),
-            stripe_mask: DEFAULT_STRIPES - 1,
-            tick: AtomicU64::new(0),
-            count: AtomicUsize::new(0),
-            capacity,
-            ttl: None,
-            lock_wait: OnceLock::new(),
+            lru: StripedLru::new(capacity),
         }
     }
 
-    /// Sets the stripe count (builder style, before the cache is shared):
-    /// `n` is rounded up to a power of two and clamped to `[1, 256]`.
-    pub fn with_stripes(mut self, n: usize) -> Self {
-        let n = n.clamp(1, 256).next_power_of_two();
-        self.stripes = (0..n).map(|_| Mutex::default()).collect();
-        self.stripe_mask = n - 1;
-        self
-    }
-
-    /// Sets a time-to-live: probes evict (and miss on) entries inserted
-    /// more than `ttl` ago. `None` restores the default.
-    pub fn with_ttl(mut self, ttl: Option<Duration>) -> Self {
-        self.ttl = ttl;
-        self
+    /// Sets a time-to-live: probes evict (and miss on) entries inserted at
+    /// least `ttl` ago. `None` restores the default.
+    pub fn with_ttl(self, ttl: Option<Duration>) -> Self {
+        StripedLruCache {
+            lru: self.lru.with_ttl(ttl),
+        }
     }
 
     /// The configured time-to-live, if any.
     pub fn ttl(&self) -> Option<Duration> {
-        self.ttl
-    }
-
-    /// The number of stripes.
-    pub fn stripes(&self) -> usize {
-        self.stripes.len()
+        self.lru.ttl()
     }
 
     /// Installs a histogram recording, in nanoseconds, the time each
     /// probe/insert spends blocked acquiring its stripe mutex. Idempotent;
     /// first installation wins. Without one, acquisition does no timing.
     pub fn install_lock_wait(&self, histogram: Arc<Histogram>) {
-        let _ = self.lock_wait.set(histogram);
+        self.lru
+            .install_lock_wait(Arc::new(move |wait| histogram.record_duration(wait)));
     }
 
     /// Total entries across stripes.
     pub fn len(&self) -> usize {
-        self.count.load(Ordering::Acquire)
+        self.lru.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lru.is_empty()
     }
 
-    /// The configured total capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Counters, totals and per-stripe rows from one sweep of the stripes.
+    pub fn snapshot(&self) -> CacheSnapshot {
+        self.lru.snapshot()
     }
 
-    /// Per-stripe entry counts, in stripe order (invariant tests and
-    /// telemetry gauges read this).
-    pub fn stripe_usage(&self) -> Vec<usize> {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("lru stripe").map.len())
-            .collect()
-    }
-
-    /// Per-stripe `(entries, oldest entry age)` — the deep introspection
-    /// view `GET /debug/cache` renders. Age is measured from insertion
-    /// (not last hit), so a hot-but-old entry shows its true residency;
-    /// `None` marks an empty stripe.
-    pub fn stripe_debug(&self) -> Vec<(usize, Option<Duration>)> {
-        self.stripes
-            .iter()
-            .map(|stripe| {
-                let s = stripe.lock().expect("lru stripe");
-                let oldest = s.map.values().map(|e| e.created.elapsed()).max();
-                (s.map.len(), oldest)
-            })
-            .collect()
-    }
-
-    /// Counters summed across stripes. Each monotone counter is exact once
-    /// concurrent operations have completed.
+    /// The counters of a [`Self::snapshot`].
     pub fn counters(&self) -> CacheCounters {
-        let mut total = CacheCounters::default();
-        for stripe in &self.stripes {
-            total.merge(&stripe.lock().expect("lru stripe").counters);
-        }
-        total
+        self.lru.counters()
     }
 
     /// Zeroes the counters (entries are kept).
     pub fn reset_counters(&self) {
-        for stripe in &self.stripes {
-            stripe.lock().expect("lru stripe").counters = CacheCounters::default();
-        }
+        self.lru.reset_counters();
     }
 
-    /// The stripe index owning `fp` (mixed so structured fingerprints
-    /// spread evenly).
-    fn stripe_of(&self, fp: u64) -> usize {
-        mix64(fp) as usize & self.stripe_mask
-    }
-
-    /// Acquires stripe `idx`, recording blocked time when a lock-wait
-    /// histogram is installed.
-    fn lock_stripe(&self, idx: usize) -> MutexGuard<'_, LruStripe<K, V>> {
-        match self.lock_wait.get() {
-            None => self.stripes[idx].lock().expect("lru stripe"),
-            Some(h) => {
-                let start = Instant::now();
-                let guard = self.stripes[idx].lock().expect("lru stripe");
-                h.record_duration(start.elapsed());
-                guard
-            }
-        }
-    }
-
-    /// Looks up `key` under `fp`, refreshing its recency on a hit;
-    /// probe-time TTL expiry and collision-as-miss exactly as
-    /// [`LruCache::get`].
+    /// Looks up `key` under `fp`, refreshing its recency on a hit.
     pub fn get(&self, fp: u64, key: &K) -> Option<V> {
-        let mut stripe = self.lock_stripe(self.stripe_of(fp));
-        let stripe = &mut *stripe;
-        let expired = matches!(
-            (stripe.map.get(&fp), self.ttl),
-            (Some(entry), Some(ttl)) if entry.key == *key && entry.created.elapsed() >= ttl
-        );
-        if expired {
-            let old = stripe.map.remove(&fp).expect("checked above");
-            stripe.recency.remove(&old.stamp);
-            self.count.fetch_sub(1, Ordering::AcqRel);
-            stripe.counters.expirations += 1;
-            stripe.counters.misses += 1;
-            return None;
-        }
-        match stripe.map.get_mut(&fp) {
-            Some(entry) if entry.key == *key => {
-                let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                stripe.recency.remove(&entry.stamp);
-                entry.stamp = stamp;
-                stripe.recency.insert(stamp, fp);
-                stripe.counters.hits += 1;
-                Some(entry.value.clone())
-            }
-            _ => {
-                stripe.counters.misses += 1;
-                None
-            }
-        }
+        self.lru.get(fp, key)
     }
 
     /// Stores `value` under `(fp, key)`, evicting the globally
     /// least-recently-used entry when the total exceeds capacity. An
     /// insert with the same fingerprint replaces the entry in place.
     pub fn insert(&self, fp: u64, key: K, value: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut stripe = self.lock_stripe(self.stripe_of(fp));
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = Entry {
-            key,
-            value,
-            stamp,
-            created: Instant::now(),
-        };
-        if let Some(old) = stripe.map.insert(fp, entry) {
-            stripe.recency.remove(&old.stamp);
-        } else {
-            self.count.fetch_add(1, Ordering::AcqRel);
-        }
-        stripe.recency.insert(stamp, fp);
-        stripe.counters.insertions += 1;
-        drop(stripe);
-        self.rebalance();
-    }
-
-    /// Evicts globally least-recently-used entries until the total fits
-    /// capacity — same one-lock-at-a-time scan as the token cache's
-    /// rebalance: peek every stripe's oldest stamp, re-lock the winner,
-    /// evict whatever is oldest there now. A just-inserted entry carries
-    /// the newest stamp, so it is only chosen once it is the last one —
-    /// at which point the total (1) fits any non-zero capacity.
-    fn rebalance(&self) {
-        while self.count.load(Ordering::Acquire) > self.capacity {
-            let mut oldest: Option<(u64, usize)> = None;
-            for (i, stripe) in self.stripes.iter().enumerate() {
-                let s = stripe.lock().expect("lru stripe");
-                if let Some((&stamp, _)) = s.recency.iter().next() {
-                    if oldest.is_none_or(|(best, _)| stamp < best) {
-                        oldest = Some((stamp, i));
-                    }
-                }
-            }
-            let Some((_, i)) = oldest else { return };
-            let mut s = self.stripes[i].lock().expect("lru stripe");
-            let s = &mut *s;
-            if let Some((&stamp, &victim)) = s.recency.iter().next() {
-                s.recency.remove(&stamp);
-                s.map.remove(&victim);
-                self.count.fetch_sub(1, Ordering::AcqRel);
-                s.counters.evictions += 1;
-            }
-        }
+        self.lru.insert(fp, key, value, 1, || true);
     }
 
     /// Drops every entry (e.g. after the underlying repository or
     /// similarity model changed).
     pub fn invalidate_all(&self) {
-        for stripe in &self.stripes {
-            let mut s = stripe.lock().expect("lru stripe");
-            s.counters.invalidations += s.map.len() as u64;
-            self.count.fetch_sub(s.map.len(), Ordering::AcqRel);
-            s.map.clear();
-            s.recency.clear();
-        }
-    }
-}
-
-impl<K, V> std::fmt::Debug for StripedLruCache<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StripedLruCache")
-            .field("entries", &self.count.load(Ordering::Acquire))
-            .field("capacity", &self.capacity)
-            .field("stripes", &self.stripes.len())
-            .finish()
+        self.lru.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The wrapper's own surface only: fingerprint + full-key plumbing,
+    //! weight 1 against an entry capacity, the TTL / invalidation /
+    //! histogram pass-throughs. The LRU mechanics are tested once, on the
+    //! core (`koios_common::cache`).
     use super::*;
-
-    #[test]
-    fn hit_after_insert_miss_before() {
-        let mut c: LruCache<u32, String> = LruCache::new(4);
-        assert_eq!(c.get(1, &10), None);
-        c.insert(1, 10, "a".into());
-        assert_eq!(c.get(1, &10), Some("a".into()));
-        let n = c.counters();
-        assert_eq!((n.hits, n.misses, n.insertions), (1, 1, 1));
-    }
-
-    #[test]
-    fn fingerprint_collision_is_a_miss_not_a_wrong_value() {
-        let mut c: LruCache<u32, String> = LruCache::new(4);
-        c.insert(7, 100, "for-100".into());
-        // Same fingerprint, different full key.
-        assert_eq!(c.get(7, &200), None);
-        assert_eq!(c.counters().misses, 1);
-        // The colliding insert replaces the entry.
-        c.insert(7, 200, "for-200".into());
-        assert_eq!(c.get(7, &200), Some("for-200".into()));
-        assert_eq!(c.get(7, &100), None);
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn evicts_least_recently_used() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        c.insert(1, 1, 11);
-        c.insert(2, 2, 22);
-        // Touch 1 so 2 becomes the LRU.
-        assert_eq!(c.get(1, &1), Some(11));
-        c.insert(3, 3, 33);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(2, &2), None, "LRU entry evicted");
-        assert_eq!(c.get(1, &1), Some(11));
-        assert_eq!(c.get(3, &3), Some(33));
-        assert_eq!(c.counters().evictions, 1);
-    }
-
-    #[test]
-    fn invalidate_all_clears_and_counts() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4);
-        c.insert(1, 1, 1);
-        c.insert(2, 2, 2);
-        c.invalidate_all();
-        assert!(c.is_empty());
-        assert_eq!(c.counters().invalidations, 2);
-        assert_eq!(c.get(1, &1), None);
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let mut c: LruCache<u32, u32> = LruCache::new(0);
-        c.insert(1, 1, 1);
-        assert!(c.is_empty());
-        assert_eq!(c.get(1, &1), None);
-    }
-
-    #[test]
-    fn reinsert_same_key_updates_value_without_eviction() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        c.insert(1, 1, 10);
-        c.insert(1, 1, 20);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.counters().evictions, 0);
-        assert_eq!(c.get(1, &1), Some(20));
-    }
-
-    #[test]
-    fn zero_ttl_expires_on_first_probe() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4).with_ttl(Some(Duration::ZERO));
-        c.insert(1, 1, 11);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(1, &1), None, "already past its TTL");
-        assert!(c.is_empty(), "expired entry evicted on probe");
-        let n = c.counters();
-        assert_eq!((n.misses, n.expirations, n.hits), (1, 1, 0));
-        // Reinsertion works; the entry expires again on the next probe.
-        c.insert(1, 1, 12);
-        assert_eq!(c.get(1, &1), None);
-        assert_eq!(c.counters().expirations, 2);
-    }
-
-    #[test]
-    fn entries_survive_within_ttl_and_expire_after() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4).with_ttl(Some(Duration::from_millis(40)));
-        c.insert(1, 1, 11);
-        assert_eq!(c.get(1, &1), Some(11), "fresh entry hits");
-        std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(c.get(1, &1), None, "aged out");
-        let n = c.counters();
-        assert_eq!((n.hits, n.misses, n.expirations), (1, 1, 1));
-    }
-
-    #[test]
-    fn no_ttl_means_no_expiry() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4);
-        assert_eq!(c.ttl(), None);
-        c.insert(1, 1, 11);
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(c.get(1, &1), Some(11));
-        assert_eq!(c.counters().expirations, 0);
-    }
-
-    #[test]
-    fn expiry_does_not_shadow_collision_semantics() {
-        // A fingerprint collision (different full key) is a plain miss even
-        // under a zero TTL: the expiry path only fires for the *matching*
-        // key, so collision counting stays truthful.
-        let mut c: LruCache<u32, u32> = LruCache::new(4).with_ttl(Some(Duration::ZERO));
-        c.insert(7, 100, 1);
-        assert_eq!(c.get(7, &200), None);
-        let n = c.counters();
-        assert_eq!((n.misses, n.expirations), (1, 0));
-        assert_eq!(c.len(), 1, "colliding probe does not evict");
-    }
-
-    #[test]
-    fn hit_rate_reflects_lookups() {
-        let mut c: LruCache<u32, u32> = LruCache::new(2);
-        assert_eq!(c.counters().hit_rate(), 0.0);
-        c.insert(1, 1, 1);
-        c.get(1, &1);
-        c.get(2, &2);
-        assert!((c.counters().hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    // ---- StripedLruCache: same semantics, interior locking ----
 
     #[test]
     fn striped_hit_after_insert_miss_before() {
@@ -652,23 +132,6 @@ mod tests {
         assert_eq!(c.get(7, &200), Some("for-200".into()));
         assert_eq!(c.get(7, &100), None);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn striped_capacity_is_global_not_per_stripe() {
-        // Capacity 2 with 8 stripes: a third insert must evict even though
-        // every entry lives in a different stripe — the bound is on the
-        // cache, not the segment.
-        let c: StripedLruCache<u32, u32> = StripedLruCache::new(2);
-        c.insert(1, 1, 11);
-        c.insert(2, 2, 22);
-        assert_eq!(c.get(1, &1), Some(11)); // 2 becomes global LRU
-        c.insert(3, 3, 33);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(2, &2), None, "global LRU entry evicted");
-        assert_eq!(c.get(1, &1), Some(11));
-        assert_eq!(c.get(3, &3), Some(33));
-        assert_eq!(c.counters().evictions, 1);
     }
 
     #[test]
@@ -697,21 +160,12 @@ mod tests {
         for i in 0..32 {
             c.insert(i, i as u32, i as u32);
         }
-        assert_eq!(c.stripe_usage().iter().sum::<usize>(), 32);
+        let snap = c.snapshot();
+        assert_eq!((snap.entries, snap.weight, snap.budget), (32, 32, 64));
         c.invalidate_all();
         assert!(c.is_empty());
         assert_eq!(c.counters().invalidations, 32);
-        assert!(c.stripe_usage().iter().all(|&n| n == 0));
-    }
-
-    #[test]
-    fn striped_stripe_count_is_configurable() {
-        let c: StripedLruCache<u32, u32> = StripedLruCache::new(4).with_stripes(3);
-        assert_eq!(c.stripes(), 4, "rounded to a power of two");
-        let c: StripedLruCache<u32, u32> = StripedLruCache::new(4).with_stripes(1);
-        assert_eq!(c.stripes(), 1);
-        c.insert(1, 1, 1);
-        assert_eq!(c.get(1, &1), Some(1), "single stripe still works");
+        assert!(c.snapshot().stripes.iter().all(|row| row.entries == 0));
     }
 
     #[test]
@@ -723,68 +177,5 @@ mod tests {
         c.insert(1, 1, 11); // 1 acquisition (under capacity: no rebalance locks)
         assert_eq!(c.get(1, &1), Some(11)); // 1 more
         assert_eq!(h.snapshot().count(), 2);
-    }
-
-    #[test]
-    fn striped_churn_holds_capacity_and_counter_invariants() {
-        // 8 threads of mixed get/insert over 64 keys against capacity 16:
-        // constant cross-stripe eviction, yet every bound and counter
-        // identity of the single-owner cache must hold afterwards.
-        const CAPACITY: usize = 16;
-        const THREADS: u64 = 8;
-        const OPS: u64 = 400;
-        let c: Arc<StripedLruCache<u64, u64>> = Arc::new(StripedLruCache::new(CAPACITY));
-        std::thread::scope(|sc| {
-            for t in 0..THREADS {
-                let c = Arc::clone(&c);
-                sc.spawn(move || {
-                    // Disjoint per-thread keyspaces: a key is only ever
-                    // inserted by its owner, so no insert is a same-key
-                    // replacement and the entry-count identity below is
-                    // exact. Eviction still crosses threads and stripes.
-                    for op in 0..OPS {
-                        let key = t * 8 + op % 8;
-                        if c.get(key, &key).is_none() {
-                            c.insert(key, key, key * 2);
-                        }
-                    }
-                });
-            }
-        });
-        let n = c.counters();
-        assert_eq!(n.hits + n.misses, THREADS * OPS);
-        assert_eq!(n.insertions, n.misses, "one insert per miss");
-        assert!(n.evictions > 0, "capacity pressure must have evicted");
-        assert!(c.len() <= CAPACITY, "{} > {CAPACITY}", c.len());
-        // Entry count identity once all threads have joined: live =
-        // inserted − evicted − expired − invalidated − replaced (none
-        // here: keys are stable per fingerprint and there are no
-        // collisions in this keyspace).
-        assert_eq!(
-            c.len() as u64,
-            n.insertions - n.evictions - n.expirations - n.invalidations
-        );
-        assert_eq!(c.stripe_usage().iter().sum::<usize>(), c.len());
-        // Surviving values are never torn — each maps to its own key.
-        for key in 0..64u64 {
-            if let Some(v) = c.get(key, &key) {
-                assert_eq!(v, key * 2);
-            }
-        }
-    }
-
-    #[test]
-    fn stripe_debug_matches_usage_and_reports_ages() {
-        let c: StripedLruCache<u64, u64> = StripedLruCache::new(64);
-        for key in 0..32u64 {
-            c.insert(key, key, key);
-        }
-        let usage = c.stripe_usage();
-        let debug = c.stripe_debug();
-        assert_eq!(debug.len(), usage.len());
-        for (n, (dn, oldest)) in usage.iter().zip(&debug) {
-            assert_eq!(n, dn);
-            assert_eq!(oldest.is_some(), *dn > 0, "{debug:?}");
-        }
     }
 }

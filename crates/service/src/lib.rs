@@ -73,7 +73,7 @@ pub mod slowlog;
 pub mod stats;
 pub mod tracer;
 
-pub use cache::{CacheCounters, LruCache, StripedLruCache};
+pub use cache::{CacheCounters, StripedLruCache};
 pub use metrics::ServiceMetrics;
 pub use pool::{PoolInstruments, Ticket, WorkerPool};
 pub use request::{CacheKey, CacheOutcome, SearchRequest, ServiceResponse};

@@ -7,6 +7,7 @@ use crate::request::{CacheKey, CacheOutcome, SearchRequest, ServiceResponse};
 use crate::slowlog::{SlowQueryLog, SlowQueryRecord};
 use crate::stats::{ServiceStats, SnapshotInfo};
 use crate::tracer::{record_search_spans, Tracer};
+use koios_common::cache::CacheSnapshot;
 use koios_common::{profile, Json, SetId, TokenId};
 use koios_core::mutable::{BatchRejected, MutableEngine};
 use koios_core::{
@@ -323,6 +324,115 @@ impl From<BatchRejected> for LiveServiceError {
 pub struct SearchService {
     inner: Arc<ServiceInner>,
     pool: WorkerPool,
+}
+
+fn set_gauge(reg: &Registry, name: &str, help: &str, labels: &[(&str, &str)], value: usize) {
+    reg.gauge(name, help, labels)
+        .set(value.min(i64::MAX as usize) as i64);
+}
+
+/// One cache's single-sweep snapshot as `GET /metrics` and
+/// `GET /debug/cache` render it — both surfaces, both caches, one helper.
+struct CacheView {
+    name: &'static str,
+    lru: CacheSnapshot,
+    /// `Some` marks the token cache: byte-weighted (totals and stripe rows
+    /// carry bytes, rejected inserts are reported) and generation-stamped.
+    generation: Option<u64>,
+}
+
+impl CacheView {
+    /// `(op label on /metrics, field on /debug/cache, total)`, in
+    /// rendering order.
+    fn ops(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+        let n = &self.lru.counters;
+        let rejected = ("rejected_insert", "rejected_inserts", n.rejected_inserts);
+        [
+            ("hit", "hits", n.hits),
+            ("miss", "misses", n.misses),
+            ("eviction", "evictions", n.evictions),
+            ("insertion", "insertions", n.insertions),
+            ("expiration", "expirations", n.expirations),
+            ("invalidation", "invalidations", n.invalidations),
+        ]
+        .into_iter()
+        .chain(self.generation.map(|_| rejected))
+    }
+
+    /// Synchronizes this cache's scrape-derived series into `reg`.
+    fn export(&self, reg: &Registry) {
+        for (op, _, total) in self.ops() {
+            reg.counter(
+                "koios_cache_ops_total",
+                "Cache operations since service construction",
+                &[("cache", self.name), ("op", op)],
+            )
+            .store(total);
+        }
+        set_gauge(
+            reg,
+            "koios_cache_stripes",
+            "Lock stripes of the striped caches",
+            &[("cache", self.name)],
+            self.lru.stripes.len(),
+        );
+        if self.generation.is_some() {
+            set_gauge(
+                reg,
+                "koios_token_cache_bytes",
+                "Bytes held by the shared token kNN cache",
+                &[],
+                self.lru.weight,
+            );
+            set_gauge(
+                reg,
+                "koios_token_cache_entries",
+                "Entries held by the shared token kNN cache",
+                &[],
+                self.lru.entries,
+            );
+        }
+    }
+
+    /// This cache's `GET /debug/cache` object; the entry count is mirrored
+    /// onto its `koios_debug_cache_entries` gauge.
+    fn to_json(&self, reg: &Registry) -> Json {
+        set_gauge(
+            reg,
+            "koios_debug_cache_entries",
+            "Entries held, as reported by GET /debug/cache",
+            &[("cache", self.name)],
+            self.lru.entries,
+        );
+        let num = |n: usize| Json::num(n as f64);
+        let mut fields = match self.generation {
+            None => vec![
+                ("capacity", num(self.lru.budget)),
+                ("entries", num(self.lru.entries)),
+            ],
+            Some(generation) => vec![
+                ("budget_bytes", num(self.lru.budget)),
+                ("bytes", num(self.lru.weight)),
+                ("entries", num(self.lru.entries)),
+                ("generation", Json::num(generation as f64)),
+            ],
+        };
+        let rows = self.lru.stripes.iter().enumerate().map(|(i, row)| {
+            let mut fields = vec![("stripe", num(i)), ("entries", num(row.entries))];
+            if self.generation.is_some() {
+                fields.push(("bytes", num(row.weight)));
+            }
+            let age = row.oldest_age.map(|age| Json::num(age.as_secs_f64()));
+            fields.push(("oldest_age_secs", age.unwrap_or(Json::Null)));
+            Json::obj(fields)
+        });
+        fields.push(("stripes", Json::arr(rows)));
+        let counters = self
+            .ops()
+            .map(|(_, field, total)| (field, Json::num(total as f64)));
+        fields.push(("counters", Json::obj(counters)));
+        Json::obj(fields)
+    }
 }
 
 /// A handle to one submitted request's eventual [`ServiceResponse`]
@@ -991,54 +1101,9 @@ impl SearchService {
         let reg = m.registry();
         m.uptime
             .set(self.inner.started.elapsed().as_secs().min(i64::MAX as u64) as i64);
-        let ops = |cache: &str, op: &str, total: u64| {
-            reg.counter(
-                "koios_cache_ops_total",
-                "Cache operations since service construction",
-                &[("cache", cache), ("op", op)],
-            )
-            .store(total);
-        };
-        let rc = self.inner.cache.counters();
-        ops("result", "hit", rc.hits);
-        ops("result", "miss", rc.misses);
-        ops("result", "eviction", rc.evictions);
-        ops("result", "insertion", rc.insertions);
-        ops("result", "expiration", rc.expirations);
-        ops("result", "invalidation", rc.invalidations);
-        if let Some(tc) = &self.inner.token_cache {
-            let snap = tc.snapshot();
-            ops("token", "hit", snap.counters.hits);
-            ops("token", "miss", snap.counters.misses);
-            ops("token", "eviction", snap.counters.evictions);
-            ops("token", "insertion", snap.counters.insertions);
-            ops("token", "expiration", snap.counters.expirations);
-            ops("token", "invalidation", snap.counters.invalidations);
-            ops("token", "rejected_insert", snap.counters.rejected_inserts);
-            reg.gauge(
-                "koios_token_cache_bytes",
-                "Bytes held by the shared token kNN cache",
-                &[],
-            )
-            .set(snap.bytes.min(i64::MAX as usize) as i64);
-            reg.gauge(
-                "koios_token_cache_entries",
-                "Entries held by the shared token kNN cache",
-                &[],
-            )
-            .set(snap.entries.min(i64::MAX as usize) as i64);
-        }
-        let stripes = |cache: &str, n: usize| {
-            reg.gauge(
-                "koios_cache_stripes",
-                "Lock stripes of the striped caches",
-                &[("cache", cache)],
-            )
-            .set(n.min(i64::MAX as usize) as i64);
-        };
-        stripes("result", self.inner.cache.stripes());
-        if let Some(tc) = &self.inner.token_cache {
-            stripes("token", tc.stripes());
+        let (result, token) = self.cache_views();
+        for view in std::iter::once(result).chain(token) {
+            view.export(reg);
         }
         let mut text = reg.render_prometheus();
         // Exemplar linkage: the slowest retained trace, rendered as its own
@@ -1110,96 +1175,30 @@ impl SearchService {
 
     /// The body of `GET /debug/cache`: per-stripe occupancy, byte load and
     /// oldest-entry age for both striped caches, plus their lifetime
-    /// counters. Aggregate occupancy is mirrored onto
+    /// counters — each cache from one snapshot, so its stripe rows sum to
+    /// the totals beside them. Aggregate occupancy is mirrored onto
     /// `koios_debug_cache_entries` gauges so scrapes and debug reads agree.
     pub fn debug_cache(&self) -> Json {
         let reg = self.inner.metrics.registry();
-        let mirror = |cache: &str, entries: usize| {
-            reg.gauge(
-                "koios_debug_cache_entries",
-                "Entries held, as reported by GET /debug/cache",
-                &[("cache", cache)],
-            )
-            .set(entries.min(i64::MAX as usize) as i64);
+        let (result, token) = self.cache_views();
+        Json::obj([
+            ("result", result.to_json(reg)),
+            ("token", token.map_or(Json::Null, |t| t.to_json(reg))),
+        ])
+    }
+
+    /// One snapshot per cache (the token cache when enabled).
+    fn cache_views(&self) -> (CacheView, Option<CacheView>) {
+        let view = |name, lru, generation| CacheView {
+            name,
+            lru,
+            generation,
         };
-        let age_secs = |age: Option<Duration>| match age {
-            Some(a) => Json::num(a.as_secs_f64()),
-            None => Json::Null,
-        };
-        let rc = self.inner.cache.counters();
-        mirror("result", self.inner.cache.len());
-        let result = Json::obj([
-            ("capacity", Json::num(self.inner.cache.capacity() as f64)),
-            ("entries", Json::num(self.inner.cache.len() as f64)),
-            (
-                "stripes",
-                Json::arr(self.inner.cache.stripe_debug().into_iter().enumerate().map(
-                    |(i, (entries, oldest))| {
-                        Json::obj([
-                            ("stripe", Json::num(i as f64)),
-                            ("entries", Json::num(entries as f64)),
-                            ("oldest_age_secs", age_secs(oldest)),
-                        ])
-                    },
-                )),
-            ),
-            (
-                "counters",
-                Json::obj([
-                    ("hits", Json::num(rc.hits as f64)),
-                    ("misses", Json::num(rc.misses as f64)),
-                    ("evictions", Json::num(rc.evictions as f64)),
-                    ("insertions", Json::num(rc.insertions as f64)),
-                    ("expirations", Json::num(rc.expirations as f64)),
-                    ("invalidations", Json::num(rc.invalidations as f64)),
-                ]),
-            ),
-        ]);
-        let token = match &self.inner.token_cache {
-            Some(tc) => {
-                let snap = tc.snapshot();
-                mirror("token", snap.entries);
-                Json::obj([
-                    ("budget_bytes", Json::num(snap.budget_bytes as f64)),
-                    ("bytes", Json::num(snap.bytes as f64)),
-                    ("entries", Json::num(snap.entries as f64)),
-                    ("generation", Json::num(snap.generation as f64)),
-                    (
-                        "stripes",
-                        Json::arr(tc.stripe_debug().into_iter().enumerate().map(
-                            |(i, (entries, bytes, oldest))| {
-                                Json::obj([
-                                    ("stripe", Json::num(i as f64)),
-                                    ("entries", Json::num(entries as f64)),
-                                    ("bytes", Json::num(bytes as f64)),
-                                    ("oldest_age_secs", age_secs(oldest)),
-                                ])
-                            },
-                        )),
-                    ),
-                    (
-                        "counters",
-                        Json::obj([
-                            ("hits", Json::num(snap.counters.hits as f64)),
-                            ("misses", Json::num(snap.counters.misses as f64)),
-                            ("evictions", Json::num(snap.counters.evictions as f64)),
-                            ("insertions", Json::num(snap.counters.insertions as f64)),
-                            ("expirations", Json::num(snap.counters.expirations as f64)),
-                            (
-                                "invalidations",
-                                Json::num(snap.counters.invalidations as f64),
-                            ),
-                            (
-                                "rejected_inserts",
-                                Json::num(snap.counters.rejected_inserts as f64),
-                            ),
-                        ]),
-                    ),
-                ])
-            }
-            None => Json::Null,
-        };
-        Json::obj([("result", result), ("token", token)])
+        let token = self.inner.token_cache.as_ref().map(|tc| tc.snapshot());
+        (
+            view("result", self.inner.cache.snapshot(), None),
+            token.map(|s| view("token", s.into(), Some(s.generation))),
+        )
     }
 
     /// The body of `GET /debug/engine`: live/tombstoned set counts, the

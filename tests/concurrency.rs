@@ -180,7 +180,7 @@ fn generation_bump_during_search_never_tears_results() {
     // budget, and probes always resolved to exactly one outcome.
     let snap = cache.snapshot();
     assert!(snap.bytes <= snap.budget_bytes);
-    let usage_bytes: usize = cache.stripe_usage().iter().map(|&(_, b)| b).sum();
+    let usage_bytes: usize = snap.stripes.iter().map(|row| row.weight).sum();
     assert_eq!(
         usage_bytes, snap.bytes,
         "stripe sums match the global total"

@@ -553,6 +553,18 @@ fn debug_suite_round_trips_on_both_backends() {
             stripe_total > 0,
             "{label}: traffic above must have populated the cache"
         );
+        // Each cache is rendered from one snapshot, so the token cache's
+        // stripe rows sum to the totals printed beside them as well.
+        let tc = cache.get("token").unwrap();
+        for field in ["entries", "bytes"] {
+            let rows = tc.get("stripes").unwrap().as_array().unwrap().iter();
+            let sum: u64 = rows.map(|s| s.get(field).unwrap().as_u64().unwrap()).sum();
+            assert_eq!(
+                tc.get(field).unwrap().as_u64(),
+                Some(sum),
+                "{label} {field}"
+            );
+        }
 
         // /debug/profile: enabled by default, JSON and collapsed forms.
         let (status, profile) = client.debug_profile().unwrap();
