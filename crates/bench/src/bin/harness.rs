@@ -9,14 +9,10 @@
 //! ```
 //!
 //! Subcommands: `table1 table2 table3 table4 table5 fig5 fig6 fig7 fig8
-//! silkmoth ablation token_cache partitioned serving trace_overhead
-//! profile_overhead snapshot live all`.
-//! (`partitioned`, `serving`, `trace_overhead`, `profile_overhead`,
-//! `snapshot` and `live` also write `BENCH_partitioned.json` /
-//! `BENCH_serving.json` / `BENCH_trace_overhead.json` /
-//! `BENCH_profile.json` / `BENCH_store.json` / `BENCH_live.json` to the
-//! working directory.) Options: `--scale F`
-//! (corpus scale, default 0.2), `--k N`, `--alpha F`, `--partitions N`,
+//! silkmoth ablation token_cache all`. The serving stack (HTTP, sharded
+//! backends, snapshots, live mutation, tracing overhead) is measured by the
+//! perf ledger instead: `bench/README.md`. Options: `--scale F`
+//! (corpus scale, default 0.1), `--k N`, `--alpha F`, `--partitions N`,
 //! `--queries N` (per interval), `--timeout SECS`, `--seed N`.
 
 use koios_bench::experiments::{self, HarnessConfig};
@@ -24,7 +20,7 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness <table1|table2|table3|table4|table5|fig5|fig6|fig7|fig8|silkmoth|ablation|token_cache|partitioned|serving|trace_overhead|profile_overhead|snapshot|live|all>\n\
+        "usage: harness <table1|table2|table3|table4|table5|fig5|fig6|fig7|fig8|silkmoth|ablation|token_cache|all>\n\
          \x20       [--scale F] [--k N] [--alpha F] [--partitions N] [--queries N] [--timeout SECS] [--seed N]"
     );
     std::process::exit(2);
@@ -82,12 +78,6 @@ fn main() {
         "silkmoth",
         "ablation",
         "token_cache",
-        "partitioned",
-        "serving",
-        "trace_overhead",
-        "profile_overhead",
-        "snapshot",
-        "live",
     ];
     let selected: Vec<&str> = if cmds.iter().any(|c| c == "all") {
         all.to_vec()
@@ -118,12 +108,6 @@ fn main() {
             "silkmoth" => experiments::silkmoth(&cfg),
             "ablation" => experiments::ablation(&cfg),
             "token_cache" => experiments::token_cache(&cfg),
-            "partitioned" => experiments::partitioned(&cfg),
-            "serving" => experiments::serving(&cfg),
-            "trace_overhead" => experiments::trace_overhead(&cfg),
-            "profile_overhead" => experiments::profile_overhead(&cfg),
-            "snapshot" => experiments::snapshot(&cfg),
-            "live" => experiments::live(&cfg),
             other => {
                 eprintln!("unknown experiment: {other}");
                 usage()

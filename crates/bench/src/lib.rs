@@ -2,8 +2,8 @@
 //!
 //! [`experiments`] regenerates every table and figure of the paper's
 //! evaluation section (§VIII) as formatted text; the `harness` binary is a
-//! thin CLI over it, and `EXPERIMENTS.md` records one full run. [`setup`]
-//! holds the corpus/benchmark plumbing the experiments share.
+//! thin CLI over it. [`setup`] holds the corpus/benchmark plumbing the
+//! experiments share. Serving-side measurement lives in `bench/ledger`.
 
 pub mod experiments;
 pub mod setup;

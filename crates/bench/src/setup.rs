@@ -1,5 +1,4 @@
-//! Corpus/benchmark plumbing shared by the harness and the criterion
-//! benches.
+//! Corpus/benchmark plumbing shared by the harness experiments.
 
 use koios_datagen::benchmark::QueryBenchmark;
 use koios_datagen::corpus::Corpus;

@@ -656,6 +656,11 @@ mod tests {
         assert!(res.stats.refine_time <= slowest);
         // The merge ran (its wall clock was measured, however small).
         assert!(res.stats.merge_time > Duration::ZERO);
+        // …and is part of the response time the wire reports.
+        assert_eq!(
+            res.stats.response_time(),
+            res.stats.refine_time + res.stats.postprocess_time + res.stats.merge_time
+        );
     }
 
     #[test]

@@ -357,9 +357,11 @@ impl SearchStats {
         self.funnel.as_deref_mut()
     }
 
-    /// Total wall time across phases.
+    /// Total wall time across phases: refinement, post-processing and —
+    /// on a partitioned search, where it runs after the shards return —
+    /// the merge loop (zero on a single engine).
     pub fn response_time(&self) -> Duration {
-        self.refine_time + self.postprocess_time
+        self.refine_time + self.postprocess_time + self.merge_time
     }
 
     /// Fraction of candidates pruned during refinement (the paper's

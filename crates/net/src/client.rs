@@ -1,10 +1,10 @@
 //! A tiny blocking HTTP client for the Koios server.
 //!
-//! Just enough for tests, examples and the bench harness: keep-alive
-//! connection reuse, JSON request/response bodies, automatic one-shot
-//! reconnect when the pooled connection was closed under us. Not a general
-//! HTTP client — it only speaks to [`crate::server::KoiosServer`]-shaped
-//! peers (HTTP/1.1, `Content-Length` framing).
+//! Just enough for tests and examples: keep-alive connection reuse, JSON
+//! request/response bodies, automatic one-shot reconnect when the pooled
+//! connection was closed under us. Not a general HTTP client — it only
+//! speaks to [`crate::server::KoiosServer`]-shaped peers (HTTP/1.1,
+//! `Content-Length` framing).
 
 use crate::http::{HttpError, HttpResponse};
 use koios_common::Json;

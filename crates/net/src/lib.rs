@@ -22,7 +22,7 @@
 //!   `koios-telemetry` registry — stage/shard/queue/lock-wait histograms),
 //!   `GET /healthz`, `POST /invalidate`.
 //! * [`client`] — [`client::KoiosClient`]: a tiny blocking keep-alive
-//!   client used by tests, examples and the bench harness.
+//!   client used by tests and examples.
 //!
 //! ```
 //! use koios_common::Json;

@@ -308,11 +308,13 @@ fn search(request: &HttpRequest, service: &SearchService) -> HttpResponse {
         Ok(json) => json,
         Err(resp) => return resp,
     };
-    // Pin one repository for the whole request: parsing and response
-    // serialization must agree on token ids and set names even if a
-    // concurrent `/ingest` or `/reload` swaps the backend mid-request.
-    let repo = service.repository();
-    let mut search_request = match wire::parse_search_request(&json, &repo) {
+    // Parse against the repository served right now; the reply is
+    // serialized against the one the worker actually pinned
+    // (`response.repository`), which a concurrent `/ingest` may have moved
+    // past this one. Token ids are append-only across mutation epochs, so
+    // ids interned at epoch *e* name the same tokens at any later *e′*; set
+    // ids and names are only ever resolved on the serving side.
+    let mut search_request = match wire::parse_search_request(&json, &service.repository()) {
         Ok(req) => req,
         Err(e) => return bad_request(&e),
     };
@@ -333,7 +335,10 @@ fn search(request: &HttpRequest, service: &SearchService) -> HttpResponse {
     // split: building the JSON body is the front-end's own contribution to
     // response time, invisible to the in-process service metrics.
     let serialize_start = std::time::Instant::now();
-    let http = HttpResponse::json(200, &wire::response_to_json(&response, &repo));
+    let http = HttpResponse::json(
+        200,
+        &wire::response_to_json(&response, &response.repository),
+    );
     let serialize_time = serialize_start.elapsed();
     service
         .metrics()

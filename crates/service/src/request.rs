@@ -3,7 +3,9 @@
 use koios_common::fingerprint::Fingerprinter;
 use koios_common::TokenId;
 use koios_core::{KoiosConfig, SearchResult, UbMode};
+use koios_embed::repository::Repository;
 use koios_telemetry::trace::TraceContext;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One top-k query submitted to the service.
@@ -195,6 +197,13 @@ pub struct ServiceResponse {
     /// runs without tracing). Resolve it via `GET /traces?id=…` — if the
     /// tail sampler retained the trace.
     pub trace_id: Option<u64>,
+    /// The repository of the backend this request was served from (the one
+    /// the worker pinned, cache hits included): every [`SetId`] in `result`
+    /// resolves against it, however many live mutations have swapped the
+    /// service's backend since.
+    ///
+    /// [`SetId`]: koios_common::SetId
+    pub repository: Arc<Repository>,
 }
 
 #[cfg(test)]

@@ -27,6 +27,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
+/// How often the wall-clock profiler samples the workers' published
+/// stages (≈1k samples/s).
+const PROFILER_SAMPLE_PERIOD: Duration = Duration::from_millis(1);
+
 /// Tunables of a [`SearchService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -69,15 +73,13 @@ pub struct ServiceConfig {
     /// cost. The slow-query-log threshold, when configured, doubles as a
     /// retention rule so every slow-log line resolves to a trace.
     pub tracing: Option<TraceConfig>,
-    /// Sampling period of the cooperative wall-clock profiler
+    /// The cooperative wall-clock profiler
     /// ([`koios_telemetry::Profiler`]): one background thread reads every
-    /// worker's published `(stage, shard)` slot at this rate and feeds the
-    /// counter matrix behind `GET /debug/profile`. Enabled by default at
-    /// 1 ms (≈1k samples/s — the `harness profile_overhead` gate proves
-    /// the cost is within noise); `None` disables the sampler *and* the
-    /// per-request slot stores (workers publish only while a profiler is
-    /// attached).
-    pub profiler_sample_period: Option<Duration>,
+    /// worker's published `(stage, shard)` slot every millisecond and
+    /// feeds the counter matrix behind `GET /debug/profile`. On by default;
+    /// `false` disables the sampler *and* the per-request slot stores
+    /// (workers publish only while a profiler is attached).
+    pub profiler: bool,
 }
 
 impl Default for ServiceConfig {
@@ -91,7 +93,7 @@ impl Default for ServiceConfig {
             token_cache_ttl: None,
             slow_query_log: None,
             tracing: Some(TraceConfig::default()),
-            profiler_sample_period: Some(Duration::from_millis(1)),
+            profiler: true,
         }
     }
 }
@@ -152,23 +154,19 @@ impl ServiceConfig {
         self
     }
 
-    /// Disables request tracing entirely (the A/B baseline of the
-    /// `harness trace_overhead` gate).
+    /// Disables request tracing entirely. Hits are identical either way
+    /// (`tests/trace.rs` hammers a traced service against a bare one); the
+    /// cost is the ledger's `bench.trace_overhead_share` row.
     pub fn without_tracing(mut self) -> Self {
         self.tracing = None;
         self
     }
 
-    /// Sets the wall-clock profiler's sampling period.
-    pub fn with_profiler_period(mut self, period: Duration) -> Self {
-        self.profiler_sample_period = Some(period);
-        self
-    }
-
-    /// Disables the wall-clock profiler entirely (the A/B baseline of the
-    /// `harness profile_overhead` gate).
+    /// Disables the wall-clock profiler entirely: `GET /debug/profile`
+    /// reports it off and the collapsed-stack route answers 409. Hits are
+    /// identical either way (the same `tests/trace.rs` hammer).
     pub fn without_profiler(mut self) -> Self {
-        self.profiler_sample_period = None;
+        self.profiler = false;
         self
     }
 }
@@ -704,7 +702,9 @@ impl SearchService {
                 metrics,
                 slowlog: cfg.slow_query_log,
                 tracer,
-                profiler: cfg.profiler_sample_period.map(Profiler::start),
+                profiler: cfg
+                    .profiler
+                    .then(|| Profiler::start(PROFILER_SAMPLE_PERIOD)),
                 minhash_memo: Mutex::new(None),
                 started: Instant::now(),
                 start_time: SystemTime::now(),
@@ -1152,7 +1152,7 @@ impl SearchService {
     }
 
     /// The wall-clock profiler, when enabled (see
-    /// [`ServiceConfig::profiler_sample_period`]).
+    /// [`ServiceConfig::profiler`]).
     pub fn profiler(&self) -> Option<&Profiler> {
         self.inner.profiler.as_ref()
     }
@@ -1375,6 +1375,9 @@ impl ServiceInner {
         // search — runs against this frozen corpus version, however many
         // live mutations swap the service's backend meanwhile.
         let backend = Arc::clone(&self.backend.read().expect("backend lock"));
+        // Handed back with the response: its set ids resolve against this
+        // repository, not whichever one is being served by then.
+        let repository = backend.repository_arc();
 
         // Effective per-request configuration (cheap: no index rebuild on
         // either backend).
@@ -1400,6 +1403,7 @@ impl ServiceInner {
                 rejected: true,
                 queue_time,
                 trace_id,
+                repository,
             };
         }
 
@@ -1457,6 +1461,7 @@ impl ServiceInner {
                     rejected: false,
                     queue_time,
                     trace_id,
+                    repository,
                 };
             }
         }
@@ -1496,6 +1501,7 @@ impl ServiceInner {
                     rejected: true,
                     queue_time,
                     trace_id,
+                    repository,
                 };
             }
         }
@@ -1573,6 +1579,7 @@ impl ServiceInner {
             rejected: false,
             queue_time,
             trace_id,
+            repository,
         }
     }
 }

@@ -15,7 +15,7 @@ use koios::datagen::corpus::{Corpus, CorpusSpec};
 use koios::prelude::*;
 use koios::store::SectionKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 const THREADS: usize = 8;
 
@@ -71,6 +71,14 @@ fn engine(c: &Corpus, partitions: usize, cfg: KoiosConfig) -> MutableEngine {
             MutableEngine::partitioned(repo, Some(emb), cfg, p, 0xC0FFEE, cosine_factory()).unwrap()
         }
     }
+}
+
+/// A set's tokens as the strings a wire client would send.
+fn set_strings(repo: &Repository, id: SetId) -> Vec<String> {
+    repo.set(id)
+        .iter()
+        .map(|t| repo.token_str(*t).to_string())
+        .collect()
 }
 
 fn queries(repo: &Repository) -> Vec<Vec<TokenId>> {
@@ -315,12 +323,7 @@ fn http_admin_routes_mutate_snapshot_and_reload() {
     let mut client = KoiosClient::new(server.addr());
 
     // A set whose name we can find again after ingesting it over HTTP.
-    let donor: Vec<String> = c
-        .repository
-        .set(SetId(0))
-        .iter()
-        .map(|t| c.repository.token_str(*t).to_string())
-        .collect();
+    let donor = set_strings(&c.repository, SetId(0));
     let body = Json::obj([(
         "ops",
         Json::arr([Json::obj([
@@ -429,4 +432,110 @@ fn http_admin_routes_mutate_snapshot_and_reload() {
         .as_str()
         .unwrap()
         .contains("mutable"));
+}
+
+/// Cosine behind a gate: while it is closed every vocabulary scan blocks,
+/// which parks a worker mid-search so the test decides what queues behind
+/// it and what the writer publishes meanwhile.
+struct GatedCosine {
+    inner: Arc<dyn ElementSimilarity>,
+    gate: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl ElementSimilarity for GatedCosine {
+    fn sim(&self, a: TokenId, b: TokenId) -> f64 {
+        self.inner.sim(a, b)
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn scores_above(&self, q: TokenId, vocab: usize, alpha: f64, out: &mut Vec<(f64, TokenId)>) {
+        let (open, cv) = &*self.gate;
+        drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+        self.inner.scores_above(q, vocab, alpha, out)
+    }
+}
+
+/// ROADMAP 1a: a `/search` parsed at epoch *e* and served at *e′ > e* must
+/// name its hits from the repository it was *served* from. Four HTTP
+/// readers are parsed and queued behind a parked worker, the writer then
+/// ingests one set per reader that tops that reader's query, and only
+/// then does the worker run them: every reply has to be a 200 that names
+/// the set that did not exist when the request was parsed — not a
+/// connection thread that indexed past its parse-time repository and died.
+#[test]
+fn http_search_overtaken_by_reachable_ingest_names_the_new_sets() {
+    const READERS: usize = 4;
+    let c = corpus(8005);
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let factory: SimFactory = {
+        let gate = Arc::clone(&gate);
+        Arc::new(move |repo, emb| {
+            Ok(Arc::new(GatedCosine {
+                inner: cosine_factory()(repo, emb)?,
+                gate: Arc::clone(&gate),
+            }) as Arc<dyn ElementSimilarity>)
+        })
+    };
+    let engine = MutableEngine::single(
+        Arc::new(c.repository.clone()),
+        Some(Arc::new(c.embeddings.clone())),
+        KoiosConfig::new(3, 0.8),
+        factory,
+    )
+    .unwrap();
+    let service = Arc::new(SearchService::from_mutable(
+        engine,
+        ServiceConfig::new().with_workers(1),
+    ));
+    let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let addr = server.addr();
+
+    let donors: Vec<Vec<String>> = (0..READERS as u32)
+        .map(|i| set_strings(&c.repository, SetId(i * 7)))
+        .collect();
+
+    // Park the only worker inside a search.
+    let blocker = service.submit(SearchRequest::new(c.repository.set(SetId(1)).to_vec()));
+    while service.queued() > 0 {
+        std::thread::yield_now();
+    }
+    std::thread::scope(|sc| {
+        let readers: Vec<_> = donors
+            .iter()
+            .map(|donor| sc.spawn(move || KoiosClient::new(addr).search_elements(donor)))
+            .collect();
+        // All four are parsed (against epoch 0) and waiting for the worker.
+        while service.queued() < READERS {
+            std::thread::yield_now();
+        }
+        let ops: Vec<CorpusOp> = donors
+            .iter()
+            .enumerate()
+            .map(|(i, donor)| CorpusOp::insert(&format!("hot{i}"), donor.clone()))
+            .collect();
+        assert_eq!(service.ingest(&ops).unwrap().epoch, 1);
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+
+        for (i, reader) in readers.into_iter().enumerate() {
+            let (status, reply) = reader
+                .join()
+                .unwrap()
+                .unwrap_or_else(|e| panic!("reader {i}: connection died: {e:?}"));
+            assert_eq!(status, 200, "reader {i}: {reply:?}");
+            let names: Vec<&str> = reply
+                .get("hits")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|h| h.get("name").unwrap().as_str().unwrap())
+                .collect();
+            // The donor seed set and its fresh copy tie at full overlap.
+            let hot = format!("hot{i}");
+            assert!(names.contains(&hot.as_str()), "reader {i}: {names:?}");
+        }
+    });
+    assert!(!blocker.wait().rejected);
 }

@@ -91,6 +91,28 @@ fn http_search_matches_in_process_on_both_backends() {
             }
             assert_eq!(reply.get("rejected").unwrap().as_bool(), Some(false));
         }
+        if label == "partitioned" {
+            // `response_ms` covers the merge loop: it is at least the
+            // `merge` span the same request's trace reports.
+            let ctx = TraceContext::new(0x4A);
+            let mut traced =
+                KoiosClient::new(server.addr()).with_traceparent(ctx.render_traceparent());
+            let (_, reply) = traced
+                .search_elements(&[repo.token_str(TokenId(0))])
+                .unwrap();
+            let (status, tree) = traced.trace(ctx.trace_id).unwrap();
+            assert_eq!(status, 200, "{tree}");
+            let merge_ns = tree
+                .get("spans")
+                .unwrap()
+                .as_array()
+                .unwrap()
+                .iter()
+                .find(|s| s.get("name").unwrap().as_str() == Some("merge"))
+                .and_then(|s| s.get("duration_ns").unwrap().as_f64())
+                .expect("a partitioned search records a merge span");
+            assert!(reply.get("response_ms").unwrap().as_f64().unwrap() * 1e6 >= merge_ns);
+        }
     }
 }
 

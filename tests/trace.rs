@@ -177,9 +177,10 @@ fn slow_log_lines_join_against_retained_traces() {
     }
 }
 
-/// Eight threads hammer a traced service; the traced answers must be
-/// byte-identical to an untraced service's sequential answers, and every
-/// retained trace must be a well-formed tree.
+/// Eight threads hammer a traced, profiled service (the defaults); the
+/// answers must be byte-identical to the sequential answers of a service
+/// with tracing and the profiler both switched off, and every retained
+/// trace must be a well-formed tree.
 #[test]
 fn traced_concurrency_diverges_nowhere_and_keeps_trees_well_formed() {
     let (repo, sim) = corpus_parts();
@@ -188,7 +189,12 @@ fn traced_concurrency_diverges_nowhere_and_keeps_trees_well_formed() {
         &sim,
         ServiceConfig::new().with_tracing(TraceConfig::default()),
     ));
-    let untraced = partitioned_service(&repo, &sim, ServiceConfig::new().without_tracing());
+    let untraced = partitioned_service(
+        &repo,
+        &sim,
+        ServiceConfig::new().without_tracing().without_profiler(),
+    );
+    assert!(traced.profiler().is_some() && untraced.profiler().is_none());
 
     let queries: Vec<Vec<TokenId>> = (0..8).map(|i| repo.set(SetId(i)).to_vec()).collect();
     let expected: Vec<_> = queries
