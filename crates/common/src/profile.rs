@@ -277,13 +277,24 @@ mod tests {
     fn short_lived_threads_deregister() {
         let _lock = TEST_LOCK.lock().unwrap();
         enable();
-        let before = registered_slots();
-        std::thread::spawn(|| {
-            let _g = enter(Stage::Verify);
+        // Sibling tests register and drop slots of their own, so the global
+        // slot count proves nothing: follow this thread's slot by a shard
+        // id nobody else publishes.
+        const SHARD: usize = 0xDE_AD;
+        let on_shard = |words: &[u64]| words.iter().any(|&w| decode(w).1 == Some(SHARD as u32));
+        std::thread::spawn(move || {
+            // Leak the guard: the word stays published until the thread's
+            // slot itself leaves the registry.
+            std::mem::forget(enter_shard(Stage::Verify, SHARD).expect("enabled"));
+            let mut sampled = Vec::new();
+            sample_slots(&mut sampled);
+            assert!(on_shard(&sampled), "the live thread must be visible");
         })
         .join()
         .unwrap();
-        assert_eq!(registered_slots(), before);
+        let mut sampled = Vec::new();
+        sample_slots(&mut sampled);
+        assert!(!on_shard(&sampled), "an exited thread left its slot behind");
         disable();
     }
 }

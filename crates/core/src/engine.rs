@@ -168,6 +168,10 @@ impl<'r> Koios<'r> {
     /// (see [`Self::search_with_deadline`]): partitioned search threads one
     /// query-wide deadline through every shard this way, so no shard can
     /// overrun the budget the merge phase still has to fit into.
+    ///
+    /// The source built here is exact (cached lists are complete replays of
+    /// it), so post-processing verifies from the edges refinement drained
+    /// ([`crate::overlap::QueryEdges`]) instead of recomputing similarities.
     pub fn search_shared_deadline(
         &self,
         query: &[TokenId],
@@ -193,9 +197,9 @@ impl<'r> Koios<'r> {
                 let sim_tag = cache.sim_tag(&self.sim);
                 let knn = CachedKnn::new(Arc::clone(cache), q.clone(), self.cfg.alpha, knn)
                     .with_sim_tag(sim_tag);
-                self.search_with_source_deadline(q, knn, theta, deadline)
+                self.run(q, knn, theta, deadline, true)
             }
-            None => self.search_with_source_deadline(q, knn, theta, deadline),
+            None => self.run(q, knn, theta, deadline, true),
         }
     }
 
@@ -215,6 +219,10 @@ impl<'r> Koios<'r> {
     /// source reports cache counters
     /// ([`koios_index::knn::KnnSource::cache_counters`]), they are folded
     /// into [`SearchStats::knn_cache`](crate::stats::SearchStats::knn_cache).
+    ///
+    /// Because the source may be approximate, verification here never
+    /// trusts the stream's edges: every exact matching recomputes its
+    /// similarity matrix through the engine's similarity function.
     pub fn search_with_source<K: koios_index::knn::KnnSource>(
         &self,
         q: Vec<TokenId>,
@@ -234,6 +242,20 @@ impl<'r> Koios<'r> {
         theta: &SharedTheta,
         deadline: Option<Instant>,
     ) -> SearchResult {
+        self.run(q, source, theta, deadline, false)
+    }
+
+    /// The pipeline behind every search entry point. `exact_source` says
+    /// the stream emits *every* `≥ α` edge with the similarity function's
+    /// own weights, which lets verification read them back.
+    fn run<K: koios_index::knn::KnnSource>(
+        &self,
+        q: Vec<TokenId>,
+        source: K,
+        theta: &SharedTheta,
+        deadline: Option<Instant>,
+        exact_source: bool,
+    ) -> SearchResult {
         debug_assert!(q.windows(2).all(|w| w[0] < w[1]), "query must be sorted");
         let mut stats = SearchStats {
             epoch: self.cfg.epoch,
@@ -251,7 +273,11 @@ impl<'r> Koios<'r> {
         let t0 = Instant::now();
         let stage = profile::enter(profile::Stage::Refine);
         let mut stream = TokenStream::new(source, q.len());
-        let RefineOutput { survivors, mut llb } = refine(
+        let RefineOutput {
+            survivors,
+            mut llb,
+            edges,
+        } = refine(
             self.repo.get(),
             &self.index,
             &q,
@@ -260,6 +286,7 @@ impl<'r> Koios<'r> {
             &mut stream,
             &mut stats,
             deadline,
+            exact_source,
         );
         drop(stage);
         stats.refine_time = t0.elapsed();
@@ -284,6 +311,7 @@ impl<'r> Koios<'r> {
             survivors,
             &mut stats,
             deadline,
+            edges.as_ref(),
         );
         stats.postprocess_time = t1.elapsed();
         stats.memory.add("inverted index", self.index.heap_size());

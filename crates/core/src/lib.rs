@@ -45,7 +45,7 @@ pub use many_to_one::{bounded_many_to_one_overlap, many_to_one_overlap};
 pub use mutable::{cosine_factory, BatchRejected, MutableEngine, SimFactory};
 pub use overlap::{
     greedy_overlap, semantic_overlap, semantic_overlap_bounded,
-    semantic_overlap_bounded_with_effort, similarity_matrix, MatchingEffort,
+    semantic_overlap_bounded_with_effort, similarity_matrix, MatchingEffort, QueryEdges,
 };
 pub use partitioned::{OwnedPartitionedKoios, PartitionedKoios};
 pub use result::{Hit, ScoreBound, SearchResult};

@@ -17,9 +17,13 @@
 //! `Lub` through `Qub` if still competitive — Example 4's `D6` dance).
 //! With `parallel_em > 1`, the top unchecked sets verify concurrently and
 //! share the global `θlb` (the paper's background thread pool).
+//!
+//! Every exact matching goes through `Verifier::verify_one`: from the stream's
+//! [`QueryEdges`] when the engine collected them (its own exact source,
+//! drained to the end), from the dense similarity matrix otherwise.
 
 use crate::config::KoiosConfig;
-use crate::overlap::{semantic_overlap_bounded_with_effort, MatchingEffort};
+use crate::overlap::{self, MatchingEffort, QueryEdges};
 use crate::refine::Survivor;
 use crate::result::{Hit, ScoreBound};
 use crate::stats::SearchStats;
@@ -51,7 +55,63 @@ fn em_threshold(cfg: &KoiosConfig, theta: &SharedTheta) -> Option<f64> {
     (t > 0.0).then(|| slack(t))
 }
 
+/// What one verification needs besides the set and its threshold; `Copy`
+/// so the scoped verification threads each take it by value.
+#[derive(Clone, Copy)]
+struct Verifier<'a> {
+    repo: &'a Repository,
+    sim: &'a dyn ElementSimilarity,
+    alpha: f64,
+    query: &'a [TokenId],
+    edges: Option<&'a QueryEdges>,
+}
+
+impl Verifier<'_> {
+    /// One exact matching of the query against `set`: looked up from the
+    /// stream's edges when the search has them, recomputed densely when it
+    /// does not (caller-provided source, stream cut by the deadline).
+    fn verify_one(self, set: SetId, theta: Option<f64>) -> (MatchOutcome, MatchingEffort) {
+        match self.edges {
+            Some(edges) => edges.overlap_bounded(self.repo.set(set), theta),
+            None => overlap::semantic_overlap_bounded_with_effort(
+                self.repo, self.sim, self.alpha, self.query, set, theta,
+            ),
+        }
+    }
+
+    /// Verifies a batch — on the caller's thread when it is a single set,
+    /// on one scoped thread per set otherwise. `theta` is read per set at
+    /// spawn time: completions of sibling verifications keep raising θlb
+    /// between batches.
+    fn verify_batch(
+        self,
+        batch: &[SetId],
+        theta: impl Fn() -> Option<f64> + Sync,
+    ) -> Vec<(SetId, MatchOutcome, MatchingEffort)> {
+        let one = |set: SetId| {
+            let (outcome, effort) = self.verify_one(set, theta());
+            (set, outcome, effort)
+        };
+        if let [set] = *batch {
+            return vec![one(set)];
+        }
+        let one = &one;
+        std::thread::scope(|sc| {
+            let handles: Vec<_> = batch
+                .iter()
+                .map(|&set| sc.spawn(move || one(set)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("verification thread panicked"))
+                .collect()
+        })
+    }
+}
+
 /// Runs post-processing and returns the final hits (descending upper bound).
+/// `edges` are the query's drained stream edges, when the search may verify
+/// from them (see [`QueryEdges`]).
 #[allow(clippy::too_many_arguments)]
 pub fn postprocess(
     repo: &Repository,
@@ -63,9 +123,17 @@ pub fn postprocess(
     survivors: Vec<Survivor>,
     stats: &mut SearchStats,
     deadline: Option<Instant>,
+    edges: Option<&QueryEdges>,
 ) -> Vec<Hit> {
+    let verifier = Verifier {
+        repo,
+        sim: sim.as_ref(),
+        alpha: cfg.alpha,
+        query,
+        edges,
+    };
     if cfg.verify_all {
-        return verify_all(repo, sim, query, cfg, llb, survivors, stats, deadline);
+        return verify_all(verifier, cfg, llb, survivors, stats, deadline);
     }
 
     let mut states: HashMap<SetId, Post> = HashMap::with_capacity(survivors.len());
@@ -164,40 +232,7 @@ pub fn postprocess(
         let batch: Vec<SetId> = unchecked.into_iter().take(cfg.parallel_em.max(1)).collect();
         let verify_start = Instant::now();
         let _stage = profile::enter(profile::Stage::Verify);
-        let outcomes: Vec<(SetId, MatchOutcome, MatchingEffort)> = if batch.len() == 1 {
-            let set = batch[0];
-            let th = em_threshold(cfg, theta);
-            let (outcome, effort) =
-                semantic_overlap_bounded_with_effort(repo, sim.as_ref(), cfg.alpha, query, set, th);
-            vec![(set, outcome, effort)]
-        } else {
-            std::thread::scope(|sc| {
-                let handles: Vec<_> = batch
-                    .iter()
-                    .map(|&set| {
-                        let sim = Arc::clone(sim);
-                        sc.spawn(move || {
-                            // Read θlb at spawn time: completions of sibling
-                            // verifications keep raising it between batches.
-                            let th = em_threshold(cfg, theta);
-                            let (outcome, effort) = semantic_overlap_bounded_with_effort(
-                                repo,
-                                sim.as_ref(),
-                                cfg.alpha,
-                                query,
-                                set,
-                                th,
-                            );
-                            (set, outcome, effort)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("verification thread panicked"))
-                    .collect()
-            })
-        };
+        let outcomes = verifier.verify_batch(&batch, || em_threshold(cfg, theta));
         stats.verify_time += verify_start.elapsed();
 
         for (set, outcome, effort) in outcomes {
@@ -260,11 +295,8 @@ pub fn postprocess(
 /// The exhaustive Baseline/Baseline+ verification of §VIII-A4: run the full
 /// matching for *every* survivor (in `parallel_em`-sized waves, mirroring
 /// the paper's thread pool) and keep the top k.
-#[allow(clippy::too_many_arguments)]
 fn verify_all(
-    repo: &Repository,
-    sim: &Arc<dyn ElementSimilarity>,
-    query: &[TokenId],
+    verifier: Verifier<'_>,
     cfg: &KoiosConfig,
     llb: &mut TopKList,
     survivors: Vec<Survivor>,
@@ -282,45 +314,11 @@ fn verify_all(
         }
         let verify_start = Instant::now();
         let _stage = profile::enter(profile::Stage::Verify);
-        let wave_scores: Vec<(SetId, f64, MatchingEffort)> = if wave.len() == 1 {
-            let set = wave[0].set;
-            let (outcome, effort) = semantic_overlap_bounded_with_effort(
-                repo,
-                sim.as_ref(),
-                cfg.alpha,
-                query,
-                set,
-                None,
-            );
-            vec![(set, outcome.score(), effort)]
-        } else {
-            std::thread::scope(|sc| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|sv| {
-                        let set = sv.set;
-                        let sim = Arc::clone(sim);
-                        sc.spawn(move || {
-                            let (outcome, effort) = semantic_overlap_bounded_with_effort(
-                                repo,
-                                sim.as_ref(),
-                                cfg.alpha,
-                                query,
-                                set,
-                                None,
-                            );
-                            (set, outcome.score(), effort)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("verification thread panicked"))
-                    .collect()
-            })
-        };
+        let wave: Vec<SetId> = wave.iter().map(|sv| sv.set).collect();
+        let outcomes = verifier.verify_batch(&wave, || None);
         stats.verify_time += verify_start.elapsed();
-        for (set, so, effort) in wave_scores {
+        for (set, outcome, effort) in outcomes {
+            let so = outcome.score();
             stats.em_full += 1;
             if let Some(f) = stats.funnel_mut() {
                 f.em_verified += 1;
@@ -407,6 +405,7 @@ mod tests {
             survivors(),
             &mut stats,
             None,
+            None,
         );
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].set, SetId(0));
@@ -438,7 +437,7 @@ mod tests {
         theta.raise(llb.threshold().get());
         let mut stats = SearchStats::default();
         let hits = postprocess(
-            &repo, &sim, &q, &cfg, &theta, &mut llb, sv, &mut stats, None,
+            &repo, &sim, &q, &cfg, &theta, &mut llb, sv, &mut stats, None, None,
         );
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].set, SetId(0));
@@ -466,6 +465,7 @@ mod tests {
             &mut llb,
             survivors(),
             &mut stats,
+            None,
             None,
         );
         assert_eq!(hits.len(), 2);
@@ -507,7 +507,7 @@ mod tests {
         ];
         let mut stats = SearchStats::default();
         let hits = postprocess(
-            &repo, &sim, &q, &cfg, &theta, &mut llb, sv, &mut stats, None,
+            &repo, &sim, &q, &cfg, &theta, &mut llb, sv, &mut stats, None, None,
         );
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].set, SetId(0));
@@ -538,6 +538,7 @@ mod tests {
             survivors(),
             &mut st_a,
             None,
+            None,
         );
         let hb = postprocess(
             &repo,
@@ -548,6 +549,7 @@ mod tests {
             &mut llb_b,
             survivors(),
             &mut st_b,
+            None,
             None,
         );
         assert_eq!(ha.len(), hb.len());
@@ -574,6 +576,7 @@ mod tests {
             survivors(),
             &mut stats,
             None,
+            None,
         );
         assert_eq!(hits.len(), 3);
     }
@@ -594,6 +597,7 @@ mod tests {
             &mut llb,
             Vec::new(),
             &mut stats,
+            None,
             None,
         );
         assert!(hits.is_empty());

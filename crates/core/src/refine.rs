@@ -17,6 +17,7 @@
 
 use crate::buckets::BucketIndex;
 use crate::config::{KoiosConfig, UbMode};
+use crate::overlap::QueryEdges;
 use crate::stats::SearchStats;
 use crate::theta::{slack, SharedTheta};
 use koios_common::sparse::IdxSet;
@@ -47,6 +48,10 @@ pub struct RefineOutput {
     pub survivors: Vec<Survivor>,
     /// The running top-k lower-bound list (continues into post-processing).
     pub llb: TopKList,
+    /// Every edge the stream emitted, when `collect_edges` asked for them
+    /// and the stream ran dry; `None` when the deadline cut it short — a
+    /// partial graph must never be verified from.
+    pub edges: Option<QueryEdges>,
 }
 
 /// Per-candidate bound state.
@@ -146,7 +151,9 @@ impl Cand {
     }
 }
 
-/// Runs the refinement phase over `stream`.
+/// Runs the refinement phase over `stream`. With `collect_edges` the
+/// drained tuples are kept as the query's [`QueryEdges`] — sound only for
+/// an exact source, which is the caller's call to make.
 #[allow(clippy::too_many_arguments)]
 pub fn refine<K: KnnSource>(
     repo: &Repository,
@@ -157,6 +164,7 @@ pub fn refine<K: KnnSource>(
     stream: &mut TokenStream<K>,
     stats: &mut SearchStats,
     deadline: Option<Instant>,
+    collect_edges: bool,
 ) -> RefineOutput {
     let qlen = query.len();
     let mode = cfg.ub_mode;
@@ -166,11 +174,15 @@ pub fn refine<K: KnnSource>(
     let mut last_swept_theta = theta.get();
     let mut since_sweep = 0usize;
     let mut last_sim = 1.0f64;
+    let mut tuples: Option<Vec<(TokenId, u32, f64)>> = collect_edges.then(Vec::new);
 
     while let Some(tuple) = stream.next() {
         stats.stream_tuples += 1;
         let s = tuple.sim;
         last_sim = s;
+        if let Some(ts) = tuples.as_mut() {
+            ts.push((tuple.token, tuple.q_idx, s));
+        }
         let posting = index.postings(tuple.token);
         if let Some(f) = stats.funnel_mut() {
             f.stream_tuples += 1;
@@ -275,11 +287,13 @@ pub fn refine<K: KnnSource>(
             if let Some(d) = deadline {
                 if Instant::now() >= d {
                     stats.timed_out = true;
+                    tuples = None;
                     break;
                 }
             }
         }
     }
+    let edges = tuples.map(|ts| QueryEdges::from_tuples(qlen, ts));
 
     // End-of-stream collapse: every edge ≥ α has been emitted, so the
     // residual per-row potential drops to 0 (sound) / α (paper form).
@@ -307,6 +321,9 @@ pub fn refine<K: KnnSource>(
     stats.memory.add("candidate states", states_bytes);
     stats.memory.add("ub buckets", buckets.heap_size());
     stats.memory.add("top-k lb list", llb.heap_size());
+    if let Some(e) = &edges {
+        stats.memory.add("query edges", e.heap_size());
+    }
 
     let mut survivors: Vec<Survivor> = states
         .iter()
@@ -326,7 +343,11 @@ pub fn refine<K: KnnSource>(
     if let Some(f) = stats.funnel_mut() {
         f.entered_postprocess = survivors.len();
     }
-    RefineOutput { survivors, llb }
+    RefineOutput {
+        survivors,
+        llb,
+        edges,
+    }
 }
 
 #[cfg(test)]
@@ -406,5 +427,92 @@ mod tests {
         c.prune();
         assert!(c.pruned);
         assert_eq!(c.heap_size(), 0);
+    }
+
+    /// One query element similar to every token of the vocabulary: a
+    /// stream long enough to cross the 1024-tuple deadline check.
+    struct LongSource {
+        next_token: u32,
+        vocab: u32,
+    }
+
+    impl KnnSource for LongSource {
+        fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
+            assert_eq!(q_idx, 0);
+            let t = self.next_token;
+            self.next_token += 1;
+            // The query token itself first (sim 1), then the rest at 0.9.
+            (t < self.vocab).then_some((TokenId(t), if t == 0 { 1.0 } else { 0.9 }))
+        }
+
+        fn heap_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    fn refine_long_stream(
+        deadline: Option<Instant>,
+        collect_edges: bool,
+    ) -> (RefineOutput, SearchStats) {
+        const VOCAB: u32 = 1500;
+        let mut b = koios_embed::repository::RepositoryBuilder::new();
+        for t in 0..VOCAB {
+            b.intern(&format!("t{t}"));
+        }
+        for set in 0..15 {
+            b.add_token_set(
+                &format!("s{set}"),
+                (set * 100..(set + 1) * 100).map(TokenId).collect(),
+            );
+        }
+        let repo = b.build();
+        let index = InvertedIndex::build(&repo);
+        let source = LongSource {
+            next_token: 0,
+            vocab: VOCAB,
+        };
+        let mut stream = TokenStream::new(source, 1);
+        let mut stats = SearchStats::default();
+        let out = refine(
+            &repo,
+            &index,
+            &[TokenId(0)],
+            &KoiosConfig::new(3, 0.5),
+            &SharedTheta::new(),
+            &mut stream,
+            &mut stats,
+            deadline,
+            collect_edges,
+        );
+        (out, stats)
+    }
+
+    #[test]
+    fn drained_stream_returns_every_edge() {
+        let (out, stats) = refine_long_stream(None, true);
+        assert!(!stats.timed_out);
+        assert_eq!(stats.stream_tuples, 1500);
+        assert_eq!(out.edges.expect("stream ran dry").len(), 1500);
+        assert!(stats
+            .memory
+            .iter()
+            .any(|(n, b)| n == "query edges" && b > 0));
+        // Not asked, not collected.
+        let (out, stats) = refine_long_stream(None, false);
+        assert!(out.edges.is_none());
+        assert!(stats.memory.iter().all(|(n, _)| n != "query edges"));
+    }
+
+    #[test]
+    fn deadline_cut_stream_returns_no_edges() {
+        let (out, stats) = refine_long_stream(Some(Instant::now()), true);
+        assert!(stats.timed_out);
+        assert_eq!(stats.stream_tuples, 1024, "stopped at the first check");
+        assert!(out.edges.is_none(), "1024 of 1500 edges is not the graph");
+        assert!(stats.memory.iter().all(|(n, _)| n != "query edges"));
+        // Bounds stay certified: every set seen so far is a survivor with
+        // the one edge it can have.
+        assert!(!out.survivors.is_empty());
+        assert!(out.survivors.iter().all(|s| s.lb <= s.ub && s.ub <= 1.0));
     }
 }

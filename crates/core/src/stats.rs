@@ -73,8 +73,13 @@ pub struct FunnelCounts {
     /// The subset of [`em_verified`](Self::em_verified) performed by the
     /// partitioned merge loop on interval-scored hits (§VI).
     pub merge_verifications: usize,
-    /// Similarity-matrix cells materialised by verification (Hungarian
-    /// input size — the work the funnel's upper stages saved).
+    /// Similarity-matrix cells materialised by verification. A matching
+    /// built from the stream's edges ([`crate::overlap::QueryEdges`] — the
+    /// engine's own searches, every shard included) materialises only its
+    /// non-zero support, so it adds the same number here as to
+    /// [`support_cells`](Self::support_cells); a dense matching
+    /// (caller-provided source, deadline-cut stream, the partitioned merge
+    /// loop) fills all `|Q| × |C|` cells.
     pub matrix_cells: u64,
     /// Support-graph cells the bounded Hungarian actually relaxed.
     pub support_cells: u64,

@@ -121,3 +121,47 @@ fn fill_matrix_matches_per_pair() {
         }
     }
 }
+
+/// The token stream emits `scores_above` weights and verification reads
+/// `fill_matrix` cells; the engine treats the two as the same number
+/// (refinement bounds, and matching straight from the stream's edges). So
+/// they must agree **bitwise**, and a pair the scan does not emit must be
+/// a zero cell — for every provider, out-of-vocabulary tokens included.
+#[test]
+fn scores_above_is_fill_matrix_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0xC3);
+    for _ in 0..64 {
+        let tokens = random_tokens(&mut rng);
+        let alpha = rng.gen::<f64>();
+        let (n, providers) = build_providers(tokens);
+        let all: Vec<TokenId> = (0..n as u32).map(TokenId).collect();
+        for p in &providers {
+            for &q in &all {
+                let mut emitted = Vec::new();
+                p.scores_above(q, n, alpha, &mut emitted);
+                let mut row = vec![f64::NAN; n];
+                p.fill_matrix(&[q], &all, alpha, &mut row);
+                let mut seen = vec![false; n];
+                for (s, t) in emitted {
+                    assert!(!seen[t.idx()], "{}: {t:?} emitted twice", p.name());
+                    seen[t.idx()] = true;
+                    assert_eq!(
+                        s.to_bits(),
+                        row[t.idx()].to_bits(),
+                        "{}: stream weight {s} != matrix cell {} for ({q:?}, {t:?})",
+                        p.name(),
+                        row[t.idx()]
+                    );
+                }
+                assert!(seen[q.idx()], "{}: self pair not emitted", p.name());
+                for (t, &cell) in row.iter().enumerate() {
+                    assert!(
+                        seen[t] || cell == 0.0,
+                        "{}: cell ({q:?}, {t}) = {cell} but the scan skipped it",
+                        p.name()
+                    );
+                }
+            }
+        }
+    }
+}

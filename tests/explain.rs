@@ -149,6 +149,52 @@ fn funnel_reconciles_with_stats_on_partitioned_engine() {
     }
 }
 
+/// `matrix_cells` is what verification materialised: the engine's own
+/// searches build matchings from the stream's edges, support only; a
+/// caller-provided source keeps the dense `|Q| × |C|` fill, and so does the
+/// partitioned merge loop.
+#[test]
+fn matrix_cells_count_what_verification_materialised() {
+    use koios_index::knn::ExactScanKnn;
+    let c = corpus(1204);
+    let sim: Arc<dyn ElementSimilarity> =
+        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let mut cfg = KoiosConfig::new(5, 0.8).with_explain(true);
+    cfg.no_em_filter = false; // every hit is verified
+    let engine = Koios::new(&c.repository, sim.clone(), cfg);
+    // No-EM on: shards certify hits by interval and the merge verifies them.
+    let cfg = KoiosConfig::new(5, 0.8).with_explain(true);
+    let sharded = PartitionedKoios::new(&c.repository, sim.clone(), cfg, 4, 0xBEEF);
+    let mut merge_verifications = 0;
+    for q in 0..6u32 {
+        let query = c.repository.set(SetId(q * 5)).to_vec();
+        let edge = engine.search(&query);
+        let source = ExactScanKnn::new(sim.clone(), query.clone(), c.repository.vocab_size(), 0.8);
+        let dense = engine.search_with_source(query.clone(), source, &SharedTheta::new());
+        assert_reconciled(&edge, &format!("edge q={q}"));
+        assert_reconciled(&dense, &format!("dense q={q}"));
+        let (e, d) = (
+            edge.stats.funnel.as_deref().unwrap(),
+            dense.stats.funnel.as_deref().unwrap(),
+        );
+        assert!(e.support_cells > 0, "q={q}: nothing verified");
+        assert_eq!(e.matrix_cells, e.support_cells, "q={q}: edge path");
+        assert_eq!(e.support_cells, d.support_cells, "q={q}: same instances");
+        assert!(d.matrix_cells > d.support_cells, "q={q}: dense path");
+        assert_eq!(d.matrix_cells % query.len() as u64, 0, "q={q}: whole rows");
+
+        // Shards verify from edges; only merge verifications are dense.
+        let merged = sharded.search(&query);
+        let f = merged.stats.funnel.as_deref().unwrap();
+        assert!(f.matrix_cells >= f.support_cells, "q={q}");
+        if f.merge_verifications == 0 {
+            assert_eq!(f.matrix_cells, f.support_cells, "q={q}: no dense fill");
+        }
+        merge_verifications += f.merge_verifications;
+    }
+    assert!(merge_verifications > 0, "the merge loop never ran");
+}
+
 /// Explain is observation only: with identical configs differing in
 /// nothing but the `explain` flag, the hit lists are equal hit-for-hit
 /// (same sets, bit-identical scores) on both backends.
