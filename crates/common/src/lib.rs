@@ -22,6 +22,10 @@
 //! * [`json::Json`] — a minimal JSON value with an encoder/decoder (the wire
 //!   format of the `koios-net` HTTP front-end; crates.io — and therefore
 //!   `serde` — is unreachable here).
+//! * [`pool::Pool`] — the one worker pool of the workspace (FIFO job queue,
+//!   worker loop, shutdown protocol, panic capture, [`pool::Ticket`] result
+//!   slot); the service's request workers and the core's shard executor are
+//!   two instances of it.
 //! * [`profile`] — the publishing side of the cooperative wall-clock
 //!   profiler: per-thread atomic `(stage, shard)` slots the engine and
 //!   service crates write and the `koios-telemetry` sampler reads.
@@ -36,6 +40,7 @@ pub mod ids;
 pub mod interner;
 pub mod json;
 pub mod memsize;
+pub mod pool;
 pub mod profile;
 pub mod sim;
 pub mod sparse;

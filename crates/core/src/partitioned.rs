@@ -19,6 +19,7 @@ use koios_common::{profile, SetId, TokenId};
 use koios_embed::repository::{RepoRef, Repository};
 use koios_embed::sim::ElementSimilarity;
 use koios_index::inverted::InvertedIndex;
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -313,7 +314,7 @@ impl<'r> PartitionedKoios<'r> {
                         .collect();
                     handles
                         .into_iter()
-                        .map(|h| h.join().expect("partition search panicked"))
+                        .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
                         .collect()
                 })
             }

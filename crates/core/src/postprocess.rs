@@ -34,6 +34,7 @@ use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use koios_matching::MatchOutcome;
 use std::collections::{BinaryHeap, HashMap};
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,7 +104,7 @@ impl Verifier<'_> {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("verification thread panicked"))
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
                 .collect()
         })
     }

@@ -142,8 +142,7 @@ fn accept_loop(listener: TcpListener, service: Arc<SearchService>, stop: Arc<Ato
         // Admission at the socket level: refuse the connection with a 503
         // instead of spawning an unbounded number of handler threads.
         if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
-            let body = Json::obj([("error", Json::str("too many connections"))]);
-            let _ = HttpResponse::json(503, &body).write_to(&mut stream, false);
+            let _ = error_response(503, "too many connections").write_to(&mut stream, false);
             continue;
         }
         live.fetch_add(1, Ordering::SeqCst);
@@ -151,8 +150,10 @@ fn accept_loop(listener: TcpListener, service: Arc<SearchService>, stop: Arc<Ato
         let stop_flag = Arc::clone(&stop);
         let live_count = Arc::clone(&live);
         let handle = std::thread::spawn(move || {
+            // Released on drop, so a connection thread that unwinds still
+            // gives its slot back.
+            let _slot = LiveSlot(live_count);
             handle_connection(stream, &service, &stop_flag);
-            live_count.fetch_sub(1, Ordering::SeqCst);
         });
         let mut guard = handlers.lock().expect("handler registry");
         guard.push(handle);
@@ -162,6 +163,15 @@ fn accept_loop(listener: TcpListener, service: Arc<SearchService>, stop: Arc<Ato
     }
     for handle in handlers.lock().expect("handler registry").drain(..) {
         let _ = handle.join();
+    }
+}
+
+/// One admitted connection's share of [`MAX_CONNECTIONS`].
+struct LiveSlot(Arc<AtomicUsize>);
+
+impl Drop for LiveSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -197,13 +207,11 @@ fn handle_connection(stream: TcpStream, service: &SearchService, stop: &AtomicBo
                 // the 413 instead of hitting a connection reset.
                 let mut sink = std::io::sink();
                 let _ = std::io::copy(&mut (&mut reader).take(DRAIN_LIMIT), &mut sink);
-                let body = Json::obj([("error", Json::str(e.to_string()))]);
-                let _ = HttpResponse::json(413, &body).write_to(&mut writer, false);
+                let _ = error_response(413, e.to_string()).write_to(&mut writer, false);
                 return;
             }
             Err(e @ HttpError::Malformed(_)) => {
-                let body = Json::obj([("error", Json::str(e.to_string()))]);
-                let _ = HttpResponse::json(400, &body).write_to(&mut writer, false);
+                let _ = error_response(400, e.to_string()).write_to(&mut writer, false);
                 return;
             }
         };
@@ -238,11 +246,8 @@ fn dispatch(request: &HttpRequest, service: &SearchService) -> HttpResponse {
             "/search" | "/stats" | "/metrics" | "/traces" | "/healthz" | "/debug/engine"
             | "/debug/cache" | "/debug/profile" | "/invalidate" | "/ingest" | "/snapshot"
             | "/reload",
-        ) => HttpResponse::json(
-            405,
-            &Json::obj([("error", Json::str("method not allowed"))]),
-        ),
-        _ => HttpResponse::json(404, &Json::obj([("error", Json::str("not found"))])),
+        ) => error_response(405, "method not allowed"),
+        _ => error_response(404, "not found"),
     }
 }
 
@@ -294,10 +299,7 @@ fn debug_profile(request: &HttpRequest, service: &SearchService) -> HttpResponse
     if collapsed {
         return match service.profiler() {
             Some(p) => HttpResponse::text(200, p.collapsed_stacks()),
-            None => HttpResponse::json(
-                409,
-                &Json::obj([("error", Json::str("profiler is disabled on this service"))]),
-            ),
+            None => error_response(409, "profiler is disabled on this service"),
         };
     }
     HttpResponse::json(200, &service.debug_profile())
@@ -329,8 +331,20 @@ fn search(request: &HttpRequest, service: &SearchService) -> HttpResponse {
     }
     // Submit-then-await on the persistent pool: the connection thread
     // blocks, the queue applies the same admission control as in-process
-    // callers.
-    let response = service.submit(search_request).wait();
+    // callers. A search that panicked on its worker is this request's
+    // failure, not the connection's: `join` hands the payload over instead
+    // of unwinding here.
+    let response = match service.submit(search_request).join() {
+        Ok(response) => response,
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("opaque panic payload");
+            return error_response(500, format!("search panicked: {message}"));
+        }
+    };
     // The serialize phase completes the queue/search/serialize latency
     // split: building the JSON body is the front-end's own contribution to
     // response time, invisible to the in-process service metrics.
@@ -359,10 +373,7 @@ fn search(request: &HttpRequest, service: &SearchService) -> HttpResponse {
 /// never saw) that id. `409` when the service runs without tracing.
 fn traces(request: &HttpRequest, service: &SearchService) -> HttpResponse {
     if !service.tracing_enabled() {
-        return HttpResponse::json(
-            409,
-            &Json::obj([("error", Json::str("tracing is disabled on this service"))]),
-        );
+        return error_response(409, "tracing is disabled on this service");
     }
     let query = request.path.split_once('?').map(|(_, q)| q).unwrap_or("");
     let id_param = query
@@ -373,10 +384,7 @@ fn traces(request: &HttpRequest, service: &SearchService) -> HttpResponse {
         let parsed = u64::from_str_radix(raw.trim_start_matches("0x"), 16).ok();
         return match parsed.and_then(|id| service.trace(id)) {
             Some(trace) => HttpResponse::json(200, &trace_to_json(&trace)),
-            None => HttpResponse::json(
-                404,
-                &Json::obj([("error", Json::str(format!("no retained trace {raw}")))]),
-            ),
+            None => error_response(404, format!("no retained trace {raw}")),
         };
     }
     let stats = service.trace_stats().unwrap_or_default();
@@ -466,9 +474,14 @@ fn live_error(e: &koios_service::LiveServiceError) -> HttpResponse {
         LiveServiceError::Rejected(_) => 400,
         LiveServiceError::Store(_) => 500,
     };
-    HttpResponse::json(status, &Json::obj([("error", Json::str(e.to_string()))]))
+    error_response(status, e.to_string())
 }
 
 fn bad_request(message: &str) -> HttpResponse {
-    HttpResponse::json(400, &Json::obj([("error", Json::str(message))]))
+    error_response(400, message)
+}
+
+/// The `{"error": …}` body every failure answers with.
+fn error_response(status: u16, message: impl Into<String>) -> HttpResponse {
+    HttpResponse::json(status, &Json::obj([("error", Json::str(message))]))
 }

@@ -20,8 +20,8 @@
 //!   per-request deadlines bound every shard *and* the partitioned
 //!   merge-verification loop.
 //! * **A persistent worker pool with a submission queue** —
-//!   [`pool::WorkerPool`] keeps a fixed set of long-lived threads draining
-//!   one hand-rolled MPMC queue (`Mutex<VecDeque>` + `Condvar`).
+//!   a [`koios_common::pool::Pool`] keeps a fixed set of long-lived threads
+//!   draining one FIFO queue.
 //!   [`SearchService::submit`] enqueues a single request and returns a
 //!   [`ResponseHandle`] to await later; [`SearchService::search_batch`] is
 //!   a thin submit-all/await-all wrapper that returns responses in
@@ -75,7 +75,7 @@ pub mod tracer;
 
 pub use cache::{CacheCounters, StripedLruCache};
 pub use metrics::ServiceMetrics;
-pub use pool::{PoolInstruments, Ticket, WorkerPool};
+pub use pool::{PoolInstruments, Ticket};
 pub use request::{CacheKey, CacheOutcome, SearchRequest, ServiceResponse};
 pub use service::{IngestOutcome, LiveServiceError, ResponseHandle, SearchService, ServiceConfig};
 pub use slowlog::{SlowQueryLog, SlowQuerySink};

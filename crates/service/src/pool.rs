@@ -1,48 +1,15 @@
-//! A persistent worker pool with an MPMC submission queue.
-//!
-//! The first serving layer drained each batch with a fresh
-//! `std::thread::scope` pool, which meant (a) thread spawn/join cost on
-//! every batch, (b) no way to *submit* work and await it later, and (c) no
-//! cross-batch sharing of the pool — two concurrent `search_batch` calls
-//! each spun up their own threads. This module replaces that with
-//! long-lived workers draining one hand-rolled MPMC queue
-//! (`Mutex<VecDeque>` + [`Condvar`]; crates.io — and therefore crossbeam —
-//! is unreachable here):
-//!
-//! * [`WorkerPool::submit`] enqueues a closure and returns a [`Ticket`], a
-//!   futures-style handle filled exactly once by whichever worker runs the
-//!   job. Callers submit-then-await; [`Ticket::wait`] blocks, and
-//!   [`Ticket::is_ready`] polls.
-//! * Submission order is completion-assignment order: workers pop from the
-//!   queue front, so the queue is FIFO-fair across submitters.
-//! * **Graceful shutdown**: dropping the pool (or calling
-//!   [`WorkerPool::shutdown`]) stops *intake* and wakes every worker, but
-//!   workers drain the queue before exiting — every ticket issued before
-//!   shutdown resolves. Tickets hold their slot independently of the pool,
-//!   so they may outlive it.
-//! * **Panic containment**: a job's unwind is caught at the job boundary
-//!   and re-raised by [`Ticket::wait`] on the waiting thread (the same
-//!   observable behaviour as the scoped pool it replaces) — it can neither
-//!   kill the worker nor leave a ticket permanently unfilled.
-//!
-//! The pool is job-agnostic (`FnOnce() -> T` per submission); the service
-//! layers its request lifecycle on top and keeps the admission-control,
-//! deadline and cache semantics in `service.rs`.
+//! The service's view of the workspace worker pool ([`koios_common::pool`]):
+//! the [`Ticket`] behind [`crate::ResponseHandle`], and the adapter that
+//! points the pool's queue observer at the service's telemetry.
 
+use koios_common::pool::QueueObserver;
+pub use koios_common::pool::{Pool, Ticket};
 use koios_telemetry::{Gauge, Histogram};
-use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Queue observability handles ([`WorkerPool::new_instrumented`]): the
-/// depth gauge moves on submit/dequeue, the wait histogram records each
-/// job's submit→dequeue time. Both are plain relaxed atomics, so the
+/// Queue observability handles; both are plain relaxed atomics, so the
 /// queue's mutex hold times are unchanged.
-#[derive(Clone)]
 pub struct PoolInstruments {
     /// Jobs submitted but not yet picked up (`koios_queue_depth`).
     pub depth: Arc<Gauge>,
@@ -50,402 +17,30 @@ pub struct PoolInstruments {
     pub wait: Arc<Histogram>,
 }
 
-struct Queue {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct Shared {
-    queue: Mutex<Queue>,
-    /// Signaled on every submit and on shutdown.
-    ready: Condvar,
-}
-
-/// What a worker deposited: the job's return value, or the panic payload
-/// it unwound with (re-raised at the waiter, like the old scoped pool).
-type JobResult<T> = std::thread::Result<T>;
-
-/// The write-once rendezvous between a worker and the ticket holder.
-struct Slot<T> {
-    value: Mutex<Option<JobResult<T>>>,
-    filled: Condvar,
-}
-
-impl<T> Slot<T> {
-    fn new() -> Self {
-        Slot {
-            value: Mutex::new(None),
-            filled: Condvar::new(),
-        }
+impl QueueObserver for PoolInstruments {
+    fn on_enqueue(&self) {
+        self.depth.inc();
     }
 
-    fn fill(&self, value: JobResult<T>) {
-        let mut guard = self.value.lock().expect("slot lock");
-        debug_assert!(guard.is_none(), "a slot is filled exactly once");
-        *guard = Some(value);
-        self.filled.notify_all();
-    }
-}
-
-fn unwrap_result<T>(result: JobResult<T>) -> T {
-    match result {
-        Ok(v) => v,
-        // Re-raise the job's panic on the waiting thread — the same
-        // observable behaviour as the old per-batch `std::thread::scope`
-        // pool, where a worker panic propagated to the batch caller.
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-/// A handle to one submitted job's eventual result.
-///
-/// Obtained from [`WorkerPool::submit`]; redeem it with [`Ticket::wait`].
-/// The ticket owns its result slot, so it stays redeemable even after the
-/// pool that issued it shut down (shutdown drains the queue first). If the
-/// job panicked, `wait` re-raises that panic on the waiting thread; the
-/// worker itself survives (the unwind is caught at the job boundary).
-#[must_use = "a ticket holds the job's only result; wait on it"]
-pub struct Ticket<T> {
-    slot: Arc<Slot<T>>,
-}
-
-impl<T> Ticket<T> {
-    /// A ticket that is already resolved (used when work ran inline, e.g.
-    /// because the pool had shut down).
-    pub fn ready(value: T) -> Self {
-        let slot = Slot::new();
-        *slot.value.lock().expect("slot lock") = Some(Ok(value));
-        Ticket {
-            slot: Arc::new(slot),
-        }
-    }
-
-    /// Blocks until the job has run and returns its result (re-raising the
-    /// job's panic, if it panicked).
-    pub fn wait(self) -> T {
-        let mut guard = self.slot.value.lock().expect("slot lock");
-        loop {
-            match guard.take() {
-                Some(result) => {
-                    drop(guard);
-                    return unwrap_result(result);
-                }
-                None => guard = self.slot.filled.wait(guard).expect("slot lock"),
-            }
-        }
-    }
-
-    /// Blocks up to `timeout`; `Err(self)` gives the ticket back untouched
-    /// when the job has not finished in time. Robust against spurious
-    /// condvar wakeups: the full `timeout` must really elapse before the
-    /// ticket is returned unredeemed.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<T, Ticket<T>> {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.slot.value.lock().expect("slot lock");
-        loop {
-            if let Some(result) = guard.take() {
-                drop(guard);
-                return Ok(unwrap_result(result));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(guard);
-                return Err(self);
-            }
-            let (next, _) = self
-                .slot
-                .filled
-                .wait_timeout(guard, deadline - now)
-                .expect("slot lock");
-            guard = next;
-        }
-    }
-
-    /// Whether [`Ticket::wait`] would return without blocking.
-    pub fn is_ready(&self) -> bool {
-        self.slot.value.lock().expect("slot lock").is_some()
-    }
-}
-
-/// A fixed-width pool of long-lived worker threads over one FIFO queue.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-    instruments: Option<PoolInstruments>,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` (at least one) threads that immediately start
-    /// draining the queue.
-    pub fn new(workers: usize) -> Self {
-        Self::build(workers, None)
-    }
-
-    /// [`WorkerPool::new`] with queue observability: every submit bumps
-    /// `instruments.depth`, every dequeue decrements it and records the
-    /// job's queue wait into `instruments.wait`.
-    pub fn new_instrumented(workers: usize, instruments: PoolInstruments) -> Self {
-        Self::build(workers, Some(instruments))
-    }
-
-    fn build(workers: usize, instruments: Option<PoolInstruments>) -> Self {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        });
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Self::worker_loop(&shared))
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            handles,
-            instruments,
-        }
-    }
-
-    fn worker_loop(shared: &Shared) {
-        loop {
-            let job = {
-                let mut q = shared.queue.lock().expect("queue lock");
-                loop {
-                    if let Some(job) = q.jobs.pop_front() {
-                        break job;
-                    }
-                    if q.shutdown {
-                        return; // queue drained and intake closed
-                    }
-                    q = shared.ready.wait(q).expect("queue lock");
-                }
-            };
-            job(); // run outside the queue lock
-        }
-    }
-
-    /// The number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// The number of worker threads still running (a worker that panicked
-    /// out of its loop stops counting — the `/healthz?full` liveness
-    /// signal).
-    pub fn live_workers(&self) -> usize {
-        self.handles.iter().filter(|h| !h.is_finished()).count()
-    }
-
-    /// Jobs submitted but not yet picked up by a worker.
-    pub fn queued(&self) -> usize {
-        self.shared.queue.lock().expect("queue lock").jobs.len()
-    }
-
-    /// Enqueues `job` and returns the ticket for its result.
-    ///
-    /// After [`WorkerPool::shutdown`] the job is rejected: it is returned
-    /// inside `Err` so the caller can run it inline or drop it — a silently
-    /// never-resolving ticket would deadlock its holder.
-    pub fn submit<T, F>(&self, job: F) -> Result<Ticket<T>, F>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let slot = Arc::new(Slot::new());
-        let ticket = Ticket {
-            slot: Arc::clone(&slot),
-        };
-        {
-            let mut q = self.shared.queue.lock().expect("queue lock");
-            if q.shutdown {
-                return Err(job);
-            }
-            // The unwind is caught at the job boundary so a panicking job
-            // can neither kill its worker nor leave its ticket unfilled
-            // (which would deadlock the waiter); the payload is re-raised
-            // by `Ticket::wait`.
-            let run = move || slot.fill(std::panic::catch_unwind(AssertUnwindSafe(job)));
-            match &self.instruments {
-                None => q.jobs.push_back(Box::new(run)),
-                Some(ins) => {
-                    // Incremented after the shutdown check, so rejected
-                    // jobs never count; decremented when a worker starts
-                    // the job, so depth tracks *waiting* jobs only.
-                    ins.depth.inc();
-                    let depth = Arc::clone(&ins.depth);
-                    let wait = Arc::clone(&ins.wait);
-                    let enqueued = Instant::now();
-                    q.jobs.push_back(Box::new(move || {
-                        depth.dec();
-                        wait.record_duration(enqueued.elapsed());
-                        run();
-                    }));
-                }
-            }
-        }
-        self.shared.ready.notify_one();
-        Ok(ticket)
-    }
-
-    /// Closes intake, wakes every worker, and joins them after they drain
-    /// the queue. Every ticket issued before this call resolves. Idempotent
-    /// (also invoked by `Drop`).
-    pub fn shutdown(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().expect("queue lock");
-            q.shutdown = true;
-        }
-        self.shared.ready.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shutdown();
+    fn on_dequeue(&self, waited: Duration) {
+        self.depth.dec();
+        self.wait.record_duration(waited);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn submit_then_wait_returns_the_result() {
-        let pool = WorkerPool::new(2);
-        let t = pool.submit(|| 6 * 7).ok().expect("pool accepting");
-        assert_eq!(t.wait(), 42);
-    }
-
-    #[test]
-    fn many_jobs_all_resolve_on_few_workers() {
-        let pool = WorkerPool::new(3);
-        let tickets: Vec<_> = (0..64)
-            .map(|i| pool.submit(move || i * i).ok().expect("accepting"))
-            .collect();
-        for (i, t) in tickets.into_iter().enumerate() {
-            assert_eq!(t.wait(), i * i);
-        }
-    }
-
-    #[test]
-    fn zero_workers_still_runs_on_one_thread() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.workers(), 1);
-        assert_eq!(pool.submit(|| 1).ok().expect("accepting").wait(), 1);
-    }
-
-    #[test]
-    fn concurrent_submitters_race_one_pool() {
-        let pool = Arc::new(WorkerPool::new(4));
-        let ran = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|sc| {
-            for s in 0..8 {
-                let pool = Arc::clone(&pool);
-                let ran = Arc::clone(&ran);
-                sc.spawn(move || {
-                    let tickets: Vec<_> = (0..16)
-                        .map(|i| {
-                            let ran = Arc::clone(&ran);
-                            pool.submit(move || {
-                                ran.fetch_add(1, Ordering::Relaxed);
-                                s * 100 + i
-                            })
-                            .ok()
-                            .expect("accepting")
-                        })
-                        .collect();
-                    for (i, t) in tickets.into_iter().enumerate() {
-                        assert_eq!(t.wait(), s * 100 + i);
-                    }
-                });
-            }
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 8 * 16);
-    }
-
-    #[test]
-    fn shutdown_drains_pending_tickets() {
-        let mut pool = WorkerPool::new(1);
-        let slow = pool
-            .submit(|| {
-                std::thread::sleep(Duration::from_millis(30));
-                0usize
-            })
-            .ok()
-            .expect("accepting");
-        // These queue up behind the sleeper on the single worker.
-        let tickets: Vec<_> = (1..8)
-            .map(|i| pool.submit(move || i).ok().expect("accepting"))
-            .collect();
-        pool.shutdown();
-        assert_eq!(slow.wait(), 0);
-        for (i, t) in tickets.into_iter().enumerate() {
-            assert!(t.is_ready(), "shutdown drained every queued job");
-            assert_eq!(t.wait(), i + 1);
-        }
-    }
-
-    #[test]
-    fn submit_after_shutdown_returns_the_job() {
-        let mut pool = WorkerPool::new(1);
-        pool.shutdown();
-        match pool.submit(|| 9) {
-            Err(job) => assert_eq!(job(), 9, "caller can run it inline"),
-            Ok(_) => panic!("intake must be closed"),
-        }
-    }
-
-    #[test]
-    fn wait_timeout_returns_ticket_then_result() {
-        let pool = WorkerPool::new(1);
-        let t = pool
-            .submit(|| {
-                std::thread::sleep(Duration::from_millis(50));
-                7
-            })
-            .ok()
-            .expect("accepting");
-        let t = match t.wait_timeout(Duration::from_millis(1)) {
-            Err(t) => t,
-            Ok(_) => return, // absurdly slow scheduler; nothing to assert
-        };
-        assert_eq!(t.wait(), 7);
-    }
-
-    #[test]
-    fn panicking_job_propagates_to_waiter_and_pool_survives() {
-        let pool = WorkerPool::new(1);
-        let boom = pool
-            .submit(|| -> usize { panic!("job blew up") })
-            .ok()
-            .expect("accepting");
-        // Queued behind the panicking job on the same single worker: if the
-        // panic killed the worker, this would never resolve.
-        let after = pool.submit(|| 5).ok().expect("accepting");
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| boom.wait()));
-        let payload = caught.expect_err("panic re-raised at the waiter");
-        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("job blew up"));
-        assert_eq!(after.wait(), 5, "worker survived the panic");
-    }
 
     #[test]
     fn instrumented_pool_tracks_depth_and_wait() {
         let depth = Arc::new(Gauge::new());
         let wait = Arc::new(Histogram::new());
-        let pool = WorkerPool::new_instrumented(
-            1,
-            PoolInstruments {
-                depth: Arc::clone(&depth),
-                wait: Arc::clone(&wait),
-            },
-        );
+        let instruments = PoolInstruments {
+            depth: Arc::clone(&depth),
+            wait: Arc::clone(&wait),
+        };
+        let pool = Pool::new("test", 1, Some(Arc::new(instruments)));
         // Park the single worker so the next jobs measurably queue.
         let (release, gate) = std::sync::mpsc::channel::<()>();
         let parked = pool
@@ -469,27 +64,5 @@ mod tests {
         let snap = wait.snapshot();
         assert_eq!(snap.count(), 4, "every job recorded its queue wait");
         assert!(snap.max_ns > 0);
-    }
-
-    #[test]
-    fn drop_joins_workers() {
-        let ran = Arc::new(AtomicUsize::new(0));
-        let tickets: Vec<_> = {
-            let pool = WorkerPool::new(2);
-            (0..10)
-                .map(|_| {
-                    let ran = Arc::clone(&ran);
-                    pool.submit(move || ran.fetch_add(1, Ordering::Relaxed))
-                        .ok()
-                        .expect("accepting")
-                })
-                .collect()
-            // pool drops here: drains, joins
-        };
-        assert_eq!(ran.load(Ordering::Relaxed), 10);
-        for t in tickets {
-            assert!(t.is_ready(), "tickets outlive the pool, resolved");
-            t.wait();
-        }
     }
 }

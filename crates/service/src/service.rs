@@ -2,7 +2,7 @@
 
 use crate::cache::StripedLruCache;
 use crate::metrics::ServiceMetrics;
-use crate::pool::{PoolInstruments, Ticket, WorkerPool};
+use crate::pool::{Pool, PoolInstruments, Ticket};
 use crate::request::{CacheKey, CacheOutcome, SearchRequest, ServiceResponse};
 use crate::slowlog::{SlowQueryLog, SlowQueryRecord};
 use crate::stats::{ServiceStats, SnapshotInfo};
@@ -278,7 +278,7 @@ impl From<BatchRejected> for LiveServiceError {
 /// [`OwnedPartitionedKoios`], see [`EngineBackend`] — is built once over an
 /// `Arc<Repository>` (see [`koios_embed::repository::RepoRef`]) and shared
 /// — immutably — by a **persistent pool** of long-lived worker threads
-/// draining one MPMC submission queue ([`crate::pool::WorkerPool`]).
+/// draining one MPMC submission queue ([`koios_common::pool::Pool`]).
 /// Callers either fire-and-await single requests ([`SearchService::submit`]
 /// returns a [`ResponseHandle`] to wait on later) or push whole batches
 /// ([`SearchService::search_batch`], a thin submit-all/await-all wrapper
@@ -321,7 +321,7 @@ impl From<BatchRejected> for LiveServiceError {
 /// ```
 pub struct SearchService {
     inner: Arc<ServiceInner>,
-    pool: WorkerPool,
+    pool: Pool,
 }
 
 fn set_gauge(reg: &Registry, name: &str, help: &str, labels: &[(&str, &str)], value: usize) {
@@ -676,10 +676,10 @@ impl SearchService {
         }
         let cache = StripedLruCache::new(cfg.cache_capacity).with_ttl(cfg.result_ttl);
         cache.install_lock_wait(Arc::clone(&metrics.lock_wait_result));
-        let pool_instruments = PoolInstruments {
+        let pool_instruments = Arc::new(PoolInstruments {
             depth: Arc::clone(&metrics.queue_depth),
             wait: Arc::clone(&metrics.queue_wait),
-        };
+        });
         // The writer engine must mint future backends with the *resolved*
         // token cache (the one the served backend carries), so mutation
         // invalidation and cache sharing stay coherent across swaps.
@@ -709,7 +709,7 @@ impl SearchService {
                 started: Instant::now(),
                 start_time: SystemTime::now(),
             }),
-            pool: WorkerPool::new_instrumented(workers, pool_instruments),
+            pool: Pool::new("koios-worker", workers, Some(pool_instruments)),
         }
     }
 
@@ -890,7 +890,7 @@ impl SearchService {
     /// The worker-pool width (long-lived threads draining the submission
     /// queue).
     pub fn workers(&self) -> usize {
-        self.pool.workers()
+        self.pool.threads()
     }
 
     /// Requests submitted but not yet picked up by a worker.
@@ -901,7 +901,7 @@ impl SearchService {
     /// Worker threads still alive (equal to [`SearchService::workers`]
     /// unless a worker died — the `/healthz?full` liveness signal).
     pub fn live_workers(&self) -> usize {
-        self.pool.live_workers()
+        self.pool.live_threads()
     }
 
     /// Number of index partitions the backend searches (1 for a single
@@ -939,15 +939,11 @@ impl SearchService {
 
     fn submit_at(&self, request: SearchRequest, submitted: Instant) -> ResponseHandle {
         let inner = Arc::clone(&self.inner);
-        match self
-            .pool
+        // Pool shut down ([`SearchService::shutdown`]): run inline so the
+        // handle still resolves.
+        self.pool
             .submit(move || inner.process_one(&request, submitted))
-        {
-            Ok(ticket) => ticket,
-            // Pool shut down ([`SearchService::shutdown`]): run inline so
-            // the handle still resolves.
-            Err(job) => Ticket::ready(job()),
-        }
+            .unwrap_or_else(|job| Ticket::ready(job()))
     }
 
     /// Executes a batch of requests concurrently on the worker pool and

@@ -23,7 +23,7 @@
 //! failures are typed [`StoreError`]s — a corrupt snapshot can never panic
 //! the loader.
 //!
-//! ## Deltas (format v2)
+//! ## Deltas
 //!
 //! A snapshot is a **base** (the sections above the `Delta` rows) plus an
 //! append-only chain of delta sections, each holding a batch of
@@ -58,10 +58,7 @@ use std::path::Path;
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"KOIOSNAP";
 
-/// Current snapshot format version; readers reject anything newer and
-/// accept anything older. v1: base sections only. v2: the repository
-/// section carries a trailing tombstone list and `Delta` sections may
-/// follow the base.
+/// The one snapshot format version; readers reject any other.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Conventional file extension for snapshots (`engine.ksnap`).
@@ -88,7 +85,7 @@ pub enum SectionKind {
     /// MinHash-LSH signatures (`MinHashIndex`; band tables are derived and
     /// rebuilt on load).
     MinHash,
-    /// One appended batch of corpus mutations (format v2): a fixed header
+    /// One appended batch of corpus mutations: a fixed header
     /// (parent checksum + epoch) followed by encoded [`CorpusOp`]s,
     /// replayed onto the base state on load.
     Delta,
@@ -229,7 +226,7 @@ pub enum StoreError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`] — not a Koios snapshot.
     BadMagic,
-    /// The file's format version is newer than this reader understands.
+    /// The file's format version is not [`FORMAT_VERSION`].
     UnsupportedVersion(u32),
     /// The file is shorter than its header/table claims.
     Truncated {
@@ -283,7 +280,7 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic => write!(f, "not a Koios snapshot (bad magic)"),
             StoreError::UnsupportedVersion(v) => write!(
                 f,
-                "unsupported snapshot format version {v} (this reader understands ≤ {FORMAT_VERSION})"
+                "unsupported snapshot format version {v} (this reader understands {FORMAT_VERSION})"
             ),
             StoreError::Truncated { expected, actual } => write!(
                 f,
@@ -396,7 +393,6 @@ fn encode_meta(view: &SnapshotView) -> Vec<u8> {
 
 fn decode_meta(
     payload: &[u8],
-    format_version: u32,
     sections: Vec<SectionInfo>,
     total_bytes: u64,
 ) -> Result<SnapshotMeta, StoreError> {
@@ -440,7 +436,7 @@ fn decode_meta(
         )));
     }
     Ok(SnapshotMeta {
-        format_version,
+        format_version: FORMAT_VERSION,
         layout,
         num_sets,
         vocab_size,
@@ -466,9 +462,8 @@ fn encode_repository(repo: &Repository) -> Vec<u8> {
         w.str(repo.set_name(id));
         w.delta_seq(set.iter().map(|t| t.0));
     }
-    // v2 trailer: tombstoned set ids (slots are written above either way —
+    // Trailer: tombstoned set ids (slots are written above either way —
     // the id space stays dense — but removed sets must come back removed).
-    // v1 payloads simply end after the sets; the decoder accepts both.
     w.delta_seq(
         repo.tombstones()
             .collect::<Vec<_>>()
@@ -533,12 +528,7 @@ fn decode_repository(payload: &[u8]) -> Result<Repository, StoreError> {
         let ids = read_id_seq(&mut r, "set element", kind, vocab, TokenId)?;
         sets.push((name, ids.into_vec()));
     }
-    // v2 payloads carry a trailing tombstone list; v1 payloads end here.
-    let tombstones = if r.is_exhausted() {
-        Box::from([])
-    } else {
-        read_id_seq(&mut r, "tombstone", kind, num_sets, SetId)?
-    };
+    let tombstones = read_id_seq(&mut r, "tombstone", kind, num_sets, SetId)?;
     if !r.is_exhausted() {
         return Err(StoreError::Malformed(
             "trailing bytes in repository section".to_string(),
@@ -961,13 +951,12 @@ pub fn write_snapshot(path: &Path, view: &SnapshotView) -> Result<SnapshotMeta, 
     std::fs::write(&tmp, &file)?;
     std::fs::rename(&tmp, path)?;
 
-    decode_meta(&sections[0].1, FORMAT_VERSION, infos, file.len() as u64)
+    decode_meta(&sections[0].1, infos, file.len() as u64)
 }
 
 /// Parses the header and section table, validating magic, version, section
-/// count and every section's bounds against `file_len`. Returns the file's
-/// format version (1..=[`FORMAT_VERSION`]) alongside the table.
-fn parse_table(head: &[u8], file_len: u64) -> Result<(u32, Vec<SectionInfo>), StoreError> {
+/// count and every section's bounds against `file_len`.
+fn parse_table(head: &[u8], file_len: u64) -> Result<Vec<SectionInfo>, StoreError> {
     if head.len() < HEADER_LEN {
         return Err(StoreError::Truncated {
             expected: HEADER_LEN as u64,
@@ -978,7 +967,7 @@ fn parse_table(head: &[u8], file_len: u64) -> Result<(u32, Vec<SectionInfo>), St
         return Err(StoreError::BadMagic);
     }
     let version = u32::from_le_bytes(head[8..12].try_into().unwrap());
-    if version == 0 || version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion(version));
     }
     let count = u32::from_le_bytes(head[12..16].try_into().unwrap());
@@ -1019,7 +1008,7 @@ fn parse_table(head: &[u8], file_len: u64) -> Result<(u32, Vec<SectionInfo>), St
             crc,
         });
     }
-    Ok((version, infos))
+    Ok(infos)
 }
 
 fn checked_section<'a>(bytes: &'a [u8], info: &SectionInfo) -> Result<&'a [u8], StoreError> {
@@ -1045,7 +1034,7 @@ impl SnapshotMeta {
             (file_len as usize).min(HEADER_LEN + MAX_SECTIONS as usize * TABLE_ENTRY_LEN);
         let mut head = vec![0u8; head_len];
         f.read_exact(&mut head)?;
-        let (version, sections) = parse_table(&head, file_len)?;
+        let sections = parse_table(&head, file_len)?;
         let meta_info = *sections
             .iter()
             .find(|s| s.kind == SectionKind::Meta)
@@ -1058,7 +1047,7 @@ impl SnapshotMeta {
                 kind: SectionKind::Meta,
             });
         }
-        let mut meta = decode_meta(&payload, version, sections, file_len)?;
+        let mut meta = decode_meta(&payload, sections, file_len)?;
         let f = std::cell::RefCell::new(f);
         meta.deltas = verify_chain(&meta.sections, |info| {
             // Only the fixed header plus the op-count varint (≤ 10 bytes).
@@ -1082,7 +1071,7 @@ impl SnapshotMeta {
 /// deltas.
 pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
     let bytes = std::fs::read(path)?;
-    let (version, sections) = parse_table(&bytes, bytes.len() as u64)?;
+    let sections = parse_table(&bytes, bytes.len() as u64)?;
 
     let meta_info = sections
         .iter()
@@ -1091,7 +1080,6 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
         .ok_or(StoreError::MissingSection(SectionKind::Meta))?;
     let meta = decode_meta(
         checked_section(&bytes, &meta_info)?,
-        version,
         sections.clone(),
         bytes.len() as u64,
     )?;
@@ -1220,16 +1208,15 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
 /// are copied byte-for-byte (their checksums — and therefore the chain —
 /// are unchanged); the whole file is rewritten through the same
 /// temp-then-rename discipline as [`write_snapshot`], so a crash mid-append
-/// leaves the previous snapshot intact. A v1 file is upgraded to v2 in
-/// passing (the payload bytes still decode identically). Every existing
-/// section's checksum is verified first, so corruption is caught at append
-/// time rather than compounded.
+/// leaves the previous snapshot intact. Every existing section's checksum
+/// is verified first, so corruption is caught at append time rather than
+/// compounded.
 ///
 /// `epoch` is the appending engine's corpus epoch after applying `ops`
 /// (pure provenance — replay order alone defines the restored state).
 pub fn append_delta(path: &Path, ops: &[CorpusOp], epoch: u64) -> Result<SnapshotMeta, StoreError> {
     let bytes = std::fs::read(path)?;
-    let (version, sections) = parse_table(&bytes, bytes.len() as u64)?;
+    let sections = parse_table(&bytes, bytes.len() as u64)?;
     // Verify everything we are about to copy, and find the chain tip.
     let mut tip = base_chain_tip(&sections);
     let mut delta_idx = 0usize;
@@ -1251,7 +1238,6 @@ pub fn append_delta(path: &Path, ops: &[CorpusOp], epoch: u64) -> Result<Snapsho
             delta_idx += 1;
         }
     }
-    let _ = version; // v1 inputs are re-written as v2 below.
 
     let delta = encode_delta(tip, epoch, ops);
     let count = sections.len() + 1;
@@ -1301,7 +1287,7 @@ pub fn append_delta(path: &Path, ops: &[CorpusOp], epoch: u64) -> Result<Snapsho
 }
 
 /// Folds a snapshot's delta chain into a fresh base: fully restores the
-/// file (replaying every delta) and rewrites it as a delta-free v2
+/// file (replaying every delta) and rewrites it as a delta-free
 /// snapshot of the end state. Tombstoned set slots survive compaction —
 /// the id space stays dense, so ids recorded elsewhere stay valid — but
 /// the chain provenance (epochs, parent checksums) is consumed; read the
@@ -1745,18 +1731,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_headers_are_still_accepted() {
-        let path = tmp("v1-compat.ksnap");
+    fn v1_files_are_rejected_as_unsupported() {
+        let path = tmp("v1-rejected.ksnap");
         write_sample_base(&path);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let meta = SnapshotMeta::read(&path).unwrap();
-        assert_eq!(meta.format_version, 1);
-        assert!(read_snapshot(&path).is_ok());
-        // Appending upgrades the header to the current version.
-        let meta = append_delta(&path, &[CorpusOp::insert("x", ["LA"])], 1).unwrap();
-        assert_eq!(meta.format_version, FORMAT_VERSION);
+        let refused = |result: Result<(), StoreError>| {
+            let err = result.unwrap_err();
+            assert!(matches!(err, StoreError::UnsupportedVersion(1)), "{err}");
+        };
+        refused(read_snapshot(&path).map(drop));
+        refused(SnapshotMeta::read(&path).map(drop));
+        refused(append_delta(&path, &[CorpusOp::insert("x", ["LA"])], 1).map(drop));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "file left untouched");
     }
 
     #[test]

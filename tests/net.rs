@@ -7,6 +7,7 @@ use koios::datagen::corpus::{Corpus, CorpusSpec};
 use koios::net::client::KoiosClient;
 use koios::net::server::KoiosServer;
 use koios::prelude::*;
+use koios_index::knn::ExactScanKnn;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -636,4 +637,96 @@ fn profiler_disabled_service_answers_409() {
     assert_eq!(status, 409);
     let (status, _) = client.debug_engine().unwrap();
     assert_eq!(status, 200);
+}
+
+/// A similarity that panics when asked about the `marker` token from the
+/// query side — the fault a plugged-in `ElementSimilarity` can plant anywhere
+/// the engine evaluates it (`fill_matrix` reaches it through `sim`).
+struct PanicsOnMarker {
+    inner: Arc<dyn ElementSimilarity>,
+    marker: TokenId,
+}
+
+impl ElementSimilarity for PanicsOnMarker {
+    fn sim(&self, a: TokenId, b: TokenId) -> f64 {
+        assert!(a != self.marker, "similarity hit the marker token");
+        self.inner.sim(a, b)
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn scores_above(&self, q: TokenId, vocab: usize, alpha: f64, out: &mut Vec<(f64, TokenId)>) {
+        assert!(q != self.marker, "similarity hit the marker token");
+        self.inner.scores_above(q, vocab, alpha, out)
+    }
+}
+
+/// The corpus under a poisoned similarity, and a query that trips it.
+fn poisoned_parts() -> (Arc<Repository>, Arc<dyn ElementSimilarity>, Vec<TokenId>) {
+    let (repo, inner) = corpus_parts();
+    let poisoned = repo.set(SetId(3)).to_vec();
+    let marker = poisoned[0];
+    (repo, Arc::new(PanicsOnMarker { inner, marker }), poisoned)
+}
+
+/// A search that panics — on the request worker (single) or inside a shard
+/// task, re-raised through the executor (partitioned) — is that request's
+/// `500`; the connection, its slot and every worker survive it.
+#[test]
+fn a_panicking_search_answers_500_and_the_connection_survives() {
+    let (repo, sim, poisoned) = poisoned_parts();
+    let healthy = repo.set(SetId(0)).to_vec();
+    assert!(
+        !healthy.contains(&poisoned[0]),
+        "a query without the marker"
+    );
+    let elements = |q: &[TokenId]| q.iter().map(|&t| repo.token_str(t)).collect::<Vec<_>>();
+    for (label, service) in [
+        ("single", single_service(&repo, &sim)),
+        ("partitioned", partitioned_service(&repo, &sim)),
+    ] {
+        let service = Arc::new(service);
+        let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let want = service.search(SearchRequest::new(healthy.clone())).result;
+        let want: Vec<_> = want.hits.iter().map(|hit| hit.set.0 as u64).collect();
+        for round in 0..3 {
+            // A fresh client: the first exchange of a connection is never
+            // resubmitted, so a dropped connection shows as an error here.
+            let mut client = KoiosClient::new(server.addr());
+            let (status, reply) = client.search_elements(&elements(&poisoned)).unwrap();
+            assert_eq!(status, 500, "{label} round {round}: {reply}");
+            let error = reply.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains("similarity hit the marker token"), "{error}");
+            // The same keep-alive connection serves the next request.
+            let (status, reply) = client.search_elements(&elements(&healthy)).unwrap();
+            assert_eq!(status, 200, "{label} round {round}: {reply}");
+            let hits = reply.get("hits").unwrap().as_array().unwrap().iter();
+            let hits: Vec<_> = hits
+                .map(|h| h.get("set").unwrap().as_u64().unwrap())
+                .collect();
+            assert_eq!(hits, want, "{label} round {round}");
+            assert_eq!(service.live_workers(), service.workers(), "{label}");
+            assert_eq!(client.healthz().unwrap().0, 200, "{label}");
+        }
+    }
+}
+
+/// The scoped-thread paths re-raise the similarity's own message, like the
+/// executor does: borrowed shards (`&Repository`, not `&Arc<_>`) …
+#[test]
+#[should_panic(expected = "similarity hit the marker token")]
+fn a_panic_in_a_borrowed_shard_keeps_its_message() {
+    let (repo, sim, poisoned) = poisoned_parts();
+    PartitionedKoios::new(repo.as_ref(), sim, KoiosConfig::new(5, 0.8), 4, 13).search(&poisoned);
+}
+
+/// … and `parallel_em` verification threads (dense path: the stream comes
+/// from the healthy similarity, the matrices from the poisoned one).
+#[test]
+#[should_panic(expected = "similarity hit the marker token")]
+fn a_panic_in_a_verification_thread_keeps_its_message() {
+    let (repo, sim, poisoned) = poisoned_parts();
+    let source = ExactScanKnn::new(corpus_parts().1, poisoned.clone(), repo.vocab_size(), 0.8);
+    let engine = Koios::new(&repo, sim, KoiosConfig::new(5, 0.8).with_parallel_em(4));
+    engine.search_with_source(poisoned, source, &SharedTheta::new());
 }
