@@ -70,10 +70,11 @@ pub struct KoiosConfig {
     /// slow-query log line) records which corpus version answered the
     /// query. Purely observational — the epoch never changes scores.
     pub epoch: u64,
-    /// EXPLAIN mode: collect the per-stage [`crate::stats::FunnelCounts`]
-    /// alongside the usual [`crate::SearchStats`] counters. Off by
-    /// default; results are identical either way — the flag only decides
-    /// whether the funnel accumulator is allocated.
+    /// EXPLAIN mode: attach a [`crate::stats::FunnelCounts`] so the search's
+    /// [`crate::SearchStats`] counters render as the per-stage funnel. Off
+    /// by default; results and counters are identical either way — the
+    /// flag only decides whether the per-probe posting lengths and the
+    /// shard rows are recorded.
     pub explain: bool,
 }
 
@@ -107,7 +108,7 @@ impl KoiosConfig {
         }
     }
 
-    /// Turns EXPLAIN-mode funnel accounting on or off (builder style).
+    /// Turns the EXPLAIN-mode funnel report on or off (builder style).
     pub fn with_explain(mut self, explain: bool) -> Self {
         self.explain = explain;
         self

@@ -293,11 +293,6 @@ impl<'r> Koios<'r> {
         if let Some(c) = stream.source().cache_counters() {
             stats.knn_cache = c;
         }
-        let (knn_hits, knn_misses) = (stats.knn_cache.hits, stats.knn_cache.misses);
-        if let Some(f) = stats.funnel_mut() {
-            f.knn_cache_hits = knn_hits;
-            f.knn_cache_misses = knn_misses;
-        }
 
         let t1 = Instant::now();
         let _stage = profile::enter(profile::Stage::Postprocess);
@@ -318,9 +313,8 @@ impl<'r> Koios<'r> {
 
         let mut result = SearchResult { hits, stats };
         result.sort_hits();
-        let returned = result.hits.len();
         if let Some(f) = result.stats.funnel_mut() {
-            f.returned = returned;
+            f.returned = result.hits.len();
         }
         result
     }

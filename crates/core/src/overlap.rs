@@ -28,10 +28,11 @@ pub fn similarity_matrix(
     WeightMatrix::from_vec(query.len(), set.len(), w)
 }
 
-/// The work one verification performed — EXPLAIN-mode bookkeeping for the
-/// funnel's verify stage. Returned by value so the parallel verification
-/// threads of [`crate::postprocess`] can fold efforts after joining
-/// instead of sharing a mutable accumulator.
+/// The work one verification performed — the funnel's verify stage, added
+/// to [`SearchStats::matrix_cells`](crate::SearchStats::matrix_cells) and
+/// `support_cells`. Returned by value so the parallel verification threads
+/// of [`crate::postprocess`] can fold efforts after joining instead of
+/// sharing a mutable accumulator.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MatchingEffort {
     /// Matrix cells that were materialised: the full `|Q| × |C|`

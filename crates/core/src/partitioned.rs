@@ -330,19 +330,20 @@ impl<'r> PartitionedKoios<'r> {
         let mut stats = SearchStats::default();
         let mut pool: Vec<Hit> = Vec::new();
         let mut shard_times = Vec::with_capacity(partials.len());
-        // EXPLAIN mode: summarize each shard's funnel as a sub-funnel row
+        // EXPLAIN mode: summarize each shard's counts as a sub-funnel row
         // before the parallel merge folds the per-shard totals together.
         let mut shard_rows: Vec<ShardFunnel> = Vec::new();
         for (shard, (partial, shard_time)) in partials.into_iter().enumerate() {
-            if let Some(f) = partial.stats.funnel.as_deref() {
-                shard_rows.push(ShardFunnel::from_counts(shard, f));
+            if partial.stats.funnel.is_some() {
+                shard_rows.push(ShardFunnel::from_stats(
+                    shard,
+                    &partial.stats,
+                    partial.hits.len(),
+                ));
             }
             stats.merge_parallel(&partial.stats);
             shard_times.push(shard_time);
             pool.extend(partial.hits);
-        }
-        if let Some(f) = stats.funnel_mut() {
-            f.shards = shard_rows;
         }
         // Assigned (not merged): each entry is one shard of *this* search.
         stats.shard_times = shard_times;
@@ -352,9 +353,9 @@ impl<'r> PartitionedKoios<'r> {
         let hits = self.merge_partials(&q, pool, deadline, &mut stats);
         drop(merge_stage);
         stats.merge_time = merge_start.elapsed();
-        let returned = hits.len();
         if let Some(f) = stats.funnel_mut() {
-            f.returned = returned;
+            f.shards = shard_rows;
+            f.returned = hits.len();
         }
         SearchResult { hits, stats }
     }
@@ -415,6 +416,7 @@ impl<'r> PartitionedKoios<'r> {
                         break;
                     }
                     stats.em_full += 1; // merge-time verification
+                    stats.merge_verifications += 1;
                     let verify_start = Instant::now();
                     let (outcome, effort) = semantic_overlap_bounded_with_effort(
                         self.repo.get(),
@@ -425,12 +427,8 @@ impl<'r> PartitionedKoios<'r> {
                         None,
                     );
                     stats.verify_time += verify_start.elapsed();
-                    if let Some(f) = stats.funnel_mut() {
-                        f.em_verified += 1;
-                        f.merge_verifications += 1;
-                        f.matrix_cells += effort.matrix_cells;
-                        f.support_cells += effort.support_cells;
-                    }
+                    stats.matrix_cells += effort.matrix_cells;
+                    stats.support_cells += effort.support_cells;
                     outcome.score()
                 }
             };

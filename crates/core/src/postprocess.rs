@@ -191,9 +191,6 @@ pub fn postprocess(
             if p.ub < slack(theta.get()) {
                 p.alive = false;
                 stats.postprocess_ub_pruned += 1;
-                if let Some(f) = stats.funnel_mut() {
-                    f.postprocess_ub_pruned += 1;
-                }
                 continue;
             }
             lub.offer(set, ub);
@@ -222,9 +219,6 @@ pub fn postprocess(
             }
             if certified > 0 {
                 stats.no_em += certified;
-                if let Some(f) = stats.funnel_mut() {
-                    f.no_em_certified += certified;
-                }
                 continue;
             }
         }
@@ -237,16 +231,11 @@ pub fn postprocess(
         stats.verify_time += verify_start.elapsed();
 
         for (set, outcome, effort) in outcomes {
-            if let Some(f) = stats.funnel_mut() {
-                f.matrix_cells += effort.matrix_cells;
-                f.support_cells += effort.support_cells;
-            }
+            stats.matrix_cells += effort.matrix_cells;
+            stats.support_cells += effort.support_cells;
             match outcome {
                 MatchOutcome::EarlyTerminated { upper_bound } => {
                     stats.em_early_terminated += 1;
-                    if let Some(f) = stats.funnel_mut() {
-                        f.em_early_terminated += 1;
-                    }
                     debug_assert!(upper_bound < theta.get() + 1e-9);
                     let p = states.get_mut(&set).expect("verified set has state");
                     p.alive = false;
@@ -255,9 +244,6 @@ pub fn postprocess(
                 }
                 MatchOutcome::Exact(m) => {
                     stats.em_full += 1;
-                    if let Some(f) = stats.funnel_mut() {
-                        f.em_verified += 1;
-                    }
                     let so = m.score;
                     let p = states.get_mut(&set).expect("verified set has state");
                     p.exact = Some(so);
@@ -265,9 +251,7 @@ pub fn postprocess(
                     p.lb = so;
                     p.ub = so;
                     if llb.offer(set, Sim::new(so)) {
-                        if let Some(f) = stats.funnel_mut() {
-                            f.theta_raises += 1;
-                        }
+                        stats.theta_raises += 1;
                         if let Some(b) = llb.bottom() {
                             theta.raise(b.get());
                         }
@@ -321,11 +305,8 @@ fn verify_all(
         for (set, outcome, effort) in outcomes {
             let so = outcome.score();
             stats.em_full += 1;
-            if let Some(f) = stats.funnel_mut() {
-                f.em_verified += 1;
-                f.matrix_cells += effort.matrix_cells;
-                f.support_cells += effort.support_cells;
-            }
+            stats.matrix_cells += effort.matrix_cells;
+            stats.support_cells += effort.support_cells;
             llb.offer(set, Sim::new(so));
             scored.push((so, set));
         }

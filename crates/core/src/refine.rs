@@ -185,18 +185,13 @@ pub fn refine<K: KnnSource>(
         }
         let posting = index.postings(tuple.token);
         if let Some(f) = stats.funnel_mut() {
-            f.stream_tuples += 1;
-            f.postings_probed += 1;
-            f.posting_entries_scanned += posting.len();
             f.posting_lengths.push(posting.len());
         }
         for &set in posting {
             // Tombstoned sets stay in posting lists until the owning index
             // is patched; never surface them as candidates (live corpora).
             if !repo.is_live(set) {
-                if let Some(f) = stats.funnel_mut() {
-                    f.tombstone_skips += 1;
-                }
+                stats.tombstone_skips += 1;
                 continue;
             }
             match states.entry(set) {
@@ -211,16 +206,11 @@ pub fn refine<K: KnnSource>(
                     if cfg.iub_filter && new_key != old_key {
                         buckets.reinsert(old_key.0, old_key.1, new_key.0, new_key.1, set);
                         stats.bucket_moves += 1;
-                        if let Some(f) = stats.funnel_mut() {
-                            f.bucket_moves += 1;
-                        }
                     }
                     if lb_improved {
                         let lb = cand.lb;
                         if llb.offer(set, Sim::new(lb)) {
-                            if let Some(f) = stats.funnel_mut() {
-                                f.theta_raises += 1;
-                            }
+                            stats.theta_raises += 1;
                             if let Some(b) = llb.bottom() {
                                 theta.raise(b.get());
                             }
@@ -229,9 +219,6 @@ pub fn refine<K: KnnSource>(
                 }
                 Entry::Vacant(v) => {
                     stats.candidates += 1;
-                    if let Some(f) = stats.funnel_mut() {
-                        f.candidates_discovered += 1;
-                    }
                     let clen = repo.set_len(set) as u32;
                     let cap = (qlen as u32).min(clen);
                     // UB-filter at discovery (Lemma 2 with the §IV cap):
@@ -240,9 +227,6 @@ pub fn refine<K: KnnSource>(
                     // (§VIII-A4) verifies every candidate unpruned.
                     if cfg.iub_filter && (cap as f64) * s < slack(theta.get()) {
                         stats.ub_filter_pruned += 1;
-                        if let Some(f) = stats.funnel_mut() {
-                            f.ub_filter_pruned += 1;
-                        }
                         v.insert(Cand::tombstone(cap));
                         continue;
                     }
@@ -255,9 +239,7 @@ pub fn refine<K: KnnSource>(
                         buckets.insert(key.0, key.1, set);
                     }
                     if llb.offer(set, Sim::new(lb)) {
-                        if let Some(f) = stats.funnel_mut() {
-                            f.theta_raises += 1;
-                        }
+                        stats.theta_raises += 1;
                         if let Some(b) = llb.bottom() {
                             theta.raise(b.get());
                         }
@@ -276,9 +258,6 @@ pub fn refine<K: KnnSource>(
                     }
                 });
                 stats.iub_pruned += swept;
-                if let Some(f) = stats.funnel_mut() {
-                    f.iub_pruned += swept;
-                }
                 last_swept_theta = th;
                 since_sweep = 0;
             }
@@ -308,9 +287,6 @@ pub fn refine<K: KnnSource>(
             }
         });
         stats.iub_pruned += swept;
-        if let Some(f) = stats.funnel_mut() {
-            f.iub_pruned += swept;
-        }
     }
 
     // Memory snapshot of the refinement structures (paper §VIII-D sums the
@@ -340,9 +316,6 @@ pub fn refine<K: KnnSource>(
             .then_with(|| a.set.cmp(&b.set))
     });
     stats.to_postprocess = survivors.len();
-    if let Some(f) = stats.funnel_mut() {
-        f.entered_postprocess = survivors.len();
-    }
     RefineOutput {
         survivors,
         llb,

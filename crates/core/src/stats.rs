@@ -4,96 +4,45 @@
 //! `candidates` / `ub_filter_pruned` + `iub_pruned` / `no_em` /
 //! `em_early_terminated` / `em_full` are Tables II, IV and V;
 //! `refine_time` / `postprocess_time` are the phase-breakdown panels of
-//! Figs. 5–7; `memory` feeds the footprint panels.
+//! Figs. 5–7; `memory` feeds the footprint panels. The EXPLAIN funnel
+//! ([`SearchStats::funnel_json`]) is a rendering of the same counters.
 
 use koios_common::json::Json;
 use koios_common::memsize::MemoryReport;
 use koios_index::knn_cache::KnnCacheSearchStats;
 use std::time::Duration;
 
-/// EXPLAIN-mode funnel accounting: stage-by-stage candidate attrition for
-/// one query, from token-stream discovery through the refinement filters
-/// (Lemmas 2 and 4, §V) to verification (Lemmas 7–8) and the returned
-/// top-k. Opt-in via [`crate::KoiosConfig::explain`] — when the flag is
-/// off, [`SearchStats::funnel`] stays `None` and the hot paths pay one
-/// predictable branch per counter site.
+/// What an EXPLAIN report needs beyond the counters every search keeps.
 ///
-/// Counters that shadow an existing [`SearchStats`] field (e.g.
-/// [`candidates_discovered`](Self::candidates_discovered) vs
-/// [`SearchStats::candidates`]) are incremented at the *same* code sites,
-/// so the two always reconcile exactly; the rest (posting lengths, theta
-/// raises, matching effort, per-shard sub-funnels) exist only here.
+/// The funnel's counts — candidates, each filter's prunes, the matchings,
+/// θ raises, matrix cells, kNN-cache hits — are plain [`SearchStats`]
+/// fields, counted on every search; the report renders them. What is left
+/// here allocates per probe (the posting lengths) or is read only by the
+/// report (the hit count, the shard rows), so it exists only when the query
+/// ran with [`crate::KoiosConfig::explain`].
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct FunnelCounts {
-    /// Tuples consumed from the token stream `Ie` (mirrors
-    /// [`SearchStats::stream_tuples`]).
-    pub stream_tuples: usize,
-    /// Distinct query tokens whose inverted-index posting lists were
-    /// walked during candidate discovery.
-    pub postings_probed: usize,
-    /// Total posting entries touched across all probed lists.
-    pub posting_entries_scanned: usize,
-    /// Length of each posting list probed, in probe order — the raw
-    /// material of the per-token fan-out histogram in an explain report.
+    /// Length of the posting list probed for each stream tuple, in probe
+    /// order — the raw material of the per-token fan-out histogram. A token
+    /// similar to several query elements is probed once per element, so
+    /// there is one entry per [`SearchStats::stream_tuples`].
     pub posting_lengths: Vec<usize>,
-    /// Posting entries skipped because the set is tombstoned in the
-    /// serving delta-chain (live engines only).
-    pub tombstone_skips: usize,
-    /// Distinct candidate sets discovered (mirrors
-    /// [`SearchStats::candidates`]).
-    pub candidates_discovered: usize,
-    /// Candidates pruned at discovery by the UB-filter (mirrors
-    /// [`SearchStats::ub_filter_pruned`]).
-    pub ub_filter_pruned: usize,
-    /// Candidates pruned by the bucketised iUB filter (mirrors
-    /// [`SearchStats::iub_pruned`]).
-    pub iub_pruned: usize,
-    /// Times the running threshold `θlb` rose (lower-bound tightening
-    /// iterations, Lemma 4).
-    pub theta_raises: usize,
-    /// Moves between iUB buckets (upper-bound tightening iterations;
-    /// mirrors [`SearchStats::bucket_moves`]).
-    pub bucket_moves: usize,
-    /// Candidates surviving refinement into post-processing (mirrors
-    /// [`SearchStats::to_postprocess`]).
-    pub entered_postprocess: usize,
-    /// Post-processing sets discarded because their upper bound fell under
-    /// `θlb` (mirrors [`SearchStats::postprocess_ub_pruned`]).
-    pub postprocess_ub_pruned: usize,
-    /// Sets certified into the top-k without matching (mirrors
-    /// [`SearchStats::no_em`]).
-    pub no_em_certified: usize,
-    /// Exact matchings aborted early (mirrors
-    /// [`SearchStats::em_early_terminated`]).
-    pub em_early_terminated: usize,
-    /// Exact matchings run to completion, including merge-time
-    /// verifications of a partitioned search (mirrors
-    /// [`SearchStats::em_full`]).
-    pub em_verified: usize,
-    /// The subset of [`em_verified`](Self::em_verified) performed by the
-    /// partitioned merge loop on interval-scored hits (§VI).
-    pub merge_verifications: usize,
-    /// Similarity-matrix cells materialised by verification. A matching
-    /// built from the stream's edges ([`crate::overlap::QueryEdges`] — the
-    /// engine's own searches, every shard included) materialises only its
-    /// non-zero support, so it adds the same number here as to
-    /// [`support_cells`](Self::support_cells); a dense matching
-    /// (caller-provided source, deadline-cut stream, the partitioned merge
-    /// loop) fills all `|Q| × |C|` cells.
-    pub matrix_cells: u64,
-    /// Support-graph cells the bounded Hungarian actually relaxed.
-    pub support_cells: u64,
     /// Hits returned to the caller.
     pub returned: usize,
-    /// Query elements answered from the shared kNN cache (mirrors
-    /// [`SearchStats::knn_cache`] hits).
-    pub knn_cache_hits: usize,
-    /// Query elements that scanned the vocabulary (mirrors
-    /// [`SearchStats::knn_cache`] misses).
-    pub knn_cache_misses: usize,
     /// Per-shard sub-funnels of a partitioned search, indexed by
     /// partition. Empty for single-engine searches.
     pub shards: Vec<ShardFunnel>,
+}
+
+impl FunnelCounts {
+    /// Folds another funnel into this one (partitioned aggregation):
+    /// posting lengths and shard rows concatenate, hit counts sum.
+    pub fn merge(&mut self, other: &FunnelCounts) {
+        self.posting_lengths
+            .extend_from_slice(&other.posting_lengths);
+        self.returned += other.returned;
+        self.shards.extend_from_slice(&other.shards);
+    }
 }
 
 /// One partition's contribution to a partitioned search's funnel.
@@ -122,158 +71,37 @@ pub struct ShardFunnel {
 }
 
 impl ShardFunnel {
-    /// Summarizes a shard engine's funnel as one row of the partitioned
-    /// report.
-    pub fn from_counts(shard: usize, f: &FunnelCounts) -> Self {
+    /// Summarizes a shard engine's search, which offered `returned` hits to
+    /// the merge, as one row of the partitioned report.
+    pub fn from_stats(shard: usize, s: &SearchStats, returned: usize) -> Self {
         ShardFunnel {
             shard,
-            stream_tuples: f.stream_tuples,
-            candidates: f.candidates_discovered,
-            ub_filter_pruned: f.ub_filter_pruned,
-            iub_pruned: f.iub_pruned,
-            entered_postprocess: f.entered_postprocess,
-            no_em_certified: f.no_em_certified,
-            em_early_terminated: f.em_early_terminated,
-            em_verified: f.em_verified,
-            returned: f.returned,
+            stream_tuples: s.stream_tuples,
+            candidates: s.candidates,
+            ub_filter_pruned: s.ub_filter_pruned,
+            iub_pruned: s.iub_pruned,
+            entered_postprocess: s.to_postprocess,
+            no_em_certified: s.no_em,
+            em_early_terminated: s.em_early_terminated,
+            em_verified: s.em_full,
+            returned,
         }
     }
 
     fn to_json(self) -> Json {
+        let num = |n: usize| Json::num(n as f64);
         Json::obj([
-            ("shard", Json::num(self.shard as f64)),
-            ("stream_tuples", Json::num(self.stream_tuples as f64)),
-            ("candidates", Json::num(self.candidates as f64)),
-            ("ub_filter_pruned", Json::num(self.ub_filter_pruned as f64)),
-            ("iub_pruned", Json::num(self.iub_pruned as f64)),
-            (
-                "entered_postprocess",
-                Json::num(self.entered_postprocess as f64),
-            ),
-            ("no_em_certified", Json::num(self.no_em_certified as f64)),
-            (
-                "em_early_terminated",
-                Json::num(self.em_early_terminated as f64),
-            ),
-            ("em_verified", Json::num(self.em_verified as f64)),
-            ("returned", Json::num(self.returned as f64)),
+            ("shard", num(self.shard)),
+            ("stream_tuples", num(self.stream_tuples)),
+            ("candidates", num(self.candidates)),
+            ("ub_filter_pruned", num(self.ub_filter_pruned)),
+            ("iub_pruned", num(self.iub_pruned)),
+            ("entered_postprocess", num(self.entered_postprocess)),
+            ("no_em_certified", num(self.no_em_certified)),
+            ("em_early_terminated", num(self.em_early_terminated)),
+            ("em_verified", num(self.em_verified)),
+            ("returned", num(self.returned)),
         ])
-    }
-}
-
-impl FunnelCounts {
-    /// Folds another funnel into this one (partitioned aggregation):
-    /// counters sum, posting lengths and shard rows concatenate.
-    pub fn merge(&mut self, other: &FunnelCounts) {
-        self.stream_tuples += other.stream_tuples;
-        self.postings_probed += other.postings_probed;
-        self.posting_entries_scanned += other.posting_entries_scanned;
-        self.posting_lengths
-            .extend_from_slice(&other.posting_lengths);
-        self.tombstone_skips += other.tombstone_skips;
-        self.candidates_discovered += other.candidates_discovered;
-        self.ub_filter_pruned += other.ub_filter_pruned;
-        self.iub_pruned += other.iub_pruned;
-        self.theta_raises += other.theta_raises;
-        self.bucket_moves += other.bucket_moves;
-        self.entered_postprocess += other.entered_postprocess;
-        self.postprocess_ub_pruned += other.postprocess_ub_pruned;
-        self.no_em_certified += other.no_em_certified;
-        self.em_early_terminated += other.em_early_terminated;
-        self.em_verified += other.em_verified;
-        self.merge_verifications += other.merge_verifications;
-        self.matrix_cells += other.matrix_cells;
-        self.support_cells += other.support_cells;
-        self.returned += other.returned;
-        self.knn_cache_hits += other.knn_cache_hits;
-        self.knn_cache_misses += other.knn_cache_misses;
-        self.shards.extend_from_slice(&other.shards);
-    }
-
-    /// The stage-by-stage survivor counts of the funnel diagram, top to
-    /// bottom: discovered → surviving refinement → entering verification →
-    /// resolved without full matching → verified exactly → returned.
-    pub fn stages(&self) -> [(&'static str, usize); 6] {
-        [
-            ("discovered", self.candidates_discovered),
-            (
-                "survived_refinement",
-                self.candidates_discovered
-                    .saturating_sub(self.ub_filter_pruned + self.iub_pruned),
-            ),
-            ("entered_postprocess", self.entered_postprocess),
-            (
-                "resolved_without_matching",
-                self.postprocess_ub_pruned + self.no_em_certified + self.em_early_terminated,
-            ),
-            ("verified_exactly", self.em_verified),
-            ("returned", self.returned),
-        ]
-    }
-
-    /// The full explain report as a JSON object — the single encoding used
-    /// by the wire reply, the slow-query log and retained traces.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("stream_tuples", Json::num(self.stream_tuples as f64)),
-            ("postings_probed", Json::num(self.postings_probed as f64)),
-            (
-                "posting_entries_scanned",
-                Json::num(self.posting_entries_scanned as f64),
-            ),
-            (
-                "posting_lengths",
-                Json::arr(self.posting_lengths.iter().map(|&l| Json::num(l as f64))),
-            ),
-            ("tombstone_skips", Json::num(self.tombstone_skips as f64)),
-            (
-                "candidates_discovered",
-                Json::num(self.candidates_discovered as f64),
-            ),
-            ("ub_filter_pruned", Json::num(self.ub_filter_pruned as f64)),
-            ("iub_pruned", Json::num(self.iub_pruned as f64)),
-            ("theta_raises", Json::num(self.theta_raises as f64)),
-            ("bucket_moves", Json::num(self.bucket_moves as f64)),
-            (
-                "entered_postprocess",
-                Json::num(self.entered_postprocess as f64),
-            ),
-            (
-                "postprocess_ub_pruned",
-                Json::num(self.postprocess_ub_pruned as f64),
-            ),
-            ("no_em_certified", Json::num(self.no_em_certified as f64)),
-            (
-                "em_early_terminated",
-                Json::num(self.em_early_terminated as f64),
-            ),
-            ("em_verified", Json::num(self.em_verified as f64)),
-            (
-                "merge_verifications",
-                Json::num(self.merge_verifications as f64),
-            ),
-            ("matrix_cells", Json::num(self.matrix_cells as f64)),
-            ("support_cells", Json::num(self.support_cells as f64)),
-            ("returned", Json::num(self.returned as f64)),
-            ("knn_cache_hits", Json::num(self.knn_cache_hits as f64)),
-            ("knn_cache_misses", Json::num(self.knn_cache_misses as f64)),
-            ("shards", Json::arr(self.shards.iter().map(|s| s.to_json()))),
-        ])
-    }
-
-    /// A one-line summary (the slow-log / trace attachment): the funnel
-    /// stages as `name=count` pairs.
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for (i, (name, count)) in self.stages().iter().enumerate() {
-            if i > 0 {
-                out.push(' ');
-            }
-            out.push_str(name);
-            out.push('=');
-            out.push_str(&count.to_string());
-        }
-        out
     }
 }
 
@@ -282,6 +110,9 @@ impl FunnelCounts {
 pub struct SearchStats {
     /// Tuples consumed from the token stream `Ie`.
     pub stream_tuples: usize,
+    /// Posting entries skipped because the set is tombstoned in the
+    /// serving delta-chain (live engines only).
+    pub tombstone_skips: usize,
     /// Distinct candidate sets discovered (non-zero semantic overlap).
     pub candidates: usize,
     /// Candidates pruned at discovery by the UB-filter (Lemma 2).
@@ -304,8 +135,24 @@ pub struct SearchStats {
     /// expiry the merge performs none, so a timed-out partitioned search
     /// reports exactly the matchings that ran before the budget lapsed.
     pub em_full: usize,
+    /// The subset of [`em_full`](Self::em_full) performed by the
+    /// partitioned merge loop on interval-scored hits (§VI).
+    pub merge_verifications: usize,
+    /// Similarity-matrix cells materialised by verification. A matching
+    /// built from the stream's edges ([`crate::overlap::QueryEdges`] — the
+    /// engine's own searches, every shard included) materialises only its
+    /// non-zero support, so it adds the same number here as to
+    /// [`support_cells`](Self::support_cells); a dense matching
+    /// (caller-provided source, deadline-cut stream, the partitioned merge
+    /// loop) fills all `|Q| × |C|` cells.
+    pub matrix_cells: u64,
+    /// Support-graph cells the bounded Hungarian actually relaxed.
+    pub support_cells: u64,
     /// Moves between iUB buckets (filter maintenance cost, §V).
     pub bucket_moves: usize,
+    /// Times the running threshold `θlb` rose — a lower bound or exact
+    /// score entered the top-k lower-bound list (Lemma 4).
+    pub theta_raises: usize,
     /// Wall time of the refinement phase.
     pub refine_time: Duration,
     /// Wall time of the post-processing phase.
@@ -347,19 +194,97 @@ pub struct SearchStats {
     pub epoch: u64,
     /// Peak footprint of the search data structures.
     pub memory: MemoryReport,
-    /// EXPLAIN-mode funnel report. `None` unless the query ran with
-    /// [`crate::KoiosConfig::explain`] — the boxed indirection keeps the
-    /// disabled path at one pointer of overhead.
+    /// EXPLAIN-mode extras: the per-probe posting lengths, the hit count
+    /// and the shard rows. `None` unless the query ran with
+    /// [`crate::KoiosConfig::explain`]; it decides whether the funnel
+    /// renders, while the counts it renders are the fields above. The
+    /// boxed indirection keeps the disabled path at one pointer.
     pub funnel: Option<Box<FunnelCounts>>,
 }
 
 impl SearchStats {
-    /// The funnel accumulator when explain mode is on (`None` otherwise).
-    /// Instrumentation sites use this so the disabled path is a single
-    /// branch on a null pointer.
+    /// The EXPLAIN extras when explain mode is on (`None` otherwise) —
+    /// the few sites that fill them branch on a null pointer.
     #[inline]
     pub fn funnel_mut(&mut self) -> Option<&mut FunnelCounts> {
         self.funnel.as_deref_mut()
+    }
+
+    /// The stage-by-stage survivor counts of the funnel diagram, top to
+    /// bottom: discovered → surviving refinement → entering verification →
+    /// resolved without full matching → verified exactly → returned.
+    /// `None` unless the query ran with explain.
+    pub fn funnel_stages(&self) -> Option<[(&'static str, usize); 6]> {
+        let f = self.funnel.as_deref()?;
+        Some([
+            ("discovered", self.candidates),
+            (
+                "survived_refinement",
+                self.candidates
+                    .saturating_sub(self.ub_filter_pruned + self.iub_pruned),
+            ),
+            ("entered_postprocess", self.to_postprocess),
+            (
+                "resolved_without_matching",
+                self.postprocess_ub_pruned + self.no_em + self.em_early_terminated,
+            ),
+            ("verified_exactly", self.em_full),
+            ("returned", f.returned),
+        ])
+    }
+
+    /// The full explain report as a JSON object — the single encoding used
+    /// by the wire reply. `None` unless the query ran with explain.
+    ///
+    /// Two keys are derived from the posting lengths: `postings_probed` is
+    /// their count — one probe per stream tuple, so a token similar to
+    /// several query elements counts once per element and the key always
+    /// equals `stream_tuples` — and `posting_entries_scanned` their sum.
+    pub fn funnel_json(&self) -> Option<Json> {
+        let f = self.funnel.as_deref()?;
+        let num = |n: usize| Json::num(n as f64);
+        Some(Json::obj([
+            ("stream_tuples", num(self.stream_tuples)),
+            ("postings_probed", num(f.posting_lengths.len())),
+            (
+                "posting_entries_scanned",
+                num(f.posting_lengths.iter().sum()),
+            ),
+            (
+                "posting_lengths",
+                Json::arr(f.posting_lengths.iter().map(|&l| num(l))),
+            ),
+            ("tombstone_skips", num(self.tombstone_skips)),
+            ("candidates_discovered", num(self.candidates)),
+            ("ub_filter_pruned", num(self.ub_filter_pruned)),
+            ("iub_pruned", num(self.iub_pruned)),
+            ("theta_raises", num(self.theta_raises)),
+            ("bucket_moves", num(self.bucket_moves)),
+            ("entered_postprocess", num(self.to_postprocess)),
+            ("postprocess_ub_pruned", num(self.postprocess_ub_pruned)),
+            ("no_em_certified", num(self.no_em)),
+            ("em_early_terminated", num(self.em_early_terminated)),
+            ("em_verified", num(self.em_full)),
+            ("merge_verifications", num(self.merge_verifications)),
+            ("matrix_cells", Json::num(self.matrix_cells as f64)),
+            ("support_cells", Json::num(self.support_cells as f64)),
+            ("returned", num(f.returned)),
+            ("knn_cache_hits", num(self.knn_cache.hits)),
+            ("knn_cache_misses", num(self.knn_cache.misses)),
+            ("shards", Json::arr(f.shards.iter().map(|s| s.to_json()))),
+        ]))
+    }
+
+    /// A one-line summary (the slow-log / trace attachment): the funnel
+    /// stages as `name=count` pairs. `None` unless the query ran with
+    /// explain.
+    pub fn funnel_summary(&self) -> Option<String> {
+        let stages = self.funnel_stages()?;
+        let pairs: Vec<String> = stages
+            .iter()
+            .map(|(name, count)| format!("{name}={count}"))
+            .collect();
+        Some(pairs.join(" "))
     }
 
     /// Total wall time across phases: refinement, post-processing and —
@@ -430,6 +355,7 @@ impl SearchStats {
 
     fn merge_counters(&mut self, other: &SearchStats) {
         self.stream_tuples += other.stream_tuples;
+        self.tombstone_skips += other.tombstone_skips;
         self.candidates += other.candidates;
         self.ub_filter_pruned += other.ub_filter_pruned;
         self.iub_pruned += other.iub_pruned;
@@ -438,7 +364,11 @@ impl SearchStats {
         self.no_em += other.no_em;
         self.em_early_terminated += other.em_early_terminated;
         self.em_full += other.em_full;
+        self.merge_verifications += other.merge_verifications;
+        self.matrix_cells += other.matrix_cells;
+        self.support_cells += other.support_cells;
         self.bucket_moves += other.bucket_moves;
+        self.theta_raises += other.theta_raises;
         self.timed_out |= other.timed_out;
         self.knn_cache.merge(&other.knn_cache);
         self.epoch = self.epoch.max(other.epoch);
@@ -523,63 +453,77 @@ mod tests {
 
     #[test]
     fn funnel_merges_parallel_but_not_sequential() {
-        let funnel = |candidates: usize| {
-            Some(Box::new(FunnelCounts {
-                candidates_discovered: candidates,
+        let explained = |candidates: usize| SearchStats {
+            candidates,
+            theta_raises: 1,
+            funnel: Some(Box::new(FunnelCounts {
                 posting_lengths: vec![candidates],
                 ..FunnelCounts::default()
-            }))
-        };
-        let mut a = SearchStats {
-            funnel: funnel(3),
+            })),
             ..Default::default()
         };
-        let b = SearchStats {
-            funnel: funnel(4),
-            ..Default::default()
+        let rendered = |s: &SearchStats, key: &str| {
+            s.funnel_json()
+                .and_then(|j| j.get(key).and_then(Json::as_u64))
         };
-        a.merge_parallel(&b);
-        let f = a.funnel.as_deref().unwrap();
-        assert_eq!(f.candidates_discovered, 7);
-        assert_eq!(f.posting_lengths, vec![3, 4]);
+        let mut a = explained(3);
+        a.merge_parallel(&explained(4));
+        assert_eq!(rendered(&a, "candidates_discovered"), Some(7));
+        assert_eq!(rendered(&a, "theta_raises"), Some(2));
+        assert_eq!(rendered(&a, "postings_probed"), Some(2));
+        assert_eq!(rendered(&a, "posting_entries_scanned"), Some(7));
+        assert_eq!(a.funnel.as_deref().unwrap().posting_lengths, vec![3, 4]);
 
         // A funnel-less aggregate adopts the other side's report...
         let mut bare = SearchStats::default();
         bare.merge_parallel(&a);
-        assert_eq!(bare.funnel.as_deref().unwrap().candidates_discovered, 7);
-        // ...but sequential (service-lifetime) aggregation never folds it.
+        assert_eq!(rendered(&bare, "candidates_discovered"), Some(7));
+        // ...but sequential (service-lifetime) aggregation never folds it:
+        // the counts add up, the report is gone.
         let mut seq = SearchStats::default();
         seq.merge_sequential(&a);
+        assert_eq!(seq.candidates, 7);
         assert!(seq.funnel.is_none());
+        assert!(seq.funnel_json().is_none());
     }
 
     #[test]
     fn funnel_stages_and_summary_are_consistent() {
-        let f = FunnelCounts {
-            candidates_discovered: 100,
+        let mut s = SearchStats {
+            candidates: 100,
             ub_filter_pruned: 40,
             iub_pruned: 30,
-            entered_postprocess: 30,
+            to_postprocess: 30,
             postprocess_ub_pruned: 5,
-            no_em_certified: 10,
+            no_em: 10,
             em_early_terminated: 5,
-            em_verified: 10,
+            em_full: 10,
+            ..Default::default()
+        };
+        // Without explain the counts exist but nothing renders.
+        assert!(s.funnel_stages().is_none());
+        assert!(s.funnel_summary().is_none());
+        assert!(s.funnel_json().is_none());
+
+        s.funnel = Some(Box::new(FunnelCounts {
             returned: 10,
             ..FunnelCounts::default()
-        };
-        let stages = f.stages();
+        }));
+        let stages = s.funnel_stages().unwrap();
         assert_eq!(stages[0], ("discovered", 100));
         assert_eq!(stages[1], ("survived_refinement", 30));
         assert_eq!(stages[3], ("resolved_without_matching", 20));
         assert_eq!(stages[5], ("returned", 10));
-        let summary = f.summary();
-        assert!(summary.contains("discovered=100"), "{summary}");
-        assert!(summary.contains("returned=10"), "{summary}");
-        let json = f.to_json();
+        let summary = s.funnel_summary().unwrap();
+        assert!(summary.starts_with("discovered=100 "), "{summary}");
+        assert!(summary.ends_with(" returned=10"), "{summary}");
+        let json = s.funnel_json().unwrap();
         assert_eq!(
             json.get("candidates_discovered").unwrap().as_u64(),
             Some(100)
         );
+        assert_eq!(json.get("no_em_certified").unwrap().as_u64(), Some(10));
+        assert_eq!(json.get("returned").unwrap().as_u64(), Some(10));
         assert_eq!(json.get("shards").unwrap().as_array().unwrap().len(), 0);
     }
 

@@ -14,8 +14,12 @@
 //! * **`POST /search` response** — hits with set id, set name and certified
 //!   score bounds, the cache outcome, rejection/timeout flags and timings.
 //!   An `"explain": true` request additionally carries `"funnel"`: the full
-//!   [`FunnelCounts`](koios_core::FunnelCounts) report (absent when the
-//!   answer came from the result cache — no engine work ran to count).
+//!   report of [`SearchStats::funnel_json`](koios_core::SearchStats::funnel_json)
+//!   (absent when the answer came from the result cache — no engine work ran
+//!   to count). Its `"postings_probed"` counts posting-list probes, one per
+//!   stream tuple — a token similar to several query elements is probed
+//!   once per element — so it always equals `"stream_tuples"`, not the
+//!   number of distinct tokens.
 //! * **`GET /stats` response** — a [`ServiceStats`] snapshot.
 //!
 //! Malformed payloads return `Err(String)` which the server maps to a 400;
@@ -299,8 +303,8 @@ pub fn response_to_json(resp: &ServiceResponse, repo: &Repository) -> Json {
     ];
     // Present exactly when the search ran with funnel accounting: explain
     // requests answered from the result cache carry no funnel.
-    if let Some(f) = &s.funnel {
-        fields.push(("funnel", f.to_json()));
+    if let Some(funnel) = s.funnel_json() {
+        fields.push(("funnel", funnel));
     }
     Json::obj(fields)
 }

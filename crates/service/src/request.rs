@@ -33,9 +33,9 @@ pub struct SearchRequest {
     /// lets the service mint its own trace id; the context's `sampled`
     /// flag force-retains the trace in the `GET /traces` ring.
     pub trace: Option<TraceContext>,
-    /// EXPLAIN mode: collect the per-stage funnel report
-    /// ([`koios_core::FunnelCounts`]) alongside the normal stats. Hits are
-    /// byte-identical either way, so explain is deliberately *not* part of
+    /// EXPLAIN mode: the response's stats render as the per-stage funnel
+    /// report ([`koios_core::SearchStats::funnel_json`]). Hits and counts
+    /// are the same either way, so explain is deliberately *not* part of
     /// the cache key — but an explain request served from the cache carries
     /// no funnel (no engine work ran to count).
     pub explain: bool,

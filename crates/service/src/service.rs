@@ -1523,8 +1523,8 @@ impl ServiceInner {
             let off = tb.offset(search_start);
             record_search_spans(tb, &result.stats, off, search_time.as_nanos() as u64);
             tb.set_epoch(eff_epoch);
-            if let Some(f) = &result.stats.funnel {
-                tb.set_funnel(f.summary());
+            if let Some(summary) = result.stats.funnel_summary() {
+                tb.set_funnel(summary);
             }
         }
 

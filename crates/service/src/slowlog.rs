@@ -165,8 +165,8 @@ impl SlowQueryRecord<'_> {
             }
             // EXPLAIN requests attach the stage funnel, so a retained slow
             // line answers "where did the candidates go" without a rerun.
-            if let Some(f) = &stats.funnel {
-                let _ = write!(line, ",\"funnel\":\"{}\"", f.summary());
+            if let Some(summary) = stats.funnel_summary() {
+                let _ = write!(line, ",\"funnel\":\"{summary}\"");
             }
         }
         line.push('}');
@@ -243,18 +243,23 @@ mod tests {
     fn explain_stats_attach_the_funnel_summary() {
         let (sink, lines) = collecting();
         let log = SlowQueryLog::new(Duration::ZERO, sink);
-        let stats = SearchStats {
-            funnel: Some(Box::new(koios_core::FunnelCounts {
-                candidates_discovered: 4,
-                returned: 2,
-                ..Default::default()
-            })),
+        let mut stats = SearchStats {
+            candidates: 4,
             ..Default::default()
         };
+        // The counts alone do not attach a funnel; explain does.
+        log.observe(&record(Some(&stats)));
+        stats.funnel = Some(Box::new(koios_core::FunnelCounts {
+            returned: 2,
+            ..Default::default()
+        }));
         log.observe(&record(Some(&stats)));
         let lines = lines.lock().unwrap();
-        assert!(lines[0].contains("\"funnel\":\"discovered=4"));
-        assert!(lines[0].contains("returned=2\""));
+        assert!(!lines[0].contains("\"funnel\""), "{}", lines[0]);
+        let summary = stats.funnel_summary().unwrap();
+        assert!(lines[1].contains(&format!("\"funnel\":\"{summary}\"")));
+        assert!(lines[1].contains("\"funnel\":\"discovered=4"));
+        assert!(lines[1].contains("returned=2\""));
     }
 
     #[test]

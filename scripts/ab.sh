@@ -11,10 +11,13 @@
 # each side's median and quartiles, how many pairs the change won (ties
 # count for neither) and the verdict: "gain"/"loss" only when nine tenths of
 # the pairs agree AND the medians differ by more than the parent's own
-# interquartile distance; a median worse than the parent's by more than the
-# metric's BENCHMARK.json bound is flagged whatever the pairs say. Every run
-# must end "correct":true with 0 failed, or the script stops. Raw values are kept in <workdir>/runs.tsv; the
-# header of the output carries the command that produced it.
+# interquartile distance; "within parent IQR" only when that distance is
+# itself inside the metric's BENCHMARK.json bound, "unresolved (parent IQR
+# N% > bound M%)" when the parent is noisier than the bound can resolve; a
+# median worse than the parent's by more than the bound is flagged whatever
+# the pairs say. Every run must end "correct":true with 0 failed, or the
+# script stops. Raw values are kept in <workdir>/runs.tsv; the header of
+# the output carries the command that produced it.
 #
 # The parent is extracted with `git archive` into $(mktemp -d) (set TMPDIR to
 # choose where): nothing is registered in .git and what is measured is what
@@ -112,6 +115,8 @@ for w in $workloads; do
                 verdict = "unresolved"
                 if (wins >= .9 * pairs && diff > 0 && beyond) verdict = "gain"
                 else if (losses >= .9 * pairs && diff < 0 && beyond) verdict = "loss"
+                else if (!beyond && pm > 0 && iqr / pm > bound)
+                    verdict = sprintf("unresolved (parent IQR %.0f%% > bound %g%%)", 100 * iqr / pm, 100 * bound)
                 else if (!beyond) verdict = "within parent IQR"
                 if (pm && -diff / pm > bound) verdict = verdict " — WORSE THAN THE " 100 * bound "% BOUND"
                 else if (verdict == "loss") verdict = "loss, inside the " 100 * bound "% bound"

@@ -1,5 +1,5 @@
-//! EXPLAIN-mode acceptance tests: funnel counts must reconcile *exactly*
-//! with the `SearchStats` counters on both engine backends, and turning
+//! EXPLAIN-mode acceptance tests: the rendered funnel must report exactly
+//! the `SearchStats` counters on both engine backends, and turning
 //! the funnel on must never change a single hit — explain is pure
 //! observation, not a search mode.
 
@@ -15,74 +15,69 @@ fn corpus(seed: u64) -> Corpus {
     Corpus::generate(s)
 }
 
-/// Every funnel counter that mirrors a `SearchStats` field must agree
-/// with it exactly; the funnel is the same accounting viewed stage-wise.
-fn assert_reconciled(result: &SearchResult, label: &str) {
+/// The rendered funnel is a view of `SearchStats`: every count it reports
+/// is the stats field of the same meaning, the refinement stage conserves
+/// candidates, and the posting lengths account for every probe. Returns
+/// the rendered report for further checks.
+fn assert_reconciled(result: &SearchResult, label: &str) -> Json {
     let stats = &result.stats;
-    let f = stats
-        .funnel
-        .as_deref()
+    let json = stats
+        .funnel_json()
         .unwrap_or_else(|| panic!("{label}: explain mode must attach a funnel"));
-    assert_eq!(
-        f.stream_tuples, stats.stream_tuples,
-        "{label}: stream_tuples"
-    );
-    assert_eq!(
-        f.candidates_discovered, stats.candidates,
-        "{label}: candidates"
-    );
-    assert_eq!(
-        f.ub_filter_pruned, stats.ub_filter_pruned,
-        "{label}: ub_filter_pruned"
-    );
-    assert_eq!(f.iub_pruned, stats.iub_pruned, "{label}: iub_pruned");
-    assert_eq!(
-        f.entered_postprocess, stats.to_postprocess,
-        "{label}: entered_postprocess"
-    );
-    assert_eq!(
-        f.postprocess_ub_pruned, stats.postprocess_ub_pruned,
-        "{label}: postprocess_ub_pruned"
-    );
-    assert_eq!(f.no_em_certified, stats.no_em, "{label}: no_em_certified");
-    assert_eq!(
-        f.em_early_terminated, stats.em_early_terminated,
-        "{label}: em_early_terminated"
-    );
-    assert_eq!(f.em_verified, stats.em_full, "{label}: em_verified");
-    assert_eq!(f.bucket_moves, stats.bucket_moves, "{label}: bucket_moves");
-    assert_eq!(
-        f.knn_cache_hits, stats.knn_cache.hits,
-        "{label}: knn_cache_hits"
-    );
-    assert_eq!(
-        f.knn_cache_misses, stats.knn_cache.misses,
-        "{label}: knn_cache_misses"
-    );
-    assert_eq!(f.returned, result.hits.len(), "{label}: returned");
+    let num = |key: &str| {
+        json.get(key)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{label}: no {key}")) as usize
+    };
+    for (key, want) in [
+        ("stream_tuples", stats.stream_tuples),
+        ("tombstone_skips", stats.tombstone_skips),
+        ("candidates_discovered", stats.candidates),
+        ("ub_filter_pruned", stats.ub_filter_pruned),
+        ("iub_pruned", stats.iub_pruned),
+        ("theta_raises", stats.theta_raises),
+        ("bucket_moves", stats.bucket_moves),
+        ("entered_postprocess", stats.to_postprocess),
+        ("postprocess_ub_pruned", stats.postprocess_ub_pruned),
+        ("no_em_certified", stats.no_em),
+        ("em_early_terminated", stats.em_early_terminated),
+        ("em_verified", stats.em_full),
+        ("merge_verifications", stats.merge_verifications),
+        ("matrix_cells", stats.matrix_cells as usize),
+        ("support_cells", stats.support_cells as usize),
+        ("returned", result.hits.len()),
+        ("knn_cache_hits", stats.knn_cache.hits),
+        ("knn_cache_misses", stats.knn_cache.misses),
+    ] {
+        assert_eq!(num(key), want, "{label}: {key}");
+    }
 
     // Conservation: every discovered candidate is pruned at refinement,
     // pruned at postprocess admission, or enters postprocess.
     assert_eq!(
-        f.candidates_discovered,
-        f.ub_filter_pruned + f.iub_pruned + f.entered_postprocess,
+        stats.candidates,
+        stats.ub_filter_pruned + stats.iub_pruned + stats.to_postprocess,
         "{label}: refinement stage must conserve candidates"
     );
-    // Posting-length evidence covers every probed token's list.
-    assert_eq!(
-        f.posting_lengths.len(),
-        f.postings_probed,
-        "{label}: one posting length per probed token"
-    );
-    assert_eq!(
-        f.posting_lengths.iter().sum::<usize>(),
-        f.posting_entries_scanned,
-        "{label}: posting lengths account for every scanned entry"
-    );
+    // One posting probe per stream tuple; the lengths cover every probe
+    // and every scanned entry.
+    let lengths = &stats.funnel.as_deref().unwrap().posting_lengths;
+    assert_eq!(num("postings_probed"), lengths.len(), "{label}");
+    assert_eq!(num("postings_probed"), stats.stream_tuples, "{label}");
+    let scanned = num("posting_entries_scanned");
+    assert_eq!(lengths.iter().sum::<usize>(), scanned, "{label}");
     assert!(
-        f.tombstone_skips <= f.posting_entries_scanned,
+        stats.tombstone_skips <= scanned,
         "{label}: tombstone skips are a subset of scanned entries"
     );
+    // The one-line summary renders the same counts.
+    let summary = stats.funnel_summary().unwrap();
+    assert!(
+        summary.starts_with(&format!("discovered={} ", stats.candidates))
+            && summary.ends_with(&format!(" returned={}", result.hits.len())),
+        "{label}: {summary}"
+    );
+    json
 }
 
 #[test]
@@ -115,36 +110,41 @@ fn funnel_reconciles_with_stats_on_partitioned_engine() {
             let query = c.repository.set(SetId(q * 11)).to_vec();
             let res = engine.search(&query);
             let label = format!("partitioned parts={parts} q={q}");
-            assert_reconciled(&res, &label);
+            let json = assert_reconciled(&res, &label);
 
-            // The per-shard sub-funnels must sum back to the merged totals
-            // for the counters that accumulate shard-locally.
-            let f = res.stats.funnel.as_deref().unwrap();
-            assert_eq!(f.shards.len(), parts, "{label}: one sub-funnel per shard");
+            // The rendered shard rows sum back to the merged totals for
+            // the counters that accumulate shard-locally.
+            let rows = json.get("shards").unwrap().as_array().unwrap();
+            assert_eq!(rows.len(), parts, "{label}: one sub-funnel per shard");
+            let sum = |key: &str| -> usize {
+                rows.iter()
+                    .map(|r| r.get(key).unwrap().as_u64().unwrap() as usize)
+                    .sum()
+            };
+            let s = &res.stats;
+            for (key, want) in [
+                ("stream_tuples", s.stream_tuples),
+                ("candidates", s.candidates),
+                ("ub_filter_pruned", s.ub_filter_pruned),
+                ("iub_pruned", s.iub_pruned),
+                ("entered_postprocess", s.to_postprocess),
+                ("no_em_certified", s.no_em),
+                ("em_early_terminated", s.em_early_terminated),
+            ] {
+                assert_eq!(sum(key), want, "{label}: shard {key}");
+            }
+            // The merge loop adds exactly its own verifications on top of
+            // what the shards verified, and returns at most what they
+            // offered.
             assert_eq!(
-                f.shards.iter().map(|s| s.stream_tuples).sum::<usize>(),
-                f.stream_tuples,
-                "{label}: shard stream_tuples"
-            );
-            assert_eq!(
-                f.shards.iter().map(|s| s.candidates).sum::<usize>(),
-                f.candidates_discovered,
-                "{label}: shard candidates"
-            );
-            assert_eq!(
-                f.shards
-                    .iter()
-                    .map(|s| s.entered_postprocess)
-                    .sum::<usize>(),
-                f.entered_postprocess,
-                "{label}: shard entered_postprocess"
-            );
-            // Merge-time verification only ever *adds* exact matchings on
-            // top of what the shards certified.
-            assert!(
-                f.shards.iter().map(|s| s.em_verified).sum::<usize>() <= f.em_verified,
+                sum("em_verified") + s.merge_verifications,
+                s.em_full,
                 "{label}: shard em_verified"
             );
+            assert!(sum("returned") >= res.hits.len(), "{label}: returned");
+            for (i, row) in rows.iter().enumerate() {
+                assert_eq!(row.get("shard").unwrap().as_u64(), Some(i as u64));
+            }
         }
     }
 }
@@ -173,10 +173,7 @@ fn matrix_cells_count_what_verification_materialised() {
         let dense = engine.search_with_source(query.clone(), source, &SharedTheta::new());
         assert_reconciled(&edge, &format!("edge q={q}"));
         assert_reconciled(&dense, &format!("dense q={q}"));
-        let (e, d) = (
-            edge.stats.funnel.as_deref().unwrap(),
-            dense.stats.funnel.as_deref().unwrap(),
-        );
+        let (e, d) = (&edge.stats, &dense.stats);
         assert!(e.support_cells > 0, "q={q}: nothing verified");
         assert_eq!(e.matrix_cells, e.support_cells, "q={q}: edge path");
         assert_eq!(e.support_cells, d.support_cells, "q={q}: same instances");
@@ -185,7 +182,8 @@ fn matrix_cells_count_what_verification_materialised() {
 
         // Shards verify from edges; only merge verifications are dense.
         let merged = sharded.search(&query);
-        let f = merged.stats.funnel.as_deref().unwrap();
+        assert_reconciled(&merged, &format!("merged q={q}"));
+        let f = &merged.stats;
         assert!(f.matrix_cells >= f.support_cells, "q={q}");
         if f.merge_verifications == 0 {
             assert_eq!(f.matrix_cells, f.support_cells, "q={q}: no dense fill");
@@ -216,6 +214,13 @@ fn explain_mode_never_changes_hits() {
         assert_eq!(a.hits, b.hits, "single q={q}");
         assert!(a.stats.funnel.is_none(), "explain off attaches no funnel");
         assert!(b.stats.funnel.is_some());
+        // The counts are kept either way; explain only renders them.
+        let counts = |r: &SearchResult| {
+            let s = &r.stats;
+            let cells = (s.matrix_cells, s.support_cells);
+            (s.candidates, s.em_full, s.theta_raises, cells)
+        };
+        assert_eq!(counts(&a), counts(&b), "single q={q}");
 
         let a = plain_part.search(&query);
         let b = explain_part.search(&query);

@@ -616,6 +616,115 @@ fn debug_suite_round_trips_on_both_backends() {
     }
 }
 
+/// The wire shape of an explain reply's `"funnel"` object is a contract
+/// (the ledger and README read it): exactly these keys, in this order, on
+/// both backends, with values that agree with the reply's own `"stats"`.
+#[test]
+fn explain_funnel_wire_shape_is_pinned() {
+    const FUNNEL_KEYS: [&str; 22] = [
+        "stream_tuples",
+        "postings_probed",
+        "posting_entries_scanned",
+        "posting_lengths",
+        "tombstone_skips",
+        "candidates_discovered",
+        "ub_filter_pruned",
+        "iub_pruned",
+        "theta_raises",
+        "bucket_moves",
+        "entered_postprocess",
+        "postprocess_ub_pruned",
+        "no_em_certified",
+        "em_early_terminated",
+        "em_verified",
+        "merge_verifications",
+        "matrix_cells",
+        "support_cells",
+        "returned",
+        "knn_cache_hits",
+        "knn_cache_misses",
+        "shards",
+    ];
+    const SHARD_KEYS: [&str; 10] = [
+        "shard",
+        "stream_tuples",
+        "candidates",
+        "ub_filter_pruned",
+        "iub_pruned",
+        "entered_postprocess",
+        "no_em_certified",
+        "em_early_terminated",
+        "em_verified",
+        "returned",
+    ];
+    fn keys(j: &Json) -> Vec<&str> {
+        match j {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("expected an object, got {other}"),
+        }
+    }
+    let num = |j: &Json, key: &str| j.get(key).unwrap().as_u64().unwrap();
+
+    let (repo, sim) = corpus_parts();
+    for (label, service, shards) in [
+        ("single", single_service(&repo, &sim), 0usize),
+        ("partitioned", partitioned_service(&repo, &sim), 4),
+    ] {
+        let service = Arc::new(service);
+        let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let mut client = KoiosClient::new(server.addr());
+        for set in 0..4u32 {
+            let body = Json::obj([
+                (
+                    "tokens",
+                    Json::arr(repo.set(SetId(set)).iter().map(|t| Json::num(t.0 as f64))),
+                ),
+                ("explain", Json::Bool(true)),
+                ("bypass_cache", Json::Bool(true)),
+            ]);
+            let (status, reply) = client.search(&body).unwrap();
+            assert_eq!(status, 200, "{label}: {reply}");
+            let funnel = reply.get("funnel").unwrap();
+            assert_eq!(keys(funnel), FUNNEL_KEYS, "{label} set {set}");
+
+            let rows = funnel.get("shards").unwrap().as_array().unwrap();
+            assert_eq!(rows.len(), shards, "{label} set {set}");
+            for row in rows {
+                assert_eq!(keys(row), SHARD_KEYS, "{label} set {set}");
+            }
+
+            // The funnel and the stats block are views of the same counts.
+            let stats = reply.get("stats").unwrap();
+            for (f, s) in [
+                ("candidates_discovered", "candidates"),
+                ("em_verified", "em_full"),
+                ("no_em_certified", "no_em"),
+                ("knn_cache_hits", "knn_cache_hits"),
+                ("knn_cache_misses", "knn_cache_misses"),
+            ] {
+                assert_eq!(num(funnel, f), num(stats, s), "{label} set {set}: {f}");
+            }
+            assert_eq!(
+                num(funnel, "returned") as usize,
+                reply.get("hits").unwrap().as_array().unwrap().len(),
+                "{label} set {set}"
+            );
+
+            // One probe per stream tuple; the posting lengths account for
+            // every probe and every scanned entry.
+            let lengths = funnel.get("posting_lengths").unwrap().as_array().unwrap();
+            let tuples = num(funnel, "stream_tuples");
+            assert_eq!(num(funnel, "postings_probed"), tuples, "{label} set {set}");
+            assert_eq!(lengths.len() as u64, tuples, "{label} set {set}");
+            assert_eq!(
+                lengths.iter().map(|l| l.as_u64().unwrap()).sum::<u64>(),
+                num(funnel, "posting_entries_scanned"),
+                "{label} set {set}"
+            );
+        }
+    }
+}
+
 /// A service built `without_profiler` answers 409 on the profiler routes
 /// and omits nothing else: the rest of the debug suite stays up.
 #[test]

@@ -63,6 +63,19 @@ fn koios_is_exact_on_random_string_repos() {
         let engine = Koios::new(&repo, sim.clone(), cfg);
         let result = engine.search(&query);
 
+        // Conservation holds on every search, explain or not: each
+        // discovered candidate is pruned by a refinement filter or
+        // enters post-processing.
+        let st = &result.stats;
+        assert!(st.funnel.is_none());
+        if !st.timed_out {
+            assert_eq!(
+                st.candidates,
+                st.ub_filter_pruned + st.iub_pruned + st.to_postprocess,
+                "no_em={no_em} iub={iub}"
+            );
+        }
+
         // Oracle.
         let mut oracle: Vec<f64> = repo
             .iter_sets()
