@@ -37,10 +37,16 @@ pub trait ElementSimilarity: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Scores `q` against the whole vocabulary `0..vocab`, appending every
-    /// `(token, sim)` with `sim ≥ alpha` — plus the self pair `(q, 1.0)` —
-    /// to `out`. This is the token-index construction hot path; the default
-    /// delegates to [`Self::sim`] per pair, and implementations with a
-    /// columnar layout (embeddings) override it with a tight scan.
+    /// `(sim, token)` with `sim ≥ alpha` in ascending token order to `out`.
+    /// The self pair `(1.0, q)` is emitted in its place for every
+    /// `q < vocab`, whatever `alpha` and even out of vocabulary; a pair not
+    /// emitted is a zero cell of [`Self::fill_matrix`], and an emitted
+    /// weight equals that cell bit for bit (the token stream's weights are
+    /// verification's weights). The default delegates to [`Self::sim`] per
+    /// pair.
+    ///
+    /// This is the one-token form of [`Self::scores_above_many`], the
+    /// token stream's hot path.
     fn scores_above(&self, q: TokenId, vocab: usize, alpha: f64, out: &mut Vec<(f64, TokenId)>) {
         for t in 0..vocab as u32 {
             let t = TokenId(t);
@@ -52,6 +58,33 @@ pub trait ElementSimilarity: Send + Sync {
             if s >= alpha {
                 out.push((s, t));
             }
+        }
+    }
+
+    /// [`Self::scores_above`] for every token of `qs` at once, appending
+    /// the list of `qs[i]` to `outs[i]` — the same pairs, weights and order
+    /// as one call per token. The token stream scores all of a query's
+    /// cache-missing tokens with one call, so an implementation with a
+    /// columnar layout can make it one pass over the vocabulary:
+    /// [`CosineSimilarity`] runs the blocked kernel `Embeddings::dot_scan`,
+    /// whose lanes add their products in [`dot`]'s order and so stay
+    /// bit-identical. The default calls [`Self::scores_above`] once per
+    /// token, which keeps a wrapper that overrides only that method
+    /// behaving as it did.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qs` and `outs` differ in length.
+    fn scores_above_many(
+        &self,
+        qs: &[TokenId],
+        vocab: usize,
+        alpha: f64,
+        outs: &mut [Vec<(f64, TokenId)>],
+    ) {
+        assert_eq!(qs.len(), outs.len(), "one output list per query token");
+        for (&q, out) in qs.iter().zip(outs) {
+            self.scores_above(q, vocab, alpha, out);
         }
     }
 
@@ -103,29 +136,44 @@ impl ElementSimilarity for CosineSimilarity {
     }
 
     fn scores_above(&self, q: TokenId, vocab: usize, alpha: f64, out: &mut Vec<(f64, TokenId)>) {
-        let vocab = vocab.min(self.emb.vocab());
-        let Some(qv) = self.emb.get(q) else {
-            // Out-of-vocabulary query token: only the self pair matches.
-            if q.idx() < vocab {
-                out.push((1.0, q));
-            }
-            return;
-        };
-        // Tight columnar scan: unit vectors make cosine a dot product.
-        for t in 0..vocab as u32 {
-            let t = TokenId(t);
-            if t == q {
-                out.push((1.0, t));
-                continue;
-            }
-            let Some(tv) = self.emb.get(t) else { continue };
-            // Must agree bit-for-bit with `sim()` (which uses `dot`): the
-            // refinement bounds assume stream weights equal matrix weights.
-            let s = dot(qv, tv).clamp(0.0, 1.0);
-            if s >= alpha {
-                out.push((s, t));
+        self.scores_above_many(&[q], vocab, alpha, std::slice::from_mut(out));
+    }
+
+    fn scores_above_many(
+        &self,
+        qs: &[TokenId],
+        vocab: usize,
+        alpha: f64,
+        outs: &mut [Vec<(f64, TokenId)>],
+    ) {
+        assert_eq!(qs.len(), outs.len(), "one output list per query token");
+        // Lanes of the scan are the query tokens with a vector. A token
+        // without one matches only itself, even past the end of the table.
+        let mut lanes = Vec::with_capacity(qs.len());
+        let mut vectors = Vec::with_capacity(qs.len());
+        for (i, &q) in qs.iter().enumerate() {
+            match self.emb.get(q) {
+                Some(v) => {
+                    lanes.push(i);
+                    vectors.push(v);
+                }
+                None if q.idx() < vocab => outs[i].push((1.0, q)),
+                None => {}
             }
         }
+        // Unit vectors make cosine a dot product, and the scan's lanes are
+        // `dot` bit for bit — the same weights `sim` and `fill_matrix` give.
+        self.emb.dot_scan(&vectors, vocab, |lane, t, d| {
+            let i = lanes[lane];
+            if t == qs[i] {
+                outs[i].push((1.0, t));
+                return;
+            }
+            let s = d.clamp(0.0, 1.0);
+            if s >= alpha {
+                outs[i].push((s, t));
+            }
+        });
     }
 
     fn fill_matrix(&self, query: &[TokenId], set: &[TokenId], alpha: f64, out: &mut [f64]) {

@@ -152,16 +152,117 @@ impl Embeddings {
         slot.copy_from_slice(row);
         self.present[t.idx()] = row.iter().any(|&x| x != 0.0);
     }
+
+    /// The vocabulary scan: calls `visit(lane, t, dot(queries[lane], row t))`
+    /// for every query vector and every **present** row `t < rows` (rows
+    /// past the table are absent). Each lane sees its rows in ascending
+    /// token order, and every value is bit-identical to [`dot`].
+    ///
+    /// One blocked pass instead of one pass per query: the queries are
+    /// transposed into tiles of up to eight `f64` lanes, the table is
+    /// walked in blocks of rows, and every tile is applied to a block
+    /// while it is still in cache. Each lane adds its products exactly in
+    /// `dot`'s order — no FMA, no reassociation, no `f32` accumulation —
+    /// so only the order *across* pairs differs from calling `dot` per
+    /// pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query vector's length differs from `dim`.
+    pub(crate) fn dot_scan(
+        &self,
+        queries: &[&[f32]],
+        rows: usize,
+        mut visit: impl FnMut(usize, TokenId, f64),
+    ) {
+        let rows = rows.min(self.vocab());
+        let dim = self.dim;
+        // Tiles of 8 lanes, then 4, 2 and 1 for the remainder, each stored
+        // transposed (`[dim][lanes]`) in one buffer.
+        let mut tiles = Vec::new();
+        let mut transposed = vec![0.0f64; queries.len() * dim];
+        let mut first = 0;
+        for lanes in [TILE_LANES, 4, 2, 1] {
+            while queries.len() - first >= lanes {
+                let tile = &mut transposed[first * dim..(first + lanes) * dim];
+                for (lane, q) in queries[first..first + lanes].iter().enumerate() {
+                    assert_eq!(q.len(), dim, "query vector has wrong dimensionality");
+                    for (i, &x) in q.iter().enumerate() {
+                        tile[i * lanes + lane] = f64::from(x);
+                    }
+                }
+                tiles.push((first, lanes));
+                first += lanes;
+            }
+        }
+        for start in (0..rows).step_by(BLOCK_ROWS) {
+            let block = start..(start + BLOCK_ROWS).min(rows);
+            for &(first, lanes) in &tiles {
+                let tile = &transposed[first * dim..(first + lanes) * dim];
+                match lanes {
+                    TILE_LANES => {
+                        self.scan_tile::<TILE_LANES>(tile, first, block.clone(), &mut visit)
+                    }
+                    4 => self.scan_tile::<4>(tile, first, block.clone(), &mut visit),
+                    2 => self.scan_tile::<2>(tile, first, block.clone(), &mut visit),
+                    _ => self.scan_tile::<1>(tile, first, block.clone(), &mut visit),
+                }
+            }
+        }
+    }
+
+    /// One tile of `L` transposed query vectors (lanes `first..first + L`)
+    /// against the present rows of `block`.
+    fn scan_tile<const L: usize>(
+        &self,
+        tile: &[f64],
+        first: usize,
+        block: std::ops::Range<usize>,
+        visit: &mut impl FnMut(usize, TokenId, f64),
+    ) {
+        let (tile, _) = tile.as_chunks::<L>();
+        for t in block {
+            if !self.present[t] {
+                continue;
+            }
+            let row = &self.data[t * self.dim..(t + 1) * self.dim];
+            let mut acc = [DOT_START; L];
+            for (&y, xs) in row.iter().zip(tile) {
+                let y = f64::from(y);
+                for (a, &x) in acc.iter_mut().zip(xs) {
+                    *a += x * y;
+                }
+            }
+            for (lane, &s) in acc.iter().enumerate() {
+                visit(first + lane, TokenId(t as u32), s);
+            }
+        }
+    }
 }
 
-/// Dot product of two equally-sized slices.
+/// Query vectors per tile of [`Embeddings::dot_scan`]: eight `f64`
+/// accumulators, independent chains the core overlaps.
+const TILE_LANES: usize = 8;
+
+/// Table rows per block of [`Embeddings::dot_scan`]: at dim 32 a block is
+/// 128 KiB of `f32`, small enough to stay in L2 while every tile passes.
+const BLOCK_ROWS: usize = 1024;
+
+/// Where a dot product's sum starts: `-0.0`, the identity of `f64`
+/// addition and the start of `Iterator::sum` — an all-`-0.0` product list
+/// sums to `-0.0`, and the kernels keep that sign.
+const DOT_START: f64 = -0.0;
+
+/// Dot product of two equally-sized slices: the products
+/// `(a[i] as f64) * (b[i] as f64)` added in ascending `i`, starting from
+/// `-0.0`. The blocked vocabulary scan (`Embeddings::dot_scan`) adds in
+/// the same order per lane, so the two agree bit for bit.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter()
         .zip(b)
-        .map(|(x, y)| (*x as f64) * (*y as f64))
-        .sum()
+        .fold(DOT_START, |acc, (&x, &y)| acc + f64::from(x) * f64::from(y))
 }
 
 impl HeapSize for Embeddings {
@@ -263,6 +364,43 @@ mod tests {
         // Shrinking is a no-op.
         e.grow(1);
         assert_eq!(e.vocab(), 5);
+    }
+
+    /// Every lane of the blocked scan equals `dot` bit for bit, in
+    /// ascending row order, over remainder tiles and several blocks — and
+    /// keeps `dot`'s sign of an all-`-0.0` sum.
+    #[test]
+    fn dot_scan_is_dot_bit_for_bit() {
+        let mut e = Embeddings::new(3, 2 * BLOCK_ROWS + 5);
+        for t in 0..e.vocab() as u32 {
+            let x = f64::from(t);
+            if t % 7 != 3 {
+                e.set(
+                    TokenId(t),
+                    &[(x * 0.37).sin(), (x * 1.3).cos(), -(x * 0.11).sin()],
+                );
+            }
+        }
+        e.set(TokenId(0), &[1.0, 0.0, 0.0]);
+        e.set(TokenId(1), &[-0.0, -1.0, -0.0]);
+        let (a, b) = (e.get(TokenId(0)).unwrap(), e.get(TokenId(1)).unwrap());
+        assert_eq!(dot(a, b).to_bits(), (-0.0f64).to_bits());
+        for n in [0, 1, 3, 8, 15] {
+            let queries: Vec<&[f32]> = (0..n)
+                .map(|i| e.get(TokenId([0, 1, 2, 4, 5][i % 5])).unwrap())
+                .collect();
+            let mut got = vec![Vec::new(); n];
+            e.dot_scan(&queries, e.vocab() + 3, |lane, t, s| {
+                got[lane].push((t, s.to_bits()))
+            });
+            for (q, got) in queries.iter().zip(&got) {
+                let want: Vec<_> = (0..e.vocab() as u32)
+                    .map(TokenId)
+                    .filter_map(|t| Some((t, dot(q, e.get(t)?).to_bits())))
+                    .collect();
+                assert_eq!(got, &want);
+            }
+        }
     }
 
     #[test]

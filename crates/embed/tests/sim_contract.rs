@@ -8,7 +8,8 @@
 use koios_common::TokenId;
 use koios_embed::repository::RepositoryBuilder;
 use koios_embed::sim::*;
-use koios_embed::synthetic::SyntheticEmbeddings;
+use koios_embed::synthetic::{clustered_embeddings, SyntheticEmbeddings};
+use koios_embed::vectors::Embeddings;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -164,4 +165,74 @@ fn scores_above_is_fill_matrix_bit_for_bit() {
             }
         }
     }
+}
+
+/// A token interned after the embedding table was built sits past its end:
+/// it has no vector, yet it matches itself. The scan must emit that self
+/// pair just as `sim` and `fill_matrix` score it, or a set holding the
+/// token loses its vanilla-overlap edge.
+#[test]
+fn scores_above_keeps_the_self_pair_past_the_table() {
+    let mut emb = Embeddings::new(2, 3);
+    emb.set(TokenId(0), &[1.0, 0.0]);
+    let cosine = CosineSimilarity::new(Arc::new(emb));
+    let vocab = 5;
+    let all: Vec<TokenId> = (0..vocab as u32).map(TokenId).collect();
+    for q in [TokenId(3), TokenId(4)] {
+        assert_eq!(cosine.sim(q, q), 1.0);
+        let mut row = vec![f64::NAN; vocab];
+        cosine.fill_matrix(&[q], &all, 0.5, &mut row);
+        assert_eq!(row[q.idx()], 1.0);
+        let mut emitted = Vec::new();
+        cosine.scores_above(q, vocab, 0.5, &mut emitted);
+        assert_eq!(emitted, vec![(1.0, q)], "self pair of {q:?}");
+    }
+}
+
+/// `scores_above_many` is `scores_above` once per token, bit for bit and in
+/// the same order, for every provider: over every tile remainder (batch
+/// lengths 0..=17), duplicate and out-of-vocabulary query tokens, `vocab`
+/// below, at and past the table, and α at both ends of its range.
+#[test]
+fn scores_above_many_is_scores_above_bit_for_bit() {
+    fn check(p: &dyn ElementSimilarity, n: usize, rng: &mut StdRng) {
+        let bits = |l: &[(f64, TokenId)]| -> Vec<(u64, TokenId)> {
+            l.iter().map(|&(s, t)| (s.to_bits(), t)).collect()
+        };
+        for len in 0..=17 {
+            let qs: Vec<TokenId> = (0..len)
+                .map(|_| TokenId(rng.gen_range(0..n as u32 + 3)))
+                .collect();
+            for vocab in [n.saturating_sub(2), n, n + 2] {
+                for alpha in [0.0, rng.gen::<f64>(), 1.0] {
+                    let mut outs = vec![Vec::new(); len];
+                    p.scores_above_many(&qs, vocab, alpha, &mut outs);
+                    for (&q, got) in qs.iter().zip(&outs) {
+                        let mut want = Vec::new();
+                        p.scores_above(q, vocab, alpha, &mut want);
+                        assert_eq!(
+                            bits(got),
+                            bits(&want),
+                            "{}: {q:?} of {qs:?}, vocab {vocab}, alpha {alpha}",
+                            p.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0xC4);
+    for _ in 0..16 {
+        let (n, providers) = build_providers(random_tokens(&mut rng));
+        for p in &providers {
+            check(&**p, n, &mut rng);
+        }
+    }
+    // A clustered table longer than one scan block, 30% without a vector.
+    let n = 1500;
+    let assignment: Vec<Option<u32>> = (0..n)
+        .map(|t| (t % 10 >= 3).then_some((t % 40) as u32))
+        .collect();
+    let emb = clustered_embeddings(8, &assignment, |_| 0.3, 11);
+    check(&CosineSimilarity::new(Arc::new(emb)), n, &mut rng);
 }

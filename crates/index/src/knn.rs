@@ -6,12 +6,19 @@
 //! solution as long as the index returns exact results"). Two exact
 //! implementations are provided:
 //!
-//! * [`ExactScanKnn`] — on the first probe of a query element, scores the
-//!   whole vocabulary, keeps everything `≥ α`, and sorts it once; subsequent
-//!   probes pop from the sorted list. Best when streams are consumed far.
-//! * [`HeapKnn`] — same scoring pass but keeps a lazy max-heap instead of
-//!   sorting; cheaper when the search prunes early and most of the stream
-//!   is never pulled.
+//! * [`ExactScanKnn`] — scores the whole vocabulary for a query element,
+//!   keeps everything `≥ α`, and sorts it once; probes pop from the sorted
+//!   list.
+//! * [`HeapKnn`] — the same scoring, kept in a lazy max-heap instead of a
+//!   sorted list. [`TokenStream::new`](crate::token_stream::TokenStream::new)
+//!   probes every element, so every element is scored up front either way:
+//!   a search that prunes early saves only the part of the sort it never
+//!   pops, not the scan.
+//!
+//! Both score every element the stream [prefetches](KnnSource::prefetch)
+//! in one [`ElementSimilarity::scores_above_many`] call — one blocked pass
+//! over the vocabulary for the whole query instead of one pass per
+//! element. An element probed without a prefetch is scored alone.
 //!
 //! Both honour the stream contract of §V: the **query element itself is the
 //! first result of its own probe** (similarity 1), which seeds the bounds
@@ -29,6 +36,17 @@ pub trait KnnSource {
     /// tokens with similarity `≥ α` are exhausted.
     fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)>;
 
+    /// Announces that the elements `q_idxs` will all be probed, so a
+    /// source can do their work together (the exact sources score them in
+    /// one vocabulary pass). [`TokenStream::new`] calls it with every
+    /// element before its initial probes. A hint: the default does
+    /// nothing, and [`Self::next`] must work whether or not it was called.
+    ///
+    /// [`TokenStream::new`]: crate::token_stream::TokenStream::new
+    fn prefetch(&mut self, q_idxs: &[usize]) {
+        let _ = q_idxs;
+    }
+
     /// Estimated heap bytes held by the source (for the memory experiments).
     fn heap_bytes(&self) -> usize;
 
@@ -40,24 +58,38 @@ pub trait KnnSource {
     }
 }
 
-/// Shared scoring pass: all vocabulary tokens with `simα(q, t) ≥ α`,
-/// the query token itself always included (sim 1.0, emitted first via the
-/// ordinary descending order). Delegates to the similarity's batch scan
-/// ([`ElementSimilarity::scores_above`]) so columnar implementations can
-/// avoid per-pair dispatch.
-fn score_vocab(
+/// Shared scoring pass: fills every still-empty slot among `q_idxs` with
+/// `build` of its list — all vocabulary tokens with `simα(q, t) ≥ α`, the
+/// query token itself always included (sim 1.0, emitted first via the
+/// ordinary descending order) — scoring them all in one
+/// [`ElementSimilarity::scores_above_many`] call.
+fn score_missing<L>(
     sim: &Arc<dyn ElementSimilarity>,
+    query: &[TokenId],
     vocab: usize,
-    q: TokenId,
     alpha: f64,
-) -> Vec<(f64, TokenId)> {
-    let mut out = Vec::new();
-    sim.scores_above(q, vocab, alpha, &mut out);
-    out
+    slots: &mut [Option<L>],
+    q_idxs: &[usize],
+    build: impl Fn(Vec<(f64, TokenId)>) -> L,
+) {
+    let missing: Vec<usize> = q_idxs
+        .iter()
+        .copied()
+        .filter(|&i| slots[i].is_none())
+        .collect();
+    if missing.is_empty() {
+        return;
+    }
+    let qs: Vec<TokenId> = missing.iter().map(|&i| query[i]).collect();
+    let mut outs = vec![Vec::new(); qs.len()];
+    sim.scores_above_many(&qs, vocab, alpha, &mut outs);
+    for (i, items) in missing.into_iter().zip(outs) {
+        slots[i] = Some(build(items));
+    }
 }
 
-/// Exact scan source with fully sorted per-element lists (computed lazily on
-/// the first probe of each element).
+/// Exact scan source with fully sorted per-element lists (computed at the
+/// prefetch, or else on the first probe, of each element).
 pub struct ExactScanKnn {
     sim: Arc<dyn ElementSimilarity>,
     query: Vec<TokenId>,
@@ -93,18 +125,32 @@ impl ExactScanKnn {
 
 impl KnnSource for ExactScanKnn {
     fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
-        let list = self.lists[q_idx].get_or_insert_with(|| {
-            let mut items = score_vocab(&self.sim, self.vocab, self.query[q_idx], self.alpha);
-            items.sort_unstable_by(|a, b| {
-                b.0.partial_cmp(&a.0)
-                    .expect("similarities are never NaN")
-                    .then_with(|| a.1.cmp(&b.1))
-            });
-            SortedList { items, pos: 0 }
-        });
+        if self.lists[q_idx].is_none() {
+            self.prefetch(&[q_idx]);
+        }
+        let list = self.lists[q_idx].as_mut().expect("scored by the prefetch");
         let &(s, t) = list.items.get(list.pos)?;
         list.pos += 1;
         Some((t, s))
+    }
+
+    fn prefetch(&mut self, q_idxs: &[usize]) {
+        score_missing(
+            &self.sim,
+            &self.query,
+            self.vocab,
+            self.alpha,
+            &mut self.lists,
+            q_idxs,
+            |mut items| {
+                items.sort_unstable_by(|a, b| {
+                    b.0.partial_cmp(&a.0)
+                        .expect("similarities are never NaN")
+                        .then_with(|| a.1.cmp(&b.1))
+                });
+                SortedList { items, pos: 0 }
+            },
+        );
     }
 
     fn heap_bytes(&self) -> usize {
@@ -170,13 +216,23 @@ impl HeapKnn {
 
 impl KnnSource for HeapKnn {
     fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
-        let heap = self.heaps[q_idx].get_or_insert_with(|| {
-            score_vocab(&self.sim, self.vocab, self.query[q_idx], self.alpha)
-                .into_iter()
-                .map(|(s, t)| HeapItem(s, t))
-                .collect()
-        });
+        if self.heaps[q_idx].is_none() {
+            self.prefetch(&[q_idx]);
+        }
+        let heap = self.heaps[q_idx].as_mut().expect("scored by the prefetch");
         heap.pop().map(|HeapItem(s, t)| (t, s))
+    }
+
+    fn prefetch(&mut self, q_idxs: &[usize]) {
+        score_missing(
+            &self.sim,
+            &self.query,
+            self.vocab,
+            self.alpha,
+            &mut self.heaps,
+            q_idxs,
+            |items| items.into_iter().map(|(s, t)| HeapItem(s, t)).collect(),
+        );
     }
 
     fn heap_bytes(&self) -> usize {

@@ -386,7 +386,8 @@ enum Elem {
 
 /// A caching decorator over any exact [`KnnSource`].
 ///
-/// Per query element the first probe consults the shared
+/// Per query element the first probe (or the prefetch, which forwards
+/// only the misses to the inner source) consults the shared
 /// [`TokenKnnCache`]; a hit replays the complete cached list (the inner
 /// source never computes that element), a miss falls through to the inner
 /// source while recording every emission. When — and only when — the inner
@@ -452,31 +453,55 @@ impl<K: KnnSource> CachedKnn<K> {
     pub fn inner(&self) -> &K {
         &self.inner
     }
+
+    /// Resolves an untouched element against the cache: a hit starts its
+    /// replay, a miss starts recording the inner source. Returns whether
+    /// this call resolved `q_idx` to a miss.
+    fn resolve(&mut self, q_idx: usize) -> bool {
+        if !matches!(self.elems[q_idx], Elem::Untouched) {
+            return false;
+        }
+        match self.cache.get(
+            self.query[q_idx],
+            self.alpha_bits,
+            self.generation,
+            self.sim_tag,
+        ) {
+            Some(list) => {
+                self.stats.hits += 1;
+                self.stats.bytes_served += list.len() * std::mem::size_of::<(f64, TokenId)>();
+                self.elems[q_idx] = Elem::Cached { list, pos: 0 };
+                false
+            }
+            None => {
+                self.stats.misses += 1;
+                self.elems[q_idx] = Elem::Streaming {
+                    buf: Vec::new(),
+                    done: false,
+                };
+                true
+            }
+        }
+    }
 }
 
 impl<K: KnnSource> KnnSource for CachedKnn<K> {
-    fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
-        if let Elem::Untouched = self.elems[q_idx] {
-            match self.cache.get(
-                self.query[q_idx],
-                self.alpha_bits,
-                self.generation,
-                self.sim_tag,
-            ) {
-                Some(list) => {
-                    self.stats.hits += 1;
-                    self.stats.bytes_served += list.len() * std::mem::size_of::<(f64, TokenId)>();
-                    self.elems[q_idx] = Elem::Cached { list, pos: 0 };
-                }
-                None => {
-                    self.stats.misses += 1;
-                    self.elems[q_idx] = Elem::Streaming {
-                        buf: Vec::new(),
-                        done: false,
-                    };
-                }
-            }
+    /// Probes the cache for every untouched element and forwards only the
+    /// misses to the inner source, so it scores exactly what the cache
+    /// could not serve. Lists are still published only when drained.
+    fn prefetch(&mut self, q_idxs: &[usize]) {
+        let misses: Vec<usize> = q_idxs
+            .iter()
+            .copied()
+            .filter(|&i| self.resolve(i))
+            .collect();
+        if !misses.is_empty() {
+            self.inner.prefetch(&misses);
         }
+    }
+
+    fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
+        self.resolve(q_idx);
         match &mut self.elems[q_idx] {
             Elem::Untouched => unreachable!("resolved above"),
             Elem::Cached { list, pos } => {
@@ -632,6 +657,111 @@ mod tests {
         drop(src);
         assert!(cache.is_empty(), "truncated prefix must not be cached");
         assert_eq!(cache.counters().insertions, 0);
+        // A prefetch scores every element, but publishes none of them.
+        let mut src = cached(&cache, &sim, &q, vocab, 0.2);
+        src.prefetch(&[0, 1]);
+        assert!(src.next(0).is_some());
+        drop(src);
+        assert!(cache.is_empty(), "a prefetched list is not a drained one");
+        assert_eq!(cache.counters().insertions, 0);
+    }
+
+    /// Records the tokens of every batched scan it is asked for, and
+    /// every single-token one.
+    struct CountingSim {
+        inner: Arc<dyn ElementSimilarity>,
+        batches: std::sync::Mutex<Vec<Vec<TokenId>>>,
+        singles: std::sync::Mutex<Vec<TokenId>>,
+    }
+
+    impl ElementSimilarity for CountingSim {
+        fn sim(&self, a: TokenId, b: TokenId) -> f64 {
+            self.inner.sim(a, b)
+        }
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn scores_above(
+            &self,
+            q: TokenId,
+            vocab: usize,
+            alpha: f64,
+            out: &mut Vec<(f64, TokenId)>,
+        ) {
+            self.singles.lock().unwrap().push(q);
+            self.inner.scores_above(q, vocab, alpha, out);
+        }
+        fn scores_above_many(
+            &self,
+            qs: &[TokenId],
+            vocab: usize,
+            alpha: f64,
+            outs: &mut [Vec<(f64, TokenId)>],
+        ) {
+            self.batches.lock().unwrap().push(qs.to_vec());
+            self.inner.scores_above_many(qs, vocab, alpha, outs);
+        }
+    }
+
+    /// On a query whose elements are partly cached, the prefetch probes
+    /// the cache once per element and hands the inner source exactly the
+    /// misses, in one batched scan; the counts and lists are those of a
+    /// probe-by-probe run and of a bare exact scan.
+    #[test]
+    fn prefetch_scores_only_the_misses_in_one_scan() {
+        let mut b = RepositoryBuilder::new();
+        b.add_set(
+            "s",
+            ["Blaine", "Blain", "Blainey", "Zurich", "Zurch", "Bern"],
+        );
+        b.add_set("t", ["Berne", "Basel", "Basle", "Genf", "Geneva"]);
+        let repo = b.build();
+        let vocab = repo.vocab_size();
+        let inner: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 3));
+        let counting = Arc::new(CountingSim {
+            inner: Arc::clone(&inner),
+            batches: Default::default(),
+            singles: Default::default(),
+        });
+        let sim: Arc<dyn ElementSimilarity> = counting.clone();
+        let warm = repo.intern_query(["Blaine", "Basel"]);
+        let q = repo.intern_query(["Blaine", "Zurich", "Bern", "Basel", "Geneva"]);
+        let misses: Vec<TokenId> = q.iter().copied().filter(|t| !warm.contains(t)).collect();
+        let warmed = || {
+            let cache = Arc::new(TokenKnnCache::new(1 << 20));
+            let mut src = CachedKnn::new(
+                Arc::clone(&cache),
+                warm.clone(),
+                0.2,
+                ExactScanKnn::new(Arc::clone(&inner), warm.clone(), vocab, 0.2),
+            );
+            for i in 0..warm.len() {
+                drain(&mut src, i);
+            }
+            cache
+        };
+
+        let cache = warmed();
+        let mut batched = cached(&cache, &sim, &q, vocab, 0.2);
+        batched.prefetch(&(0..q.len()).collect::<Vec<_>>());
+        assert_eq!(*counting.batches.lock().unwrap(), vec![misses]);
+        let lists: Vec<_> = (0..q.len()).map(|i| drain(&mut batched, i)).collect();
+        assert_eq!(counting.batches.lock().unwrap().len(), 1, "no second scan");
+        assert!(counting.singles.lock().unwrap().is_empty());
+
+        let mut by_probe = cached(&warmed(), &inner, &q, vocab, 0.2);
+        for (i, list) in lists.iter().enumerate() {
+            assert_eq!(&drain(&mut by_probe, i), list);
+        }
+        assert_eq!(batched.search_stats(), by_probe.search_stats());
+        assert_eq!(
+            (batched.search_stats().hits, batched.search_stats().misses),
+            (2, 3)
+        );
+        let mut bare = ExactScanKnn::new(inner, q.clone(), vocab, 0.2);
+        for (i, list) in lists.iter().enumerate() {
+            assert_eq!(&drain(&mut bare, i), list);
+        }
     }
 
     #[test]

@@ -60,8 +60,12 @@ pub struct TokenStream<K: KnnSource> {
 
 impl<K: KnnSource> TokenStream<K> {
     /// Builds the stream over `query_len` elements, probing each source once
-    /// to fill the initial queue (the paper's initialisation step).
+    /// to fill the initial queue (the paper's initialisation step). Every
+    /// element is probed here, so the source is first told to
+    /// [prefetch](KnnSource::prefetch) them all: the exact sources then
+    /// score the whole query in one vocabulary pass.
     pub fn new(mut source: K, query_len: usize) -> Self {
+        source.prefetch(&(0..query_len).collect::<Vec<_>>());
         let mut heap = BinaryHeap::with_capacity(query_len);
         for q_idx in 0..query_len {
             if let Some((token, sim)) = source.next(q_idx) {
@@ -219,6 +223,29 @@ mod tests {
             q.len(),
         );
         assert_eq!(drain(a), drain(b));
+    }
+
+    /// A source that only answers probes: `prefetch` is the no-op default.
+    struct ProbeOnly<K>(K);
+
+    impl<K: KnnSource> KnnSource for ProbeOnly<K> {
+        fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
+            self.0.next(q_idx)
+        }
+        fn heap_bytes(&self) -> usize {
+            self.0.heap_bytes()
+        }
+    }
+
+    #[test]
+    fn prefetching_changes_no_tuple() {
+        let (repo, sim, q) = setup(0.2);
+        let source = || ExactScanKnn::new(sim.clone(), q.clone(), repo.vocab_size(), 0.2);
+        let batched = drain(TokenStream::new(source(), q.len()));
+        assert_eq!(
+            batched,
+            drain(TokenStream::new(ProbeOnly(source()), q.len()))
+        );
     }
 
     #[test]
