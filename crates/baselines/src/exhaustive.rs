@@ -33,7 +33,7 @@ pub fn baseline_search(
         .baseline()
         .with_parallel_em(em_threads);
     cfg.time_budget = time_budget;
-    Koios::new(repo, sim, cfg).search(query)
+    Koios::new(owned_copy(repo), sim, cfg).search(query)
 }
 
 /// Runs Baseline+: exhaustive verification, but with the iUB filter
@@ -51,7 +51,17 @@ pub fn baseline_plus_search(
         .baseline_plus()
         .with_parallel_em(em_threads);
     cfg.time_budget = time_budget;
-    Koios::new(repo, sim, cfg).search(query)
+    Koios::new(owned_copy(repo), sim, cfg).search(query)
+}
+
+/// The one place a repository is deep-copied to build an engine. Engines
+/// own their corpus, but the baselines keep taking `&Repository` because
+/// the perf ledger's exhaustive oracle (`bench/ledger`,
+/// `matches_exhaustive`) calls them with a borrowed one. The copy costs a
+/// few milliseconds on the benchmark corpora, next to the inverted index
+/// every call builds anyway.
+fn owned_copy(repo: &Repository) -> Arc<Repository> {
+    Arc::new(repo.clone())
 }
 
 #[cfg(test)]
@@ -72,7 +82,7 @@ mod tests {
             Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
         let query = c.repository.set(SetId(5)).to_vec();
         let base = baseline_search(&c.repository, sim.clone(), &query, 5, 0.8, 1, None);
-        let engine = Koios::new(&c.repository, sim, KoiosConfig::new(5, 0.8));
+        let engine = Koios::new(Arc::new(c.repository), sim, KoiosConfig::new(5, 0.8));
         let koios = engine.search(&query);
         assert_eq!(base.hits.len(), koios.hits.len());
         // Koios orders hits by upper bound and No-EM certified hits carry

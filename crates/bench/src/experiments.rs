@@ -77,9 +77,14 @@ struct Outcome {
     result: SearchResult,
 }
 
+/// Runs the benchmark on a `--partitions`-way [`PartitionedKoios`]. Its
+/// shard searches run as tasks on the process-wide
+/// [`ShardExecutor`](koios_core::ShardExecutor), the execution model the
+/// serving stack uses, so response times include the executor's queueing
+/// and no thread is spawned per query.
 fn run_partitioned(run: &ProfileRun, hc: &HarnessConfig) -> Vec<Outcome> {
     let engine = PartitionedKoios::new(
-        &run.corpus.repository,
+        Arc::clone(&run.repo),
         Arc::clone(&run.sim),
         hc.koios_config(),
         hc.partitions.max(1),
@@ -96,7 +101,7 @@ fn run_partitioned(run: &ProfileRun, hc: &HarnessConfig) -> Vec<Outcome> {
 }
 
 fn run_single(run: &ProfileRun, cfg: KoiosConfig) -> Vec<Outcome> {
-    let engine = Koios::new(&run.corpus.repository, Arc::clone(&run.sim), cfg);
+    let engine = Koios::new(Arc::clone(&run.repo), Arc::clone(&run.sim), cfg);
     run.benchmark
         .queries
         .iter()
@@ -141,14 +146,14 @@ pub fn table1(hc: &HarnessConfig) -> String {
     for profile in profiles::DatasetProfile::all(hc.scale) {
         let name = profile.spec.name.clone();
         let run = setup_profile_cached(profile, hc.seed);
-        let st = run.corpus.repository.stats();
+        let st = run.repo.stats();
         t.row(vec![
             name,
             st.num_sets.to_string(),
             st.max_size.to_string(),
             format!("{:.1}", st.avg_size),
             st.unique_elems.to_string(),
-            pct(run.corpus.embeddings.coverage()),
+            pct(run.embeddings.coverage()),
             fmt_secs(run.generation_time.as_secs_f64()),
         ]);
     }
@@ -465,9 +470,9 @@ pub fn fig8(hc: &HarnessConfig) -> String {
     let profile = profiles::opendata(hc.scale);
     let intervals = profile.intervals.clone();
     let run = hc.profile_run(profile);
-    let repo = &run.corpus.repository;
+    let repo = &run.repo;
     let index = InvertedIndex::build(repo);
-    let engine = Koios::new(repo, Arc::clone(&run.sim), hc.koios_config());
+    let engine = Koios::new(Arc::clone(repo), Arc::clone(&run.sim), hc.koios_config());
 
     let mut t = TextTable::new(vec![
         "query card.",
@@ -526,7 +531,7 @@ pub fn silkmoth(hc: &HarnessConfig) -> String {
     let mut profile = profiles::opendata((hc.scale * 0.5).max(0.01));
     profile.queries_per_interval = 2;
     let run = hc.profile_run(profile);
-    let repo = &run.corpus.repository;
+    let repo = &run.repo;
     let sim: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(repo, 3));
     let alpha = hc.alpha;
 
@@ -535,7 +540,7 @@ pub fn silkmoth(hc: &HarnessConfig) -> String {
     let mut cfg = KoiosConfig::new(hc.k, alpha);
     cfg.no_em_filter = false;
     cfg.time_budget = Some(hc.timeout);
-    let engine = Koios::new(repo, Arc::clone(&sim), cfg);
+    let engine = Koios::new(Arc::clone(repo), Arc::clone(&sim), cfg);
     let mut koios_time = Vec::new();
     let mut theta_min = f64::INFINITY;
     let mut results = Vec::new();
@@ -605,7 +610,7 @@ pub fn silkmoth(hc: &HarnessConfig) -> String {
 pub fn token_cache(hc: &HarnessConfig) -> String {
     let profile = profiles::opendata(hc.scale);
     let run = hc.profile_run(profile);
-    let repo = &run.corpus.repository;
+    let repo = &run.repo;
 
     let mut workload: Vec<Vec<TokenId>> = Vec::new();
     for q in &run.benchmark.queries {
@@ -616,7 +621,7 @@ pub fn token_cache(hc: &HarnessConfig) -> String {
         }
     }
 
-    let plain = Koios::new(repo, Arc::clone(&run.sim), hc.koios_config());
+    let plain = Koios::new(Arc::clone(repo), Arc::clone(&run.sim), hc.koios_config());
     let cache = Arc::new(TokenKnnCache::new(256 << 20));
     let caching = plain.with_config(hc.koios_config().with_token_cache(Arc::clone(&cache)));
 

@@ -3,24 +3,29 @@
 use koios_datagen::benchmark::QueryBenchmark;
 use koios_datagen::corpus::Corpus;
 use koios_datagen::profiles::DatasetProfile;
+use koios_embed::repository::Repository;
 use koios_embed::sim::{CosineSimilarity, ElementSimilarity};
+use koios_embed::vectors::Embeddings;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// A generated profile ready to run: corpus, cosine similarity over its
-/// synthetic embeddings, query benchmark, and the build times the paper
+/// A generated profile ready to run: repository, embeddings, cosine
+/// similarity over them, query benchmark, and the build times the paper
 /// reports separately from query response times (§VIII-A3).
 ///
-/// The corpus and similarity are behind `Arc`s, so clones are cheap and
+/// The corpus parts and the similarity are behind `Arc`s, so clones are
+/// cheap, engines take the repository with an `Arc::clone`, and
 /// [`setup_profile_cached`] can hand the same generated corpus to every
 /// experiment that asks for the same profile.
 #[derive(Clone)]
 pub struct ProfileRun {
     /// The profile that produced this run.
     pub profile: DatasetProfile,
-    /// The generated corpus (shared across cached runs).
-    pub corpus: Arc<Corpus>,
+    /// The generated repository (shared across cached runs).
+    pub repo: Arc<Repository>,
+    /// The generated token embeddings (shared with [`Self::sim`]).
+    pub embeddings: Arc<Embeddings>,
     /// Cosine element similarity over the corpus embeddings.
     pub sim: Arc<dyn ElementSimilarity>,
     /// The query workload.
@@ -39,13 +44,18 @@ pub fn setup_profile(profile: DatasetProfile, query_seed: u64) -> ProfileRun {
     let t0 = Instant::now();
     let corpus = profile.generate();
     let generation_time = t0.elapsed();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings.clone())));
     let benchmark = profile.benchmark(&corpus, query_seed);
+    let Corpus {
+        repository,
+        embeddings,
+        ..
+    } = corpus;
+    let embeddings = Arc::new(embeddings);
     ProfileRun {
         profile,
-        corpus: Arc::new(corpus),
-        sim,
+        repo: Arc::new(repository),
+        sim: Arc::new(CosineSimilarity::new(Arc::clone(&embeddings))),
+        embeddings,
         benchmark,
         generation_time,
     }
@@ -93,7 +103,7 @@ mod tests {
     #[test]
     fn setup_produces_queries_and_sim() {
         let run = setup_profile(profiles::twitter(0.01), 1);
-        assert!(run.corpus.repository.num_sets() > 0);
+        assert!(run.repo.num_sets() > 0);
         assert!(!run.benchmark.is_empty());
         assert!(run.generation_time.as_nanos() > 0);
     }
@@ -111,17 +121,17 @@ mod tests {
         let a = setup_profile_cached(profiles::twitter(0.01), 7);
         let b = setup_profile_cached(profiles::twitter(0.01), 7);
         assert!(
-            Arc::ptr_eq(&a.corpus, &b.corpus),
+            Arc::ptr_eq(&a.repo, &b.repo),
             "identical profiles must share the generated corpus"
         );
         assert_eq!(a.benchmark.len(), b.benchmark.len());
         // A different query seed keys its own entry.
         let c = setup_profile_cached(profiles::twitter(0.01), 8);
-        assert!(!Arc::ptr_eq(&a.corpus, &c.corpus));
+        assert!(!Arc::ptr_eq(&a.repo, &c.repo));
         // Cached contents match a fresh build exactly.
         let fresh = setup_profile(profiles::twitter(0.01), 7);
-        for (id, set) in fresh.corpus.repository.iter_sets() {
-            assert_eq!(a.corpus.repository.set(id), set);
+        for (id, set) in fresh.repo.iter_sets() {
+            assert_eq!(a.repo.set(id), set);
         }
     }
 }

@@ -111,12 +111,12 @@ mod tests {
     use koios_embed::sim::EqualitySimilarity;
     use std::sync::Arc;
 
-    fn setup() -> (Repository, Vec<TokenId>) {
+    fn setup() -> (Arc<Repository>, Vec<TokenId>) {
         let mut b = RepositoryBuilder::new();
         b.add_set("s0", ["a", "b", "c"]);
         b.add_set("s1", ["a", "b", "x"]);
         b.add_set("s2", ["a", "y", "z"]);
-        let repo = b.build();
+        let repo = Arc::new(b.build());
         let q = repo.intern_query(["a", "b", "c"]);
         (repo, q)
     }
@@ -125,7 +125,7 @@ mod tests {
     fn real_search_results_audit_valid() {
         let (repo, q) = setup();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9),
         );

@@ -1,8 +1,8 @@
 //! The engine backend a serving layer routes to.
 //!
 //! A long-lived service wants to own *an* engine without caring whether it
-//! is a single [`Koios`](crate::Koios) over one inverted index or a
-//! [`PartitionedKoios`](crate::PartitionedKoios) fanning out over shards
+//! is a single [`Koios`] over one inverted index or a
+//! [`PartitionedKoios`] fanning out over shards
 //! under a shared `θlb` (paper §VI, Fig. 7a). [`EngineBackend`] is that
 //! seam: both variants expose the same configuration plumbing (cheap
 //! `with_config` siblings for per-request `k`/`α` overrides, one
@@ -12,8 +12,8 @@
 //! identical cache keys on either variant.
 
 use crate::config::KoiosConfig;
-use crate::engine::OwnedKoios;
-use crate::partitioned::OwnedPartitionedKoios;
+use crate::engine::Koios;
+use crate::partitioned::PartitionedKoios;
 use crate::result::SearchResult;
 use koios_common::{SetId, TokenId};
 use koios_embed::repository::Repository;
@@ -22,18 +22,18 @@ use std::time::Instant;
 /// An owned search engine: one index, or `p` shard indexes merged under a
 /// shared monotone `θlb`.
 ///
-/// Construct via the `From` impls (`OwnedKoios` / `OwnedPartitionedKoios`)
-/// or hold one directly. Everything result-affecting lives in the shared
+/// Construct via the `From` impls ([`Koios`] / [`PartitionedKoios`]) or
+/// hold one directly. Everything result-affecting lives in the shared
 /// [`KoiosConfig`], so results — and therefore result-cache keys — do not
 /// depend on the variant.
 #[derive(Clone)]
 pub enum EngineBackend {
     /// One engine over one repository-wide inverted index.
-    Single(OwnedKoios),
+    Single(Koios),
     /// A sharded engine: per-partition indexes searched in parallel with a
     /// deadline-safe merge (see
     /// [`PartitionedKoios::search_with_deadline`](crate::PartitionedKoios::search_with_deadline)).
-    Partitioned(OwnedPartitionedKoios),
+    Partitioned(PartitionedKoios),
 }
 
 impl EngineBackend {
@@ -64,7 +64,7 @@ impl EngineBackend {
     }
 
     /// Shared ownership of the repository behind the engine (an `Arc` bump
-    /// for owned backends — what serving layers hold across a hot swap).
+    /// — what serving layers hold across a hot swap).
     pub fn repository_arc(&self) -> std::sync::Arc<Repository> {
         match self {
             EngineBackend::Single(e) => e.repository_arc(),
@@ -110,7 +110,7 @@ impl EngineBackend {
     }
 
     /// The single engine, when this backend is [`EngineBackend::Single`].
-    pub fn as_single(&self) -> Option<&OwnedKoios> {
+    pub fn as_single(&self) -> Option<&Koios> {
         match self {
             EngineBackend::Single(e) => Some(e),
             EngineBackend::Partitioned(_) => None,
@@ -119,7 +119,7 @@ impl EngineBackend {
 
     /// The partitioned engine, when this backend is
     /// [`EngineBackend::Partitioned`].
-    pub fn as_partitioned(&self) -> Option<&OwnedPartitionedKoios> {
+    pub fn as_partitioned(&self) -> Option<&PartitionedKoios> {
         match self {
             EngineBackend::Single(_) => None,
             EngineBackend::Partitioned(e) => Some(e),
@@ -127,14 +127,14 @@ impl EngineBackend {
     }
 }
 
-impl From<OwnedKoios> for EngineBackend {
-    fn from(engine: OwnedKoios) -> Self {
+impl From<Koios> for EngineBackend {
+    fn from(engine: Koios) -> Self {
         EngineBackend::Single(engine)
     }
 }
 
-impl From<OwnedPartitionedKoios> for EngineBackend {
-    fn from(engine: OwnedPartitionedKoios) -> Self {
+impl From<PartitionedKoios> for EngineBackend {
+    fn from(engine: PartitionedKoios) -> Self {
         EngineBackend::Partitioned(engine)
     }
 }
@@ -142,8 +142,6 @@ impl From<OwnedPartitionedKoios> for EngineBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Koios;
-    use crate::partitioned::PartitionedKoios;
     use koios_embed::repository::RepositoryBuilder;
     use koios_embed::sim::EqualitySimilarity;
     use std::sync::Arc;

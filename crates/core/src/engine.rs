@@ -8,7 +8,7 @@ use crate::result::SearchResult;
 use crate::stats::SearchStats;
 use crate::theta::SharedTheta;
 use koios_common::{profile, HeapSize, SetId, TokenId};
-use koios_embed::repository::{RepoRef, Repository};
+use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use koios_index::inverted::InvertedIndex;
 use koios_index::knn::ExactScanKnn;
@@ -34,23 +34,17 @@ use std::time::Instant;
 ///    membership without matching, remaining sets run the Hungarian
 ///    algorithm with label-sum early termination (Lemma 8).
 ///
-/// The engine is cheap to clone — it shares the repository (borrowed or
-/// `Arc`-owned, see [`RepoRef`]), the inverted index and the similarity
-/// function — and a single engine serves any number of queries. Construct
-/// it from `&Repository` for the classic lifetime-bound embedding, or from
-/// `Arc<Repository>` for an owned `Koios<'static>` that long-lived services
-/// can move across threads.
+/// The engine shares ownership of its repository (`Arc<Repository>`), its
+/// inverted index and its similarity function, so it is cheap to clone,
+/// `'static`, and free to move across threads; a single engine serves any
+/// number of queries.
 #[derive(Clone)]
-pub struct Koios<'r> {
-    repo: RepoRef<'r>,
+pub struct Koios {
+    repo: Arc<Repository>,
     sim: Arc<dyn ElementSimilarity>,
     index: Arc<InvertedIndex>,
     cfg: KoiosConfig,
 }
-
-/// An engine that owns (shares ownership of) its repository — what a
-/// long-lived serving layer holds.
-pub type OwnedKoios = Koios<'static>;
 
 /// Combines an absolute caller deadline with a relative configuration
 /// budget: whichever expires first bounds the search.
@@ -65,29 +59,23 @@ pub(crate) fn effective_deadline(
     }
 }
 
-impl<'r> Koios<'r> {
-    /// Builds the inverted index and wires up an engine over a borrowed
-    /// (`&Repository`) or owned (`Arc<Repository>`) repository.
-    pub fn new(
-        repo: impl Into<RepoRef<'r>>,
-        sim: Arc<dyn ElementSimilarity>,
-        cfg: KoiosConfig,
-    ) -> Self {
-        let repo = repo.into();
-        let index = Arc::new(InvertedIndex::build(repo.get()));
+impl Koios {
+    /// Builds the inverted index and wires up an engine over `repo`.
+    pub fn new(repo: Arc<Repository>, sim: Arc<dyn ElementSimilarity>, cfg: KoiosConfig) -> Self {
+        let index = Arc::new(InvertedIndex::build(&repo));
         Self::with_index(repo, sim, index, cfg)
     }
 
     /// Wires up an engine over a pre-built (possibly partition-restricted)
     /// inverted index.
     pub fn with_index(
-        repo: impl Into<RepoRef<'r>>,
+        repo: Arc<Repository>,
         sim: Arc<dyn ElementSimilarity>,
         index: Arc<InvertedIndex>,
         cfg: KoiosConfig,
     ) -> Self {
         Koios {
-            repo: repo.into(),
+            repo,
             sim,
             index,
             cfg,
@@ -99,7 +87,7 @@ impl<'r> Koios<'r> {
     /// overrides in serving layers are this cheap).
     pub fn with_config(&self, cfg: KoiosConfig) -> Self {
         Koios {
-            repo: self.repo.clone(),
+            repo: Arc::clone(&self.repo),
             sim: Arc::clone(&self.sim),
             index: Arc::clone(&self.index),
             cfg,
@@ -123,12 +111,12 @@ impl<'r> Koios<'r> {
 
     /// The repository.
     pub fn repository(&self) -> &Repository {
-        self.repo.get()
+        &self.repo
     }
 
-    /// Shared ownership of the repository (see [`RepoRef::to_arc`]).
-    pub fn repository_arc(&self) -> std::sync::Arc<Repository> {
-        self.repo.to_arc()
+    /// Shared ownership of the repository (an `Arc` bump).
+    pub fn repository_arc(&self) -> Arc<Repository> {
+        Arc::clone(&self.repo)
     }
 
     /// Runs a top-k search for `query` (token ids from
@@ -278,7 +266,7 @@ impl<'r> Koios<'r> {
             mut llb,
             edges,
         } = refine(
-            self.repo.get(),
+            &self.repo,
             &self.index,
             &q,
             &self.cfg,
@@ -297,7 +285,7 @@ impl<'r> Koios<'r> {
         let t1 = Instant::now();
         let _stage = profile::enter(profile::Stage::Postprocess);
         let hits = postprocess(
-            self.repo.get(),
+            &self.repo,
             &self.sim,
             &q,
             &self.cfg,
@@ -325,7 +313,7 @@ impl<'r> Koios<'r> {
         let mut q = query.to_vec();
         q.sort_unstable();
         q.dedup();
-        semantic_overlap(self.repo.get(), self.sim.as_ref(), self.cfg.alpha, &q, set)
+        semantic_overlap(&self.repo, self.sim.as_ref(), self.cfg.alpha, &q, set)
     }
 }
 
@@ -336,21 +324,21 @@ mod tests {
     use koios_embed::repository::RepositoryBuilder;
     use koios_embed::sim::{EqualitySimilarity, QGramJaccard};
 
-    fn vanilla_repo() -> Repository {
+    fn vanilla_repo() -> Arc<Repository> {
         let mut b = RepositoryBuilder::new();
         b.add_set("s0", ["a", "b", "c", "d"]);
         b.add_set("s1", ["a", "b", "c", "x"]);
         b.add_set("s2", ["a", "b", "y", "z"]);
         b.add_set("s3", ["a", "m", "n", "o"]);
         b.add_set("s4", ["w", "v", "u", "t"]);
-        b.build()
+        Arc::new(b.build())
     }
 
     #[test]
     fn equality_similarity_matches_vanilla_topk() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.99),
         );
@@ -365,7 +353,7 @@ mod tests {
     fn search_is_deterministic() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9),
         );
@@ -379,7 +367,7 @@ mod tests {
     fn empty_query_returns_empty() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9),
         );
@@ -391,31 +379,26 @@ mod tests {
     fn owned_engine_is_static_and_agrees_with_borrowed() {
         let repo = vanilla_repo();
         let q = repo.intern_query(["a", "b", "c", "d"]);
-        let borrowed = Koios::new(
-            &repo,
+        let engine = Koios::new(
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9),
         );
-        let expect = borrowed.search(&q);
+        let expect = engine.search(&q);
 
-        let owned: OwnedKoios = Koios::new(
-            Arc::new(repo),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(3, 0.9),
-        );
-        // `'static`: the engine can move into a spawned thread.
+        // `'static`: the engine itself moves into a spawned thread.
         let qc = q.clone();
-        let got = std::thread::spawn(move || owned.search(&qc))
+        let got = std::thread::spawn(move || engine.search(&qc))
             .join()
             .unwrap();
-        assert_eq!(got.set_ids(), expect.set_ids());
+        assert_eq!(got.hits, expect.hits);
     }
 
     #[test]
     fn with_config_shares_index_and_repo() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9),
         );
@@ -432,9 +415,9 @@ mod tests {
         b.add_set("clean", ["Blaine", "Charleston"]);
         b.add_set("dirty", ["Blain", "Charlestown"]);
         b.add_set("other", ["Zebra", "Yak"]);
-        let repo = b.build();
+        let repo = Arc::new(b.build());
         let sim = Arc::new(QGramJaccard::new(&repo, 3));
-        let engine = Koios::new(&repo, sim, KoiosConfig::new(2, 0.5));
+        let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(2, 0.5));
         let q = repo.intern_query(["Blaine", "Charleston"]);
         let res = engine.search(&q);
         assert_eq!(res.hits.len(), 2);
@@ -449,13 +432,13 @@ mod tests {
         let repo = vanilla_repo();
         let q = repo.intern_query(["a", "b", "c", "d"]);
         let sound = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9),
         )
         .search(&q);
         let paper = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9).with_ub_mode(UbMode::PaperGreedy),
         )
@@ -467,7 +450,7 @@ mod tests {
     fn baseline_config_verifies_everything() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9).baseline(),
         );
@@ -488,12 +471,12 @@ mod tests {
         b.add_set("clean", ["Blaine", "Charleston", "Columbia"]);
         b.add_set("dirty", ["Blain", "Charlestown", "Columbias"]);
         b.add_set("other", ["Zebra", "Yak", "Gnu"]);
-        let repo = b.build();
+        let repo = Arc::new(b.build());
         let sim = Arc::new(QGramJaccard::new(&repo, 3));
-        let plain = Koios::new(&repo, sim.clone(), KoiosConfig::new(2, 0.4));
+        let plain = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(2, 0.4));
         let cache = Arc::new(TokenKnnCache::new(1 << 20));
         let caching = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             sim,
             KoiosConfig::new(2, 0.4).with_token_cache(Arc::clone(&cache)),
         );
@@ -523,7 +506,7 @@ mod tests {
     fn stats_phases_are_populated() {
         let repo = vanilla_repo();
         let engine = Koios::new(
-            &repo,
+            Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(1, 0.9),
         );

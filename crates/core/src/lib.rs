@@ -39,7 +39,7 @@ pub mod theta;
 pub use audit::{audit_result, AuditOutcome};
 pub use backend::EngineBackend;
 pub use config::{KoiosConfig, UbMode};
-pub use engine::{Koios, OwnedKoios};
+pub use engine::Koios;
 pub use executor::ShardExecutor;
 pub use many_to_one::{bounded_many_to_one_overlap, many_to_one_overlap};
 pub use mutable::{cosine_factory, BatchRejected, MutableEngine, SimFactory};
@@ -47,7 +47,7 @@ pub use overlap::{
     greedy_overlap, semantic_overlap, semantic_overlap_bounded,
     semantic_overlap_bounded_with_effort, similarity_matrix, MatchingEffort, QueryEdges,
 };
-pub use partitioned::{OwnedPartitionedKoios, PartitionedKoios};
+pub use partitioned::PartitionedKoios;
 pub use result::{Hit, ScoreBound, SearchResult};
 pub use stats::{FunnelCounts, SearchStats, ShardFunnel};
 pub use theta::SharedTheta;

@@ -1,104 +1,68 @@
 //! Partitioned (scale-out) search (paper §VI end, Fig. 7a).
 //!
 //! The repository is sharded pseudo-randomly into `p` partitions; each
-//! partition runs a full Koios top-k search in its own thread, and all
-//! partitions share the global monotone `θlb` ([`SharedTheta`]) — a lower
-//! bound proven by any partition prunes candidates in every other. The
-//! final result merges the `k·p` partial results; hits certified by the
-//! No-EM filter (interval scores) are verified exactly at merge time so the
-//! global ranking is well-defined.
+//! partition runs a full Koios top-k search as a task on the shared
+//! [`ShardExecutor`], and all partitions share the global monotone `θlb`
+//! ([`SharedTheta`]) — a lower bound proven by any partition prunes
+//! candidates in every other. The final result merges the `k·p` partial
+//! results; hits certified by the No-EM filter (interval scores) are
+//! verified exactly at merge time so the global ranking is well-defined.
 
 use crate::config::KoiosConfig;
-use crate::engine::{effective_deadline, Koios, OwnedKoios};
+use crate::engine::{effective_deadline, Koios};
 use crate::executor::ShardExecutor;
 use crate::overlap::{semantic_overlap, semantic_overlap_bounded_with_effort};
 use crate::result::{Hit, ScoreBound, SearchResult};
 use crate::stats::{SearchStats, ShardFunnel};
 use crate::theta::SharedTheta;
 use koios_common::{profile, SetId, TokenId};
-use koios_embed::repository::{RepoRef, Repository};
+use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use koios_index::inverted::InvertedIndex;
-use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A Koios engine fanned out over `p` repository partitions.
 ///
-/// Like [`Koios`], it is constructed from either a borrowed `&Repository`
-/// or an owned `Arc<Repository>` (yielding a `'static` engine for serving
-/// layers).
+/// Like [`Koios`], it shares ownership of its repository, so it is
+/// `'static`: every query's shard searches run as tasks on the process-wide
+/// [`ShardExecutor`], never on threads spawned per query.
 #[derive(Clone)]
-pub struct PartitionedKoios<'r> {
-    repo: RepoRef<'r>,
+pub struct PartitionedKoios {
+    repo: Arc<Repository>,
     sim: Arc<dyn ElementSimilarity>,
     cfg: KoiosConfig,
     indexes: Vec<Arc<InvertedIndex>>,
     seed: u64,
-    engines: ShardEngines<'r>,
+    /// One engine per shard, built once at partition build / snapshot load
+    /// / reconfiguration time and reused by every request. They carry the
+    /// partition's config with the relative `time_budget` cleared: shards
+    /// receive the query's absolute deadline instead, so the budget is
+    /// never double-applied per shard.
+    engines: Vec<Arc<Koios>>,
 }
 
-/// Pre-built per-shard engines, constructed **once** at partition build /
-/// snapshot-load / reconfiguration time and reused read-mostly by every
-/// request (they carry the partition's config with the relative
-/// `time_budget` cleared — shards receive the query's absolute deadline
-/// instead, so the budget is never double-applied per shard).
-///
-/// The variant records how shard searches run: an `Arc`-owned repository
-/// yields `'static` engines that queries dispatch onto the process-wide
-/// [`ShardExecutor`] (no per-request thread spawn); a lifetime-bound borrow
-/// cannot cross into persistent threads, so the classic single-query
-/// embedding keeps per-query scoped threads.
-#[derive(Clone)]
-enum ShardEngines<'r> {
-    /// `'static` engines on the shared executor (the serving path).
-    Owned(Vec<Arc<OwnedKoios>>),
-    /// Lifetime-bound engines searched on per-query scoped threads.
-    Borrowed(Vec<Koios<'r>>),
+/// Builds the per-shard engines of a partitioned engine.
+fn shard_engines(
+    repo: &Arc<Repository>,
+    sim: &Arc<dyn ElementSimilarity>,
+    cfg: &KoiosConfig,
+    indexes: &[Arc<InvertedIndex>],
+) -> Vec<Arc<Koios>> {
+    let mut shard_cfg = cfg.clone();
+    shard_cfg.time_budget = None;
+    indexes
+        .iter()
+        .map(|index| {
+            Arc::new(Koios::with_index(
+                Arc::clone(repo),
+                Arc::clone(sim),
+                Arc::clone(index),
+                shard_cfg.clone(),
+            ))
+        })
+        .collect()
 }
-
-impl<'r> ShardEngines<'r> {
-    fn build(
-        repo: &RepoRef<'r>,
-        sim: &Arc<dyn ElementSimilarity>,
-        cfg: &KoiosConfig,
-        indexes: &[Arc<InvertedIndex>],
-    ) -> Self {
-        let mut shard_cfg = cfg.clone();
-        shard_cfg.time_budget = None;
-        match repo {
-            RepoRef::Owned(arc) => ShardEngines::Owned(
-                indexes
-                    .iter()
-                    .map(|index| {
-                        Arc::new(Koios::with_index(
-                            RepoRef::Owned(Arc::clone(arc)),
-                            Arc::clone(sim),
-                            Arc::clone(index),
-                            shard_cfg.clone(),
-                        ))
-                    })
-                    .collect(),
-            ),
-            RepoRef::Borrowed(_) => ShardEngines::Borrowed(
-                indexes
-                    .iter()
-                    .map(|index| {
-                        Koios::with_index(
-                            repo.clone(),
-                            Arc::clone(sim),
-                            Arc::clone(index),
-                            shard_cfg.clone(),
-                        )
-                    })
-                    .collect(),
-            ),
-        }
-    }
-}
-
-/// A partitioned engine that owns its repository.
-pub type OwnedPartitionedKoios = PartitionedKoios<'static>;
 
 /// Deterministic pseudo-random partition of a set id. Delegates to the
 /// workspace's single shard-assignment function so live-ingest routing
@@ -108,7 +72,7 @@ fn partition_of(seed: u64, set: SetId, partitions: usize) -> usize {
     koios_common::fingerprint::partition_of(seed, set, partitions)
 }
 
-impl<'r> PartitionedKoios<'r> {
+impl PartitionedKoios {
     /// Shards `repo` into `partitions` pieces (seeded, deterministic) and
     /// builds one inverted index per shard.
     ///
@@ -116,23 +80,22 @@ impl<'r> PartitionedKoios<'r> {
     ///
     /// Panics if `partitions == 0`.
     pub fn new(
-        repo: impl Into<RepoRef<'r>>,
+        repo: Arc<Repository>,
         sim: Arc<dyn ElementSimilarity>,
         cfg: KoiosConfig,
         partitions: usize,
         seed: u64,
     ) -> Self {
         assert!(partitions > 0, "need at least one partition");
-        let repo = repo.into();
         let mut shards: Vec<Vec<SetId>> = vec![Vec::new(); partitions];
         for (id, _) in repo.iter_sets() {
             shards[partition_of(seed, id, partitions)].push(id);
         }
         let indexes: Vec<Arc<InvertedIndex>> = shards
             .into_iter()
-            .map(|sets| Arc::new(InvertedIndex::build_subset(repo.get(), sets)))
+            .map(|sets| Arc::new(InvertedIndex::build_subset(&repo, sets)))
             .collect();
-        let engines = ShardEngines::build(&repo, &sim, &cfg, &indexes);
+        let engines = shard_engines(&repo, &sim, &cfg, &indexes);
         PartitionedKoios {
             repo,
             sim,
@@ -154,15 +117,14 @@ impl<'r> PartitionedKoios<'r> {
     ///
     /// Panics if `indexes` is empty.
     pub fn from_indexes(
-        repo: impl Into<RepoRef<'r>>,
+        repo: Arc<Repository>,
         sim: Arc<dyn ElementSimilarity>,
         cfg: KoiosConfig,
         indexes: Vec<Arc<InvertedIndex>>,
         seed: u64,
     ) -> Self {
         assert!(!indexes.is_empty(), "need at least one partition index");
-        let repo = repo.into();
-        let engines = ShardEngines::build(&repo, &sim, &cfg, &indexes);
+        let engines = shard_engines(&repo, &sim, &cfg, &indexes);
         PartitionedKoios {
             repo,
             sim,
@@ -175,12 +137,12 @@ impl<'r> PartitionedKoios<'r> {
 
     /// The repository.
     pub fn repository(&self) -> &Repository {
-        self.repo.get()
+        &self.repo
     }
 
-    /// Shared ownership of the repository (see [`RepoRef::to_arc`]).
-    pub fn repository_arc(&self) -> std::sync::Arc<Repository> {
-        self.repo.to_arc()
+    /// Shared ownership of the repository (an `Arc` bump).
+    pub fn repository_arc(&self) -> Arc<Repository> {
+        Arc::clone(&self.repo)
     }
 
     /// The engine configuration (shared by every shard search).
@@ -215,9 +177,9 @@ impl<'r> PartitionedKoios<'r> {
     /// [`Koios::with_config`]; the shard engines are rebuilt from the
     /// shared indexes, which is a handful of `Arc` bumps per shard).
     pub fn with_config(&self, cfg: KoiosConfig) -> Self {
-        let engines = ShardEngines::build(&self.repo, &self.sim, &cfg, &self.indexes);
+        let engines = shard_engines(&self.repo, &self.sim, &cfg, &self.indexes);
         PartitionedKoios {
-            repo: self.repo.clone(),
+            repo: Arc::clone(&self.repo),
             sim: Arc::clone(&self.sim),
             cfg,
             indexes: self.indexes.clone(),
@@ -232,7 +194,7 @@ impl<'r> PartitionedKoios<'r> {
         let mut q = query.to_vec();
         q.sort_unstable();
         q.dedup();
-        semantic_overlap(self.repo.get(), self.sim.as_ref(), self.cfg.alpha, &q, set)
+        semantic_overlap(&self.repo, self.sim.as_ref(), self.cfg.alpha, &q, set)
     }
 
     /// Runs the query on all partitions in parallel and merges the results.
@@ -267,58 +229,30 @@ impl<'r> PartitionedKoios<'r> {
         // deadline directly, so it is not double-applied from each shard's
         // start time.
         let executor_start = Instant::now();
-        let partials: Vec<(SearchResult, Duration)> = match &self.engines {
-            // Owned repository: `'static` shard tasks on the process-wide
-            // executor — no per-request thread spawn, and total search
-            // threads stay bounded by core count across all in-flight
-            // requests. Per-shard wall time is measured inside the task
-            // (the straggler breakdown `ServiceStats`/`/metrics` surface
-            // per partition).
-            ShardEngines::Owned(engines) => {
-                let theta = Arc::new(SharedTheta::new());
-                let query: Arc<[TokenId]> = Arc::from(query);
-                let tasks: Vec<_> = engines
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, engine)| {
-                        let engine = Arc::clone(engine);
-                        let theta = Arc::clone(&theta);
-                        let query = Arc::clone(&query);
-                        move || {
-                            let _stage = profile::enter_shard(profile::Stage::Shard, shard);
-                            let shard_start = Instant::now();
-                            let result = engine.search_shared_deadline(&query, &theta, deadline);
-                            (result, shard_start.elapsed())
-                        }
-                    })
-                    .collect();
-                ShardExecutor::global().run(tasks)
-            }
-            // Borrowed repository: the engines cannot outlive the borrow,
-            // so the classic single-query embedding keeps scoped threads.
-            ShardEngines::Borrowed(engines) => {
-                let theta = SharedTheta::new();
-                std::thread::scope(|sc| {
-                    let handles: Vec<_> = engines
-                        .iter()
-                        .enumerate()
-                        .map(|(shard, engine)| {
-                            let theta = &theta;
-                            sc.spawn(move || {
-                                let _stage = profile::enter_shard(profile::Stage::Shard, shard);
-                                let shard_start = Instant::now();
-                                let result = engine.search_shared_deadline(query, theta, deadline);
-                                (result, shard_start.elapsed())
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-                        .collect()
-                })
-            }
-        };
+        // Shard tasks are `'static` and run on the process-wide executor: no
+        // per-request thread spawn, and total search threads stay bounded
+        // by core count across all in-flight requests. Per-shard wall time
+        // is measured inside the task (the straggler breakdown
+        // `ServiceStats`/`/metrics` surface per partition).
+        let theta = Arc::new(SharedTheta::new());
+        let query: Arc<[TokenId]> = Arc::from(query);
+        let tasks: Vec<_> = self
+            .engines
+            .iter()
+            .enumerate()
+            .map(|(shard, engine)| {
+                let engine = Arc::clone(engine);
+                let theta = Arc::clone(&theta);
+                let query = Arc::clone(&query);
+                move || {
+                    let _stage = profile::enter_shard(profile::Stage::Shard, shard);
+                    let shard_start = Instant::now();
+                    let result = engine.search_shared_deadline(&query, &theta, deadline);
+                    (result, shard_start.elapsed())
+                }
+            })
+            .collect();
+        let partials: Vec<(SearchResult, Duration)> = ShardExecutor::global().run(tasks);
         // Submission → last partial back: shard queue wait + shard search
         // (the `executor` span of a request trace).
         let executor_time = executor_start.elapsed();
@@ -419,7 +353,7 @@ impl<'r> PartitionedKoios<'r> {
                     stats.merge_verifications += 1;
                     let verify_start = Instant::now();
                     let (outcome, effort) = semantic_overlap_bounded_with_effort(
-                        self.repo.get(),
+                        &self.repo,
                         self.sim.as_ref(),
                         self.cfg.alpha,
                         q,
@@ -455,7 +389,7 @@ mod tests {
     use koios_embed::repository::RepositoryBuilder;
     use koios_embed::sim::EqualitySimilarity;
 
-    fn repo() -> Repository {
+    fn repo() -> Arc<Repository> {
         let mut b = RepositoryBuilder::new();
         for i in 0..40 {
             // Sets with progressively less overlap with {t0, t1, t2, t3}.
@@ -466,21 +400,21 @@ mod tests {
             }
             b.add_set(&format!("s{i}"), elems);
         }
-        b.build()
+        Arc::new(b.build())
     }
 
     #[test]
     fn partition_assignment_is_deterministic_and_total() {
         let r = repo();
         let p1 = PartitionedKoios::new(
-            &r,
+            Arc::clone(&r),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9),
             4,
             7,
         );
         let p2 = PartitionedKoios::new(
-            &r,
+            Arc::clone(&r),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9),
             4,
@@ -497,11 +431,15 @@ mod tests {
     fn partitioned_matches_single_engine_scores() {
         let r = repo();
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
-        let single = Koios::new(&r, Arc::new(EqualitySimilarity), KoiosConfig::new(5, 0.9));
+        let single = Koios::new(
+            Arc::clone(&r),
+            Arc::new(EqualitySimilarity),
+            KoiosConfig::new(5, 0.9),
+        );
         let sres = single.search(&q);
         for parts in [1, 2, 3, 8] {
             let part = PartitionedKoios::new(
-                &r,
+                Arc::clone(&r),
                 Arc::new(EqualitySimilarity),
                 KoiosConfig::new(5, 0.9),
                 parts,
@@ -529,7 +467,7 @@ mod tests {
         let r = repo();
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
         let part = PartitionedKoios::new(
-            &r,
+            Arc::clone(&r),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(4, 0.9).with_time_budget(std::time::Duration::ZERO),
             3,
@@ -551,7 +489,7 @@ mod tests {
     fn merge_stops_verifying_once_top_k_is_certain() {
         let r = repo();
         let part = PartitionedKoios::new(
-            &r,
+            Arc::clone(&r),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9),
             2,
@@ -589,7 +527,7 @@ mod tests {
         // UB of 5 and resolves first.
         let r = repo();
         let part = PartitionedKoios::new(
-            &r,
+            Arc::clone(&r),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(1, 0.9),
             2,
@@ -609,7 +547,7 @@ mod tests {
     fn merge_with_expired_deadline_keeps_ranges_and_flags_timeout() {
         let r = repo();
         let part = PartitionedKoios::new(
-            &r,
+            Arc::clone(&r),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9),
             2,
@@ -641,7 +579,7 @@ mod tests {
         let r = repo();
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
         let part = PartitionedKoios::new(
-            &r,
+            Arc::clone(&r),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(3, 0.9),
             3,
@@ -664,40 +602,83 @@ mod tests {
 
     #[test]
     fn owned_engine_runs_on_the_executor_and_matches_borrowed() {
-        // An `Arc`-owned repository routes shard searches through the
-        // process-wide `ShardExecutor` (no per-request thread spawn); the
-        // borrowed embedding keeps scoped threads. Results must agree
-        // exactly, including per-shard timings being populated.
+        // Shard searches run on the caller (the executor runs the first task
+        // inline) or on `koios-shard-*` pool workers — never on threads
+        // spawned per query, which are unnamed. A similarity that records
+        // the thread each `scores_above` call runs on observes that.
+        struct ThreadRecording {
+            names: std::sync::Mutex<Vec<Option<String>>>,
+        }
+        impl ElementSimilarity for ThreadRecording {
+            fn sim(&self, a: TokenId, b: TokenId) -> f64 {
+                EqualitySimilarity.sim(a, b)
+            }
+            fn name(&self) -> &'static str {
+                "thread-recording"
+            }
+            fn scores_above(
+                &self,
+                q: TokenId,
+                vocab: usize,
+                alpha: f64,
+                out: &mut Vec<(f64, TokenId)>,
+            ) {
+                let name = std::thread::current().name().map(str::to_owned);
+                self.names.lock().unwrap().push(name);
+                EqualitySimilarity.scores_above(q, vocab, alpha, out);
+            }
+        }
+
         let r = repo();
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
-        let borrowed = PartitionedKoios::new(
-            &r,
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(5, 0.9),
-            3,
+        let recording = Arc::new(ThreadRecording {
+            names: std::sync::Mutex::new(Vec::new()),
+        });
+        let sim: Arc<dyn ElementSimilarity> = recording.clone();
+        let cfg = KoiosConfig::new(5, 0.9);
+        assert!(cfg.token_cache.is_none(), "every search must scan");
+        // Same sets and scores; the merge resolves the single engine's
+        // No-EM intervals (here all tight) into exact scores.
+        let scored = |res: &SearchResult| -> Vec<(SetId, f64, f64)> {
+            res.hits
+                .iter()
+                .map(|h| (h.set, h.score.lb(), h.score.ub()))
+                .collect()
+        };
+        let expect = scored(&Koios::new(Arc::clone(&r), Arc::clone(&sim), cfg.clone()).search(&q));
+        recording.names.lock().unwrap().clear();
+
+        let built = PartitionedKoios::new(Arc::clone(&r), Arc::clone(&sim), cfg.clone(), 4, 42);
+        let restored = PartitionedKoios::from_indexes(
+            Arc::clone(&r),
+            Arc::clone(&sim),
+            cfg.clone(),
+            built.indexes().to_vec(),
             42,
         );
-        assert!(matches!(borrowed.engines, ShardEngines::Borrowed(_)));
-        let expect = borrowed.search(&q);
+        let reconfigured = built.with_config(cfg);
+        for engine in [&built, &restored, &reconfigured] {
+            let got = engine.search(&q);
+            assert_eq!(scored(&got), expect);
+            assert_eq!(got.stats.shard_times.len(), 4);
+            assert!(got.stats.shard_times.iter().all(|&t| t > Duration::ZERO));
+        }
 
-        let owned: OwnedPartitionedKoios = PartitionedKoios::new(
-            Arc::new(r.clone()),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(5, 0.9),
-            3,
-            42,
-        );
-        assert!(matches!(owned.engines, ShardEngines::Owned(_)));
-        let got = owned.search(&q);
-        assert_eq!(got.hits, expect.hits);
-        assert_eq!(got.stats.shard_times.len(), 3);
-        assert!(got.stats.shard_times.iter().all(|&t| t > Duration::ZERO));
-
-        // Config siblings share the pre-built shard engines' indexes and
-        // stay on the executor path.
-        let narrowed = owned.with_config(KoiosConfig::new(1, 0.9));
-        assert!(matches!(narrowed.engines, ShardEngines::Owned(_)));
-        assert_eq!(narrowed.search(&q).hits.len(), 1);
+        let own = std::thread::current().name().map(str::to_owned);
+        let names = recording.names.lock().unwrap();
+        assert!(!names.is_empty(), "the shards scanned the vocabulary");
+        for name in names.iter() {
+            // The executor lets every submitter help drain the shared queue,
+            // so a test running concurrently may pick up one of these tasks
+            // on its own thread, which the test harness names `…::tests::…`.
+            assert!(
+                *name == own
+                    || name.as_deref().is_some_and(|n| {
+                        n.starts_with("koios-shard-") || n.contains("::tests::")
+                    }),
+                "shard task ran on {name:?}, not the caller or an executor thread"
+            );
+        }
     }
 
     #[test]
@@ -705,7 +686,7 @@ mod tests {
         let r = repo();
         let q = r.intern_query(["t0", "t1", "t2", "t3"]);
         let part = PartitionedKoios::new(
-            &r,
+            Arc::clone(&r),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(6, 0.9),
             3,

@@ -20,8 +20,8 @@
 
 use crate::backend::EngineBackend;
 use crate::config::KoiosConfig;
-use crate::engine::{Koios, OwnedKoios};
-use crate::partitioned::{OwnedPartitionedKoios, PartitionedKoios};
+use crate::engine::Koios;
+use crate::partitioned::PartitionedKoios;
 use koios_embed::repository::Repository;
 use koios_embed::sim::{CosineSimilarity, ElementSimilarity};
 use koios_embed::vectors::Embeddings;
@@ -155,7 +155,7 @@ impl EngineBackend {
     }
 }
 
-impl OwnedKoios {
+impl Koios {
     /// Restores a **single-index** engine from a snapshot (cosine
     /// similarity over the snapshotted vectors). A snapshot holding a
     /// partitioned layout is refused with [`StoreError::LayoutMismatch`] —
@@ -164,7 +164,7 @@ impl OwnedKoios {
     pub fn from_snapshot(
         path: impl AsRef<Path>,
         cfg: KoiosConfig,
-    ) -> Result<(OwnedKoios, SnapshotMeta), StoreError> {
+    ) -> Result<(Koios, SnapshotMeta), StoreError> {
         match EngineBackend::from_snapshot(path, cfg)? {
             (EngineBackend::Single(e), meta) => Ok((e, meta)),
             (EngineBackend::Partitioned(_), meta) => Err(StoreError::LayoutMismatch {
@@ -175,14 +175,14 @@ impl OwnedKoios {
     }
 }
 
-impl OwnedPartitionedKoios {
+impl PartitionedKoios {
     /// Restores a **partitioned** engine from a snapshot (cosine
     /// similarity over the snapshotted vectors). A single-layout snapshot
     /// is refused with [`StoreError::LayoutMismatch`].
     pub fn from_snapshot(
         path: impl AsRef<Path>,
         cfg: KoiosConfig,
-    ) -> Result<(OwnedPartitionedKoios, SnapshotMeta), StoreError> {
+    ) -> Result<(PartitionedKoios, SnapshotMeta), StoreError> {
         match EngineBackend::from_snapshot(path, cfg)? {
             (EngineBackend::Partitioned(p), meta) => Ok((p, meta)),
             (EngineBackend::Single(_), meta) => Err(StoreError::LayoutMismatch {
@@ -225,7 +225,7 @@ mod tests {
         let (repo, emb) = repo_and_embeddings();
         let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
         let cold: EngineBackend =
-            OwnedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(3, 0.5)).into();
+            Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(3, 0.5)).into();
         let path = tmp("single.ksnap");
         let meta = cold.write_snapshot(&path, Some(&emb)).unwrap();
         assert_eq!(meta.layout, SnapshotLayout::Single);
@@ -242,8 +242,7 @@ mod tests {
         let (repo, emb) = repo_and_embeddings();
         let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
         let cold: EngineBackend =
-            OwnedPartitionedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(2, 0.5), 3, 41)
-                .into();
+            PartitionedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(2, 0.5), 3, 41).into();
         let path = tmp("parted.ksnap");
         let meta = cold.write_snapshot(&path, Some(&emb)).unwrap();
         assert_eq!(
@@ -265,7 +264,7 @@ mod tests {
     fn layout_checked_constructors_refuse_cross_loads() {
         let (repo, emb) = repo_and_embeddings();
         let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
-        let parted: EngineBackend = OwnedPartitionedKoios::new(
+        let parted: EngineBackend = PartitionedKoios::new(
             Arc::clone(&repo),
             Arc::clone(&sim),
             KoiosConfig::new(2, 0.5),
@@ -275,7 +274,7 @@ mod tests {
         .into();
         let ppath = tmp("cross-parted.ksnap");
         parted.write_snapshot(&ppath, Some(&emb)).unwrap();
-        let err = OwnedKoios::from_snapshot(&ppath, KoiosConfig::new(2, 0.5))
+        let err = Koios::from_snapshot(&ppath, KoiosConfig::new(2, 0.5))
             .err()
             .expect("sharded snapshot must not load into a single engine");
         assert!(
@@ -290,10 +289,10 @@ mod tests {
         );
 
         let single: EngineBackend =
-            OwnedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(2, 0.5)).into();
+            Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(2, 0.5)).into();
         let spath = tmp("cross-single.ksnap");
         single.write_snapshot(&spath, Some(&emb)).unwrap();
-        let err = OwnedPartitionedKoios::from_snapshot(&spath, KoiosConfig::new(2, 0.5))
+        let err = PartitionedKoios::from_snapshot(&spath, KoiosConfig::new(2, 0.5))
             .err()
             .expect("single snapshot must not load into a partitioned engine");
         assert!(
@@ -314,7 +313,7 @@ mod tests {
     #[test]
     fn snapshot_without_embeddings_needs_a_similarity_factory() {
         let (repo, _) = repo_and_embeddings();
-        let cold: EngineBackend = OwnedKoios::new(
+        let cold: EngineBackend = Koios::new(
             Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(2, 0.9),

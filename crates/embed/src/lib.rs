@@ -18,8 +18,8 @@
 //! via [`Repository::intern_query`], and hand an
 //! `Arc<dyn ElementSimilarity>` (e.g. [`CosineSimilarity`] over
 //! [`SyntheticEmbeddings`], or [`QGramJaccard`]) to the engine in
-//! `koios-core`. Serving layers share the repository through
-//! [`repository::RepoRef`].
+//! `koios-core`, wrapping the repository in an `Arc` once: every engine
+//! shares ownership of the corpus it searches.
 
 pub mod ops;
 pub mod rand_util;

@@ -9,13 +9,12 @@
 //!
 //! * **Owned engine backends** — [`SearchService`] holds an
 //!   [`EngineBackend`](koios_core::EngineBackend): a single
-//!   [`Koios<'static>`](koios_core::OwnedKoios) or a sharded
-//!   [`PartitionedKoios<'static>`](koios_core::OwnedPartitionedKoios)
-//!   (paper §VI: per-shard indexes searched in parallel under one shared
-//!   monotone `θlb`), built over an `Arc<Repository>` (see
-//!   [`koios_embed::repository::RepoRef`]), so the service has no borrowed
-//!   lifetime and can live for the process duration, shared across
-//!   threads. Routing is backend-transparent: identical queries produce
+//!   [`Koios`](koios_core::Koios) or a sharded
+//!   [`PartitionedKoios`](koios_core::PartitionedKoios) (paper §VI:
+//!   per-shard indexes searched in parallel under one shared monotone
+//!   `θlb`). Every engine owns an `Arc<Repository>`, so the service has no
+//!   borrowed lifetime and can live for the process duration, shared
+//!   across threads. Routing is backend-transparent: identical queries produce
 //!   identical scores and identical cache keys on either variant, and
 //!   per-request deadlines bound every shard *and* the partitioned
 //!   merge-verification loop.

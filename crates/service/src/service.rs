@@ -11,7 +11,7 @@ use koios_common::cache::CacheSnapshot;
 use koios_common::{profile, Json, SetId, TokenId};
 use koios_core::mutable::{BatchRejected, MutableEngine};
 use koios_core::{
-    EngineBackend, Hit, KoiosConfig, OwnedKoios, OwnedPartitionedKoios, SearchResult, SearchStats,
+    EngineBackend, Hit, Koios, KoiosConfig, PartitionedKoios, SearchResult, SearchStats,
 };
 use koios_embed::ops::CorpusOp;
 use koios_embed::repository::Repository;
@@ -274,9 +274,8 @@ impl From<BatchRejected> for LiveServiceError {
 /// A long-lived, thread-safe serving layer over one owned engine backend.
 ///
 /// The service amortizes index and similarity setup across queries: the
-/// backend — a single [`OwnedKoios`] or a sharded
-/// [`OwnedPartitionedKoios`], see [`EngineBackend`] — is built once over an
-/// `Arc<Repository>` (see [`koios_embed::repository::RepoRef`]) and shared
+/// backend — a single [`Koios`] or a sharded [`PartitionedKoios`], see
+/// [`EngineBackend`] — is built once over an `Arc<Repository>` and shared
 /// — immutably — by a **persistent pool** of long-lived worker threads
 /// draining one MPMC submission queue ([`koios_common::pool::Pool`]).
 /// Callers either fire-and-await single requests ([`SearchService::submit`]
@@ -496,7 +495,7 @@ impl SearchService {
         engine_cfg: KoiosConfig,
         cfg: ServiceConfig,
     ) -> Self {
-        Self::from_backend(OwnedKoios::new(repo, sim, engine_cfg), cfg)
+        Self::from_backend(Koios::new(repo, sim, engine_cfg), cfg)
     }
 
     /// Builds a sharded engine — `partitions` per-shard inverted indexes
@@ -513,18 +512,12 @@ impl SearchService {
         cfg: ServiceConfig,
     ) -> Self {
         Self::from_backend(
-            OwnedPartitionedKoios::new(repo, sim, engine_cfg, partitions, shard_seed),
+            PartitionedKoios::new(repo, sim, engine_cfg, partitions, shard_seed),
             cfg,
         )
     }
 
-    /// Wraps an already-built owned engine (compatibility alias for
-    /// [`Self::from_backend`], which accepts either backend variant).
-    pub fn from_engine(engine: OwnedKoios, cfg: ServiceConfig) -> Self {
-        Self::from_backend(engine, cfg)
-    }
-
-    /// Wraps an already-built owned backend (single or partitioned). When
+    /// Wraps an already-built backend (single or partitioned). When
     /// `cfg.token_cache_bytes` is non-zero and the backend does not already
     /// carry a token cache, one shared [`TokenKnnCache`] is created and
     /// installed into the engine configuration, so every worker, every
@@ -1849,12 +1842,12 @@ mod tests {
         let mut b = RepositoryBuilder::new();
         b.add_set("s0", ["a", "b"]);
         let repo = Arc::new(b.build());
-        let engine = koios_core::OwnedKoios::new(
+        let engine = Koios::new(
             Arc::clone(&repo),
             Arc::new(EqualitySimilarity),
             KoiosConfig::new(1, 0.9).with_token_cache(Arc::new(TokenKnnCache::new(1 << 20))),
         );
-        let svc = SearchService::from_engine(
+        let svc = SearchService::from_backend(
             engine,
             ServiceConfig::new()
                 .with_workers(1)

@@ -68,6 +68,7 @@ fn main() {
         .synonym_noise(0.12)
         .synonyms(&mut repo, &group_refs)
         .build(&repo);
+    let repo = Arc::new(repo);
     let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(embeddings)));
     let alpha = 0.7;
 
@@ -79,7 +80,11 @@ fn main() {
     }
 
     // Semantic join search with Koios.
-    let engine = Koios::new(&repo, Arc::clone(&sim), KoiosConfig::new(4, alpha));
+    let engine = Koios::new(
+        Arc::clone(&repo),
+        Arc::clone(&sim),
+        KoiosConfig::new(4, alpha),
+    );
     let result = engine.search(&query);
     println!("\nsemantic joinability ranking (Koios, α = {alpha}):");
     for hit in &result.hits {

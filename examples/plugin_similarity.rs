@@ -60,6 +60,7 @@ fn main() {
     );
     let mut repo = builder.build();
     let query = repo.intern_query_mut(["Main St", "Oak Ave", "Maple Dr", "Pine Rd"]);
+    let repo = Arc::new(repo);
 
     // Four stock similarities plus the custom one — all through the same
     // engine and filter stack.
@@ -73,7 +74,7 @@ fn main() {
 
     for (alpha, sim) in sims {
         let name = sim.name();
-        let engine = Koios::new(&repo, sim, KoiosConfig::new(3, alpha));
+        let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(3, alpha));
         let result = engine.search(&query);
         print!("{name:<18} (α = {alpha}):");
         for hit in &result.hits {

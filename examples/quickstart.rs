@@ -72,6 +72,7 @@ fn main() {
             ],
         )
         .build(&repo);
+    let repo = Arc::new(repo);
     let cosine: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(embeddings)));
     let alpha = 0.7;
     let index = InvertedIndex::build(&repo);
@@ -100,7 +101,11 @@ fn main() {
     }
 
     // (4) Exact semantic overlap with Koios.
-    let engine = Koios::new(&repo, Arc::clone(&cosine), KoiosConfig::new(2, alpha));
+    let engine = Koios::new(
+        Arc::clone(&repo),
+        Arc::clone(&cosine),
+        KoiosConfig::new(2, alpha),
+    );
     let result = engine.search(&query);
     println!("\nKoios exact semantic overlap (α = {alpha}):");
     for hit in &result.hits {

@@ -20,11 +20,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ----- Cold process: generate, build, snapshot. --------------------
     let t0 = Instant::now();
     let corpus = Corpus::generate(CorpusSpec::small(7));
-    let repo = Arc::new(corpus.repository.clone());
-    let emb = Arc::new(corpus.embeddings.clone());
+    let repo = Arc::new(corpus.repository);
+    let emb = Arc::new(corpus.embeddings);
     let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
     let cold: EngineBackend =
-        OwnedPartitionedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8), 4, 7).into();
+        PartitionedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8), 4, 7).into();
     let cold_build = t0.elapsed();
 
     let path = std::env::temp_dir().join("koios-warm-start.ksnap");

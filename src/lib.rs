@@ -21,7 +21,7 @@
 //! ## Serving queries
 //!
 //! Long-lived applications should not rebuild an engine per query. Wrap an
-//! owned engine in a [`SearchService`](service::SearchService): it runs
+//! engine in a [`SearchService`](service::SearchService): it runs
 //! requests on a persistent worker pool fed by a submission queue
 //! (submit-then-await via [`submit`](service::SearchService::submit), or
 //! batch via [`search_batch`](service::SearchService::search_batch)),
@@ -144,7 +144,8 @@ pub use koios_telemetry as telemetry;
 ///     .build(&repo);
 /// let sim = Arc::new(CosineSimilarity::new(Arc::new(embeddings)));
 ///
-/// let engine = Koios::new(&repo, sim, KoiosConfig::new(1, 0.7));
+/// let repo = Arc::new(repo); // every engine owns its corpus
+/// let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(1, 0.7));
 /// let query = repo.intern_query(["LA", "Blaine", "BigApple", "Charleston"]);
 /// let result = engine.search(&query);
 /// # assert_eq!(result.hits.len(), 1);
@@ -152,12 +153,11 @@ pub use koios_telemetry as telemetry;
 pub mod prelude {
     pub use koios_common::prelude::*;
     pub use koios_core::{
-        cosine_factory, EngineBackend, Hit, Koios, KoiosConfig, MutableEngine, OwnedKoios,
-        OwnedPartitionedKoios, PartitionedKoios, ScoreBound, SearchResult, ShardExecutor,
-        SharedTheta, SimFactory, UbMode,
+        cosine_factory, EngineBackend, Hit, Koios, KoiosConfig, MutableEngine, PartitionedKoios,
+        ScoreBound, SearchResult, ShardExecutor, SharedTheta, SimFactory, UbMode,
     };
     pub use koios_embed::ops::CorpusOp;
-    pub use koios_embed::repository::{RepoRef, Repository, RepositoryBuilder};
+    pub use koios_embed::repository::{Repository, RepositoryBuilder};
     pub use koios_embed::sim::{
         CosineSimilarity, EditSimilarity, ElementSimilarity, EqualitySimilarity, QGramJaccard,
     };

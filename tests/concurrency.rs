@@ -16,7 +16,9 @@ use std::sync::Arc;
 
 const THREADS: usize = 8;
 
-fn corpus(seed: u64) -> Corpus {
+/// A generated corpus's repository and the cosine similarity over its
+/// embeddings.
+fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
     // Deliberately compact: the suite runs hundreds of searches across 8
     // threads, and determinism shows at any scale. Small sets keep the
     // cubic Hungarian verification cheap so the whole suite stays fast
@@ -27,7 +29,9 @@ fn corpus(seed: u64) -> Corpus {
     spec.clusters = 30;
     spec.set_size_min = 3;
     spec.set_size_max = 10;
-    Corpus::generate(spec)
+    let c = Corpus::generate(spec);
+    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+    (Arc::new(c.repository), sim)
 }
 
 /// A mixed query workload: whole sets, truncated sets, and a cross-set
@@ -49,19 +53,19 @@ fn queries(repo: &Repository) -> Vec<Vec<TokenId>> {
     qs
 }
 
-fn backends(c: &Corpus) -> Vec<(&'static str, EngineBackend)> {
-    let repo = Arc::new(c.repository.clone());
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+fn backends(
+    repo: &Arc<Repository>,
+    sim: &Arc<dyn ElementSimilarity>,
+) -> Vec<(&'static str, EngineBackend)> {
     let cfg = KoiosConfig::new(5, 0.8).with_token_cache(Arc::new(TokenKnnCache::new(8 << 20)));
     vec![
         (
             "single",
-            OwnedKoios::new(Arc::clone(&repo), Arc::clone(&sim), cfg.clone()).into(),
+            Koios::new(Arc::clone(repo), Arc::clone(sim), cfg.clone()).into(),
         ),
         (
             "partitioned",
-            OwnedPartitionedKoios::new(repo, sim, cfg, 4, 0xC0FFEE).into(),
+            PartitionedKoios::new(Arc::clone(repo), Arc::clone(sim), cfg, 4, 0xC0FFEE).into(),
         ),
     ]
 }
@@ -73,9 +77,9 @@ fn backends(c: &Corpus) -> Vec<(&'static str, EngineBackend)> {
 /// submitters at once; on both it churns the striped token cache.
 #[test]
 fn hammer_is_byte_identical_to_sequential_reference() {
-    let c = corpus(7001);
-    let qs = queries(&c.repository);
-    for (name, backend) in backends(&c) {
+    let (repo, sim) = corpus(7001);
+    let qs = queries(&repo);
+    for (name, backend) in backends(&repo, &sim) {
         // Reference pass, single-threaded. Token-cache completeness makes
         // replays byte-identical, so warming it here changes nothing.
         let reference: Vec<Vec<Hit>> = qs.iter().map(|q| backend.search(q).hits).collect();
@@ -112,12 +116,9 @@ fn hammer_is_byte_identical_to_sequential_reference() {
 /// resurrected), and the cache's byte accounting survives the churn.
 #[test]
 fn generation_bump_during_search_never_tears_results() {
-    let c = corpus(7002);
-    let repo = Arc::new(c.repository.clone());
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus(7002);
     let cache = Arc::new(TokenKnnCache::new(8 << 20));
-    let backend: EngineBackend = OwnedPartitionedKoios::new(
+    let backend: EngineBackend = PartitionedKoios::new(
         Arc::clone(&repo),
         Arc::clone(&sim),
         KoiosConfig::new(5, 0.8).with_token_cache(Arc::clone(&cache)),
@@ -129,7 +130,7 @@ fn generation_bump_during_search_never_tears_results() {
     // immune to any cache behaviour, while its merge resolves scores
     // identically (a single engine may legitimately report No-EM-certified
     // hits as intervals where the partitioned merge resolves them).
-    let uncached: EngineBackend = OwnedPartitionedKoios::new(
+    let uncached: EngineBackend = PartitionedKoios::new(
         Arc::clone(&repo),
         Arc::clone(&sim),
         KoiosConfig::new(5, 0.8),
@@ -194,10 +195,7 @@ fn generation_bump_during_search_never_tears_results() {
 /// the service counters must add up exactly.
 #[test]
 fn service_under_concurrent_load_stays_deterministic() {
-    let c = corpus(7003);
-    let repo = Arc::new(c.repository.clone());
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus(7003);
     let service = SearchService::new_partitioned(
         Arc::clone(&repo),
         sim,

@@ -18,20 +18,14 @@ use std::sync::Arc;
 const EPS: f64 = 1e-9;
 
 fn oracle_scores(
-    corpus: &Corpus,
+    repo: &Repository,
     sim: &dyn ElementSimilarity,
     alpha: f64,
     query: &[koios_common::TokenId],
 ) -> Vec<(f64, SetId)> {
-    let mut scored: Vec<(f64, SetId)> = corpus
-        .repository
+    let mut scored: Vec<(f64, SetId)> = repo
         .iter_sets()
-        .map(|(id, _)| {
-            (
-                semantic_overlap(&corpus.repository, sim, alpha, query, id),
-                id,
-            )
-        })
+        .map(|(id, _)| (semantic_overlap(repo, sim, alpha, query, id), id))
         .filter(|(s, _)| *s > 0.0)
         .collect();
     scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then_with(|| a.1.cmp(&b.1)));
@@ -39,7 +33,7 @@ fn oracle_scores(
 }
 
 fn check_result(
-    corpus: &Corpus,
+    repo: &Repository,
     sim: &dyn ElementSimilarity,
     alpha: f64,
     k: usize,
@@ -47,7 +41,7 @@ fn check_result(
     result: &koios_core::SearchResult,
     label: &str,
 ) {
-    let oracle = oracle_scores(corpus, sim, alpha, query);
+    let oracle = oracle_scores(repo, sim, alpha, query);
     let expected_len = k.min(oracle.len());
     assert_eq!(
         result.hits.len(),
@@ -60,7 +54,7 @@ fn check_result(
     }
     let theta_k = oracle[expected_len - 1].0;
     for hit in &result.hits {
-        let truth = semantic_overlap(&corpus.repository, sim, alpha, query, hit.set);
+        let truth = semantic_overlap(repo, sim, alpha, query, hit.set);
         assert!(
             truth >= theta_k - EPS,
             "{label}: returned set {:?} with SO {truth} below θk {theta_k}",
@@ -100,13 +94,14 @@ fn koios_matches_oracle_cosine_many_seeds() {
         let corpus = Corpus::generate(spec(seed));
         let sim: Arc<dyn ElementSimilarity> =
             Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings.clone())));
+        let repo = Arc::new(corpus.repository);
         for k in [1, 3, 10] {
-            let engine = Koios::new(&corpus.repository, sim.clone(), KoiosConfig::new(k, 0.8));
+            let engine = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(k, 0.8));
             for probe in [0u32, 7, 42] {
-                let query = corpus.repository.set(SetId(probe)).to_vec();
+                let query = repo.set(SetId(probe)).to_vec();
                 let res = engine.search(&query);
                 check_result(
-                    &corpus,
+                    &repo,
                     sim.as_ref(),
                     0.8,
                     k,
@@ -124,12 +119,13 @@ fn koios_matches_oracle_across_alphas() {
     let corpus = Corpus::generate(spec(99));
     let sim: Arc<dyn ElementSimilarity> =
         Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings.clone())));
+    let repo = Arc::new(corpus.repository);
     for alpha in [0.5, 0.7, 0.9, 1.0] {
-        let engine = Koios::new(&corpus.repository, sim.clone(), KoiosConfig::new(5, alpha));
-        let query = corpus.repository.set(SetId(3)).to_vec();
+        let engine = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(5, alpha));
+        let query = repo.set(SetId(3)).to_vec();
         let res = engine.search(&query);
         check_result(
-            &corpus,
+            &repo,
             sim.as_ref(),
             alpha,
             5,
@@ -144,14 +140,14 @@ fn koios_matches_oracle_across_alphas() {
 fn koios_matches_oracle_qgram_similarity() {
     // Plug a purely syntactic, non-metric similarity into the same engine
     // (the generality claim of §IV).
-    let corpus = Corpus::generate(spec(7));
-    let sim: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&corpus.repository, 3));
-    let engine = Koios::new(&corpus.repository, sim.clone(), KoiosConfig::new(4, 0.6));
+    let repo = Arc::new(Corpus::generate(spec(7)).repository);
+    let sim: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 3));
+    let engine = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(4, 0.6));
     for probe in [1u32, 20] {
-        let query = corpus.repository.set(SetId(probe)).to_vec();
+        let query = repo.set(SetId(probe)).to_vec();
         let res = engine.search(&query);
         check_result(
-            &corpus,
+            &repo,
             sim.as_ref(),
             0.6,
             4,
@@ -167,18 +163,19 @@ fn exact_scores_when_no_em_disabled() {
     let corpus = Corpus::generate(spec(13));
     let sim: Arc<dyn ElementSimilarity> =
         Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings.clone())));
+    let repo = Arc::new(corpus.repository);
     let mut cfg = KoiosConfig::new(8, 0.8);
     cfg.no_em_filter = false;
-    let engine = Koios::new(&corpus.repository, sim.clone(), cfg);
-    let query = corpus.repository.set(SetId(11)).to_vec();
+    let engine = Koios::new(Arc::clone(&repo), sim.clone(), cfg);
+    let query = repo.set(SetId(11)).to_vec();
     let res = engine.search(&query);
-    let oracle = oracle_scores(&corpus, sim.as_ref(), 0.8, &query);
+    let oracle = oracle_scores(&repo, sim.as_ref(), 0.8, &query);
     assert!(res.hits.iter().all(|h| h.score.exact().is_some()));
     // Exact mode: the score sequence must equal the oracle's top-k exactly.
     for (hit, &(os, _)) in res.hits.iter().zip(oracle.iter()) {
         assert!((hit.score.exact().unwrap() - os).abs() < EPS);
     }
-    check_result(&corpus, sim.as_ref(), 0.8, 8, &query, &res, "no-em-off");
+    check_result(&repo, sim.as_ref(), 0.8, 8, &query, &res, "no-em-off");
 }
 
 #[test]
@@ -187,11 +184,12 @@ fn queries_not_drawn_from_the_corpus() {
     let corpus = Corpus::generate(spec(21));
     let sim: Arc<dyn ElementSimilarity> =
         Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings.clone())));
-    let engine = Koios::new(&corpus.repository, sim.clone(), KoiosConfig::new(3, 0.8));
+    let repo = Arc::new(corpus.repository);
+    let engine = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(3, 0.8));
     let query: Vec<koios_common::TokenId> =
         (0..40).map(|i| koios_common::TokenId(i * 13)).collect();
     let res = engine.search(&query);
-    check_result(&corpus, sim.as_ref(), 0.8, 3, &query, &res, "probe-query");
+    check_result(&repo, sim.as_ref(), 0.8, 3, &query, &res, "probe-query");
 }
 
 // ---------------------------------------------------------------------------
@@ -207,17 +205,12 @@ fn cosine(corpus: &Corpus) -> Arc<dyn ElementSimilarity> {
 /// Drains the exact token stream of `query` (sorted) into its edges, the
 /// way `core::refine` does.
 fn drain_edges(
-    corpus: &Corpus,
+    repo: &Repository,
     sim: &Arc<dyn ElementSimilarity>,
     alpha: f64,
     query: &[koios_common::TokenId],
 ) -> QueryEdges {
-    let source = ExactScanKnn::new(
-        sim.clone(),
-        query.to_vec(),
-        corpus.repository.vocab_size(),
-        alpha,
-    );
+    let source = ExactScanKnn::new(sim.clone(), query.to_vec(), repo.vocab_size(), alpha);
     let mut stream = TokenStream::new(source, query.len());
     let mut tuples = Vec::new();
     while let Some(t) = stream.next() {
@@ -229,13 +222,13 @@ fn drain_edges(
 /// Queries that exercise the self pair (`t == q → 1.0`) on in- and
 /// out-of-vocabulary tokens: two corpus sets, and a spread of arbitrary
 /// tokens (a tenth of the vocabulary carries no vector).
-fn differential_queries(corpus: &Corpus) -> Vec<Vec<koios_common::TokenId>> {
+fn differential_queries(repo: &Repository) -> Vec<Vec<koios_common::TokenId>> {
     let mut spread: Vec<koios_common::TokenId> =
         (0..30).map(|i| koios_common::TokenId(i * 17 + 3)).collect();
     spread.sort_unstable();
     vec![
-        corpus.repository.set(SetId(2)).to_vec(),
-        corpus.repository.set(SetId(77)).to_vec(),
+        repo.set(SetId(2)).to_vec(),
+        repo.set(SetId(77)).to_vec(),
         spread,
     ]
 }
@@ -250,13 +243,13 @@ fn query_edges_match_dense_verification_bit_for_bit() {
         let providers: [Arc<dyn ElementSimilarity>; 2] =
             [cosine(&corpus), Arc::new(QGramJaccard::new(repo, 3))];
         for sim in &providers {
-            for query in differential_queries(&corpus) {
+            for query in differential_queries(repo) {
                 assert!(
                     query.iter().any(|&t| corpus.embeddings.get(t).is_none()),
                     "seed {seed}: the query must carry an out-of-vocabulary token"
                 );
                 for alpha in [0.6, 0.8, 1.0] {
-                    let edges = drain_edges(&corpus, sim, alpha, &query);
+                    let edges = drain_edges(repo, sim, alpha, &query);
                     let dense = |set, theta| {
                         semantic_overlap_bounded_with_effort(
                             repo,
@@ -334,15 +327,16 @@ fn assert_same_search(
 fn edge_path_search_equals_dense_path_search() {
     for seed in [31u64, 32] {
         let corpus = Corpus::generate(spec(seed));
-        let repo = &corpus.repository;
         let sim = cosine(&corpus);
+        let repo = Arc::new(corpus.repository);
         for alpha in [0.6, 0.8, 1.0] {
             let cfg = KoiosConfig::new(5, alpha);
-            let plain = Koios::new(repo, sim.clone(), cfg.clone());
+            let plain = Koios::new(Arc::clone(&repo), sim.clone(), cfg.clone());
             let cache = Arc::new(TokenKnnCache::new(1 << 22));
             let cached = plain.with_config(cfg.clone().with_token_cache(Arc::clone(&cache)));
-            let sharded = PartitionedKoios::new(repo, sim.clone(), cfg.clone(), 4, 0xBEEF);
-            for query in differential_queries(&corpus) {
+            let sharded =
+                PartitionedKoios::new(Arc::clone(&repo), sim.clone(), cfg.clone(), 4, 0xBEEF);
+            for query in differential_queries(&repo) {
                 let label = format!("seed={seed} alpha={alpha} |Q|={}", query.len());
                 // `search_with_source` is the dense path: a caller's source
                 // may be approximate, so the engine never reads its edges.
@@ -362,8 +356,12 @@ fn edge_path_search_equals_dense_path_search() {
                 // search the shards race on θlb, so only the merged hits
                 // are deterministic there).
                 for (i, index) in sharded.indexes().iter().enumerate() {
-                    let shard =
-                        Koios::with_index(repo, sim.clone(), Arc::clone(index), cfg.clone());
+                    let shard = Koios::with_index(
+                        Arc::clone(&repo),
+                        sim.clone(),
+                        Arc::clone(index),
+                        cfg.clone(),
+                    );
                     let (edge, dense) = (shard.search(&query), dense_over(&shard));
                     if !dense.hits.is_empty() {
                         assert_same_search(&edge, &dense, &format!("{label} shard {i}"));
@@ -372,12 +370,12 @@ fn edge_path_search_equals_dense_path_search() {
                 // Merged: every score is the dense oracle's, bit for bit,
                 // and the score sequence is the oracle's top-k.
                 let merged = sharded.search(&query);
-                let oracle = oracle_scores(&corpus, sim.as_ref(), alpha, &query);
+                let oracle = oracle_scores(&repo, sim.as_ref(), alpha, &query);
                 assert_eq!(merged.hits.len(), 5.min(oracle.len()), "{label}");
                 for (hit, &(want, _)) in merged.hits.iter().zip(&oracle) {
                     let got = hit.score.exact().expect("complete merge is exact");
                     assert_eq!(got.to_bits(), want.to_bits(), "{label} merged");
-                    let own = semantic_overlap(repo, sim.as_ref(), alpha, &query, hit.set);
+                    let own = semantic_overlap(&repo, sim.as_ref(), alpha, &query, hit.set);
                     assert_eq!(got.to_bits(), own.to_bits(), "{label} merged {:?}", hit.set);
                 }
             }

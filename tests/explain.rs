@@ -7,12 +7,16 @@ use koios::prelude::*;
 use koios_datagen::corpus::{Corpus, CorpusSpec};
 use std::sync::Arc;
 
-fn corpus(seed: u64) -> Corpus {
+/// A generated corpus's repository and the cosine similarity over its
+/// embeddings.
+fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
     let mut s = CorpusSpec::small(seed);
     s.num_sets = 150;
     s.vocab_size = 600;
     s.clusters = 70;
-    Corpus::generate(s)
+    let c = Corpus::generate(s);
+    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+    (Arc::new(c.repository), sim)
 }
 
 /// The rendered funnel is a view of `SearchStats`: every count it reports
@@ -82,16 +86,14 @@ fn assert_reconciled(result: &SearchResult, label: &str) -> Json {
 
 #[test]
 fn funnel_reconciles_with_stats_on_single_engine() {
-    let c = corpus(1200);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus(1200);
     for (no_em, early) in [(true, true), (true, false), (false, false)] {
         let mut cfg = KoiosConfig::new(5, 0.8).with_explain(true);
         cfg.no_em_filter = no_em;
         cfg.em_early_termination = early;
-        let engine = Koios::new(&c.repository, sim.clone(), cfg);
+        let engine = Koios::new(Arc::clone(&repo), sim.clone(), cfg);
         for q in 0..8u32 {
-            let query = c.repository.set(SetId(q * 7)).to_vec();
+            let query = repo.set(SetId(q * 7)).to_vec();
             let res = engine.search(&query);
             assert_reconciled(&res, &format!("single no_em={no_em} early={early} q={q}"));
         }
@@ -100,14 +102,12 @@ fn funnel_reconciles_with_stats_on_single_engine() {
 
 #[test]
 fn funnel_reconciles_with_stats_on_partitioned_engine() {
-    let c = corpus(1201);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus(1201);
     for parts in [2usize, 5, 9] {
         let cfg = KoiosConfig::new(5, 0.8).with_explain(true);
-        let engine = PartitionedKoios::new(&c.repository, sim.clone(), cfg, parts, 0xBEEF);
+        let engine = PartitionedKoios::new(Arc::clone(&repo), sim.clone(), cfg, parts, 0xBEEF);
         for q in 0..6u32 {
-            let query = c.repository.set(SetId(q * 11)).to_vec();
+            let query = repo.set(SetId(q * 11)).to_vec();
             let res = engine.search(&query);
             let label = format!("partitioned parts={parts} q={q}");
             let json = assert_reconciled(&res, &label);
@@ -156,20 +156,18 @@ fn funnel_reconciles_with_stats_on_partitioned_engine() {
 #[test]
 fn matrix_cells_count_what_verification_materialised() {
     use koios_index::knn::ExactScanKnn;
-    let c = corpus(1204);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus(1204);
     let mut cfg = KoiosConfig::new(5, 0.8).with_explain(true);
     cfg.no_em_filter = false; // every hit is verified
-    let engine = Koios::new(&c.repository, sim.clone(), cfg);
+    let engine = Koios::new(Arc::clone(&repo), sim.clone(), cfg);
     // No-EM on: shards certify hits by interval and the merge verifies them.
     let cfg = KoiosConfig::new(5, 0.8).with_explain(true);
-    let sharded = PartitionedKoios::new(&c.repository, sim.clone(), cfg, 4, 0xBEEF);
+    let sharded = PartitionedKoios::new(Arc::clone(&repo), sim.clone(), cfg, 4, 0xBEEF);
     let mut merge_verifications = 0;
     for q in 0..6u32 {
-        let query = c.repository.set(SetId(q * 5)).to_vec();
+        let query = repo.set(SetId(q * 5)).to_vec();
         let edge = engine.search(&query);
-        let source = ExactScanKnn::new(sim.clone(), query.clone(), c.repository.vocab_size(), 0.8);
+        let source = ExactScanKnn::new(sim.clone(), query.clone(), repo.vocab_size(), 0.8);
         let dense = engine.search_with_source(query.clone(), source, &SharedTheta::new());
         assert_reconciled(&edge, &format!("edge q={q}"));
         assert_reconciled(&dense, &format!("dense q={q}"));
@@ -198,17 +196,19 @@ fn matrix_cells_count_what_verification_materialised() {
 /// (same sets, bit-identical scores) on both backends.
 #[test]
 fn explain_mode_never_changes_hits() {
-    let c = corpus(1202);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus(1202);
     let cfg = KoiosConfig::new(6, 0.8);
-    let plain_single = Koios::new(&c.repository, sim.clone(), cfg.clone());
-    let explain_single = Koios::new(&c.repository, sim.clone(), cfg.clone().with_explain(true));
-    let plain_part = PartitionedKoios::new(&c.repository, sim.clone(), cfg.clone(), 4, 7);
+    let plain_single = Koios::new(Arc::clone(&repo), sim.clone(), cfg.clone());
+    let explain_single = Koios::new(
+        Arc::clone(&repo),
+        sim.clone(),
+        cfg.clone().with_explain(true),
+    );
+    let plain_part = PartitionedKoios::new(Arc::clone(&repo), sim.clone(), cfg.clone(), 4, 7);
     let explain_part =
-        PartitionedKoios::new(&c.repository, sim.clone(), cfg.with_explain(true), 4, 7);
+        PartitionedKoios::new(Arc::clone(&repo), sim.clone(), cfg.with_explain(true), 4, 7);
     for q in 0..10u32 {
-        let query = c.repository.set(SetId(q * 13)).to_vec();
+        let query = repo.set(SetId(q * 13)).to_vec();
         let a = plain_single.search(&query);
         let b = explain_single.search(&query);
         assert_eq!(a.hits, b.hits, "single q={q}");
@@ -235,9 +235,7 @@ fn explain_mode_never_changes_hits() {
 /// both see the same hits — under an 8-thread hammer mixing the two.
 #[test]
 fn explain_requests_under_concurrency() {
-    let c = corpus(1203);
-    let repo = Arc::new(c.repository);
-    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+    let (repo, sim) = corpus(1203);
     let service = Arc::new(SearchService::new_partitioned(
         Arc::clone(&repo),
         sim,

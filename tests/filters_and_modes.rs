@@ -8,16 +8,20 @@ use std::sync::Arc;
 
 const EPS: f64 = 1e-9;
 
-fn corpus(seed: u64) -> Corpus {
+/// A generated corpus's repository and the cosine similarity over its
+/// embeddings.
+fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
     let mut s = CorpusSpec::small(seed);
     s.num_sets = 120;
     s.vocab_size = 500;
     s.clusters = 60;
-    Corpus::generate(s)
+    let c = Corpus::generate(s);
+    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+    (Arc::new(c.repository), sim)
 }
 
 fn assert_valid_topk(
-    corpus: &Corpus,
+    repo: &Repository,
     sim: &dyn ElementSimilarity,
     alpha: f64,
     k: usize,
@@ -25,10 +29,9 @@ fn assert_valid_topk(
     result: &SearchResult,
     label: &str,
 ) {
-    let mut oracle: Vec<f64> = corpus
-        .repository
+    let mut oracle: Vec<f64> = repo
         .iter_sets()
-        .map(|(id, _)| semantic_overlap(&corpus.repository, sim, alpha, query, id))
+        .map(|(id, _)| semantic_overlap(repo, sim, alpha, query, id))
         .filter(|s| *s > 0.0)
         .collect();
     oracle.sort_by(|a, b| b.partial_cmp(a).unwrap());
@@ -39,7 +42,7 @@ fn assert_valid_topk(
     }
     let theta_k = oracle[expected_len - 1];
     for hit in &result.hits {
-        let truth = semantic_overlap(&corpus.repository, sim, alpha, query, hit.set);
+        let truth = semantic_overlap(repo, sim, alpha, query, hit.set);
         assert!(
             truth >= theta_k - EPS,
             "{label}: {:?} scored {truth} < θk {theta_k}",
@@ -50,10 +53,8 @@ fn assert_valid_topk(
 
 #[test]
 fn all_filter_combinations_are_valid() {
-    let c = corpus(400);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let query = c.repository.set(SetId(4)).to_vec();
+    let (repo, sim) = corpus(400);
+    let query = repo.set(SetId(4)).to_vec();
     let k = 5;
     let alpha = 0.8;
     for iub in [true, false] {
@@ -65,10 +66,10 @@ fn all_filter_combinations_are_valid() {
                     cfg.no_em_filter = no_em && !verify_all;
                     cfg.em_early_termination = early && !verify_all;
                     cfg.verify_all = verify_all;
-                    let engine = Koios::new(&c.repository, sim.clone(), cfg);
+                    let engine = Koios::new(Arc::clone(&repo), sim.clone(), cfg);
                     let res = engine.search(&query);
                     assert_valid_topk(
-                        &c,
+                        &repo,
                         sim.as_ref(),
                         alpha,
                         k,
@@ -88,15 +89,13 @@ fn paper_greedy_mode_is_valid_on_clustered_embeddings() {
     // counterexample needs near-metric violations that clustered embeddings
     // do not produce; the paper's own datasets behave the same way.
     for seed in [500, 501, 502] {
-        let c = corpus(seed);
-        let sim: Arc<dyn ElementSimilarity> =
-            Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+        let (repo, sim) = corpus(seed);
         let cfg = KoiosConfig::new(5, 0.8).with_ub_mode(UbMode::PaperGreedy);
-        let engine = Koios::new(&c.repository, sim.clone(), cfg);
-        let query = c.repository.set(SetId(17)).to_vec();
+        let engine = Koios::new(Arc::clone(&repo), sim.clone(), cfg);
+        let query = repo.set(SetId(17)).to_vec();
         let res = engine.search(&query);
         assert_valid_topk(
-            &c,
+            &repo,
             sim.as_ref(),
             0.8,
             5,
@@ -109,16 +108,14 @@ fn paper_greedy_mode_is_valid_on_clustered_embeddings() {
 
 #[test]
 fn sweep_interval_does_not_change_results() {
-    let c = corpus(600);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let query = c.repository.set(SetId(9)).to_vec();
+    let (repo, sim) = corpus(600);
+    let query = repo.set(SetId(9)).to_vec();
     let mut baseline_scores: Option<Vec<f64>> = None;
     for interval in [1usize, 8, 64, 4096] {
         let mut cfg = KoiosConfig::new(4, 0.8);
         cfg.sweep_interval = interval;
         cfg.no_em_filter = false; // exact scores for comparison
-        let res = Koios::new(&c.repository, sim.clone(), cfg).search(&query);
+        let res = Koios::new(Arc::clone(&repo), sim.clone(), cfg).search(&query);
         let scores: Vec<f64> = res.hits.iter().map(|h| h.score.exact().unwrap()).collect();
         match &baseline_scores {
             None => baseline_scores = Some(scores),
@@ -134,14 +131,12 @@ fn sweep_interval_does_not_change_results() {
 
 #[test]
 fn parallel_em_matches_sequential_scores() {
-    let c = corpus(700);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let query = c.repository.set(SetId(33)).to_vec();
+    let (repo, sim) = corpus(700);
+    let query = repo.set(SetId(33)).to_vec();
     let mut cfg = KoiosConfig::new(6, 0.8);
     cfg.no_em_filter = false;
-    let seq = Koios::new(&c.repository, sim.clone(), cfg.clone()).search(&query);
-    let par = Koios::new(&c.repository, sim.clone(), cfg.with_parallel_em(8)).search(&query);
+    let seq = Koios::new(Arc::clone(&repo), sim.clone(), cfg.clone()).search(&query);
+    let par = Koios::new(Arc::clone(&repo), sim.clone(), cfg.with_parallel_em(8)).search(&query);
     let s: Vec<f64> = seq.hits.iter().map(|h| h.score.exact().unwrap()).collect();
     let p: Vec<f64> = par.hits.iter().map(|h| h.score.exact().unwrap()).collect();
     assert_eq!(s.len(), p.len());
@@ -154,23 +149,21 @@ fn parallel_em_matches_sequential_scores() {
 fn filters_only_reduce_work() {
     // Monotonicity of the filter stack: Baseline ≥ Baseline+ ≥ Koios in
     // exact matchings (the §VIII-B cost story).
-    let c = corpus(800);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let query = c.repository.set(SetId(2)).to_vec();
+    let (repo, sim) = corpus(800);
+    let query = repo.set(SetId(2)).to_vec();
     let base = Koios::new(
-        &c.repository,
+        Arc::clone(&repo),
         sim.clone(),
         KoiosConfig::new(5, 0.8).baseline(),
     )
     .search(&query);
     let plus = Koios::new(
-        &c.repository,
+        Arc::clone(&repo),
         sim.clone(),
         KoiosConfig::new(5, 0.8).baseline_plus(),
     )
     .search(&query);
-    let koios = Koios::new(&c.repository, sim.clone(), KoiosConfig::new(5, 0.8)).search(&query);
+    let koios = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(5, 0.8)).search(&query);
     assert!(plus.stats.em_full <= base.stats.em_full);
     assert!(koios.stats.em_full <= plus.stats.em_full);
     // Identical top-k scores across the stack.

@@ -820,22 +820,29 @@ fn a_panicking_search_answers_500_and_the_connection_survives() {
     }
 }
 
-/// The scoped-thread paths re-raise the similarity's own message, like the
-/// executor does: borrowed shards (`&Repository`, not `&Arc<_>`) …
+/// A panic keeps the similarity's own message on its way to the caller:
+/// through the shard executor, which re-raises a shard task's panic on the
+/// thread that searched …
 #[test]
 #[should_panic(expected = "similarity hit the marker token")]
 fn a_panic_in_a_borrowed_shard_keeps_its_message() {
     let (repo, sim, poisoned) = poisoned_parts();
-    PartitionedKoios::new(repo.as_ref(), sim, KoiosConfig::new(5, 0.8), 4, 13).search(&poisoned);
+    PartitionedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8), 4, 13)
+        .search(&poisoned);
 }
 
-/// … and `parallel_em` verification threads (dense path: the stream comes
-/// from the healthy similarity, the matrices from the poisoned one).
+/// … and through the `parallel_em` verification threads (dense path: the
+/// stream comes from the healthy similarity, the matrices from the
+/// poisoned one).
 #[test]
 #[should_panic(expected = "similarity hit the marker token")]
 fn a_panic_in_a_verification_thread_keeps_its_message() {
     let (repo, sim, poisoned) = poisoned_parts();
     let source = ExactScanKnn::new(corpus_parts().1, poisoned.clone(), repo.vocab_size(), 0.8);
-    let engine = Koios::new(&repo, sim, KoiosConfig::new(5, 0.8).with_parallel_em(4));
+    let engine = Koios::new(
+        Arc::clone(&repo),
+        sim,
+        KoiosConfig::new(5, 0.8).with_parallel_em(4),
+    );
     engine.search_with_source(poisoned, source, &SharedTheta::new());
 }

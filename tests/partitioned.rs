@@ -8,23 +8,25 @@ use std::sync::Arc;
 
 const EPS: f64 = 1e-9;
 
-fn corpus(seed: u64) -> Corpus {
+/// A generated corpus's repository and the cosine similarity over its
+/// embeddings.
+fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
     let mut s = CorpusSpec::small(seed);
     s.num_sets = 180;
     s.vocab_size = 700;
     s.clusters = 90;
-    Corpus::generate(s)
+    let c = Corpus::generate(s);
+    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+    (Arc::new(c.repository), sim)
 }
 
 #[test]
 fn partition_counts_agree_on_scores() {
-    let c = corpus(900);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let query = c.repository.set(SetId(8)).to_vec();
+    let (repo, sim) = corpus(900);
+    let query = repo.set(SetId(8)).to_vec();
     let mut cfg = KoiosConfig::new(6, 0.8);
     cfg.no_em_filter = false; // exact scores from the single engine
-    let single = Koios::new(&c.repository, sim.clone(), cfg.clone()).search(&query);
+    let single = Koios::new(Arc::clone(&repo), sim.clone(), cfg.clone()).search(&query);
     let reference: Vec<f64> = single
         .hits
         .iter()
@@ -32,7 +34,7 @@ fn partition_counts_agree_on_scores() {
         .collect();
     for parts in [1usize, 2, 5, 10, 32] {
         let engine = PartitionedKoios::new(
-            &c.repository,
+            Arc::clone(&repo),
             sim.clone(),
             KoiosConfig::new(6, 0.8),
             parts,
@@ -54,12 +56,15 @@ fn partition_counts_agree_on_scores() {
 fn partitioned_handles_k_larger_than_partition_yield() {
     // With many partitions most hold few (or zero) relevant sets; merging
     // must still assemble the global top-k.
-    let c = corpus(901);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let query = c.repository.set(SetId(40)).to_vec();
-    let engine =
-        PartitionedKoios::new(&c.repository, sim.clone(), KoiosConfig::new(12, 0.8), 40, 7);
+    let (repo, sim) = corpus(901);
+    let query = repo.set(SetId(40)).to_vec();
+    let engine = PartitionedKoios::new(
+        Arc::clone(&repo),
+        sim.clone(),
+        KoiosConfig::new(12, 0.8),
+        40,
+        7,
+    );
     let res = engine.search(&query);
     assert!(res.hits.len() <= 12);
     assert!(!res.hits.is_empty());
@@ -73,12 +78,10 @@ fn partitioned_handles_k_larger_than_partition_yield() {
 /// or merge-side — while reporting the timeout honestly.
 #[test]
 fn expired_budget_runs_no_exact_verification() {
-    let c = corpus(903);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let query = c.repository.set(SetId(5)).to_vec();
+    let (repo, sim) = corpus(903);
+    let query = repo.set(SetId(5)).to_vec();
     let engine = PartitionedKoios::new(
-        &c.repository,
+        Arc::clone(&repo),
         sim.clone(),
         KoiosConfig::new(6, 0.8).with_time_budget(std::time::Duration::ZERO),
         4,
@@ -89,7 +92,7 @@ fn expired_budget_runs_no_exact_verification() {
     assert_eq!(res.stats.em_full, 0, "expired budget must not verify");
 
     // Same through the absolute-deadline entry point serving layers use.
-    let engine = PartitionedKoios::new(&c.repository, sim, KoiosConfig::new(6, 0.8), 4, 7);
+    let engine = PartitionedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(6, 0.8), 4, 7);
     let expired = std::time::Instant::now() - std::time::Duration::from_millis(1);
     let res = engine.search_with_deadline(&query, Some(expired));
     assert!(res.stats.timed_out);
@@ -100,11 +103,9 @@ fn expired_budget_runs_no_exact_verification() {
 /// agrees with the budget-free search.
 #[test]
 fn generous_deadline_matches_unbounded_search() {
-    let c = corpus(904);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let query = c.repository.set(SetId(9)).to_vec();
-    let engine = PartitionedKoios::new(&c.repository, sim, KoiosConfig::new(6, 0.8), 5, 7);
+    let (repo, sim) = corpus(904);
+    let query = repo.set(SetId(9)).to_vec();
+    let engine = PartitionedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(6, 0.8), 5, 7);
     let free = engine.search(&query);
     let far = std::time::Instant::now() + std::time::Duration::from_secs(600);
     let bounded = engine.search_with_deadline(&query, Some(far));
@@ -117,14 +118,24 @@ fn generous_deadline_matches_unbounded_search() {
 
 #[test]
 fn partition_seed_changes_sharding_not_results() {
-    let c = corpus(902);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let query = c.repository.set(SetId(3)).to_vec();
-    let r1 = PartitionedKoios::new(&c.repository, sim.clone(), KoiosConfig::new(5, 0.8), 6, 1)
-        .search(&query);
-    let r2 = PartitionedKoios::new(&c.repository, sim.clone(), KoiosConfig::new(5, 0.8), 6, 2)
-        .search(&query);
+    let (repo, sim) = corpus(902);
+    let query = repo.set(SetId(3)).to_vec();
+    let r1 = PartitionedKoios::new(
+        Arc::clone(&repo),
+        sim.clone(),
+        KoiosConfig::new(5, 0.8),
+        6,
+        1,
+    )
+    .search(&query);
+    let r2 = PartitionedKoios::new(
+        Arc::clone(&repo),
+        sim.clone(),
+        KoiosConfig::new(5, 0.8),
+        6,
+        2,
+    )
+    .search(&query);
     let s1: Vec<f64> = r1.hits.iter().map(|h| h.score.exact().unwrap()).collect();
     let s2: Vec<f64> = r2.hits.iter().map(|h| h.score.exact().unwrap()).collect();
     assert_eq!(s1.len(), s2.len());

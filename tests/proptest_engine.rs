@@ -55,12 +55,13 @@ fn koios_is_exact_on_random_string_repos() {
         if query.is_empty() {
             continue;
         }
+        let repo = Arc::new(repo);
         let sim: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 2));
 
         let mut cfg = KoiosConfig::new(k, alpha);
         cfg.no_em_filter = no_em;
         cfg.iub_filter = iub;
-        let engine = Koios::new(&repo, sim.clone(), cfg);
+        let engine = Koios::new(Arc::clone(&repo), sim.clone(), cfg);
         let result = engine.search(&query);
 
         // Conservation holds on every search, explain or not: each

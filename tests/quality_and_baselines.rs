@@ -27,14 +27,14 @@ fn vanilla_overlap_lower_bounds_semantic_overlap() {
 
 #[test]
 fn equality_similarity_degenerates_to_vanilla_topk() {
-    let c = Corpus::generate(CorpusSpec::small(1001));
-    let idx = InvertedIndex::build(&c.repository);
-    let query = c.repository.set(SetId(7)).to_vec();
+    let repo = Arc::new(Corpus::generate(CorpusSpec::small(1001)).repository);
+    let idx = InvertedIndex::build(&repo);
+    let query = repo.set(SetId(7)).to_vec();
     let k = 8;
-    let vanilla = vanilla_topk(&c.repository, &idx, &query, k);
+    let vanilla = vanilla_topk(&repo, &idx, &query, k);
     let mut cfg = KoiosConfig::new(k, 1.0);
     cfg.no_em_filter = false;
-    let koios = Koios::new(&c.repository, Arc::new(EqualitySimilarity), cfg).search(&query);
+    let koios = Koios::new(Arc::clone(&repo), Arc::new(EqualitySimilarity), cfg).search(&query);
     assert_eq!(vanilla.len(), koios.hits.len());
     for ((_, count), hit) in vanilla.iter().zip(&koios.hits) {
         assert!(
@@ -47,21 +47,21 @@ fn equality_similarity_degenerates_to_vanilla_topk() {
 
 #[test]
 fn silkmoth_topk_agrees_with_koios_on_qgram_similarity() {
-    let c = Corpus::generate(CorpusSpec::small(1002));
-    let sim: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&c.repository, 3));
+    let repo = Arc::new(Corpus::generate(CorpusSpec::small(1002)).repository);
+    let sim: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 3));
     let alpha = 0.6;
     let k = 5;
-    let query = c.repository.set(SetId(12)).to_vec();
+    let query = repo.set(SetId(12)).to_vec();
     let mut cfg = KoiosConfig::new(k, alpha);
     cfg.no_em_filter = false;
-    let koios = Koios::new(&c.repository, sim.clone(), cfg).search(&query);
+    let koios = Koios::new(Arc::clone(&repo), sim.clone(), cfg).search(&query);
     let theta_k = koios
         .hits
         .last()
         .map(|h| h.score.exact().unwrap())
         .unwrap_or(0.0);
     for variant in [SilkMothVariant::Syntactic, SilkMothVariant::Semantic] {
-        let sm = SilkMoth::new(&c.repository, variant, 3, alpha);
+        let sm = SilkMoth::new(&repo, variant, 3, alpha);
         let (res, stats) = sm.search_topk(&query, k, theta_k);
         assert_eq!(res.len(), koios.hits.len(), "{variant:?}");
         for ((_, so), hit) in res.iter().zip(&koios.hits) {
@@ -128,6 +128,7 @@ fn greedy_misranks_the_paper_example() {
             ],
         )
         .build(&repo);
+    let repo = Arc::new(repo);
     let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(emb)));
     let alpha = 0.7;
 
@@ -139,7 +140,7 @@ fn greedy_misranks_the_paper_example() {
     );
 
     // Koios agrees with the exact ranking.
-    let engine = Koios::new(&repo, sim.clone(), KoiosConfig::new(1, alpha));
+    let engine = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(1, alpha));
     let res = engine.search(&query);
     assert_eq!(res.hits[0].set, SetId(1), "top-1 must be c2");
 
@@ -182,12 +183,13 @@ fn semantic_search_recovers_sets_vanilla_misses() {
             ],
         )
         .build(&repo);
+    let repo = Arc::new(repo);
     let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(emb)));
     let idx = InvertedIndex::build(&repo);
     // Vanilla ranks "exactish" first.
     let v = vanilla_topk(&repo, &idx, &query, 1);
     assert_eq!(v[0].0, SetId(0));
     // Semantic overlap ranks "semantic" first.
-    let res = Koios::new(&repo, sim, KoiosConfig::new(1, 0.7)).search(&query);
+    let res = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(1, 0.7)).search(&query);
     assert_eq!(res.hits[0].set, SetId(1));
 }

@@ -42,14 +42,12 @@ fn setup(
     PathBuf,
 ) {
     let c = corpus(seed);
-    let repo = Arc::new(c.repository.clone());
-    let emb = Arc::new(c.embeddings.clone());
+    let repo = Arc::new(c.repository);
+    let emb = Arc::new(c.embeddings);
     let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
     let cfg = KoiosConfig::new(5, 0.8);
-    let single: EngineBackend =
-        OwnedKoios::new(Arc::clone(&repo), Arc::clone(&sim), cfg.clone()).into();
-    let parted: EngineBackend =
-        OwnedPartitionedKoios::new(Arc::clone(&repo), sim, cfg, 4, 99).into();
+    let single: EngineBackend = Koios::new(Arc::clone(&repo), Arc::clone(&sim), cfg.clone()).into();
+    let parted: EngineBackend = PartitionedKoios::new(Arc::clone(&repo), sim, cfg, 4, 99).into();
     let spath = tmp(single_name);
     let ppath = tmp(parted_name);
     single.write_snapshot(&spath, Some(&emb)).unwrap();
@@ -99,7 +97,7 @@ fn warm_equals_cold_across_k_and_alpha() {
 #[test]
 fn sharded_snapshot_cannot_cross_load_into_single_backend() {
     let (_, _, _, _, spath, ppath) = setup(42, "cross-single.ksnap", "cross-parted.ksnap");
-    match OwnedKoios::from_snapshot(&ppath, KoiosConfig::new(3, 0.8)) {
+    match Koios::from_snapshot(&ppath, KoiosConfig::new(3, 0.8)) {
         Err(StoreError::LayoutMismatch { expected, found }) => {
             assert_eq!(expected, "single");
             assert!(found.contains("partitioned(4)"), "{found}");
@@ -107,7 +105,7 @@ fn sharded_snapshot_cannot_cross_load_into_single_backend() {
         Err(other) => panic!("wrong error: {other}"),
         Ok(_) => panic!("sharded snapshot must not restore a single engine"),
     }
-    match OwnedPartitionedKoios::from_snapshot(&spath, KoiosConfig::new(3, 0.8)) {
+    match PartitionedKoios::from_snapshot(&spath, KoiosConfig::new(3, 0.8)) {
         Err(StoreError::LayoutMismatch { expected, .. }) => assert_eq!(expected, "partitioned"),
         Err(other) => panic!("wrong error: {other}"),
         Ok(_) => panic!("single snapshot must not restore a partitioned engine"),
@@ -152,7 +150,7 @@ fn every_single_bit_flip_is_caught_without_panicking() {
     b.add_set("s0", ["LA", "Blain", "SC"]);
     b.add_set("s1", ["LA", "Appleton"]);
     let repo = Arc::new(b.build());
-    let engine: EngineBackend = OwnedKoios::new(
+    let engine: EngineBackend = Koios::new(
         Arc::clone(&repo),
         Arc::new(EqualitySimilarity),
         KoiosConfig::new(1, 0.9),

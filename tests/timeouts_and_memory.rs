@@ -9,21 +9,23 @@ use koios_index::knn::ExactScanKnn;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn corpus() -> Corpus {
+/// A generated corpus's repository and the cosine similarity over its
+/// embeddings.
+fn corpus() -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
     let mut s = CorpusSpec::small(3001);
     s.num_sets = 300;
     s.vocab_size = 800;
-    Corpus::generate(s)
+    let c = Corpus::generate(s);
+    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
+    (Arc::new(c.repository), sim)
 }
 
 #[test]
 fn zero_budget_times_out_gracefully() {
-    let c = corpus();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus();
     let cfg = KoiosConfig::new(5, 0.8).with_time_budget(Duration::from_nanos(1));
-    let engine = Koios::new(&c.repository, sim, cfg);
-    let query = c.repository.set(SetId(0)).to_vec();
+    let engine = Koios::new(Arc::clone(&repo), sim, cfg);
+    let query = repo.set(SetId(0)).to_vec();
     let res = engine.search(&query);
     assert!(res.stats.timed_out, "nanosecond budget must time out");
     // Partial results are still structurally sound (no duplicates, sorted).
@@ -36,12 +38,10 @@ fn zero_budget_times_out_gracefully() {
 
 #[test]
 fn generous_budget_never_times_out() {
-    let c = corpus();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus();
     let cfg = KoiosConfig::new(5, 0.8).with_time_budget(Duration::from_secs(300));
-    let engine = Koios::new(&c.repository, sim, cfg);
-    let query = c.repository.set(SetId(1)).to_vec();
+    let engine = Koios::new(Arc::clone(&repo), sim, cfg);
+    let query = repo.set(SetId(1)).to_vec();
     let res = engine.search(&query);
     assert!(!res.stats.timed_out);
     assert_eq!(res.hits.len(), 5);
@@ -49,11 +49,9 @@ fn generous_budget_never_times_out() {
 
 #[test]
 fn memory_report_covers_both_phases() {
-    let c = corpus();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let engine = Koios::new(&c.repository, sim, KoiosConfig::new(5, 0.8));
-    let query = c.repository.set(SetId(2)).to_vec();
+    let (repo, sim) = corpus();
+    let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8));
+    let query = repo.set(SetId(2)).to_vec();
     let res = engine.search(&query);
     let names: Vec<&str> = res.stats.memory.iter().map(|(n, _)| n).collect();
     for expected in [
@@ -76,11 +74,9 @@ fn memory_report_covers_both_phases() {
 
 #[test]
 fn stats_are_internally_consistent() {
-    let c = corpus();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let engine = Koios::new(&c.repository, sim, KoiosConfig::new(5, 0.8));
-    let query = c.repository.set(SetId(3)).to_vec();
+    let (repo, sim) = corpus();
+    let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8));
+    let query = repo.set(SetId(3)).to_vec();
     let s = engine.search(&query).stats;
     // Every candidate is pruned, survives to post-processing, or was a
     // discovery-time tombstone.
@@ -106,20 +102,18 @@ fn has_query_edges(res: &SearchResult) -> bool {
 /// hand back certified intervals under an honest `timed_out`.
 #[test]
 fn deadline_in_refinement_drops_the_partial_edges() {
-    let c = corpus();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
+    let (repo, sim) = corpus();
     // α = 0.3 makes the stream longer than the 1024 tuples between two
     // deadline checks; the budget is gone before the first of them.
     let alpha = 0.3;
-    let query = c.repository.set(SetId(0)).to_vec();
+    let query = repo.set(SetId(0)).to_vec();
     let complete =
-        Koios::new(&c.repository, sim.clone(), KoiosConfig::new(5, alpha)).search(&query);
+        Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(5, alpha)).search(&query);
     assert!(complete.stats.stream_tuples > 1024);
     assert!(has_query_edges(&complete));
 
     let cfg = KoiosConfig::new(5, alpha).with_time_budget(Duration::from_nanos(1));
-    let res = Koios::new(&c.repository, sim.clone(), cfg).search(&query);
+    let res = Koios::new(Arc::clone(&repo), sim.clone(), cfg).search(&query);
     assert!(res.stats.timed_out);
     assert_eq!(res.stats.stream_tuples, 1024, "cut at the first check");
     assert!(!has_query_edges(&res), "a partial graph must not survive");
@@ -132,7 +126,7 @@ fn deadline_in_refinement_drops_the_partial_edges() {
         };
         // The greedy lower bound is a real matching over edges the stream
         // did emit, so it stays certified on a cut stream.
-        let truth = semantic_overlap(&c.repository, sim.as_ref(), alpha, &query, hit.set);
+        let truth = semantic_overlap(&repo, sim.as_ref(), alpha, &query, hit.set);
         assert!(lb <= truth + 1e-9, "lb {lb} above SO {truth}");
     }
 }
@@ -142,17 +136,15 @@ fn deadline_in_refinement_drops_the_partial_edges() {
 /// as the dense path, in the pull loop and in `verify_all`.
 #[test]
 fn parallel_verification_shares_the_query_edges() {
-    let c = corpus();
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone())));
-    let query = c.repository.set(SetId(4)).to_vec();
+    let (repo, sim) = corpus();
+    let query = repo.set(SetId(4)).to_vec();
     let mut exact = KoiosConfig::new(6, 0.7);
     exact.no_em_filter = false; // exact scores: hits comparable across schedules
     for cfg in [exact, KoiosConfig::new(6, 0.7).baseline()] {
-        let seq = Koios::new(&c.repository, sim.clone(), cfg.clone());
+        let seq = Koios::new(Arc::clone(&repo), sim.clone(), cfg.clone());
         let par = seq.with_config(cfg.clone().with_parallel_em(4));
         let (seq, par_edges) = (seq.search(&query), par.search(&query));
-        let source = ExactScanKnn::new(sim.clone(), query.clone(), c.repository.vocab_size(), 0.7);
+        let source = ExactScanKnn::new(sim.clone(), query.clone(), repo.vocab_size(), 0.7);
         let par_dense = par.search_with_source(query.clone(), source, &SharedTheta::new());
         assert!(has_query_edges(&par_edges) && !has_query_edges(&par_dense));
         assert_eq!(seq.hits.len(), 6);
