@@ -2,22 +2,44 @@
 //!
 //! Updating `iUB(C) = S_i + m_i·s` for every candidate on every stream
 //! tuple would be quadratic. Koios instead groups candidates into buckets by
-//! their remaining capacity `m`; inside a bucket, candidates are ordered by
+//! their remaining capacity `m`; inside a bucket, a min-heap orders them by
 //! ascending `S_i`. On a prune sweep with current stream similarity `s` and
-//! threshold `θlb`, bucket `m` evicts candidates from its ascending front
-//! while `S_i < θlb − m·s`; the first survivor proves the rest of the bucket
-//! safe, so a sweep touching no prunable candidate costs one comparison per
-//! bucket. Candidates move to bucket `m−1` exactly when a stream tuple hits
-//! them, so maintenance is proportional to actual stream traffic.
+//! threshold `θlb`, bucket `m` evicts candidates from its front while
+//! `S_i < θlb − m·s`; the first survivor proves the rest of the bucket safe,
+//! so a sweep touching no prunable candidate costs one comparison per
+//! bucket. Candidates move to a lower bucket exactly when a stream tuple
+//! hits them, so maintenance is proportional to actual stream traffic.
+//!
+//! **Lazy deletion.** A move pushes the new key and leaves the old entry
+//! where it is, so it costs one heap push. In both `UbMode`s a key changes
+//! only when a tuple adds a row (or a greedy pair), which strictly lowers
+//! `m`; a candidate therefore has at most one entry per bucket, and an
+//! entry is *current* iff its candidate is unpruned and the candidate's
+//! current `m` is the bucket's. The caller owns the candidate state, so it
+//! decides: the sweep pops every entry below the threshold at a bucket's
+//! front and hands it to a callback that prunes the candidate if the entry
+//! is current and says whether it did; a stale entry is simply dropped. An
+//! entry at or above the threshold stops the bucket whether it is stale or
+//! not, since every current entry behind it has a base at least as large.
+//!
+//! Refinement never sweeps the heaps at the end of the stream — that would
+//! pop every stale entry. It collapses the bounds in one pass over its
+//! candidate states with the same comparison (`refine.rs`).
 
 use koios_common::{HeapSize, SetId, Sim};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Buckets of `(S_i, set)` keyed by remaining capacity `m`.
+/// One bucket: a min-heap of `(S_i, set)` entries, stale ones included.
+type Bucket = BinaryHeap<Reverse<(Sim, SetId)>>;
+
+/// Buckets of `(S_i, set)` indexed by remaining capacity `m`.
 #[derive(Debug, Default)]
 pub struct BucketIndex {
-    buckets: BTreeMap<u32, BTreeSet<(Sim, SetId)>>,
-    len: usize,
+    buckets: Vec<Bucket>,
+    /// Bit `m` is set iff bucket `m` holds an entry: a sweep visits only
+    /// those, not every `m` up to `|Q|`.
+    occupied: Vec<u64>,
 }
 
 impl BucketIndex {
@@ -26,122 +48,119 @@ impl BucketIndex {
         Self::default()
     }
 
-    /// Number of candidates tracked.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no candidate is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts a candidate with remaining capacity `m` and matched score
-    /// base `base`.
+    /// Records a candidate with remaining capacity `m` and matched score
+    /// base `base` — at discovery, and again on every move (the entry the
+    /// candidate leaves goes stale).
     pub fn insert(&mut self, m: u32, base: f64, set: SetId) {
-        let added = self
-            .buckets
-            .entry(m)
-            .or_default()
-            .insert((Sim::new(base), set));
-        debug_assert!(added, "candidate {set:?} already in bucket {m}");
-        self.len += 1;
-    }
-
-    /// Removes a candidate (exact key required); returns whether it was
-    /// present.
-    pub fn remove(&mut self, m: u32, base: f64, set: SetId) -> bool {
-        let Some(bucket) = self.buckets.get_mut(&m) else {
-            return false;
-        };
-        let removed = bucket.remove(&(Sim::new(base), set));
-        if removed {
-            self.len -= 1;
-            if bucket.is_empty() {
-                self.buckets.remove(&m);
-            }
+        let m = m as usize;
+        if m >= self.buckets.len() {
+            self.buckets.resize_with(m + 1, Bucket::new);
+            self.occupied.resize(m / 64 + 1, 0);
         }
-        removed
+        self.buckets[m].push(Reverse((Sim::new(base), set)));
+        self.occupied[m / 64] |= 1 << (m % 64);
     }
 
-    /// Moves a candidate to a new `(m, base)` key (a stream tuple matched
-    /// one of its elements).
-    pub fn reinsert(&mut self, old_m: u32, old_base: f64, new_m: u32, new_base: f64, set: SetId) {
-        let was_present = self.remove(old_m, old_base, set);
-        debug_assert!(was_present, "reinsert of untracked candidate {set:?}");
-        self.insert(new_m, new_base, set);
-    }
-
-    /// Prunes every candidate whose upper bound `base + m·s` is strictly
-    /// below `theta`, invoking `prune` for each; returns the number pruned.
+    /// Pops every front entry whose upper bound `base + m·s` is strictly
+    /// below `theta` and hands it to `prune(set, m)`, which prunes the
+    /// candidate if the entry is current and returns whether it did;
+    /// returns the number pruned.
     ///
     /// Strict comparison keeps ties alive, which guarantees at least the
     /// `θlb`-defining candidates survive (their `UB ≥ LB ≥ θlb`).
-    pub fn sweep(&mut self, s: f64, theta: f64, mut prune: impl FnMut(SetId)) -> usize {
+    pub fn sweep(
+        &mut self,
+        s: f64,
+        theta: f64,
+        mut prune: impl FnMut(SetId, u32) -> bool,
+    ) -> usize {
         let mut pruned = 0;
-        let mut emptied: Vec<u32> = Vec::new();
-        for (&m, bucket) in self.buckets.iter_mut() {
-            let threshold = theta - m as f64 * s;
-            while let Some(&(base, set)) = bucket.first() {
-                if base.get() < threshold {
-                    bucket.pop_first();
-                    self.len -= 1;
-                    pruned += 1;
-                    prune(set);
-                } else {
-                    break;
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let m = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let bucket = &mut self.buckets[m];
+                let threshold = theta - m as f64 * s;
+                while let Some(&Reverse((base, set))) = bucket.peek() {
+                    if base.get() < threshold {
+                        bucket.pop();
+                        pruned += usize::from(prune(set, m as u32));
+                    } else {
+                        break;
+                    }
+                }
+                if bucket.is_empty() {
+                    *word &= !(1 << (m % 64));
                 }
             }
-            if bucket.is_empty() {
-                emptied.push(m);
-            }
-        }
-        for m in emptied {
-            self.buckets.remove(&m);
         }
         pruned
-    }
-
-    /// Drains all remaining candidates (end of refinement).
-    pub fn drain(&mut self) -> Vec<(u32, Sim, SetId)> {
-        let mut out = Vec::with_capacity(self.len);
-        for (&m, bucket) in self.buckets.iter() {
-            for &(base, set) in bucket.iter() {
-                out.push((m, base, set));
-            }
-        }
-        self.buckets.clear();
-        self.len = 0;
-        out
     }
 }
 
 impl HeapSize for BucketIndex {
     fn heap_size(&self) -> usize {
-        // B-tree map of B-tree sets; approximate entries at 1.5× payload.
-        let entry = std::mem::size_of::<(Sim, SetId)>();
-        self.len * entry * 3 / 2 + self.buckets.len() * 64
+        let entry = std::mem::size_of::<Reverse<(Sim, SetId)>>();
+        self.buckets.capacity() * std::mem::size_of::<Bucket>()
+            + self.occupied.capacity() * std::mem::size_of::<u64>()
+            + self
+                .buckets
+                .iter()
+                .map(|b| b.capacity() * entry)
+                .sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use koios_common::fingerprint::mix64;
+    use std::collections::HashMap;
 
     fn sid(v: u32) -> SetId {
         SetId(v)
     }
 
+    impl BucketIndex {
+        /// Number of entries held, stale ones included.
+        fn len(&self) -> usize {
+            self.buckets.iter().map(Bucket::len).sum()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
+
+    /// A sweep callback over a map of current keys: prunes (removes) the
+    /// set iff the popped entry's bucket is its current `m`.
+    fn prune_current(keys: &mut HashMap<SetId, u32>) -> impl FnMut(SetId, u32) -> bool + '_ {
+        move |set, m| {
+            let current = keys.get(&set) == Some(&m);
+            if current {
+                keys.remove(&set);
+            }
+            current
+        }
+    }
+
     #[test]
     fn insert_remove_roundtrip() {
+        // Removal is lazy: a moved candidate's old entry stays until a
+        // sweep reaches it, and then leaves without counting as a prune.
         let mut b = BucketIndex::new();
         b.insert(3, 1.0, sid(1));
         b.insert(3, 2.0, sid(2));
         b.insert(5, 0.5, sid(3));
-        assert_eq!(b.len(), 3);
-        assert!(b.remove(3, 1.0, sid(1)));
-        assert!(!b.remove(3, 1.0, sid(1)));
+        b.insert(2, 1.5, sid(1)); // sid(1) moves 3 → 2
+        assert_eq!(b.len(), 4);
+        let mut keys = HashMap::from([(sid(1), 2), (sid(2), 3), (sid(3), 5)]);
+        // θ = 1.25 at s = 0: only entries with base < 1.25 leave the front.
+        let n = b.sweep(0.0, 1.25, prune_current(&mut keys));
+        assert_eq!(n, 1, "sid(3) pruned; sid(1)'s stale entry dropped");
         assert_eq!(b.len(), 2);
+        assert!(keys.contains_key(&sid(1)) && !keys.contains_key(&sid(3)));
     }
 
     #[test]
@@ -152,9 +171,12 @@ mod tests {
         b.insert(2, 2.0, sid(2)); // UB → 3.0
         b.insert(0, 1.9, sid(3)); // UB → 1.9 regardless of s
         let mut pruned = Vec::new();
-        let n = b.sweep(0.5, 2.0, |s| pruned.push(s));
+        let n = b.sweep(0.5, 2.0, |s, _| {
+            pruned.push(s);
+            true
+        });
         assert_eq!(n, 2);
-        assert_eq!(pruned, vec![sid(3), sid(1)]); // bucket 0 first (BTree order)
+        assert_eq!(pruned, vec![sid(3), sid(1)]); // bucket 0 first
         assert_eq!(b.len(), 1);
     }
 
@@ -162,7 +184,7 @@ mod tests {
     fn sweep_is_strict_on_ties() {
         let mut b = BucketIndex::new();
         b.insert(1, 1.0, sid(1)); // UB = 1.0 + 1·1.0 = 2.0 == theta → kept
-        let n = b.sweep(1.0, 2.0, |_| panic!("tie must survive"));
+        let n = b.sweep(1.0, 2.0, |_, _| panic!("tie must survive"));
         assert_eq!(n, 0);
         assert_eq!(b.len(), 1);
     }
@@ -171,24 +193,32 @@ mod tests {
     fn reinsert_moves_between_buckets() {
         let mut b = BucketIndex::new();
         b.insert(4, 0.0, sid(7));
-        b.reinsert(4, 0.0, 3, 0.9, sid(7));
-        assert_eq!(b.len(), 1);
-        // Now prunable only under the new key.
-        let mut hits = 0;
-        b.sweep(0.1, 1.3, |_| hits += 1); // UB = 0.9 + 0.3 = 1.2 < 1.3
-        assert_eq!(hits, 1);
+        b.insert(3, 0.9, sid(7)); // the move: one push, old entry stale
+        let mut keys = HashMap::from([(sid(7), 3)]);
+        // Prunable only under the new key: UB = 0.9 + 0.3 = 1.2 < 1.3. The
+        // stale bucket-4 entry (UB 0.4) is dropped without a second prune.
+        let n = b.sweep(0.1, 1.3, prune_current(&mut keys));
+        assert_eq!(n, 1);
+        assert!(keys.is_empty());
         assert!(b.is_empty());
     }
 
     #[test]
     fn drain_returns_everything_sorted_by_bucket() {
+        // A sweep below every bound visits buckets in ascending `m` and
+        // each bucket in ascending base — the order `drain` used to give.
         let mut b = BucketIndex::new();
         b.insert(2, 1.0, sid(1));
         b.insert(1, 3.0, sid(2));
-        let drained = b.drain();
-        assert_eq!(drained.len(), 2);
+        b.insert(1, 0.5, sid(3));
+        let mut order = Vec::new();
+        let n = b.sweep(0.0, f64::MAX, |s, m| {
+            order.push((m, s));
+            true
+        });
+        assert_eq!(n, 3);
         assert!(b.is_empty());
-        assert_eq!(drained[0].2, sid(2)); // bucket 1 before bucket 2
+        assert_eq!(order, vec![(1, sid(3)), (1, sid(2)), (2, sid(1))]);
     }
 
     #[test]
@@ -198,8 +228,113 @@ mod tests {
             b.insert(1, 1.0 + i as f64, sid(i));
         }
         // theta - m*s = 1.5: only base 1.0 is below.
-        let n = b.sweep(0.0, 1.5, |_| {});
+        let n = b.sweep(0.0, 1.5, |_, _| true);
         assert_eq!(n, 1);
         assert_eq!(b.len(), 99);
+    }
+
+    #[test]
+    fn stale_front_entry_below_threshold_is_dropped_not_pruned() {
+        let mut b = BucketIndex::new();
+        b.insert(2, 0.25, sid(1)); // goes stale below the threshold
+        b.insert(2, 3.0, sid(2));
+        b.insert(1, 4.0, sid(1)); // sid(1) moves 2 → 1, far above θ
+        let mut keys = HashMap::from([(sid(1), 1), (sid(2), 2)]);
+        let n = b.sweep(0.5, 2.0, prune_current(&mut keys));
+        assert_eq!(n, 0, "the stale entry is not a prune");
+        assert_eq!(keys.len(), 2);
+        assert_eq!(b.len(), 2, "only the stale entry left");
+    }
+
+    /// A splitmix64 stream for the differential script.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            mix64(self.0) % n
+        }
+
+        /// A multiple of 1/8 in `[0, n/8)`: dyadic, so `θ − m·s` is exact
+        /// and exact ties come up often.
+        fn eighths(&mut self, n: u64) -> f64 {
+            self.below(n) as f64 / 8.0
+        }
+    }
+
+    #[test]
+    fn lazy_sweeps_match_a_brute_force_oracle() {
+        let (mut ties, mut stale_drops, mut prunes) = (0usize, 0usize, 0usize);
+        for seed in 0..200u64 {
+            let mut rng = Rng(seed);
+            let mut b = BucketIndex::new();
+            // The oracle: every unpruned set's current key.
+            let mut keys: HashMap<SetId, (u32, f64)> = HashMap::new();
+            let mut next_id = 0u32;
+            let (mut s, mut theta) = (1.0f64, 0.0f64);
+            for _ in 0..120 {
+                match rng.below(4) {
+                    0 => {
+                        // `m` in 0..8 or 60..68: the occupancy bitmap
+                        // spans two words.
+                        let m = (rng.below(8) + 60 * rng.below(2)) as u32;
+                        let base = rng.eighths(24);
+                        b.insert(m, base, sid(next_id));
+                        keys.insert(sid(next_id), (m, base));
+                        next_id += 1;
+                    }
+                    1 => {
+                        // Move a set with room left: m strictly down, base up.
+                        let mut movable: Vec<SetId> = keys
+                            .iter()
+                            .filter(|(_, k)| k.0 > 0)
+                            .map(|(&s, _)| s)
+                            .collect();
+                        movable.sort();
+                        if movable.is_empty() {
+                            continue;
+                        }
+                        let set = movable[rng.below(movable.len() as u64) as usize];
+                        let (m, base) = keys[&set];
+                        let key = (rng.below(m as u64) as u32, base + 0.125 + rng.eighths(8));
+                        b.insert(key.0, key.1, set);
+                        keys.insert(set, key);
+                    }
+                    _ => {
+                        s = (s - rng.eighths(2)).max(0.0);
+                        theta += rng.eighths(3);
+                        let mut expected: Vec<SetId> = keys
+                            .iter()
+                            .filter(|(_, &(m, base))| base < theta - m as f64 * s)
+                            .map(|(&set, _)| set)
+                            .collect();
+                        ties += keys
+                            .values()
+                            .filter(|&&(m, base)| base == theta - m as f64 * s)
+                            .count();
+                        let mut got = Vec::new();
+                        let n = b.sweep(s, theta, |set, m| {
+                            let current = keys.get(&set).is_some_and(|k| k.0 == m);
+                            if current {
+                                keys.remove(&set);
+                                got.push(set);
+                            } else {
+                                stale_drops += 1;
+                            }
+                            current
+                        });
+                        expected.sort();
+                        got.sort();
+                        assert_eq!(n, got.len());
+                        assert_eq!(got, expected, "seed {seed}");
+                        prunes += n;
+                    }
+                }
+            }
+        }
+        assert!(
+            ties > 0 && stale_drops > 0 && prunes > 0,
+            "{ties} {stale_drops} {prunes}"
+        );
     }
 }

@@ -40,9 +40,6 @@ pub struct KoiosConfig {
     /// Number of exact matchings verified concurrently during
     /// post-processing (1 = sequential; the paper uses a thread pool).
     pub parallel_em: usize,
-    /// Run the bucket prune sweep every this many stream tuples (sweeps also
-    /// run whenever `θlb` rises). 1 reproduces the paper's per-tuple sweep.
-    pub sweep_interval: usize,
     /// Verify **every** unpruned candidate with a full exact matching
     /// instead of pulling by upper bound — the cost model of the paper's
     /// exhaustive Baseline/Baseline+ (§VIII-A4). Off for Koios proper.
@@ -99,7 +96,6 @@ impl KoiosConfig {
             no_em_filter: true,
             iub_filter: true,
             parallel_em: 1,
-            sweep_interval: 1,
             verify_all: false,
             time_budget: None,
             token_cache: None,

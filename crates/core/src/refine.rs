@@ -29,7 +29,35 @@ use koios_index::knn::KnnSource;
 use koios_index::token_stream::TokenStream;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
+
+/// The candidate map's hasher: one multiply per set id instead of SipHash.
+/// Set ids are dense indices the corpus assigned, not client-chosen keys,
+/// so there is no flooding to defend against. The rotation brings the
+/// product's well-mixed high bits down to the low bits that pick a slot.
+#[derive(Default)]
+struct SetIdHasher(u64);
+
+impl Hasher for SetIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.0 = (self.0 ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type CandMap = HashMap<SetId, Cand, BuildHasherDefault<SetIdHasher>>;
 
 /// A candidate that survived refinement, with its final certified bounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,11 +196,9 @@ pub fn refine<K: KnnSource>(
 ) -> RefineOutput {
     let qlen = query.len();
     let mode = cfg.ub_mode;
-    let mut states: HashMap<SetId, Cand> = HashMap::new();
+    let mut states = CandMap::default();
     let mut buckets = BucketIndex::new();
     let mut llb = TopKList::new(cfg.k);
-    let mut last_swept_theta = theta.get();
-    let mut since_sweep = 0usize;
     let mut last_sim = 1.0f64;
     let mut tuples: Option<Vec<(TokenId, u32, f64)>> = collect_edges.then(Vec::new);
 
@@ -203,8 +229,9 @@ pub fn refine<K: KnnSource>(
                     let old_key = cand.bucket_key(mode);
                     let lb_improved = cand.apply(tuple.q_idx, tuple.token, s, mode);
                     let new_key = cand.bucket_key(mode);
+                    // A move is one push; the old entry goes stale.
                     if cfg.iub_filter && new_key != old_key {
-                        buckets.reinsert(old_key.0, old_key.1, new_key.0, new_key.1, set);
+                        buckets.insert(new_key.0, new_key.1, set);
                         stats.bucket_moves += 1;
                     }
                     if lb_improved {
@@ -247,20 +274,16 @@ pub fn refine<K: KnnSource>(
                 }
             }
         }
-        // Prune sweep: whenever θlb rose, and periodically as `s` decays.
-        since_sweep += 1;
+        // Prune sweep after every tuple (§V): `s` decays and `θlb` rises.
         if cfg.iub_filter {
-            let th = theta.get();
-            if th > last_swept_theta || since_sweep >= cfg.sweep_interval {
-                let swept = buckets.sweep(s, slack(th), |set| {
-                    if let Some(c) = states.get_mut(&set) {
+            stats.iub_pruned +=
+                buckets.sweep(s, slack(theta.get()), |set, m| match states.get_mut(&set) {
+                    Some(c) if !c.pruned && c.bucket_key(mode).0 == m => {
                         c.prune();
+                        true
                     }
+                    _ => false,
                 });
-                stats.iub_pruned += swept;
-                last_swept_theta = th;
-                since_sweep = 0;
-            }
         }
         if stats.stream_tuples.is_multiple_of(1024) {
             if let Some(d) = deadline {
@@ -275,18 +298,31 @@ pub fn refine<K: KnnSource>(
     let edges = tuples.map(|ts| QueryEdges::from_tuples(qlen, ts));
 
     // End-of-stream collapse: every edge ≥ α has been emitted, so the
-    // residual per-row potential drops to 0 (sound) / α (paper form).
-    if cfg.iub_filter {
+    // residual per-row potential drops to 0 (sound) / α (paper form). One
+    // pass over the states applies the sweep's own test to each current
+    // key; sweeping the lazy heaps would pop every stale entry instead.
+    let collapse = cfg.iub_filter.then(|| {
         let s_final = match mode {
             UbMode::SoundRowMax => 0.0,
             UbMode::PaperGreedy => cfg.alpha.min(last_sim),
         };
-        let swept = buckets.sweep(s_final, slack(theta.get()), |set| {
-            if let Some(c) = states.get_mut(&set) {
+        (s_final, slack(theta.get()))
+    });
+    let mut survivors: Vec<Survivor> = Vec::new();
+    for (&set, c) in states.iter_mut().filter(|(_, c)| !c.pruned) {
+        if let Some((s_final, th)) = collapse {
+            let (m, base) = c.bucket_key(mode);
+            if base < th - m as f64 * s_final {
                 c.prune();
+                stats.iub_pruned += 1;
+                continue;
             }
+        }
+        survivors.push(Survivor {
+            set,
+            lb: c.lb,
+            ub: c.final_ub(mode, cfg.alpha),
         });
-        stats.iub_pruned += swept;
     }
 
     // Memory snapshot of the refinement structures (paper §VIII-D sums the
@@ -301,15 +337,6 @@ pub fn refine<K: KnnSource>(
         stats.memory.add("query edges", e.heap_size());
     }
 
-    let mut survivors: Vec<Survivor> = states
-        .iter()
-        .filter(|(_, c)| !c.pruned)
-        .map(|(&set, c)| Survivor {
-            set,
-            lb: c.lb,
-            ub: c.final_ub(mode, cfg.alpha),
-        })
-        .collect();
     survivors.sort_by(|a, b| {
         b.ub.partial_cmp(&a.ub)
             .expect("bounds are never NaN")

@@ -35,8 +35,9 @@ build() { # <root> -> prints the ledger path
 parent_bin=$(build "$work/parent")
 change_bin=$(build "$root")
 
-rows="core.candidates core.no_em_share core.em_early_share core.em_per_hit
-core.matrix_cells_per_hit core.theta_raises core.bucket_moves index.postings_scanned"
+rows="core.candidates core.postprocess_share core.no_em_share core.em_early_share
+core.em_per_hit core.matrix_cells_per_hit core.theta_raises core.bucket_moves
+index.postings_scanned"
 
 run() { # <bin> <root> -> the run's last stdout line (the JSON report)
     "$1" --workload "$workload" --trace 1 --root "$2" | tail -n 1

@@ -107,29 +107,6 @@ fn paper_greedy_mode_is_valid_on_clustered_embeddings() {
 }
 
 #[test]
-fn sweep_interval_does_not_change_results() {
-    let (repo, sim) = corpus(600);
-    let query = repo.set(SetId(9)).to_vec();
-    let mut baseline_scores: Option<Vec<f64>> = None;
-    for interval in [1usize, 8, 64, 4096] {
-        let mut cfg = KoiosConfig::new(4, 0.8);
-        cfg.sweep_interval = interval;
-        cfg.no_em_filter = false; // exact scores for comparison
-        let res = Koios::new(Arc::clone(&repo), sim.clone(), cfg).search(&query);
-        let scores: Vec<f64> = res.hits.iter().map(|h| h.score.exact().unwrap()).collect();
-        match &baseline_scores {
-            None => baseline_scores = Some(scores),
-            Some(b) => {
-                assert_eq!(b.len(), scores.len(), "interval {interval}");
-                for (x, y) in b.iter().zip(&scores) {
-                    assert!((x - y).abs() < EPS, "interval {interval}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn parallel_em_matches_sequential_scores() {
     let (repo, sim) = corpus(700);
     let query = repo.set(SetId(33)).to_vec();
