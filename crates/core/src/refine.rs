@@ -20,13 +20,14 @@ use crate::config::{KoiosConfig, UbMode};
 use crate::overlap::QueryEdges;
 use crate::stats::SearchStats;
 use crate::theta::{slack, SharedTheta};
-use koios_common::sparse::IdxSet;
+use koios_common::sparse::{Span, SpanArena};
 use koios_common::topk::TopKList;
 use koios_common::{HeapSize, SetId, Sim, TokenId};
 use koios_embed::repository::Repository;
 use koios_index::inverted::InvertedIndex;
 use koios_index::knn::KnnSource;
 use koios_index::token_stream::TokenStream;
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -82,22 +83,23 @@ pub struct RefineOutput {
     pub edges: Option<QueryEdges>,
 }
 
-/// Per-candidate bound state.
+/// Per-candidate bound state. Its three sets live in the search's
+/// [`SpanArena`], so a candidate owns no heap: admitting one allocates
+/// nothing and pruning one frees nothing.
+#[derive(Clone, Copy)]
 struct Cand {
     /// `min(|Q|, |C|)` — the maximum matching cardinality.
     cap: u32,
     /// Greedy partial matching score (iLB).
     lb: f64,
     /// Query element indices matched by the greedy matching.
-    matched_q: IdxSet,
+    matched_q: Span,
     /// Candidate tokens matched by the greedy matching.
-    matched_t: IdxSet,
+    matched_t: Span,
     /// Row-max sum (sound iUB base); unused in paper mode.
     row_sum: f64,
-    /// Number of query rows counted into `row_sum` (capped at `cap`).
-    seen_rows: u32,
-    /// Query rows already counted (sound mode only).
-    seen_q: IdxSet,
+    /// Query rows counted into `row_sum`, at most `cap` (sound mode only).
+    seen_q: Span,
     /// Tombstone flag: pruned candidates are remembered so posting hits
     /// cannot resurrect them (Algorithm 1 line 6).
     pruned: bool,
@@ -108,37 +110,46 @@ impl Cand {
         Cand {
             cap,
             lb: 0.0,
-            matched_q: IdxSet::new(),
-            matched_t: IdxSet::new(),
+            matched_q: Span::default(),
+            matched_t: Span::default(),
             row_sum: 0.0,
-            seen_rows: 0,
-            seen_q: IdxSet::new(),
+            seen_q: Span::default(),
             pruned: false,
         }
     }
 
     fn tombstone(cap: u32) -> Self {
-        let mut c = Cand::new(cap);
-        c.pruned = true;
-        c
+        Cand {
+            pruned: true,
+            ..Cand::new(cap)
+        }
     }
 
     /// Applies a stream tuple `(q_idx, token, s)`; returns whether the lower
     /// bound improved.
-    fn apply(&mut self, q_idx: u32, token: TokenId, s: f64, mode: UbMode) -> bool {
+    fn apply(
+        &mut self,
+        sets: &mut SpanArena,
+        q_idx: u32,
+        token: TokenId,
+        s: f64,
+        mode: UbMode,
+    ) -> bool {
         debug_assert!(!self.pruned);
         // Sound iUB: first emitted edge per query row, capped at `cap` rows
         // (the stream is descending, so the first `cap` rows carry the
         // largest row maxima).
-        if mode == UbMode::SoundRowMax && self.seen_rows < self.cap && self.seen_q.insert(q_idx) {
+        if mode == UbMode::SoundRowMax
+            && (self.seen_q.len() as u32) < self.cap
+            && sets.insert(&mut self.seen_q, q_idx)
+        {
             self.row_sum += s;
-            self.seen_rows += 1;
         }
         // iLB: greedy matching accepts the edge iff both endpoints are free
         // (Lemma 5 — any prefix of greedy choices is a valid matching).
-        if !self.matched_q.contains(q_idx) && !self.matched_t.contains(token.0) {
-            self.matched_q.insert(q_idx);
-            self.matched_t.insert(token.0);
+        if !sets.contains(self.matched_q, q_idx) && !sets.contains(self.matched_t, token.0) {
+            sets.insert(&mut self.matched_q, q_idx);
+            sets.insert(&mut self.matched_t, token.0);
             self.lb += s;
             true
         } else {
@@ -149,7 +160,7 @@ impl Cand {
     /// The `(m, S_i)` bucket key for the configured UB mode.
     fn bucket_key(&self, mode: UbMode) -> (u32, f64) {
         match mode {
-            UbMode::SoundRowMax => (self.cap - self.seen_rows, self.row_sum),
+            UbMode::SoundRowMax => (self.cap - self.seen_q.len() as u32, self.row_sum),
             UbMode::PaperGreedy => (self.cap - self.matched_q.len() as u32, self.lb),
         }
     }
@@ -165,17 +176,45 @@ impl Cand {
             }
         }
     }
+}
 
-    /// Tombstones the candidate, releasing its tracking memory.
-    fn prune(&mut self) {
-        self.pruned = true;
-        self.matched_q = IdxSet::new();
-        self.matched_t = IdxSet::new();
-        self.seen_q = IdxSet::new();
+/// What refinement keeps between the searches of one thread: the
+/// candidate map and the arena of the candidates' sets, both empty
+/// between searches.
+#[derive(Default)]
+struct Scratch {
+    states: CandMap,
+    sets: SpanArena,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
+/// A retained scratch larger than this many times what the last search
+/// used is shrunk to that use.
+const RETAIN_FACTOR: usize = 4;
+
+impl Scratch {
+    /// This thread's scratch. It is taken, not borrowed: a search that
+    /// panics drops it, and a nested search gets a fresh one.
+    fn take() -> Self {
+        SCRATCH.take()
     }
 
-    fn heap_size(&self) -> usize {
-        self.matched_q.heap_size() + self.matched_t.heap_size() + self.seen_q.heap_size()
+    /// Empties the scratch and gives it back to the thread, shrinking
+    /// each part that is more than [`RETAIN_FACTOR`]× this search's use.
+    fn put_back(mut self) {
+        let (cands, words) = (self.states.len(), self.sets.len());
+        self.states.clear();
+        if self.states.capacity() > RETAIN_FACTOR * cands {
+            self.states.shrink_to(cands);
+        }
+        self.sets.clear();
+        if self.sets.capacity() > RETAIN_FACTOR * words {
+            self.sets.shrink_to(words);
+        }
+        SCRATCH.set(self);
     }
 }
 
@@ -196,7 +235,8 @@ pub fn refine<K: KnnSource>(
 ) -> RefineOutput {
     let qlen = query.len();
     let mode = cfg.ub_mode;
-    let mut states = CandMap::default();
+    let mut scratch = Scratch::take();
+    let Scratch { states, sets } = &mut scratch;
     let mut buckets = BucketIndex::new();
     let mut llb = TopKList::new(cfg.k);
     let mut last_sim = 1.0f64;
@@ -227,7 +267,7 @@ pub fn refine<K: KnnSource>(
                         continue;
                     }
                     let old_key = cand.bucket_key(mode);
-                    let lb_improved = cand.apply(tuple.q_idx, tuple.token, s, mode);
+                    let lb_improved = cand.apply(sets, tuple.q_idx, tuple.token, s, mode);
                     let new_key = cand.bucket_key(mode);
                     // A move is one push; the old entry goes stale.
                     if cfg.iub_filter && new_key != old_key {
@@ -258,7 +298,7 @@ pub fn refine<K: KnnSource>(
                         continue;
                     }
                     let mut cand = Cand::new(cap);
-                    cand.apply(tuple.q_idx, tuple.token, s, mode);
+                    cand.apply(sets, tuple.q_idx, tuple.token, s, mode);
                     let key = cand.bucket_key(mode);
                     let lb = cand.lb;
                     v.insert(cand);
@@ -279,7 +319,7 @@ pub fn refine<K: KnnSource>(
             stats.iub_pruned +=
                 buckets.sweep(s, slack(theta.get()), |set, m| match states.get_mut(&set) {
                     Some(c) if !c.pruned && c.bucket_key(mode).0 == m => {
-                        c.prune();
+                        c.pruned = true;
                         true
                     }
                     _ => false,
@@ -309,11 +349,10 @@ pub fn refine<K: KnnSource>(
         (s_final, slack(theta.get()))
     });
     let mut survivors: Vec<Survivor> = Vec::new();
-    for (&set, c) in states.iter_mut().filter(|(_, c)| !c.pruned) {
+    for (&set, c) in states.iter().filter(|(_, c)| !c.pruned) {
         if let Some((s_final, th)) = collapse {
             let (m, base) = c.bucket_key(mode);
             if base < th - m as f64 * s_final {
-                c.prune();
                 stats.iub_pruned += 1;
                 continue;
             }
@@ -326,9 +365,12 @@ pub fn refine<K: KnnSource>(
     }
 
     // Memory snapshot of the refinement structures (paper §VIII-D sums the
-    // footprints of both phases' structures).
-    let states_bytes = states.capacity() * (std::mem::size_of::<(SetId, Cand)>() + 1)
-        + states.values().map(Cand::heap_size).sum::<usize>();
+    // footprints of both phases' structures). The candidate states count
+    // what this search used, not what the thread's scratch retains from
+    // earlier ones.
+    let states_bytes = states.len() * (std::mem::size_of::<(SetId, Cand)>() + 1)
+        + sets.len() * std::mem::size_of::<u32>();
+    scratch.put_back();
     stats.memory.add("token stream", stream.heap_bytes());
     stats.memory.add("candidate states", states_bytes);
     stats.memory.add("ub buckets", buckets.heap_size());
@@ -356,27 +398,29 @@ mod tests {
 
     #[test]
     fn cand_greedy_respects_one_to_one() {
+        let mut sets = SpanArena::new();
         let mut c = Cand::new(2);
-        assert!(c.apply(0, TokenId(10), 0.9, UbMode::SoundRowMax));
+        assert!(c.apply(&mut sets, 0, TokenId(10), 0.9, UbMode::SoundRowMax));
         // Same query row: rejected by greedy.
-        assert!(!c.apply(0, TokenId(11), 0.8, UbMode::SoundRowMax));
+        assert!(!c.apply(&mut sets, 0, TokenId(11), 0.8, UbMode::SoundRowMax));
         // Same token: rejected by greedy.
-        assert!(!c.apply(1, TokenId(10), 0.7, UbMode::SoundRowMax));
+        assert!(!c.apply(&mut sets, 1, TokenId(10), 0.7, UbMode::SoundRowMax));
         // Fresh pair: accepted.
-        assert!(c.apply(1, TokenId(12), 0.6, UbMode::SoundRowMax));
+        assert!(c.apply(&mut sets, 1, TokenId(12), 0.6, UbMode::SoundRowMax));
         assert!((c.lb - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn sound_rowmax_counts_first_edge_per_row() {
+        let mut sets = SpanArena::new();
         let mut c = Cand::new(2);
-        c.apply(0, TokenId(10), 0.9, UbMode::SoundRowMax);
-        c.apply(0, TokenId(11), 0.8, UbMode::SoundRowMax); // row 0 already seen
-        c.apply(1, TokenId(10), 0.7, UbMode::SoundRowMax); // row 1 first edge
+        c.apply(&mut sets, 0, TokenId(10), 0.9, UbMode::SoundRowMax);
+        c.apply(&mut sets, 0, TokenId(11), 0.8, UbMode::SoundRowMax); // row 0 already seen
+        c.apply(&mut sets, 1, TokenId(10), 0.7, UbMode::SoundRowMax); // row 1 first edge
         assert!((c.row_sum - 1.6).abs() < 1e-12);
-        assert_eq!(c.seen_rows, 2);
+        assert_eq!(c.seen_q.len(), 2);
         // Row capacity exhausted: further rows ignored.
-        c.apply(2, TokenId(12), 0.6, UbMode::SoundRowMax);
+        c.apply(&mut sets, 2, TokenId(12), 0.6, UbMode::SoundRowMax);
         assert!((c.row_sum - 1.6).abs() < 1e-12);
         assert_eq!(c.bucket_key(UbMode::SoundRowMax), (0, 1.6));
         assert!((c.final_ub(UbMode::SoundRowMax, 0.5) - 1.6).abs() < 1e-12);
@@ -393,9 +437,10 @@ mod tests {
             (1, 11, 0.75),
             (3, 12, 0.7),
         ];
+        let mut sets = SpanArena::new();
         let mut c = Cand::new(3);
         for (q, t, s) in tuples {
-            c.apply(q, TokenId(t), s, UbMode::SoundRowMax);
+            c.apply(&mut sets, q, TokenId(t), s, UbMode::SoundRowMax);
             assert!(
                 c.row_sum + 1e-12 >= c.lb,
                 "row_sum {} < lb {}",
@@ -407,26 +452,34 @@ mod tests {
 
     #[test]
     fn paper_mode_keys_track_greedy() {
+        let mut sets = SpanArena::new();
         let mut c = Cand::new(3);
-        c.apply(0, TokenId(10), 0.9, UbMode::PaperGreedy);
+        c.apply(&mut sets, 0, TokenId(10), 0.9, UbMode::PaperGreedy);
         assert_eq!(c.bucket_key(UbMode::PaperGreedy), (2, 0.9));
         // Rejected edge leaves the key unchanged.
-        c.apply(0, TokenId(11), 0.8, UbMode::PaperGreedy);
+        c.apply(&mut sets, 0, TokenId(11), 0.8, UbMode::PaperGreedy);
         assert_eq!(c.bucket_key(UbMode::PaperGreedy), (2, 0.9));
         let ub = c.final_ub(UbMode::PaperGreedy, 0.8);
         assert!((ub - (0.9 + 2.0 * 0.8)).abs() < 1e-12);
     }
 
+    /// A tombstone holds no heap: a candidate's sets are spans into the
+    /// search's arena, so pruning frees nothing, and the scratch goes
+    /// back to the thread emptied when the search ends.
     #[test]
     fn tombstone_releases_memory() {
+        assert!(!std::mem::needs_drop::<Cand>(), "a candidate owns no heap");
+        let mut sets = SpanArena::new();
         let mut c = Cand::new(4);
         for i in 0..50 {
-            c.apply(i, TokenId(i + 100), 0.9, UbMode::SoundRowMax);
+            c.apply(&mut sets, i, TokenId(i + 100), 0.9, UbMode::SoundRowMax);
         }
-        assert!(c.heap_size() > 0);
-        c.prune();
-        assert!(c.pruned);
-        assert_eq!(c.heap_size(), 0);
+        assert!(!sets.is_empty());
+        c.pruned = true;
+        let states = CandMap::from_iter([(SetId(0), c), (SetId(1), Cand::tombstone(4))]);
+        Scratch { states, sets }.put_back();
+        let retained = Scratch::take();
+        assert!(retained.states.is_empty() && retained.sets.is_empty());
     }
 
     /// One query element similar to every token of the vocabulary: a
@@ -514,5 +567,115 @@ mod tests {
         // the one edge it can have.
         assert!(!out.survivors.is_empty());
         assert!(out.survivors.iter().all(|s| s.lb <= s.ub && s.ub <= 1.0));
+    }
+
+    /// A caller's source that panics once it has answered `left` probes.
+    struct FailingSource {
+        inner: koios_index::knn::ExactScanKnn,
+        left: usize,
+    }
+
+    impl KnnSource for FailingSource {
+        fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
+            assert!(self.left > 0, "source failed mid-stream");
+            self.left -= 1;
+            self.inner.next(q_idx)
+        }
+
+        fn prefetch(&mut self, q_idxs: &[usize]) {
+            self.inner.prefetch(q_idxs);
+        }
+
+        fn heap_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    /// What this thread's scratch retains: (candidate slots, arena words).
+    fn retained() -> (usize, usize) {
+        let s = Scratch::take();
+        let r = (s.states.capacity(), s.sets.capacity());
+        SCRATCH.set(s);
+        r
+    }
+
+    /// Reusing one thread's scratch — after a search that panicked, and
+    /// from a large search to small ones — changes no hit and no memory
+    /// figure, and a small search shrinks what a large one left behind.
+    #[test]
+    fn scratch_reuse_is_invisible() {
+        use crate::engine::Koios;
+        use crate::result::SearchResult;
+        use koios_embed::sim::{ElementSimilarity, EqualitySimilarity};
+        use std::sync::Arc;
+
+        // 2,000 sets, each holding three of 40 shared tokens and one of
+        // its own: the 40-token query admits every set.
+        let mut b = koios_embed::repository::RepositoryBuilder::new();
+        for i in 0..2000 {
+            let shared = [i % 40, (i * 7 + 3) % 40, (i * 13 + 5) % 40];
+            let tokens = shared.map(|c| format!("c{c}"));
+            b.add_set(&format!("s{i}"), tokens.iter().chain([&format!("u{i}")]));
+        }
+        let repo = Arc::new(b.build());
+        let sim: Arc<dyn ElementSimilarity> = Arc::new(EqualitySimilarity);
+        let engine = || Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(10, 0.8));
+        let query = |tokens: Vec<String>| {
+            let mut q = repo.intern_query(tokens);
+            q.sort_unstable();
+            q.dedup();
+            q
+        };
+        let large = query((0..40).map(|c| format!("c{c}")).collect());
+        let smalls = [
+            query(vec!["c0".into(), "u5".into(), "u17".into()]),
+            query(vec!["c9".into(), "u900".into()]),
+            query(vec!["c0".into(), "u5".into(), "u17".into()]),
+        ];
+        let candidate_states = |r: &SearchResult| {
+            r.stats
+                .memory
+                .iter()
+                .find(|(n, _)| *n == "candidate states")
+                .map(|(_, b)| b)
+        };
+        // A fresh engine on a fresh thread has a fresh scratch.
+        let fresh = |q: &[TokenId]| {
+            std::thread::scope(|s| s.spawn(|| engine().search(q)).join()).expect("reference search")
+        };
+        let same = |got: &SearchResult, q: &[TokenId]| {
+            let want = fresh(q);
+            assert_eq!(format!("{:?}", got.hits), format!("{:?}", want.hits));
+            assert_eq!(candidate_states(got), candidate_states(&want));
+            assert_eq!(got.stats.candidates, want.stats.candidates);
+        };
+
+        let e = engine();
+        let source =
+            koios_index::knn::ExactScanKnn::new(sim.clone(), large.clone(), repo.vocab_size(), 0.8);
+        let failing = FailingSource {
+            inner: source,
+            left: large.len() + 10,
+        };
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.search_with_source(large.clone(), failing, &SharedTheta::new())
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(retained(), (0, 0), "a panic leaves an empty scratch");
+
+        let r = e.search(&large);
+        assert_eq!(r.stats.candidates, 2000);
+        same(&r, &large);
+        let after_large = retained();
+        for q in &smalls {
+            let r = e.search(q);
+            assert!(r.stats.candidates < 2000 / RETAIN_FACTOR);
+            same(&r, q);
+            let now = retained();
+            assert!(
+                now.0 < after_large.0 && now.1 < after_large.1,
+                "{now:?} retained after {after_large:?}"
+            );
+        }
     }
 }

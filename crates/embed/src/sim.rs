@@ -161,19 +161,37 @@ impl ElementSimilarity for CosineSimilarity {
                 None => {}
             }
         }
+        // A lane's self pair is due until the scan passes its token; the
+        // scan skips rows below the floor, so it may never see it.
+        let mut self_due: Vec<bool> = lanes.iter().map(|&i| qs[i].idx() < vocab).collect();
+        // `d.clamp(0, 1) ≥ α > 0` implies `d ≥ α`: the scan may drop every
+        // pair below `α` before calling back. At `α ≤ 0` every pair passes.
+        let floor = if alpha > 0.0 {
+            alpha
+        } else {
+            f64::NEG_INFINITY
+        };
         // Unit vectors make cosine a dot product, and the scan's lanes are
         // `dot` bit for bit — the same weights `sim` and `fill_matrix` give.
-        self.emb.dot_scan(&vectors, vocab, |lane, t, d| {
-            let i = lanes[lane];
-            if t == qs[i] {
-                outs[i].push((1.0, t));
-                return;
+        self.emb.dot_scan(&vectors, vocab, floor, |lane, t, d| {
+            let (i, q) = (lanes[lane], qs[lanes[lane]]);
+            if self_due[lane] && t >= q {
+                self_due[lane] = false;
+                outs[i].push((1.0, q));
+                if t == q {
+                    return;
+                }
             }
             let s = d.clamp(0.0, 1.0);
             if s >= alpha {
                 outs[i].push((s, t));
             }
         });
+        for (&i, due) in lanes.iter().zip(self_due) {
+            if due {
+                outs[i].push((1.0, qs[i]));
+            }
+        }
     }
 
     fn fill_matrix(&self, query: &[TokenId], set: &[TokenId], alpha: f64, out: &mut [f64]) {
@@ -519,5 +537,64 @@ mod tests {
         emb.set(ids[1], &[-1.0, 0.0]);
         let c = CosineSimilarity::new(Arc::new(emb));
         assert_eq!(c.sim(ids[0], ids[1]), 0.0);
+    }
+
+    /// The cosine scan's in-register α filter against `sim` per pair:
+    /// every pair with a vector on both sides and `sim ≥ α` is emitted
+    /// with `sim`'s bits, in token order, and so is the self pair — at
+    /// α = 1 too, where a row's own dot product can round below 1 — while
+    /// a token without a vector matches only itself.
+    #[test]
+    fn cosine_scores_above_filters_like_sim_per_pair() {
+        const VOCAB: u32 = 40;
+        let oov = TokenId(VOCAB - 1);
+        let mut emb = Embeddings::new(5, VOCAB as usize);
+        for t in 0..oov.0 {
+            let x = f64::from(t);
+            let v = [
+                (x * 0.7).sin(),
+                (x * 1.9).cos(),
+                0.1 * x - 1.5,
+                0.2,
+                -(x * 0.5).sin(),
+            ];
+            emb.set(TokenId(t), &v);
+        }
+        let below_one = (0..oov.0)
+            .map(TokenId)
+            .find(|&t| emb.cosine(t, t).is_some_and(|d| d < 1.0))
+            .expect("a row whose self dot product rounds below 1");
+        let c = CosineSimilarity::new(Arc::new(emb));
+        let all: Vec<TokenId> = (0..VOCAB).map(TokenId).collect();
+        for alpha in [1.0, 0.9, 0.5, 0.0, -0.5] {
+            for qs in [vec![below_one], vec![oov], all.clone()] {
+                let mut outs = vec![Vec::new(); qs.len()];
+                c.scores_above_many(&qs, VOCAB as usize, alpha, &mut outs);
+                for (&q, got) in qs.iter().zip(&outs) {
+                    let mut one = Vec::new();
+                    c.scores_above(q, VOCAB as usize, alpha, &mut one);
+                    assert_eq!(got, &one, "{q:?} alone");
+                    let want: Vec<(u64, TokenId)> = all
+                        .iter()
+                        .filter(|&&t| {
+                            t == q || (c.emb.has(q) && c.emb.has(t) && c.sim(q, t) >= alpha)
+                        })
+                        .map(|&t| (c.sim(q, t).to_bits(), t))
+                        .collect();
+                    let got: Vec<(u64, TokenId)> =
+                        got.iter().map(|&(s, t)| (s.to_bits(), t)).collect();
+                    assert_eq!(got, want, "{q:?} at alpha {alpha}");
+                    // Only itself without a vector; every row with one at α ≤ 0.
+                    if q == oov {
+                        assert_eq!(got.len(), 1);
+                    } else if alpha <= 0.0 {
+                        assert_eq!(got.len(), VOCAB as usize - 1, "{q:?} at alpha {alpha}");
+                    }
+                }
+                if alpha == 1.0 && qs == [below_one] {
+                    assert!(outs[0].contains(&(1.0, below_one)));
+                }
+            }
+        }
     }
 }

@@ -155,8 +155,9 @@ impl Embeddings {
 
     /// The vocabulary scan: calls `visit(lane, t, dot(queries[lane], row t))`
     /// for every query vector and every **present** row `t < rows` (rows
-    /// past the table are absent). Each lane sees its rows in ascending
-    /// token order, and every value is bit-identical to [`dot`].
+    /// past the table are absent) whose dot product is `≥ floor`. Each lane
+    /// sees its rows in ascending token order, and every value is
+    /// bit-identical to [`dot`].
     ///
     /// One blocked pass instead of one pass per query: the queries are
     /// transposed into tiles of up to eight `f64` lanes, the table is
@@ -164,7 +165,13 @@ impl Embeddings {
     /// while it is still in cache. Each lane adds its products exactly in
     /// `dot`'s order — no FMA, no reassociation, no `f32` accumulation —
     /// so only the order *across* pairs differs from calling `dot` per
-    /// pair.
+    /// pair. A tile compares its lanes with `floor` before any call, so
+    /// `visit` runs only for survivors.
+    ///
+    /// On an x86-64 host with AVX2 the same body runs compiled for AVX2
+    /// (`scan_avx2`); every other host runs it as built. IEEE `mul` and
+    /// `add` round the same at any vector width and Rust never contracts
+    /// them into an FMA, so every host returns the same bits.
     ///
     /// # Panics
     ///
@@ -173,39 +180,59 @@ impl Embeddings {
         &self,
         queries: &[&[f32]],
         rows: usize,
+        floor: f64,
         mut visit: impl FnMut(usize, TokenId, f64),
     ) {
-        let rows = rows.min(self.vocab());
-        let dim = self.dim;
-        // Tiles of 8 lanes, then 4, 2 and 1 for the remainder, each stored
-        // transposed (`[dim][lanes]`) in one buffer.
-        let mut tiles = Vec::new();
-        let mut transposed = vec![0.0f64; queries.len() * dim];
-        let mut first = 0;
-        for lanes in [TILE_LANES, 4, 2, 1] {
-            while queries.len() - first >= lanes {
-                let tile = &mut transposed[first * dim..(first + lanes) * dim];
-                for (lane, q) in queries[first..first + lanes].iter().enumerate() {
-                    assert_eq!(q.len(), dim, "query vector has wrong dimensionality");
-                    for (i, &x) in q.iter().enumerate() {
-                        tile[i * lanes + lane] = f64::from(x);
-                    }
-                }
-                tiles.push((first, lanes));
-                first += lanes;
-            }
+        let tiles = QueryTiles::new(queries, self.dim);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `scan_avx2` enables AVX2 and nothing else, and the
+            // host has just reported AVX2.
+            unsafe { self.scan_avx2(&tiles, rows, floor, &mut visit) };
+            return;
         }
+        self.scan(&tiles, rows, floor, &mut visit);
+    }
+
+    /// [`Self::scan`] compiled for AVX2: four `f64` lanes per instruction.
+    ///
+    /// # Safety
+    ///
+    /// Calling it is sound only on a host with AVX2 (`dot_scan` checks).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn scan_avx2(
+        &self,
+        tiles: &QueryTiles,
+        rows: usize,
+        floor: f64,
+        visit: &mut impl FnMut(usize, TokenId, f64),
+    ) {
+        self.scan(tiles, rows, floor, visit);
+    }
+
+    /// The body of [`Self::dot_scan`]: every tile against every block of
+    /// the first `rows` rows. Always inlined, so each caller compiles it
+    /// for its own target features.
+    #[inline(always)]
+    fn scan(
+        &self,
+        tiles: &QueryTiles,
+        rows: usize,
+        floor: f64,
+        visit: &mut impl FnMut(usize, TokenId, f64),
+    ) {
+        let rows = rows.min(self.vocab());
         for start in (0..rows).step_by(BLOCK_ROWS) {
             let block = start..(start + BLOCK_ROWS).min(rows);
-            for &(first, lanes) in &tiles {
-                let tile = &transposed[first * dim..(first + lanes) * dim];
+            for &(first, lanes) in &tiles.tiles {
+                let tile = &tiles.data[first * self.dim..(first + lanes) * self.dim];
+                let block = block.clone();
                 match lanes {
-                    TILE_LANES => {
-                        self.scan_tile::<TILE_LANES>(tile, first, block.clone(), &mut visit)
-                    }
-                    4 => self.scan_tile::<4>(tile, first, block.clone(), &mut visit),
-                    2 => self.scan_tile::<2>(tile, first, block.clone(), &mut visit),
-                    _ => self.scan_tile::<1>(tile, first, block.clone(), &mut visit),
+                    TILE_LANES => self.scan_tile::<TILE_LANES>(tile, first, block, floor, visit),
+                    4 => self.scan_tile::<4>(tile, first, block, floor, visit),
+                    2 => self.scan_tile::<2>(tile, first, block, floor, visit),
+                    _ => self.scan_tile::<1>(tile, first, block, floor, visit),
                 }
             }
         }
@@ -213,11 +240,13 @@ impl Embeddings {
 
     /// One tile of `L` transposed query vectors (lanes `first..first + L`)
     /// against the present rows of `block`.
+    #[inline(always)]
     fn scan_tile<const L: usize>(
         &self,
         tile: &[f64],
         first: usize,
         block: std::ops::Range<usize>,
+        floor: f64,
         visit: &mut impl FnMut(usize, TokenId, f64),
     ) {
         let (tile, _) = tile.as_chunks::<L>();
@@ -233,10 +262,48 @@ impl Embeddings {
                     *a += x * y;
                 }
             }
+            // One compare per lane into a bit mask, then a call per set bit.
+            let mut above = 0u32;
             for (lane, &s) in acc.iter().enumerate() {
-                visit(first + lane, TokenId(t as u32), s);
+                above |= u32::from(s >= floor) << lane;
+            }
+            while above != 0 {
+                let lane = above.trailing_zeros() as usize;
+                above &= above - 1;
+                visit(first + lane, TokenId(t as u32), acc[lane]);
             }
         }
+    }
+}
+
+/// The query vectors of one [`Embeddings::dot_scan`], transposed: tiles of
+/// 8 lanes, then 4, 2 and 1 for the remainder, each stored `[dim][lanes]`
+/// in one buffer.
+struct QueryTiles {
+    data: Vec<f64>,
+    /// `(first lane, lanes)` of every tile, in lane order.
+    tiles: Vec<(usize, usize)>,
+}
+
+impl QueryTiles {
+    fn new(queries: &[&[f32]], dim: usize) -> Self {
+        let mut tiles = Vec::new();
+        let mut data = vec![0.0f64; queries.len() * dim];
+        let mut first = 0;
+        for lanes in [TILE_LANES, 4, 2, 1] {
+            while queries.len() - first >= lanes {
+                let tile = &mut data[first * dim..(first + lanes) * dim];
+                for (lane, q) in queries[first..first + lanes].iter().enumerate() {
+                    assert_eq!(q.len(), dim, "query vector has wrong dimensionality");
+                    for (i, &x) in q.iter().enumerate() {
+                        tile[i * lanes + lane] = f64::from(x);
+                    }
+                }
+                tiles.push((first, lanes));
+                first += lanes;
+            }
+        }
+        QueryTiles { data, tiles }
     }
 }
 
@@ -368,7 +435,9 @@ mod tests {
 
     /// Every lane of the blocked scan equals `dot` bit for bit, in
     /// ascending row order, over remainder tiles and several blocks — and
-    /// keeps `dot`'s sign of an all-`-0.0` sum.
+    /// keeps `dot`'s sign of an all-`-0.0` sum. Both the generic body and
+    /// the one `dot_scan` dispatches to on this host give every pair at or
+    /// above the floor and none below it.
     #[test]
     fn dot_scan_is_dot_bit_for_bit() {
         let mut e = Embeddings::new(3, 2 * BLOCK_ROWS + 5);
@@ -385,20 +454,33 @@ mod tests {
         e.set(TokenId(1), &[-0.0, -1.0, -0.0]);
         let (a, b) = (e.get(TokenId(0)).unwrap(), e.get(TokenId(1)).unwrap());
         assert_eq!(dot(a, b).to_bits(), (-0.0f64).to_bits());
-        for n in [0, 1, 3, 8, 15] {
-            let queries: Vec<&[f32]> = (0..n)
-                .map(|i| e.get(TokenId([0, 1, 2, 4, 5][i % 5])).unwrap())
-                .collect();
-            let mut got = vec![Vec::new(); n];
-            e.dot_scan(&queries, e.vocab() + 3, |lane, t, s| {
-                got[lane].push((t, s.to_bits()))
-            });
-            for (q, got) in queries.iter().zip(&got) {
-                let want: Vec<_> = (0..e.vocab() as u32)
-                    .map(TokenId)
-                    .filter_map(|t| Some((t, dot(q, e.get(t)?).to_bits())))
+        for floor in [f64::NEG_INFINITY, -0.0, 0.3, 1.0] {
+            for n in [0, 1, 3, 8, 15] {
+                let queries: Vec<&[f32]> = (0..n)
+                    .map(|i| e.get(TokenId([0, 1, 2, 4, 5][i % 5])).unwrap())
                     .collect();
-                assert_eq!(got, &want);
+                let rows = e.vocab() + 3;
+                let mut generic = vec![Vec::new(); n];
+                e.scan(
+                    &QueryTiles::new(&queries, e.dim()),
+                    rows,
+                    floor,
+                    &mut |lane, t, s: f64| generic[lane].push((t, s.to_bits())),
+                );
+                let mut dispatched = vec![Vec::new(); n];
+                e.dot_scan(&queries, rows, floor, |lane, t, s| {
+                    dispatched[lane].push((t, s.to_bits()))
+                });
+                for (i, q) in queries.iter().enumerate() {
+                    let want: Vec<_> = (0..e.vocab() as u32)
+                        .map(TokenId)
+                        .filter_map(|t| Some((t, dot(q, e.get(t)?))))
+                        .filter(|&(_, d)| d >= floor)
+                        .map(|(t, d)| (t, d.to_bits()))
+                        .collect();
+                    assert_eq!(generic[i], want, "generic, floor {floor}");
+                    assert_eq!(dispatched[i], want, "dispatched, floor {floor}");
+                }
             }
         }
     }
