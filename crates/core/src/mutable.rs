@@ -187,8 +187,7 @@ impl MutableEngine {
     /// caller-chosen similarity factory. The restored layout decides the
     /// backend variant; the engine's epoch starts at
     /// [`SnapshotMeta::latest_epoch`] so epochs keep rising across a
-    /// snapshot round-trip. Any restored MinHash index is dropped — it
-    /// belongs to the query-planning layer, not the engine.
+    /// snapshot round-trip.
     pub fn from_state(
         state: SnapshotState,
         cfg: KoiosConfig,
@@ -199,7 +198,6 @@ impl MutableEngine {
             repository,
             embeddings,
             indexes,
-            ..
         } = state;
         let layout = match meta.layout {
             SnapshotLayout::Single => Layout::Single,

@@ -51,7 +51,6 @@ impl EngineBackend {
                 embeddings,
                 layout: SnapshotLayout::Single,
                 indexes: vec![e.index().as_ref()],
-                minhash: None,
             },
             EngineBackend::Partitioned(p) => SnapshotView {
                 repository: p.repository(),
@@ -61,7 +60,6 @@ impl EngineBackend {
                     seed: p.partition_seed(),
                 },
                 indexes: p.indexes().iter().map(|i| i.as_ref()).collect(),
-                minhash: None,
             },
         };
         write_snapshot(path.as_ref(), &view)
@@ -123,7 +121,6 @@ impl EngineBackend {
             repository,
             embeddings,
             indexes,
-            ..
         } = state;
         let repo = Arc::new(repository);
         let emb = embeddings.map(Arc::new);

@@ -12,8 +12,9 @@
 //! sequence, every replay assigns identical set ids (appends claim dense
 //! ids), identical token ids (the interner is append-only), identical
 //! embedding bit patterns (raw `f32` rows, never re-normalised), and
-//! identical index contents (postings spliced in sorted order, MinHash
-//! signatures folded with the build-time permutation family).
+//! identical index contents (postings spliced in sorted order; the
+//! signatures of a caller-built [`MinHashIndex`], when one is passed,
+//! folded with the build-time permutation family).
 
 use crate::inverted::InvertedIndex;
 use crate::minhash::{token_grams, MinHashIndex};
@@ -87,6 +88,13 @@ impl std::error::Error for LiveError {}
 /// Every index is grown to the post-op vocabulary so `num_tokens` stays
 /// aligned with `vocab_size` on all shards, not just the owning one.
 ///
+/// `minhash` maintains a caller-built [`MinHashIndex`] (the one behind a
+/// [`crate::minhash::MinHashKnn`] source) over a live vocabulary: an
+/// insert appends a signature for every token it interns; a remove leaves
+/// it alone, since the index covers tokens and the vocabulary is
+/// append-only. No engine or snapshot path passes one; the perf ledger
+/// calls this function with `None`, which pins the signature.
+///
 /// Validation runs before mutation: a returned error means nothing
 /// changed.
 pub fn apply_op(
@@ -153,9 +161,6 @@ pub fn apply_op(
             let owner = route(*set);
             if let Some(index) = indexes.get_mut(owner) {
                 index.remove_set(*set, &tokens);
-            }
-            if let Some(mh) = minhash {
-                mh.remove_set(*set); // documented no-op (token-level index)
             }
             Ok(Applied::Removed(*set))
         }
@@ -291,6 +296,45 @@ mod tests {
             &a_row[..],
             "row for an existing token must be ignored"
         );
+    }
+
+    #[test]
+    fn inserts_grow_a_minhash_index_like_a_rebuild() {
+        use crate::minhash::{vocabulary_grams, MinHashParams};
+        let (mut repo, _) = base();
+        let grams = vocabulary_grams(&repo, MINHASH_GRAM_WIDTH);
+        let mut mh = MinHashIndex::build(&grams, MinHashParams::default());
+        let mut index = InvertedIndex::build(&repo);
+        let ops = [
+            CorpusOp::insert("s2", ["blaine", "c", "dee"]),
+            CorpusOp::remove(SetId(0)),
+            CorpusOp::insert("s3", ["blaines", ""]),
+        ];
+        for op in &ops {
+            apply_op(
+                &mut repo,
+                None,
+                &mut [&mut index],
+                Some(&mut mh),
+                &|_| 0,
+                op,
+            )
+            .unwrap();
+        }
+        let grams = vocabulary_grams(&repo, MINHASH_GRAM_WIDTH);
+        let rebuilt = MinHashIndex::build(&grams, MinHashParams::default());
+        assert_eq!(repo.vocab_size(), 7);
+        for t in 0..repo.vocab_size() as u32 {
+            assert_eq!(
+                mh.collisions(TokenId(t)),
+                rebuilt.collisions(TokenId(t)),
+                "token {t}"
+            );
+        }
+        let blaine = repo.token_id("blaine").unwrap();
+        assert!(mh
+            .collisions(blaine)
+            .contains(&repo.token_id("blaines").unwrap()));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! against the exact scan.
 
 use crate::knn::KnnSource;
-use koios_common::{HeapSize, SetId, TokenId};
+use koios_common::{HeapSize, TokenId};
 use koios_embed::sim::{ElementSimilarity, QGramJaccard};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,19 +40,6 @@ impl Default for MinHashParams {
             seed: 0x5EED,
         }
     }
-}
-
-/// Bucket occupancy of one LSH band (see [`MinHashIndex::band_occupancy`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BandOccupancy {
-    /// Band index (`0..params.bands`).
-    pub band: usize,
-    /// Distinct buckets in this band.
-    pub buckets: usize,
-    /// Size of the largest bucket.
-    pub largest_bucket: usize,
-    /// Mean bucket size (`0.0` for an empty band).
-    pub mean_bucket: f64,
 }
 
 /// A MinHash-LSH index over the vocabulary's q-gram sets.
@@ -82,9 +69,7 @@ fn perm_hash(gram: u64, perm_seed: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The seed of permutation `i` in the family `params.seed` defines — the
-/// single definition both the batch build and incremental inserts fold
-/// over, so a patched index is bit-identical to a rebuilt one.
+/// The seed of permutation `i` in the family `params.seed` defines.
 #[inline]
 fn perm_seed(seed: u64, i: usize) -> u64 {
     seed.wrapping_mul(0x9E3779B97F4A7C15)
@@ -119,47 +104,25 @@ fn signature_of(grams: &[u64], params: &MinHashParams) -> Box<[u64]> {
 
 impl MinHashIndex {
     /// Builds signatures and band tables for every token whose q-gram set
-    /// is produced by `grams` (a vocabulary-aligned list).
+    /// is produced by `grams` (a vocabulary-aligned list): one
+    /// [`Self::insert_signature`] per token, in token-id order.
     pub fn build(grams: &[Box<[u64]>], params: MinHashParams) -> Self {
-        let signatures = grams.iter().map(|gs| signature_of(gs, &params)).collect();
-        Self::from_signatures(params, signatures)
-    }
-
-    /// Rebuilds the index from per-token signatures — the snapshot restore
-    /// path of `koios-store`. The band tables are derived data (a hash of
-    /// each signature slice), so snapshots store only the signatures and
-    /// this constructor regenerates the tables, bit-identically to
-    /// [`Self::build`] on the original grams.
-    ///
-    /// Each signature must be `params.bands * params.rows_per_band` values
-    /// long (an all-`u64::MAX` signature marks an empty gram set and is not
-    /// banded, exactly as in [`Self::build`]).
-    pub fn from_signatures(params: MinHashParams, signatures: Vec<Box<[u64]>>) -> Self {
-        let mut tables: Vec<HashMap<u64, Vec<TokenId>>> = vec![HashMap::new(); params.bands];
-        for (t, sig) in signatures.iter().enumerate() {
-            if sig.iter().all(|&v| v == u64::MAX) {
-                continue; // empty gram set: nothing to index
-            }
-            for (band, table) in tables.iter_mut().enumerate() {
-                let slice = &sig[band * params.rows_per_band..(band + 1) * params.rows_per_band];
-                table
-                    .entry(band_hash(slice))
-                    .or_default()
-                    .push(TokenId(t as u32));
-            }
-        }
-        MinHashIndex {
+        let mut index = MinHashIndex {
             params,
-            tables,
-            signatures,
+            tables: vec![HashMap::new(); params.bands],
+            signatures: Vec::with_capacity(grams.len()),
+        };
+        for gs in grams {
+            index.insert_signature(gs);
         }
+        index
     }
 
     /// Appends the signature for the **next** token id (live ingest: a
     /// newly interned vocabulary token) and patches its band buckets in
-    /// place — no table rebuild. The signature is folded with the same
-    /// permutation family as [`Self::build`], so an index maintained this
-    /// way is bit-identical to one rebuilt over the grown vocabulary.
+    /// place — no table rebuild. [`Self::build`] is this call per token, so
+    /// an index maintained this way is bit-identical to one rebuilt over
+    /// the grown vocabulary.
     /// Returns the token id the signature now covers.
     pub fn insert_signature(&mut self, grams: &[u64]) -> TokenId {
         let t = TokenId(self.signatures.len() as u32);
@@ -173,27 +136,6 @@ impl MinHashIndex {
         }
         self.signatures.push(sig);
         t
-    }
-
-    /// Set removal is a **no-op** on this index, by design: MinHash-LSH
-    /// indexes *tokens* (vocabulary q-gram sets), not sets, and the
-    /// vocabulary is append-only — tombstoning a set removes none of its
-    /// tokens from the corpus language. Dead sets are filtered downstream:
-    /// the inverted index splices their postings out and the refinement
-    /// phase skips tombstoned candidates. The method exists so mutable
-    /// engines can treat every index uniformly.
-    pub fn remove_set(&mut self, _set: SetId) {}
-
-    /// The LSH parameters this index was built with.
-    pub fn params(&self) -> MinHashParams {
-        self.params
-    }
-
-    /// Per-token signatures in token-id order (`bands * rows_per_band`
-    /// values each) — with [`Self::params`], everything
-    /// [`Self::from_signatures`] needs to reconstruct the index.
-    pub fn signatures(&self) -> &[Box<[u64]>] {
-        &self.signatures
     }
 
     /// Tokens colliding with `t` in at least one band (including `t`).
@@ -216,32 +158,6 @@ impl MinHashIndex {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Per-band bucket occupancy: for each band, `(buckets, largest bucket,
-    /// mean bucket size)`. The introspection view `GET /debug/engine`
-    /// surfaces — skewed bands (one giant bucket) explain slow LSH probes
-    /// the same way long postings explain slow refinement.
-    pub fn band_occupancy(&self) -> Vec<BandOccupancy> {
-        self.tables
-            .iter()
-            .enumerate()
-            .map(|(band, table)| {
-                let buckets = table.len();
-                let largest = table.values().map(Vec::len).max().unwrap_or(0);
-                let entries: usize = table.values().map(Vec::len).sum();
-                BandOccupancy {
-                    band,
-                    buckets,
-                    largest_bucket: largest,
-                    mean_bucket: if buckets == 0 {
-                        0.0
-                    } else {
-                        entries as f64 / buckets as f64
-                    },
-                }
-            })
-            .collect()
     }
 
     /// Estimated heap bytes.
@@ -447,23 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn from_signatures_reconstructs_collisions() {
-        let (repo, _) = setup();
-        let grams = vocabulary_grams(&repo, 3);
-        let built = MinHashIndex::build(&grams, MinHashParams::default());
-        let restored = MinHashIndex::from_signatures(built.params(), built.signatures().to_vec());
-        assert_eq!(restored.params().bands, built.params().bands);
-        assert_eq!(restored.signatures(), built.signatures());
-        for t in 0..repo.vocab_size() as u32 {
-            assert_eq!(
-                restored.collisions(TokenId(t)),
-                built.collisions(TokenId(t)),
-                "token {t}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_gram_token_matches_only_itself() {
         let (repo, q) = setup();
         let empty = repo.token_id("").unwrap();
@@ -488,34 +387,12 @@ mod tests {
         for gs in &grams[split..] {
             grown.insert_signature(gs);
         }
-        assert_eq!(grown.signatures(), full.signatures());
         for t in 0..repo.vocab_size() as u32 {
             assert_eq!(
                 grown.collisions(TokenId(t)),
                 full.collisions(TokenId(t)),
                 "token {t}"
             );
-        }
-        // Set removal is a documented no-op on the token-level index.
-        grown.remove_set(SetId(0));
-        assert_eq!(grown.signatures(), full.signatures());
-    }
-
-    #[test]
-    fn band_occupancy_covers_every_band() {
-        let (repo, _) = setup();
-        let grams = vocabulary_grams(&repo, 3);
-        let index = MinHashIndex::build(&grams, MinHashParams::default());
-        let occ = index.band_occupancy();
-        assert_eq!(occ.len(), MinHashParams::default().bands);
-        // Every non-empty token lands in exactly one bucket per band, so
-        // each band holds vocab-minus-empties entries.
-        let non_empty = repo.vocab_size() - 1; // setup interns one "" token
-        for row in &occ {
-            assert!(row.buckets > 0 && row.buckets <= non_empty);
-            assert!(row.largest_bucket >= 1);
-            let entries = row.mean_bucket * row.buckets as f64;
-            assert!((entries - non_empty as f64).abs() < 1e-9, "{row:?}");
         }
     }
 

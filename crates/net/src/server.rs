@@ -18,7 +18,7 @@
 //! | `GET /metrics` | Prometheus text exposition of the service registry |
 //! | `GET /traces` | retained request traces (`?id=0x…` for one span tree) |
 //! | `GET /healthz` | liveness + basic shape of the backend (`?full` for the readiness report) |
-//! | `GET /debug/engine` | corpus/index introspection: liveness, posting histograms, MinHash occupancy, memory |
+//! | `GET /debug/engine` | corpus/index introspection: liveness, posting histograms, memory |
 //! | `GET /debug/cache` | per-stripe occupancy/bytes/age of both striped caches |
 //! | `GET /debug/profile` | wall-clock profiler: self-time table (`?format=collapsed` for flamegraph input) |
 //! | `POST /invalidate` | drop result cache + bump token-cache generation |

@@ -476,10 +476,6 @@ struct ServiceInner {
     // profiling flag off, so the slot stores on the request path reduce to
     // one relaxed load.
     profiler: Option<Profiler>,
-    // `GET /debug/engine` builds a MinHash index over the vocabulary on
-    // demand (serving backends carry none); memoized per engine epoch so
-    // repeated scrapes pay the build once per corpus version.
-    minhash_memo: Mutex<Option<(u64, Json)>>,
     // Construction instants for `uptime_secs` (monotone) and `start_time`
     // (wall clock, for operators correlating restarts across machines).
     started: Instant,
@@ -698,7 +694,6 @@ impl SearchService {
                 profiler: cfg
                     .profiler
                     .then(|| Profiler::start(PROFILER_SAMPLE_PERIOD)),
-                minhash_memo: Mutex::new(None),
                 started: Instant::now(),
                 start_time: SystemTime::now(),
             }),
@@ -1192,14 +1187,11 @@ impl SearchService {
 
     /// The body of `GET /debug/engine`: live/tombstoned set counts, the
     /// serving epoch and delta-chain length, per-partition posting-length
-    /// histograms (log2 buckets — the skew behind slow refinement),
-    /// MinHash band occupancy over the vocabulary's 3-gram sets (serving
-    /// backends carry no MinHash index, so one is built on demand and
-    /// memoized per epoch), and resident memory. Key figures are mirrored
-    /// onto `koios_debug_engine_*` gauges.
+    /// histograms (log2 buckets — the skew behind slow refinement) and
+    /// resident memory. Key figures are mirrored onto
+    /// `koios_debug_engine_*` gauges.
     pub fn debug_engine(&self) -> Json {
         use koios_common::HeapSize;
-        use koios_index::minhash::{vocabulary_grams, MinHashIndex, MinHashParams};
 
         let backend = self.backend();
         let repo = backend.repository();
@@ -1250,36 +1242,6 @@ impl SearchService {
             ])
         }));
 
-        let minhash = {
-            let mut memo = self.inner.minhash_memo.lock().expect("minhash memo");
-            match &*memo {
-                Some((e, json)) if *e == epoch => json.clone(),
-                _ => {
-                    let params = MinHashParams::default();
-                    let grams = vocabulary_grams(repo, 3);
-                    let mh = MinHashIndex::build(&grams, params);
-                    let json = Json::obj([
-                        ("q", Json::num(3.0)),
-                        ("bands", Json::num(params.bands as f64)),
-                        ("rows_per_band", Json::num(params.rows_per_band as f64)),
-                        (
-                            "band_occupancy",
-                            Json::arr(mh.band_occupancy().into_iter().map(|b| {
-                                Json::obj([
-                                    ("band", Json::num(b.band as f64)),
-                                    ("buckets", Json::num(b.buckets as f64)),
-                                    ("largest_bucket", Json::num(b.largest_bucket as f64)),
-                                    ("mean_bucket", Json::num(b.mean_bucket)),
-                                ])
-                            })),
-                        ),
-                    ]);
-                    *memo = Some((epoch, json.clone()));
-                    json
-                }
-            }
-        };
-
         Json::obj([
             ("epoch", Json::num(epoch as f64)),
             ("partitions", Json::num(backend.num_partitions() as f64)),
@@ -1297,7 +1259,6 @@ impl SearchService {
             ("vocab_size", Json::num(repo.vocab_size() as f64)),
             ("delta_chain_len", Json::num(deltas as f64)),
             ("indexes", partitions),
-            ("minhash", minhash),
             (
                 "memory",
                 Json::obj([

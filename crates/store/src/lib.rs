@@ -13,7 +13,7 @@
 //! dependency-free spirit as `koios-common::json`: an 8-byte magic, a
 //! format version, a section table, and one CRC-32 per section
 //! (`Meta` / `Repository` / `Embeddings` / `InvertedIndex` × shards /
-//! `MinHash` — see [`snapshot`] for the byte layout). Corruption of any
+//! `Delta` × appends — see [`snapshot`] for the byte layout). Corruption of any
 //! kind — truncation, flipped bits, an alien file, a newer format — fails
 //! with a typed [`StoreError`], never a panic.
 //!

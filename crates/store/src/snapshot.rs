@@ -11,7 +11,7 @@
 //! │          crc32 u32                      (24 bytes per entry) │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ payloads Meta · Repository · [Embeddings] ·                  │
-//! │          InvertedIndex × n (shard order) · [MinHash] ·       │
+//! │          InvertedIndex × n (shard order) ·                   │
 //! │          Delta × m (append order)                            │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
@@ -50,7 +50,6 @@ use koios_embed::ops::CorpusOp;
 use koios_embed::repository::{Repository, RepositoryBuilder};
 use koios_embed::vectors::Embeddings;
 use koios_index::inverted::InvertedIndex;
-use koios_index::minhash::{MinHashIndex, MinHashParams};
 use std::fmt;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
@@ -82,9 +81,6 @@ pub enum SectionKind {
     /// One inverted index; repeated once per shard for partitioned
     /// layouts, in shard order.
     InvertedIndex,
-    /// MinHash-LSH signatures (`MinHashIndex`; band tables are derived and
-    /// rebuilt on load).
-    MinHash,
     /// One appended batch of corpus mutations: a fixed header
     /// (parent checksum + epoch) followed by encoded [`CorpusOp`]s,
     /// replayed onto the base state on load.
@@ -98,7 +94,8 @@ impl SectionKind {
             SectionKind::Repository => 1,
             SectionKind::Embeddings => 2,
             SectionKind::InvertedIndex => 3,
-            SectionKind::MinHash => 4,
+            // 4 was a MinHash section no product path wrote; a file that
+            // carries one is refused as an unknown kind.
             SectionKind::Delta => 5,
         }
     }
@@ -109,7 +106,6 @@ impl SectionKind {
             1 => Some(SectionKind::Repository),
             2 => Some(SectionKind::Embeddings),
             3 => Some(SectionKind::InvertedIndex),
-            4 => Some(SectionKind::MinHash),
             5 => Some(SectionKind::Delta),
             _ => None,
         }
@@ -122,7 +118,6 @@ impl SectionKind {
             SectionKind::Repository => "repository",
             SectionKind::Embeddings => "embeddings",
             SectionKind::InvertedIndex => "inverted-index",
-            SectionKind::MinHash => "minhash",
             SectionKind::Delta => "delta",
         }
     }
@@ -201,8 +196,6 @@ pub struct SnapshotMeta {
     pub num_indexes: usize,
     /// Whether a token-vector section is present.
     pub has_embeddings: bool,
-    /// Whether a MinHash section is present.
-    pub has_minhash: bool,
     /// Total file size in bytes.
     pub total_bytes: u64,
     /// The section table (kind, offset, length, checksum per section).
@@ -345,9 +338,6 @@ pub struct SnapshotView<'a> {
     /// one per shard (in shard order) for
     /// [`SnapshotLayout::Partitioned`].
     pub indexes: Vec<&'a InvertedIndex>,
-    /// An optional MinHash-LSH index (signatures only; band tables are
-    /// rebuilt on load).
-    pub minhash: Option<&'a MinHashIndex>,
 }
 
 /// Owned query-ready state restored from a snapshot.
@@ -361,8 +351,6 @@ pub struct SnapshotState {
     pub embeddings: Option<Embeddings>,
     /// The restored inverted index(es), in shard order.
     pub indexes: Vec<InvertedIndex>,
-    /// The restored MinHash index, if saved.
-    pub minhash: Option<MinHashIndex>,
 }
 
 // ---------------------------------------------------------------------------
@@ -387,7 +375,10 @@ fn encode_meta(view: &SnapshotView) -> Vec<u8> {
     w.varint(view.repository.vocab_size() as u64);
     w.varint(view.indexes.len() as u64);
     w.u8(view.embeddings.is_some() as u8);
-    w.u8(view.minhash.is_some() as u8);
+    // A retired optional-section flag: always 0. The product has only ever
+    // written 0 here, so every `.ksnap` it wrote keeps loading and is
+    // rewritten byte-identically, with no FORMAT_VERSION bump.
+    w.u8(0);
     w.into_bytes()
 }
 
@@ -419,7 +410,12 @@ fn decode_meta(
     let vocab_size = r.varint().map_err(corrupt(kind))? as usize;
     let num_indexes = r.varint().map_err(corrupt(kind))? as usize;
     let has_embeddings = r.u8().map_err(corrupt(kind))? != 0;
-    let has_minhash = r.u8().map_err(corrupt(kind))? != 0;
+    // The retired MinHash flag (see `encode_meta`).
+    if r.u8().map_err(corrupt(kind))? != 0 {
+        return Err(StoreError::Malformed(
+            "meta flags a MinHash section, which this reader does not support".to_string(),
+        ));
+    }
     if !r.is_exhausted() {
         return Err(StoreError::Malformed(
             "trailing bytes in meta section".to_string(),
@@ -442,7 +438,6 @@ fn decode_meta(
         vocab_size,
         num_indexes,
         has_embeddings,
-        has_minhash,
         total_bytes,
         sections,
         // Filled in by the caller from the delta headers (decode_meta only
@@ -670,63 +665,6 @@ fn decode_inverted(
     Ok(InvertedIndex::from_postings(postings))
 }
 
-fn encode_minhash(mh: &MinHashIndex) -> Vec<u8> {
-    let p = mh.params();
-    let mut w = Writer::new();
-    w.varint(p.bands as u64);
-    w.varint(p.rows_per_band as u64);
-    w.u64(p.seed);
-    w.varint(mh.signatures().len() as u64);
-    for sig in mh.signatures() {
-        for &v in sig.iter() {
-            w.u64(v);
-        }
-    }
-    w.into_bytes()
-}
-
-fn decode_minhash(payload: &[u8]) -> Result<MinHashIndex, StoreError> {
-    let kind = SectionKind::MinHash;
-    let mut r = Reader::new(payload);
-    let bands = r.varint().map_err(corrupt(kind))? as usize;
-    let rows = r.varint().map_err(corrupt(kind))? as usize;
-    let seed = r.u64().map_err(corrupt(kind))?;
-    if bands == 0 || rows == 0 {
-        return Err(StoreError::Malformed(
-            "minhash bands and rows must be positive".to_string(),
-        ));
-    }
-    let sig_bytes = bands
-        .checked_mul(rows)
-        .and_then(|n| n.checked_mul(8))
-        .ok_or_else(|| StoreError::Malformed("minhash signature length overflows".to_string()))?;
-    let sig_len = sig_bytes / 8;
-    let count = r
-        .checked_len(sig_bytes, "signature table")
-        .map_err(corrupt(kind))?;
-    let mut signatures = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut sig = Vec::with_capacity(sig_len);
-        for _ in 0..sig_len {
-            sig.push(r.u64().map_err(corrupt(kind))?);
-        }
-        signatures.push(sig.into_boxed_slice());
-    }
-    if !r.is_exhausted() {
-        return Err(StoreError::Malformed(
-            "trailing bytes in minhash section".to_string(),
-        ));
-    }
-    Ok(MinHashIndex::from_signatures(
-        MinHashParams {
-            bands,
-            rows_per_band: rows,
-            seed,
-        },
-        signatures,
-    ))
-}
-
 // ---------------------------------------------------------------------------
 // Delta sections: op codec and checksum chaining.
 // ---------------------------------------------------------------------------
@@ -912,23 +850,37 @@ pub fn write_snapshot(path: &Path, view: &SnapshotView) -> Result<SnapshotMeta, 
     for index in &view.indexes {
         sections.push((SectionKind::InvertedIndex, encode_inverted(index)));
     }
-    if let Some(mh) = view.minhash {
-        sections.push((SectionKind::MinHash, encode_minhash(mh)));
-    }
 
-    let table_start = HEADER_LEN as u64;
-    let payload_start = table_start + (sections.len() * TABLE_ENTRY_LEN) as u64;
-    let mut infos: Vec<SectionInfo> = Vec::with_capacity(sections.len());
-    let mut offset = payload_start;
-    for (kind, payload) in &sections {
-        infos.push(SectionInfo {
-            kind: *kind,
-            offset,
-            len: payload.len() as u64,
-            crc: crc32(payload),
-        });
-        offset += payload.len() as u64;
-    }
+    let laid_out: Vec<(SectionKind, u32, &[u8])> = sections
+        .iter()
+        .map(|(kind, payload)| (*kind, crc32(payload), &payload[..]))
+        .collect();
+    let (infos, total_bytes) = write_file(path, &laid_out)?;
+    decode_meta(&sections[0].1, infos, total_bytes)
+}
+
+/// Lays `sections` (kind, checksum, payload) out behind the header and the
+/// section table, in order, and writes the file to a temporary sibling
+/// that is then renamed over `path`: readers never observe a partially
+/// written file. Returns the section table and the file length.
+fn write_file(
+    path: &Path,
+    sections: &[(SectionKind, u32, &[u8])],
+) -> Result<(Vec<SectionInfo>, u64), StoreError> {
+    let mut offset = (HEADER_LEN + sections.len() * TABLE_ENTRY_LEN) as u64;
+    let infos: Vec<SectionInfo> = sections
+        .iter()
+        .map(|&(kind, crc, payload)| {
+            let info = SectionInfo {
+                kind,
+                offset,
+                len: payload.len() as u64,
+                crc,
+            };
+            offset += info.len;
+            info
+        })
+        .collect();
 
     let mut file = Vec::with_capacity(offset as usize);
     file.extend_from_slice(&MAGIC);
@@ -940,18 +892,15 @@ pub fn write_snapshot(path: &Path, view: &SnapshotView) -> Result<SnapshotMeta, 
         file.extend_from_slice(&info.len.to_le_bytes());
         file.extend_from_slice(&info.crc.to_le_bytes());
     }
-    for (_, payload) in &sections {
+    for (_, _, payload) in sections {
         file.extend_from_slice(payload);
     }
 
-    // Temp-then-rename: readers never observe a partially written file.
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
     std::fs::write(&tmp, &file)?;
     std::fs::rename(&tmp, path)?;
-
-    decode_meta(&sections[0].1, infos, file.len() as u64)
+    Ok((infos, offset))
 }
 
 /// Parses the header and section table, validating magic, version, section
@@ -1102,7 +1051,6 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
 
     let mut embeddings = None;
     let mut indexes = Vec::new();
-    let mut minhash = None;
     for info in &sections {
         match info.kind {
             SectionKind::Meta | SectionKind::Repository => {}
@@ -1123,14 +1071,6 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
                 repository.vocab_size(),
                 repository.num_sets(),
             )?),
-            SectionKind::MinHash => {
-                if minhash.is_some() {
-                    return Err(StoreError::Malformed(
-                        "duplicate minhash section".to_string(),
-                    ));
-                }
-                minhash = Some(decode_minhash(checked_section(&bytes, info)?)?);
-            }
         }
     }
 
@@ -1144,7 +1084,7 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
             meta.num_indexes
         )));
     }
-    if embeddings.is_some() != meta.has_embeddings || minhash.is_some() != meta.has_minhash {
+    if embeddings.is_some() != meta.has_embeddings {
         return Err(StoreError::Malformed(
             "optional sections disagree with the meta section".to_string(),
         ));
@@ -1178,7 +1118,7 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
                 &mut repository,
                 embeddings.as_mut(),
                 &mut index_refs,
-                minhash.as_mut(),
+                None,
                 &route,
                 op,
             )
@@ -1199,7 +1139,6 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
         repository,
         embeddings,
         indexes,
-        minhash,
     })
 }
 
@@ -1217,12 +1156,16 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
 pub fn append_delta(path: &Path, ops: &[CorpusOp], epoch: u64) -> Result<SnapshotMeta, StoreError> {
     let bytes = std::fs::read(path)?;
     let sections = parse_table(&bytes, bytes.len() as u64)?;
-    // Verify everything we are about to copy, and find the chain tip.
+    // Verify everything we are about to copy, decode the meta section (so
+    // a file this reader cannot load is refused, not appended to), and
+    // find the chain tip.
     let mut tip = base_chain_tip(&sections);
     let mut delta_idx = 0usize;
     for info in &sections {
         let payload = checked_section(&bytes, info)?;
-        if info.kind == SectionKind::Delta {
+        if info.kind == SectionKind::Meta {
+            decode_meta(payload, Vec::new(), 0)?;
+        } else if info.kind == SectionKind::Delta {
             let head = &payload[..DELTA_HEADER_LEN.min(payload.len())];
             let parent_crc = Reader::new(head)
                 .u32()
@@ -1240,48 +1183,15 @@ pub fn append_delta(path: &Path, ops: &[CorpusOp], epoch: u64) -> Result<Snapsho
     }
 
     let delta = encode_delta(tip, epoch, ops);
-    let count = sections.len() + 1;
-    let table_start = HEADER_LEN as u64;
-    let payload_start = table_start + (count * TABLE_ENTRY_LEN) as u64;
-    let mut infos: Vec<SectionInfo> = Vec::with_capacity(count);
-    let mut offset = payload_start;
-    for info in &sections {
-        infos.push(SectionInfo {
-            kind: info.kind,
-            offset,
-            len: info.len,
-            crc: info.crc,
-        });
-        offset += info.len;
-    }
-    infos.push(SectionInfo {
-        kind: SectionKind::Delta,
-        offset,
-        len: delta.len() as u64,
-        crc: crc32(&delta),
-    });
-    offset += delta.len() as u64;
-
-    let mut file = Vec::with_capacity(offset as usize);
-    file.extend_from_slice(&MAGIC);
-    file.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    file.extend_from_slice(&(count as u32).to_le_bytes());
-    for info in &infos {
-        file.extend_from_slice(&info.kind.to_u32().to_le_bytes());
-        file.extend_from_slice(&info.offset.to_le_bytes());
-        file.extend_from_slice(&info.len.to_le_bytes());
-        file.extend_from_slice(&info.crc.to_le_bytes());
-    }
-    for info in &sections {
-        file.extend_from_slice(&bytes[info.offset as usize..(info.offset + info.len) as usize]);
-    }
-    file.extend_from_slice(&delta);
-
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, &file)?;
-    std::fs::rename(&tmp, path)?;
+    let mut laid_out: Vec<(SectionKind, u32, &[u8])> = sections
+        .iter()
+        .map(|info| {
+            let payload = &bytes[info.offset as usize..(info.offset + info.len) as usize];
+            (info.kind, info.crc, payload)
+        })
+        .collect();
+    laid_out.push((SectionKind::Delta, crc32(&delta), &delta));
+    write_file(path, &laid_out)?;
 
     SnapshotMeta::read(path)
 }
@@ -1301,7 +1211,6 @@ pub fn compact(path: &Path) -> Result<SnapshotMeta, StoreError> {
             embeddings: state.embeddings.as_ref(),
             layout: state.meta.layout,
             indexes: state.indexes.iter().collect(),
-            minhash: state.minhash.as_ref(),
         },
     )
 }
@@ -1309,9 +1218,8 @@ pub fn compact(path: &Path) -> Result<SnapshotMeta, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use koios_index::minhash::vocabulary_grams;
 
-    fn sample() -> (Repository, Embeddings, InvertedIndex, MinHashIndex) {
+    fn sample() -> (Repository, Embeddings, InvertedIndex) {
         let mut b = RepositoryBuilder::new();
         b.add_set("cities", ["LA", "Blain", "Appleton", "MtPleasant"]);
         b.add_set("coast", ["LA", "Sacramento", "SC"]);
@@ -1321,9 +1229,7 @@ mod tests {
         emb.set(TokenId(0), &[1.0, 2.0, 3.0, 4.0]);
         emb.set(TokenId(2), &[0.5, -0.5, 0.25, 0.0]);
         let index = InvertedIndex::build(&repo);
-        let grams = vocabulary_grams(&repo, 3);
-        let mh = MinHashIndex::build(&grams, MinHashParams::default());
-        (repo, emb, index, mh)
+        (repo, emb, index)
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -1334,7 +1240,7 @@ mod tests {
 
     #[test]
     fn full_roundtrip_restores_everything() {
-        let (repo, emb, index, mh) = sample();
+        let (repo, emb, index) = sample();
         let path = tmp("full.ksnap");
         let meta = write_snapshot(
             &path,
@@ -1343,13 +1249,12 @@ mod tests {
                 embeddings: Some(&emb),
                 layout: SnapshotLayout::Single,
                 indexes: vec![&index],
-                minhash: Some(&mh),
             },
         )
         .unwrap();
         assert_eq!(meta.layout, SnapshotLayout::Single);
         assert_eq!(meta.num_sets, 3);
-        assert!(meta.has_embeddings && meta.has_minhash);
+        assert!(meta.has_embeddings);
 
         let state = read_snapshot(&path).unwrap();
         assert_eq!(state.meta, meta);
@@ -1368,13 +1273,11 @@ mod tests {
                 index.postings(TokenId(t))
             );
         }
-        let rmh = state.minhash.unwrap();
-        assert_eq!(rmh.signatures(), mh.signatures());
     }
 
     #[test]
     fn meta_read_skips_payloads() {
-        let (repo, emb, index, _) = sample();
+        let (repo, emb, index) = sample();
         let path = tmp("meta.ksnap");
         let written = write_snapshot(
             &path,
@@ -1383,19 +1286,17 @@ mod tests {
                 embeddings: Some(&emb),
                 layout: SnapshotLayout::Single,
                 indexes: vec![&index],
-                minhash: None,
             },
         )
         .unwrap();
         let meta = SnapshotMeta::read(&path).unwrap();
         assert_eq!(meta, written);
         assert_eq!(meta.vocab_size, repo.vocab_size());
-        assert!(!meta.has_minhash);
     }
 
     #[test]
     fn partitioned_layout_roundtrips_shard_order() {
-        let (repo, _, _, _) = sample();
+        let (repo, _, _) = sample();
         let shard0 = InvertedIndex::build_subset(&repo, [SetId(0), SetId(2)]);
         let shard1 = InvertedIndex::build_subset(&repo, [SetId(1)]);
         let path = tmp("parted.ksnap");
@@ -1409,7 +1310,6 @@ mod tests {
                     seed: 7,
                 },
                 indexes: vec![&shard0, &shard1],
-                minhash: None,
             },
         )
         .unwrap();
@@ -1428,7 +1328,7 @@ mod tests {
 
     #[test]
     fn wrong_index_count_is_rejected_at_write_time() {
-        let (repo, _, index, _) = sample();
+        let (repo, _, index) = sample();
         let err = write_snapshot(
             &tmp("badcount.ksnap"),
             &SnapshotView {
@@ -1439,7 +1339,6 @@ mod tests {
                     seed: 0,
                 },
                 indexes: vec![&index],
-                minhash: None,
             },
         )
         .unwrap_err();
@@ -1478,7 +1377,7 @@ mod tests {
     }
 
     fn write_sample_base(path: &Path) -> (Repository, Embeddings) {
-        let (repo, emb, index, mh) = sample();
+        let (repo, emb, index) = sample();
         write_snapshot(
             path,
             &SnapshotView {
@@ -1486,7 +1385,6 @@ mod tests {
                 embeddings: Some(&emb),
                 layout: SnapshotLayout::Single,
                 indexes: vec![&index],
-                minhash: Some(&mh),
             },
         )
         .unwrap();
@@ -1506,7 +1404,7 @@ mod tests {
 
     #[test]
     fn tombstones_roundtrip_through_the_base() {
-        let (mut repo, emb, _, _) = sample();
+        let (mut repo, emb, _) = sample();
         repo.remove_set(SetId(2));
         let index = InvertedIndex::build(&repo);
         let path = tmp("tombstoned-base.ksnap");
@@ -1517,7 +1415,6 @@ mod tests {
                 embeddings: Some(&emb),
                 layout: SnapshotLayout::Single,
                 indexes: vec![&index],
-                minhash: None,
             },
         )
         .unwrap();
@@ -1570,8 +1467,6 @@ mod tests {
                 index.postings(TokenId(t))
             );
         }
-        // MinHash grew to the new vocabulary.
-        assert_eq!(state.minhash.unwrap().signatures().len(), repo.vocab_size());
     }
 
     #[test]
@@ -1627,7 +1522,7 @@ mod tests {
     #[test]
     fn rewriting_the_base_breaks_the_chain() {
         let path = tmp("delta-rebase.ksnap");
-        let (repo, emb) = write_sample_base(&path);
+        let (repo, _) = write_sample_base(&path);
         append_delta(&path, &sample_ops(), 1).unwrap();
         let with_delta = std::fs::read(&path).unwrap();
 
@@ -1639,10 +1534,9 @@ mod tests {
             &path,
             &SnapshotView {
                 repository: &repo,
-                embeddings: Some(&emb),
+                embeddings: None, // dropped section: base checksum fold changes
                 layout: SnapshotLayout::Single,
                 indexes: vec![&index],
-                minhash: None, // dropped section: base checksum fold changes
             },
         )
         .unwrap();

@@ -274,20 +274,11 @@ fn main() {
     let (_, engine_dbg) = client.debug_engine().expect("debug engine");
     let sets = engine_dbg.get("sets").unwrap();
     println!(
-        "GET /debug/engine -> {} live / {} tombstoned sets, vocab {}, delta_chain {}, \
-         {} minhash bands",
+        "GET /debug/engine -> {} live / {} tombstoned sets, vocab {}, delta_chain {}",
         sets.get("live").unwrap().as_u64().unwrap(),
         sets.get("tombstoned").unwrap().as_u64().unwrap(),
         engine_dbg.get("vocab_size").unwrap().as_u64().unwrap(),
         engine_dbg.get("delta_chain_len").unwrap().as_u64().unwrap(),
-        engine_dbg
-            .get("minhash")
-            .unwrap()
-            .get("band_occupancy")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .len(),
     );
     let (_, cache_dbg) = client.debug_cache().expect("debug cache");
     let rc = cache_dbg.get("result").unwrap();

@@ -8,7 +8,7 @@
 //! loader; every failure is a typed `StoreError`.
 
 use koios::prelude::*;
-use koios::store::snapshot::{SnapshotMeta, StoreError};
+use koios::store::snapshot::{SectionKind, SnapshotMeta, StoreError};
 use koios_datagen::corpus::{Corpus, CorpusSpec};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -264,4 +264,132 @@ fn service_warm_start_round_trips_over_snapshot() {
     let direct = warm.backend().search(&q);
     let served = warm.search(SearchRequest::new(q));
     assert_eq!(served.result.hits, direct.hits);
+}
+
+/// Writes the three product snapshot shapes — single, 4-shard, and single
+/// plus one appended delta — over one fixed seeded corpus, and returns
+/// `(name, bytes)` for each.
+fn product_snapshots(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
+    let c = corpus(47);
+    let repo = Arc::new(c.repository);
+    let emb = Arc::new(c.embeddings);
+    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&emb)));
+    let cfg = KoiosConfig::new(5, 0.8);
+    let single: EngineBackend = Koios::new(Arc::clone(&repo), Arc::clone(&sim), cfg.clone()).into();
+    let parted: EngineBackend = PartitionedKoios::new(Arc::clone(&repo), sim, cfg, 4, 99).into();
+    let spath = tmp(&format!("pin-single-{tag}.ksnap"));
+    let ppath = tmp(&format!("pin-parted-{tag}.ksnap"));
+    let dpath = tmp(&format!("pin-delta-{tag}.ksnap"));
+    single.write_snapshot(&spath, Some(&emb)).unwrap();
+    parted.write_snapshot(&ppath, Some(&emb)).unwrap();
+    single.write_snapshot(&dpath, Some(&emb)).unwrap();
+    let ops = [
+        CorpusOp::Insert {
+            name: "pinned".into(),
+            tokens: vec![repo.token_str(TokenId(3)).into(), "pinned-token".into()],
+            vectors: vec![("pinned-token".into(), vec![0.5; emb.dim()])],
+        },
+        CorpusOp::remove(SetId(7)),
+    ];
+    koios::store::append_delta(&dpath, &ops, 1).unwrap();
+    [
+        ("single", spath),
+        ("partitioned", ppath),
+        ("single+delta", dpath),
+    ]
+    .into_iter()
+    .map(|(name, path)| (name, std::fs::read(path).unwrap()))
+    .collect()
+}
+
+#[test]
+fn product_snapshot_bytes_are_pinned() {
+    let first = product_snapshots("a");
+    let second = product_snapshots("b");
+    for ((name, a), (_, b)) in first.iter().zip(&second) {
+        assert!(a == b, "{name}: two writes of one state differ");
+    }
+    // (length, CRC-32) of each file. A change here changes the bytes every
+    // existing `.ksnap` was written with: bump FORMAT_VERSION instead.
+    let pinned = [
+        ("single", 51_589usize, 0x52d4_829au32),
+        ("partitioned", 53_582, 0x0e33_fcd4),
+        ("single+delta", 51_744, 0x8f2b_72dc),
+    ];
+    for ((name, bytes), (pname, len, crc)) in first.iter().zip(pinned) {
+        assert_eq!(*name, pname);
+        assert_eq!(
+            (bytes.len(), koios::store::crc32(bytes)),
+            (len, crc),
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn legacy_minhash_files_are_typed_errors() {
+    // Header (magic, version, section count) and one table entry:
+    // kind u32 · offset u64 · len u64 · crc32 u32.
+    const HEADER: usize = 16;
+    const ENTRY: usize = 24;
+    let (_, _, _, _, spath, _) = setup(48, "legacy-single.ksnap", "legacy-parted.ksnap");
+    let good = std::fs::read(&spath).unwrap();
+    let meta = SnapshotMeta::read(&spath).unwrap();
+
+    // (a) The meta section's last byte — the retired MinHash flag — set,
+    // with the meta checksum fixed so only the flag is wrong.
+    let mut flagged = good.clone();
+    let (i, info) = meta
+        .sections
+        .iter()
+        .enumerate()
+        .find(|(_, s)| s.kind == SectionKind::Meta)
+        .unwrap();
+    let (start, end) = (info.offset as usize, (info.offset + info.len) as usize);
+    flagged[end - 1] = 1;
+    let crc = koios::store::crc32(&flagged[start..end]);
+    flagged[HEADER + i * ENTRY + 20..HEADER + (i + 1) * ENTRY].copy_from_slice(&crc.to_le_bytes());
+
+    // (b) One more section, of the retired MinHash kind 4, after the base:
+    // every existing offset moves one table entry down.
+    let payload = [7u8; 40];
+    let count = meta.sections.len();
+    let mut sectioned = good[..12].to_vec();
+    sectioned.extend_from_slice(&(count as u32 + 1).to_le_bytes());
+    for (j, s) in meta.sections.iter().enumerate() {
+        let entry = &good[HEADER + j * ENTRY..HEADER + (j + 1) * ENTRY];
+        sectioned.extend_from_slice(&entry[..4]);
+        sectioned.extend_from_slice(&(s.offset + ENTRY as u64).to_le_bytes());
+        sectioned.extend_from_slice(&entry[12..]);
+    }
+    sectioned.extend_from_slice(&4u32.to_le_bytes());
+    sectioned.extend_from_slice(&(good.len() as u64 + ENTRY as u64).to_le_bytes());
+    sectioned.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    sectioned.extend_from_slice(&koios::store::crc32(&payload).to_le_bytes());
+    sectioned.extend_from_slice(&good[HEADER + count * ENTRY..]);
+    sectioned.extend_from_slice(&payload);
+
+    for (label, bytes) in [("meta flag", flagged), ("kind 4", sectioned)] {
+        let path = tmp("legacy.ksnap");
+        std::fs::write(&path, &bytes).unwrap();
+        let typed = |what: &str, result: Result<(), StoreError>| match result {
+            Err(StoreError::Malformed(_)) => {}
+            Err(other) => panic!("{label}: {what} gave {other}"),
+            Ok(()) => panic!("{label}: {what} accepted a legacy file"),
+        };
+        typed(
+            "read_snapshot",
+            koios::store::read_snapshot(&path).map(drop),
+        );
+        typed("SnapshotMeta::read", SnapshotMeta::read(&path).map(drop));
+        let op = CorpusOp::insert("x", ["y"]);
+        typed(
+            "append_delta",
+            koios::store::append_delta(&path, &[op], 1).map(drop),
+        );
+        assert!(
+            std::fs::read(&path).unwrap() == bytes,
+            "{label}: file changed"
+        );
+    }
 }
