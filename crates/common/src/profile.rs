@@ -228,7 +228,14 @@ mod tests {
 
     // The enable refcount is process-global; tests that toggle or assert
     // it serialize through this lock so the harness can stay parallel.
+    // Poison-tolerant, so one failing test cannot fail its siblings.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    fn serialized() -> std::sync::MutexGuard<'static, ()> {
+        TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn encode_decode_round_trips() {
@@ -247,35 +254,42 @@ mod tests {
 
     #[test]
     fn disabled_enter_is_none() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = serialized();
         assert!(!profiling_enabled());
         assert!(enter(Stage::Search).is_none());
     }
 
     #[test]
     fn guards_nest_and_restore() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = serialized();
         enable();
-        {
-            let _outer = enter(Stage::Search).expect("enabled");
-            let mut sampled = Vec::new();
-            sample_slots(&mut sampled);
-            assert!(sampled.contains(&encode(Stage::Search, None)));
-            {
-                let _inner = enter_shard(Stage::Shard, 3).expect("enabled");
+        // On a joined thread of its own: its slot leaves the registry
+        // before this test unlocks (the test thread's locals, and with them
+        // a slot registered there, are torn down only after it returned).
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _outer = enter(Stage::Search).expect("enabled");
+                let mut sampled = Vec::new();
                 sample_slots(&mut sampled);
-                assert!(sampled.contains(&encode(Stage::Shard, Some(3))));
-            }
-            sample_slots(&mut sampled);
-            assert!(sampled.contains(&encode(Stage::Search, None)));
-        }
+                assert!(sampled.contains(&encode(Stage::Search, None)));
+                {
+                    let _inner = enter_shard(Stage::Shard, 3).expect("enabled");
+                    sample_slots(&mut sampled);
+                    assert!(sampled.contains(&encode(Stage::Shard, Some(3))));
+                }
+                sample_slots(&mut sampled);
+                assert!(sampled.contains(&encode(Stage::Search, None)));
+            })
+            .join()
+            .unwrap();
+        });
         disable();
         assert!(!profiling_enabled());
     }
 
     #[test]
     fn short_lived_threads_deregister() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = serialized();
         enable();
         // Sibling tests register and drop slots of their own, so the global
         // slot count proves nothing: follow this thread's slot by a shard

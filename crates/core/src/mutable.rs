@@ -170,9 +170,9 @@ impl MutableEngine {
     }
 
     /// Restores a mutable engine from a snapshot under cosine similarity
-    /// (the mutable analogue of [`EngineBackend::from_snapshot`]). Delta
-    /// sections are replayed by the store layer; the engine starts at the
-    /// chain's latest epoch.
+    /// ([`EngineBackend::from_snapshot`] is this plus one
+    /// [`MutableEngine::backend`]). Delta sections are replayed by the
+    /// store layer; the engine starts at the chain's latest epoch.
     pub fn from_snapshot(
         path: impl AsRef<Path>,
         cfg: KoiosConfig,

@@ -10,9 +10,12 @@
 //! * [`EngineBackend::from_snapshot`] restores whichever layout the
 //!   snapshot holds — no rebuild, no re-partitioning: shard indexes come
 //!   back bit-exactly, so a warm-started engine returns byte-identical
-//!   hits. The default constructor rebuilds a [`CosineSimilarity`] over
-//!   the snapshotted vectors; [`EngineBackend::from_snapshot_with`]
-//!   accepts any similarity factory (equality, q-gram Jaccard, …).
+//!   hits. It searches under a [`CosineSimilarity`](koios_embed::sim::CosineSimilarity)
+//!   over the snapshotted vectors; for any other similarity (equality,
+//!   q-gram Jaccard, …) restore through [`MutableEngine::from_state`] with
+//!   a [`SimFactory`](crate::mutable::SimFactory). Either way the backend
+//!   is minted by [`MutableEngine::backend`], the one place a snapshot
+//!   layout becomes an engine.
 //! * [`Koios::from_snapshot`] / [`PartitionedKoios::from_snapshot`] are
 //!   the layout-checked variants: loading a sharded snapshot into a
 //!   single engine (or vice versa) fails with
@@ -21,25 +24,22 @@
 use crate::backend::EngineBackend;
 use crate::config::KoiosConfig;
 use crate::engine::Koios;
+use crate::mutable::MutableEngine;
 use crate::partitioned::PartitionedKoios;
-use koios_embed::repository::Repository;
-use koios_embed::sim::{CosineSimilarity, ElementSimilarity};
 use koios_embed::vectors::Embeddings;
 use koios_store::snapshot::{
-    read_snapshot, write_snapshot, SectionKind, SnapshotLayout, SnapshotMeta, SnapshotState,
-    SnapshotView, StoreError,
+    write_snapshot, SnapshotLayout, SnapshotMeta, SnapshotView, StoreError,
 };
 use std::path::Path;
-use std::sync::Arc;
 
 impl EngineBackend {
     /// Serializes this backend's query-ready state — repository, the
     /// engine's inverted index(es) under the matching layout, and
     /// optionally the token vectors behind an embedding-based similarity —
     /// to `path` (conventionally `*.ksnap`). Pass the embeddings whenever
-    /// the engine searches under [`CosineSimilarity`]; without them a
+    /// the engine searches under a cosine similarity; without them a
     /// restore must supply its own similarity via
-    /// [`EngineBackend::from_snapshot_with`].
+    /// [`MutableEngine::from_state`].
     pub fn write_snapshot(
         &self,
         path: impl AsRef<Path>,
@@ -65,90 +65,20 @@ impl EngineBackend {
         write_snapshot(path.as_ref(), &view)
     }
 
-    /// Restores a backend from a snapshot, searching under a
-    /// [`CosineSimilarity`] rebuilt over the snapshotted token vectors
-    /// (bit-identical to the saved ones, so scores are too). Fails with
+    /// Restores a backend from a snapshot, searching under a cosine
+    /// similarity rebuilt over the snapshotted token vectors (bit-identical
+    /// to the saved ones, so scores are too). Delta sections are replayed;
+    /// the backend reports the chain's latest epoch in
+    /// [`SearchStats::epoch`](crate::stats::SearchStats). Fails with
     /// [`StoreError::MissingSection`] when the snapshot carries no
-    /// embeddings — use [`Self::from_snapshot_with`] for engines over
+    /// embeddings — use [`MutableEngine::from_state`] for engines over
     /// other similarities.
     pub fn from_snapshot(
         path: impl AsRef<Path>,
         cfg: KoiosConfig,
     ) -> Result<(EngineBackend, SnapshotMeta), StoreError> {
-        let state = read_snapshot(path.as_ref())?;
-        Self::from_state(state, cfg, |_, emb| match emb {
-            Some(emb) => Ok(Arc::new(CosineSimilarity::new(emb)) as Arc<dyn ElementSimilarity>),
-            None => Err(StoreError::MissingSection(SectionKind::Embeddings)),
-        })
-    }
-
-    /// Restores a backend from a snapshot with a caller-chosen similarity:
-    /// `make_sim` receives the restored repository and token vectors (if
-    /// any) and returns the `Arc<dyn ElementSimilarity>` the engine will
-    /// search under. The similarity must match the one the snapshot was
-    /// built for if warm results are to equal cold results.
-    pub fn from_snapshot_with<F>(
-        path: impl AsRef<Path>,
-        cfg: KoiosConfig,
-        make_sim: F,
-    ) -> Result<(EngineBackend, SnapshotMeta), StoreError>
-    where
-        F: FnOnce(&Repository, Option<Arc<Embeddings>>) -> Arc<dyn ElementSimilarity>,
-    {
-        let state = read_snapshot(path.as_ref())?;
-        Self::from_state(state, cfg, |repo, emb| Ok(make_sim(repo, emb)))
-    }
-
-    /// Wires a backend from already-restored snapshot state (the layout
-    /// decides the variant). Exposed so callers that inspected or
-    /// transformed a [`SnapshotState`] can finish construction without a
-    /// second file read. The similarity factory is fallible so callers can
-    /// refuse snapshots missing what their similarity needs (e.g. no
-    /// embeddings section) before any engine is built.
-    pub fn from_state<F>(
-        state: SnapshotState,
-        cfg: KoiosConfig,
-        make_sim: F,
-    ) -> Result<(EngineBackend, SnapshotMeta), StoreError>
-    where
-        F: FnOnce(
-            &Repository,
-            Option<Arc<Embeddings>>,
-        ) -> Result<Arc<dyn ElementSimilarity>, StoreError>,
-    {
-        let SnapshotState {
-            meta,
-            repository,
-            embeddings,
-            indexes,
-        } = state;
-        let repo = Arc::new(repository);
-        let emb = embeddings.map(Arc::new);
-        let sim = make_sim(&repo, emb)?;
-        let backend = match meta.layout {
-            SnapshotLayout::Single => {
-                let index = indexes
-                    .into_iter()
-                    .next()
-                    .expect("read_snapshot guarantees at least one index");
-                EngineBackend::Single(Koios::with_index(
-                    Arc::clone(&repo),
-                    sim,
-                    Arc::new(index),
-                    cfg,
-                ))
-            }
-            SnapshotLayout::Partitioned { seed, .. } => {
-                EngineBackend::Partitioned(PartitionedKoios::from_indexes(
-                    repo,
-                    sim,
-                    cfg,
-                    indexes.into_iter().map(Arc::new).collect(),
-                    seed,
-                ))
-            }
-        };
-        Ok((backend, meta))
+        let (engine, meta) = MutableEngine::from_snapshot(path, cfg)?;
+        Ok((engine.backend(), meta))
     }
 }
 
@@ -193,9 +123,12 @@ impl PartitionedKoios {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use koios_embed::repository::RepositoryBuilder;
-    use koios_embed::sim::EqualitySimilarity;
+    use crate::mutable::SimFactory;
+    use koios_embed::repository::{Repository, RepositoryBuilder};
+    use koios_embed::sim::{CosineSimilarity, ElementSimilarity, EqualitySimilarity};
     use koios_embed::synthetic::SyntheticEmbeddings;
+    use koios_store::snapshot::{read_snapshot, SectionKind};
+    use std::sync::Arc;
 
     fn repo_and_embeddings() -> (Arc<Repository>, Arc<Embeddings>) {
         let mut b = RepositoryBuilder::new();
@@ -327,13 +260,15 @@ mod tests {
             "{err}"
         );
 
-        let (warm, meta) =
-            EngineBackend::from_snapshot_with(&path, KoiosConfig::new(2, 0.9), |_, emb| {
-                assert!(emb.is_none());
-                Arc::new(EqualitySimilarity)
-            })
-            .unwrap();
-        assert!(!meta.has_embeddings);
+        let state = read_snapshot(&path).unwrap();
+        assert!(!state.meta.has_embeddings);
+        let equality: SimFactory = Arc::new(|_, emb| {
+            assert!(emb.is_none());
+            Ok(Arc::new(EqualitySimilarity) as Arc<dyn ElementSimilarity>)
+        });
+        let warm = MutableEngine::from_state(state, KoiosConfig::new(2, 0.9), equality)
+            .unwrap()
+            .backend();
         let q = repo.intern_query(["LA", "Blain", "SC"]);
         assert_eq!(warm.search(&q).hits, cold.search(&q).hits);
     }

@@ -26,9 +26,10 @@
 //!
 //! ```
 //! use koios_common::Json;
+//! use koios_core::mutable::{MutableEngine, SimFactory};
 //! use koios_core::KoiosConfig;
 //! use koios_embed::repository::RepositoryBuilder;
-//! use koios_embed::sim::EqualitySimilarity;
+//! use koios_embed::sim::{ElementSimilarity, EqualitySimilarity};
 //! use koios_net::{client::KoiosClient, server::KoiosServer};
 //! use koios_service::{SearchService, ServiceConfig};
 //! use std::sync::Arc;
@@ -37,10 +38,11 @@
 //! b.add_set("s0", ["a", "b"]);
 //! b.add_set("s1", ["a", "c"]);
 //! let repo = Arc::new(b.build());
-//! let service = Arc::new(SearchService::new(
-//!     Arc::clone(&repo),
-//!     Arc::new(EqualitySimilarity),
-//!     KoiosConfig::new(1, 0.9),
+//! let equality: SimFactory =
+//!     Arc::new(|_, _| Ok(Arc::new(EqualitySimilarity) as Arc<dyn ElementSimilarity>));
+//! let engine = MutableEngine::single(repo, None, KoiosConfig::new(1, 0.9), equality).unwrap();
+//! let service = Arc::new(SearchService::from_mutable(
+//!     engine,
 //!     ServiceConfig::new().with_workers(2),
 //! ));
 //!

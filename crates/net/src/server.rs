@@ -26,9 +26,8 @@
 //! | `POST /snapshot` | persist the corpus (`{"path": ...}`; appends a delta when chaining) |
 //! | `POST /reload` | hot-swap the backend from a snapshot file (`{"path": ...}`) |
 //!
-//! The mutation routes require a service built over a mutable engine
-//! ([`SearchService::from_mutable`](koios_service::SearchService::from_mutable)
-//! or `from_snapshot`); on an immutable service they answer `409`. A
+//! Every service owns its writer, so every server answers the mutation
+//! routes; they carry no access control, which belongs in a front end. A
 //! rejected batch (unknown set id, embedding dimension mismatch) is `400`
 //! and mutates nothing; snapshot I/O failures are `500`.
 //!
@@ -283,7 +282,6 @@ fn healthz(request: &HttpRequest, service: &SearchService) -> HttpResponse {
             "queue_pressure",
             Json::num(queued as f64 / workers.max(1) as f64),
         ));
-        fields.push(("mutable", Json::Bool(service.is_mutable())));
         fields.push(("ready", Json::Bool(live == workers)));
     }
     HttpResponse::json(200, &Json::obj(fields))
@@ -463,14 +461,12 @@ fn parse_body(request: &HttpRequest) -> Result<Json, HttpResponse> {
     Json::parse(text).map_err(|e| bad_request(&e.to_string()))
 }
 
-/// Maps a [`LiveServiceError`] to its HTTP status: immutable services
-/// `409` (the route exists but this deployment cannot serve it), rejected
-/// batches `400` (the client's ops were invalid; nothing was mutated),
-/// snapshot I/O or corruption `500`.
+/// Maps a [`LiveServiceError`] to its HTTP status: rejected batches `400`
+/// (the client's ops were invalid; nothing was mutated), snapshot I/O or
+/// corruption `500`.
 fn live_error(e: &koios_service::LiveServiceError) -> HttpResponse {
     use koios_service::LiveServiceError;
     let status = match e {
-        LiveServiceError::Immutable => 409,
         LiveServiceError::Rejected(_) => 400,
         LiveServiceError::Store(_) => 500,
     };

@@ -7,8 +7,9 @@
 //! filter–verification pipeline repeats most of its work across similar
 //! queries. This crate amortizes both:
 //!
-//! * **Owned engine backends** — [`SearchService`] holds an
-//!   [`EngineBackend`](koios_core::EngineBackend): a single
+//! * **Owned engine backends** — [`SearchService`] is built over a
+//!   [`MutableEngine`](koios_core::MutableEngine), its writer, which mints
+//!   the served [`EngineBackend`](koios_core::EngineBackend): a single
 //!   [`Koios`](koios_core::Koios) or a sharded
 //!   [`PartitionedKoios`](koios_core::PartitionedKoios) (paper §VI:
 //!   per-shard indexes searched in parallel under one shared monotone

@@ -9,14 +9,10 @@ use crate::stats::{ServiceStats, SnapshotInfo};
 use crate::tracer::{record_search_spans, Tracer};
 use koios_common::cache::CacheSnapshot;
 use koios_common::{profile, Json, SetId, TokenId};
-use koios_core::mutable::{BatchRejected, MutableEngine};
-use koios_core::{
-    EngineBackend, Hit, Koios, KoiosConfig, PartitionedKoios, SearchResult, SearchStats,
-};
+use koios_core::mutable::{cosine_factory, BatchRejected, MutableEngine, SimFactory};
+use koios_core::{EngineBackend, Hit, KoiosConfig, SearchResult, SearchStats};
 use koios_embed::ops::CorpusOp;
 use koios_embed::repository::Repository;
-use koios_embed::sim::ElementSimilarity;
-use koios_embed::vectors::Embeddings;
 use koios_index::knn_cache::TokenKnnCache;
 use koios_index::live::Applied;
 use koios_store::snapshot::{SnapshotMeta, StoreError};
@@ -24,6 +20,7 @@ use koios_telemetry::trace::{Trace, TraceBuilder, TraceConfig, TraceSinkStats};
 use koios_telemetry::{Profiler, Registry};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
@@ -194,15 +191,9 @@ struct StatsInner {
 /// The writer side of the service, behind its own mutex so mutation never
 /// blocks the read path (readers only take the backend `RwLock` for the
 /// nanoseconds of one `Arc` clone).
-#[derive(Default)]
 struct WriterState {
-    /// The mutable engine that mints new backends; `None` when the service
-    /// was constructed over an opaque backend (immutable serving).
-    engine: Option<MutableEngine>,
-    /// Sets appended by live ingestion since construction.
-    sets_added: u64,
-    /// Sets tombstoned by live ingestion since construction.
-    sets_removed: u64,
+    /// The mutable engine that mints every served backend.
+    engine: MutableEngine,
     /// Ops applied since the last [`SearchService::snapshot_to`] — exactly
     /// what the next snapshot call appends as one delta section.
     pending_ops: Vec<CorpusOp>,
@@ -226,11 +217,6 @@ pub struct IngestOutcome {
 /// [`SearchService::snapshot_to`], [`SearchService::reload`]).
 #[derive(Debug)]
 pub enum LiveServiceError {
-    /// The service was built over an opaque backend
-    /// ([`SearchService::from_backend`] and friends), so there is no
-    /// writer to mutate. Construct via [`SearchService::from_mutable`] or
-    /// [`SearchService::from_snapshot`] for a mutable service.
-    Immutable,
     /// The op batch failed validation; nothing was applied.
     Rejected(BatchRejected),
     /// Snapshot I/O, decode, or chain verification failed.
@@ -240,9 +226,6 @@ pub enum LiveServiceError {
 impl std::fmt::Display for LiveServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            LiveServiceError::Immutable => {
-                write!(f, "service was built without a mutable engine")
-            }
             LiveServiceError::Rejected(e) => write!(f, "{e}"),
             LiveServiceError::Store(e) => write!(f, "{e}"),
         }
@@ -252,7 +235,6 @@ impl std::fmt::Display for LiveServiceError {
 impl std::error::Error for LiveServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            LiveServiceError::Immutable => None,
             LiveServiceError::Rejected(e) => Some(e),
             LiveServiceError::Store(e) => Some(e),
         }
@@ -271,13 +253,19 @@ impl From<BatchRejected> for LiveServiceError {
     }
 }
 
-/// A long-lived, thread-safe serving layer over one owned engine backend.
+/// A long-lived, thread-safe serving layer over one [`MutableEngine`].
 ///
-/// The service amortizes index and similarity setup across queries: the
-/// backend — a single [`Koios`] or a sharded [`PartitionedKoios`], see
-/// [`EngineBackend`] — is built once over an `Arc<Repository>` and shared
-/// — immutably — by a **persistent pool** of long-lived worker threads
-/// draining one MPMC submission queue ([`koios_common::pool::Pool`]).
+/// The engine is the service's writer: it mints the served backend — a
+/// single [`Koios`](koios_core::Koios) or a sharded
+/// [`PartitionedKoios`](koios_core::PartitionedKoios), see
+/// [`EngineBackend`] — once at construction and again after every
+/// [`SearchService::ingest`] or [`SearchService::reload`]. Every service
+/// therefore answers the live-mutation surface; the two constructors are
+/// [`SearchService::from_mutable`] (in-memory state) and
+/// [`SearchService::from_snapshot`] (a `koios-store` file). The served
+/// backend is shared — immutably — by a **persistent pool** of long-lived
+/// worker threads draining one MPMC submission queue
+/// ([`koios_common::pool::Pool`]).
 /// Callers either fire-and-await single requests ([`SearchService::submit`]
 /// returns a [`ResponseHandle`] to wait on later) or push whole batches
 /// ([`SearchService::search_batch`], a thin submit-all/await-all wrapper
@@ -297,9 +285,10 @@ impl From<BatchRejected> for LiveServiceError {
 /// the merge-time verification loop.
 ///
 /// ```
+/// use koios_core::mutable::{MutableEngine, SimFactory};
 /// use koios_core::KoiosConfig;
 /// use koios_embed::repository::RepositoryBuilder;
-/// use koios_embed::sim::EqualitySimilarity;
+/// use koios_embed::sim::{ElementSimilarity, EqualitySimilarity};
 /// use koios_service::{SearchRequest, SearchService, ServiceConfig};
 /// use std::sync::Arc;
 ///
@@ -308,12 +297,11 @@ impl From<BatchRejected> for LiveServiceError {
 /// b.add_set("s1", ["a", "c"]);
 /// let repo = Arc::new(b.build());
 ///
-/// let service = SearchService::new(
-///     Arc::clone(&repo),
-///     Arc::new(EqualitySimilarity),
-///     KoiosConfig::new(1, 0.9),
-///     ServiceConfig::new().with_workers(2),
-/// );
+/// let equality: SimFactory =
+///     Arc::new(|_, _| Ok(Arc::new(EqualitySimilarity) as Arc<dyn ElementSimilarity>));
+/// let engine = MutableEngine::single(Arc::clone(&repo), None, KoiosConfig::new(1, 0.9), equality)
+///     .unwrap();
+/// let service = SearchService::from_mutable(engine, ServiceConfig::new().with_workers(2));
 /// let q = repo.intern_query(["a", "b"]);
 /// let responses = service.search_batch(&[SearchRequest::new(q)]);
 /// assert_eq!(responses[0].result.hits.len(), 1);
@@ -445,9 +433,14 @@ struct ServiceInner {
     // swap never interrupts — or waits for — an in-flight search, and no
     // request is ever dropped by a mutation.
     backend: RwLock<Arc<EngineBackend>>,
-    // The writer: a mutable engine (when the service owns one) plus
-    // mutation bookkeeping. Its mutex serializes writers only.
+    // The writer: the mutable engine plus mutation bookkeeping. Its mutex
+    // serializes writers only.
     writer: Mutex<WriterState>,
+    // Sets appended / tombstoned by live ingestion since construction.
+    // Outside the writer lock, so `stats()` never waits on a writer that
+    // holds it across a corpus copy, a file write or a snapshot decode.
+    sets_added: AtomicU64,
+    sets_removed: AtomicU64,
     default_budget: Option<Duration>,
     // Values are `Arc`ed so a hit only bumps a refcount while the stripe
     // lock is held; the O(k) hit-vector copy happens outside the critical
@@ -483,65 +476,27 @@ struct ServiceInner {
 }
 
 impl SearchService {
-    /// Builds a single engine (inverted index included) over a shared
-    /// repository and wires up the service.
-    pub fn new(
-        repo: Arc<Repository>,
-        sim: Arc<dyn ElementSimilarity>,
-        engine_cfg: KoiosConfig,
-        cfg: ServiceConfig,
-    ) -> Self {
-        Self::from_backend(Koios::new(repo, sim, engine_cfg), cfg)
-    }
-
-    /// Builds a sharded engine — `partitions` per-shard inverted indexes
-    /// searched in parallel under a shared `θlb` (paper §VI) — and wires up
-    /// the service. `shard_seed` drives the deterministic pseudo-random
-    /// partition assignment. Results, and therefore result-cache keys, are
-    /// identical to the single-engine service.
-    pub fn new_partitioned(
-        repo: Arc<Repository>,
-        sim: Arc<dyn ElementSimilarity>,
-        engine_cfg: KoiosConfig,
-        partitions: usize,
-        shard_seed: u64,
-        cfg: ServiceConfig,
-    ) -> Self {
-        Self::from_backend(
-            PartitionedKoios::new(repo, sim, engine_cfg, partitions, shard_seed),
-            cfg,
-        )
-    }
-
-    /// Wraps an already-built backend (single or partitioned). When
-    /// `cfg.token_cache_bytes` is non-zero and the backend does not already
-    /// carry a token cache, one shared [`TokenKnnCache`] is created and
-    /// installed into the engine configuration, so every worker, every
-    /// per-request config override — and, on a partitioned backend, every
-    /// shard engine — reuses the same per-element kNN lists (sound: the
-    /// `(token, α, generation)` cache key is query- and shard-agnostic). A
-    /// backend-supplied cache is kept (its own byte budget wins); setting
-    /// `token_cache_bytes` to `0` disables token caching even then, by
-    /// stripping the cache from the engine configuration.
-    pub fn from_backend(backend: impl Into<EngineBackend>, cfg: ServiceConfig) -> Self {
-        Self::build(backend.into(), cfg, None, None)
-    }
-
     /// Wraps a [`MutableEngine`]: the service serves a backend minted from
-    /// it and keeps the engine as its writer, enabling the live-mutation
+    /// it and keeps the engine as its writer for the live-mutation
     /// surface — [`SearchService::ingest`], [`SearchService::snapshot_to`]
-    /// and [`SearchService::reload`]. The service's shared token-kNN cache
-    /// (per `cfg.token_cache_bytes`) is installed into the engine so every
+    /// and [`SearchService::reload`].
+    ///
+    /// The token cache is resolved on the engine's configuration, so every
     /// backend minted across mutations reuses — and correctly
-    /// generation-invalidates — the same cache.
+    /// generation-invalidates — one [`TokenKnnCache`], shared by every
+    /// worker, every per-request config override and every shard engine
+    /// (sound: the `(token, α, generation)` cache key is query- and
+    /// shard-agnostic). When `cfg.token_cache_bytes` is non-zero and the
+    /// engine carries no cache, one is created; an engine-supplied cache is
+    /// kept (its own byte budget wins); `0` disables token caching even
+    /// then, by stripping the cache from the engine configuration.
     pub fn from_mutable(engine: MutableEngine, cfg: ServiceConfig) -> Self {
-        let backend = engine.backend();
-        Self::build(backend, cfg, None, Some(engine))
+        Self::build(engine, cfg, None)
     }
 
-    /// Warm-starts a **mutable** service from a `koios-store` snapshot: the
-    /// backend — single or sharded, whichever layout the snapshot holds —
-    /// is restored without any index rebuild, searching under a cosine
+    /// Warm-starts a service from a `koios-store` snapshot: the engine —
+    /// single or sharded, whichever layout the snapshot holds — is
+    /// restored without any index rebuild, searching under a cosine
     /// similarity over the snapshotted token vectors; any delta sections
     /// are replayed and the service resumes from the chain's latest epoch.
     /// `engine_cfg` supplies the serving `k`/`α` and filter settings (they
@@ -549,78 +504,24 @@ impl SearchService {
     /// configuration). The snapshot's provenance (path, sizes, delta-chain
     /// length, load time) is reported in [`ServiceStats::snapshot`], and
     /// later [`SearchService::snapshot_to`] calls to the same path append
-    /// deltas instead of rewriting the base.
+    /// deltas instead of rewriting the base. For another similarity, build
+    /// the engine with [`MutableEngine::from_state`] and a
+    /// [`koios_core::mutable::SimFactory`], then use
+    /// [`SearchService::from_mutable`].
     pub fn from_snapshot(
         path: impl AsRef<Path>,
         engine_cfg: KoiosConfig,
         cfg: ServiceConfig,
     ) -> Result<Self, StoreError> {
         let path = path.as_ref();
-        let t0 = Instant::now();
-        let (engine, meta) = MutableEngine::from_snapshot(path, engine_cfg)?;
-        let backend = engine.backend();
-        let info = SnapshotInfo {
-            path: path.display().to_string(),
-            format_version: meta.format_version,
-            bytes: meta.total_bytes,
-            partitions: backend.num_partitions(),
-            num_sets: meta.num_sets,
-            vocab_size: meta.vocab_size,
-            deltas: meta.deltas.len(),
-            latest_epoch: meta.latest_epoch(),
-            load_time: t0.elapsed(),
-        };
-        let svc = Self::build(backend, cfg, Some(info), Some(engine));
-        svc.inner.writer.lock().expect("writer lock").snapshot_path = Some(path.to_path_buf());
-        Ok(svc)
-    }
-
-    /// [`Self::from_snapshot`] with a caller-chosen similarity factory (for
-    /// snapshots written without embeddings, or engines over non-cosine
-    /// similarities). The factory sees the restored repository and token
-    /// vectors and returns the similarity the service will search under.
-    ///
-    /// The factory is consumed once, so the resulting service is
-    /// **immutable** (no writer — [`SearchService::ingest`] returns
-    /// [`LiveServiceError::Immutable`]). For a mutable non-cosine service,
-    /// build a [`MutableEngine`] with a reusable
-    /// [`koios_core::mutable::SimFactory`] and use
-    /// [`SearchService::from_mutable`].
-    pub fn from_snapshot_with<F>(
-        path: impl AsRef<Path>,
-        engine_cfg: KoiosConfig,
-        cfg: ServiceConfig,
-        make_sim: F,
-    ) -> Result<Self, StoreError>
-    where
-        F: FnOnce(
-            &Repository,
-            Option<Arc<Embeddings>>,
-        ) -> Result<Arc<dyn ElementSimilarity>, StoreError>,
-    {
-        let path = path.as_ref();
-        let t0 = Instant::now();
-        let state = koios_store::snapshot::read_snapshot(path)?;
-        let (backend, meta) = EngineBackend::from_state(state, engine_cfg, make_sim)?;
-        let info = SnapshotInfo {
-            path: path.display().to_string(),
-            format_version: meta.format_version,
-            bytes: meta.total_bytes,
-            partitions: backend.num_partitions(),
-            num_sets: meta.num_sets,
-            vocab_size: meta.vocab_size,
-            deltas: meta.deltas.len(),
-            latest_epoch: meta.latest_epoch(),
-            load_time: t0.elapsed(),
-        };
-        Ok(Self::build(backend, cfg, Some(info), None))
+        let (engine, info) = load_snapshot(path, engine_cfg, cosine_factory())?;
+        Ok(Self::build(engine, cfg, Some((info, path.to_path_buf()))))
     }
 
     fn build(
-        backend: EngineBackend,
+        mut engine: MutableEngine,
         cfg: ServiceConfig,
-        snapshot: Option<SnapshotInfo>,
-        writer: Option<MutableEngine>,
+        snapshot: Option<(SnapshotInfo, PathBuf)>,
     ) -> Self {
         let workers = if cfg.workers == 0 {
             std::thread::available_parallelism()
@@ -629,25 +530,16 @@ impl SearchService {
         } else {
             cfg.workers
         };
-        let (backend, token_cache) = match backend.config().token_cache.clone() {
-            Some(_) if cfg.token_cache_bytes == 0 => {
-                let mut engine_cfg = backend.config().clone();
-                engine_cfg.token_cache = None;
-                (backend.with_config(engine_cfg), None)
-            }
-            Some(existing) => (backend, Some(existing)),
-            None if cfg.token_cache_bytes > 0 => {
-                let cache = Arc::new(
-                    TokenKnnCache::new(cfg.token_cache_bytes).with_ttl(cfg.token_cache_ttl),
-                );
-                let engine_cfg = backend
-                    .config()
-                    .clone()
-                    .with_token_cache(Arc::clone(&cache));
-                (backend.with_config(engine_cfg), Some(cache))
-            }
-            None => (backend, None),
-        };
+        // The engine mints every future backend with the resolved cache,
+        // so mutation invalidation and cache sharing stay coherent across
+        // swaps.
+        let token_cache = (cfg.token_cache_bytes > 0).then(|| {
+            engine.config().token_cache.clone().unwrap_or_else(|| {
+                Arc::new(TokenKnnCache::new(cfg.token_cache_bytes).with_ttl(cfg.token_cache_ttl))
+            })
+        });
+        engine.set_token_cache(token_cache.clone());
+        let backend = engine.backend();
         let metrics = ServiceMetrics::new();
         // The slow-query threshold doubles as a trace-retention rule, so
         // every slow-log line's `trace_id` resolves via `GET /traces`.
@@ -669,20 +561,17 @@ impl SearchService {
             depth: Arc::clone(&metrics.queue_depth),
             wait: Arc::clone(&metrics.queue_wait),
         });
-        // The writer engine must mint future backends with the *resolved*
-        // token cache (the one the served backend carries), so mutation
-        // invalidation and cache sharing stay coherent across swaps.
-        let writer = writer.map(|mut engine| {
-            engine.set_token_cache(token_cache.clone());
-            engine
-        });
+        let (snapshot, snapshot_path) = snapshot.unzip();
         SearchService {
             inner: Arc::new(ServiceInner {
                 backend: RwLock::new(Arc::new(backend)),
                 writer: Mutex::new(WriterState {
-                    engine: writer,
-                    ..WriterState::default()
+                    engine,
+                    pending_ops: Vec::new(),
+                    snapshot_path,
                 }),
+                sets_added: AtomicU64::new(0),
+                sets_removed: AtomicU64::new(0),
                 default_budget: cfg.default_time_budget,
                 cache,
                 token_cache,
@@ -721,18 +610,6 @@ impl SearchService {
         self.backend().config().epoch
     }
 
-    /// Whether the service owns a writer (constructed via
-    /// [`SearchService::from_mutable`] or [`SearchService::from_snapshot`])
-    /// and therefore accepts [`SearchService::ingest`].
-    pub fn is_mutable(&self) -> bool {
-        self.inner
-            .writer
-            .lock()
-            .expect("writer lock")
-            .engine
-            .is_some()
-    }
-
     /// Applies a batch of corpus ops — atomically: either every op applies
     /// and the freshly minted backend is swapped in, or nothing changes —
     /// and returns what the batch did. In-flight and queued searches are
@@ -746,10 +623,9 @@ impl SearchService {
         let _profile_stage = profile::enter(profile::Stage::Ingest);
         let t0 = Instant::now();
         let mut w = self.inner.writer.lock().expect("writer lock");
-        let engine = w.engine.as_mut().ok_or(LiveServiceError::Immutable)?;
-        let applied = engine.apply(ops)?;
-        let epoch = engine.epoch();
-        let swap = (!applied.is_empty()).then(|| Arc::new(engine.backend()));
+        let applied = w.engine.apply(ops)?;
+        let epoch = w.engine.epoch();
+        let swap = (!applied.is_empty()).then(|| Arc::new(w.engine.backend()));
         let (mut inserted, mut removed) = (0u64, 0u64);
         for a in &applied {
             match a {
@@ -757,8 +633,10 @@ impl SearchService {
                 Applied::Removed(_) => removed += 1,
             }
         }
-        w.sets_added += inserted;
-        w.sets_removed += removed;
+        self.inner.sets_added.fetch_add(inserted, Ordering::Relaxed);
+        self.inner
+            .sets_removed
+            .fetch_add(removed, Ordering::Relaxed);
         w.pending_ops.extend_from_slice(ops);
         if let Some(backend) = swap {
             *self.inner.backend.write().expect("backend lock") = backend;
@@ -785,17 +663,16 @@ impl SearchService {
         let t0 = Instant::now();
         let path = path.as_ref();
         let mut w = self.inner.writer.lock().expect("writer lock");
-        let engine = w.engine.as_ref().ok_or(LiveServiceError::Immutable)?;
-        let epoch = engine.epoch();
+        let epoch = w.engine.epoch();
         let chains = w.snapshot_path.as_deref() == Some(path) && path.exists();
         let meta = if chains {
             if w.pending_ops.is_empty() {
                 SnapshotMeta::read(path)?
             } else {
-                koios_store::append_delta(path, &w.pending_ops, engine.epoch())?
+                koios_store::append_delta(path, &w.pending_ops, epoch)?
             }
         } else {
-            engine.write_snapshot(path)?
+            w.engine.write_snapshot(path)?
         };
         w.pending_ops.clear();
         w.snapshot_path = Some(path.to_path_buf());
@@ -818,26 +695,12 @@ impl SearchService {
         let path = path.as_ref();
         let t0 = Instant::now();
         let mut w = self.inner.writer.lock().expect("writer lock");
-        let old = w.engine.as_ref().ok_or(LiveServiceError::Immutable)?;
-        let (factory, old_epoch, engine_cfg) =
-            (old.sim_factory(), old.epoch(), old.config().clone());
-        let state = koios_store::snapshot::read_snapshot(path)?;
-        let meta = state.meta.clone();
-        let mut engine = MutableEngine::from_state(state, engine_cfg, factory)?;
+        let old_epoch = w.engine.epoch();
+        let (factory, engine_cfg) = (w.engine.sim_factory(), w.engine.config().clone());
+        let (mut engine, info) = load_snapshot(path, engine_cfg, factory)?;
         engine.advance_epoch_to(old_epoch + 1);
         let backend = Arc::new(engine.backend());
-        let info = SnapshotInfo {
-            path: path.display().to_string(),
-            format_version: meta.format_version,
-            bytes: meta.total_bytes,
-            partitions: backend.num_partitions(),
-            num_sets: meta.num_sets,
-            vocab_size: meta.vocab_size,
-            deltas: meta.deltas.len(),
-            latest_epoch: meta.latest_epoch(),
-            load_time: t0.elapsed(),
-        };
-        w.engine = Some(engine);
+        w.engine = engine;
         w.pending_ops.clear();
         w.snapshot_path = Some(path.to_path_buf());
         drop(w);
@@ -991,10 +854,6 @@ impl SearchService {
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
         let backend = self.backend();
-        let (sets_added, sets_removed) = {
-            let w = self.inner.writer.lock().expect("writer lock");
-            (w.sets_added, w.sets_removed)
-        };
         let st = self.inner.stats.lock().expect("stats lock");
         let cache = self.inner.cache.counters();
         ServiceStats {
@@ -1009,8 +868,8 @@ impl SearchService {
             token_cache: self.inner.token_cache.as_ref().map(|tc| tc.snapshot()),
             snapshot: self.snapshot_info(),
             engine_epoch: backend.config().epoch,
-            sets_added,
-            sets_removed,
+            sets_added: self.inner.sets_added.load(Ordering::Relaxed),
+            sets_removed: self.inner.sets_removed.load(Ordering::Relaxed),
             engine: st.engine.clone(),
             uptime_secs: self.inner.started.elapsed().as_secs_f64(),
             start_time: self.inner.start_time,
@@ -1268,6 +1127,33 @@ impl SearchService {
             ),
         ])
     }
+}
+
+/// The one snapshot load step of [`SearchService::from_snapshot`] and
+/// [`SearchService::reload`]: reads the file at `path` (delta sections
+/// replayed), wires the writer engine under `factory`, and records the
+/// provenance [`ServiceStats::snapshot`] reports.
+fn load_snapshot(
+    path: &Path,
+    engine_cfg: KoiosConfig,
+    factory: SimFactory,
+) -> Result<(MutableEngine, SnapshotInfo), StoreError> {
+    let t0 = Instant::now();
+    let state = koios_store::snapshot::read_snapshot(path)?;
+    let meta = state.meta.clone();
+    let engine = MutableEngine::from_state(state, engine_cfg, factory)?;
+    let info = SnapshotInfo {
+        path: path.display().to_string(),
+        format_version: meta.format_version,
+        bytes: meta.total_bytes,
+        partitions: engine.num_partitions(),
+        num_sets: meta.num_sets,
+        vocab_size: meta.vocab_size,
+        deltas: meta.deltas.len(),
+        latest_epoch: meta.latest_epoch(),
+        load_time: t0.elapsed(),
+    };
+    Ok((engine, info))
 }
 
 impl ServiceInner {
@@ -1538,7 +1424,30 @@ impl ServiceInner {
 mod tests {
     use super::*;
     use koios_embed::repository::RepositoryBuilder;
-    use koios_embed::sim::EqualitySimilarity;
+    use koios_embed::sim::{ElementSimilarity, EqualitySimilarity};
+
+    fn equality_factory() -> koios_core::mutable::SimFactory {
+        Arc::new(|_, _| Ok(Arc::new(EqualitySimilarity) as Arc<dyn ElementSimilarity>))
+    }
+
+    /// A single-index writer engine under equality similarity.
+    fn single(repo: &Arc<Repository>, cfg: KoiosConfig) -> MutableEngine {
+        MutableEngine::single(Arc::clone(repo), None, cfg, equality_factory()).unwrap()
+    }
+
+    /// A sharded writer engine under equality similarity (seed 7).
+    fn sharded(repo: &Arc<Repository>, partitions: usize) -> MutableEngine {
+        let cfg = KoiosConfig::new(2, 0.9);
+        MutableEngine::partitioned(
+            Arc::clone(repo),
+            None,
+            cfg,
+            partitions,
+            7,
+            equality_factory(),
+        )
+        .unwrap()
+    }
 
     fn service(workers: usize, cache: usize) -> (Arc<Repository>, SearchService) {
         let mut b = RepositoryBuilder::new();
@@ -1547,10 +1456,8 @@ mod tests {
         b.add_set("s2", ["a", "b", "y", "z"]);
         b.add_set("s3", ["a", "m", "n", "o"]);
         let repo = Arc::new(b.build());
-        let svc = SearchService::new(
-            Arc::clone(&repo),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(2, 0.9),
+        let svc = SearchService::from_mutable(
+            single(&repo, KoiosConfig::new(2, 0.9)),
             ServiceConfig::new()
                 .with_workers(workers)
                 .with_cache_capacity(cache),
@@ -1666,12 +1573,8 @@ mod tests {
         let q = repo.intern_query(["a", "b", "c"]);
         let single = svc.search(SearchRequest::new(q.clone()));
         for parts in [1usize, 2, 8] {
-            let parted = SearchService::new_partitioned(
-                Arc::clone(&repo),
-                Arc::new(EqualitySimilarity),
-                KoiosConfig::new(2, 0.9),
-                parts,
-                7,
+            let parted = SearchService::from_mutable(
+                sharded(&repo, parts),
                 ServiceConfig::new().with_workers(2).with_cache_capacity(8),
             );
             assert_eq!(parted.partitions(), parts);
@@ -1688,12 +1591,8 @@ mod tests {
     #[test]
     fn partitioned_shards_share_one_token_cache() {
         let (repo, _) = service(1, 8);
-        let svc = SearchService::new_partitioned(
-            Arc::clone(&repo),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(2, 0.9),
-            4,
-            7,
+        let svc = SearchService::from_mutable(
+            sharded(&repo, 4),
             ServiceConfig::new().with_workers(1).with_cache_capacity(0),
         );
         let q = repo.intern_query(["a", "b", "c"]);
@@ -1782,10 +1681,8 @@ mod tests {
         let mut b = RepositoryBuilder::new();
         b.add_set("s0", ["a", "b"]);
         let repo = Arc::new(b.build());
-        let svc = SearchService::new(
-            Arc::clone(&repo),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(1, 0.9),
+        let svc = SearchService::from_mutable(
+            single(&repo, KoiosConfig::new(1, 0.9)),
             ServiceConfig::new()
                 .with_workers(1)
                 .with_token_cache_bytes(0),
@@ -1803,12 +1700,11 @@ mod tests {
         let mut b = RepositoryBuilder::new();
         b.add_set("s0", ["a", "b"]);
         let repo = Arc::new(b.build());
-        let engine = Koios::new(
-            Arc::clone(&repo),
-            Arc::new(EqualitySimilarity),
+        let engine = single(
+            &repo,
             KoiosConfig::new(1, 0.9).with_token_cache(Arc::new(TokenKnnCache::new(1 << 20))),
         );
-        let svc = SearchService::from_backend(
+        let svc = SearchService::from_mutable(
             engine,
             ServiceConfig::new()
                 .with_workers(1)
@@ -1850,10 +1746,8 @@ mod tests {
     #[test]
     fn token_cache_ttl_expires_lists() {
         let (repo, _) = service(1, 8);
-        let svc = SearchService::new(
-            Arc::clone(&repo),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(2, 0.9),
+        let svc = SearchService::from_mutable(
+            single(&repo, KoiosConfig::new(2, 0.9)),
             ServiceConfig::new()
                 .with_workers(1)
                 .with_cache_capacity(0)
@@ -1885,15 +1779,16 @@ mod tests {
                 .seed(3)
                 .build(&repo),
         );
-        let sim = Arc::new(koios_embed::sim::CosineSimilarity::new(Arc::clone(&emb)));
-        let cold = SearchService::new_partitioned(
+        let engine = MutableEngine::partitioned(
             Arc::clone(&repo),
-            sim,
+            Some(Arc::clone(&emb)),
             KoiosConfig::new(2, 0.5),
             2,
             7,
-            ServiceConfig::new().with_workers(1),
-        );
+            cosine_factory(),
+        )
+        .unwrap();
+        let cold = SearchService::from_mutable(engine, ServiceConfig::new().with_workers(1));
         let dir = std::env::temp_dir().join("koios-service-snapshot");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("service.ksnap");
@@ -1915,7 +1810,6 @@ mod tests {
         assert_eq!(info.deltas, 0, "plain base: no delta chain");
         assert_eq!(info.latest_epoch, 0);
         assert_eq!(warm.stats().snapshot, Some(info));
-        assert!(warm.is_mutable(), "snapshot services own a writer");
 
         let q = repo.intern_query(["LA", "Blain", "SC"]);
         let a = cold.search(SearchRequest::new(q.clone()));
@@ -1964,12 +1858,8 @@ mod tests {
     #[test]
     fn partitioned_service_emits_shard_and_merge_series() {
         let (repo, _) = service(1, 8);
-        let svc = SearchService::new_partitioned(
-            Arc::clone(&repo),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(2, 0.9),
-            3,
-            7,
+        let svc = SearchService::from_mutable(
+            sharded(&repo, 3),
             ServiceConfig::new().with_workers(1).with_cache_capacity(0),
         );
         let q = repo.intern_query(["a", "b", "c"]);
@@ -2006,10 +1896,8 @@ mod tests {
         b.add_set("s0", ["a", "b", "c", "d"]);
         b.add_set("s1", ["a", "b", "x", "y"]);
         let repo = Arc::new(b.build());
-        let svc = SearchService::new(
-            Arc::clone(&repo),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(1, 0.9),
+        let svc = SearchService::from_mutable(
+            single(&repo, KoiosConfig::new(1, 0.9)),
             ServiceConfig::new()
                 .with_workers(1)
                 .with_slow_query_log(SlowQueryLog::new(Duration::ZERO, sink)),
@@ -2041,25 +1929,13 @@ mod tests {
         assert!(svc.stats().uptime_secs >= after.uptime_secs);
     }
 
-    fn equality_factory() -> koios_core::mutable::SimFactory {
-        Arc::new(|_, _| Ok(Arc::new(EqualitySimilarity) as Arc<dyn ElementSimilarity>))
-    }
-
     #[test]
     fn live_ingest_mutates_the_served_corpus() {
         let (repo, _) = service(1, 8);
-        let engine = MutableEngine::single(
-            Arc::clone(&repo),
-            None,
-            KoiosConfig::new(2, 0.9),
-            equality_factory(),
-        )
-        .unwrap();
         let svc = SearchService::from_mutable(
-            engine,
+            single(&repo, KoiosConfig::new(2, 0.9)),
             ServiceConfig::new().with_workers(2).with_cache_capacity(8),
         );
-        assert!(svc.is_mutable());
         assert_eq!(svc.engine_epoch(), 0);
 
         let q = repo.intern_query(["m", "n", "o"]);
@@ -2104,21 +1980,31 @@ mod tests {
         let err = svc.ingest(&[CorpusOp::remove(SetId(99))]).unwrap_err();
         assert!(matches!(err, LiveServiceError::Rejected(_)), "{err}");
         assert_eq!(svc.engine_epoch(), 2);
-    }
 
-    #[test]
-    fn immutable_services_refuse_the_mutation_surface() {
-        let (_repo, svc) = service(1, 8);
-        assert!(!svc.is_mutable());
-        for err in [
-            svc.ingest(&[]).unwrap_err(),
-            svc.snapshot_to("/tmp/never-written.ksnap").unwrap_err(),
-            svc.reload("/tmp/never-read.ksnap").unwrap_err(),
-        ] {
-            assert!(matches!(err, LiveServiceError::Immutable), "{err}");
-            assert!(err.to_string().contains("mutable"));
+        // A non-cosine warm start: the snapshot carries no embeddings, and
+        // the reload restores it under the writer's equality factory.
+        let dir = std::env::temp_dir().join("koios-service-live");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("equality.ksnap");
+        let _ = std::fs::remove_file(&path);
+        assert!(!svc.snapshot_to(&path).unwrap().has_embeddings);
+        svc.ingest(&[CorpusOp::insert("s5", ["a", "b", "c", "d"])])
+            .unwrap();
+        let info = svc.reload(&path).unwrap();
+        assert_eq!((info.num_sets, info.deltas), (5, 0));
+        assert_eq!(svc.engine_epoch(), 4, "above the replaced engine's 3");
+        // Its hits equal a cold engine's that applied the same two batches.
+        let mut cold = single(&repo, KoiosConfig::new(2, 0.9));
+        cold.apply(&[CorpusOp::insert("s4", ["m", "n", "o"])])
+            .unwrap();
+        cold.apply(&[CorpusOp::remove(s4)]).unwrap();
+        let cold = cold.backend();
+        for tokens in [["m", "n", "o"], ["a", "b", "c"], ["a", "b", "x"]] {
+            let q = svc.repository().intern_query(tokens);
+            let warm = svc.search(SearchRequest::new(q.clone()));
+            assert_eq!(warm.cache, CacheOutcome::Miss);
+            assert_eq!(warm.result.hits, cold.search(&q).hits, "{tokens:?}");
         }
-        assert_eq!(svc.stats().engine_epoch, 0);
     }
 
     #[test]

@@ -317,23 +317,37 @@ fn sample_once(matrix: &Matrix, slots: &mut Vec<u64>) {
 mod tests {
     use super::*;
     use koios_common::profile::{enter, enter_shard};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     // Slot registration and the enable refcount are process-global; keep
-    // profiler tests serialized.
+    // profiler tests serialized. Poison-tolerant, so one failing test
+    // cannot fail its siblings.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    fn serialized() -> MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `f` on a fresh thread and joins it, so the slot `f` registers
+    /// is gone before the caller releases the lock. A slot registered on
+    /// the test's own thread would outlive the test: libtest tears down a
+    /// test thread's locals only after the test returned and unlocked, so
+    /// the next test could sample it as an extra idle row.
+    fn on_own_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|s| s.spawn(f).join().unwrap())
+    }
 
     #[test]
     fn counted_ticker_samples_exactly() {
-        let _lock = TEST_LOCK.lock().unwrap();
-        let _g = {
+        let _lock = serialized();
+        let p = on_own_thread(|| {
             koios_common::profile::enable();
-            let g = enter(Stage::Refine).expect("enabled");
+            let _g = enter(Stage::Refine).expect("enabled");
             koios_common::profile::disable();
-            g
-        };
-        let mut p = Profiler::with_ticker(CountedTicker::new(250));
-        p.join_sampler();
+            let mut p = Profiler::with_ticker(CountedTicker::new(250));
+            p.join_sampler();
+            p
+        });
         assert_eq!(p.ticks(), 250);
         assert_eq!(p.stage_samples(Stage::Refine), 250);
         assert_eq!(p.stage_samples(Stage::Verify), 0);
@@ -341,15 +355,17 @@ mod tests {
 
     #[test]
     fn sampling_is_deterministic_with_a_fake_clock() {
-        let _lock = TEST_LOCK.lock().unwrap();
+        let _lock = serialized();
         let run = || {
-            koios_common::profile::enable();
-            let g = enter_shard(Stage::Shard, 2).expect("enabled");
-            koios_common::profile::disable();
-            let mut p = Profiler::with_ticker(CountedTicker::new(100));
-            p.join_sampler();
-            drop(g);
-            (p.collapsed_stacks(), p.self_time())
+            on_own_thread(|| {
+                koios_common::profile::enable();
+                let g = enter_shard(Stage::Shard, 2).expect("enabled");
+                koios_common::profile::disable();
+                let mut p = Profiler::with_ticker(CountedTicker::new(100));
+                p.join_sampler();
+                drop(g);
+                (p.collapsed_stacks(), p.self_time())
+            })
         };
         let (stacks_a, table_a) = run();
         let (stacks_b, table_b) = run();
@@ -360,13 +376,16 @@ mod tests {
 
     #[test]
     fn self_time_fractions_ignore_idle() {
-        let _lock = TEST_LOCK.lock().unwrap();
-        koios_common::profile::enable();
-        let g = enter(Stage::Verify).expect("enabled");
-        koios_common::profile::disable();
-        let mut p = Profiler::with_ticker(CountedTicker::new(10));
-        p.join_sampler();
-        drop(g);
+        let _lock = serialized();
+        let p = on_own_thread(|| {
+            koios_common::profile::enable();
+            let g = enter(Stage::Verify).expect("enabled");
+            koios_common::profile::disable();
+            let mut p = Profiler::with_ticker(CountedTicker::new(10));
+            p.join_sampler();
+            drop(g);
+            p
+        });
         let rows = p.self_time();
         let verify = rows.iter().find(|r| r.stage == "verify").unwrap();
         assert_eq!(verify.samples, 10);
@@ -384,15 +403,17 @@ mod tests {
 
     #[test]
     fn wall_clock_profiler_ticks_and_stops() {
-        let _lock = TEST_LOCK.lock().unwrap();
-        let p = Profiler::start(Duration::from_micros(200));
-        let _g = enter(Stage::Search).expect("start enables publishing");
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while p.ticks() < 5 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(p.ticks() >= 5, "sampler must tick");
-        drop(p);
+        let _lock = serialized();
+        let ticks = on_own_thread(|| {
+            let p = Profiler::start(Duration::from_micros(200));
+            let _g = enter(Stage::Search).expect("start enables publishing");
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while p.ticks() < 5 && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            p.ticks()
+        });
+        assert!(ticks >= 5, "sampler must tick");
         assert!(!koios_common::profile::profiling_enabled());
     }
 }

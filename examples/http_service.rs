@@ -26,9 +26,8 @@ fn main() {
     let repo = Arc::new(corpus.repository);
     let embeddings = Arc::new(corpus.embeddings);
 
-    // A mutable sharded engine: the server can ingest, snapshot and
-    // reload live (the immutable constructors still work — those
-    // deployments just answer 409 on the mutation routes).
+    // A sharded engine: like every service, this one owns its writer, so
+    // the server can ingest, snapshot and reload live.
     let engine = MutableEngine::partitioned(
         Arc::clone(&repo),
         Some(embeddings),

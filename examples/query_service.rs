@@ -1,11 +1,11 @@
-//! Serving layer demo: one owned engine, many concurrent queries.
+//! Serving layer demo: one engine, many concurrent queries.
 //!
-//! Generates a synthetic corpus, wraps an owned Koios engine in a
+//! Generates a synthetic corpus, wraps a [`MutableEngine`] in a
 //! [`SearchService`], and pushes a mixed workload through it: a concurrent
 //! batch on the worker pool, repeated queries that hit the LRU result
 //! cache, a per-request `k` override, and a deadline that rejects a
 //! request before it runs. Finally the same service is rebuilt over a
-//! *sharded* backend ([`SearchService::new_partitioned`], paper §VI) to
+//! *sharded* engine ([`MutableEngine::partitioned`], paper §VI) to
 //! show that routing is backend-transparent: identical scores, same API.
 //!
 //! ```text
@@ -22,12 +22,16 @@ fn main() {
     let corpus = Corpus::generate(CorpusSpec::small(42));
     let repo = Arc::new(corpus.repository);
     let embeddings = Arc::new(corpus.embeddings);
-    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::clone(&embeddings)));
 
-    let service = SearchService::new(
+    let engine = MutableEngine::single(
         Arc::clone(&repo),
-        sim,
+        Some(Arc::clone(&embeddings)),
         KoiosConfig::new(5, 0.8),
+        cosine_factory(),
+    )
+    .expect("the corpus carries embeddings");
+    let service = SearchService::from_mutable(
+        engine,
         ServiceConfig::new()
             .with_workers(4)
             .with_cache_capacity(256),
@@ -116,12 +120,17 @@ fn main() {
     // Scale-out: the same service API over a sharded backend (§VI). Four
     // per-shard indexes search in parallel under one shared θlb; one token
     // cache serves every shard; deadlines bound shards *and* the merge.
-    let sharded = SearchService::new_partitioned(
+    let engine = MutableEngine::partitioned(
         Arc::clone(&repo),
-        Arc::new(CosineSimilarity::new(embeddings)),
+        Some(embeddings),
         KoiosConfig::new(5, 0.8),
         4,
         0xC0FFEE,
+        cosine_factory(),
+    )
+    .expect("the corpus carries embeddings");
+    let sharded = SearchService::from_mutable(
+        engine,
         ServiceConfig::new()
             .with_workers(4)
             .with_cache_capacity(256),

@@ -20,8 +20,9 @@
 //!
 //! ## Serving queries
 //!
-//! Long-lived applications should not rebuild an engine per query. Wrap an
-//! engine in a [`SearchService`](service::SearchService): it runs
+//! Long-lived applications should not rebuild an engine per query. Wrap a
+//! [`MutableEngine`](core::MutableEngine) in a
+//! [`SearchService`](service::SearchService): it runs
 //! requests on a persistent worker pool fed by a submission queue
 //! (submit-then-await via [`submit`](service::SearchService::submit), or
 //! batch via [`search_batch`](service::SearchService::search_batch)),
@@ -80,12 +81,11 @@
 //! builder.add_set("c2", ["LA", "Sacramento", "SC"]);
 //! let repo = Arc::new(builder.build());
 //!
-//! let service = SearchService::new(
-//!     Arc::clone(&repo),
-//!     Arc::new(EqualitySimilarity),
-//!     KoiosConfig::new(1, 0.9),
-//!     ServiceConfig::new().with_workers(2),
-//! );
+//! let equality: SimFactory =
+//!     Arc::new(|_, _| Ok(Arc::new(EqualitySimilarity) as Arc<dyn ElementSimilarity>));
+//! let engine =
+//!     MutableEngine::single(Arc::clone(&repo), None, KoiosConfig::new(1, 0.9), equality).unwrap();
+//! let service = SearchService::from_mutable(engine, ServiceConfig::new().with_workers(2));
 //! let query = repo.intern_query(["LA", "Blain"]);
 //! let first = service.search(SearchRequest::new(query.clone()));
 //! let second = service.search(SearchRequest::new(query)); // identical query

@@ -10,15 +10,15 @@
 //! generation is bumped mid-search.
 
 use koios::datagen::corpus::{Corpus, CorpusSpec};
+use koios::embed::vectors::Embeddings;
 use koios::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const THREADS: usize = 8;
 
-/// A generated corpus's repository and the cosine similarity over its
-/// embeddings.
-fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
+/// A generated corpus's repository and token vectors.
+fn corpus_parts(seed: u64) -> (Arc<Repository>, Arc<Embeddings>) {
     // Deliberately compact: the suite runs hundreds of searches across 8
     // threads, and determinism shows at any scale. Small sets keep the
     // cubic Hungarian verification cheap so the whole suite stays fast
@@ -30,8 +30,14 @@ fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
     spec.set_size_min = 3;
     spec.set_size_max = 10;
     let c = Corpus::generate(spec);
-    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
-    (Arc::new(c.repository), sim)
+    (Arc::new(c.repository), Arc::new(c.embeddings))
+}
+
+/// A generated corpus's repository and the cosine similarity over its
+/// embeddings.
+fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
+    let (repo, emb) = corpus_parts(seed);
+    (repo, Arc::new(CosineSimilarity::new(emb)))
 }
 
 /// A mixed query workload: whole sets, truncated sets, and a cross-set
@@ -195,13 +201,17 @@ fn generation_bump_during_search_never_tears_results() {
 /// the service counters must add up exactly.
 #[test]
 fn service_under_concurrent_load_stays_deterministic() {
-    let (repo, sim) = corpus(7003);
-    let service = SearchService::new_partitioned(
+    let (repo, emb) = corpus_parts(7003);
+    let engine = MutableEngine::partitioned(
         Arc::clone(&repo),
-        sim,
+        Some(emb),
         KoiosConfig::new(5, 0.8),
         4,
         0xC0FFEE,
+        cosine_factory(),
+    );
+    let service = SearchService::from_mutable(
+        engine.unwrap(),
         ServiceConfig::new()
             .with_workers(THREADS)
             .with_cache_capacity(64),

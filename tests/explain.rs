@@ -5,18 +5,24 @@
 
 use koios::prelude::*;
 use koios_datagen::corpus::{Corpus, CorpusSpec};
+use koios_embed::vectors::Embeddings;
 use std::sync::Arc;
 
-/// A generated corpus's repository and the cosine similarity over its
-/// embeddings.
-fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
+/// A generated corpus's repository and token vectors.
+fn corpus_parts(seed: u64) -> (Arc<Repository>, Arc<Embeddings>) {
     let mut s = CorpusSpec::small(seed);
     s.num_sets = 150;
     s.vocab_size = 600;
     s.clusters = 70;
     let c = Corpus::generate(s);
-    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
-    (Arc::new(c.repository), sim)
+    (Arc::new(c.repository), Arc::new(c.embeddings))
+}
+
+/// A generated corpus's repository and the cosine similarity over its
+/// embeddings.
+fn corpus(seed: u64) -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
+    let (repo, emb) = corpus_parts(seed);
+    (repo, Arc::new(CosineSimilarity::new(emb)))
 }
 
 /// The rendered funnel is a view of `SearchStats`: every count it reports
@@ -235,13 +241,17 @@ fn explain_mode_never_changes_hits() {
 /// both see the same hits — under an 8-thread hammer mixing the two.
 #[test]
 fn explain_requests_under_concurrency() {
-    let (repo, sim) = corpus(1203);
-    let service = Arc::new(SearchService::new_partitioned(
+    let (repo, emb) = corpus_parts(1203);
+    let engine = MutableEngine::partitioned(
         Arc::clone(&repo),
-        sim,
+        Some(emb),
         KoiosConfig::new(5, 0.8),
         4,
         21,
+        cosine_factory(),
+    );
+    let service = Arc::new(SearchService::from_mutable(
+        engine.unwrap(),
         ServiceConfig::new().with_workers(4).with_cache_capacity(64),
     ));
 

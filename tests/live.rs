@@ -311,7 +311,7 @@ fn delta_bit_flips_never_load() {
 
 /// The HTTP admin surface end-to-end: ingest over the wire, watch the
 /// epoch and counters in `/stats`, snapshot + reload remotely, and get a
-/// clean 409 from a server whose service cannot mutate.
+/// clean 400 for malformed ops.
 #[test]
 fn http_admin_routes_mutate_snapshot_and_reload() {
     let c = corpus(8004);
@@ -411,27 +411,11 @@ fn http_admin_routes_mutate_snapshot_and_reload() {
     // 2, and the hot swap bumps past it so stale cache entries die.
     assert_eq!(mutation_traces[0].spans[0].epoch, 3);
 
-    // Malformed ops are 400s; an immutable server answers 409.
+    // Malformed ops are 400s.
     let (status, reply) = client
         .ingest(&Json::obj([("ops", Json::num(3.0))]))
         .unwrap();
     assert_eq!(status, 400, "{reply:?}");
-    let immutable = Arc::new(SearchService::new(
-        Arc::new(c.repository.clone()),
-        Arc::new(CosineSimilarity::new(Arc::new(c.embeddings.clone()))),
-        KoiosConfig::new(5, 0.8),
-        ServiceConfig::new().with_workers(1),
-    ));
-    let server2 = KoiosServer::bind(immutable, "127.0.0.1:0").unwrap();
-    let mut client2 = KoiosClient::new(server2.addr());
-    let (status, reply) = client2.ingest(&body).unwrap();
-    assert_eq!(status, 409, "{reply:?}");
-    assert!(reply
-        .get("error")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .contains("mutable"));
 }
 
 /// Cosine behind a gate: while it is closed every vocabulary scan blocks,
@@ -454,6 +438,57 @@ impl ElementSimilarity for GatedCosine {
         drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
         self.inner.scores_above(q, vocab, alpha, out)
     }
+}
+
+/// `GET /stats` never waits on the writer. A factory that blocks once
+/// armed parks an `ingest` inside `MutableEngine::backend` — after the
+/// batch applied, while the ingest holds the writer lock — and `stats()`
+/// on another thread must still answer.
+#[test]
+fn stats_answer_while_an_ingest_holds_the_writer() {
+    let c = corpus(8006);
+    let armed = Arc::new(AtomicBool::new(false));
+    let parked = Arc::new(AtomicBool::new(false));
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let factory: SimFactory = {
+        let (armed, parked, gate) = (Arc::clone(&armed), Arc::clone(&parked), Arc::clone(&gate));
+        Arc::new(move |repo, emb| {
+            if armed.load(Ordering::SeqCst) {
+                parked.store(true, Ordering::SeqCst);
+                let (open, cv) = &*gate;
+                drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+            }
+            cosine_factory()(repo, emb)
+        })
+    };
+    let engine = MutableEngine::single(
+        Arc::new(c.repository.clone()),
+        Some(Arc::new(c.embeddings.clone())),
+        KoiosConfig::new(3, 0.8),
+        factory,
+    )
+    .unwrap();
+    let service = SearchService::from_mutable(engine, ServiceConfig::new().with_workers(1));
+    armed.store(true, Ordering::SeqCst);
+
+    std::thread::scope(|sc| {
+        let service = &service;
+        let donor = set_strings(&c.repository, SetId(0));
+        let writer = sc.spawn(move || service.ingest(&[CorpusOp::insert("parked", donor)]));
+        while !parked.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        sc.spawn(move || tx.send(service.stats()).unwrap());
+        let answered = rx.recv_timeout(std::time::Duration::from_secs(5));
+        // Release the writer whatever happened, so a failure cannot hang.
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        let stats = answered.expect("stats() waited on the writer lock");
+        assert_eq!((stats.engine_epoch, stats.sets_added), (0, 0));
+        assert_eq!(writer.join().unwrap().unwrap().epoch, 1);
+    });
+    assert_eq!(service.stats().sets_added, 1);
 }
 
 /// ROADMAP 1a: a `/search` parsed at epoch *e* and served at *e′ > e* must

@@ -4,6 +4,7 @@
 //! must answer clean 4xx JSON instead of dropping the connection silently.
 
 use koios::datagen::corpus::{Corpus, CorpusSpec};
+use koios::embed::vectors::Embeddings;
 use koios::net::client::KoiosClient;
 use koios::net::server::KoiosServer;
 use koios::prelude::*;
@@ -12,30 +13,45 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-fn corpus_parts() -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
+fn corpus_parts() -> (Arc<Repository>, Arc<Embeddings>) {
     let corpus = Corpus::generate(CorpusSpec::small(11));
-    let repo = Arc::new(corpus.repository);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings)));
-    (repo, sim)
+    (Arc::new(corpus.repository), Arc::new(corpus.embeddings))
 }
 
-fn single_service(repo: &Arc<Repository>, sim: &Arc<dyn ElementSimilarity>) -> SearchService {
-    SearchService::new(
+fn single_service(
+    repo: &Arc<Repository>,
+    emb: &Arc<Embeddings>,
+    factory: &SimFactory,
+) -> SearchService {
+    let cfg = KoiosConfig::new(5, 0.8);
+    let engine = MutableEngine::single(
         Arc::clone(repo),
-        Arc::clone(sim),
-        KoiosConfig::new(5, 0.8),
+        Some(Arc::clone(emb)),
+        cfg,
+        Arc::clone(factory),
+    );
+    SearchService::from_mutable(
+        engine.unwrap(),
         ServiceConfig::new().with_workers(2).with_cache_capacity(64),
     )
 }
 
-fn partitioned_service(repo: &Arc<Repository>, sim: &Arc<dyn ElementSimilarity>) -> SearchService {
-    SearchService::new_partitioned(
+fn partitioned_service(
+    repo: &Arc<Repository>,
+    emb: &Arc<Embeddings>,
+    factory: &SimFactory,
+) -> SearchService {
+    let cfg = KoiosConfig::new(5, 0.8);
+    let engine = MutableEngine::partitioned(
         Arc::clone(repo),
-        Arc::clone(sim),
-        KoiosConfig::new(5, 0.8),
+        Some(Arc::clone(emb)),
+        cfg,
         4,
         13,
+        Arc::clone(factory),
+    );
+    SearchService::from_mutable(
+        engine.unwrap(),
         ServiceConfig::new().with_workers(2).with_cache_capacity(64),
     )
 }
@@ -45,10 +61,13 @@ fn partitioned_service(repo: &Arc<Repository>, sim: &Arc<dyn ElementSimilarity>)
 /// variant and sees scores identical to calling the service in-process.
 #[test]
 fn http_search_matches_in_process_on_both_backends() {
-    let (repo, sim) = corpus_parts();
+    let (repo, emb) = corpus_parts();
     for (label, service) in [
-        ("single", single_service(&repo, &sim)),
-        ("partitioned", partitioned_service(&repo, &sim)),
+        ("single", single_service(&repo, &emb, &cosine_factory())),
+        (
+            "partitioned",
+            partitioned_service(&repo, &emb, &cosine_factory()),
+        ),
     ] {
         let service = Arc::new(service);
         let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
@@ -121,8 +140,8 @@ fn http_search_matches_in_process_on_both_backends() {
 /// strings dropped), and per-request k overrides work over the wire.
 #[test]
 fn element_queries_and_overrides_work_over_http() {
-    let (repo, sim) = corpus_parts();
-    let service = Arc::new(single_service(&repo, &sim));
+    let (repo, emb) = corpus_parts();
+    let service = Arc::new(single_service(&repo, &emb, &cosine_factory()));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = KoiosClient::new(server.addr());
 
@@ -161,8 +180,8 @@ fn element_queries_and_overrides_work_over_http() {
 /// `"cache": "hit"`, `/invalidate` resets it, `/stats` counts it.
 #[test]
 fn cache_lifecycle_over_http() {
-    let (repo, sim) = corpus_parts();
-    let service = Arc::new(single_service(&repo, &sim));
+    let (repo, emb) = corpus_parts();
+    let service = Arc::new(single_service(&repo, &emb, &cosine_factory()));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = KoiosClient::new(server.addr());
 
@@ -197,8 +216,8 @@ fn cache_lifecycle_over_http() {
 /// service-level rejections (HTTP 200, `"rejected": true`), not 400s.
 #[test]
 fn healthz_and_service_level_rejections() {
-    let (repo, sim) = corpus_parts();
-    let service = Arc::new(single_service(&repo, &sim));
+    let (repo, emb) = corpus_parts();
+    let service = Arc::new(single_service(&repo, &emb, &cosine_factory()));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = KoiosClient::new(server.addr());
 
@@ -224,8 +243,8 @@ fn healthz_and_service_level_rejections() {
 /// Malformed payloads and wrong routes answer clean JSON errors.
 #[test]
 fn malformed_requests_get_4xx_json() {
-    let (repo, sim) = corpus_parts();
-    let service = Arc::new(single_service(&repo, &sim));
+    let (repo, emb) = corpus_parts();
+    let service = Arc::new(single_service(&repo, &emb, &cosine_factory()));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = KoiosClient::new(server.addr());
 
@@ -273,8 +292,8 @@ fn malformed_requests_get_4xx_json() {
 /// equal the sequential in-process answer for its query.
 #[test]
 fn concurrent_http_clients_get_consistent_answers() {
-    let (repo, sim) = corpus_parts();
-    let service = Arc::new(partitioned_service(&repo, &sim));
+    let (repo, emb) = corpus_parts();
+    let service = Arc::new(partitioned_service(&repo, &emb, &cosine_factory()));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let addr = server.addr();
 
@@ -328,8 +347,8 @@ fn concurrent_http_clients_get_consistent_answers() {
 /// agreeing with in-process results after the scrape.
 #[test]
 fn metrics_endpoint_serves_valid_prometheus_text() {
-    let (repo, sim) = corpus_parts();
-    let service = Arc::new(partitioned_service(&repo, &sim));
+    let (repo, emb) = corpus_parts();
+    let service = Arc::new(partitioned_service(&repo, &emb, &cosine_factory()));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let mut client = KoiosClient::new(server.addr());
 
@@ -423,8 +442,8 @@ fn metrics_endpoint_serves_valid_prometheus_text() {
 /// joins cleanly and the port stops answering.
 #[test]
 fn shutdown_closes_cleanly() {
-    let (repo, sim) = corpus_parts();
-    let service = Arc::new(single_service(&repo, &sim));
+    let (repo, emb) = corpus_parts();
+    let service = Arc::new(single_service(&repo, &emb, &cosine_factory()));
     let mut server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let addr = server.addr();
 
@@ -447,10 +466,18 @@ fn shutdown_closes_cleanly() {
 /// engine backends, and reject non-GET methods like every other route.
 #[test]
 fn debug_suite_round_trips_on_both_backends() {
-    let (repo, sim) = corpus_parts();
+    let (repo, emb) = corpus_parts();
     for (label, service, partitions) in [
-        ("single", single_service(&repo, &sim), 1u64),
-        ("partitioned", partitioned_service(&repo, &sim), 4u64),
+        (
+            "single",
+            single_service(&repo, &emb, &cosine_factory()),
+            1u64,
+        ),
+        (
+            "partitioned",
+            partitioned_service(&repo, &emb, &cosine_factory()),
+            4u64,
+        ),
     ] {
         let service = Arc::new(service);
         let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
@@ -676,10 +703,18 @@ fn explain_funnel_wire_shape_is_pinned() {
     }
     let num = |j: &Json, key: &str| j.get(key).unwrap().as_u64().unwrap();
 
-    let (repo, sim) = corpus_parts();
+    let (repo, emb) = corpus_parts();
     for (label, service, shards) in [
-        ("single", single_service(&repo, &sim), 0usize),
-        ("partitioned", partitioned_service(&repo, &sim), 4),
+        (
+            "single",
+            single_service(&repo, &emb, &cosine_factory()),
+            0usize,
+        ),
+        (
+            "partitioned",
+            partitioned_service(&repo, &emb, &cosine_factory()),
+            4,
+        ),
     ] {
         let service = Arc::new(service);
         let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
@@ -740,11 +775,10 @@ fn explain_funnel_wire_shape_is_pinned() {
 /// and omits nothing else: the rest of the debug suite stays up.
 #[test]
 fn profiler_disabled_service_answers_409() {
-    let (repo, sim) = corpus_parts();
-    let service = Arc::new(SearchService::new(
-        Arc::clone(&repo),
-        Arc::clone(&sim),
-        KoiosConfig::new(5, 0.8),
+    let (repo, emb) = corpus_parts();
+    let engine = MutableEngine::single(repo, Some(emb), KoiosConfig::new(5, 0.8), cosine_factory());
+    let service = Arc::new(SearchService::from_mutable(
+        engine.unwrap(),
         ServiceConfig::new().with_workers(2).without_profiler(),
     ));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
@@ -781,12 +815,17 @@ impl ElementSimilarity for PanicsOnMarker {
     }
 }
 
-/// The corpus under a poisoned similarity, and a query that trips it.
-fn poisoned_parts() -> (Arc<Repository>, Arc<dyn ElementSimilarity>, Vec<TokenId>) {
-    let (repo, inner) = corpus_parts();
+/// The corpus, a factory for its poisoned similarity, and a query that
+/// trips it.
+fn poisoned_parts() -> (Arc<Repository>, Arc<Embeddings>, SimFactory, Vec<TokenId>) {
+    let (repo, emb) = corpus_parts();
     let poisoned = repo.set(SetId(3)).to_vec();
     let marker = poisoned[0];
-    (repo, Arc::new(PanicsOnMarker { inner, marker }), poisoned)
+    let factory: SimFactory = Arc::new(move |repo, emb| {
+        let inner = cosine_factory()(repo, emb)?;
+        Ok(Arc::new(PanicsOnMarker { inner, marker }) as Arc<dyn ElementSimilarity>)
+    });
+    (repo, emb, factory, poisoned)
 }
 
 /// A search that panics — on the request worker (single) or inside a shard
@@ -794,7 +833,7 @@ fn poisoned_parts() -> (Arc<Repository>, Arc<dyn ElementSimilarity>, Vec<TokenId
 /// `500`; the connection, its slot and every worker survive it.
 #[test]
 fn a_panicking_search_answers_500_and_the_connection_survives() {
-    let (repo, sim, poisoned) = poisoned_parts();
+    let (repo, emb, factory, poisoned) = poisoned_parts();
     let healthy = repo.set(SetId(0)).to_vec();
     assert!(
         !healthy.contains(&poisoned[0]),
@@ -802,8 +841,8 @@ fn a_panicking_search_answers_500_and_the_connection_survives() {
     );
     let elements = |q: &[TokenId]| q.iter().map(|&t| repo.token_str(t)).collect::<Vec<_>>();
     for (label, service) in [
-        ("single", single_service(&repo, &sim)),
-        ("partitioned", partitioned_service(&repo, &sim)),
+        ("single", single_service(&repo, &emb, &factory)),
+        ("partitioned", partitioned_service(&repo, &emb, &factory)),
     ] {
         let service = Arc::new(service);
         let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
@@ -837,7 +876,8 @@ fn a_panicking_search_answers_500_and_the_connection_survives() {
 #[test]
 #[should_panic(expected = "similarity hit the marker token")]
 fn a_panic_in_a_borrowed_shard_keeps_its_message() {
-    let (repo, sim, poisoned) = poisoned_parts();
+    let (repo, emb, factory, poisoned) = poisoned_parts();
+    let sim = factory(&repo, Some(&emb)).unwrap();
     PartitionedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8), 4, 13)
         .search(&poisoned);
 }
@@ -848,8 +888,10 @@ fn a_panic_in_a_borrowed_shard_keeps_its_message() {
 #[test]
 #[should_panic(expected = "similarity hit the marker token")]
 fn a_panic_in_a_verification_thread_keeps_its_message() {
-    let (repo, sim, poisoned) = poisoned_parts();
-    let source = ExactScanKnn::new(corpus_parts().1, poisoned.clone(), repo.vocab_size(), 0.8);
+    let (repo, emb, factory, poisoned) = poisoned_parts();
+    let sim = factory(&repo, Some(&emb)).unwrap();
+    let healthy = Arc::new(CosineSimilarity::new(emb));
+    let source = ExactScanKnn::new(healthy, poisoned.clone(), repo.vocab_size(), 0.8);
     let engine = Koios::new(
         Arc::clone(&repo),
         sim,

@@ -4,19 +4,24 @@
 //! degrade gracefully.
 
 use koios::datagen::corpus::{Corpus, CorpusSpec};
+use koios::embed::vectors::Embeddings;
 use koios::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// A generated corpus's repository and token vectors.
+fn corpus_parts(seed: u64) -> (Arc<Repository>, Arc<Embeddings>) {
+    let corpus = Corpus::generate(CorpusSpec::small(seed));
+    (Arc::new(corpus.repository), Arc::new(corpus.embeddings))
+}
+
 fn corpus_service(workers: usize, cache: usize) -> (Arc<Repository>, SearchService) {
-    let corpus = Corpus::generate(CorpusSpec::small(7));
-    let repo = Arc::new(corpus.repository);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings)));
-    let service = SearchService::new(
-        Arc::clone(&repo),
-        sim,
-        KoiosConfig::new(5, 0.8),
+    let (repo, emb) = corpus_parts(7);
+    let cfg = KoiosConfig::new(5, 0.8);
+    let engine =
+        MutableEngine::single(Arc::clone(&repo), Some(emb), cfg, cosine_factory()).unwrap();
+    let service = SearchService::from_mutable(
+        engine,
         ServiceConfig::new()
             .with_workers(workers)
             .with_cache_capacity(cache),
@@ -141,18 +146,19 @@ fn expired_and_tiny_deadlines_set_timed_out_without_panicking() {
 /// one shared `θlb` is exact).
 #[test]
 fn partitioned_service_matches_single_engine_service() {
-    let corpus = Corpus::generate(CorpusSpec::small(7));
-    let repo = Arc::new(corpus.repository);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings)));
+    let (repo, emb) = corpus_parts(7);
     // no_em_filter off: every hit carries an exact score, so single and
     // partitioned answers are comparable hit-for-hit.
     let mut engine_cfg = KoiosConfig::new(5, 0.8);
     engine_cfg.no_em_filter = false;
-    let single = SearchService::new(
+    let engine = MutableEngine::single(
         Arc::clone(&repo),
-        Arc::clone(&sim),
+        Some(Arc::clone(&emb)),
         engine_cfg.clone(),
+        cosine_factory(),
+    );
+    let single = SearchService::from_mutable(
+        engine.unwrap(),
         ServiceConfig::new().with_workers(2).with_cache_capacity(0),
     );
 
@@ -161,12 +167,16 @@ fn partitioned_service_matches_single_engine_service() {
         [(None, None), (Some(2), None), (Some(3), Some(0.7))];
 
     for parts in [1usize, 2, 8] {
-        let parted = SearchService::new_partitioned(
+        let engine = MutableEngine::partitioned(
             Arc::clone(&repo),
-            Arc::clone(&sim),
+            Some(Arc::clone(&emb)),
             engine_cfg.clone(),
             parts,
             0xBEEF,
+            cosine_factory(),
+        );
+        let parted = SearchService::from_mutable(
+            engine.unwrap(),
             ServiceConfig::new().with_workers(2).with_cache_capacity(0),
         );
         assert_eq!(parted.partitions(), parts);
@@ -205,16 +215,12 @@ fn partitioned_service_matches_single_engine_service() {
 /// stays backend-transparent.
 #[test]
 fn partitioned_service_shares_token_cache_across_shards() {
-    let corpus = Corpus::generate(CorpusSpec::small(11));
-    let repo = Arc::new(corpus.repository);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings)));
-    let svc = SearchService::new_partitioned(
-        Arc::clone(&repo),
-        sim,
-        KoiosConfig::new(5, 0.8),
-        4,
-        3,
+    let (repo, emb) = corpus_parts(11);
+    let cfg = KoiosConfig::new(5, 0.8);
+    let engine =
+        MutableEngine::partitioned(Arc::clone(&repo), Some(emb), cfg, 4, 3, cosine_factory());
+    let svc = SearchService::from_mutable(
+        engine.unwrap(),
         ServiceConfig::new().with_workers(1).with_cache_capacity(16),
     );
     assert!(svc.token_cache().is_some());
@@ -250,16 +256,12 @@ fn partitioned_service_shares_token_cache_across_shards() {
 /// both backends, and an expired partitioned request does no merge work.
 #[test]
 fn partitioned_service_timeout_accounting_is_consistent() {
-    let corpus = Corpus::generate(CorpusSpec::small(13));
-    let repo = Arc::new(corpus.repository);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings)));
-    let svc = SearchService::new_partitioned(
-        Arc::clone(&repo),
-        sim,
-        KoiosConfig::new(5, 0.8),
-        4,
-        3,
+    let (repo, emb) = corpus_parts(13);
+    let cfg = KoiosConfig::new(5, 0.8);
+    let engine =
+        MutableEngine::partitioned(Arc::clone(&repo), Some(emb), cfg, 4, 3, cosine_factory());
+    let svc = SearchService::from_mutable(
+        engine.unwrap(),
         ServiceConfig::new().with_workers(2).with_cache_capacity(16),
     );
     let q = repo.set(SetId(2)).to_vec();
@@ -370,14 +372,12 @@ fn shutdown_drains_in_flight_tickets() {
 /// searches again.
 #[test]
 fn result_ttl_expires_cached_entries() {
-    let corpus = Corpus::generate(CorpusSpec::small(7));
-    let repo = Arc::new(corpus.repository);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings)));
-    let service = SearchService::new(
-        Arc::clone(&repo),
-        sim,
-        KoiosConfig::new(5, 0.8),
+    let (repo, emb) = corpus_parts(7);
+    let cfg = KoiosConfig::new(5, 0.8);
+    let engine =
+        MutableEngine::single(Arc::clone(&repo), Some(emb), cfg, cosine_factory()).unwrap();
+    let service = SearchService::from_mutable(
+        engine,
         ServiceConfig::new()
             .with_workers(1)
             .with_cache_capacity(16)

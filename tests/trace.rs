@@ -3,6 +3,7 @@
 //! result determinism under traced concurrency.
 
 use koios::datagen::corpus::{Corpus, CorpusSpec};
+use koios::embed::vectors::Embeddings;
 use koios::net::client::KoiosClient;
 use koios::net::server::KoiosServer;
 use koios::prelude::*;
@@ -10,27 +11,25 @@ use koios::service::SlowQueryLog;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-fn corpus_parts() -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
+fn corpus_parts() -> (Arc<Repository>, Arc<Embeddings>) {
     let corpus = Corpus::generate(CorpusSpec::small(23));
-    let repo = Arc::new(corpus.repository);
-    let sim: Arc<dyn ElementSimilarity> =
-        Arc::new(CosineSimilarity::new(Arc::new(corpus.embeddings)));
-    (repo, sim)
+    (Arc::new(corpus.repository), Arc::new(corpus.embeddings))
 }
 
 fn partitioned_service(
     repo: &Arc<Repository>,
-    sim: &Arc<dyn ElementSimilarity>,
+    emb: &Arc<Embeddings>,
     cfg: ServiceConfig,
 ) -> SearchService {
-    SearchService::new_partitioned(
+    let engine = MutableEngine::partitioned(
         Arc::clone(repo),
-        Arc::clone(sim),
+        Some(Arc::clone(emb)),
         KoiosConfig::new(5, 0.8),
         4,
         13,
-        cfg.with_workers(2).with_cache_capacity(64),
-    )
+        cosine_factory(),
+    );
+    SearchService::from_mutable(engine.unwrap(), cfg.with_workers(2).with_cache_capacity(64))
 }
 
 fn hex_to_id(s: &str) -> u64 {
@@ -44,8 +43,8 @@ fn hex_to_id(s: &str) -> u64 {
 /// per-shard search, refine, verify, merge, and serialize.
 #[test]
 fn wire_propagated_trace_yields_a_full_span_tree() {
-    let (repo, sim) = corpus_parts();
-    let service = Arc::new(partitioned_service(&repo, &sim, ServiceConfig::new()));
+    let (repo, emb) = corpus_parts();
+    let service = Arc::new(partitioned_service(&repo, &emb, ServiceConfig::new()));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
 
     let ctx = TraceContext::new(0xC0FF_EE00_DEAD_BEEF);
@@ -142,7 +141,7 @@ fn wire_propagated_trace_yields_a_full_span_tree() {
 /// the retained tree's depth.
 #[test]
 fn slow_log_lines_join_against_retained_traces() {
-    let (repo, sim) = corpus_parts();
+    let (repo, emb) = corpus_parts();
     let lines = Arc::new(Mutex::new(Vec::new()));
     let sink = {
         let lines = Arc::clone(&lines);
@@ -150,7 +149,7 @@ fn slow_log_lines_join_against_retained_traces() {
     };
     // Threshold zero: every request is "slow", so every line must join.
     let cfg = ServiceConfig::new().with_slow_query_log(SlowQueryLog::new(Duration::ZERO, sink));
-    let service = partitioned_service(&repo, &sim, cfg);
+    let service = partitioned_service(&repo, &emb, cfg);
 
     for set in 0..4u32 {
         let resp = service.search(SearchRequest::new(repo.set(SetId(set)).to_vec()));
@@ -183,15 +182,15 @@ fn slow_log_lines_join_against_retained_traces() {
 /// trace must be a well-formed tree.
 #[test]
 fn traced_concurrency_diverges_nowhere_and_keeps_trees_well_formed() {
-    let (repo, sim) = corpus_parts();
+    let (repo, emb) = corpus_parts();
     let traced = Arc::new(partitioned_service(
         &repo,
-        &sim,
+        &emb,
         ServiceConfig::new().with_tracing(TraceConfig::default()),
     ));
     let untraced = partitioned_service(
         &repo,
-        &sim,
+        &emb,
         ServiceConfig::new().without_tracing().without_profiler(),
     );
     assert!(traced.profiler().is_some() && untraced.profiler().is_none());
@@ -240,10 +239,10 @@ fn traced_concurrency_diverges_nowhere_and_keeps_trees_well_formed() {
 /// from the HTTP endpoint, while searches keep working.
 #[test]
 fn disabled_tracing_is_inert_over_http() {
-    let (repo, sim) = corpus_parts();
+    let (repo, emb) = corpus_parts();
     let service = Arc::new(partitioned_service(
         &repo,
-        &sim,
+        &emb,
         ServiceConfig::new().without_tracing(),
     ));
     let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
