@@ -694,7 +694,8 @@ pub fn token_cache(hc: &HarnessConfig) -> String {
     )
 }
 
-/// DESIGN §2 ablation: sound row-max iUB vs the paper's greedy iUB.
+/// Ablation of the iUB deviation (ARCHITECTURE.md, "Deviations from the
+/// paper" 1): sound row-max iUB vs the paper's greedy iUB.
 pub fn ablation(hc: &HarnessConfig) -> String {
     let profile = profiles::opendata(hc.scale);
     let run = hc.profile_run(profile);
@@ -747,7 +748,7 @@ pub fn ablation(hc: &HarnessConfig) -> String {
                 .all(|(a, b)| (a - b).abs() < 1e-6)
     });
     format!(
-        "Ablation (DESIGN §2) — upper-bound rules on OpenData-like (k={}, α={}).\nAll modes returned identical top-k scores: {}.\n{}",
+        "Ablation (ARCHITECTURE.md, Deviations 1) — upper-bound rules on OpenData-like (k={}, α={}).\nAll modes returned identical top-k scores: {}.\n{}",
         hc.k,
         hc.alpha,
         agree,

@@ -28,9 +28,6 @@
 //!   worker loop, shutdown protocol, panic capture, [`pool::Ticket`] result
 //!   slot); the service's request workers and the core's shard executor are
 //!   two instances of it.
-//! * [`profile`] — the publishing side of the cooperative wall-clock
-//!   profiler: per-thread atomic `(stage, shard)` slots the engine and
-//!   service crates write and the `koios-telemetry` sampler reads.
 //!
 //! Entry points: most users only touch [`TokenId`]/[`SetId`] (returned by
 //! `Repository::intern_query` in `koios-embed`) and import the rest through
@@ -43,7 +40,6 @@ pub mod interner;
 pub mod json;
 pub mod memsize;
 pub mod pool;
-pub mod profile;
 pub mod sim;
 pub mod sparse;
 pub mod topk;

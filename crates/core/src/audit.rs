@@ -3,8 +3,8 @@
 //! Filters are performance features; this module provides the runtime
 //! counterpart of the exactness tests — a way for a deployment to spot-check
 //! that a returned top-k is a valid solution of Def. 2 (used, e.g., after
-//! enabling `UbMode::PaperGreedy`, whose bound is unsound in the worst case;
-//! DESIGN §2).
+//! enabling `UbMode::PaperGreedy`, whose bound is unsound; ARCHITECTURE.md,
+//! "Deviations from the paper" 1).
 
 use crate::overlap::semantic_overlap;
 use crate::result::{ScoreBound, SearchResult};

@@ -4,7 +4,8 @@ use koios_index::knn_cache::TokenKnnCache;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which incremental upper bound drives the refinement buckets (DESIGN §2).
+/// Which incremental upper bound drives the refinement buckets
+/// (ARCHITECTURE.md, "Deviations from the paper" 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UbMode {
     /// The sound row-max relaxation: `Si` is the sum of the first emitted
@@ -13,9 +14,10 @@ pub enum UbMode {
     #[default]
     SoundRowMax,
     /// The paper's Lemma 6 verbatim: `Si` is the score of the partial
-    /// *greedy matching*. Tighter on some inputs but admits rare false
-    /// negatives under matching rearrangement (counterexample in DESIGN §2);
-    /// provided for ablation against the published pruning numbers.
+    /// *greedy matching*. Tighter on some inputs but admits false
+    /// negatives under matching rearrangement (counterexample in
+    /// ARCHITECTURE.md, "Deviations from the paper" 1, pinned by an engine
+    /// test); provided for ablation against the published pruning numbers.
     PaperGreedy,
 }
 

@@ -7,7 +7,7 @@ use crate::refine::{refine, RefineOutput};
 use crate::result::SearchResult;
 use crate::stats::SearchStats;
 use crate::theta::SharedTheta;
-use koios_common::{profile, HeapSize, SetId, TokenId};
+use koios_common::{HeapSize, SetId, TokenId};
 use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use koios_index::inverted::InvertedIndex;
@@ -259,7 +259,6 @@ impl Koios {
         let deadline = effective_deadline(deadline, self.cfg.time_budget);
 
         let t0 = Instant::now();
-        let stage = profile::enter(profile::Stage::Refine);
         let mut stream = TokenStream::new(source, q.len());
         let RefineOutput {
             survivors,
@@ -276,14 +275,12 @@ impl Koios {
             deadline,
             exact_source,
         );
-        drop(stage);
         stats.refine_time = t0.elapsed();
         if let Some(c) = stream.source().cache_counters() {
             stats.knn_cache = c;
         }
 
         let t1 = Instant::now();
-        let _stage = profile::enter(profile::Stage::Postprocess);
         let hits = postprocess(
             &self.repo,
             &self.sim,
@@ -321,6 +318,7 @@ impl Koios {
 mod tests {
     use super::*;
     use crate::config::UbMode;
+    use crate::result::ScoreBound;
     use koios_embed::repository::RepositoryBuilder;
     use koios_embed::sim::{EqualitySimilarity, QGramJaccard};
 
@@ -444,6 +442,53 @@ mod tests {
         )
         .search(&q);
         assert_eq!(sound.set_ids(), paper.set_ids());
+    }
+
+    /// The paper's greedy iUB (Lemma 6) is unsound in plain cosine
+    /// geometry (ARCHITECTURE.md, "Deviations from the paper"). Unit
+    /// vectors in R⁴: q2, t1, q1, t2 in the first plane at the angles
+    /// 0, acos 0.85, + acos 0.9, + acos 0.85; t3 = 0.8·q1 + 0.6·e₃ and
+    /// t4 = 0.8·q2 + 0.6·e₄. With α = 0.6 the edges are q1–t1 0.9,
+    /// q1–t2 0.85, q2–t1 0.85, q1–t3 0.8 and q2–t4 0.8, so SO(C) = 1.70
+    /// and SO(D) = 1.60. Greedy takes q1–t1 and rejects both 0.85 edges,
+    /// collapsing C's iUB to 0.9 + α = 1.5 < θ = 1.6: top-1 is lost.
+    #[test]
+    fn paper_greedy_loses_the_top1_that_sound_row_max_keeps() {
+        use koios_embed::sim::CosineSimilarity;
+        use koios_embed::vectors::Embeddings;
+
+        let mut b = RepositoryBuilder::new();
+        let [q1, q2] = ["q1", "q2"].map(|s| b.intern(s));
+        let c = b.add_set("C", ["t1", "t2"]);
+        let d = b.add_set("D", ["t3", "t4"]);
+        let repo = Arc::new(b.build());
+        let token = |s: &str| repo.token_id(s).unwrap();
+
+        let at = |angle: f64| [angle.cos(), angle.sin(), 0.0, 0.0];
+        let (a85, a90) = (0.85f64.acos(), 0.9f64.acos());
+        let v_q1 = at(a85 + a90);
+        let v_q2 = at(0.0);
+        let mut emb = Embeddings::new(4, repo.vocab_size());
+        emb.set(q1, &v_q1);
+        emb.set(q2, &v_q2);
+        emb.set(token("t1"), &at(a85));
+        emb.set(token("t2"), &at(2.0 * a85 + a90));
+        emb.set(token("t3"), &[0.8 * v_q1[0], 0.8 * v_q1[1], 0.6, 0.0]);
+        emb.set(token("t4"), &[0.8 * v_q2[0], 0.8 * v_q2[1], 0.0, 0.6]);
+        let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(emb)));
+
+        let q = [q1, q2];
+        let search = |mode| {
+            let cfg = KoiosConfig::new(1, 0.6).with_ub_mode(mode);
+            Koios::new(Arc::clone(&repo), Arc::clone(&sim), cfg).search(&q)
+        };
+        let sound = search(UbMode::SoundRowMax);
+        assert_eq!(sound.set_ids(), vec![c]);
+        match sound.hits[0].score {
+            ScoreBound::Exact(so) => assert!((so - 1.70).abs() < 1e-6, "SO(C) = {so}"),
+            other => panic!("expected an exact score, got {other:?}"),
+        }
+        assert_eq!(search(UbMode::PaperGreedy).set_ids(), vec![d]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! [`PartitionedKoios`] scales out by sharding the repository and sharing a
 //! global monotone `θlb` across partition searches (§VI).
 //!
-//! See `DESIGN.md` §2 for the soundness correction applied to the paper's
-//! iUB bound ([`UbMode`]).
+//! See ARCHITECTURE.md, "Deviations from the paper" 1, for the soundness
+//! correction applied to the paper's iUB bound ([`UbMode`]).
 
 pub mod audit;
 pub mod backend;

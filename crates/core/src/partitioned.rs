@@ -15,7 +15,7 @@ use crate::overlap::{semantic_overlap, semantic_overlap_bounded_with_effort};
 use crate::result::{Hit, ScoreBound, SearchResult};
 use crate::stats::{SearchStats, ShardFunnel};
 use crate::theta::SharedTheta;
-use koios_common::{profile, SetId, TokenId};
+use koios_common::{SetId, TokenId};
 use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use koios_index::inverted::InvertedIndex;
@@ -239,13 +239,11 @@ impl PartitionedKoios {
         let tasks: Vec<_> = self
             .engines
             .iter()
-            .enumerate()
-            .map(|(shard, engine)| {
+            .map(|engine| {
                 let engine = Arc::clone(engine);
                 let theta = Arc::clone(&theta);
                 let query = Arc::clone(&query);
                 move || {
-                    let _stage = profile::enter_shard(profile::Stage::Shard, shard);
                     let shard_start = Instant::now();
                     let result = engine.search_shared_deadline(&query, &theta, deadline);
                     (result, shard_start.elapsed())
@@ -283,9 +281,7 @@ impl PartitionedKoios {
         stats.shard_times = shard_times;
         stats.executor_time = executor_time;
         let merge_start = Instant::now();
-        let merge_stage = profile::enter(profile::Stage::Merge);
         let hits = self.merge_partials(&q, pool, deadline, &mut stats);
-        drop(merge_stage);
         stats.merge_time = merge_start.elapsed();
         if let Some(f) = stats.funnel_mut() {
             f.shards = shard_rows;

@@ -29,7 +29,7 @@ use crate::result::{Hit, ScoreBound};
 use crate::stats::SearchStats;
 use crate::theta::{slack, SharedTheta};
 use koios_common::topk::TopKList;
-use koios_common::{profile, HeapSize, SetId, Sim, TokenId};
+use koios_common::{HeapSize, SetId, Sim, TokenId};
 use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use koios_matching::MatchOutcome;
@@ -226,7 +226,6 @@ pub fn postprocess(
         // Verify the highest-UB unchecked sets (a batch when parallel).
         let batch: Vec<SetId> = unchecked.into_iter().take(cfg.parallel_em.max(1)).collect();
         let verify_start = Instant::now();
-        let _stage = profile::enter(profile::Stage::Verify);
         let outcomes = verifier.verify_batch(&batch, || em_threshold(cfg, theta));
         stats.verify_time += verify_start.elapsed();
 
@@ -298,7 +297,6 @@ fn verify_all(
             }
         }
         let verify_start = Instant::now();
-        let _stage = profile::enter(profile::Stage::Verify);
         let wave: Vec<SetId> = wave.iter().map(|sv| sv.set).collect();
         let outcomes = verifier.verify_batch(&wave, || None);
         stats.verify_time += verify_start.elapsed();

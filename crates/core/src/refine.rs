@@ -8,8 +8,9 @@
 //!   because identical tokens arrive first at similarity 1.
 //! * **iUB**: `S_i + m_i·s` with `s` the current stream similarity. In
 //!   [`UbMode::SoundRowMax`] (default) `S_i` sums the first emitted edge per
-//!   query element (sound; DESIGN §2); in [`UbMode::PaperGreedy`] it is the
-//!   greedy score, exactly as Lemma 6 states it.
+//!   query element (sound; ARCHITECTURE.md, Deviations 1); in
+//!   [`UbMode::PaperGreedy`] it is the greedy score, exactly as Lemma 6
+//!   states it.
 //!
 //! Candidates are pruned when their upper bound falls strictly below `θlb`,
 //! the k-th best lower bound seen so far (Lemma 4) — at discovery via the
@@ -428,7 +429,8 @@ mod tests {
 
     #[test]
     fn rowmax_dominates_greedy_lb() {
-        // DESIGN §2 injection argument: row_sum >= lb at all times.
+        // The injection argument of ARCHITECTURE.md, Deviations 1:
+        // row_sum >= lb at all times.
         // |C| = 3 tokens {10, 11, 12}, |Q| = 4 rows → cap = 3.
         let tuples = [
             (0u32, 10u32, 0.9),

@@ -4,7 +4,7 @@
 //! corpora and the FastText vectors they are paired with are not available
 //! offline, so this crate generates corpora that reproduce the
 //! *distributional* properties the evaluation phenomena depend on
-//! (DESIGN.md §3):
+//! (ARCHITECTURE.md, "Deviations from the paper" 2):
 //!
 //! * Zipfian token frequencies — long posting lists make candidate counts
 //!   explode (the WDC effect, §VIII-A1);

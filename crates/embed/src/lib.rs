@@ -7,7 +7,8 @@
 //! consume: every token has a small semantic neighbourhood of high-cosine
 //! tokens (synonyms/cluster members above `α`) and a long tail of sub-`α`
 //! noise, plus optional out-of-vocabulary tokens with no vector at all
-//! (DESIGN.md §3 documents this substitution).
+//! (ARCHITECTURE.md, "Deviations from the paper" 2, documents this
+//! substitution).
 //!
 //! The crate also hosts the corpus container ([`repository`]) and the
 //! pluggable element-similarity functions ([`sim`]): cosine of embeddings,

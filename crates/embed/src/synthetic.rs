@@ -2,9 +2,9 @@
 //!
 //! The paper's experiments use pre-trained FastText vectors; those are not
 //! available offline, so we generate vectors with the *structure Koios
-//! depends on* (DESIGN.md §3): tokens are partitioned into semantic
-//! clusters; a token's vector is its cluster centroid plus isotropic
-//! Gaussian noise, re-normalised. Within a cluster the expected cosine is
+//! depends on* (ARCHITECTURE.md, "Deviations from the paper" 2): tokens
+//! are partitioned into semantic clusters; a token's vector is its
+//! cluster centroid plus isotropic Gaussian noise, re-normalised. Within a cluster the expected cosine is
 //! `1/(1+σ²)` (σ = [`SyntheticEmbeddings::noise`]), across clusters it
 //! concentrates around `0 ± 1/√dim`, so an `α ≈ 0.8` threshold separates
 //! "semantic neighbours" from noise exactly like the real embeddings do.

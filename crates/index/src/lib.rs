@@ -10,9 +10,10 @@
 //!
 //! The stream is realised exactly as the paper describes: one [`knn`] source
 //! per query element (the paper uses a GPU Faiss index; we provide exact
-//! in-memory equivalents, see DESIGN.md §3) merged through a priority queue
-//! of size `|Q|`, with the query element itself emitted first so vanilla
-//! overlap seeds the bounds and out-of-vocabulary elements are handled.
+//! in-memory equivalents, see ARCHITECTURE.md, "Deviations from the
+//! paper" 2) merged through a priority queue of size `|Q|`, with the query
+//! element itself emitted first so vanilla overlap seeds the bounds and
+//! out-of-vocabulary elements are handled.
 //!
 //! Because per-element kNN lists depend only on `(token, α)` — never on the
 //! rest of the query — they repeat across *similar* queries. The

@@ -124,7 +124,7 @@ fn max_edge_lower_bounds_and_row_sum_upper_bounds() {
     for _ in 0..CASES {
         let m = small_matrix(&mut rng);
         // Lemma 3(a): the max edge weight lower-bounds SO.
-        // Row-max relaxation upper-bounds SO (DESIGN §2).
+        // Row-max relaxation upper-bounds SO (ARCHITECTURE.md, Deviations 1).
         let opt = solve_max_matching(&m, None).score();
         assert!(m.max_weight() <= opt + 1e-9);
         let mut rowmax: Vec<f64> = (0..m.rows()).map(|i| m.row_max(i)).collect();

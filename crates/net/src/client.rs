@@ -133,7 +133,7 @@ impl KoiosClient {
         self.request("GET", "/debug/cache", None)
     }
 
-    /// `GET /debug/profile` — the wall-clock profiler report.
+    /// `GET /debug/profile` — the recorded stage-time report.
     pub fn debug_profile(&mut self) -> Result<JsonReply, NetError> {
         self.request("GET", "/debug/profile", None)
     }

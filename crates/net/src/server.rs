@@ -20,7 +20,7 @@
 //! | `GET /healthz` | liveness + basic shape of the backend (`?full` for the readiness report) |
 //! | `GET /debug/engine` | corpus/index introspection: liveness, posting histograms, memory |
 //! | `GET /debug/cache` | per-stripe occupancy/bytes/age of both striped caches |
-//! | `GET /debug/profile` | wall-clock profiler: self-time table (`?format=collapsed` for flamegraph input) |
+//! | `GET /debug/profile` | recorded stage time as a self-time table (`?format=collapsed` for flamegraph input) |
 //! | `POST /invalidate` | drop result cache + bump token-cache generation |
 //! | `POST /ingest` | apply a live mutation batch (body: see [`crate::wire`]) |
 //! | `POST /snapshot` | persist the corpus (`{"path": ...}`; appends a delta when chaining) |
@@ -287,20 +287,19 @@ fn healthz(request: &HttpRequest, service: &SearchService) -> HttpResponse {
     HttpResponse::json(200, &Json::obj(fields))
 }
 
-/// `GET /debug/profile` — the profiler report. JSON by default (enabled
-/// flag, tick counts, self-time table, collapsed stacks as a string);
-/// `?format=collapsed` serves the collapsed-stack text alone, ready to
-/// pipe into `flamegraph.pl`.
+/// `GET /debug/profile` — the service's recorded stage time
+/// ([`SearchService::profile`]). JSON by default (uptime, worker count,
+/// self-time table, collapsed stacks as a string); `?format=collapsed`
+/// serves the collapsed-stack text alone, ready to pipe into
+/// `flamegraph.pl`.
 fn debug_profile(request: &HttpRequest, service: &SearchService) -> HttpResponse {
     let query = request.path.split_once('?').map(|(_, q)| q).unwrap_or("");
-    let collapsed = query.split('&').any(|kv| kv == "format=collapsed");
-    if collapsed {
-        return match service.profiler() {
-            Some(p) => HttpResponse::text(200, p.collapsed_stacks()),
-            None => error_response(409, "profiler is disabled on this service"),
-        };
+    let profile = service.profile();
+    if query.split('&').any(|kv| kv == "format=collapsed") {
+        HttpResponse::text(200, profile.collapsed_stacks())
+    } else {
+        HttpResponse::json(200, &profile.to_json())
     }
-    HttpResponse::json(200, &service.debug_profile())
 }
 
 fn search(request: &HttpRequest, service: &SearchService) -> HttpResponse {

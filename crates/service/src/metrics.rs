@@ -163,6 +163,12 @@ impl ServiceMetrics {
         }
         Arc::clone(&shards[index])
     }
+
+    /// Every `koios_shard_seconds` histogram registered so far, by shard
+    /// index.
+    pub fn shards(&self) -> Vec<Arc<Histogram>> {
+        self.shards.lock().expect("shard metrics lock").clone()
+    }
 }
 
 impl Default for ServiceMetrics {

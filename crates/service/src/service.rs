@@ -8,7 +8,7 @@ use crate::slowlog::{SlowQueryLog, SlowQueryRecord};
 use crate::stats::{ServiceStats, SnapshotInfo};
 use crate::tracer::{record_search_spans, Tracer};
 use koios_common::cache::CacheSnapshot;
-use koios_common::{profile, Json, SetId, TokenId};
+use koios_common::{Json, SetId, TokenId};
 use koios_core::mutable::{cosine_factory, BatchRejected, MutableEngine, SimFactory};
 use koios_core::{EngineBackend, Hit, KoiosConfig, SearchResult, SearchStats};
 use koios_embed::ops::CorpusOp;
@@ -17,16 +17,12 @@ use koios_index::knn_cache::TokenKnnCache;
 use koios_index::live::Applied;
 use koios_store::snapshot::{SnapshotMeta, StoreError};
 use koios_telemetry::trace::{Trace, TraceBuilder, TraceConfig, TraceSinkStats};
-use koios_telemetry::{Profiler, Registry};
+use koios_telemetry::{Profile, Registry};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
-
-/// How often the wall-clock profiler samples the workers' published
-/// stages (≈1k samples/s).
-const PROFILER_SAMPLE_PERIOD: Duration = Duration::from_millis(1);
 
 /// Tunables of a [`SearchService`].
 #[derive(Debug, Clone)]
@@ -70,13 +66,6 @@ pub struct ServiceConfig {
     /// cost. The slow-query-log threshold, when configured, doubles as a
     /// retention rule so every slow-log line resolves to a trace.
     pub tracing: Option<TraceConfig>,
-    /// The cooperative wall-clock profiler
-    /// ([`koios_telemetry::Profiler`]): one background thread reads every
-    /// worker's published `(stage, shard)` slot every millisecond and
-    /// feeds the counter matrix behind `GET /debug/profile`. On by default;
-    /// `false` disables the sampler *and* the per-request slot stores
-    /// (workers publish only while a profiler is attached).
-    pub profiler: bool,
 }
 
 impl Default for ServiceConfig {
@@ -90,7 +79,6 @@ impl Default for ServiceConfig {
             token_cache_ttl: None,
             slow_query_log: None,
             tracing: Some(TraceConfig::default()),
-            profiler: true,
         }
     }
 }
@@ -156,14 +144,6 @@ impl ServiceConfig {
     /// cost is the ledger's `bench.trace_overhead_share` row.
     pub fn without_tracing(mut self) -> Self {
         self.tracing = None;
-        self
-    }
-
-    /// Disables the wall-clock profiler entirely: `GET /debug/profile`
-    /// reports it off and the collapsed-stack route answers 409. Hits are
-    /// identical either way (the same `tests/trace.rs` hammer).
-    pub fn without_profiler(mut self) -> Self {
-        self.profiler = false;
         self
     }
 }
@@ -464,11 +444,6 @@ struct ServiceInner {
     // Request tracing: id minting + the tail-sampled retention ring.
     // `None` strips every per-request tracing branch.
     tracer: Option<Tracer>,
-    // The cooperative wall-clock profiler: one sampler thread reading the
-    // workers' published `(stage, shard)` slots. `None` leaves the global
-    // profiling flag off, so the slot stores on the request path reduce to
-    // one relaxed load.
-    profiler: Option<Profiler>,
     // Construction instants for `uptime_secs` (monotone) and `start_time`
     // (wall clock, for operators correlating restarts across machines).
     started: Instant,
@@ -580,9 +555,6 @@ impl SearchService {
                 metrics,
                 slowlog: cfg.slow_query_log,
                 tracer,
-                profiler: cfg
-                    .profiler
-                    .then(|| Profiler::start(PROFILER_SAMPLE_PERIOD)),
                 started: Instant::now(),
                 start_time: SystemTime::now(),
             }),
@@ -620,7 +592,6 @@ impl SearchService {
     /// anyway to reclaim their space, and the token-kNN cache is
     /// invalidated by the engine's generation bump.
     pub fn ingest(&self, ops: &[CorpusOp]) -> Result<IngestOutcome, LiveServiceError> {
-        let _profile_stage = profile::enter(profile::Stage::Ingest);
         let t0 = Instant::now();
         let mut w = self.inner.writer.lock().expect("writer lock");
         let applied = w.engine.apply(ops)?;
@@ -691,7 +662,6 @@ impl SearchService {
     /// from before the reload can be served after it. Returns the new
     /// provenance (also visible in [`ServiceStats::snapshot`]).
     pub fn reload(&self, path: impl AsRef<Path>) -> Result<SnapshotInfo, LiveServiceError> {
-        let _profile_stage = profile::enter(profile::Stage::Ingest);
         let path = path.as_ref();
         let t0 = Instant::now();
         let mut w = self.inner.writer.lock().expect("writer lock");
@@ -994,26 +964,44 @@ impl SearchService {
         self.backend().exact_overlap(query, set)
     }
 
-    /// The wall-clock profiler, when enabled (see
-    /// [`ServiceConfig::profiler`]).
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.inner.profiler.as_ref()
-    }
-
-    /// The body of `GET /debug/profile`: whether the sampler is attached,
-    /// and when it is, tick counts, the collapsed-stack text (flamegraph
-    /// input) and the self-time table (see [`Profiler::to_json`]).
-    pub fn debug_profile(&self) -> Json {
-        match &self.inner.profiler {
-            Some(p) => {
-                let mut fields = vec![("enabled".to_string(), Json::Bool(true))];
-                if let Json::Obj(rest) = p.to_json() {
-                    fields.extend(rest);
-                }
-                Json::Obj(fields)
-            }
-            None => Json::obj([("enabled", Json::Bool(false))]),
+    /// The body of `GET /debug/profile`: the stage time this service has
+    /// recorded since construction, as a [`Profile`] tree of histogram
+    /// sums — the `_sum` of the same series on `/metrics`:
+    ///
+    /// * `search` — `koios_request_seconds{phase="search"}`, with the
+    ///   children `refine`, `postprocess` (itself containing `verify`) and
+    ///   `merge` from `koios_stage_seconds{stage}`. On a partitioned
+    ///   backend those stage sums add up each search's slowest shard
+    ///   ([`SearchStats::merge_parallel`]), and `verify` also counts the
+    ///   merge loop's verifications, so a self time can clamp to 0.
+    /// * `shard;shard:i` — `koios_shard_seconds{shard="i"}`, the shard
+    ///   tasks on the shard executor (overlapping their search in time).
+    /// * `serialize` and `ingest` — `koios_request_seconds{phase}`,
+    ///   recorded on the caller's (HTTP connection) thread.
+    /// * `idle` — worker-seconds since construction ([`Self::workers`] ×
+    ///   uptime) minus the worker-side recorded time, which is the
+    ///   `search` phase alone: queue wait is spent before a worker picks
+    ///   the request up, and cache hits and rejections record no phase.
+    pub fn profile(&self) -> Profile {
+        let m = &self.inner.metrics;
+        let sum = |h: &koios_telemetry::Histogram| Duration::from_nanos(h.snapshot().sum_ns);
+        let uptime = self.inner.started.elapsed();
+        let workers = self.workers();
+        let search = sum(&m.request_search);
+        let mut profile = Profile::new(uptime, workers);
+        profile.add("search", search);
+        profile.add("search;refine", sum(&m.stage_refine));
+        profile.add("search;postprocess", sum(&m.stage_postprocess));
+        profile.add("search;postprocess;verify", sum(&m.stage_verify));
+        profile.add("search;merge", sum(&m.stage_merge));
+        for (i, shard) in m.shards().iter().enumerate() {
+            profile.add(format!("shard;shard:{i}"), sum(shard));
         }
+        profile.add("serialize", sum(&m.request_serialize));
+        profile.add("ingest", sum(&m.request_ingest));
+        let worker_time = uptime.saturating_mul(u32::try_from(workers).unwrap_or(u32::MAX));
+        profile.add("idle", worker_time.saturating_sub(search));
+        profile
     }
 
     /// The body of `GET /debug/cache`: per-stripe occupancy, byte load and
@@ -1190,10 +1178,6 @@ impl ServiceInner {
     /// The full request lifecycle: normalize → cache probe → admission →
     /// search → cache fill → bookkeeping.
     fn process_one(&self, req: &SearchRequest, submitted: Instant) -> ServiceResponse {
-        // The worker publishes `Search` for the whole request lifecycle;
-        // the engine narrows it to Refine/Postprocess/Verify (and, on the
-        // partitioned backend, per-shard `Shard` slots) as stages begin.
-        let _profile_stage = profile::enter(profile::Stage::Search);
         let queue_time = submitted.elapsed();
         self.metrics.request_queue.record_duration(queue_time);
 

@@ -48,7 +48,7 @@
 pub mod profile;
 pub mod trace;
 
-pub use profile::{CountedTicker, Profiler, RealTicker, SelfTime, Ticker};
+pub use profile::{Profile, SelfTime};
 pub use trace::{
     RetainReason, SamplingPolicy, SpanRecord, Trace, TraceBuilder, TraceConfig, TraceContext,
     TraceSink, TraceSinkStats,

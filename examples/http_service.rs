@@ -10,8 +10,8 @@
 //! search whose full span tree comes back from `GET /traces`, `/stats`,
 //! a Prometheus `/metrics` scrape, an EXPLAIN search whose funnel report
 //! rides back with the hits, the `/healthz?full` readiness report, the
-//! `/debug/engine` + `/debug/cache` introspection pair, the cooperative
-//! profiler's collapsed stacks from `/debug/profile`, and `/invalidate`.
+//! `/debug/engine` + `/debug/cache` introspection pair, the recorded
+//! stage time as collapsed stacks from `/debug/profile`, and `/invalidate`.
 //!
 //! ```text
 //! cargo run --release --example http_service
@@ -259,8 +259,8 @@ fn main() {
     );
 
     // The introspection suite: deep readiness, engine/cache internals,
-    // and the cooperative profiler's collapsed stacks (pipe them into
-    // flamegraph.pl as-is).
+    // and the recorded stage time as collapsed stacks weighted in µs (pipe
+    // them into flamegraph.pl as-is).
     let (_, full) = client.healthz_full().expect("healthz full");
     println!(
         "\nGET /healthz?full -> ready {}, epoch {}, live_workers {}/{}, queue_depth {}",
@@ -287,8 +287,8 @@ fn main() {
         rc.get("stripes").unwrap().as_array().unwrap().len(),
     );
     let (status, collapsed) = client.debug_profile_collapsed().expect("collapsed profile");
-    println!("GET /debug/profile?format=collapsed -> {status}, sampled stacks:");
-    for line in collapsed.lines().take(8) {
+    println!("GET /debug/profile?format=collapsed -> {status}, recorded stacks (µs):");
+    for line in collapsed.lines() {
         println!("  {line}");
     }
 

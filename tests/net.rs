@@ -483,7 +483,7 @@ fn debug_suite_round_trips_on_both_backends() {
         let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
         let mut client = KoiosClient::new(server.addr());
 
-        // Drive real traffic first so caches and profiler have content.
+        // Drive real traffic first so caches and the profile have content.
         for set in 0..4u32 {
             let body = Json::obj([
                 (
@@ -627,11 +627,11 @@ fn debug_suite_round_trips_on_both_backends() {
             );
         }
 
-        // /debug/profile: enabled by default, JSON and collapsed forms.
+        // /debug/profile: JSON and collapsed forms.
         let (status, profile) = client.debug_profile().unwrap();
         assert_eq!(status, 200, "{label}");
-        assert_eq!(profile.get("enabled").unwrap().as_bool(), Some(true));
-        assert!(profile.get("ticks").unwrap().as_u64().is_some());
+        assert!(profile.get("uptime_us").unwrap().as_u64().is_some());
+        assert_eq!(profile.get("workers").unwrap().as_u64(), Some(2));
         assert!(profile.get("self_time").unwrap().as_array().is_some());
         let (status, collapsed) = client.debug_profile_collapsed().unwrap();
         assert_eq!(status, 200, "{label}");
@@ -771,26 +771,114 @@ fn explain_funnel_wire_shape_is_pinned() {
     }
 }
 
-/// A service built `without_profiler` answers 409 on the profiler routes
-/// and omits nothing else: the rest of the debug suite stays up.
+/// `/debug/profile` is a view of the time `/metrics` records: once traffic
+/// has finished, every non-idle self-time row is its series' `_sum` minus
+/// the sums of its children (clamped at 0), to the microsecond, on both
+/// backends — and `serialize`, recorded by the HTTP front-end, is among
+/// them.
 #[test]
-fn profiler_disabled_service_answers_409() {
+fn profile_rows_are_metrics_sums_minus_children_on_both_backends() {
+    // The `_sum` of `family{label="value"}`, in microseconds (0 when absent).
+    fn sum_us(metrics: &str, family: &str, label: &str, value: impl std::fmt::Display) -> f64 {
+        let prefix = format!("{family}_sum{{{label}=\"{value}\"}} ");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix.as_str()))
+            .map_or(0.0, |v| v.parse::<f64>().unwrap() * 1e6)
+    }
     let (repo, emb) = corpus_parts();
-    let engine = MutableEngine::single(repo, Some(emb), KoiosConfig::new(5, 0.8), cosine_factory());
-    let service = Arc::new(SearchService::from_mutable(
-        engine.unwrap(),
-        ServiceConfig::new().with_workers(2).without_profiler(),
-    ));
-    let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
-    let mut client = KoiosClient::new(server.addr());
+    for (label, service, shards) in [
+        (
+            "single",
+            single_service(&repo, &emb, &cosine_factory()),
+            0usize,
+        ),
+        (
+            "partitioned",
+            partitioned_service(&repo, &emb, &cosine_factory()),
+            4,
+        ),
+    ] {
+        let service = Arc::new(service);
+        let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let mut client = KoiosClient::new(server.addr());
+        for set in 0..6u32 {
+            let body = Json::obj([(
+                "tokens",
+                Json::arr(repo.set(SetId(set)).iter().map(|t| Json::num(t.0 as f64))),
+            )]);
+            let (status, reply) = client.search(&body).unwrap();
+            assert_eq!(status, 200, "{label}: {reply}");
+        }
 
-    let (status, profile) = client.debug_profile().unwrap();
-    assert_eq!(status, 200);
-    assert_eq!(profile.get("enabled").unwrap().as_bool(), Some(false));
-    let (status, _) = client.debug_profile_collapsed().unwrap();
-    assert_eq!(status, 409);
-    let (status, _) = client.debug_engine().unwrap();
-    assert_eq!(status, 200);
+        let (status, profile) = client.debug_profile().unwrap();
+        assert_eq!(status, 200, "{label}");
+        let (status, metrics) = client.metrics().unwrap();
+        assert_eq!(status, 200, "{label}");
+        let stage = |s: &str| sum_us(&metrics, "koios_stage_seconds", "stage", s);
+        let phase = |p: &str| sum_us(&metrics, "koios_request_seconds", "phase", p);
+        let shard_total: f64 = (0..shards)
+            .map(|i| sum_us(&metrics, "koios_shard_seconds", "shard", i))
+            .sum();
+        let mut expected = vec![
+            (
+                "search",
+                phase("search") - stage("refine") - stage("postprocess") - stage("merge"),
+            ),
+            ("refine", stage("refine")),
+            ("postprocess", stage("postprocess") - stage("verify")),
+            ("verify", stage("verify")),
+            ("merge", stage("merge")),
+            ("serialize", phase("serialize")),
+            ("ingest", phase("ingest")),
+        ];
+        if shards > 0 {
+            expected.push(("shard", shard_total));
+        }
+
+        let rows = profile.get("self_time").unwrap().as_array().unwrap();
+        let (idle, busy) = rows.split_last().unwrap();
+        assert_eq!(idle.get("stage").unwrap().as_str(), Some("idle"), "{label}");
+        assert_eq!(idle.get("fraction").unwrap().as_f64(), Some(0.0), "{label}");
+        assert_eq!(busy.len(), expected.len(), "{label}: {profile}");
+        for (name, want) in expected {
+            let row = busy
+                .iter()
+                .find(|r| r.get("stage").unwrap().as_str() == Some(name))
+                .unwrap_or_else(|| panic!("{label}: no {name} row in {profile}"));
+            let us = row.get("us").unwrap().as_u64().unwrap() as f64;
+            assert!(
+                (us - want.max(0.0)).abs() <= 1.0 + 1e-6,
+                "{label} {name}: profile {us} µs, /metrics {want} µs"
+            );
+        }
+        let serialize = busy
+            .iter()
+            .find(|r| r.get("stage").unwrap().as_str() == Some("serialize"))
+            .unwrap();
+        assert!(
+            serialize.get("us").unwrap().as_u64().unwrap() > 0,
+            "{label}: HTTP searches must show serialize time: {profile}"
+        );
+
+        let (status, collapsed) = client.debug_profile_collapsed().unwrap();
+        assert_eq!(status, 200, "{label}");
+        assert!(
+            collapsed.contains("koios;search;refine "),
+            "{label}: {collapsed}"
+        );
+        for line in collapsed.lines() {
+            let (stack, weight) = line.rsplit_once(' ').unwrap();
+            let frames: Vec<&str> = stack.split(';').collect();
+            assert!(
+                frames.len() >= 2 && frames[0] == "koios" && frames.iter().all(|f| !f.is_empty()),
+                "{label}: bad stack {line:?}"
+            );
+            weight
+                .parse::<u64>()
+                .unwrap_or_else(|_| panic!("{label}: bad weight {line:?}"));
+        }
+    }
 }
 
 /// A similarity that panics when asked about the `marker` token from the
