@@ -51,8 +51,7 @@ pub const STRIPES: usize = 8;
 /// so the hook is a plain closure the wrappers fill from a histogram.
 pub type LockWaitObserver = Arc<dyn Fn(Duration) + Send + Sync>;
 
-/// Monotone behaviour counters since construction (or the last
-/// [`StripedLru::reset_counters`]).
+/// Monotone behaviour counters since construction.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Probes that returned a value.
@@ -384,13 +383,6 @@ impl<K: Eq, V: Clone> StripedLru<K, V> {
     pub fn counters(&self) -> CacheCounters {
         self.snapshot().counters
     }
-
-    /// Zeroes the counters (entries are kept) — metric windowing.
-    pub fn reset_counters(&self) {
-        for i in 0..STRIPES {
-            self.lock_stripe(i).counters = CacheCounters::default();
-        }
-    }
 }
 
 impl<K, V> std::fmt::Debug for StripedLru<K, V> {
@@ -609,9 +601,10 @@ mod tests {
         get(&c, 1);
         get(&c, 2);
         assert!((c.counters().hit_rate() - 0.5).abs() < 1e-12);
-        c.reset_counters();
-        assert_eq!(c.counters(), CacheCounters::default());
-        assert_eq!(c.len(), 1, "entries survive a counter reset");
+        get(&c, 1);
+        let n = c.counters();
+        assert_eq!((n.hits, n.misses), (2, 1));
+        assert!((n.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -196,18 +196,6 @@ impl MemoryReport {
             self.add(n, b);
         }
     }
-
-    /// Takes the per-entry maximum with another report (used when the same
-    /// structures are measured at several instants and the peak is wanted).
-    pub fn max_merge(&mut self, other: &MemoryReport) {
-        for (n, b) in other.iter() {
-            if let Some(e) = self.entries.iter_mut().find(|(en, _)| *en == n) {
-                e.1 = e.1.max(b);
-            } else {
-                self.entries.push((n, b));
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for MemoryReport {
@@ -265,13 +253,13 @@ mod tests {
         r.add("index", 50);
         r.add("stream", 25);
         assert_eq!(r.total(), 175);
-        let mut peak = MemoryReport::new();
-        peak.add("index", 120);
-        r.max_merge(&peak);
-        assert_eq!(r.total(), 175); // index stays at 150 (>120)
-        peak.add("other", 10);
-        r.max_merge(&peak);
-        assert_eq!(r.total(), 185);
+        let mut other = MemoryReport::new();
+        other.add("index", 20);
+        other.add("other", 10);
+        r.merge(&other);
+        assert_eq!(r.total(), 205);
+        let entries: Vec<_> = r.iter().collect();
+        assert_eq!(entries, [("index", 170), ("stream", 25), ("other", 10)]);
     }
 
     #[test]

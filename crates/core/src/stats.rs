@@ -173,10 +173,8 @@ pub struct SearchStats {
     /// trace.
     pub executor_time: Duration,
     /// Per-shard wall time of a partitioned search, indexed by partition
-    /// (empty for single-engine searches). Parallel merges take the
-    /// element-wise max — shards of one query run concurrently — while
-    /// sequential service aggregation sums element-wise into cumulative
-    /// per-shard engine time.
+    /// (empty for single-engine searches). Merges take the element-wise
+    /// max — shards of one query run concurrently.
     pub shard_times: Vec<Duration>,
     /// Whether the time budget expired (partial results). Sticky across
     /// merges: a partitioned search is timed out if *any* shard — or the
@@ -189,8 +187,7 @@ pub struct SearchStats {
     pub knn_cache: KnnCacheSearchStats,
     /// Corpus epoch of the engine that answered the query
     /// ([`crate::KoiosConfig::epoch`]). Merges take the max — shard
-    /// engines always share their parent's epoch, and a service aggregate
-    /// reports the newest corpus version that contributed.
+    /// engines always share their parent's epoch.
     pub epoch: u64,
     /// Peak footprint of the search data structures.
     pub memory: MemoryReport,
@@ -330,27 +327,8 @@ impl SearchStats {
         self.verify_time = self.verify_time.max(other.verify_time);
         self.merge_time = self.merge_time.max(other.merge_time);
         self.executor_time = self.executor_time.max(other.executor_time);
-        merge_shard_times(&mut self.shard_times, &other.shard_times, |a, b| a.max(b));
+        max_shard_times(&mut self.shard_times, &other.shard_times);
         self.memory.merge(&other.memory);
-    }
-
-    /// Merges counters from another search run *after* this one (service
-    /// aggregation across queries): timings add up — the total is
-    /// cumulative engine time — while memory takes the per-label max, since
-    /// each search's footprint is a transient snapshot of the same
-    /// structures (summing snapshots across a service lifetime would read
-    /// like an unbounded leak). Funnel reports are per-query diagnostics
-    /// and are *not* folded — concatenating posting-length vectors across
-    /// a service lifetime would grow without bound.
-    pub fn merge_sequential(&mut self, other: &SearchStats) {
-        self.merge_counters(other);
-        self.refine_time += other.refine_time;
-        self.postprocess_time += other.postprocess_time;
-        self.verify_time += other.verify_time;
-        self.merge_time += other.merge_time;
-        self.executor_time += other.executor_time;
-        merge_shard_times(&mut self.shard_times, &other.shard_times, |a, b| a + b);
-        self.memory.max_merge(&other.memory);
     }
 
     fn merge_counters(&mut self, other: &SearchStats) {
@@ -375,19 +353,14 @@ impl SearchStats {
     }
 }
 
-/// Element-wise fold of per-shard timings, extending with the other side's
-/// entries where lengths differ (e.g. folding a single-engine search into
-/// a partitioned aggregate).
-fn merge_shard_times(
-    into: &mut Vec<Duration>,
-    other: &[Duration],
-    fold: impl Fn(Duration, Duration) -> Duration,
-) {
+/// Element-wise max of per-shard timings, extending with the other side's
+/// entries where lengths differ.
+fn max_shard_times(into: &mut Vec<Duration>, other: &[Duration]) {
     if into.len() < other.len() {
         into.resize(other.len(), Duration::ZERO);
     }
     for (a, &b) in into.iter_mut().zip(other.iter()) {
-        *a = fold(*a, b);
+        *a = (*a).max(b);
     }
 }
 
@@ -474,17 +447,10 @@ mod tests {
         assert_eq!(rendered(&a, "posting_entries_scanned"), Some(7));
         assert_eq!(a.funnel.as_deref().unwrap().posting_lengths, vec![3, 4]);
 
-        // A funnel-less aggregate adopts the other side's report...
+        // A funnel-less aggregate adopts the other side's report.
         let mut bare = SearchStats::default();
         bare.merge_parallel(&a);
         assert_eq!(rendered(&bare, "candidates_discovered"), Some(7));
-        // ...but sequential (service-lifetime) aggregation never folds it:
-        // the counts add up, the report is gone.
-        let mut seq = SearchStats::default();
-        seq.merge_sequential(&a);
-        assert_eq!(seq.candidates, 7);
-        assert!(seq.funnel.is_none());
-        assert!(seq.funnel_json().is_none());
     }
 
     #[test]
@@ -525,38 +491,5 @@ mod tests {
         assert_eq!(json.get("no_em_certified").unwrap().as_u64(), Some(10));
         assert_eq!(json.get("returned").unwrap().as_u64(), Some(10));
         assert_eq!(json.get("shards").unwrap().as_array().unwrap().len(), 0);
-    }
-
-    #[test]
-    fn merge_sequential_sums_counts_and_times() {
-        let mut a = SearchStats {
-            candidates: 10,
-            refine_time: Duration::from_millis(30),
-            postprocess_time: Duration::from_millis(5),
-            verify_time: Duration::from_millis(2),
-            merge_time: Duration::from_millis(1),
-            shard_times: vec![Duration::from_millis(4)],
-            ..Default::default()
-        };
-        let b = SearchStats {
-            candidates: 5,
-            refine_time: Duration::from_millis(50),
-            postprocess_time: Duration::from_millis(10),
-            verify_time: Duration::from_millis(3),
-            merge_time: Duration::from_millis(2),
-            shard_times: vec![Duration::from_millis(6), Duration::from_millis(8)],
-            ..Default::default()
-        };
-        a.merge_sequential(&b);
-        assert_eq!(a.candidates, 15);
-        assert_eq!(a.refine_time, Duration::from_millis(80));
-        assert_eq!(a.postprocess_time, Duration::from_millis(15));
-        assert_eq!(a.verify_time, Duration::from_millis(5));
-        assert_eq!(a.merge_time, Duration::from_millis(3));
-        assert_eq!(
-            a.shard_times,
-            vec![Duration::from_millis(10), Duration::from_millis(8)]
-        );
-        assert!(!a.timed_out);
     }
 }

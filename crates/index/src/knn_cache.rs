@@ -325,11 +325,6 @@ impl TokenKnnCache {
         self.lru.counters()
     }
 
-    /// Zeroes the behaviour counters (entries are kept) — metric windowing.
-    pub fn reset_counters(&self) {
-        self.lru.reset_counters();
-    }
-
     /// An observability snapshot from one sweep of the stripes (consistent
     /// in the absence of concurrent mutation).
     pub fn snapshot(&self) -> KnnCacheSnapshot {

@@ -366,7 +366,7 @@ pub fn stats_to_json(st: &ServiceStats) -> Json {
                 ("em_full", Json::num(st.engine.em_full as f64)),
                 ("no_em", Json::num(st.engine.no_em as f64)),
                 ("stream_tuples", Json::num(st.engine.stream_tuples as f64)),
-                ("cumulative_engine_ms", millis(st.engine.response_time())),
+                ("cumulative_engine_ms", millis(st.engine.cumulative_time)),
             ]),
         ),
     ])

@@ -30,11 +30,13 @@
 //!   deadline lapses before pickup are rejected unrun (admission control).
 //!   Shutdown drains: every handle issued before [`SearchService::shutdown`]
 //!   (or drop) resolves.
-//! * **An LRU result cache** — keyed by a stable 64-bit fingerprint of the
-//!   normalized query tokens and every result-affecting parameter
-//!   (`k`, `α`, UB mode, filter toggles), with hit/miss/eviction counters
-//!   and explicit invalidation. Collisions are detected by full-key
-//!   comparison and served as misses, never as wrong results.
+//! * **An LRU result cache** — the workspace's striped LRU
+//!   ([`koios_common::cache::StripedLru`]) at weight 1 per entry, keyed by
+//!   a stable 64-bit fingerprint of the normalized query tokens and every
+//!   result-affecting parameter (`k`, `α`, UB mode, filter toggles, epoch),
+//!   with hit/miss/eviction counters and explicit invalidation. Collisions
+//!   are detected by full-key comparison and served as misses, never as
+//!   wrong results.
 //! * **A shared token-level kNN cache** — one
 //!   [`koios_index::knn_cache::TokenKnnCache`] installed into the engine
 //!   configuration so *overlapping* (not just identical) queries reuse
@@ -42,14 +44,14 @@
 //!   result cache via a generation bump
 //!   ([`SearchService::invalidate_cache`]).
 //!
-//! Observability is first-class: [`ServiceStats`] aggregates the engine's
-//! per-query [`koios_core::SearchStats`] across the service lifetime next
-//! to cache and admission counters, and a `koios-telemetry` registry
-//! ([`metrics::ServiceMetrics`]) tracks latency *distributions* the folded
-//! stats cannot express — per-stage histograms (`refine`/`verify`/
+//! Observability is first-class: a `koios-telemetry` registry
+//! ([`metrics::ServiceMetrics`]) tracks latency distributions —
+//! per-stage histograms (`refine`/`verify`/
 //! `postprocess`/`merge`, matching the paper's pipeline names), per-shard
 //! search time, pool queue depth and queue wait, cache mutex lock-wait,
-//! and the request's queue/search/serialize phase split. Scrape it with
+//! and the request's queue/search/serialize phase split. [`ServiceStats`]
+//! is a view of the same counters (plus the result LRU's own and the
+//! paper's funnel totals), so `/stats` and `/metrics` agree. Scrape it with
 //! [`SearchService::render_metrics`] (Prometheus text format; served as
 //! `GET /metrics` by `koios-net`), and catch outliers with the structured
 //! slow-query log ([`slowlog::SlowQueryLog`]): one JSON line per request
@@ -64,7 +66,6 @@
 //! via [`SearchService::traces`] / `GET /traces`, with slow-log lines and
 //! `/metrics` exemplars carrying the joinable `trace_id`.
 
-pub mod cache;
 pub mod metrics;
 pub mod pool;
 pub mod request;
@@ -73,11 +74,11 @@ pub mod slowlog;
 pub mod stats;
 pub mod tracer;
 
-pub use cache::{CacheCounters, StripedLruCache};
+pub use koios_common::cache::CacheCounters;
 pub use metrics::ServiceMetrics;
 pub use pool::{PoolInstruments, Ticket};
 pub use request::{CacheKey, CacheOutcome, SearchRequest, ServiceResponse};
 pub use service::{IngestOutcome, LiveServiceError, ResponseHandle, SearchService, ServiceConfig};
 pub use slowlog::{SlowQueryLog, SlowQuerySink};
-pub use stats::{ServiceStats, SnapshotInfo};
+pub use stats::{EngineTotals, ServiceStats, SnapshotInfo};
 pub use tracer::Tracer;

@@ -1,13 +1,12 @@
 //! The concurrent query-serving layer.
 
-use crate::cache::StripedLruCache;
 use crate::metrics::ServiceMetrics;
 use crate::pool::{Pool, PoolInstruments, Ticket};
 use crate::request::{CacheKey, CacheOutcome, SearchRequest, ServiceResponse};
 use crate::slowlog::{SlowQueryLog, SlowQueryRecord};
-use crate::stats::{ServiceStats, SnapshotInfo};
+use crate::stats::{EngineTotals, ServiceStats, SnapshotInfo};
 use crate::tracer::{record_search_spans, Tracer};
-use koios_common::cache::CacheSnapshot;
+use koios_common::cache::{CacheSnapshot, StripedLru};
 use koios_common::{Json, SetId, TokenId};
 use koios_core::mutable::{cosine_factory, BatchRejected, MutableEngine, SimFactory};
 use koios_core::{EngineBackend, Hit, KoiosConfig, SearchResult, SearchStats};
@@ -24,7 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
-/// Tunables of a [`SearchService`].
+/// Tunables of a [`SearchService`]: seven settable values — pool width,
+/// the two cache budgets and their TTLs, the slow-query log and tracing.
+///
+/// Deadlines are per request ([`SearchRequest::time_budget`]); a request
+/// without one runs to completion.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Fixed worker-pool width for batch execution. `0` resolves to the
@@ -40,9 +43,6 @@ pub struct ServiceConfig {
     /// compose: a result hit skips the search entirely, a token hit makes
     /// the search it cannot skip cheaper.
     pub token_cache_bytes: usize,
-    /// Deadline budget applied to requests that carry none. Covers queue
-    /// time and search time; `None` means no deadline.
-    pub default_time_budget: Option<Duration>,
     /// Time-to-live of result-cache entries; a probe that finds an older
     /// entry evicts it and misses. `None` (the default) keeps entries until
     /// displaced or invalidated.
@@ -74,7 +74,6 @@ impl Default for ServiceConfig {
             workers: 0,
             cache_capacity: 1024,
             token_cache_bytes: 16 << 20,
-            default_time_budget: None,
             result_ttl: None,
             token_cache_ttl: None,
             slow_query_log: None,
@@ -85,7 +84,7 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// Starts from the defaults (auto-sized pool, 1024-entry result cache,
-    /// 16 MiB token cache, no deadline).
+    /// 16 MiB token cache, no TTLs, no slow-query log, tracing on).
     pub fn new() -> Self {
         Self::default()
     }
@@ -105,12 +104,6 @@ impl ServiceConfig {
     /// Sets the token-level kNN cache byte budget (`0` disables it).
     pub fn with_token_cache_bytes(mut self, bytes: usize) -> Self {
         self.token_cache_bytes = bytes;
-        self
-    }
-
-    /// Sets the default per-request deadline budget.
-    pub fn with_default_time_budget(mut self, budget: Duration) -> Self {
-        self.default_time_budget = Some(budget);
         self
     }
 
@@ -146,26 +139,6 @@ impl ServiceConfig {
         self.tracing = None;
         self
     }
-}
-
-/// Mutable service state behind one lock (counters only — the cache has
-/// its own lock so slow searches never serialize behind bookkeeping).
-///
-/// Counter semantics (mirrored on [`ServiceStats`]): `rejected` counts
-/// requests refused without running a search — expired deadline at
-/// admission or invalid parameter overrides. `timed_out` counts every
-/// request that observed a deadline expiry, whether at admission (also
-/// counted in `rejected`) or mid-search, so it always agrees with the
-/// number of responses carrying `stats.timed_out = true`.
-#[derive(Default)]
-struct StatsInner {
-    queries: u64,
-    batches: u64,
-    cache_hits: u64,
-    searched: u64,
-    rejected: u64,
-    timed_out: u64,
-    engine: SearchStats,
 }
 
 /// The writer side of the service, behind its own mutex so mutation never
@@ -400,6 +373,39 @@ impl CacheView {
     }
 }
 
+/// The counts only the service keeps, as relaxed atomics: `stats()` reads
+/// each on its own, and neither a request nor a writer takes a lock to
+/// bump one. Cache hits and executed searches are not here — they have a
+/// home already: the result LRU's `hits` and the
+/// `koios_request_seconds{phase="search"}` count.
+#[derive(Default)]
+struct Counters {
+    // Requests submitted, and `search_batch` calls.
+    queries: AtomicU64,
+    batches: AtomicU64,
+    // Requests refused without running a search: expired deadline at
+    // admission, or invalid overrides.
+    rejected: AtomicU64,
+    // Requests that observed a deadline expiry, at admission (also in
+    // `rejected`) or mid-search.
+    timed_out: AtomicU64,
+    // Sets appended / tombstoned by live ingestion — outside the writer
+    // lock, so `stats()` never waits on a writer that holds it across a
+    // corpus copy, a file write or a snapshot decode.
+    sets_added: AtomicU64,
+    sets_removed: AtomicU64,
+    // The paper's funnel columns summed over executed searches.
+    candidates: AtomicU64,
+    em_full: AtomicU64,
+    no_em: AtomicU64,
+    stream_tuples: AtomicU64,
+}
+
+/// Adds `n` to a [`Counters`] field.
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
 /// A handle to one submitted request's eventual [`ServiceResponse`]
 /// (see [`SearchService::submit`]).
 pub type ResponseHandle = Ticket<ServiceResponse>;
@@ -416,17 +422,13 @@ struct ServiceInner {
     // The writer: the mutable engine plus mutation bookkeeping. Its mutex
     // serializes writers only.
     writer: Mutex<WriterState>,
-    // Sets appended / tombstoned by live ingestion since construction.
-    // Outside the writer lock, so `stats()` never waits on a writer that
-    // holds it across a corpus copy, a file write or a snapshot decode.
-    sets_added: AtomicU64,
-    sets_removed: AtomicU64,
-    default_budget: Option<Duration>,
-    // Values are `Arc`ed so a hit only bumps a refcount while the stripe
-    // lock is held; the O(k) hit-vector copy happens outside the critical
-    // section. Striped: concurrent workers probing different fingerprints
-    // never serialize on one mutex.
-    cache: StripedLruCache<CacheKey, Arc<Vec<Hit>>>,
+    counters: Counters,
+    // The result cache: the workspace LRU at weight 1 per entry, keyed by
+    // the request fingerprint plus the full key (a collision is a miss,
+    // never a wrong answer). Values are `Arc`ed so a hit only bumps a
+    // refcount while the stripe lock is held; the O(k) hit-vector copy
+    // happens outside the critical section.
+    cache: StripedLru<CacheKey, Arc<Vec<Hit>>>,
     // Shared token-level kNN cache (also reachable through the engine
     // config; this handle serves stats and invalidation).
     token_cache: Option<Arc<TokenKnnCache>>,
@@ -434,7 +436,6 @@ struct ServiceInner {
     // snapshot ([`SearchService::from_snapshot`]) or hot-reloaded
     // ([`SearchService::reload`]); surfaced in [`ServiceStats::snapshot`].
     snapshot: Mutex<Option<SnapshotInfo>>,
-    stats: Mutex<StatsInner>,
     // Registry + pre-resolved instrument handles; recording on the request
     // path is a handful of relaxed atomic adds.
     metrics: ServiceMetrics,
@@ -530,8 +531,9 @@ impl SearchService {
         if let Some(tc) = &token_cache {
             tc.install_lock_wait(Arc::clone(&metrics.lock_wait_token));
         }
-        let cache = StripedLruCache::new(cfg.cache_capacity).with_ttl(cfg.result_ttl);
-        cache.install_lock_wait(Arc::clone(&metrics.lock_wait_result));
+        let cache = StripedLru::new(cfg.cache_capacity).with_ttl(cfg.result_ttl);
+        let lock_wait = Arc::clone(&metrics.lock_wait_result);
+        cache.install_lock_wait(Arc::new(move |wait| lock_wait.record_duration(wait)));
         let pool_instruments = Arc::new(PoolInstruments {
             depth: Arc::clone(&metrics.queue_depth),
             wait: Arc::clone(&metrics.queue_wait),
@@ -545,13 +547,10 @@ impl SearchService {
                     pending_ops: Vec::new(),
                     snapshot_path,
                 }),
-                sets_added: AtomicU64::new(0),
-                sets_removed: AtomicU64::new(0),
-                default_budget: cfg.default_time_budget,
+                counters: Counters::default(),
                 cache,
                 token_cache,
                 snapshot: Mutex::new(snapshot),
-                stats: Mutex::new(StatsInner::default()),
                 metrics,
                 slowlog: cfg.slow_query_log,
                 tracer,
@@ -604,14 +603,12 @@ impl SearchService {
                 Applied::Removed(_) => removed += 1,
             }
         }
-        self.inner.sets_added.fetch_add(inserted, Ordering::Relaxed);
-        self.inner
-            .sets_removed
-            .fetch_add(removed, Ordering::Relaxed);
+        bump(&self.inner.counters.sets_added, inserted);
+        bump(&self.inner.counters.sets_removed, removed);
         w.pending_ops.extend_from_slice(ops);
         if let Some(backend) = swap {
             *self.inner.backend.write().expect("backend lock") = backend;
-            self.inner.cache.invalidate_all();
+            self.inner.cache.clear();
         }
         self.record_mutation("ingest", &self.inner.metrics.request_ingest, epoch, t0);
         self.inner.metrics.mutations_ingest.inc();
@@ -675,7 +672,7 @@ impl SearchService {
         w.snapshot_path = Some(path.to_path_buf());
         drop(w);
         *self.inner.backend.write().expect("backend lock") = backend;
-        self.inner.cache.invalidate_all();
+        self.inner.cache.clear();
         if let Some(tc) = &self.inner.token_cache {
             tc.bump_generation();
         }
@@ -754,7 +751,7 @@ impl SearchService {
     /// expires before a worker picks it up is rejected without running
     /// (admission control).
     pub fn submit(&self, request: SearchRequest) -> ResponseHandle {
-        self.inner.stats.lock().expect("stats lock").queries += 1;
+        bump(&self.inner.counters.queries, 1);
         self.submit_at(request, Instant::now())
     }
 
@@ -778,11 +775,8 @@ impl SearchService {
     /// running (admission control).
     pub fn search_batch(&self, requests: &[SearchRequest]) -> Vec<ServiceResponse> {
         let submitted = Instant::now();
-        {
-            let mut st = self.inner.stats.lock().expect("stats lock");
-            st.batches += 1;
-            st.queries += requests.len() as u64;
-        }
+        bump(&self.inner.counters.batches, 1);
+        bump(&self.inner.counters.queries, requests.len() as u64);
         let handles: Vec<ResponseHandle> = requests
             .iter()
             .map(|r| self.submit_at(r.clone(), submitted))
@@ -805,7 +799,7 @@ impl SearchService {
     /// generation bump, so searches already in flight can neither serve
     /// nor publish stale lists.
     pub fn invalidate_cache(&self) {
-        self.inner.cache.invalidate_all();
+        self.inner.cache.clear();
         if let Some(tc) = &self.inner.token_cache {
             tc.bump_generation();
         }
@@ -821,26 +815,40 @@ impl SearchService {
         self.inner.cache.len()
     }
 
-    /// A snapshot of the service counters.
+    /// A snapshot of the service counters, each read from its one home:
+    /// the request counters, the result LRU's counters, and the
+    /// `koios_request_seconds` / `koios_stage_seconds` histograms that
+    /// `GET /metrics` renders. Takes no lock a request path holds beyond
+    /// one momentary sweep of the cache stripes.
     pub fn stats(&self) -> ServiceStats {
+        let (n, m) = (&self.inner.counters, &self.inner.metrics);
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let sum_ns = |h: &koios_telemetry::Histogram| h.snapshot().sum_ns;
         let backend = self.backend();
-        let st = self.inner.stats.lock().expect("stats lock");
         let cache = self.inner.cache.counters();
         ServiceStats {
-            queries: st.queries,
-            batches: st.batches,
-            cache_hits: st.cache_hits,
-            searched: st.searched,
-            rejected: st.rejected,
-            timed_out: st.timed_out,
+            queries: load(&n.queries),
+            batches: load(&n.batches),
+            cache_hits: cache.hits,
+            searched: m.request_search.snapshot().count(),
+            rejected: load(&n.rejected),
+            timed_out: load(&n.timed_out),
             partitions: backend.num_partitions(),
             cache,
             token_cache: self.inner.token_cache.as_ref().map(|tc| tc.snapshot()),
             snapshot: self.snapshot_info(),
             engine_epoch: backend.config().epoch,
-            sets_added: self.inner.sets_added.load(Ordering::Relaxed),
-            sets_removed: self.inner.sets_removed.load(Ordering::Relaxed),
-            engine: st.engine.clone(),
+            sets_added: load(&n.sets_added),
+            sets_removed: load(&n.sets_removed),
+            engine: EngineTotals {
+                candidates: load(&n.candidates),
+                em_full: load(&n.em_full),
+                no_em: load(&n.no_em),
+                stream_tuples: load(&n.stream_tuples),
+                cumulative_time: Duration::from_nanos(
+                    sum_ns(&m.stage_refine) + sum_ns(&m.stage_postprocess) + sum_ns(&m.stage_merge),
+                ),
+            },
             uptime_secs: self.inner.started.elapsed().as_secs_f64(),
             start_time: self.inner.start_time,
         }
@@ -947,16 +955,6 @@ impl SearchService {
             }
         }
         text
-    }
-
-    /// Zeroes every service counter (including both caches') without
-    /// touching cached entries — metric windowing for operators.
-    pub fn reset_stats(&self) {
-        *self.inner.stats.lock().expect("stats lock") = StatsInner::default();
-        self.inner.cache.reset_counters();
-        if let Some(tc) = &self.inner.token_cache {
-            tc.reset_counters();
-        }
     }
 
     /// Exact overlap oracle passthrough (auditing cached answers).
@@ -1145,10 +1143,17 @@ fn load_snapshot(
 }
 
 impl ServiceInner {
-    /// Feeds one executed search's stage timings into the stage/shard
-    /// histograms. `merge`/shard series only move for partitioned
-    /// searches, so a single-engine scrape carries no misleading zeros.
-    fn record_stages(&self, stats: &SearchStats) {
+    /// Feeds one executed search into the service's counters: its funnel
+    /// counts into the engine totals, its stage timings into the
+    /// stage/shard histograms. `merge`/shard series only move for
+    /// partitioned searches, so a single-engine scrape carries no
+    /// misleading zeros.
+    fn record_search(&self, stats: &SearchStats) {
+        let n = &self.counters;
+        bump(&n.candidates, stats.candidates as u64);
+        bump(&n.em_full, stats.em_full as u64);
+        bump(&n.no_em, stats.no_em as u64);
+        bump(&n.stream_tuples, stats.stream_tuples as u64);
         self.metrics.stage_refine.record_duration(stats.refine_time);
         self.metrics
             .stage_postprocess
@@ -1215,7 +1220,7 @@ impl ServiceInner {
         // overrides but never invalidates cached answers.
         cfg.explain = cfg.explain || req.explain;
         if cfg.k == 0 || !(cfg.alpha > 0.0 && cfg.alpha <= 1.0) {
-            self.stats.lock().expect("stats lock").rejected += 1;
+            bump(&self.counters.rejected, 1);
             let trace_id = self.finish_trace(tb, submitted, false, true);
             return ServiceResponse {
                 result: SearchResult::default(),
@@ -1253,7 +1258,6 @@ impl ServiceInner {
                 );
             }
             if let Some(hits) = cached {
-                self.stats.lock().expect("stats lock").cache_hits += 1;
                 if let Some(tb) = tb.as_mut() {
                     tb.set_epoch(cfg.epoch);
                 }
@@ -1290,19 +1294,15 @@ impl ServiceInner {
         // deadline is passed to the backend as an *absolute* instant, so it
         // bounds the whole remaining search — on a partitioned backend,
         // every shard and the merge-time verification loop.
-        let deadline = req
-            .time_budget
-            .or(self.default_budget)
-            .map(|b| submitted + b);
+        let deadline = req.time_budget.map(|b| submitted + b);
         if let Some(d) = deadline {
             if Instant::now() >= d {
-                let mut st = self.stats.lock().expect("stats lock");
                 // A deadline expiry at admission is both a rejection and a
                 // timeout: callers observe `stats.timed_out = true`, so the
                 // service-level counter must agree (it counts every request
                 // that observed an expiry, admitted or not).
-                st.rejected += 1;
-                st.timed_out += 1;
+                bump(&self.counters.rejected, 1);
+                bump(&self.counters.timed_out, 1);
                 let stats = SearchStats {
                     timed_out: true,
                     ..SearchStats::default()
@@ -1342,7 +1342,7 @@ impl ServiceInner {
             };
         let search_time = search_start.elapsed();
         self.metrics.request_search.record_duration(search_time);
-        self.record_stages(&result.stats);
+        self.record_search(&result.stats);
         if let Some(tb) = tb.as_mut() {
             let off = tb.offset(search_start);
             record_search_spans(tb, &result.stats, off, search_time.as_nanos() as u64);
@@ -1357,7 +1357,7 @@ impl ServiceInner {
         let complete = !result.stats.timed_out;
         if !req.bypass_cache && complete {
             let hits = Arc::new(result.hits.clone());
-            self.cache.insert(fp, key, hits);
+            self.cache.insert(fp, key, hits, 1, || true);
         }
 
         if let Some(log) = &self.slowlog {
@@ -1379,13 +1379,8 @@ impl ServiceInner {
             });
         }
 
-        {
-            let mut st = self.stats.lock().expect("stats lock");
-            st.searched += 1;
-            if result.stats.timed_out {
-                st.timed_out += 1;
-            }
-            st.engine.merge_sequential(&result.stats);
+        if result.stats.timed_out {
+            bump(&self.counters.timed_out, 1);
         }
 
         let trace_id = self.finish_trace(tb, submitted, result.stats.timed_out, false);
@@ -1596,23 +1591,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_zeroes_counters_but_keeps_entries() {
-        let (repo, svc) = service(1, 8);
-        let q = repo.intern_query(["a", "b"]);
-        svc.search(SearchRequest::new(q.clone()));
-        svc.search(SearchRequest::new(q.clone()));
-        assert_eq!(svc.stats().cache_hits, 1);
-        svc.reset_stats();
-        let st = svc.stats();
-        assert_eq!((st.queries, st.cache_hits, st.searched), (0, 0, 0));
-        assert_eq!(st.cache.hits, 0);
-        // Entries survive: the next identical query still hits.
-        assert_eq!(svc.cache_len(), 1);
-        let again = svc.search(SearchRequest::new(q));
-        assert_eq!(again.cache, CacheOutcome::Hit);
-    }
-
-    #[test]
     fn token_cache_is_shared_and_reported() {
         let (repo, svc) = service(1, 8);
         assert!(svc.token_cache().is_some(), "enabled by default");
@@ -1635,11 +1613,17 @@ mod tests {
             "global and per-search views agree"
         );
         assert!(st.token_cache_hit_rate() > 0.0);
-        // The folded engine stats carry the summed per-search counters.
+        // The engine totals carry the summed per-search counters.
+        let (s1, s2) = (&r1.result.stats, &r2.result.stats);
+        assert_eq!(st.searched, 2);
+        assert_eq!(st.engine.candidates, (s1.candidates + s2.candidates) as u64);
         assert_eq!(
-            st.engine.knn_cache.hits + st.engine.knn_cache.misses,
-            6,
-            "3 elements per query, 2 searched queries"
+            st.engine.stream_tuples,
+            (s1.stream_tuples + s2.stream_tuples) as u64
+        );
+        assert_eq!(
+            st.engine.cumulative_time,
+            s1.response_time() + s2.response_time()
         );
     }
 
@@ -1908,8 +1892,7 @@ mod tests {
         let after = svc.stats();
         assert!(after.uptime_secs >= before.uptime_secs);
         assert_eq!(after.start_time, before.start_time, "start time is fixed");
-        // reset_stats zeroes counters but the service did not restart.
-        svc.reset_stats();
+        assert_eq!((before.searched, after.searched), (0, 1));
         assert!(svc.stats().uptime_secs >= after.uptime_secs);
     }
 

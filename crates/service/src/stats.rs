@@ -1,7 +1,6 @@
 //! Service-level observability.
 
-use crate::cache::CacheCounters;
-use koios_core::SearchStats;
+use koios_common::cache::CacheCounters;
 use koios_index::knn_cache::KnnCacheSnapshot;
 use std::time::{Duration, SystemTime};
 
@@ -34,24 +33,42 @@ pub struct SnapshotInfo {
     pub load_time: Duration,
 }
 
-/// Aggregated counters for a [`crate::SearchService`] since construction
-/// (or the last [`crate::SearchService::reset_stats`]).
-///
-/// `engine` folds every executed search's [`SearchStats`] together with
-/// [`SearchStats::merge_sequential`], so its timings are *cumulative engine
-/// time* (across all workers), not wall-clock time, and its memory report
-/// is the per-label *peak* across searches (each search's footprint is a
-/// transient snapshot, so peaks are meaningful where sums would read like
-/// a leak).
+/// The paper's funnel columns (Koios §VIII, Tables II–V) summed over every
+/// search a [`crate::SearchService`] executed: each request's
+/// [`koios_core::SearchStats`] adds its counts once, and
+/// `cumulative_time` is the sum of the `refine`, `postprocess` and `merge`
+/// `koios_stage_seconds` histograms — cumulative engine time across all
+/// workers, not wall-clock time.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct EngineTotals {
+    /// Distinct candidate sets discovered.
+    pub candidates: u64,
+    /// Exact matchings run to completion.
+    pub em_full: u64,
+    /// Sets certified into the top-k without exact matching (No-EM).
+    pub no_em: u64,
+    /// Tuples consumed from the token stream.
+    pub stream_tuples: u64,
+    /// Σ refinement + post-processing + merge wall time.
+    pub cumulative_time: Duration,
+}
+
+/// Counters of a [`crate::SearchService`] since construction — a view,
+/// not a second copy: each figure is read from the one place the service
+/// keeps it. `cache_hits` and `cache` are the result LRU's own counters,
+/// `searched` is the count of `koios_request_seconds{phase="search"}`,
+/// and `engine.cumulative_time` the stage-histogram sums, so `GET /stats`
+/// and `GET /metrics` agree by construction.
 #[derive(Debug, Clone)]
 pub struct ServiceStats {
     /// Requests received (including cache hits and rejections).
     pub queries: u64,
     /// Batches submitted.
     pub batches: u64,
-    /// Requests answered from the result cache.
+    /// Requests answered from the result cache (`cache.hits`).
     pub cache_hits: u64,
-    /// Requests that had to run a search.
+    /// Requests that ran a search (the `koios_request_seconds{phase=
+    /// "search"}` count).
     pub searched: u64,
     /// Requests refused without running a search: their deadline had
     /// already expired at admission, or their parameter overrides were
@@ -69,9 +86,9 @@ pub struct ServiceStats {
     /// Result-cache behaviour (hits/misses/evictions/invalidations).
     pub cache: CacheCounters,
     /// Shared token-level kNN cache state and behaviour (`None` when the
-    /// service runs with `token_cache_bytes == 0`). Element-level hit
-    /// counts also appear per search in `engine.knn_cache`; this snapshot
-    /// adds the global view: bytes held, entries, evictions, generation.
+    /// service runs with `token_cache_bytes == 0`): bytes held, entries,
+    /// hits, evictions, generation. Element-level hit counts also appear
+    /// per search in each response's `stats.knn_cache`.
     pub token_cache: Option<KnnCacheSnapshot>,
     /// Provenance of the snapshot the backend was warm-started from
     /// (`None` when the service was built from live structures). Updated
@@ -86,11 +103,9 @@ pub struct ServiceStats {
     pub sets_added: u64,
     /// Sets tombstoned by live ingestion since construction.
     pub sets_removed: u64,
-    /// Folded per-search engine instrumentation.
-    pub engine: SearchStats,
-    /// Seconds since the service was constructed (monotone clock; not
-    /// reset by [`crate::SearchService::reset_stats`], since the service
-    /// did not restart).
+    /// Funnel counts and engine time summed over executed searches.
+    pub engine: EngineTotals,
+    /// Seconds since the service was constructed (monotone clock).
     pub uptime_secs: f64,
     /// Wall-clock instant of service construction, for correlating
     /// restarts across machines (`UNIX_EPOCH` on a default snapshot).
@@ -113,7 +128,7 @@ impl Default for ServiceStats {
             engine_epoch: 0,
             sets_added: 0,
             sets_removed: 0,
-            engine: SearchStats::default(),
+            engine: EngineTotals::default(),
             uptime_secs: 0.0,
             start_time: SystemTime::UNIX_EPOCH,
         }

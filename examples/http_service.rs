@@ -227,6 +227,24 @@ fn main() {
     {
         println!("  {line}");
     }
+    // `/stats` is a view of the counters `/metrics` exports: no search ran
+    // between the two reads, so they agree exactly.
+    let series = |name: &str| {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .map_or(0, |v| v.parse::<f64>().expect("numeric sample") as u64)
+    };
+    let searched = stats.get("searched").unwrap().as_u64().unwrap();
+    let cache_hits = stats.get("cache_hits").unwrap().as_u64().unwrap();
+    assert_eq!(
+        searched,
+        series("koios_request_seconds_count{phase=\"search\"}")
+    );
+    assert_eq!(
+        cache_hits,
+        series("koios_cache_ops_total{cache=\"result\",op=\"hit\"}")
+    );
+    println!("/stats agrees with /metrics: searched {searched}, cache_hits {cache_hits}");
 
     // EXPLAIN mode: the same query with `"explain": true` brings the
     // filter→refine→verify funnel back next to the hits — how many

@@ -99,13 +99,15 @@ fn main() {
         100.0 * stats.cache_hit_rate(),
         stats.rejected,
     );
+    let engine = stats.engine;
     println!(
-        "engine totals: {} candidates, {} exact matchings, {} No-EM certificates, \
-         {:.1?} cumulative engine time",
-        stats.engine.candidates,
-        stats.engine.em_full,
-        stats.engine.no_em,
-        stats.engine.response_time(),
+        "engine totals: {} stream tuples, {} candidates, {} exact matchings, \
+         {} No-EM certificates, {:.1?} cumulative engine time",
+        engine.stream_tuples,
+        engine.candidates,
+        engine.em_full,
+        engine.no_em,
+        engine.cumulative_time,
     );
 
     // Model swap? Invalidate and the next identical query recomputes.

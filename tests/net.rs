@@ -881,6 +881,106 @@ fn profile_rows_are_metrics_sums_minus_children_on_both_backends() {
     }
 }
 
+/// `/stats` is a view of the counters `/metrics` exports, so the two agree
+/// exactly once traffic has finished: `searched` is the search-phase count,
+/// `cache_hits` the result cache's hit total, and the cumulative engine
+/// time the refine + postprocess + merge stage sums.
+#[test]
+fn stats_agree_with_metrics_on_both_backends() {
+    // The value of one exposition line, by its exact series (0 when absent).
+    fn value(metrics: &str, series: &str) -> f64 {
+        let prefix = format!("{series} ");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix.as_str()))
+            .map_or(0.0, |v| v.parse::<f64>().unwrap())
+    }
+    let (repo, emb) = corpus_parts();
+    for (label, service) in [
+        ("single", single_service(&repo, &emb, &cosine_factory())),
+        (
+            "partitioned",
+            partitioned_service(&repo, &emb, &cosine_factory()),
+        ),
+    ] {
+        let service = Arc::new(service);
+        let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let mut client = KoiosClient::new(server.addr());
+        let tokens =
+            |set: u32| Json::arr(repo.set(SetId(set)).iter().map(|t| Json::num(t.0 as f64)));
+        let requests = [
+            ("miss", Json::obj([("tokens", tokens(2))])),
+            ("hit", Json::obj([("tokens", tokens(2))])),
+            (
+                "bypassed",
+                Json::obj([("tokens", tokens(3)), ("bypass_cache", Json::Bool(true))]),
+            ),
+            (
+                "rejected",
+                Json::obj([("tokens", tokens(4)), ("alpha", Json::num(1.5))]),
+            ),
+        ];
+        for (outcome, body) in &requests {
+            let (status, reply) = client.search(body).unwrap();
+            assert_eq!(status, 200, "{label}: {reply}");
+            assert_eq!(
+                reply.get("cache").unwrap().as_str(),
+                Some(*outcome),
+                "{label}"
+            );
+        }
+
+        let (status, stats) = client.stats().unwrap();
+        assert_eq!(status, 200, "{label}");
+        let (status, metrics) = client.metrics().unwrap();
+        assert_eq!(status, 200, "{label}");
+        let count = |key: &str| stats.get(key).unwrap().as_u64().unwrap();
+        assert_eq!(
+            (count("queries"), count("searched"), count("cache_hits")),
+            (4, 2, 1),
+            "{label}: {stats}"
+        );
+        assert_eq!(count("rejected"), 1, "{label}: {stats}");
+        assert_eq!(
+            count("searched") as f64,
+            value(&metrics, "koios_request_seconds_count{phase=\"search\"}"),
+            "{label}"
+        );
+        assert_eq!(
+            count("cache_hits") as f64,
+            value(
+                &metrics,
+                "koios_cache_ops_total{cache=\"result\",op=\"hit\"}"
+            ),
+            "{label}"
+        );
+        let stage_ms: f64 = ["refine", "postprocess", "merge"]
+            .iter()
+            .map(|s| {
+                value(
+                    &metrics,
+                    &format!("koios_stage_seconds_sum{{stage=\"{s}\"}}"),
+                ) * 1e3
+            })
+            .sum();
+        let engine = stats.get("engine").unwrap();
+        let engine_ms = engine
+            .get("cumulative_engine_ms")
+            .unwrap()
+            .as_f64()
+            .unwrap();
+        assert!(stage_ms > 0.0, "{label}: {metrics}");
+        assert!(
+            (engine_ms - stage_ms).abs() <= 1e-3,
+            "{label}: /stats {engine_ms} ms, /metrics {stage_ms} ms"
+        );
+        assert!(
+            engine.get("candidates").unwrap().as_u64().unwrap() > 0,
+            "{label}: {stats}"
+        );
+    }
+}
+
 /// A similarity that panics when asked about the `marker` token from the
 /// query side — the fault a plugged-in `ElementSimilarity` can plant anywhere
 /// the engine evaluates it (`fill_matrix` reaches it through `sim`).
