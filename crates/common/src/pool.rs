@@ -16,8 +16,10 @@
 //!   ([`run_caught`]), so it can neither kill its worker nor leave a ticket
 //!   unfilled; [`Ticket::wait`] re-raises the payload on the waiting thread,
 //!   [`Ticket::join`] returns it.
-//! * An optional [`QueueObserver`] sees every enqueue and dequeue, so the
-//!   queue is observable without this crate naming a telemetry type.
+//! * **Observability** is read, not pushed: [`Pool::queued`] is the queue
+//!   depth, taken from the queue itself. Nothing is timed or counted on
+//!   enqueue or dequeue; a caller that wants queue wait measures it around
+//!   its own jobs.
 //!
 //! The queue mutex is a leaf lock, never held while a job runs; a ticket's
 //! slot mutex only ever guards the move of one result.
@@ -26,15 +28,7 @@ use std::collections::VecDeque;
 use std::panic::{resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Queue observability hook (see [`Pool::new`]).
-pub trait QueueObserver: Send + Sync {
-    /// A job was accepted (under the queue lock; rejected jobs never count).
-    fn on_enqueue(&self);
-    /// A job spent `waited` queued and is about to run (outside the lock).
-    fn on_dequeue(&self, waited: Duration);
-}
+use std::time::Duration;
 
 /// Runs `job`, capturing its panic instead of unwinding — the one panic
 /// boundary of the workspace's pooled work.
@@ -42,8 +36,8 @@ pub fn run_caught<T>(job: impl FnOnce() -> T) -> std::thread::Result<T> {
     std::panic::catch_unwind(AssertUnwindSafe(job))
 }
 
-/// A queued job; it is handed the pool state of whichever thread runs it.
-type Job = Box<dyn FnOnce(&Shared) + Send>;
+/// A queued job, already wrapped to fill its ticket.
+type Job = Box<dyn FnOnce() + Send>;
 
 #[derive(Default)]
 struct Queue {
@@ -51,40 +45,29 @@ struct Queue {
     shutdown: bool,
 }
 
+impl Queue {
+    /// Queues `job` wrapped so that running it fills the returned ticket.
+    /// The caller holds the queue lock and has checked `shutdown`.
+    fn push<T: Send + 'static>(&mut self, job: impl FnOnce() -> T + Send + 'static) -> Ticket<T> {
+        let ticket = Ticket::holding(None);
+        let slot = Arc::clone(&ticket.slot);
+        self.jobs.push_back(Box::new(move || {
+            *slot.value.lock().expect("slot lock") = Some(run_caught(job));
+            slot.filled.notify_all();
+        }));
+        ticket
+    }
+}
+
 struct Shared {
     queue: Mutex<Queue>,
     /// Signaled once per enqueued job and on shutdown.
     ready: Condvar,
-    observer: Option<Arc<dyn QueueObserver>>,
 }
 
 impl Shared {
     fn lock(&self) -> MutexGuard<'_, Queue> {
         self.queue.lock().expect("queue lock")
-    }
-
-    /// Queues `job` wrapped so that running it fills the returned ticket.
-    /// The caller holds the queue lock and has checked `shutdown`.
-    fn push<T: Send + 'static>(
-        &self,
-        queue: &mut Queue,
-        job: impl FnOnce() -> T + Send + 'static,
-    ) -> Ticket<T> {
-        let ticket = Ticket::holding(None);
-        let slot = Arc::clone(&ticket.slot);
-        // The clock is read only when somebody observes.
-        let enqueued = self.observer.as_ref().map(|observer| {
-            observer.on_enqueue();
-            Instant::now()
-        });
-        queue.jobs.push_back(Box::new(move |shared| {
-            if let (Some(observer), Some(enqueued)) = (&shared.observer, enqueued) {
-                observer.on_dequeue(enqueued.elapsed());
-            }
-            *slot.value.lock().expect("slot lock") = Some(run_caught(job));
-            slot.filled.notify_all();
-        }));
-        ticket
     }
 
     fn worker_loop(&self) {
@@ -101,7 +84,7 @@ impl Shared {
                     q = self.ready.wait(q).expect("queue lock");
                 }
             };
-            job(self); // outside the queue lock
+            job(); // outside the queue lock
         }
     }
 }
@@ -178,13 +161,11 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Spawns `threads` (at least one) workers named `{name}-{i}`;
-    /// `observer`, when given, sees every accepted job enter and leave.
-    pub fn new(name: &str, threads: usize, observer: Option<Arc<dyn QueueObserver>>) -> Self {
+    /// Spawns `threads` (at least one) workers named `{name}-{i}`.
+    pub fn new(name: &str, threads: usize) -> Self {
         let shared = Arc::new(Shared {
             queue: Mutex::default(),
             ready: Condvar::new(),
-            observer,
         });
         let handles = (0..threads.max(1))
             .map(|i| {
@@ -208,7 +189,7 @@ impl Pool {
         self.handles.iter().filter(|h| !h.is_finished()).count()
     }
 
-    /// Jobs submitted but not yet picked up.
+    /// Jobs submitted but not yet picked up (the queue depth).
     pub fn queued(&self) -> usize {
         self.shared.lock().jobs.len()
     }
@@ -224,7 +205,7 @@ impl Pool {
         if q.shutdown {
             return Err(job);
         }
-        let ticket = self.shared.push(&mut q, job);
+        let ticket = q.push(job);
         drop(q);
         self.shared.ready.notify_one();
         Ok(ticket)
@@ -243,10 +224,7 @@ impl Pool {
         if q.shutdown {
             return Err(jobs);
         }
-        let tickets: Vec<_> = jobs
-            .into_iter()
-            .map(|job| self.shared.push(&mut q, job))
-            .collect();
+        let tickets: Vec<_> = jobs.into_iter().map(|job| q.push(job)).collect();
         drop(q);
         // One wakeup per queued job (notify_all would stampede pools wider
         // than the batch).
@@ -258,7 +236,7 @@ impl Pool {
     /// thread helps instead of idling. Never blocks; `false`: queue empty.
     pub fn try_run_one(&self) -> bool {
         let job = self.shared.lock().jobs.pop_front();
-        job.map(|job| job(&self.shared)).is_some()
+        job.map(|job| job()).is_some()
     }
 
     /// Closes intake, wakes every worker, and joins them after they drain
@@ -285,7 +263,7 @@ mod tests {
     use std::sync::mpsc;
 
     fn pool(threads: usize) -> Pool {
-        Pool::new("test", threads, None)
+        Pool::new("test", threads)
     }
 
     fn go<T: Send + 'static>(pool: &Pool, job: impl FnOnce() -> T + Send + 'static) -> Ticket<T> {

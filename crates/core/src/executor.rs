@@ -28,7 +28,7 @@ pub struct ShardExecutor {
 impl ShardExecutor {
     /// A pool of `threads` persistent workers (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
-        let pool = Pool::new("koios-shard", threads, None);
+        let pool = Pool::new("koios-shard", threads);
         ShardExecutor { pool }
     }
 

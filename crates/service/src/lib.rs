@@ -48,8 +48,10 @@
 //! ([`metrics::ServiceMetrics`]) tracks latency distributions —
 //! per-stage histograms (`refine`/`verify`/
 //! `postprocess`/`merge`, matching the paper's pipeline names), per-shard
-//! search time, pool queue depth and queue wait, cache mutex lock-wait,
-//! and the request's queue/search/serialize phase split. [`ServiceStats`]
+//! search time, queue wait, cache mutex lock-wait, and the request's
+//! queue/search/serialize phase split. Counters and gauges (queue depth,
+//! mutation and cache totals, uptime) are read from their sources at
+//! scrape time, so each fact is recorded once. [`ServiceStats`]
 //! is a view of the same counters (plus the result LRU's own and the
 //! paper's funnel totals), so `/stats` and `/metrics` agree. Scrape it with
 //! [`SearchService::render_metrics`] (Prometheus text format; served as
@@ -67,7 +69,6 @@
 //! `/metrics` exemplars carrying the joinable `trace_id`.
 
 pub mod metrics;
-pub mod pool;
 pub mod request;
 pub mod service;
 pub mod slowlog;
@@ -75,8 +76,8 @@ pub mod stats;
 pub mod tracer;
 
 pub use koios_common::cache::CacheCounters;
+pub use koios_common::pool::Ticket;
 pub use metrics::ServiceMetrics;
-pub use pool::{PoolInstruments, Ticket};
 pub use request::{CacheKey, CacheOutcome, SearchRequest, ServiceResponse};
 pub use service::{IngestOutcome, LiveServiceError, ResponseHandle, SearchService, ServiceConfig};
 pub use slowlog::{SlowQueryLog, SlowQuerySink};

@@ -3,8 +3,11 @@
 //!
 //! Instrument handles are resolved once at service construction so the
 //! request path never touches the registry lock — recording is a couple of
-//! relaxed atomic adds ([`Histogram::record`]). The registry itself is only
-//! walked at scrape time ([`crate::SearchService::render_metrics`]).
+//! relaxed atomic adds ([`Histogram::record`]). Only histograms record on
+//! the request path: every counter and gauge is a view of a value the
+//! service already keeps, stored when it is read — at scrape time
+//! ([`crate::SearchService::render_metrics`], also the only time the
+//! registry is walked), or by the `/debug` route whose figures it mirrors.
 //!
 //! Naming follows Prometheus conventions (`_seconds`, `_total`), with the
 //! paper's pipeline vocabulary in the `stage` label: `refine` (§V
@@ -12,11 +15,12 @@
 //! 7/8), `postprocess` (the whole post-filter phase containing `verify`)
 //! and `merge` (the partitioned merge loop, §VI).
 
-use koios_telemetry::{Counter, Gauge, Histogram, Registry};
+use koios_telemetry::{Gauge, Histogram, Registry};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-/// Pre-resolved instrument handles shared by the workers, the pool, and
-/// the caches. Cheap to record into from any thread.
+/// Pre-resolved instrument handles shared by the workers and the caches.
+/// Cheap to record into from any thread.
 pub struct ServiceMetrics {
     registry: Arc<Registry>,
     /// `koios_stage_seconds{stage="refine"}` — streaming refinement wall
@@ -32,7 +36,9 @@ pub struct ServiceMetrics {
     /// time; only recorded for partitioned searches.
     pub stage_merge: Arc<Histogram>,
     /// `koios_request_seconds{phase="queue"}` — submission to worker
-    /// pickup, per request.
+    /// pickup, per request. Also filed as `koios_queue_wait_seconds`: the
+    /// service pool runs nothing but requests, so the two families are one
+    /// histogram.
     pub request_queue: Arc<Histogram>,
     /// `koios_request_seconds{phase="search"}` — worker pickup to search
     /// completion, per executed search.
@@ -49,13 +55,6 @@ pub struct ServiceMetrics {
     /// `koios_request_seconds{phase="reload"}` — wall time of one
     /// [`crate::SearchService::reload`] hot swap.
     pub request_reload: Arc<Histogram>,
-    /// `koios_mutations_total{op="ingest"}` — successfully applied ingest
-    /// batches.
-    pub mutations_ingest: Arc<Counter>,
-    /// `koios_mutations_total{op="snapshot"}` — successful snapshot writes.
-    pub mutations_snapshot: Arc<Counter>,
-    /// `koios_mutations_total{op="reload"}` — successful hot reloads.
-    pub mutations_reload: Arc<Counter>,
     /// `koios_lock_wait_seconds{cache="result"}` — blocked time acquiring
     /// the result-cache mutex on the request path.
     pub lock_wait_result: Arc<Histogram>,
@@ -63,10 +62,6 @@ pub struct ServiceMetrics {
     /// the shared token-kNN-cache mutex (installed into the cache via
     /// [`koios_index::knn_cache::TokenKnnCache::install_lock_wait`]).
     pub lock_wait_token: Arc<Histogram>,
-    /// `koios_queue_depth` — requests submitted but not yet picked up.
-    pub queue_depth: Arc<Gauge>,
-    /// `koios_queue_wait_seconds` — submit→dequeue wait per pool job.
-    pub queue_wait: Arc<Histogram>,
     /// `koios_uptime_seconds` — refreshed at scrape time.
     pub uptime: Arc<Gauge>,
     /// `koios_shard_seconds{shard="i"}` handles, grown lazily on first
@@ -99,39 +94,26 @@ impl ServiceMetrics {
                 &[("cache", c)],
             )
         };
-        let mutation = |op: &str| {
-            registry.counter(
-                "koios_mutations_total",
-                "Successful corpus mutations by operation",
-                &[("op", op)],
-            )
-        };
+        let request_queue = phase("queue");
+        registry.register_histogram(
+            "koios_queue_wait_seconds",
+            "Pool queue wait (submit to dequeue) per job",
+            &[],
+            &request_queue,
+        );
         ServiceMetrics {
             stage_refine: stage("refine"),
             stage_postprocess: stage("postprocess"),
             stage_verify: stage("verify"),
             stage_merge: stage("merge"),
-            request_queue: phase("queue"),
+            request_queue,
             request_search: phase("search"),
             request_serialize: phase("serialize"),
             request_ingest: phase("ingest"),
             request_snapshot: phase("snapshot"),
             request_reload: phase("reload"),
-            mutations_ingest: mutation("ingest"),
-            mutations_snapshot: mutation("snapshot"),
-            mutations_reload: mutation("reload"),
             lock_wait_result: lock("result"),
             lock_wait_token: lock("token"),
-            queue_depth: registry.gauge(
-                "koios_queue_depth",
-                "Requests submitted but not yet picked up by a worker",
-                &[],
-            ),
-            queue_wait: registry.histogram(
-                "koios_queue_wait_seconds",
-                "Pool queue wait (submit to dequeue) per job",
-                &[],
-            ),
             uptime: registry.gauge(
                 "koios_uptime_seconds",
                 "Seconds since the service was constructed",
@@ -148,12 +130,16 @@ impl ServiceMetrics {
         &self.registry
     }
 
-    /// The `koios_shard_seconds{shard="index"}` histogram, registering it
-    /// on first use. Only called after partitioned searches, so a
-    /// single-engine service never emits shard series.
-    pub fn shard(&self, index: usize) -> Arc<Histogram> {
+    /// Records one search's per-shard wall times into
+    /// `koios_shard_seconds{shard="i"}`, registering shard `i` on first
+    /// sight: one lock acquisition per partitioned search, none for a
+    /// single-engine one (which therefore never emits shard series).
+    pub fn record_shards(&self, times: &[Duration]) {
+        if times.is_empty() {
+            return;
+        }
         let mut shards = self.shards.lock().expect("shard metrics lock");
-        while shards.len() <= index {
+        while shards.len() < times.len() {
             let label = shards.len().to_string();
             shards.push(self.registry.histogram(
                 "koios_shard_seconds",
@@ -161,7 +147,9 @@ impl ServiceMetrics {
                 &[("shard", &label)],
             ));
         }
-        Arc::clone(&shards[index])
+        for (shard, &t) in shards.iter().zip(times) {
+            shard.record_duration(t);
+        }
     }
 
     /// Every `koios_shard_seconds` histogram registered so far, by shard
@@ -191,21 +179,33 @@ mod tests {
     fn instruments_land_in_one_registry() {
         let m = ServiceMetrics::new();
         m.stage_refine.record(1_000);
-        m.queue_depth.set(3);
-        m.shard(1).record(2_000); // registers shards 0 and 1
+        m.request_queue.record(3_000);
+        m.record_shards(&[Duration::ZERO, Duration::from_nanos(2_000)]);
         let text = m.registry().render_prometheus();
         assert!(text.contains("koios_stage_seconds_bucket{stage=\"refine\""));
-        assert!(text.contains("koios_queue_depth 3"));
+        assert!(text.contains("koios_request_seconds_count{phase=\"queue\"} 1"));
+        assert!(text.contains("koios_queue_wait_seconds_count 1"));
+        assert!(text.contains(
+            "# HELP koios_queue_wait_seconds Pool queue wait (submit to dequeue) per job"
+        ));
         assert!(text.contains("koios_shard_seconds_bucket{shard=\"1\""));
-        assert!(text.contains("koios_shard_seconds_count{shard=\"0\"} 0"));
+        assert!(text.contains("koios_shard_seconds_count{shard=\"0\"} 1"));
     }
 
     #[test]
     fn shard_handles_are_stable() {
         let m = ServiceMetrics::new();
-        let a = m.shard(2);
-        let b = m.shard(2);
-        a.record(5);
-        assert_eq!(b.snapshot().count(), 1, "same underlying histogram");
+        m.record_shards(&[]);
+        assert!(
+            m.shards().is_empty(),
+            "a single-engine search registers none"
+        );
+        m.record_shards(&[Duration::from_nanos(5); 3]);
+        let first = m.shards();
+        m.record_shards(&[Duration::from_nanos(5); 3]);
+        let second = m.shards();
+        assert_eq!(first.len(), 3);
+        assert!(first.iter().zip(&second).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(second[2].snapshot().count(), 2, "same underlying histogram");
     }
 }

@@ -1,12 +1,12 @@
 //! The concurrent query-serving layer.
 
 use crate::metrics::ServiceMetrics;
-use crate::pool::{Pool, PoolInstruments, Ticket};
 use crate::request::{CacheKey, CacheOutcome, SearchRequest, ServiceResponse};
 use crate::slowlog::{SlowQueryLog, SlowQueryRecord};
 use crate::stats::{EngineTotals, ServiceStats, SnapshotInfo};
 use crate::tracer::{record_search_spans, Tracer};
 use koios_common::cache::{CacheSnapshot, StripedLru};
+use koios_common::pool::{Pool, Ticket};
 use koios_common::{Json, SetId, TokenId};
 use koios_core::mutable::{cosine_factory, BatchRejected, MutableEngine, SimFactory};
 use koios_core::{EngineBackend, Hit, KoiosConfig, SearchResult, SearchStats};
@@ -534,10 +534,6 @@ impl SearchService {
         let cache = StripedLru::new(cfg.cache_capacity).with_ttl(cfg.result_ttl);
         let lock_wait = Arc::clone(&metrics.lock_wait_result);
         cache.install_lock_wait(Arc::new(move |wait| lock_wait.record_duration(wait)));
-        let pool_instruments = Arc::new(PoolInstruments {
-            depth: Arc::clone(&metrics.queue_depth),
-            wait: Arc::clone(&metrics.queue_wait),
-        });
         let (snapshot, snapshot_path) = snapshot.unzip();
         SearchService {
             inner: Arc::new(ServiceInner {
@@ -557,7 +553,7 @@ impl SearchService {
                 started: Instant::now(),
                 start_time: SystemTime::now(),
             }),
-            pool: Pool::new("koios-worker", workers, Some(pool_instruments)),
+            pool: Pool::new("koios-worker", workers),
         }
     }
 
@@ -611,7 +607,6 @@ impl SearchService {
             self.inner.cache.clear();
         }
         self.record_mutation("ingest", &self.inner.metrics.request_ingest, epoch, t0);
-        self.inner.metrics.mutations_ingest.inc();
         Ok(IngestOutcome {
             inserted,
             removed,
@@ -646,7 +641,6 @@ impl SearchService {
         w.snapshot_path = Some(path.to_path_buf());
         drop(w);
         self.record_mutation("snapshot", &self.inner.metrics.request_snapshot, epoch, t0);
-        self.inner.metrics.mutations_snapshot.inc();
         Ok(meta)
     }
 
@@ -683,7 +677,6 @@ impl SearchService {
             old_epoch + 1,
             t0,
         );
-        self.inner.metrics.mutations_reload.inc();
         Ok(info)
     }
 
@@ -854,10 +847,10 @@ impl SearchService {
         }
     }
 
-    /// The service's metric surface: stage/shard/queue/lock-wait
-    /// histograms, queue-depth gauge, and the registry behind them. Bench
-    /// harnesses read the histogram snapshots directly; the HTTP front-end
-    /// records its serialization phase here.
+    /// The service's metric surface: stage/shard/phase/lock-wait
+    /// histograms and the registry behind them. Bench harnesses read the
+    /// histogram snapshots directly; the HTTP front-end records its
+    /// serialization phase here.
     pub fn metrics(&self) -> &ServiceMetrics {
         &self.inner.metrics
     }
@@ -913,15 +906,36 @@ impl SearchService {
     }
 
     /// Renders the full metric surface in Prometheus text exposition
-    /// format (version 0.0.4) — the body of `GET /metrics`. Scrape-derived
-    /// series (uptime, cache operation totals, token-cache occupancy) are
-    /// synchronized from their sources first, so the rendering is always
-    /// current.
+    /// format (version 0.0.4) — the body of `GET /metrics`. Only histograms
+    /// record on the request path; every counter and gauge (uptime, queue
+    /// depth, mutation totals, cache operation totals, token-cache
+    /// occupancy) is synchronized from its one source first, so the
+    /// rendering is always current.
     pub fn render_metrics(&self) -> String {
         let m = &self.inner.metrics;
         let reg = m.registry();
         m.uptime
             .set(self.inner.started.elapsed().as_secs().min(i64::MAX as u64) as i64);
+        set_gauge(
+            reg,
+            "koios_queue_depth",
+            "Requests submitted but not yet picked up by a worker",
+            &[],
+            self.pool.queued(),
+        );
+        // A successful mutation records exactly one sample of its phase.
+        for (op, phase) in [
+            ("ingest", &m.request_ingest),
+            ("snapshot", &m.request_snapshot),
+            ("reload", &m.request_reload),
+        ] {
+            reg.counter(
+                "koios_mutations_total",
+                "Successful corpus mutations by operation",
+                &[("op", op)],
+            )
+            .store(phase.snapshot().count());
+        }
         let (result, token) = self.cache_views();
         for view in std::iter::once(result).chain(token) {
             view.export(reg);
@@ -1162,9 +1176,7 @@ impl ServiceInner {
         if !stats.merge_time.is_zero() {
             self.metrics.stage_merge.record_duration(stats.merge_time);
         }
-        for (i, &t) in stats.shard_times.iter().enumerate() {
-            self.metrics.shard(i).record_duration(t);
-        }
+        self.metrics.record_shards(&stats.shard_times);
     }
 
     /// Seals a request's span tree and offers it to the tail sampler;
@@ -1796,8 +1808,6 @@ mod tests {
         assert_eq!(m.stage_verify.snapshot().count(), 1);
         assert_eq!(m.request_search.snapshot().count(), 1);
         assert_eq!(m.request_queue.snapshot().count(), 2, "hits queue too");
-        assert_eq!(m.queue_wait.snapshot().count(), 2);
-        assert_eq!(m.queue_depth.get(), 0, "both requests drained");
         assert!(
             m.lock_wait_result.snapshot().count() >= 3,
             "probe + fill + probe each timed the cache mutex"
@@ -1821,6 +1831,14 @@ mod tests {
         }
         assert!(text.contains("koios_cache_ops_total{cache=\"result\",op=\"hit\"} 1"));
         assert!(text.contains("koios_stage_seconds_count{stage=\"refine\"} 1"));
+        // Queue wait is the queue phase itself; the depth is read from the
+        // pool at scrape time.
+        assert!(text.contains("koios_queue_wait_seconds_count 2"));
+        assert!(text.contains("koios_request_seconds_count{phase=\"queue\"} 2"));
+        assert!(
+            text.contains("koios_queue_depth 0"),
+            "both requests drained"
+        );
     }
 
     #[test]
@@ -1833,8 +1851,10 @@ mod tests {
         let q = repo.intern_query(["a", "b", "c"]);
         svc.search(SearchRequest::new(q));
         let m = svc.metrics();
-        for shard in 0..3 {
-            assert_eq!(m.shard(shard).snapshot().count(), 1, "shard {shard}");
+        let shards = m.shards();
+        assert_eq!(shards.len(), 3);
+        for (shard, h) in shards.iter().enumerate() {
+            assert_eq!(h.snapshot().count(), 1, "shard {shard}");
         }
         assert_eq!(m.stage_merge.snapshot().count(), 1);
         let text = svc.render_metrics();
@@ -1881,6 +1901,51 @@ mod tests {
         assert!(lines[0].contains("\"fingerprint\":\"0x"));
         assert!(lines[1].contains("\"cache\":\"hit\""));
         assert!(!lines[1].contains("refine_ns"), "hits did no engine work");
+    }
+
+    /// A sampling policy with a larger slow threshold than the slow log's
+    /// (and no coin, no top-p) must still retain every trace a slow-log
+    /// line names.
+    #[test]
+    fn slow_log_lines_resolve_to_traces_under_a_larger_policy_threshold() {
+        use koios_telemetry::trace::SamplingPolicy;
+        use std::sync::Mutex as StdMutex;
+        let lines = Arc::new(StdMutex::new(Vec::<String>::new()));
+        let sink = {
+            let lines = Arc::clone(&lines);
+            Arc::new(move |line: &str| lines.lock().unwrap().push(line.to_string())) as _
+        };
+        let (repo, _) = service(1, 8);
+        let policy = SamplingPolicy {
+            probability: 0.0,
+            top_percent: 0.0,
+            seed: 1,
+            slow_threshold: Some(Duration::from_secs(3600)),
+        };
+        let svc = SearchService::from_mutable(
+            single(&repo, KoiosConfig::new(2, 0.9)),
+            ServiceConfig::new()
+                .with_workers(1)
+                .with_slow_query_log(SlowQueryLog::new(Duration::ZERO, sink))
+                .with_tracing(TraceConfig {
+                    capacity: 16,
+                    policy,
+                }),
+        );
+        let q = repo.intern_query(["a", "b", "c"]);
+        svc.search(SearchRequest::new(q.clone()));
+        svc.search(SearchRequest::new(q)); // a hit logs too
+        let lines = lines.lock().unwrap();
+        assert_eq!(lines.len(), 2);
+        for line in lines.iter() {
+            let hex = line
+                .split("\"trace_id\":\"0x")
+                .nth(1)
+                .and_then(|rest| rest.split('"').next())
+                .expect("slow-log line carries a trace id");
+            let id = u64::from_str_radix(hex, 16).unwrap();
+            assert!(svc.trace(id).is_some(), "trace {hex} of {line} dropped");
+        }
     }
 
     #[test]

@@ -30,12 +30,12 @@ pub struct Tracer {
 
 impl Tracer {
     /// Builds the recorder. `slow_threshold` (the slow-query-log
-    /// threshold) becomes a retention rule unless the policy already
-    /// carries one, keeping every slow-log line joinable against
-    /// `GET /traces`.
+    /// threshold) becomes a retention rule: traces are kept as slow from
+    /// the lower of it and the policy's own threshold, so every slow-log
+    /// line stays joinable against `GET /traces`.
     pub fn new(mut cfg: TraceConfig, slow_threshold: Option<Duration>) -> Self {
-        if cfg.policy.slow_threshold.is_none() {
-            cfg.policy.slow_threshold = slow_threshold;
+        if let Some(t) = slow_threshold {
+            cfg.policy.slow_threshold = Some(cfg.policy.slow_threshold.map_or(t, |p| p.min(t)));
         }
         let mut fp = Fingerprinter::new();
         let now = SystemTime::now()

@@ -6,21 +6,21 @@
 //! `metrics` crates are out. This crate hand-rolls the minimal primitives
 //! on `std::sync::atomic` alone:
 //!
-//! * [`Counter`] — a lock-free monotone `u64`.
-//! * [`Gauge`] — a lock-free signed instantaneous value (queue depth).
+//! * [`Counter`] — a lock-free monotone `u64`, stored at scrape time from
+//!   the total its owner already keeps.
+//! * [`Gauge`] — a lock-free signed instantaneous value, set at scrape
+//!   time (queue depth, uptime).
 //! * [`Histogram`] — a fixed array of 65 `AtomicU64` buckets indexed by
 //!   the bit width of the recorded nanosecond value (log2 buckets), plus
-//!   atomic sum and max. Recording is wait-free; quantiles (p50/p90/p99)
-//!   are estimated from a [`HistogramSnapshot`] by linear interpolation
-//!   inside the target bucket, so any estimate is within 2× of the true
-//!   value. Snapshots merge associatively, which is what lets per-shard
-//!   and per-service views compose.
-//! * [`Span`] — an RAII guard that records its `Instant`-measured
-//!   lifetime into a histogram on drop (per-query stage tracing).
+//!   atomic sum and max. Recording is wait-free; quantiles are estimated
+//!   from a [`HistogramSnapshot`] by linear interpolation inside the
+//!   target bucket, so any estimate is within 2× of the true value.
 //! * [`Registry`] — named metric families with `label="value"` series
 //!   (`stage`, `shard`, `route`, …), get-or-create handles shared as
 //!   `Arc`, rendered to the Prometheus text exposition format by
-//!   [`Registry::render_prometheus`] for a `GET /metrics` route.
+//!   [`Registry::render_prometheus`] for a `GET /metrics` route. One
+//!   histogram may be filed under two families
+//!   ([`Registry::register_histogram`]).
 //!
 //! Time is always recorded in **nanoseconds** and rendered in **seconds**
 //! (histogram families should be named `*_seconds` per Prometheus
@@ -36,13 +36,13 @@
 //!     "Wall-clock time per pipeline stage",
 //!     &[("stage", "refine")],
 //! );
-//! {
-//!     let _span = refine.span(); // records on drop
-//! }
 //! refine.record_duration(Duration::from_micros(250));
+//! refine.record_duration(Duration::from_millis(3));
 //! let text = registry.render_prometheus();
 //! assert!(text.contains("# TYPE koios_stage_seconds histogram"));
 //! assert!(text.contains("koios_stage_seconds_bucket{stage=\"refine\",le=\"+Inf\"} 2"));
+//! let p99 = refine.snapshot().quantile_ns(0.99);
+//! assert!((1.5e6..=3e6).contains(&p99), "within 2x of the 3 ms sample");
 //! ```
 
 pub mod profile;
@@ -57,7 +57,7 @@ pub use trace::{
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of log2 buckets: bucket `b` holds values whose bit width is `b`
 /// (bucket 0 holds exactly the value 0, bucket 64 holds values with the
@@ -74,16 +74,6 @@ impl Counter {
     /// A counter at zero.
     pub fn new() -> Self {
         Counter::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current total.
@@ -115,21 +105,6 @@ impl Gauge {
     /// Sets the value.
     pub fn set(&self, v: i64) {
         self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Subtracts one.
-    pub fn dec(&self) {
-        self.add(-1);
     }
 
     /// Current value.
@@ -213,14 +188,6 @@ impl Histogram {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
-    /// Starts a [`Span`] guard that records its lifetime on drop.
-    pub fn span(&self) -> Span<'_> {
-        Span {
-            histogram: self,
-            start: Instant::now(),
-        }
-    }
-
     /// A point-in-time copy of the buckets (individually consistent;
     /// concurrent recording may race the aggregate fields by a sample,
     /// which is fine for monitoring).
@@ -233,21 +200,7 @@ impl Histogram {
     }
 }
 
-/// An RAII guard measuring a region: created by [`Histogram::span`],
-/// records the elapsed nanoseconds into the histogram when dropped.
-#[must_use = "a span records on drop; binding it to `_` drops it immediately"]
-pub struct Span<'a> {
-    histogram: &'a Histogram,
-    start: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.histogram.record_duration(self.start.elapsed());
-    }
-}
-
-/// A mergeable point-in-time view of a [`Histogram`].
+/// A point-in-time view of a [`Histogram`].
 #[derive(Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (index = bit width of the value).
@@ -284,16 +237,6 @@ impl HistogramSnapshot {
         self.buckets.iter().sum()
     }
 
-    /// Mean observation in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / n as f64
-        }
-    }
-
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) in nanoseconds by
     /// locating the bucket of the target rank and interpolating linearly
     /// inside it. The estimate lands in the same log2 bucket as the true
@@ -325,32 +268,6 @@ impl HistogramSnapshot {
             seen += c;
         }
         self.max_ns as f64
-    }
-
-    /// The median estimate, nanoseconds.
-    pub fn p50_ns(&self) -> f64 {
-        self.quantile_ns(0.50)
-    }
-
-    /// The 90th percentile estimate, nanoseconds.
-    pub fn p90_ns(&self) -> f64 {
-        self.quantile_ns(0.90)
-    }
-
-    /// The 99th percentile estimate, nanoseconds.
-    pub fn p99_ns(&self) -> f64 {
-        self.quantile_ns(0.99)
-    }
-
-    /// Folds another snapshot in (bucket-wise sum, max of maxes) —
-    /// commutative and associative, so shard/service views compose in any
-    /// grouping.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
     }
 }
 
@@ -515,6 +432,19 @@ impl Registry {
         }
     }
 
+    /// Files an existing histogram as the series `name{labels}` too, so one
+    /// set of samples renders under a second family name.
+    pub fn register_histogram(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        histogram: &Arc<Histogram>,
+    ) {
+        let series = Instrument::Histogram(Arc::clone(histogram));
+        self.instrument(name, help, labels, Kind::Histogram, || series);
+    }
+
     /// Renders every family in the Prometheus text exposition format
     /// (version 0.0.4): `# HELP` / `# TYPE` headers, one line per series,
     /// histograms as cumulative `_bucket{le="…"}` lines (seconds) plus
@@ -636,16 +566,13 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
+        assert_eq!(c.get(), 0);
         c.store(9);
         assert_eq!(c.get(), 9);
 
         let g = Gauge::new();
-        g.inc();
-        g.add(10);
-        g.dec();
+        assert_eq!(g.get(), 0);
+        g.set(10);
         assert_eq!(g.get(), 10);
         g.set(-3);
         assert_eq!(g.get(), -3);
@@ -711,7 +638,7 @@ mod tests {
         }
         // Every sample in one bucket whose upper bound is capped by max:
         // the estimate must not exceed the recorded maximum.
-        assert!(h.snapshot().p99_ns() <= 1_048_576.0);
+        assert!(h.snapshot().quantile_ns(0.99) <= 1_048_576.0);
     }
 
     #[test]
@@ -725,7 +652,7 @@ mod tests {
             h.record(v);
         }
         let snap = h.snapshot();
-        assert!(snap.p50_ns() < 3_000.0);
+        assert!(snap.quantile_ns(0.5) < 3_000.0);
         assert!(snap.quantile_ns(0.995) > 500_000_000.0);
     }
 
@@ -733,9 +660,8 @@ mod tests {
     fn empty_histogram_is_all_zeroes() {
         let snap = Histogram::new().snapshot();
         assert_eq!(snap.count(), 0);
-        assert_eq!(snap.p50_ns(), 0.0);
+        assert_eq!(snap.quantile_ns(0.5), 0.0);
         assert_eq!(snap.quantile_ns(1.0), 0.0);
-        assert_eq!(snap.mean_ns(), 0.0);
         assert_eq!(snap, HistogramSnapshot::default());
     }
 
@@ -762,64 +688,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_is_associative_and_commutative() {
-        let mk = |values: &[u64]| {
-            let h = Histogram::new();
-            for &v in values {
-                h.record(v);
-            }
-            h.snapshot()
-        };
-        let a = mk(&[1, 5, 900, 70_000]);
-        let b = mk(&[2, 2, 2]);
-        let c = mk(&[1_000_000_000, 40]);
-
-        // (a + b) + c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a + (b + c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-
-        // a + b == b + a
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-
-        // Identity.
-        let mut with_empty = a.clone();
-        with_empty.merge(&HistogramSnapshot::default());
-        assert_eq!(with_empty, a);
-
-        assert_eq!(left.count(), 9);
-        assert_eq!(left.max_ns, 1_000_000_000);
-    }
-
-    #[test]
-    fn span_records_its_lifetime_on_drop() {
-        let h = Histogram::new();
-        {
-            let _span = h.span();
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 1);
-        assert!(snap.max_ns >= 2_000_000, "span under-measured: {snap:?}");
-    }
-
-    #[test]
     fn registry_shares_instruments_by_name_and_labels() {
         let r = Registry::new();
         let a = r.counter("koios_requests_total", "requests", &[("route", "/search")]);
         let b = r.counter("koios_requests_total", "requests", &[("route", "/search")]);
         let other = r.counter("koios_requests_total", "requests", &[("route", "/stats")]);
-        a.inc();
+        a.store(1);
         assert_eq!(b.get(), 1, "same (name, labels) shares one counter");
         assert_eq!(other.get(), 0);
 
@@ -827,6 +701,13 @@ mod tests {
         let h2 = r.histogram("koios_stage_seconds", "stages", &[("stage", "refine")]);
         h1.record(5);
         assert_eq!(h2.snapshot().count(), 1);
+
+        // A histogram filed under a second family is the same samples.
+        r.register_histogram("koios_stage_wait_seconds", "waits", &[], &h1);
+        let text = r.render_prometheus();
+        assert!(text.contains("koios_stage_seconds_count{stage=\"refine\"} 1"));
+        assert!(text.contains("koios_stage_wait_seconds_count 1"));
+        assert!(text.contains("# HELP koios_stage_wait_seconds waits"));
     }
 
     #[test]
@@ -886,7 +767,7 @@ mod tests {
             "Total requests",
             &[("route", "/search")],
         )
-        .add(7);
+        .store(7);
         r.gauge("koios_queue_depth", "Jobs waiting", &[]).set(3);
         let h = r.histogram(
             "koios_stage_seconds",

@@ -245,6 +245,21 @@ fn main() {
         series("koios_cache_ops_total{cache=\"result\",op=\"hit\"}")
     );
     println!("/stats agrees with /metrics: searched {searched}, cache_hits {cache_hits}");
+    // A fact is recorded once and rendered under each of its names: queue
+    // wait is the queue phase histogram, and a mutation total is its
+    // phase's sample count.
+    let queued = series("koios_request_seconds_count{phase=\"queue\"}");
+    assert_eq!(series("koios_queue_wait_seconds_count"), queued);
+    for op in ["ingest", "snapshot", "reload"] {
+        assert_eq!(
+            series(&format!("koios_mutations_total{{op=\"{op}\"}}")),
+            series(&format!("koios_request_seconds_count{{phase=\"{op}\"}}")),
+            "{op}"
+        );
+    }
+    println!(
+        "/metrics records once: queue wait = queue phase ({queued}), mutations = phase counts"
+    );
 
     // EXPLAIN mode: the same query with `"explain": true` brings the
     // filter→refine→verify funnel back next to the hits — how many

@@ -171,7 +171,7 @@ pub mod prelude {
     };
     pub use koios_store::{SnapshotLayout, SnapshotMeta, StoreError};
     pub use koios_telemetry::{
-        Counter, Gauge, Histogram, HistogramSnapshot, Registry, SamplingPolicy, Span, Trace,
-        TraceConfig, TraceContext, TraceSink,
+        Counter, Gauge, Histogram, HistogramSnapshot, Registry, SamplingPolicy, Trace, TraceConfig,
+        TraceContext, TraceSink,
     };
 }

@@ -11,7 +11,7 @@ use koios::prelude::*;
 use koios_index::knn::ExactScanKnn;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 fn corpus_parts() -> (Arc<Repository>, Arc<Embeddings>) {
     let corpus = Corpus::generate(CorpusSpec::small(11));
@@ -885,16 +885,17 @@ fn profile_rows_are_metrics_sums_minus_children_on_both_backends() {
 /// exactly once traffic has finished: `searched` is the search-phase count,
 /// `cache_hits` the result cache's hit total, and the cumulative engine
 /// time the refine + postprocess + merge stage sums.
+/// The value of one exposition line, by its exact series (0 when absent).
+fn value(metrics: &str, series: &str) -> f64 {
+    let prefix = format!("{series} ");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix.as_str()))
+        .map_or(0.0, |v| v.parse::<f64>().unwrap())
+}
+
 #[test]
 fn stats_agree_with_metrics_on_both_backends() {
-    // The value of one exposition line, by its exact series (0 when absent).
-    fn value(metrics: &str, series: &str) -> f64 {
-        let prefix = format!("{series} ");
-        metrics
-            .lines()
-            .find_map(|l| l.strip_prefix(prefix.as_str()))
-            .map_or(0.0, |v| v.parse::<f64>().unwrap())
-    }
     let (repo, emb) = corpus_parts();
     for (label, service) in [
         ("single", single_service(&repo, &emb, &cosine_factory())),
@@ -979,6 +980,141 @@ fn stats_agree_with_metrics_on_both_backends() {
             "{label}: {stats}"
         );
     }
+}
+
+/// Cosine behind a gate: while it is closed every vocabulary scan blocks,
+/// which parks the worker mid-search so requests queue behind it.
+struct GatedCosine {
+    inner: Arc<dyn ElementSimilarity>,
+    open: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl ElementSimilarity for GatedCosine {
+    fn sim(&self, a: TokenId, b: TokenId) -> f64 {
+        self.inner.sim(a, b)
+    }
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn scores_above(&self, q: TokenId, vocab: usize, alpha: f64, out: &mut Vec<(f64, TokenId)>) {
+        let (open, cv) = &*self.open;
+        drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+        self.inner.scores_above(q, vocab, alpha, out)
+    }
+}
+
+/// `/metrics` series that state one fact under two names are one record:
+/// queue wait is the queue phase, mutation totals are the mutation phase
+/// counts, and the queue depth is the pool's own, as `/healthz?full`
+/// reports it.
+#[test]
+fn metrics_series_recorded_once_agree() {
+    let (repo, emb) = corpus_parts();
+    let open = Arc::new((Mutex::new(true), Condvar::new()));
+    let factory: SimFactory = {
+        let open = Arc::clone(&open);
+        Arc::new(move |repo, emb| {
+            Ok(Arc::new(GatedCosine {
+                inner: cosine_factory()(repo, emb)?,
+                open: Arc::clone(&open),
+            }) as Arc<dyn ElementSimilarity>)
+        })
+    };
+    let engine = MutableEngine::single(
+        Arc::clone(&repo),
+        Some(emb),
+        KoiosConfig::new(5, 0.8),
+        factory,
+    );
+    let service = Arc::new(SearchService::from_mutable(
+        engine.unwrap(),
+        ServiceConfig::new().with_workers(1),
+    ));
+    let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut client = KoiosClient::new(server.addr());
+    let scrape = |client: &mut KoiosClient| {
+        let (status, metrics) = client.metrics().unwrap();
+        assert_eq!(status, 200);
+        metrics
+    };
+    let queue_agrees = |metrics: &str| {
+        for part in ["count", "sum"] {
+            assert_eq!(
+                value(metrics, &format!("koios_queue_wait_seconds_{part}")),
+                value(
+                    metrics,
+                    &format!("koios_request_seconds_{part}{{phase=\"queue\"}}")
+                ),
+                "{part}: {metrics}"
+            );
+        }
+    };
+
+    // A miss and a hit: both queue.
+    for _ in 0..2 {
+        let tokens = Json::arr(repo.set(SetId(2)).iter().map(|t| Json::num(t.0 as f64)));
+        let (status, reply) = client.search(&Json::obj([("tokens", tokens)])).unwrap();
+        assert_eq!(status, 200, "{reply}");
+    }
+    let metrics = scrape(&mut client);
+    assert_eq!(value(&metrics, "koios_queue_wait_seconds_count"), 2.0);
+    queue_agrees(&metrics);
+
+    // One of each mutation, over the wire.
+    let donor: Vec<String> = repo
+        .set(SetId(0))
+        .iter()
+        .map(|&t| repo.token_str(t).to_string())
+        .collect();
+    let insert = Json::obj([(
+        "ops",
+        Json::arr([Json::obj([
+            ("op", Json::str("insert")),
+            ("name", Json::str("recorded-once")),
+            ("tokens", Json::arr(donor.iter().map(Json::str))),
+        ])]),
+    )]);
+    assert_eq!(client.ingest(&insert).unwrap().0, 200);
+    let dir = std::env::temp_dir().join("koios-net-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("recorded-once-{}.ksnap", std::process::id()));
+    let path_str = path.to_str().unwrap();
+    assert_eq!(client.snapshot(path_str).unwrap().0, 200);
+    assert_eq!(client.reload(path_str).unwrap().0, 200);
+    let _ = std::fs::remove_file(&path);
+    let metrics = scrape(&mut client);
+    for op in ["ingest", "snapshot", "reload"] {
+        let total = value(&metrics, &format!("koios_mutations_total{{op=\"{op}\"}}"));
+        assert_eq!(total, 1.0, "{op}: {metrics}");
+        let phase = format!("koios_request_seconds_count{{phase=\"{op}\"}}");
+        assert_eq!(total, value(&metrics, &phase), "{op}");
+    }
+
+    // Park the only worker inside a search (the reload bumped the token
+    // cache's generation, so this scan is not served from it), then queue
+    // three requests behind it.
+    *open.0.lock().unwrap() = false;
+    let blocker = service.submit(SearchRequest::new(repo.set(SetId(1)).to_vec()).bypassing_cache());
+    while service.queued() > 0 {
+        std::thread::yield_now();
+    }
+    let queued: Vec<_> = (3..6u32)
+        .map(|set| service.submit(SearchRequest::new(repo.set(SetId(set)).to_vec())))
+        .collect();
+    let metrics = scrape(&mut client);
+    let (status, full) = client.healthz_full().unwrap();
+    *open.0.lock().unwrap() = true;
+    open.1.notify_all();
+    assert_eq!(status, 200);
+    assert_eq!(value(&metrics, "koios_queue_depth"), 3.0, "{metrics}");
+    assert_eq!(full.get("queue_depth").unwrap().as_u64(), Some(3), "{full}");
+
+    blocker.wait();
+    queued.into_iter().for_each(|t| drop(t.wait()));
+    let metrics = scrape(&mut client);
+    assert_eq!(value(&metrics, "koios_queue_wait_seconds_count"), 6.0);
+    assert_eq!(value(&metrics, "koios_queue_depth"), 0.0);
+    queue_agrees(&metrics);
 }
 
 /// A similarity that panics when asked about the `marker` token from the
