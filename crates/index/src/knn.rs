@@ -3,30 +3,25 @@
 //! The paper plugs a GPU Faiss index into the token stream; any index that
 //! returns, for a query element, the vocabulary tokens in exact descending
 //! similarity order can take its place (§IV: "K OIOS returns an exact
-//! solution as long as the index returns exact results"). Two exact
-//! implementations are provided:
+//! solution as long as the index returns exact results"). The exact
+//! implementation is [`ExactScanKnn`]: it scores the whole vocabulary for a
+//! query element, keeps everything `≥ α`, and sorts it once; probes pop
+//! from the sorted list.
+//! [`TokenStream::new`](crate::token_stream::TokenStream::new) probes every
+//! element, so every element is scored up front: a search that prunes
+//! early saves only the pops it never makes, not the scan.
 //!
-//! * [`ExactScanKnn`] — scores the whole vocabulary for a query element,
-//!   keeps everything `≥ α`, and sorts it once; probes pop from the sorted
-//!   list.
-//! * [`HeapKnn`] — the same scoring, kept in a lazy max-heap instead of a
-//!   sorted list. [`TokenStream::new`](crate::token_stream::TokenStream::new)
-//!   probes every element, so every element is scored up front either way:
-//!   a search that prunes early saves only the part of the sort it never
-//!   pops, not the scan.
+//! It scores every element the stream [prefetches](KnnSource::prefetch) in
+//! one [`ElementSimilarity::scores_above_many`] call — one blocked pass over
+//! the vocabulary for the whole query instead of one pass per element. An
+//! element probed without a prefetch is scored alone.
 //!
-//! Both score every element the stream [prefetches](KnnSource::prefetch)
-//! in one [`ElementSimilarity::scores_above_many`] call — one blocked pass
-//! over the vocabulary for the whole query instead of one pass per
-//! element. An element probed without a prefetch is scored alone.
-//!
-//! Both honour the stream contract of §V: the **query element itself is the
+//! It honours the stream contract of §V: the **query element itself is the
 //! first result of its own probe** (similarity 1), which seeds the bounds
 //! with the vanilla overlap and covers out-of-vocabulary elements.
 
 use koios_common::{HeapSize, TokenId};
 use koios_embed::sim::ElementSimilarity;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A source of descending-similarity `(token, sim)` pairs per query element.
@@ -37,7 +32,7 @@ pub trait KnnSource {
     fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)>;
 
     /// Announces that the elements `q_idxs` will all be probed, so a
-    /// source can do their work together (the exact sources score them in
+    /// source can do their work together ([`ExactScanKnn`] scores them in
     /// one vocabulary pass). [`TokenStream::new`] calls it with every
     /// element before its initial probes. A hint: the default does
     /// nothing, and [`Self::next`] must work whether or not it was called.
@@ -55,36 +50,6 @@ pub trait KnnSource {
     /// `None`; the engine folds `Some` counters into its `SearchStats`.
     fn cache_counters(&self) -> Option<crate::knn_cache::KnnCacheSearchStats> {
         None
-    }
-}
-
-/// Shared scoring pass: fills every still-empty slot among `q_idxs` with
-/// `build` of its list — all vocabulary tokens with `simα(q, t) ≥ α`, the
-/// query token itself always included (sim 1.0, emitted first via the
-/// ordinary descending order) — scoring them all in one
-/// [`ElementSimilarity::scores_above_many`] call.
-fn score_missing<L>(
-    sim: &Arc<dyn ElementSimilarity>,
-    query: &[TokenId],
-    vocab: usize,
-    alpha: f64,
-    slots: &mut [Option<L>],
-    q_idxs: &[usize],
-    build: impl Fn(Vec<(f64, TokenId)>) -> L,
-) {
-    let missing: Vec<usize> = q_idxs
-        .iter()
-        .copied()
-        .filter(|&i| slots[i].is_none())
-        .collect();
-    if missing.is_empty() {
-        return;
-    }
-    let qs: Vec<TokenId> = missing.iter().map(|&i| query[i]).collect();
-    let mut outs = vec![Vec::new(); qs.len()];
-    sim.scores_above_many(&qs, vocab, alpha, &mut outs);
-    for (i, items) in missing.into_iter().zip(outs) {
-        slots[i] = Some(build(items));
     }
 }
 
@@ -134,23 +99,31 @@ impl KnnSource for ExactScanKnn {
         Some((t, s))
     }
 
+    /// Fills every still-unscored element among `q_idxs` with its list —
+    /// all vocabulary tokens with `simα(q, t) ≥ α`, the query token itself
+    /// always included (sim 1.0) — scoring them all in one
+    /// [`ElementSimilarity::scores_above_many`] call.
     fn prefetch(&mut self, q_idxs: &[usize]) {
-        score_missing(
-            &self.sim,
-            &self.query,
-            self.vocab,
-            self.alpha,
-            &mut self.lists,
-            q_idxs,
-            |mut items| {
-                items.sort_unstable_by(|a, b| {
-                    b.0.partial_cmp(&a.0)
-                        .expect("similarities are never NaN")
-                        .then_with(|| a.1.cmp(&b.1))
-                });
-                SortedList { items, pos: 0 }
-            },
-        );
+        let missing: Vec<usize> = q_idxs
+            .iter()
+            .copied()
+            .filter(|&i| self.lists[i].is_none())
+            .collect();
+        if missing.is_empty() {
+            return;
+        }
+        let qs: Vec<TokenId> = missing.iter().map(|&i| self.query[i]).collect();
+        let mut outs = vec![Vec::new(); qs.len()];
+        self.sim
+            .scores_above_many(&qs, self.vocab, self.alpha, &mut outs);
+        for (i, mut items) in missing.into_iter().zip(outs) {
+            items.sort_unstable_by(|a, b| {
+                b.0.partial_cmp(&a.0)
+                    .expect("similarities are never NaN")
+                    .then_with(|| a.1.cmp(&b.1))
+            });
+            self.lists[i] = Some(SortedList { items, pos: 0 });
+        }
     }
 
     fn heap_bytes(&self) -> usize {
@@ -160,88 +133,6 @@ impl KnnSource for ExactScanKnn {
                 .iter()
                 .flatten()
                 .map(|l| l.items.capacity() * std::mem::size_of::<(f64, TokenId)>())
-                .sum::<usize>()
-    }
-}
-
-/// Exact source backed by lazy max-heaps (no full sort).
-pub struct HeapKnn {
-    sim: Arc<dyn ElementSimilarity>,
-    query: Vec<TokenId>,
-    vocab: usize,
-    alpha: f64,
-    heaps: Vec<Option<BinaryHeap<HeapItem>>>,
-}
-
-#[derive(PartialEq)]
-struct HeapItem(f64, TokenId);
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("similarities are never NaN")
-            // Max-heap pops the highest similarity; among ties, the lowest
-            // token id (Reverse ordering on the id).
-            .then_with(|| other.1.cmp(&self.1))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl HeapKnn {
-    /// Creates a heap-backed source for `query`.
-    pub fn new(
-        sim: Arc<dyn ElementSimilarity>,
-        query: Vec<TokenId>,
-        vocab: usize,
-        alpha: f64,
-    ) -> Self {
-        let heaps = (0..query.len()).map(|_| None).collect();
-        HeapKnn {
-            sim,
-            query,
-            vocab,
-            alpha,
-            heaps,
-        }
-    }
-}
-
-impl KnnSource for HeapKnn {
-    fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
-        if self.heaps[q_idx].is_none() {
-            self.prefetch(&[q_idx]);
-        }
-        let heap = self.heaps[q_idx].as_mut().expect("scored by the prefetch");
-        heap.pop().map(|HeapItem(s, t)| (t, s))
-    }
-
-    fn prefetch(&mut self, q_idxs: &[usize]) {
-        score_missing(
-            &self.sim,
-            &self.query,
-            self.vocab,
-            self.alpha,
-            &mut self.heaps,
-            q_idxs,
-            |items| items.into_iter().map(|(s, t)| HeapItem(s, t)).collect(),
-        );
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.query.heap_size()
-            + self
-                .heaps
-                .iter()
-                .flatten()
-                .map(|h| h.capacity() * std::mem::size_of::<HeapItem>())
                 .sum::<usize>()
     }
 }
@@ -299,19 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_scan_agree() {
-        let (sim, q, vocab) = setup();
-        let mut a = ExactScanKnn::new(sim.clone(), q.clone(), vocab, 0.2);
-        let mut b = HeapKnn::new(sim, q, vocab, 0.2);
-        for q_idx in 0..2 {
-            assert_eq!(drain(&mut a, q_idx), drain(&mut b, q_idx));
-        }
-    }
-
-    #[test]
     fn exhausted_source_stays_exhausted() {
         let (sim, q, vocab) = setup();
-        let mut src = HeapKnn::new(sim, q, vocab, 0.99);
+        let mut src = ExactScanKnn::new(sim, q, vocab, 0.99);
         let items = drain(&mut src, 0);
         // Only the self token survives a 0.99 threshold.
         assert_eq!(items.len(), 1);

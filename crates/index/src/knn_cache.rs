@@ -18,9 +18,8 @@
 //! searches that stream further.
 //!
 //! [`CachedKnn`] is the decorator that any engine wraps around an exact
-//! source ([`ExactScanKnn`](crate::knn::ExactScanKnn) or
-//! [`HeapKnn`](crate::knn::HeapKnn)): per query element it first probes the
-//! cache, and on a miss it transparently records the inner source's emissions,
+//! source ([`ExactScanKnn`](crate::knn::ExactScanKnn)): per query element
+//! it first probes the cache, and on a miss it transparently records the inner source's emissions,
 //! publishing the list once (and only if) the element's stream completes.
 //!
 //! The `generation` key component makes invalidation O(1) and race-free:
@@ -563,7 +562,7 @@ impl<K: KnnSource> KnnSource for CachedKnn<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::{ExactScanKnn, HeapKnn};
+    use crate::knn::ExactScanKnn;
     use koios_embed::repository::RepositoryBuilder;
     use koios_embed::sim::{ElementSimilarity, QGramJaccard};
 
@@ -622,24 +621,6 @@ mod tests {
         for (i, expect) in cold_lists.iter().enumerate() {
             assert_eq!(&drain(&mut bare, i), expect);
         }
-    }
-
-    #[test]
-    fn heap_inner_source_caches_identically() {
-        let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
-        let mut via_heap = CachedKnn::new(
-            Arc::clone(&cache),
-            q.clone(),
-            0.2,
-            HeapKnn::new(Arc::clone(&sim), q.clone(), vocab, 0.2),
-        );
-        let recorded: Vec<_> = (0..q.len()).map(|i| drain(&mut via_heap, i)).collect();
-        let mut warm = cached(&cache, &sim, &q, vocab, 0.2);
-        for (i, expect) in recorded.iter().enumerate() {
-            assert_eq!(&drain(&mut warm, i), expect);
-        }
-        assert_eq!(warm.search_stats().hits, q.len());
     }
 
     #[test]

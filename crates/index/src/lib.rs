@@ -29,7 +29,7 @@ pub mod minhash;
 pub mod token_stream;
 
 pub use inverted::InvertedIndex;
-pub use knn::{ExactScanKnn, HeapKnn, KnnSource};
+pub use knn::{ExactScanKnn, KnnSource};
 pub use knn_cache::{
     CachedKnn, KnnCacheCounters, KnnCacheSearchStats, KnnCacheSnapshot, TokenKnnCache,
 };

@@ -135,7 +135,7 @@ impl<K: KnnSource> TokenStream<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::{ExactScanKnn, HeapKnn};
+    use crate::knn::ExactScanKnn;
     use koios_common::TokenId;
     use koios_embed::repository::{Repository, RepositoryBuilder};
     use koios_embed::sim::{ElementSimilarity, QGramJaccard};
@@ -209,20 +209,6 @@ mod tests {
                 "self pair for query element {qi} missing from the head"
             );
         }
-    }
-
-    #[test]
-    fn heap_and_scan_streams_agree() {
-        let (repo, sim, q) = setup(0.25);
-        let a = TokenStream::new(
-            ExactScanKnn::new(sim.clone(), q.clone(), repo.vocab_size(), 0.25),
-            q.len(),
-        );
-        let b = TokenStream::new(
-            HeapKnn::new(sim, q.clone(), repo.vocab_size(), 0.25),
-            q.len(),
-        );
-        assert_eq!(drain(a), drain(b));
     }
 
     /// A source that only answers probes: `prefetch` is the no-op default.

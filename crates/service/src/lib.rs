@@ -50,8 +50,9 @@
 //! `postprocess`/`merge`, matching the paper's pipeline names), per-shard
 //! search time, queue wait, cache mutex lock-wait, and the request's
 //! queue/search/serialize phase split. Counters and gauges (queue depth,
-//! mutation and cache totals, uptime) are read from their sources at
-//! scrape time, so each fact is recorded once. [`ServiceStats`]
+//! mutation and cache totals, uptime, the `/debug` mirrors) are read from
+//! their sources at scrape time, so each fact is recorded once.
+//! [`ServiceStats`]
 //! is a view of the same counters (plus the result LRU's own and the
 //! paper's funnel totals), so `/stats` and `/metrics` agree. Scrape it with
 //! [`SearchService::render_metrics`] (Prometheus text format; served as
@@ -59,10 +60,13 @@
 //! slow-query log ([`slowlog::SlowQueryLog`]): one JSON line per request
 //! over a configurable latency threshold, through a pluggable sink.
 //!
-//! Every request also records a **span tree** ([`tracer::Tracer`] over
+//! Every request also yields a **span tree** ([`tracer::Tracer`] over
 //! [`koios_telemetry::trace`]): queue wait, cache probes, the executor
 //! batch with per-shard spans, the refine/verify/merge stage breakdown,
 //! and — for live mutations — epoch-stamped ingest/snapshot/reload spans.
+//! A request's tree, its slow-log line, its outcome counters and its
+//! response are all drawn from one per-request record, at the request's
+//! one exit.
 //! A fixed ring retains the interesting tail (timeouts, rejections, slow
 //! and top-percentile requests, plus a deterministic sample), browsable
 //! via [`SearchService::traces`] / `GET /traces`, with slow-log lines and

@@ -6,7 +6,7 @@ use koios_core::{KoiosConfig, SearchResult, UbMode};
 use koios_embed::repository::Repository;
 use koios_telemetry::trace::TraceContext;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One top-k query submitted to the service.
 ///
@@ -195,7 +195,9 @@ pub struct ServiceResponse {
     pub queue_time: Duration,
     /// Id of the span tree this request recorded (`None` when the service
     /// runs without tracing). Resolve it via `GET /traces?id=…` — if the
-    /// tail sampler retained the trace.
+    /// tail sampler retained the trace and the bounded ring has not
+    /// evicted it since: a slow, timed-out, rejected or forced trace stays
+    /// until `capacity` newer ones of those kinds have arrived.
     pub trace_id: Option<u64>,
     /// The repository of the backend this request was served from (the one
     /// the worker pinned, cache hits included): every [`SetId`] in `result`
@@ -206,9 +208,60 @@ pub struct ServiceResponse {
     pub repository: Arc<Repository>,
 }
 
+/// What one request did, as the decide half of the request lifecycle
+/// leaves it: the answer plus every fact the diagnostics read. The tail
+/// of the lifecycle draws all of them from this one record — the outcome
+/// counters, the span tree ([`crate::Tracer`]), the slow-query line
+/// ([`crate::SlowQueryLog`]) and the [`ServiceResponse`] — so the
+/// surfaces cannot disagree about a request.
+pub(crate) struct RequestRecord {
+    /// The caller's propagated trace context, if any.
+    pub trace: Option<TraceContext>,
+    /// Submission instant: the span tree starts here, so the queue span
+    /// begins at offset zero.
+    pub submitted: Instant,
+    /// Time between submission and a worker starting the request.
+    pub queue: Duration,
+    /// Fingerprint of the normalized cache key.
+    pub fingerprint: u64,
+    /// Effective `k`, `α` and corpus epoch (the backend the worker
+    /// pinned, so a line stays attributable after later mutations).
+    pub k: usize,
+    pub alpha: f64,
+    pub epoch: u64,
+    pub cache: CacheOutcome,
+    /// Start and duration of the result-cache probe (`None`: not probed).
+    pub probe: Option<(Instant, Duration)>,
+    /// Start and duration of the search (`None`: no search ran).
+    pub search: Option<(Instant, Duration)>,
+    pub rejected: bool,
+    pub result: SearchResult,
+    pub repository: Arc<Repository>,
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A searched miss over an empty repository, for the diagnostics tests.
+    pub(crate) fn record() -> RequestRecord {
+        let now = Instant::now();
+        RequestRecord {
+            trace: None,
+            submitted: now,
+            queue: Duration::from_nanos(100),
+            fingerprint: 0xE6F2_8F54_69D3_412F,
+            k: 5,
+            alpha: 0.8,
+            epoch: 7,
+            cache: CacheOutcome::Miss,
+            probe: Some((now, Duration::from_nanos(10))),
+            search: Some((now, Duration::from_nanos(900))),
+            rejected: false,
+            result: SearchResult::default(),
+            repository: Arc::new(koios_embed::repository::RepositoryBuilder::new().build()),
+        }
+    }
 
     fn key(tokens: Vec<u32>, cfg: &KoiosConfig) -> CacheKey {
         CacheKey::new(tokens.into_iter().map(TokenId).collect(), cfg)

@@ -1,10 +1,10 @@
 //! The concurrent query-serving layer.
 
 use crate::metrics::ServiceMetrics;
-use crate::request::{CacheKey, CacheOutcome, SearchRequest, ServiceResponse};
-use crate::slowlog::{SlowQueryLog, SlowQueryRecord};
+use crate::request::{CacheKey, CacheOutcome, RequestRecord, SearchRequest, ServiceResponse};
+use crate::slowlog::SlowQueryLog;
 use crate::stats::{EngineTotals, ServiceStats, SnapshotInfo};
-use crate::tracer::{record_search_spans, Tracer};
+use crate::tracer::Tracer;
 use koios_common::cache::{CacheSnapshot, StripedLru};
 use koios_common::pool::{Pool, Ticket};
 use koios_common::{Json, SetId, TokenId};
@@ -15,7 +15,7 @@ use koios_embed::repository::Repository;
 use koios_index::knn_cache::TokenKnnCache;
 use koios_index::live::Applied;
 use koios_store::snapshot::{SnapshotMeta, StoreError};
-use koios_telemetry::trace::{Trace, TraceBuilder, TraceConfig, TraceSinkStats};
+use koios_telemetry::trace::{Trace, TraceConfig, TraceSinkStats};
 use koios_telemetry::{Profile, Registry};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -64,7 +64,11 @@ pub struct ServiceConfig {
     /// default (a 256-trace ring, 5% probability floor — see
     /// [`TraceConfig`]); set to `None` to strip every per-request tracing
     /// cost. The slow-query-log threshold, when configured, doubles as a
-    /// retention rule so every slow-log line resolves to a trace.
+    /// retention rule, so a slow-log line's trace is retained — within
+    /// the ring's bound: once the ring holds only privileged traces (slow,
+    /// timed out, rejected, forced), each new one evicts the oldest, so
+    /// the lines that resolve are those of the newest `capacity`
+    /// privileged traces.
     pub tracing: Option<TraceConfig>,
 }
 
@@ -314,6 +318,13 @@ impl CacheView {
             &[("cache", self.name)],
             self.lru.stripes.len(),
         );
+        set_gauge(
+            reg,
+            "koios_debug_cache_entries",
+            "Entries held, as reported by GET /debug/cache",
+            &[("cache", self.name)],
+            self.lru.entries,
+        );
         if self.generation.is_some() {
             set_gauge(
                 reg,
@@ -332,16 +343,8 @@ impl CacheView {
         }
     }
 
-    /// This cache's `GET /debug/cache` object; the entry count is mirrored
-    /// onto its `koios_debug_cache_entries` gauge.
-    fn to_json(&self, reg: &Registry) -> Json {
-        set_gauge(
-            reg,
-            "koios_debug_cache_entries",
-            "Entries held, as reported by GET /debug/cache",
-            &[("cache", self.name)],
-            self.lru.entries,
-        );
+    /// This cache's `GET /debug/cache` object.
+    fn to_json(&self) -> Json {
         let num = |n: usize| Json::num(n as f64);
         let mut fields = match self.generation {
             None => vec![
@@ -518,7 +521,8 @@ impl SearchService {
         let backend = engine.backend();
         let metrics = ServiceMetrics::new();
         // The slow-query threshold doubles as a trace-retention rule, so
-        // every slow-log line's `trace_id` resolves via `GET /traces`.
+        // a slow-log line's `trace_id` resolves via `GET /traces` while
+        // its trace is among the ring's newest privileged ones.
         let tracer = cfg
             .tracing
             .map(|tc| Tracer::new(tc, cfg.slow_query_log.as_ref().map(|log| log.threshold())));
@@ -909,7 +913,8 @@ impl SearchService {
     /// format (version 0.0.4) — the body of `GET /metrics`. Only histograms
     /// record on the request path; every counter and gauge (uptime, queue
     /// depth, mutation totals, cache operation totals, token-cache
-    /// occupancy) is synchronized from its one source first, so the
+    /// occupancy, the `koios_debug_*` mirrors of `/debug/cache` and
+    /// `/debug/engine`) is synchronized from its one source first, so the
     /// rendering is always current.
     pub fn render_metrics(&self) -> String {
         let m = &self.inner.metrics;
@@ -940,6 +945,26 @@ impl SearchService {
         for view in std::iter::once(result).chain(token) {
             view.export(reg);
         }
+        // The `GET /debug/engine` figures, from the same sources.
+        let backend = self.backend();
+        let repo = backend.repository();
+        let (live, total) = (repo.num_live_sets(), repo.num_sets());
+        for (state, n) in [("live", live), ("tombstoned", total - live)] {
+            set_gauge(
+                reg,
+                "koios_debug_engine_sets",
+                "Set slots by liveness, as reported by GET /debug/engine",
+                &[("state", state)],
+                n,
+            );
+        }
+        set_gauge(
+            reg,
+            "koios_debug_engine_delta_chain",
+            "Snapshot delta-chain length, as reported by GET /debug/engine",
+            &[],
+            self.delta_chain_len(),
+        );
         let mut text = reg.render_prometheus();
         // Exemplar linkage: the slowest retained trace, rendered as its own
         // family (hand-appended so trace-id label churn never grows the
@@ -1019,15 +1044,20 @@ impl SearchService {
     /// The body of `GET /debug/cache`: per-stripe occupancy, byte load and
     /// oldest-entry age for both striped caches, plus their lifetime
     /// counters — each cache from one snapshot, so its stripe rows sum to
-    /// the totals beside them. Aggregate occupancy is mirrored onto
-    /// `koios_debug_cache_entries` gauges so scrapes and debug reads agree.
+    /// the totals beside them. `/metrics` mirrors the occupancy as
+    /// `koios_debug_cache_entries`, read from the caches at scrape time.
     pub fn debug_cache(&self) -> Json {
-        let reg = self.inner.metrics.registry();
         let (result, token) = self.cache_views();
         Json::obj([
-            ("result", result.to_json(reg)),
-            ("token", token.map_or(Json::Null, |t| t.to_json(reg))),
+            ("result", result.to_json()),
+            ("token", token.map_or(Json::Null, |t| t.to_json())),
         ])
+    }
+
+    /// Delta sections of the snapshot the service was loaded or last
+    /// reloaded from (0 without one).
+    fn delta_chain_len(&self) -> usize {
+        self.snapshot_info().map_or(0, |s| s.deltas)
     }
 
     /// One snapshot per cache (the token cache when enabled).
@@ -1047,8 +1077,8 @@ impl SearchService {
     /// The body of `GET /debug/engine`: live/tombstoned set counts, the
     /// serving epoch and delta-chain length, per-partition posting-length
     /// histograms (log2 buckets — the skew behind slow refinement) and
-    /// resident memory. Key figures are mirrored onto
-    /// `koios_debug_engine_*` gauges.
+    /// resident memory. `/metrics` mirrors the set counts and the chain
+    /// length as `koios_debug_engine_*`, read at scrape time.
     pub fn debug_engine(&self) -> Json {
         use koios_common::HeapSize;
 
@@ -1058,25 +1088,7 @@ impl SearchService {
         let live = repo.num_live_sets();
         let total = repo.num_sets();
         let rs = repo.stats();
-        let deltas = self.snapshot_info().map(|s| s.deltas).unwrap_or(0);
-
-        let reg = self.inner.metrics.registry();
-        let sets_gauge = |state: &str, n: usize| {
-            reg.gauge(
-                "koios_debug_engine_sets",
-                "Set slots by liveness, as reported by GET /debug/engine",
-                &[("state", state)],
-            )
-            .set(n.min(i64::MAX as usize) as i64);
-        };
-        sets_gauge("live", live);
-        sets_gauge("tombstoned", total - live);
-        reg.gauge(
-            "koios_debug_engine_delta_chain",
-            "Snapshot delta-chain length, as reported by GET /debug/engine",
-            &[],
-        )
-        .set(deltas.min(i64::MAX as usize) as i64);
+        let deltas = self.delta_chain_len();
 
         let indexes = match (backend.as_single(), backend.as_partitioned()) {
             (Some(e), _) => vec![e.index()],
@@ -1179,42 +1191,26 @@ impl ServiceInner {
         self.metrics.record_shards(&stats.shard_times);
     }
 
-    /// Seals a request's span tree and offers it to the tail sampler;
-    /// returns the trace id for the response.
-    fn finish_trace(
-        &self,
-        builder: Option<TraceBuilder>,
-        submitted: Instant,
-        timed_out: bool,
-        rejected: bool,
-    ) -> Option<u64> {
-        let tracer = self.tracer.as_ref()?;
-        Some(tracer.finish(builder?, submitted.elapsed(), timed_out, rejected))
+    /// The full request lifecycle: [`Self::decide`] answers the request
+    /// and [`Self::answer`] accounts for it — one exit, one record.
+    fn process_one(&self, req: &SearchRequest, submitted: Instant) -> ServiceResponse {
+        self.answer(self.decide(req, submitted))
     }
 
-    /// The full request lifecycle: normalize → cache probe → admission →
-    /// search → cache fill → bookkeeping.
-    fn process_one(&self, req: &SearchRequest, submitted: Instant) -> ServiceResponse {
-        let queue_time = submitted.elapsed();
-        self.metrics.request_queue.record_duration(queue_time);
-
-        // Trace assembly starts at submission, so the queue span begins at
-        // offset zero. The builder lives on this worker's stack — span
-        // recording takes no locks; only completion touches the sink.
-        let mut tb = self.tracer.as_ref().map(|t| t.begin(req.trace, submitted));
-        if let Some(tb) = tb.as_mut() {
-            let root = tb.root();
-            tb.add("queue", root, 0, queue_time.as_nanos() as u64);
-        }
+    /// The decide half: normalize → cache probe → admission → search →
+    /// cache fill. Returns the request's record; apart from the queue
+    /// wait it reports nothing itself.
+    fn decide(&self, req: &SearchRequest, submitted: Instant) -> RequestRecord {
+        let queue = submitted.elapsed();
+        // Recorded at pickup, where it is known, so a search that panics
+        // still counts its wait.
+        self.metrics.request_queue.record_duration(queue);
 
         // Pin the serving backend once: the whole request — cache key
         // (whose fingerprint covers the backend's epoch), admission,
         // search — runs against this frozen corpus version, however many
         // live mutations swap the service's backend meanwhile.
         let backend = Arc::clone(&self.backend.read().expect("backend lock"));
-        // Handed back with the response: its set ids resolve against this
-        // repository, not whichever one is being served by then.
-        let repository = backend.repository_arc();
 
         // Effective per-request configuration (cheap: no index rebuild on
         // either backend).
@@ -1231,115 +1227,65 @@ impl ServiceInner {
         // byte-identical either way), so the flag is folded in after the
         // overrides but never invalidates cached answers.
         cfg.explain = cfg.explain || req.explain;
-        if cfg.k == 0 || !(cfg.alpha > 0.0 && cfg.alpha <= 1.0) {
-            bump(&self.counters.rejected, 1);
-            let trace_id = self.finish_trace(tb, submitted, false, true);
-            return ServiceResponse {
-                result: SearchResult::default(),
-                cache: CacheOutcome::Rejected,
-                rejected: true,
-                queue_time,
-                trace_id,
-                repository,
-            };
-        }
 
         let mut tokens = req.tokens.clone();
         tokens.sort_unstable();
         tokens.dedup();
         let key = CacheKey::new(tokens, &cfg);
-        let fp = key.fingerprint();
+        let mut record = RequestRecord {
+            trace: req.trace,
+            submitted,
+            queue,
+            fingerprint: key.fingerprint(),
+            k: cfg.k,
+            alpha: cfg.alpha,
+            epoch: cfg.epoch,
+            cache: if req.bypass_cache {
+                CacheOutcome::Bypassed
+            } else {
+                CacheOutcome::Miss
+            },
+            probe: None,
+            search: None,
+            rejected: false,
+            result: SearchResult::default(),
+            // Handed back with the response: its set ids resolve against
+            // this repository, not whichever one is being served by then.
+            repository: backend.repository_arc(),
+        };
+        if cfg.k == 0 || !(cfg.alpha > 0.0 && cfg.alpha <= 1.0) {
+            record.cache = CacheOutcome::Rejected;
+            record.rejected = true;
+            return record;
+        }
 
         // Cache probe first: a hit is effectively free, so it is served
         // even when the deadline has already expired.
         if !req.bypass_cache {
-            let probe_start = Instant::now();
-            let cached = self.cache.get(fp, &key);
-            if let Some(tb) = tb.as_mut() {
-                let root = tb.root();
-                let off = tb.offset(probe_start);
-                let outcome = if cached.is_some() { "hit" } else { "miss" };
-                tb.add_detail(
-                    "cache.result",
-                    root,
-                    off,
-                    probe_start.elapsed().as_nanos() as u64,
-                    None,
-                    Some(outcome),
-                    cfg.epoch,
-                );
-            }
+            let start = Instant::now();
+            let cached = self.cache.get(record.fingerprint, &key);
+            record.probe = Some((start, start.elapsed()));
             if let Some(hits) = cached {
-                if let Some(tb) = tb.as_mut() {
-                    tb.set_epoch(cfg.epoch);
-                }
-                if let Some(log) = &self.slowlog {
-                    log.observe(&SlowQueryRecord {
-                        fingerprint: fp,
-                        k: cfg.k,
-                        alpha: cfg.alpha,
-                        epoch: cfg.epoch,
-                        queue: queue_time,
-                        search: Duration::ZERO,
-                        cache: CacheOutcome::Hit,
-                        trace_id: tb.as_ref().map(|b| b.trace_id()),
-                        trace_depth: tb.as_ref().map(|b| b.depth()).unwrap_or(0),
-                        stats: None,
-                    });
-                }
-                let trace_id = self.finish_trace(tb, submitted, false, false);
-                return ServiceResponse {
-                    result: SearchResult {
-                        hits: (*hits).clone(), // copy outside the cache lock
-                        stats: SearchStats::default(),
-                    },
-                    cache: CacheOutcome::Hit,
-                    rejected: false,
-                    queue_time,
-                    trace_id,
-                    repository,
-                };
+                record.cache = CacheOutcome::Hit;
+                record.result.hits = (*hits).clone(); // copy outside the cache lock
+                return record;
             }
         }
 
         // Admission control: refuse to start work for a dead request. The
         // deadline is passed to the backend as an *absolute* instant, so it
         // bounds the whole remaining search — on a partitioned backend,
-        // every shard and the merge-time verification loop.
+        // every shard and the merge-time verification loop. An expiry at
+        // admission is both a rejection and a timeout: callers observe
+        // `stats.timed_out = true`.
         let deadline = req.time_budget.map(|b| submitted + b);
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                // A deadline expiry at admission is both a rejection and a
-                // timeout: callers observe `stats.timed_out = true`, so the
-                // service-level counter must agree (it counts every request
-                // that observed an expiry, admitted or not).
-                bump(&self.counters.rejected, 1);
-                bump(&self.counters.timed_out, 1);
-                let stats = SearchStats {
-                    timed_out: true,
-                    ..SearchStats::default()
-                };
-                let trace_id = self.finish_trace(tb, submitted, true, true);
-                return ServiceResponse {
-                    result: SearchResult {
-                        hits: Vec::new(),
-                        stats,
-                    },
-                    cache: if req.bypass_cache {
-                        CacheOutcome::Bypassed
-                    } else {
-                        CacheOutcome::Miss
-                    },
-                    rejected: true,
-                    queue_time,
-                    trace_id,
-                    repository,
-                };
-            }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            record.rejected = true;
+            record.result.stats.timed_out = true;
+            return record;
         }
 
-        let (eff_k, eff_alpha, eff_epoch) = (cfg.k, cfg.alpha, cfg.epoch);
-        let search_start = Instant::now();
+        let start = Instant::now();
         // Fast path: without per-request overrides the effective config is
         // the backend's own, so the shared backend (and its pre-built
         // shard engines) is searched directly — no config-sibling rebuild
@@ -1352,61 +1298,46 @@ impl ServiceInner {
                     .with_config(cfg)
                     .search_with_deadline(&key.tokens, deadline)
             };
-        let search_time = search_start.elapsed();
-        self.metrics.request_search.record_duration(search_time);
-        self.record_search(&result.stats);
-        if let Some(tb) = tb.as_mut() {
-            let off = tb.offset(search_start);
-            record_search_spans(tb, &result.stats, off, search_time.as_nanos() as u64);
-            tb.set_epoch(eff_epoch);
-            if let Some(summary) = result.stats.funnel_summary() {
-                tb.set_funnel(summary);
-            }
-        }
+        record.search = Some((start, start.elapsed()));
 
         // Only complete answers are worth caching: a timed-out search holds
         // partial hits that a later, luckier run could improve on.
-        let complete = !result.stats.timed_out;
-        if !req.bypass_cache && complete {
+        if !req.bypass_cache && !result.stats.timed_out {
             let hits = Arc::new(result.hits.clone());
-            self.cache.insert(fp, key, hits, 1, || true);
+            self.cache.insert(record.fingerprint, key, hits, 1, || true);
         }
+        record.result = result;
+        record
+    }
 
-        if let Some(log) = &self.slowlog {
-            log.observe(&SlowQueryRecord {
-                fingerprint: fp,
-                k: eff_k,
-                alpha: eff_alpha,
-                epoch: eff_epoch,
-                queue: queue_time,
-                search: search_time,
-                cache: if req.bypass_cache {
-                    CacheOutcome::Bypassed
-                } else {
-                    CacheOutcome::Miss
-                },
-                trace_id: tb.as_ref().map(|b| b.trace_id()),
-                trace_depth: tb.as_ref().map(|b| b.depth()).unwrap_or(0),
-                stats: Some(&result.stats),
-            });
+    /// The tail: every surface drawn from the one record — the outcome
+    /// counters and histograms, the span tree, the slow-query line (which
+    /// reads the tree before it is offered to the sink), and the
+    /// response.
+    fn answer(&self, record: RequestRecord) -> ServiceResponse {
+        if record.rejected {
+            bump(&self.counters.rejected, 1);
         }
-
-        if result.stats.timed_out {
+        // Counts every request that observed an expiry, admitted or not.
+        if record.result.stats.timed_out {
             bump(&self.counters.timed_out, 1);
         }
-
-        let trace_id = self.finish_trace(tb, submitted, result.stats.timed_out, false);
+        if let Some((_, took)) = record.search {
+            self.metrics.request_search.record_duration(took);
+            self.record_search(&record.result.stats);
+        }
+        let trace = self.tracer.as_ref().map(|t| (t, t.request_trace(&record)));
+        if let Some(log) = &self.slowlog {
+            log.observe(&record, trace.as_ref().map(|(_, tree)| tree));
+        }
+        let trace_id = trace.map(|(t, tree)| t.offer(tree));
         ServiceResponse {
-            result,
-            cache: if req.bypass_cache {
-                CacheOutcome::Bypassed
-            } else {
-                CacheOutcome::Miss
-            },
-            rejected: false,
-            queue_time,
+            result: record.result,
+            cache: record.cache,
+            rejected: record.rejected,
+            queue_time: record.queue,
             trace_id,
-            repository,
+            repository: record.repository,
         }
     }
 }
@@ -1892,15 +1823,76 @@ mod tests {
         );
         let q = repo.intern_query(["a", "b"]);
         svc.search(SearchRequest::new(q.clone()));
-        svc.search(SearchRequest::new(q)); // hit — also over the 0ns threshold
+        svc.search(SearchRequest::new(q.clone())); // hit — also over the 0ns threshold
+                                                   // Both rejection exits log too.
+        svc.search(SearchRequest::new(q.clone()).with_k(0));
+        let dead = SearchRequest::new(q).bypassing_cache();
+        svc.search(dead.with_time_budget(Duration::ZERO));
         let lines = lines.lock().unwrap();
-        assert_eq!(lines.len(), 2, "both requests crossed the zero threshold");
+        assert_eq!(lines.len(), 4, "every request crossed the zero threshold");
         assert!(lines[0].contains("\"cache\":\"miss\""));
         assert!(lines[0].contains("\"refine_ns\":"));
         assert!(lines[0].contains("\"k\":1"));
         assert!(lines[0].contains("\"fingerprint\":\"0x"));
         assert!(lines[1].contains("\"cache\":\"hit\""));
         assert!(!lines[1].contains("refine_ns"), "hits did no engine work");
+        assert!(lines[2].contains("\"cache\":\"rejected\""), "{}", lines[2]);
+        assert!(lines[2].contains("\"k\":0"), "{}", lines[2]);
+        assert!(lines[3].contains("\"cache\":\"bypassed\""), "{}", lines[3]);
+        assert!(lines[3].contains("\"timed_out\":true"), "{}", lines[3]);
+        assert!(lines[3].contains("\"search_ns\":0"), "{}", lines[3]);
+    }
+
+    /// The ring is bounded: once it holds only privileged traces, each new
+    /// one evicts the oldest, so exactly the newest `capacity` slow-log
+    /// lines resolve to their traces.
+    #[test]
+    fn slow_log_trace_joins_hold_for_the_ring_capacity() {
+        use koios_telemetry::trace::SamplingPolicy;
+        use std::sync::Mutex as StdMutex;
+        let lines = Arc::new(StdMutex::new(Vec::<String>::new()));
+        let sink = {
+            let lines = Arc::clone(&lines);
+            Arc::new(move |line: &str| lines.lock().unwrap().push(line.to_string())) as _
+        };
+        let (repo, _) = service(1, 8);
+        let policy = SamplingPolicy {
+            probability: 0.0,
+            top_percent: 0.0,
+            seed: 1,
+            slow_threshold: None,
+        };
+        let svc = SearchService::from_mutable(
+            single(&repo, KoiosConfig::new(2, 0.9)),
+            ServiceConfig::new()
+                .with_workers(1)
+                .with_slow_query_log(SlowQueryLog::new(Duration::ZERO, sink))
+                .with_tracing(TraceConfig {
+                    capacity: 4,
+                    policy,
+                }),
+        );
+        let q = repo.intern_query(["a", "b", "c"]);
+        for _ in 0..8 {
+            svc.search(SearchRequest::new(q.clone()).bypassing_cache());
+        }
+        let lines = lines.lock().unwrap();
+        assert_eq!(lines.len(), 8);
+        let resolves: Vec<bool> = lines
+            .iter()
+            .map(|line| {
+                let hex = line
+                    .split("\"trace_id\":\"0x")
+                    .nth(1)
+                    .and_then(|rest| rest.split('"').next())
+                    .expect("slow-log line carries a trace id");
+                svc.trace(u64::from_str_radix(hex, 16).unwrap()).is_some()
+            })
+            .collect();
+        assert_eq!(
+            resolves,
+            [false, false, false, false, true, true, true, true]
+        );
     }
 
     /// A sampling policy with a larger slow threshold than the slow log's

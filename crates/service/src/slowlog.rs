@@ -5,17 +5,20 @@
 //! the request fingerprint (the same hex form operators see in cache keys,
 //! [`koios_common::fingerprint::hex`]), the effective `k`/`α`, the
 //! per-stage nanosecond breakdown, the cache outcome, and — for
-//! partitioned backends — the per-shard split. One line per offending
-//! query keeps the log greppable and the hot path allocation-free until a
-//! query actually crosses the threshold.
+//! partitioned backends — the per-shard split. Every exit of the request
+//! lifecycle is judged, rejections included: the line is drawn from the
+//! same per-request record as the response and the span tree, and its
+//! `trace_id`/`trace_depth` from that tree. Nothing is rendered, and the
+//! tree's depth is not walked, until a query actually crosses the
+//! threshold.
 //!
 //! Sinks are plain `Fn(&str)` closures behind an `Arc`, so tests collect
 //! into a `Mutex<Vec<String>>`, servers append to a file
 //! ([`SlowQueryLog::to_file`]), and CI ships the file as an artifact.
 
-use crate::request::CacheOutcome;
+use crate::request::{CacheOutcome, RequestRecord};
 use koios_common::fingerprint;
-use koios_core::SearchStats;
+use koios_telemetry::trace::Trace;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -77,106 +80,93 @@ impl SlowQueryLog {
         self.threshold
     }
 
-    /// Emits one line if the record's total latency crosses the threshold.
-    pub(crate) fn observe(&self, record: &SlowQueryRecord<'_>) {
-        if record.queue + record.search >= self.threshold {
-            (self.sink)(&record.render());
+    /// Emits one line if the request's latency (queue + search) crosses
+    /// the threshold. `trace` is the request's span tree (`None` when
+    /// tracing is disabled).
+    pub(crate) fn observe(&self, record: &RequestRecord, trace: Option<&Trace>) {
+        let search = record.search.map_or(Duration::ZERO, |(_, took)| took);
+        if record.queue + search >= self.threshold {
+            (self.sink)(&render(record, search, trace));
         }
     }
 }
 
-/// Everything one slow-query line reports. Borrowed from the request path
-/// — building the record is free; JSON rendering happens only past the
-/// threshold.
-pub(crate) struct SlowQueryRecord<'a> {
-    pub fingerprint: u64,
-    pub k: usize,
-    pub alpha: f64,
-    /// Corpus epoch of the backend that served (or would have served) the
-    /// request, so slow queries are attributable to a corpus version even
-    /// after later live mutations.
-    pub epoch: u64,
-    pub queue: Duration,
-    pub search: Duration,
-    pub cache: CacheOutcome,
-    /// Id of the request's span tree (`None` when tracing is disabled).
-    /// Slow traces are always retained by the tail sampler, so the line is
-    /// joinable against `GET /traces?id=…`.
-    pub trace_id: Option<u64>,
-    /// Span-tree depth recorded so far (0 when tracing is disabled) —
-    /// operators can tell a full partitioned tree from a flat cache-hit
-    /// trace before fetching it.
-    pub trace_depth: usize,
-    /// `None` for cache hits (no engine work happened).
-    pub stats: Option<&'a SearchStats>,
-}
-
-impl SlowQueryRecord<'_> {
-    fn render(&self) -> String {
-        let mut line = String::with_capacity(256);
+/// One slow-query line. The stage breakdown is omitted for cache hits (no
+/// engine work happened); a rejection reports its zeros and, for an
+/// expired deadline, `"timed_out":true`.
+fn render(record: &RequestRecord, search: Duration, trace: Option<&Trace>) -> String {
+    let mut line = String::with_capacity(256);
+    let _ = write!(
+        line,
+        "{{\"fingerprint\":\"{}\",\"k\":{},\"alpha\":{},\"epoch\":{},\"total_ns\":{},\
+         \"queue_ns\":{},\"search_ns\":{},\"cache\":\"{}\"",
+        fingerprint::hex(record.fingerprint),
+        record.k,
+        record.alpha,
+        record.epoch,
+        (record.queue + search).as_nanos(),
+        record.queue.as_nanos(),
+        search.as_nanos(),
+        match record.cache {
+            CacheOutcome::Hit => "hit",
+            CacheOutcome::Miss => "miss",
+            CacheOutcome::Bypassed => "bypassed",
+            CacheOutcome::Rejected => "rejected",
+        },
+    );
+    // Slow traces are retained by the tail sampler, so the id joins
+    // against `GET /traces?id=…` until `capacity` newer privileged traces
+    // have evicted it (see `ServiceConfig::tracing`); the depth tells a
+    // full partitioned tree from a flat cache-hit trace before fetching it.
+    if let Some(trace) = trace {
         let _ = write!(
             line,
-            "{{\"fingerprint\":\"{}\",\"k\":{},\"alpha\":{},\"epoch\":{},\"total_ns\":{},\
-             \"queue_ns\":{},\"search_ns\":{},\"cache\":\"{}\"",
-            fingerprint::hex(self.fingerprint),
-            self.k,
-            self.alpha,
-            self.epoch,
-            (self.queue + self.search).as_nanos(),
-            self.queue.as_nanos(),
-            self.search.as_nanos(),
-            match self.cache {
-                CacheOutcome::Hit => "hit",
-                CacheOutcome::Miss => "miss",
-                CacheOutcome::Bypassed => "bypassed",
-                CacheOutcome::Rejected => "rejected",
-            },
+            ",\"trace_id\":\"{}\",\"trace_depth\":{}",
+            fingerprint::hex(trace.trace_id),
+            trace.depth(),
         );
-        if let Some(trace_id) = self.trace_id {
-            let _ = write!(
-                line,
-                ",\"trace_id\":\"{}\",\"trace_depth\":{}",
-                fingerprint::hex(trace_id),
-                self.trace_depth,
-            );
-        }
-        if let Some(stats) = self.stats {
-            let _ = write!(
-                line,
-                ",\"refine_ns\":{},\"postprocess_ns\":{},\"verify_ns\":{},\"merge_ns\":{},\
-                 \"knn_cache_hits\":{},\"knn_cache_misses\":{},\"timed_out\":{}",
-                stats.refine_time.as_nanos(),
-                stats.postprocess_time.as_nanos(),
-                stats.verify_time.as_nanos(),
-                stats.merge_time.as_nanos(),
-                stats.knn_cache.hits,
-                stats.knn_cache.misses,
-                stats.timed_out,
-            );
-            if !stats.shard_times.is_empty() {
-                line.push_str(",\"shards_ns\":[");
-                for (i, t) in stats.shard_times.iter().enumerate() {
-                    if i > 0 {
-                        line.push(',');
-                    }
-                    let _ = write!(line, "{}", t.as_nanos());
-                }
-                line.push(']');
-            }
-            // EXPLAIN requests attach the stage funnel, so a retained slow
-            // line answers "where did the candidates go" without a rerun.
-            if let Some(summary) = stats.funnel_summary() {
-                let _ = write!(line, ",\"funnel\":\"{summary}\"");
-            }
-        }
-        line.push('}');
-        line
     }
+    if record.cache != CacheOutcome::Hit {
+        let stats = &record.result.stats;
+        let _ = write!(
+            line,
+            ",\"refine_ns\":{},\"postprocess_ns\":{},\"verify_ns\":{},\"merge_ns\":{},\
+             \"knn_cache_hits\":{},\"knn_cache_misses\":{},\"timed_out\":{}",
+            stats.refine_time.as_nanos(),
+            stats.postprocess_time.as_nanos(),
+            stats.verify_time.as_nanos(),
+            stats.merge_time.as_nanos(),
+            stats.knn_cache.hits,
+            stats.knn_cache.misses,
+            stats.timed_out,
+        );
+        if !stats.shard_times.is_empty() {
+            line.push_str(",\"shards_ns\":[");
+            for (i, t) in stats.shard_times.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
+                }
+                let _ = write!(line, "{}", t.as_nanos());
+            }
+            line.push(']');
+        }
+        // EXPLAIN requests attach the stage funnel, so a retained slow
+        // line answers "where did the candidates go" without a rerun.
+        if let Some(summary) = stats.funnel_summary() {
+            let _ = write!(line, ",\"funnel\":\"{summary}\"");
+        }
+    }
+    line.push('}');
+    line
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::tests::record;
+    use koios_core::SearchStats;
+    use koios_telemetry::trace::TraceBuilder;
+    use std::time::Instant;
 
     fn collecting() -> (SlowQuerySink, Arc<Mutex<Vec<String>>>) {
         let lines = Arc::new(Mutex::new(Vec::new()));
@@ -188,26 +178,19 @@ mod tests {
         (sink, lines)
     }
 
-    fn record(stats: Option<&SearchStats>) -> SlowQueryRecord<'_> {
-        SlowQueryRecord {
-            fingerprint: 0xE6F2_8F54_69D3_412F,
-            k: 5,
-            alpha: 0.8,
-            epoch: 7,
-            queue: Duration::from_nanos(100),
-            search: Duration::from_nanos(900),
-            cache: CacheOutcome::Miss,
-            trace_id: Some(0xABCD),
-            trace_depth: 3,
-            stats,
-        }
+    /// A three-deep tree under trace id `0xABCD`.
+    fn trace() -> Trace {
+        let mut tb = TraceBuilder::new(0xABCD, 0, false, Instant::now());
+        let search = tb.add("search", tb.root(), 0, 900);
+        tb.add("refine", search, 0, 700);
+        tb.finish(Duration::from_nanos(1000), false, false)
     }
 
     #[test]
     fn below_threshold_stays_silent() {
         let (sink, lines) = collecting();
         let log = SlowQueryLog::new(Duration::from_micros(10), sink);
-        log.observe(&record(None));
+        log.observe(&record(), Some(&trace()));
         assert!(lines.lock().unwrap().is_empty());
     }
 
@@ -215,7 +198,8 @@ mod tests {
     fn slow_queries_emit_one_json_line() {
         let (sink, lines) = collecting();
         let log = SlowQueryLog::new(Duration::from_nanos(1000), sink);
-        let stats = SearchStats {
+        let mut r = record();
+        r.result.stats = SearchStats {
             refine_time: Duration::from_nanos(700),
             postprocess_time: Duration::from_nanos(200),
             verify_time: Duration::from_nanos(150),
@@ -223,7 +207,7 @@ mod tests {
             shard_times: vec![Duration::from_nanos(300), Duration::from_nanos(400)],
             ..Default::default()
         };
-        log.observe(&record(Some(&stats)));
+        log.observe(&r, Some(&trace()));
         let lines = lines.lock().unwrap();
         assert_eq!(lines.len(), 1);
         let line = &lines[0];
@@ -243,20 +227,18 @@ mod tests {
     fn explain_stats_attach_the_funnel_summary() {
         let (sink, lines) = collecting();
         let log = SlowQueryLog::new(Duration::ZERO, sink);
-        let mut stats = SearchStats {
-            candidates: 4,
-            ..Default::default()
-        };
+        let mut r = record();
+        r.result.stats.candidates = 4;
         // The counts alone do not attach a funnel; explain does.
-        log.observe(&record(Some(&stats)));
-        stats.funnel = Some(Box::new(koios_core::FunnelCounts {
+        log.observe(&r, None);
+        r.result.stats.funnel = Some(Box::new(koios_core::FunnelCounts {
             returned: 2,
             ..Default::default()
         }));
-        log.observe(&record(Some(&stats)));
+        log.observe(&r, None);
         let lines = lines.lock().unwrap();
         assert!(!lines[0].contains("\"funnel\""), "{}", lines[0]);
-        let summary = stats.funnel_summary().unwrap();
+        let summary = r.result.stats.funnel_summary().unwrap();
         assert!(lines[1].contains(&format!("\"funnel\":\"{summary}\"")));
         assert!(lines[1].contains("\"funnel\":\"discovered=4"));
         assert!(lines[1].contains("returned=2\""));
@@ -266,9 +248,7 @@ mod tests {
     fn untraced_services_omit_the_trace_fields() {
         let (sink, lines) = collecting();
         let log = SlowQueryLog::new(Duration::ZERO, sink);
-        let mut r = record(None);
-        r.trace_id = None;
-        log.observe(&r);
+        log.observe(&record(), None);
         assert!(!lines.lock().unwrap()[0].contains("trace_id"));
     }
 
@@ -276,11 +256,13 @@ mod tests {
     fn cache_hits_log_without_stage_breakdown() {
         let (sink, lines) = collecting();
         let log = SlowQueryLog::new(Duration::ZERO, sink);
-        let mut r = record(None);
+        let mut r = record();
         r.cache = CacheOutcome::Hit;
-        log.observe(&r);
+        r.search = None;
+        log.observe(&r, Some(&trace()));
         let lines = lines.lock().unwrap();
         assert!(lines[0].contains("\"cache\":\"hit\""));
+        assert!(lines[0].contains("\"search_ns\":0"));
         assert!(!lines[0].contains("refine_ns"));
     }
 
@@ -291,8 +273,8 @@ mod tests {
         let path = dir.join("slow.jsonl");
         let _ = std::fs::remove_file(&path);
         let log = SlowQueryLog::to_file(Duration::ZERO, &path).unwrap();
-        log.observe(&record(None));
-        log.observe(&record(None));
+        log.observe(&record(), None);
+        log.observe(&record(), None);
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));

@@ -1,23 +1,26 @@
 //! Request-trace assembly for the service layer.
 //!
-//! The engine crates stay telemetry-free (the PR 6 rule): the service
-//! translates what it already measures — queue wait, cache probes, the
-//! [`SearchStats`] timing seams, mutation epochs — into the span trees of
+//! The engine crates stay telemetry-free: the service translates what it
+//! already records — queue wait, the cache probe, the [`SearchStats`]
+//! timing seams, mutation epochs — into the span trees of
 //! [`koios_telemetry::trace`]. One [`Tracer`] per service owns the shared
-//! [`TraceSink`]; each request builds its tree in a worker-owned
-//! [`TraceBuilder`] (no locks on the hot path) and offers it to the sink
-//! on completion, where tail-based sampling decides retention.
+//! [`TraceSink`]. A request's tree is drawn in one call, once the request
+//! has been answered, from the same per-request record as its response
+//! and its slow-log line; the sealed tree is then offered to the sink,
+//! where tail-based sampling decides retention. Drawing takes no lock;
+//! only retained trees take the ring's.
 
+use crate::request::{CacheOutcome, RequestRecord};
 use koios_common::fingerprint::Fingerprinter;
 use koios_core::SearchStats;
 use koios_telemetry::trace::{
-    mint_id, TraceBuilder, TraceConfig, TraceContext, TraceSink, TraceSinkStats,
+    mint_id, Trace, TraceBuilder, TraceConfig, TraceSink, TraceSinkStats,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
-/// Per-service trace recorder: mints trace ids, starts builders, and owns
+/// Per-service trace recorder: mints trace ids, draws span trees, and owns
 /// the retention ring.
 #[derive(Debug)]
 pub struct Tracer {
@@ -31,8 +34,12 @@ pub struct Tracer {
 impl Tracer {
     /// Builds the recorder. `slow_threshold` (the slow-query-log
     /// threshold) becomes a retention rule: traces are kept as slow from
-    /// the lower of it and the policy's own threshold, so every slow-log
-    /// line stays joinable against `GET /traces`.
+    /// the lower of it and the policy's own threshold, so a slow-log
+    /// line's trace is retained. The ring is still bounded: once it holds
+    /// only privileged traces (slow, timed out, rejected, forced), each new
+    /// one evicts the oldest, so the lines that resolve via
+    /// `GET /traces` are those of the newest `cfg.capacity` privileged
+    /// traces.
     pub fn new(mut cfg: TraceConfig, slow_threshold: Option<Duration>) -> Self {
         if let Some(t) = slow_threshold {
             cfg.policy.slow_threshold = Some(cfg.policy.slow_threshold.map_or(t, |p| p.min(t)));
@@ -56,28 +63,55 @@ impl Tracer {
         mint_id(self.seed, self.next.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Starts a request trace at `started` (the submission instant, so the
-    /// queue span begins at offset zero). A wire-propagated context keeps
-    /// the remote caller's trace id and parent span; its `sampled` flag
-    /// force-retains the trace.
-    pub fn begin(&self, ctx: Option<TraceContext>, started: Instant) -> TraceBuilder {
-        match ctx {
-            Some(c) => TraceBuilder::new(c.trace_id, c.parent_span, c.sampled, started),
-            None => TraceBuilder::new(self.mint_trace_id(), 0, false, started),
+    /// Draws one request's whole span tree from its record and seals it:
+    /// the `queue` span from submission, the `cache.result` probe, and the
+    /// search sub-tree (`record_search_spans`), each present only when
+    /// that step ran. A wire-propagated context keeps the remote caller's
+    /// trace id and parent span; its `sampled` flag force-retains the
+    /// trace. The root carries the served epoch unless the request was
+    /// rejected.
+    pub(crate) fn request_trace(&self, record: &RequestRecord) -> Trace {
+        let mut tb = match record.trace {
+            Some(c) => TraceBuilder::new(c.trace_id, c.parent_span, c.sampled, record.submitted),
+            None => TraceBuilder::new(self.mint_trace_id(), 0, false, record.submitted),
+        };
+        let offset = |at: Instant| nanos(at.saturating_duration_since(record.submitted));
+        let root = tb.root();
+        tb.add("queue", root, 0, nanos(record.queue));
+        if let Some((start, took)) = record.probe {
+            let outcome = if record.cache == CacheOutcome::Hit {
+                "hit"
+            } else {
+                "miss"
+            };
+            let (off, took) = (offset(start), nanos(took));
+            tb.add_detail(
+                "cache.result",
+                root,
+                off,
+                took,
+                None,
+                Some(outcome),
+                record.epoch,
+            );
         }
+        let stats = &record.result.stats;
+        if let Some((start, took)) = record.search {
+            record_search_spans(&mut tb, stats, offset(start), nanos(took));
+        }
+        if !record.rejected {
+            tb.set_epoch(record.epoch);
+        }
+        if let Some(summary) = stats.funnel_summary() {
+            tb.set_funnel(summary);
+        }
+        tb.finish(record.submitted.elapsed(), stats.timed_out, record.rejected)
     }
 
-    /// Seals a request tree and offers it to the sink; returns the trace
-    /// id for the response.
-    pub fn finish(
-        &self,
-        builder: TraceBuilder,
-        total: Duration,
-        timed_out: bool,
-        rejected: bool,
-    ) -> u64 {
-        let id = builder.trace_id();
-        self.sink.offer(builder.finish(total, timed_out, rejected));
+    /// Offers a sealed tree to the tail sampler; returns its trace id.
+    pub(crate) fn offer(&self, trace: Trace) -> u64 {
+        let id = trace.trace_id;
+        self.sink.offer(trace);
         id
     }
 
@@ -95,7 +129,7 @@ impl Tracer {
         let root = tb.root();
         tb.add_detail(op, root, 0, duration.as_nanos() as u64, None, None, epoch);
         tb.set_epoch(epoch);
-        self.finish(tb, duration, false, false)
+        self.offer(tb.finish(duration, false, false))
     }
 
     /// The retention ring (lookups, listing, late spans).
@@ -120,12 +154,7 @@ impl Tracer {
 /// pipeline; partitioned stage times are parallel maxima across shards),
 /// so overlapping spans within the search window are expected for
 /// partitioned queries.
-pub fn record_search_spans(
-    tb: &mut TraceBuilder,
-    stats: &SearchStats,
-    start_ns: u64,
-    search_ns: u64,
-) {
+fn record_search_spans(tb: &mut TraceBuilder, stats: &SearchStats, start_ns: u64, search_ns: u64) {
     let root = tb.root();
     let search = tb.add_detail("search", root, start_ns, search_ns, None, None, stats.epoch);
     let parent = if search == 0 { root } else { search };
@@ -181,6 +210,10 @@ pub fn record_search_spans(
     }
 }
 
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,10 +247,8 @@ mod tests {
     #[test]
     fn search_spans_cover_the_partitioned_pipeline() {
         let t = tracer();
-        let mut tb = t.begin(None, Instant::now());
-        let root = tb.root();
-        tb.add("queue", root, 0, 1_000);
-        let stats = SearchStats {
+        let mut record = crate::request::tests::record();
+        record.result.stats = SearchStats {
             refine_time: Duration::from_millis(5),
             postprocess_time: Duration::from_millis(2),
             verify_time: Duration::from_millis(1),
@@ -227,14 +258,14 @@ mod tests {
             epoch: 3,
             ..SearchStats::default()
         };
-        record_search_spans(&mut tb, &stats, 1_000, 9_000_000);
-        let id = t.finish(tb, Duration::from_millis(9), false, false);
+        let id = t.offer(t.request_trace(&record));
         let trace = t.sink().get(id).expect("probability 1.0 retains");
         assert!(trace.well_formed());
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name).collect();
         for expect in [
             "request",
             "queue",
+            "cache.result",
             "search",
             "executor",
             "shard",

@@ -1,14 +1,14 @@
 //! Request-scoped tracing: span trees, tail-based sampling, ring retention.
 //!
 //! PR 6's histograms answer *"how slow is the p99?"*; this module answers
-//! *"which stage of which query was the p99?"*. Each request assembles one
+//! *"which stage of which query was the p99?"*. Each request yields one
 //! **span tree** — queue wait, cache probes, executor batch, per-shard
-//! search, refine/verify/merge, serialize — in a thread-local
-//! [`TraceBuilder`] owned by the worker that runs the request, so the hot
-//! path takes **no locks and performs one bounded allocation** (the span
-//! `Vec`, capped at [`MAX_SPANS`]). Only when the request completes is the
-//! finished tree offered to the shared [`TraceSink`], and only traces the
-//! sampling policy retains ever touch the sink's ring-buffer mutex.
+//! search, refine/verify/merge, serialize — assembled in a
+//! [`TraceBuilder`] by the thread that answered the request, with **no
+//! locks and one bounded allocation** (the span `Vec`, capped at
+//! [`MAX_SPANS`]). The sealed tree is offered to the shared
+//! [`TraceSink`], and only traces the sampling policy retains ever touch
+//! the sink's ring-buffer mutex.
 //!
 //! **Tail-based sampling** ([`SamplingPolicy`]): the keep/drop decision is
 //! made *after* the request finishes, when its fate is known. Every trace
@@ -272,10 +272,10 @@ impl Trace {
     }
 }
 
-/// Per-request span-tree builder. Owned by exactly one worker thread while
-/// the request runs: recording a span is a bounds-checked `Vec::push`, no
-/// atomics, no locks. Span ids are minted deterministically from the trace
-/// id and a per-trace sequence via [`mint_id`].
+/// One span tree under construction, owned by the thread that assembles
+/// it: recording a span is a bounds-checked `Vec::push`, no atomics, no
+/// locks. Span ids are minted deterministically from the trace id and a
+/// per-trace sequence via [`mint_id`].
 #[derive(Debug)]
 pub struct TraceBuilder {
     trace_id: u64,
@@ -322,24 +322,9 @@ impl TraceBuilder {
         mint_id(self.trace_id, mix64(self.next_seq))
     }
 
-    /// The trace id.
-    pub fn trace_id(&self) -> u64 {
-        self.trace_id
-    }
-
     /// The root span's id (parent for top-level stage spans).
     pub fn root(&self) -> u64 {
         self.root
-    }
-
-    /// When the trace started.
-    pub fn started(&self) -> Instant {
-        self.started
-    }
-
-    /// Nanosecond offset of `at` from the trace start (0 if earlier).
-    pub fn offset(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.started).as_nanos() as u64
     }
 
     /// Records a plain stage span; returns its id (0 if the cap dropped it).
@@ -385,39 +370,6 @@ impl TraceBuilder {
     /// Attaches the EXPLAIN funnel summary to the trace.
     pub fn set_funnel(&mut self, summary: String) {
         self.funnel = Some(summary);
-    }
-
-    /// Number of spans recorded so far.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when only the root span exists.
-    pub fn is_empty(&self) -> bool {
-        self.spans.len() <= 1
-    }
-
-    /// Maximum parent-chain depth of the tree built so far (root = 1).
-    pub fn depth(&self) -> usize {
-        self.as_trace_view().depth()
-    }
-
-    fn as_trace_view(&self) -> Trace {
-        Trace {
-            trace_id: self.trace_id,
-            root: self.root,
-            spans: self.spans.clone(),
-            dropped_spans: self.dropped,
-            duration_ns: 0,
-            timed_out: false,
-            rejected: false,
-            slow: false,
-            forced: self.forced,
-            reason: RetainReason::Sampled,
-            seq: 0,
-            started: self.started,
-            funnel: self.funnel.clone(),
-        }
     }
 
     /// Seals the tree into a [`Trace`] carrying its outcome flags. The
@@ -776,7 +728,6 @@ mod tests {
         for _ in 0..(MAX_SPANS * 2) {
             tb.add("stage", root, 0, 1);
         }
-        assert_eq!(tb.len(), MAX_SPANS);
         let t = tb.finish(Duration::from_millis(1), false, false);
         assert_eq!(t.spans.len(), MAX_SPANS);
         assert!(t.dropped_spans > 0);

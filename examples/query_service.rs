@@ -4,7 +4,9 @@
 //! [`SearchService`], and pushes a mixed workload through it: a concurrent
 //! batch on the worker pool, repeated queries that hit the LRU result
 //! cache, a per-request `k` override, and a deadline that rejects a
-//! request before it runs. Finally the same service is rebuilt over a
+//! request before it runs. A slow-query log at a zero threshold records
+//! every request, the rejected one included, and each of its lines joins
+//! against the request's retained span tree. Finally the same service is rebuilt over a
 //! *sharded* engine ([`MutableEngine::partitioned`], paper §VI) to
 //! show that routing is backend-transparent: identical scores, same API.
 //!
@@ -14,7 +16,8 @@
 
 use koios::datagen::corpus::{Corpus, CorpusSpec};
 use koios::prelude::*;
-use std::sync::Arc;
+use koios::service::SlowQueryLog;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn main() {
@@ -30,11 +33,18 @@ fn main() {
         cosine_factory(),
     )
     .expect("the corpus carries embeddings");
+    // Every request crosses a zero threshold, so every one logs a line.
+    let slow_lines = Arc::new(Mutex::new(Vec::<String>::new()));
+    let sink = {
+        let lines = Arc::clone(&slow_lines);
+        Arc::new(move |line: &str| lines.lock().unwrap().push(line.to_string())) as _
+    };
     let service = SearchService::from_mutable(
         engine,
         ServiceConfig::new()
             .with_workers(4)
-            .with_cache_capacity(256),
+            .with_cache_capacity(256)
+            .with_slow_query_log(SlowQueryLog::new(Duration::ZERO, sink)),
     );
     println!(
         "service up: {} sets, {} workers, cache capacity 256\n",
@@ -117,6 +127,25 @@ fn main() {
         "after invalidation: outcome {:?} (cache refilled, len {})",
         fresh.cache,
         service.cache_len()
+    );
+
+    // The slow log and the traces are drawn from the same record: every
+    // line's trace id resolves (the ring holds far more than these
+    // requests), the zero-budget rejection's line among them.
+    let lines = slow_lines.lock().unwrap();
+    let trace_ids: Vec<u64> = lines
+        .iter()
+        .map(|line| {
+            let json = Json::parse(line).expect("one JSON object per line");
+            let hex = json.get("trace_id").and_then(|id| id.as_str()).unwrap();
+            u64::from_str_radix(hex.trim_start_matches("0x"), 16).unwrap()
+        })
+        .collect();
+    assert!(trace_ids.iter().all(|&id| service.trace(id).is_some()));
+    assert!(trace_ids.contains(&dead.trace_id.expect("tracing is on by default")));
+    println!(
+        "slow log: {} lines, every trace_id resolves",
+        trace_ids.len()
     );
 
     // Scale-out: the same service API over a sharded backend (§VI). Four

@@ -1117,6 +1117,57 @@ fn metrics_series_recorded_once_agree() {
     queue_agrees(&metrics);
 }
 
+/// The `koios_debug_*` series are read at scrape time: after an ingest and
+/// a search, with no `/debug` route called yet, `/metrics` already shows
+/// what `/debug/engine` and `/debug/cache` then report.
+#[test]
+fn debug_mirrors_on_metrics_are_current_without_a_debug_call() {
+    let (repo, emb) = corpus_parts();
+    let service = Arc::new(single_service(&repo, &emb, &cosine_factory()));
+    let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut client = KoiosClient::new(server.addr());
+    let donor = repo
+        .set(SetId(0))
+        .iter()
+        .map(|&t| Json::str(repo.token_str(t)));
+    let insert = Json::obj([(
+        "ops",
+        Json::arr([Json::obj([
+            ("op", Json::str("insert")),
+            ("name", Json::str("mirrored")),
+            ("tokens", Json::arr(donor)),
+        ])]),
+    )]);
+    assert_eq!(client.ingest(&insert).unwrap().0, 200);
+    let tokens = Json::arr(repo.set(SetId(2)).iter().map(|t| Json::num(t.0 as f64)));
+    assert_eq!(
+        client.search(&Json::obj([("tokens", tokens)])).unwrap().0,
+        200
+    );
+
+    let (status, metrics) = client.metrics().unwrap();
+    assert_eq!(status, 200);
+    let (_, engine) = client.debug_engine().unwrap();
+    let (_, cache) = client.debug_cache().unwrap();
+    let field = |j: &Json, outer: &str, inner: &str| {
+        j.get(outer).unwrap().get(inner).unwrap().as_u64().unwrap() as f64
+    };
+    let live = field(&engine, "sets", "live");
+    assert_eq!(live, (repo.num_sets() + 1) as f64, "{engine}");
+    assert_eq!(
+        value(&metrics, "koios_debug_engine_sets{state=\"live\"}"),
+        live,
+        "{metrics}"
+    );
+    let entries = field(&cache, "result", "entries");
+    assert_eq!(entries, 1.0, "{cache}");
+    assert_eq!(
+        value(&metrics, "koios_debug_cache_entries{cache=\"result\"}"),
+        entries,
+        "{metrics}"
+    );
+}
+
 /// A similarity that panics when asked about the `marker` token from the
 /// query side — the fault a plugged-in `ElementSimilarity` can plant anywhere
 /// the engine evaluates it (`fill_matrix` reaches it through `sim`).
