@@ -243,6 +243,15 @@ impl<K: Eq, V: Clone> StripedLru<K, V> {
 
     /// Looks up `key` under `hash`, refreshing its recency on a hit.
     pub fn get(&self, hash: u64, key: &K) -> Option<V> {
+        self.get_if(hash, key, |_| true)
+    }
+
+    /// [`Self::get`] for a value that is usable only under a condition
+    /// the caller checks: `accept` sees the live entry under the stripe
+    /// lock and may update it in place (its weight must not change). A
+    /// refused entry stays cached and the probe counts as a miss, so the
+    /// counters report what the caller could use.
+    pub fn get_if(&self, hash: u64, key: &K, accept: impl FnOnce(&mut V) -> bool) -> Option<V> {
         let mut guard = self.lock_timed(hash);
         let stripe = &mut *guard;
         let entry = match stripe.map.get_mut(&hash) {
@@ -255,6 +264,10 @@ impl<K: Eq, V: Clone> StripedLru<K, V> {
         if self.ttl.is_some_and(|ttl| entry.created.elapsed() >= ttl) {
             let _dead = self.unlink(stripe, hash);
             stripe.counters.expirations += 1;
+            stripe.counters.misses += 1;
+            return None;
+        }
+        if !accept(&mut entry.value) {
             stripe.counters.misses += 1;
             return None;
         }
@@ -542,6 +555,24 @@ mod tests {
             put(&c, 1, 12, unit);
             assert_eq!(get(&c, 1), None);
             assert_eq!(c.counters().expirations, 2);
+        });
+    }
+
+    #[test]
+    fn conditional_probe_refuses_as_a_miss_and_updates_in_place() {
+        both(|unit| {
+            let c = Lru::new(4 * unit);
+            put(&c, 1, 11, unit);
+            assert_eq!(c.get_if(1, &1, |_| false), None);
+            assert_eq!(get(&c, 1), Some(11), "refused entries stay cached");
+            assert_eq!(
+                c.get_if(1, &1, |v| std::mem::replace(v, 12) == 11),
+                Some(12)
+            );
+            assert_eq!(get(&c, 1), Some(12), "accepted updates persist");
+            let n = c.counters();
+            assert_eq!((n.hits, n.misses, n.insertions), (3, 1, 1));
+            assert_eq!((c.len(), c.weight()), (1, unit));
         });
     }
 

@@ -169,12 +169,8 @@ impl Koios {
         let mut q = query.to_vec();
         q.sort_unstable();
         q.dedup();
-        let knn = ExactScanKnn::new(
-            Arc::clone(&self.sim),
-            q.clone(),
-            self.repo.vocab_size(),
-            self.cfg.alpha,
-        );
+        let vocab = self.repo.vocab_size();
+        let knn = ExactScanKnn::new(Arc::clone(&self.sim), q.clone(), vocab, self.cfg.alpha);
         match &self.cfg.token_cache {
             Some(cache) => {
                 // Tag entries with this engine's similarity identity so a
@@ -183,8 +179,16 @@ impl Koios {
                 // partition engines share the same `Arc`, so they keep
                 // sharing entries.
                 let sim_tag = cache.sim_tag(&self.sim);
-                let knn = CachedKnn::new(Arc::clone(cache), q.clone(), self.cfg.alpha, knn)
-                    .with_sim_tag(sim_tag);
+                let sim = Arc::clone(&self.sim);
+                let knn = CachedKnn::new(
+                    Arc::clone(cache),
+                    sim,
+                    vocab,
+                    q.clone(),
+                    self.cfg.alpha,
+                    knn,
+                )
+                .with_sim_tag(sim_tag);
                 self.run(q, knn, theta, deadline, true)
             }
             None => self.run(q, knn, theta, deadline, true),

@@ -32,9 +32,17 @@
 //! Every applied (non-empty) batch bumps the engine's `epoch`; backends are
 //! minted with that epoch stamped into their [`KoiosConfig`], which surfaces
 //! in [`SearchStats::epoch`](crate::stats::SearchStats) so results are
-//! attributable to a corpus version. If the config carries a shared
-//! `TokenKnnCache`, its generation is bumped too — cached token-kNN lists
-//! are invalidated exactly when the corpus changes, never sooner.
+//! attributable to a corpus version.
+//!
+//! A batch leaves a shared `TokenKnnCache` alone. An insert only appends
+//! tokens and a remove touches no token, so no cached kNN list changes
+//! over the vocabulary it was scanned for; each entry records that
+//! vocabulary length, and a probe replays it exactly when no token
+//! appended since reaches `α` (the rule lives in
+//! [`koios_index::knn_cache`]). Every backend one engine mints is filed
+//! under one similarity tag in the cache, so they share entries across
+//! batches. The generation still bumps where the similarity of existing
+//! tokens may change: a service reload or an explicit invalidation.
 
 use crate::backend::EngineBackend;
 use crate::config::KoiosConfig;
@@ -58,6 +66,12 @@ use std::sync::Arc;
 /// (the embedding `Arc` may have been copy-on-write cloned); it must be
 /// deterministic in *whether* it succeeds — [`MutableEngine`] validates it
 /// once at construction and treats later failures as bugs.
+///
+/// The similarity it builds between two existing tokens must not change
+/// when a batch applies (a batch only appends tokens and vectors): the
+/// token kNN cache replays lists scanned under an earlier backend's
+/// similarity on that promise. A similarity that depends on the corpus
+/// as a whole (say, IDF-weighted) breaks it.
 pub type SimFactory = Arc<
     dyn Fn(
             &Arc<Repository>,
@@ -117,6 +131,9 @@ pub struct MutableEngine {
     layout: Layout,
     cfg: KoiosConfig,
     sim_factory: SimFactory,
+    /// The tag every minted backend's similarity is filed under in
+    /// `cfg.token_cache` (0 without one).
+    sim_tag: u64,
     epoch: u64,
 }
 
@@ -229,7 +246,8 @@ impl MutableEngine {
         // Validate the factory once, up front: `backend()` relies on it
         // succeeding for the lifetime of the engine (embedding presence
         // never changes after construction).
-        sim_factory(&repo, embeddings.as_ref())?;
+        let sim = sim_factory(&repo, embeddings.as_ref())?;
+        let sim_tag = cfg.token_cache.as_ref().map_or(0, |c| c.sim_tag(&sim));
         Ok(MutableEngine {
             repo,
             embeddings,
@@ -237,8 +255,15 @@ impl MutableEngine {
             layout,
             cfg,
             sim_factory,
+            sim_tag,
             epoch,
         })
+    }
+
+    /// Mints the similarity of the current state.
+    fn sim(&self) -> Arc<dyn ElementSimilarity> {
+        (self.sim_factory)(&self.repo, self.embeddings.as_ref())
+            .expect("similarity factory succeeded at construction")
     }
 
     /// The corpus version: 0 at construction (or the snapshot chain's
@@ -264,9 +289,10 @@ impl MutableEngine {
 
     /// Replaces the shared token-kNN cache carried by minted backends
     /// (`None` strips it). Serving layers install their own cache here so
-    /// every future backend — across mutations — shares one cache, which
-    /// [`MutableEngine::apply`] then invalidates by generation bump.
+    /// every future backend — across mutations — shares one cache and one
+    /// similarity tag in it.
     pub fn set_token_cache(&mut self, cache: Option<Arc<koios_index::knn_cache::TokenKnnCache>>) {
+        self.sim_tag = cache.as_ref().map_or(0, |c| c.sim_tag(&self.sim()));
         self.cfg.token_cache = cache;
     }
 
@@ -295,10 +321,11 @@ impl MutableEngine {
     /// ([`BatchRejected`]) and the engine is untouched. An empty batch is a
     /// no-op and does **not** bump the epoch.
     ///
-    /// On success the shared token-kNN cache generation (if the config
-    /// carries one) is bumped, invalidating stale cached neighbour lists;
-    /// call [`MutableEngine::backend`] to mint a backend that serves the
-    /// new state.
+    /// A shared token-kNN cache is left alone: its lists stay exact for
+    /// the vocabulary they record, and a backend minted after the batch
+    /// replays one only when none of the batch's new tokens reaches `α`
+    /// (see the [module docs](self)). Call [`MutableEngine::backend`] to
+    /// mint a backend that serves the new state.
     pub fn apply(&mut self, ops: &[CorpusOp]) -> Result<Vec<Applied>, BatchRejected> {
         self.validate(ops)?;
         let repo = Arc::make_mut(&mut self.repo);
@@ -319,9 +346,6 @@ impl MutableEngine {
         }
         if !applied.is_empty() {
             self.epoch += 1;
-            if let Some(cache) = &self.cfg.token_cache {
-                cache.bump_generation();
-            }
         }
         Ok(applied)
     }
@@ -370,10 +394,14 @@ impl MutableEngine {
     /// Mints an immutable, query-ready backend over the current state. The
     /// backend shares the engine's `Arc`s (zero-copy) and carries the
     /// current epoch in its config; it stays valid — frozen at this version
-    /// — however many batches are applied afterwards.
+    /// — however many batches are applied afterwards. Its similarity is
+    /// filed under the engine's tag in the shared token cache, so it
+    /// replays what its predecessors cached wherever that still covers it.
     pub fn backend(&self) -> EngineBackend {
-        let sim = (self.sim_factory)(&self.repo, self.embeddings.as_ref())
-            .expect("similarity factory succeeded at construction");
+        let sim = self.sim();
+        if let Some(cache) = &self.cfg.token_cache {
+            cache.register_sim_tag(&sim, self.sim_tag);
+        }
         let cfg = self.cfg.clone().with_epoch(self.epoch);
         match self.layout {
             Layout::Single => EngineBackend::Single(Koios::with_index(
@@ -595,24 +623,67 @@ mod tests {
 
         let stale = live.backend();
         assert_eq!(stale.config().epoch, 0);
+        let q = live.repository().intern_query(["LA"]);
+        assert_eq!(stale.search(&q).stats.knn_cache.inserted, 1);
 
         live.apply(&[CorpusOp::insert("x", ["LA"])]).unwrap();
         assert_eq!(live.epoch(), 1);
-        assert!(cache.generation() > gen0);
         assert_eq!(live.backend().config().epoch, 1);
-        // Empty batches are free: no epoch bump, no cache invalidation.
-        let gen1 = cache.generation();
+        // The batch leaves the token cache alone: same generation, and the
+        // entry survives for the next backend to replay.
+        assert_eq!(cache.generation(), gen0);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.counters().invalidations, 0);
+        // Empty batches are free: no epoch bump.
         assert!(live.apply(&[]).unwrap().is_empty());
         assert_eq!(live.epoch(), 1);
-        assert_eq!(cache.generation(), gen1);
 
         // The stale backend still serves its frozen state and epoch.
         assert_eq!(stale.config().epoch, 0);
         assert_eq!(stale.repository().num_sets(), 4);
-        // Search results carry the epoch of the backend that served them.
-        let q = live.repository().intern_query(["LA"]);
-        assert_eq!(live.backend().search(&q).stats.epoch, 1);
+        // Search results carry the epoch of the backend that served them;
+        // the batch interned no token, so the new backend replays the list.
+        let fresh = live.backend().search(&q);
+        assert_eq!(fresh.stats.epoch, 1);
+        assert_eq!(fresh.stats.knn_cache.hits, 1);
         assert_eq!(stale.search(&q).stats.epoch, 0);
+    }
+
+    /// A backend minted before a batch publishes its list after the batch
+    /// applied; the backend minted after it must not replay that list, for
+    /// the batch interned a token within `α` of the key.
+    #[test]
+    fn a_pre_batch_list_is_not_replayed_past_a_token_within_alpha() {
+        let (repo, emb) = corpus();
+        let la = repo.token_id("LA").unwrap();
+        let near = CorpusOp::Insert {
+            name: "near".into(),
+            tokens: vec!["Pasadena".into()],
+            vectors: vec![("Pasadena".into(), emb.get(la).unwrap().to_vec())],
+        };
+        let cache = Arc::new(TokenKnnCache::new(1 << 16));
+        let cfg = KoiosConfig::new(5, 0.4).with_token_cache(Arc::clone(&cache));
+        let mut live = MutableEngine::single(
+            Arc::clone(&repo),
+            Some(Arc::clone(&emb)),
+            cfg,
+            cosine_factory(),
+        )
+        .unwrap();
+        let stale = live.backend();
+        live.apply(std::slice::from_ref(&near)).unwrap();
+        let q = live.repository().intern_query(["LA"]);
+        assert_eq!(stale.search(&q).stats.knn_cache.inserted, 1);
+
+        let got = live.backend().search(&q);
+        assert_eq!(got.stats.knn_cache.hits, 0, "the stale list was replayed");
+        let mut cold =
+            MutableEngine::single(repo, Some(emb), KoiosConfig::new(5, 0.4), cosine_factory())
+                .unwrap();
+        cold.apply(&[near]).unwrap();
+        let expect = cold.backend().search(&q);
+        assert_eq!(got.hits, expect.hits);
+        assert!(got.hits.iter().any(|h| h.set == SetId(4)), "{:?}", got.hits);
     }
 
     #[test]

@@ -22,8 +22,30 @@
 //! it first probes the cache, and on a miss it transparently records the inner source's emissions,
 //! publishing the list once (and only if) the element's stream completes.
 //!
-//! The `generation` key component makes invalidation O(1) and race-free:
-//! swapping the repository or similarity model bumps the generation
+//! # A growing vocabulary
+//!
+//! Live ingestion only *appends* tokens: an existing token's vector is
+//! never rewritten, so the similarity of two existing tokens never changes
+//! (the contract of `koios_core::mutable::SimFactory`). Every entry
+//! therefore records the vocabulary length `covered` its list was scanned
+//! over, and a probe from a source over `vocab` tokens replays it exactly
+//! when a scan of `0..vocab` would emit the same list:
+//!
+//! * `covered == vocab` — always;
+//! * `covered < vocab` — when every token of `covered..vocab` scores below
+//!   `α` against the key under the prober's similarity (the key's own
+//!   token, due at 1.0 once interned, always counts). By the
+//!   [`ElementSimilarity::scores_above`] contract that `sim` is the scan's
+//!   weight, so the check is exact; on success the entry is refreshed to
+//!   `vocab`, and the next prober of that vocabulary replays in O(1);
+//! * `covered > vocab` (an older backend) — when the list names no token
+//!   `≥ vocab`.
+//!
+//! Anything else is a plain miss: the prober rescans and republishes its
+//! own list (lists are never patched in place).
+//!
+//! The `generation` key component is for everything else: reloading a
+//! corpus or swapping the similarity model bumps the generation
 //! ([`TokenKnnCache::bump_generation`]), after which entries recorded by
 //! in-flight searches of the old world can never be served again.
 //!
@@ -32,8 +54,9 @@
 //! byte budget: the budget, the recency order and the TTL are global across
 //! stripes, every lock is a leaf, and admission is decided under the
 //! stripe lock — the contract is stated once, on the core. This module owns
-//! only what is token-specific: the key, the weights, the generation, the
-//! similarity-tag registry and the completeness-preserving [`CachedKnn`].
+//! only what is token-specific: the key, the weights, the coverage rule,
+//! the generation, the similarity-tag registry and the
+//! completeness-preserving [`CachedKnn`].
 
 use crate::knn::KnnSource;
 use koios_common::cache::{CacheSnapshot, StripeRow, StripedLru, STRIPES};
@@ -51,9 +74,10 @@ use std::time::Duration;
 pub type KnnList = Arc<Vec<(f64, TokenId)>>;
 
 /// Cache key: which element, under which threshold, of which world —
-/// `sim_tag` namespaces entries by similarity-function identity so engines
-/// over *different* metrics sharing one cache can never replay each
-/// other's lists (see [`CachedKnn::with_sim_tag`]).
+/// `sim_tag` namespaces entries by similarity function (one tag per
+/// similarity and its registered successors) so engines over *different*
+/// metrics sharing one cache can never replay each other's lists (see
+/// [`CachedKnn::with_sim_tag`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Key {
     token: TokenId,
@@ -71,6 +95,42 @@ impl Key {
         [self.alpha_bits, self.generation, self.sim_tag]
             .into_iter()
             .fold(mix64(u64::from(self.token.0)), |h, part| mix64(h ^ part))
+    }
+}
+
+/// A stored list and the vocabulary length it is exact for.
+#[derive(Clone)]
+struct Scanned {
+    list: KnnList,
+    covered: usize,
+}
+
+impl Scanned {
+    /// Whether this list for `token` is exactly what a scan of `0..vocab`
+    /// under `sim` at `alpha` emits (the rule of the module docs),
+    /// refreshing `covered` to `vocab` once the tokens interned since the
+    /// scan are checked.
+    fn covers(
+        &mut self,
+        token: TokenId,
+        alpha: f64,
+        sim: &dyn ElementSimilarity,
+        vocab: usize,
+    ) -> bool {
+        match self.covered.cmp(&vocab) {
+            std::cmp::Ordering::Equal => true,
+            std::cmp::Ordering::Greater => self.list.iter().all(|&(_, t)| t.idx() < vocab),
+            std::cmp::Ordering::Less => {
+                let unchanged = (self.covered..vocab).all(|t| {
+                    let t = TokenId(t as u32);
+                    t != token && sim.sim(token, t) < alpha
+                });
+                if unchanged {
+                    self.covered = vocab;
+                }
+                unchanged
+            }
+        }
     }
 }
 
@@ -131,7 +191,7 @@ impl From<KnnCacheSnapshot> for CacheSnapshot {
 /// lists until the payload fits the budget. A single list larger than the
 /// entire budget is not cached at all.
 pub struct TokenKnnCache {
-    lru: StripedLru<Key, KnnList>,
+    lru: StripedLru<Key, Scanned>,
     generation: AtomicU64,
     // Similarity-identity registry for `sim_tag`. Holding a `Weak` pins
     // the `ArcInner` allocation (freed only at strong == weak == 0), so a
@@ -235,6 +295,19 @@ impl TokenKnnCache {
         tag
     }
 
+    /// Files `sim` under `tag`, a tag this cache handed out for an earlier
+    /// similarity that agrees with `sim` on every pair of tokens both
+    /// know — a successor minted after a batch appended tokens
+    /// (`koios_core::mutable::MutableEngine` does this for every backend
+    /// it mints). [`Self::sim_tag`] then resolves `sim` to `tag`, so its
+    /// searches share the entries of its predecessors and the coverage
+    /// rule decides which of them it may replay.
+    pub fn register_sim_tag(&self, sim: &Arc<dyn ElementSimilarity>, tag: u64) {
+        let mut tags = self.sim_tags.write().expect("sim tag lock");
+        tags.retain(|(weak, _)| weak.strong_count() > 0);
+        tags.push((Arc::downgrade(sim), tag));
+    }
+
     /// The byte budget.
     pub fn budget_bytes(&self) -> usize {
         self.lru.budget()
@@ -248,7 +321,10 @@ impl TokenKnnCache {
 
     /// Invalidates every cached list: bumps the generation (so stale keys
     /// can never be probed again) and drops current entries eagerly.
-    /// Call after swapping the repository, embeddings or similarity model.
+    /// Call after a change that may alter the similarity of two existing
+    /// tokens — reloading a corpus, swapping the embeddings or the
+    /// similarity model. Appending tokens needs no bump: entries record
+    /// the vocabulary they cover (see the module docs).
     ///
     /// The bump is published *before* the stripes are swept, and
     /// [`Self::insert`] checks the generation under the stripe lock, so a
@@ -260,8 +336,10 @@ impl TokenKnnCache {
         gen
     }
 
-    /// Looks up the complete list for `(token, α, generation, sim_tag)`,
-    /// refreshing its recency on a hit.
+    /// Looks up the list stored for `(token, α, generation, sim_tag)`,
+    /// whatever vocabulary it was scanned over, refreshing its recency on
+    /// a hit. Searches probe through [`CachedKnn`], which replays a list
+    /// only where it covers the prober's vocabulary.
     pub fn get(
         &self,
         token: TokenId,
@@ -275,13 +353,18 @@ impl TokenKnnCache {
             generation,
             sim_tag,
         };
-        self.lru.get(key.hash(), &key)
+        self.lru.get(key.hash(), &key).map(|e| e.list)
     }
 
     /// Stores a **complete** list for `(token, α, generation, sim_tag)`,
     /// evicting LRU entries until it fits. Returns whether the list was
     /// stored (a stale generation or an over-budget list is rejected;
     /// re-inserting an existing key replaces the entry).
+    ///
+    /// The vocabulary the list was scanned over is not known here, so the
+    /// entry claims the least one any complete list covers: up to its
+    /// highest token (a scan of a longer vocabulary restricted to it is
+    /// the same list). [`CachedKnn`] publishes with its scan's vocabulary.
     pub fn insert(
         &self,
         token: TokenId,
@@ -290,16 +373,32 @@ impl TokenKnnCache {
         sim_tag: u64,
         list: KnnList,
     ) -> bool {
+        let covered = list.iter().map(|&(_, t)| t.idx() + 1).max().unwrap_or(0);
         let key = Key {
             token,
             alpha_bits,
             generation,
             sim_tag,
         };
+        self.publish(key, list, covered)
+    }
+
+    fn publish(&self, key: Key, list: KnnList, covered: usize) -> bool {
         let bytes = list_bytes(&list);
-        self.lru.insert(key.hash(), key, list, bytes, || {
-            generation == self.generation.load(Ordering::Acquire)
-        })
+        self.lru
+            .insert(key.hash(), key, Scanned { list, covered }, bytes, || {
+                key.generation == self.generation.load(Ordering::Acquire)
+            })
+    }
+
+    /// The list for `key` if it replays exactly for a source over `vocab`
+    /// tokens under `sim` (see the module docs); a refused entry counts
+    /// as a miss.
+    fn replay(&self, key: &Key, sim: &dyn ElementSimilarity, vocab: usize) -> Option<KnnList> {
+        let alpha = f64::from_bits(key.alpha_bits);
+        self.lru
+            .get_if(key.hash(), key, |e| e.covers(key.token, alpha, sim, vocab))
+            .map(|e| e.list)
     }
 
     /// Number of cached lists (sums the stripes, one lock at a time).
@@ -389,8 +488,14 @@ enum Elem {
 /// and is published to the cache. A search that stops pulling mid-stream
 /// therefore caches nothing for that element, which is exactly what keeps
 /// cached replays byte-identical to fresh scans.
+///
+/// A probe replays an entry only where it covers this source's vocabulary
+/// (the rule of the [module docs](self)), and a published list records the
+/// vocabulary it was scanned over.
 pub struct CachedKnn<K: KnnSource> {
     cache: Arc<TokenKnnCache>,
+    sim: Arc<dyn ElementSimilarity>,
+    vocab: usize,
     inner: K,
     query: Vec<TokenId>,
     alpha_bits: u64,
@@ -401,15 +506,25 @@ pub struct CachedKnn<K: KnnSource> {
 }
 
 impl<K: KnnSource> CachedKnn<K> {
-    /// Wraps `inner` (built for exactly `query` under `alpha`) with the
-    /// shared cache. The cache generation is snapshotted here: a
+    /// Wraps `inner` — built for exactly `query` under `alpha`, scoring
+    /// the vocabulary `0..vocab` under `sim` — with the shared cache. The
+    /// cache generation is snapshotted here: a
     /// [`TokenKnnCache::bump_generation`] between construction and search
     /// start only disables this search's inserts, never its correctness.
-    pub fn new(cache: Arc<TokenKnnCache>, query: Vec<TokenId>, alpha: f64, inner: K) -> Self {
+    pub fn new(
+        cache: Arc<TokenKnnCache>,
+        sim: Arc<dyn ElementSimilarity>,
+        vocab: usize,
+        query: Vec<TokenId>,
+        alpha: f64,
+        inner: K,
+    ) -> Self {
         let elems = (0..query.len()).map(|_| Elem::Untouched).collect();
         let generation = cache.generation();
         CachedKnn {
             cache,
+            sim,
+            vocab,
             inner,
             query,
             alpha_bits: alpha.to_bits(),
@@ -420,14 +535,26 @@ impl<K: KnnSource> CachedKnn<K> {
         }
     }
 
+    /// The cache key of query element `q_idx`.
+    fn key(&self, q_idx: usize) -> Key {
+        Key {
+            token: self.query[q_idx],
+            alpha_bits: self.alpha_bits,
+            generation: self.generation,
+            sim_tag: self.sim_tag,
+        }
+    }
+
     /// Namespaces this source's cache entries by similarity-function
     /// identity (builder style). Sources with different tags never share
     /// entries, so one cache can safely serve engines over *different*
     /// similarity metrics — obtain the tag from
     /// [`TokenKnnCache::sim_tag`], which keeps all clones of one engine
-    /// (and its partition siblings) sharing while isolating every other
-    /// similarity. Defaults to `0` (one shared untagged namespace) when
-    /// the caller guarantees a single similarity per cache.
+    /// (its partition siblings, and the successors filed with
+    /// [`TokenKnnCache::register_sim_tag`]) sharing while isolating every
+    /// other similarity. Defaults to `0` (one shared untagged namespace)
+    /// when every similarity using the cache agrees on the tokens they
+    /// share.
     pub fn with_sim_tag(mut self, tag: u64) -> Self {
         self.sim_tag = tag;
         self
@@ -455,12 +582,10 @@ impl<K: KnnSource> CachedKnn<K> {
         if !matches!(self.elems[q_idx], Elem::Untouched) {
             return false;
         }
-        match self.cache.get(
-            self.query[q_idx],
-            self.alpha_bits,
-            self.generation,
-            self.sim_tag,
-        ) {
+        match self
+            .cache
+            .replay(&self.key(q_idx), self.sim.as_ref(), self.vocab)
+        {
             Some(list) => {
                 self.stats.hits += 1;
                 self.stats.bytes_served += list.len() * std::mem::size_of::<(f64, TokenId)>();
@@ -519,13 +644,8 @@ impl<K: KnnSource> KnnSource for CachedKnn<K> {
                         // (which charges capacity) stays tight.
                         buf.shrink_to_fit();
                         let list: KnnList = Arc::new(std::mem::take(buf));
-                        if self.cache.insert(
-                            self.query[q_idx],
-                            self.alpha_bits,
-                            self.generation,
-                            self.sim_tag,
-                            list,
-                        ) {
+                        let key = self.key(q_idx);
+                        if self.cache.publish(key, list, self.vocab) {
                             self.stats.inserted += 1;
                         }
                         None
@@ -563,7 +683,7 @@ impl<K: KnnSource> KnnSource for CachedKnn<K> {
 mod tests {
     use super::*;
     use crate::knn::ExactScanKnn;
-    use koios_embed::repository::RepositoryBuilder;
+    use koios_embed::repository::{Repository, RepositoryBuilder};
     use koios_embed::sim::{ElementSimilarity, QGramJaccard};
 
     fn setup() -> (Arc<dyn ElementSimilarity>, Vec<TokenId>, usize) {
@@ -593,6 +713,8 @@ mod tests {
     ) -> CachedKnn<ExactScanKnn> {
         CachedKnn::new(
             Arc::clone(cache),
+            Arc::clone(sim),
+            vocab,
             q.to_vec(),
             alpha,
             ExactScanKnn::new(Arc::clone(sim), q.to_vec(), vocab, alpha),
@@ -643,15 +765,32 @@ mod tests {
     }
 
     /// Records the tokens of every batched scan it is asked for, and
-    /// every single-token one.
+    /// every single-token one, and counts the pairs scored one by one.
     struct CountingSim {
         inner: Arc<dyn ElementSimilarity>,
         batches: std::sync::Mutex<Vec<Vec<TokenId>>>,
         singles: std::sync::Mutex<Vec<TokenId>>,
+        pairs: AtomicU64,
+    }
+
+    impl CountingSim {
+        fn new(inner: Arc<dyn ElementSimilarity>) -> Arc<Self> {
+            Arc::new(CountingSim {
+                inner,
+                batches: Default::default(),
+                singles: Default::default(),
+                pairs: AtomicU64::new(0),
+            })
+        }
+
+        fn pairs(&self) -> u64 {
+            self.pairs.load(Ordering::Relaxed)
+        }
     }
 
     impl ElementSimilarity for CountingSim {
         fn sim(&self, a: TokenId, b: TokenId) -> f64 {
+            self.pairs.fetch_add(1, Ordering::Relaxed);
             self.inner.sim(a, b)
         }
         fn name(&self) -> &'static str {
@@ -694,11 +833,7 @@ mod tests {
         let repo = b.build();
         let vocab = repo.vocab_size();
         let inner: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 3));
-        let counting = Arc::new(CountingSim {
-            inner: Arc::clone(&inner),
-            batches: Default::default(),
-            singles: Default::default(),
-        });
+        let counting = CountingSim::new(Arc::clone(&inner));
         let sim: Arc<dyn ElementSimilarity> = counting.clone();
         let warm = repo.intern_query(["Blaine", "Basel"]);
         let q = repo.intern_query(["Blaine", "Zurich", "Bern", "Basel", "Geneva"]);
@@ -707,6 +842,8 @@ mod tests {
             let cache = Arc::new(TokenKnnCache::new(1 << 20));
             let mut src = CachedKnn::new(
                 Arc::clone(&cache),
+                Arc::clone(&inner),
+                vocab,
                 warm.clone(),
                 0.2,
                 ExactScanKnn::new(Arc::clone(&inner), warm.clone(), vocab, 0.2),
@@ -740,6 +877,153 @@ mod tests {
         }
     }
 
+    /// One similarity over a vocabulary that grows in three steps — the
+    /// old tokens, then far ones, then near duplicates of `Blaine` — and
+    /// the vocabulary length after each step. A source over a prefix is
+    /// what a backend minted before a batch scans: appending tokens never
+    /// changes an existing pair.
+    fn growing() -> (Arc<dyn ElementSimilarity>, Repository, [usize; 3]) {
+        let mut b = RepositoryBuilder::new();
+        b.add_set("old", ["Blaine", "Zurich", "Zurch", "Bern"]);
+        b.add_set("far", ["Geneva", "Lugano"]);
+        b.add_set("near", ["Blain", "Blainey"]);
+        let repo = b.build();
+        let sim: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 3));
+        (sim, repo, [4, 6, 8])
+    }
+
+    /// Every element's list, drained, with weights as bit patterns.
+    fn lists(src: &mut dyn KnnSource, n: usize) -> Vec<Vec<(TokenId, u64)>> {
+        (0..n)
+            .map(|i| {
+                drain(src, i)
+                    .into_iter()
+                    .map(|(t, s)| (t, s.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// What a cold exact scan over `vocab` tokens emits.
+    fn scan(
+        sim: &Arc<dyn ElementSimilarity>,
+        q: &[TokenId],
+        vocab: usize,
+    ) -> Vec<Vec<(TokenId, u64)>> {
+        lists(
+            &mut ExactScanKnn::new(Arc::clone(sim), q.to_vec(), vocab, 0.3),
+            q.len(),
+        )
+    }
+
+    /// Publishes every element of `q` as scanned over `vocab` tokens.
+    fn publish(
+        cache: &Arc<TokenKnnCache>,
+        sim: &Arc<dyn ElementSimilarity>,
+        q: &[TokenId],
+        vocab: usize,
+    ) {
+        let mut src = cached(cache, sim, q, vocab, 0.3);
+        lists(&mut src, q.len());
+        assert_eq!(src.search_stats().inserted, q.len());
+    }
+
+    #[test]
+    fn grown_vocabulary_replays_when_no_new_token_reaches_alpha() {
+        let (sim, repo, [old, far, _]) = growing();
+        let q = repo.intern_query(["Blaine", "Zurich"]);
+        let cache = Arc::new(TokenKnnCache::new(1 << 20));
+        publish(&cache, &sim, &q, old);
+        let counting = CountingSim::new(Arc::clone(&sim));
+        let probe: Arc<dyn ElementSimilarity> = counting.clone();
+        let mut src = cached(&cache, &probe, &q, far, 0.3);
+        assert_eq!(lists(&mut src, q.len()), scan(&sim, &q, far));
+        assert_eq!((src.search_stats().hits, src.search_stats().misses), (2, 0));
+        assert!(
+            counting.batches.lock().unwrap().is_empty(),
+            "nothing rescanned"
+        );
+        // Each element scored the two new tokens once, then was refreshed:
+        // the next prober of this vocabulary replays without scoring.
+        assert_eq!(counting.pairs(), 2 * (far - old) as u64);
+        let mut again = cached(&cache, &probe, &q, far, 0.3);
+        assert_eq!(lists(&mut again, q.len()), scan(&sim, &q, far));
+        assert_eq!(again.search_stats().hits, 2);
+        assert_eq!(counting.pairs(), 2 * (far - old) as u64);
+    }
+
+    #[test]
+    fn grown_vocabulary_rescans_when_a_new_token_reaches_alpha() {
+        let (sim, repo, [old, _, near]) = growing();
+        let q = repo.intern_query(["Blaine", "Zurich"]);
+        let cache = Arc::new(TokenKnnCache::new(1 << 20));
+        publish(&cache, &sim, &q, old);
+        // `Blain` and `Blainey` reach α against `Blaine`, not `Zurich`.
+        let mut src = cached(&cache, &sim, &q, near, 0.3);
+        let fresh = lists(&mut src, q.len());
+        assert_eq!(fresh, scan(&sim, &q, near));
+        assert!(fresh[0].len() > scan(&sim, &q, old)[0].len());
+        assert_eq!((src.search_stats().hits, src.search_stats().misses), (1, 1));
+        assert_eq!(src.search_stats().inserted, 1, "the rescan republishes");
+        let c = cache.counters();
+        assert_eq!((c.hits, c.misses), (1, 3), "a refused entry is a miss");
+        let mut again = cached(&cache, &sim, &q, near, 0.3);
+        assert_eq!(lists(&mut again, q.len()), fresh);
+        assert_eq!(again.search_stats().hits, 2);
+    }
+
+    #[test]
+    fn key_out_of_vocabulary_at_its_scan_rescans_once_interned() {
+        let (sim, repo, [old, far, _]) = growing();
+        let q = repo.intern_query(["Geneva"]);
+        assert!(q[0].idx() >= old && q[0].idx() < far);
+        let cache = Arc::new(TokenKnnCache::new(1 << 20));
+        publish(&cache, &sim, &q, old);
+        assert!(scan(&sim, &q, old)[0].iter().all(|&(t, _)| t != q[0]));
+        // Nothing of the new tokens but the key itself reaches α: it is
+        // due at 1.0 once interned, so the entry is refused.
+        let mut src = cached(&cache, &sim, &q, far, 0.3);
+        let fresh = lists(&mut src, q.len());
+        assert_eq!(fresh, scan(&sim, &q, far));
+        assert_eq!(fresh[0][0], (q[0], 1.0f64.to_bits()));
+        assert_eq!((src.search_stats().hits, src.search_stats().misses), (0, 1));
+    }
+
+    #[test]
+    fn shrunk_vocabulary_replays_only_lists_within_it() {
+        let (sim, repo, [old, _, near]) = growing();
+        let q = repo.intern_query(["Blaine", "Zurich"]);
+        let cache = Arc::new(TokenKnnCache::new(1 << 20));
+        publish(&cache, &sim, &q, near);
+        // An older source: `Blaine`'s list names tokens it cannot know,
+        // `Zurich`'s does not.
+        let mut src = cached(&cache, &sim, &q, old, 0.3);
+        assert_eq!(lists(&mut src, q.len()), scan(&sim, &q, old));
+        assert_eq!((src.search_stats().hits, src.search_stats().misses), (1, 1));
+        // Its republished `Blaine` list is refused by the newer vocabulary
+        // again, which rescans the same list it first published.
+        let mut newer = cached(&cache, &sim, &q, near, 0.3);
+        assert_eq!(lists(&mut newer, q.len()), scan(&sim, &q, near));
+        assert_eq!(
+            (newer.search_stats().hits, newer.search_stats().misses),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn registered_successors_share_their_predecessors_tag() {
+        let (sim, repo, _) = growing();
+        let cache = Arc::new(TokenKnnCache::new(1 << 20));
+        let tag = cache.sim_tag(&sim);
+        let successor: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 3));
+        cache.register_sim_tag(&successor, tag);
+        assert_eq!(cache.sim_tag(&successor), tag);
+        drop(sim);
+        assert_eq!(cache.sim_tag(&successor), tag, "outlives its predecessor");
+        let other: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 3));
+        assert_ne!(cache.sim_tag(&other), tag);
+    }
+
     #[test]
     fn alpha_values_do_not_share_entries() {
         let (sim, q, vocab) = setup();
@@ -758,13 +1042,7 @@ mod tests {
         let cache = Arc::new(TokenKnnCache::new(1 << 20));
         let mut a = cached(&cache, &sim, &q, vocab, 0.3); // tag 0
         drain(&mut a, 0);
-        let mut b = CachedKnn::new(
-            Arc::clone(&cache),
-            q.clone(),
-            0.3,
-            ExactScanKnn::new(Arc::clone(&sim), q.clone(), vocab, 0.3),
-        )
-        .with_sim_tag(7);
+        let mut b = cached(&cache, &sim, &q, vocab, 0.3).with_sim_tag(7);
         drain(&mut b, 0);
         assert_eq!(b.search_stats().hits, 0, "different sim tag must miss");
         assert_eq!(cache.len(), 2, "entries live side by side");
@@ -954,82 +1232,6 @@ mod tests {
             "instrumentation changes nothing"
         );
         assert_eq!(lock_wait.snapshot().count(), 3);
-    }
-
-    #[test]
-    fn stripe_usage_sums_to_cache_totals() {
-        let cache = TokenKnnCache::new(1 << 20);
-        for t in 0..64u32 {
-            let list: KnnList = Arc::new(vec![(0.9, TokenId(t))]);
-            assert!(cache.insert(TokenId(t), 0.5f64.to_bits(), 0, 0, list));
-        }
-        let snap = cache.snapshot();
-        let rows = snap.stripes;
-        assert_eq!(rows.iter().map(|r| r.entries).sum::<usize>(), cache.len());
-        assert_eq!(rows.iter().map(|r| r.weight).sum::<usize>(), cache.bytes());
-        assert_eq!((snap.entries, snap.bytes), (cache.len(), cache.bytes()));
-        // 64 hashed keys across 8 stripes: every stripe is hot, and only
-        // occupied stripes report an age.
-        assert!(
-            rows.iter().all(|r| r.entries > 0 && r.oldest_age.is_some()),
-            "tokens must spread across stripes, got {rows:?}"
-        );
-    }
-
-    #[test]
-    fn eviction_is_globally_lru_across_stripes() {
-        // Budget for exactly two single-pair lists.
-        let pair = std::mem::size_of::<(f64, TokenId)>();
-        let cache = TokenKnnCache::new(2 * (pair + ENTRY_OVERHEAD));
-        let alpha = 0.5f64.to_bits();
-        let list = |t: u32| -> KnnList { Arc::new(vec![(0.9, TokenId(t))]) };
-        assert!(cache.insert(TokenId(0), alpha, 0, 0, list(0)));
-        assert!(cache.insert(TokenId(1), alpha, 0, 0, list(1)));
-        // Touch token 0 so token 1 is now the global LRU entry …
-        assert!(cache.get(TokenId(0), alpha, 0, 0).is_some());
-        // … then force an eviction from whichever stripe holds it.
-        assert!(cache.insert(TokenId(2), alpha, 0, 0, list(2)));
-        assert!(cache.get(TokenId(1), alpha, 0, 0).is_none(), "LRU evicted");
-        assert!(cache.get(TokenId(0), alpha, 0, 0).is_some(), "MRU kept");
-        assert!(cache.get(TokenId(2), alpha, 0, 0).is_some(), "newest kept");
-        assert_eq!(cache.counters().evictions, 1);
-        assert!(cache.bytes() <= cache.budget_bytes());
-    }
-
-    #[test]
-    fn ttl_expiry_is_exact_in_every_stripe() {
-        // Zero TTL: every stored entry expires on its next probe, whatever
-        // stripe it lives in — expirations land in the probed stripe and
-        // sum exactly.
-        let cache = TokenKnnCache::new(1 << 20).with_ttl(Some(Duration::ZERO));
-        let alpha = 0.5f64.to_bits();
-        for t in 0..32u32 {
-            let list: KnnList = Arc::new(vec![(0.9, TokenId(t))]);
-            assert!(cache.insert(TokenId(t), alpha, 0, 0, list));
-        }
-        for t in 0..32u32 {
-            assert!(cache.get(TokenId(t), alpha, 0, 0).is_none());
-        }
-        let c = cache.counters();
-        assert_eq!(c.expirations, 32, "each entry expired exactly once");
-        assert_eq!(c.misses, 32, "each expiry is also a miss");
-        assert!(cache.is_empty());
-        assert_eq!(cache.bytes(), 0);
-    }
-
-    #[test]
-    fn generation_bump_clears_every_stripe() {
-        let cache = TokenKnnCache::new(1 << 20);
-        let alpha = 0.5f64.to_bits();
-        for t in 0..32u32 {
-            let list: KnnList = Arc::new(vec![(0.9, TokenId(t))]);
-            assert!(cache.insert(TokenId(t), alpha, 0, 0, list));
-        }
-        assert_eq!(cache.bump_generation(), 1);
-        assert!(cache.is_empty());
-        assert_eq!(cache.bytes(), 0);
-        assert_eq!(cache.counters().invalidations, 32);
-        assert_eq!(cache.snapshot().stripes, [StripeRow::default(); STRIPES]);
     }
 
     #[test]

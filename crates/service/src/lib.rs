@@ -40,9 +40,10 @@
 //! * **A shared token-level kNN cache** — one
 //!   [`koios_index::knn_cache::TokenKnnCache`] installed into the engine
 //!   configuration so *overlapping* (not just identical) queries reuse
-//!   complete per-element similarity lists; invalidated together with the
-//!   result cache via a generation bump
-//!   ([`SearchService::invalidate_cache`]).
+//!   complete per-element similarity lists. A live batch keeps them (each
+//!   list records the vocabulary it covers); they are invalidated together
+//!   with the result cache via a generation bump
+//!   ([`SearchService::invalidate_cache`], [`SearchService::reload`]).
 //!
 //! Observability is first-class: a `koios-telemetry` registry
 //! ([`metrics::ServiceMetrics`]) tracks latency distributions —

@@ -461,8 +461,9 @@ impl SearchService {
     /// and [`SearchService::reload`].
     ///
     /// The token cache is resolved on the engine's configuration, so every
-    /// backend minted across mutations reuses — and correctly
-    /// generation-invalidates — one [`TokenKnnCache`], shared by every
+    /// backend minted across mutations reuses one [`TokenKnnCache`] (its
+    /// lists replay across batches wherever they still cover the
+    /// vocabulary, see [`SearchService::ingest`]), shared by every
     /// worker, every per-request config override and every shard engine
     /// (sound: the `(token, α, generation)` cache key is query- and
     /// shard-agnostic). When `cfg.token_cache_bytes` is non-zero and the
@@ -588,8 +589,12 @@ impl SearchService {
     /// cloned at pickup (its response reports the older `stats.epoch`).
     /// The result LRU needs no flush — cache keys carry the epoch, so
     /// entries from older epochs simply stop matching — but it is flushed
-    /// anyway to reclaim their space, and the token-kNN cache is
-    /// invalidated by the engine's generation bump.
+    /// anyway to reclaim their space. The token-kNN cache is kept: each
+    /// list records the vocabulary it was scanned over, and the new
+    /// backend replays one only when no token the batch interned reaches
+    /// `α` against its key (see [`koios_index::knn_cache`]); only
+    /// [`SearchService::reload`] and [`SearchService::invalidate_cache`]
+    /// bump its generation.
     pub fn ingest(&self, ops: &[CorpusOp]) -> Result<IngestOutcome, LiveServiceError> {
         let t0 = Instant::now();
         let mut w = self.inner.writer.lock().expect("writer lock");
@@ -643,6 +648,14 @@ impl SearchService {
         };
         w.pending_ops.clear();
         w.snapshot_path = Some(path.to_path_buf());
+        // The served provenance follows the file it names.
+        if let Some(info) = self.inner.snapshot.lock().expect("snapshot lock").as_mut() {
+            if Path::new(&info.path) == path {
+                info.bytes = meta.total_bytes;
+                info.deltas = meta.deltas.len();
+                info.latest_epoch = meta.latest_epoch();
+            }
+        }
         drop(w);
         self.record_mutation("snapshot", &self.inner.metrics.request_snapshot, epoch, t0);
         Ok(meta)
@@ -2099,6 +2112,49 @@ mod tests {
             svc.search(SearchRequest::new(q.clone())).result.hits,
             warm.search(SearchRequest::new(q)).result.hits
         );
+    }
+
+    /// A warm-started service that appends a delta to the file it was
+    /// loaded from reports the longer chain.
+    #[test]
+    fn snapshot_to_its_own_file_refreshes_the_provenance() {
+        let dir = std::env::temp_dir().join("koios-service-live");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("provenance.ksnap");
+        let mut b = RepositoryBuilder::new();
+        b.add_set("c1", ["LA", "Blain", "Appleton"]);
+        b.add_set("c2", ["LA", "Sacramento", "SC"]);
+        let repo = Arc::new(b.build());
+        let emb = koios_embed::synthetic::SyntheticEmbeddings::builder()
+            .dimensions(8)
+            .seed(5)
+            .build(&repo);
+        koios_core::mutable::MutableEngine::single(
+            repo,
+            Some(Arc::new(emb)),
+            KoiosConfig::new(2, 0.5),
+            cosine_factory(),
+        )
+        .unwrap()
+        .write_snapshot(&path)
+        .unwrap();
+        let svc = SearchService::from_snapshot(
+            &path,
+            KoiosConfig::new(2, 0.5),
+            ServiceConfig::new().with_workers(1),
+        )
+        .unwrap();
+        assert_eq!(svc.snapshot_info().unwrap().deltas, 0);
+        svc.ingest(&[CorpusOp::insert("n1", ["LA", "Fresno"])])
+            .unwrap();
+        let meta = svc.snapshot_to(&path).unwrap();
+        let info = svc.snapshot_info().unwrap();
+        assert_eq!(info.deltas, 1);
+        assert_eq!(
+            (info.latest_epoch, info.bytes),
+            (meta.latest_epoch(), meta.total_bytes)
+        );
+        assert_eq!(svc.stats().snapshot, Some(info));
     }
 
     #[test]

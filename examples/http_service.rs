@@ -113,8 +113,18 @@ fn main() {
 
     // Live ingestion: append a set over the wire, then find it by
     // searching for its own elements. The backend hot-swaps under the
-    // readers — zero downtime, and the epoch bump keys the caches so no
-    // stale answer survives the mutation.
+    // readers — zero downtime, and the epoch bump keys the result cache so
+    // no stale answer survives the mutation. The token cache is kept: its
+    // lists record the vocabulary they cover, so the batch invalidates
+    // none of them.
+    let token_cache = |client: &mut KoiosClient| {
+        let (_, dbg) = client.debug_cache().expect("debug cache");
+        let tc = dbg.get("token").expect("token cache enabled");
+        let count = |v: &Json| v.as_u64().expect("count");
+        let invalidations = count(tc.get("counters").unwrap().get("invalidations").unwrap());
+        (count(tc.get("entries").unwrap()), invalidations)
+    };
+    let (_, invalidations_before) = token_cache(&mut client);
     let fresh: Vec<String> = elements.iter().take(3).cloned().collect();
     let ingest = Json::obj([(
         "ops",
@@ -130,6 +140,13 @@ fn main() {
         outcome.get("inserted").unwrap().as_u64().unwrap(),
         outcome.get("epoch").unwrap().as_u64().unwrap(),
     );
+    let (kept, invalidations) = token_cache(&mut client);
+    assert_eq!(
+        invalidations, invalidations_before,
+        "an ingest invalidated token lists"
+    );
+    assert!(kept > 0, "no token list survived the ingest");
+    println!("token cache kept {kept} lists across ingest");
     let (_, found) = client.search_elements(&fresh).expect("search");
     let top = found.get("hits").unwrap().as_array().unwrap();
     println!(

@@ -186,3 +186,123 @@ fn partitioned_engines_share_the_cache_exactly() {
     let c = cache.counters();
     assert!(c.hits > c.misses, "partitions should share lists: {c:?}");
 }
+
+/// The service's token cache across live batches, on both layouts: every
+/// reply of a token-cached `SearchService` equals a cache-less
+/// `MutableEngine` that applied the same ops, at the same epoch. The
+/// script interns a query token that was queried (by id) while out of
+/// vocabulary, inserts tokens whose vectors lie within α of cached query
+/// tokens and tokens far from them, and removes sets — so entries are
+/// replayed across batches, refused and rescanned.
+#[test]
+fn ingest_keeps_cached_lists_exactly_where_they_still_cover() {
+    use koios::datagen::corpus::{Corpus, CorpusSpec};
+    let mut spec = CorpusSpec::small(17);
+    spec.num_sets = 60;
+    spec.vocab_size = 240;
+    spec.clusters = 30;
+    spec.set_size_min = 3;
+    spec.set_size_max = 10;
+    let corpus = Corpus::generate(spec);
+    let repo = Arc::new(corpus.repository);
+    let emb = Arc::new(corpus.embeddings);
+    let row = |t: TokenId| emb.get(t).expect("corpus tokens carry vectors").to_vec();
+    let near = |t: TokenId| {
+        let mut r = row(t);
+        r[0] += 0.01;
+        r
+    };
+    let far = |t: TokenId| row(t).into_iter().map(|x| -x).collect::<Vec<f32>>();
+    let insert = |name: &str, tokens: &[&str], vectors: Vec<(&str, Vec<f32>)>| CorpusOp::Insert {
+        name: name.into(),
+        tokens: tokens.iter().map(|t| t.to_string()).collect(),
+        vectors: vectors
+            .into_iter()
+            .map(|(t, v)| (t.to_string(), v))
+            .collect(),
+    };
+
+    let novel = TokenId(repo.vocab_size() as u32);
+    let mut queries: Vec<Vec<TokenId>> = (0..6)
+        .map(|s| repo.set(SetId(s)).iter().copied().take(4).collect())
+        .collect();
+    queries.push(vec![repo.set(SetId(0))[0], novel]);
+    let (a, b) = (queries[0][0], queries[1][1]);
+    let name = |t: TokenId| repo.token_str(t).to_string();
+    let batches = vec![
+        // Interns `novel` (queried while out of vocabulary) near `a`.
+        vec![insert(
+            "novel-set",
+            &["novel", &name(a)],
+            vec![("novel", near(a))],
+        )],
+        // Far from `b`: `b`'s lists replay if nothing else reaches α.
+        vec![insert(
+            "far-set",
+            &["far-b", &name(b)],
+            vec![("far-b", far(b))],
+        )],
+        vec![CorpusOp::remove(SetId(1)), CorpusOp::remove(SetId(3))],
+        // Within α of `b` and of `novel`: both lists must rescan.
+        vec![
+            insert("near-b", &["near-b"], vec![("near-b", near(b))]),
+            insert(
+                "near-novel",
+                &["near-novel", "novel"],
+                vec![("near-novel", near(a))],
+            ),
+        ],
+        vec![insert("plain", &[&name(a), &name(b)], vec![])],
+    ];
+
+    for partitions in [1, 3] {
+        let engine = |cfg: KoiosConfig| {
+            let (r, e) = (Arc::clone(&repo), Some(Arc::clone(&emb)));
+            match partitions {
+                1 => MutableEngine::single(r, e, cfg, cosine_factory()),
+                p => MutableEngine::partitioned(r, e, cfg, p, 41, cosine_factory()),
+            }
+            .unwrap()
+        };
+        let svc = SearchService::from_mutable(
+            engine(KoiosConfig::new(5, 0.8)),
+            ServiceConfig::new().with_workers(1),
+        );
+        let mut reference = engine(KoiosConfig::new(5, 0.8));
+        let mut replayed_across_batches = 0;
+        for (step, ops) in std::iter::once(Vec::new())
+            .chain(batches.clone())
+            .enumerate()
+        {
+            if !ops.is_empty() {
+                svc.ingest(&ops).unwrap();
+                reference.apply(&ops).unwrap();
+            }
+            assert_eq!(
+                svc.token_cache().unwrap().snapshot().generation,
+                0,
+                "a batch never bumps the generation"
+            );
+            let expect = reference.backend();
+            for pass in 0..2 {
+                for q in &queries {
+                    let got = svc.search(SearchRequest::new(q.clone()).bypassing_cache());
+                    let want = expect.search(q);
+                    assert_eq!(
+                        (got.result.stats.epoch, &got.result.hits),
+                        (want.stats.epoch, &want.hits),
+                        "partitions={partitions} step={step} pass={pass} query={q:?}"
+                    );
+                    if step > 0 && pass == 0 {
+                        replayed_across_batches += got.result.stats.knn_cache.hits;
+                    }
+                }
+            }
+        }
+        assert_eq!(svc.repository().token_id("novel"), Some(novel));
+        assert!(
+            replayed_across_batches > 0,
+            "partitions={partitions}: no list survived a batch"
+        );
+    }
+}
