@@ -2,9 +2,8 @@
 //!
 //! Filters are performance features; this module provides the runtime
 //! counterpart of the exactness tests — a way for a deployment to spot-check
-//! that a returned top-k is a valid solution of Def. 2 (used, e.g., after
-//! enabling `UbMode::PaperGreedy`, whose bound is unsound; ARCHITECTURE.md,
-//! "Deviations from the paper" 1).
+//! that a returned top-k is a valid solution of Def. 2, and the reference
+//! the differential tests compare a search against.
 
 use crate::overlap::semantic_overlap;
 use crate::result::{ScoreBound, SearchResult};

@@ -11,20 +11,20 @@
 //! hits them, so maintenance is proportional to actual stream traffic.
 //!
 //! **Lazy deletion.** A move pushes the new key and leaves the old entry
-//! where it is, so it costs one heap push. In both `UbMode`s a key changes
-//! only when a tuple adds a row (or a greedy pair), which strictly lowers
-//! `m`; a candidate therefore has at most one entry per bucket, and an
-//! entry is *current* iff its candidate is unpruned and the candidate's
-//! current `m` is the bucket's. The caller owns the candidate state, so it
-//! decides: the sweep pops every entry below the threshold at a bucket's
-//! front and hands it to a callback that prunes the candidate if the entry
-//! is current and says whether it did; a stale entry is simply dropped. An
+//! where it is, so it costs one heap push. A key changes only when a
+//! tuple adds a row, which strictly lowers `m`; a candidate therefore has
+//! at most one entry per bucket, and an entry is *current* iff its
+//! candidate is unpruned and the candidate's current `m` is the bucket's.
+//! The caller owns the candidate state, so it decides: the sweep pops
+//! every entry below the threshold at a bucket's front and hands it to a
+//! callback that prunes the candidate if the entry is current and says
+//! whether it did; a stale entry is simply dropped. An
 //! entry at or above the threshold stops the bucket whether it is stale or
 //! not, since every current entry behind it has a base at least as large.
 //!
 //! Refinement never sweeps the heaps at the end of the stream — that would
 //! pop every stale entry. It collapses the bounds in one pass over its
-//! candidate states with the same comparison (`refine.rs`).
+//! candidate states with the same comparison at `s = 0` (`refine.rs`).
 
 use koios_common::{HeapSize, SetId, Sim};
 use std::cmp::Reverse;

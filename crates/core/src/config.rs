@@ -4,23 +4,6 @@ use koios_index::knn_cache::TokenKnnCache;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which incremental upper bound drives the refinement buckets
-/// (ARCHITECTURE.md, "Deviations from the paper" 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UbMode {
-    /// The sound row-max relaxation: `Si` is the sum of the first emitted
-    /// edge per query element into the candidate (capped at
-    /// `min(|Q|,|C|)` rows). Guarantees exact results. **Default.**
-    #[default]
-    SoundRowMax,
-    /// The paper's Lemma 6 verbatim: `Si` is the score of the partial
-    /// *greedy matching*. Tighter on some inputs but admits false
-    /// negatives under matching rearrangement (counterexample in
-    /// ARCHITECTURE.md, "Deviations from the paper" 1, pinned by an engine
-    /// test); provided for ablation against the published pruning numbers.
-    PaperGreedy,
-}
-
 /// Tunable parameters of a Koios search.
 #[derive(Debug, Clone)]
 pub struct KoiosConfig {
@@ -28,8 +11,6 @@ pub struct KoiosConfig {
     pub k: usize,
     /// Element-similarity threshold `α` (edges below it weigh 0; Def. 1).
     pub alpha: f64,
-    /// Upper-bound rule for the refinement filters.
-    pub ub_mode: UbMode,
     /// Enable the EM-Early-Terminated filter (Lemma 8). On by default.
     pub em_early_termination: bool,
     /// Enable the No-EM filter (Lemma 7). On by default. When disabled,
@@ -79,7 +60,7 @@ pub struct KoiosConfig {
 
 impl KoiosConfig {
     /// A configuration with the paper's defaults (`em_early_termination`,
-    /// `no_em_filter`, `iub_filter` on; sequential EM; sound UB mode).
+    /// `no_em_filter`, `iub_filter` on; sequential EM).
     ///
     /// # Panics
     ///
@@ -93,7 +74,6 @@ impl KoiosConfig {
         KoiosConfig {
             k,
             alpha,
-            ub_mode: UbMode::default(),
             em_early_termination: true,
             no_em_filter: true,
             iub_filter: true,
@@ -117,12 +97,6 @@ impl KoiosConfig {
     /// corpus version that produced them.
     pub fn with_epoch(mut self, epoch: u64) -> Self {
         self.epoch = epoch;
-        self
-    }
-
-    /// Sets the UB mode (builder style).
-    pub fn with_ub_mode(mut self, mode: UbMode) -> Self {
-        self.ub_mode = mode;
         self
     }
 
@@ -178,7 +152,6 @@ mod tests {
         assert_eq!(c.alpha, 0.8);
         assert!(c.em_early_termination && c.no_em_filter && c.iub_filter);
         assert!(!c.verify_all);
-        assert_eq!(c.ub_mode, UbMode::SoundRowMax);
         assert_eq!(c.parallel_em, 1);
     }
 
@@ -206,10 +179,8 @@ mod tests {
     #[test]
     fn builder_methods() {
         let c = KoiosConfig::new(1, 0.5)
-            .with_ub_mode(UbMode::PaperGreedy)
             .with_parallel_em(0)
             .with_time_budget(Duration::from_secs(1));
-        assert_eq!(c.ub_mode, UbMode::PaperGreedy);
         assert_eq!(c.parallel_em, 1); // clamped
         assert!(c.time_budget.is_some());
         assert!(c.token_cache.is_none());

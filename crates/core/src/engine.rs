@@ -321,7 +321,6 @@ impl Koios {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::UbMode;
     use crate::result::ScoreBound;
     use koios_embed::repository::RepositoryBuilder;
     use koios_embed::sim::{EqualitySimilarity, QGramJaccard};
@@ -429,25 +428,6 @@ mod tests {
         assert!((res.hits[1].score.lb() - so).abs() < 1e-9 || res.hits[1].score.ub() >= so);
     }
 
-    #[test]
-    fn both_ub_modes_agree_here() {
-        let repo = vanilla_repo();
-        let q = repo.intern_query(["a", "b", "c", "d"]);
-        let sound = Koios::new(
-            Arc::clone(&repo),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(3, 0.9),
-        )
-        .search(&q);
-        let paper = Koios::new(
-            Arc::clone(&repo),
-            Arc::new(EqualitySimilarity),
-            KoiosConfig::new(3, 0.9).with_ub_mode(UbMode::PaperGreedy),
-        )
-        .search(&q);
-        assert_eq!(sound.set_ids(), paper.set_ids());
-    }
-
     /// The paper's greedy iUB (Lemma 6) is unsound in plain cosine
     /// geometry (ARCHITECTURE.md, "Deviations from the paper"). Unit
     /// vectors in R⁴: q2, t1, q1, t2 in the first plane at the angles
@@ -455,7 +435,8 @@ mod tests {
     /// t4 = 0.8·q2 + 0.6·e₄. With α = 0.6 the edges are q1–t1 0.9,
     /// q1–t2 0.85, q2–t1 0.85, q1–t3 0.8 and q2–t4 0.8, so SO(C) = 1.70
     /// and SO(D) = 1.60. Greedy takes q1–t1 and rejects both 0.85 edges,
-    /// collapsing C's iUB to 0.9 + α = 1.5 < θ = 1.6: top-1 is lost.
+    /// collapsing C's Lemma-6 iUB to 0.9 + α = 1.5 < θ = 1.6: top-1 would
+    /// be lost. The row-max iUB the engine uses keeps C.
     #[test]
     fn paper_greedy_loses_the_top1_that_sound_row_max_keeps() {
         use koios_embed::sim::CosineSimilarity;
@@ -482,17 +463,34 @@ mod tests {
         let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(emb)));
 
         let q = [q1, q2];
-        let search = |mode| {
-            let cfg = KoiosConfig::new(1, 0.6).with_ub_mode(mode);
-            Koios::new(Arc::clone(&repo), Arc::clone(&sim), cfg).search(&q)
-        };
-        let sound = search(UbMode::SoundRowMax);
-        assert_eq!(sound.set_ids(), vec![c]);
-        match sound.hits[0].score {
+        let alpha = 0.6;
+        let engine = Koios::new(
+            Arc::clone(&repo),
+            Arc::clone(&sim),
+            KoiosConfig::new(1, alpha),
+        );
+        let res = engine.search(&q);
+        assert_eq!(res.set_ids(), vec![c]);
+        match res.hits[0].score {
             ScoreBound::Exact(so) => assert!((so - 1.70).abs() < 1e-6, "SO(C) = {so}"),
             other => panic!("expected an exact score, got {other:?}"),
         }
-        assert_eq!(search(UbMode::PaperGreedy).set_ids(), vec![d]);
+
+        // Lemma 6's end-of-stream bound for C: the greedy score plus α per
+        // row the greedy matching left free.
+        let m = crate::overlap::similarity_matrix(sim.as_ref(), alpha, &q, repo.set(c));
+        let greedy = koios_matching::greedy_matching(&m);
+        assert!(
+            (greedy.score - 0.9).abs() < 1e-6,
+            "greedy(C) = {}",
+            greedy.score
+        );
+        let free = q.len().min(repo.set_len(c)) - greedy.pairs.len();
+        let lemma6 = greedy.score + free as f64 * alpha;
+        assert!((lemma6 - 1.5).abs() < 1e-6, "Lemma 6 iUB(C) = {lemma6}");
+        let so_d = engine.exact_overlap(&q, d);
+        assert!((so_d - 1.60).abs() < 1e-6, "SO(D) = {so_d}");
+        assert!(lemma6 < so_d, "Lemma 6 would prune C below θ = SO(D)");
     }
 
     #[test]

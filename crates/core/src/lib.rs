@@ -17,7 +17,8 @@
 //! global monotone `θlb` across partition searches (§VI).
 //!
 //! See ARCHITECTURE.md, "Deviations from the paper" 1, for the soundness
-//! correction applied to the paper's iUB bound ([`UbMode`]).
+//! correction applied to the paper's iUB bound (the row-max sum of
+//! [`refine`]).
 
 pub mod audit;
 pub mod backend;
@@ -38,7 +39,7 @@ pub mod theta;
 
 pub use audit::{audit_result, AuditOutcome};
 pub use backend::EngineBackend;
-pub use config::{KoiosConfig, UbMode};
+pub use config::KoiosConfig;
 pub use engine::Koios;
 pub use executor::ShardExecutor;
 pub use many_to_one::{bounded_many_to_one_overlap, many_to_one_overlap};

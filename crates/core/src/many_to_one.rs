@@ -15,8 +15,8 @@
 //! ```
 //!
 //! — no assignment problem, `O(|Q|·|C|)` exact evaluation, and the row-max
-//! refinement bound of `UbMode::SoundRowMax` becomes *exact* for this
-//! measure. A bounded variant (`capacity ≥ 2`) interpolates back towards
+//! refinement bound (ARCHITECTURE.md, Deviations 1) becomes *exact* for
+//! this measure. A bounded variant (`capacity ≥ 2`) interpolates back towards
 //! Def. 1 and is solved by column duplication.
 
 use koios_common::{SetId, TokenId};

@@ -6,18 +6,18 @@
 //! * **iLB** (Lemma 5): the score of the partial greedy matching assembled
 //!   from the descending edge stream — seeded with the vanilla overlap
 //!   because identical tokens arrive first at similarity 1.
-//! * **iUB**: `S_i + m_i·s` with `s` the current stream similarity. In
-//!   [`UbMode::SoundRowMax`] (default) `S_i` sums the first emitted edge per
-//!   query element (sound; ARCHITECTURE.md, Deviations 1); in
-//!   [`UbMode::PaperGreedy`] it is the greedy score, exactly as Lemma 6
-//!   states it.
+//! * **iUB**: `S_i + m_i·s` with `s` the current stream similarity, where
+//!   `S_i` sums the first emitted edge per query element and `m_i` counts
+//!   the rows still unseen, up to `min(|Q|,|C|)`. Lemma 6 takes `S_i` to
+//!   be the greedy score instead, which is unsound (ARCHITECTURE.md,
+//!   Deviations 1).
 //!
 //! Candidates are pruned when their upper bound falls strictly below `θlb`,
 //! the k-th best lower bound seen so far (Lemma 4) — at discovery via the
 //! UB-filter (Lemma 2) and continuously via the bucket sweep (§V).
 
 use crate::buckets::BucketIndex;
-use crate::config::{KoiosConfig, UbMode};
+use crate::config::KoiosConfig;
 use crate::overlap::QueryEdges;
 use crate::stats::SearchStats;
 use crate::theta::{slack, SharedTheta};
@@ -68,7 +68,7 @@ pub struct Survivor {
     pub set: SetId,
     /// Final lower bound (greedy matching score over the full stream).
     pub lb: f64,
-    /// Final upper bound (mode-dependent end-of-stream collapse).
+    /// Final upper bound (the row-max sum once the stream ran dry).
     pub ub: f64,
 }
 
@@ -97,9 +97,9 @@ struct Cand {
     matched_q: Span,
     /// Candidate tokens matched by the greedy matching.
     matched_t: Span,
-    /// Row-max sum (sound iUB base); unused in paper mode.
+    /// Row-max sum (the iUB base).
     row_sum: f64,
-    /// Query rows counted into `row_sum`, at most `cap` (sound mode only).
+    /// Query rows counted into `row_sum`, at most `cap`.
     seen_q: Span,
     /// Tombstone flag: pruned candidates are remembered so posting hits
     /// cannot resurrect them (Algorithm 1 line 6).
@@ -128,22 +128,12 @@ impl Cand {
 
     /// Applies a stream tuple `(q_idx, token, s)`; returns whether the lower
     /// bound improved.
-    fn apply(
-        &mut self,
-        sets: &mut SpanArena,
-        q_idx: u32,
-        token: TokenId,
-        s: f64,
-        mode: UbMode,
-    ) -> bool {
+    fn apply(&mut self, sets: &mut SpanArena, q_idx: u32, token: TokenId, s: f64) -> bool {
         debug_assert!(!self.pruned);
-        // Sound iUB: first emitted edge per query row, capped at `cap` rows
-        // (the stream is descending, so the first `cap` rows carry the
-        // largest row maxima).
-        if mode == UbMode::SoundRowMax
-            && (self.seen_q.len() as u32) < self.cap
-            && sets.insert(&mut self.seen_q, q_idx)
-        {
+        // iUB: first emitted edge per query row, capped at `cap` rows (the
+        // stream is descending, so the first `cap` rows carry the largest
+        // row maxima).
+        if (self.seen_q.len() as u32) < self.cap && sets.insert(&mut self.seen_q, q_idx) {
             self.row_sum += s;
         }
         // iLB: greedy matching accepts the edge iff both endpoints are free
@@ -158,24 +148,15 @@ impl Cand {
         }
     }
 
-    /// The `(m, S_i)` bucket key for the configured UB mode.
-    fn bucket_key(&self, mode: UbMode) -> (u32, f64) {
-        match mode {
-            UbMode::SoundRowMax => (self.cap - self.seen_q.len() as u32, self.row_sum),
-            UbMode::PaperGreedy => (self.cap - self.matched_q.len() as u32, self.lb),
-        }
+    /// The `(m, S_i)` bucket key: rows still unseen, and the row-max sum.
+    fn bucket_key(&self) -> (u32, f64) {
+        (self.cap - self.seen_q.len() as u32, self.row_sum)
     }
 
     /// The end-of-stream upper bound: all unseen edges are below `α`, so
-    /// unseen rows contribute 0 in the sound mode; the paper-mode bound
-    /// keeps the Lemma-6 form with `s = α`.
-    fn final_ub(&self, mode: UbMode, alpha: f64) -> f64 {
-        match mode {
-            UbMode::SoundRowMax => self.row_sum,
-            UbMode::PaperGreedy => {
-                self.lb + (self.cap - self.matched_q.len() as u32) as f64 * alpha
-            }
-        }
+    /// unseen rows contribute 0.
+    fn final_ub(&self) -> f64 {
+        self.row_sum
     }
 }
 
@@ -235,18 +216,15 @@ pub fn refine<K: KnnSource>(
     collect_edges: bool,
 ) -> RefineOutput {
     let qlen = query.len();
-    let mode = cfg.ub_mode;
     let mut scratch = Scratch::take();
     let Scratch { states, sets } = &mut scratch;
     let mut buckets = BucketIndex::new();
     let mut llb = TopKList::new(cfg.k);
-    let mut last_sim = 1.0f64;
     let mut tuples: Option<Vec<(TokenId, u32, f64)>> = collect_edges.then(Vec::new);
 
     while let Some(tuple) = stream.next() {
         stats.stream_tuples += 1;
         let s = tuple.sim;
-        last_sim = s;
         if let Some(ts) = tuples.as_mut() {
             ts.push((tuple.token, tuple.q_idx, s));
         }
@@ -267,9 +245,9 @@ pub fn refine<K: KnnSource>(
                     if cand.pruned {
                         continue;
                     }
-                    let old_key = cand.bucket_key(mode);
-                    let lb_improved = cand.apply(sets, tuple.q_idx, tuple.token, s, mode);
-                    let new_key = cand.bucket_key(mode);
+                    let old_key = cand.bucket_key();
+                    let lb_improved = cand.apply(sets, tuple.q_idx, tuple.token, s);
+                    let new_key = cand.bucket_key();
                     // A move is one push; the old entry goes stale.
                     if cfg.iub_filter && new_key != old_key {
                         buckets.insert(new_key.0, new_key.1, set);
@@ -299,8 +277,8 @@ pub fn refine<K: KnnSource>(
                         continue;
                     }
                     let mut cand = Cand::new(cap);
-                    cand.apply(sets, tuple.q_idx, tuple.token, s, mode);
-                    let key = cand.bucket_key(mode);
+                    cand.apply(sets, tuple.q_idx, tuple.token, s);
+                    let key = cand.bucket_key();
                     let lb = cand.lb;
                     v.insert(cand);
                     if cfg.iub_filter {
@@ -319,7 +297,7 @@ pub fn refine<K: KnnSource>(
         if cfg.iub_filter {
             stats.iub_pruned +=
                 buckets.sweep(s, slack(theta.get()), |set, m| match states.get_mut(&set) {
-                    Some(c) if !c.pruned && c.bucket_key(mode).0 == m => {
+                    Some(c) if !c.pruned && c.bucket_key().0 == m => {
                         c.pruned = true;
                         true
                     }
@@ -339,30 +317,18 @@ pub fn refine<K: KnnSource>(
     let edges = tuples.map(|ts| QueryEdges::from_tuples(qlen, ts));
 
     // End-of-stream collapse: every edge ≥ α has been emitted, so the
-    // residual per-row potential drops to 0 (sound) / α (paper form). One
-    // pass over the states applies the sweep's own test to each current
-    // key; sweeping the lazy heaps would pop every stale entry instead.
-    let collapse = cfg.iub_filter.then(|| {
-        let s_final = match mode {
-            UbMode::SoundRowMax => 0.0,
-            UbMode::PaperGreedy => cfg.alpha.min(last_sim),
-        };
-        (s_final, slack(theta.get()))
-    });
+    // residual per-row potential drops to 0 and the bound is the row-max
+    // sum. One pass over the states applies that test to each candidate;
+    // sweeping the lazy heaps would pop every stale entry instead.
+    let collapse = cfg.iub_filter.then(|| slack(theta.get()));
     let mut survivors: Vec<Survivor> = Vec::new();
     for (&set, c) in states.iter().filter(|(_, c)| !c.pruned) {
-        if let Some((s_final, th)) = collapse {
-            let (m, base) = c.bucket_key(mode);
-            if base < th - m as f64 * s_final {
-                stats.iub_pruned += 1;
-                continue;
-            }
+        let ub = c.final_ub();
+        if collapse.is_some_and(|th| ub < th) {
+            stats.iub_pruned += 1;
+            continue;
         }
-        survivors.push(Survivor {
-            set,
-            lb: c.lb,
-            ub: c.final_ub(mode, cfg.alpha),
-        });
+        survivors.push(Survivor { set, lb: c.lb, ub });
     }
 
     // Memory snapshot of the refinement structures (paper §VIII-D sums the
@@ -401,13 +367,13 @@ mod tests {
     fn cand_greedy_respects_one_to_one() {
         let mut sets = SpanArena::new();
         let mut c = Cand::new(2);
-        assert!(c.apply(&mut sets, 0, TokenId(10), 0.9, UbMode::SoundRowMax));
+        assert!(c.apply(&mut sets, 0, TokenId(10), 0.9));
         // Same query row: rejected by greedy.
-        assert!(!c.apply(&mut sets, 0, TokenId(11), 0.8, UbMode::SoundRowMax));
+        assert!(!c.apply(&mut sets, 0, TokenId(11), 0.8));
         // Same token: rejected by greedy.
-        assert!(!c.apply(&mut sets, 1, TokenId(10), 0.7, UbMode::SoundRowMax));
+        assert!(!c.apply(&mut sets, 1, TokenId(10), 0.7));
         // Fresh pair: accepted.
-        assert!(c.apply(&mut sets, 1, TokenId(12), 0.6, UbMode::SoundRowMax));
+        assert!(c.apply(&mut sets, 1, TokenId(12), 0.6));
         assert!((c.lb - 1.5).abs() < 1e-12);
     }
 
@@ -415,16 +381,16 @@ mod tests {
     fn sound_rowmax_counts_first_edge_per_row() {
         let mut sets = SpanArena::new();
         let mut c = Cand::new(2);
-        c.apply(&mut sets, 0, TokenId(10), 0.9, UbMode::SoundRowMax);
-        c.apply(&mut sets, 0, TokenId(11), 0.8, UbMode::SoundRowMax); // row 0 already seen
-        c.apply(&mut sets, 1, TokenId(10), 0.7, UbMode::SoundRowMax); // row 1 first edge
+        c.apply(&mut sets, 0, TokenId(10), 0.9);
+        c.apply(&mut sets, 0, TokenId(11), 0.8); // row 0 already seen
+        c.apply(&mut sets, 1, TokenId(10), 0.7); // row 1 first edge
         assert!((c.row_sum - 1.6).abs() < 1e-12);
         assert_eq!(c.seen_q.len(), 2);
         // Row capacity exhausted: further rows ignored.
-        c.apply(&mut sets, 2, TokenId(12), 0.6, UbMode::SoundRowMax);
+        c.apply(&mut sets, 2, TokenId(12), 0.6);
         assert!((c.row_sum - 1.6).abs() < 1e-12);
-        assert_eq!(c.bucket_key(UbMode::SoundRowMax), (0, 1.6));
-        assert!((c.final_ub(UbMode::SoundRowMax, 0.5) - 1.6).abs() < 1e-12);
+        assert_eq!(c.bucket_key(), (0, 1.6));
+        assert!((c.final_ub() - 1.6).abs() < 1e-12);
     }
 
     #[test]
@@ -442,7 +408,7 @@ mod tests {
         let mut sets = SpanArena::new();
         let mut c = Cand::new(3);
         for (q, t, s) in tuples {
-            c.apply(&mut sets, q, TokenId(t), s, UbMode::SoundRowMax);
+            c.apply(&mut sets, q, TokenId(t), s);
             assert!(
                 c.row_sum + 1e-12 >= c.lb,
                 "row_sum {} < lb {}",
@@ -452,17 +418,53 @@ mod tests {
         }
     }
 
+    /// The iUB against the true overlap on a few thousand random bipartite
+    /// graphs (|Q|, |C| ≤ 5, weights in [α, 1] or absent), fed in stream
+    /// order: after every edge of similarity `s` the unseen rows can add at
+    /// most `s` each, and once the stream ran dry nothing at all.
     #[test]
-    fn paper_mode_keys_track_greedy() {
-        let mut sets = SpanArena::new();
-        let mut c = Cand::new(3);
-        c.apply(&mut sets, 0, TokenId(10), 0.9, UbMode::PaperGreedy);
-        assert_eq!(c.bucket_key(UbMode::PaperGreedy), (2, 0.9));
-        // Rejected edge leaves the key unchanged.
-        c.apply(&mut sets, 0, TokenId(11), 0.8, UbMode::PaperGreedy);
-        assert_eq!(c.bucket_key(UbMode::PaperGreedy), (2, 0.9));
-        let ub = c.final_ub(UbMode::PaperGreedy, 0.8);
-        assert!((ub - (0.9 + 2.0 * 0.8)).abs() < 1e-12);
+    fn rowmax_iub_bounds_the_exact_overlap_at_every_prefix() {
+        use koios_common::fingerprint::mix64;
+        use koios_matching::exhaustive::exhaustive_max_matching;
+        use koios_matching::WeightMatrix;
+
+        const ALPHA: f64 = 0.5;
+        for g in 0..3000u64 {
+            let h = mix64(g);
+            let (rows, cols) = (1 + (h % 5) as usize, 1 + (h >> 8) as usize % 5);
+            let m = WeightMatrix::from_fn(rows, cols, |i, j| {
+                let r = mix64(h ^ ((i * 5 + j) as u64 + 1));
+                let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
+                if r.is_multiple_of(3) {
+                    0.0
+                } else {
+                    ALPHA + (1.0 - ALPHA) * unit
+                }
+            });
+            let exact = exhaustive_max_matching(&m);
+            let mut edges: Vec<(u32, u32, f64)> = m.edges();
+            edges.sort_by(|a, b| {
+                b.2.total_cmp(&a.2)
+                    .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
+            });
+
+            let mut sets = SpanArena::new();
+            let mut c = Cand::new(rows.min(cols) as u32);
+            for (q, t, s) in edges {
+                c.apply(&mut sets, q, TokenId(t), s);
+                let unseen = (c.cap - c.seen_q.len() as u32) as f64;
+                assert!(
+                    c.row_sum + unseen * s + 1e-9 >= exact,
+                    "graph {g}: iUB {} < SO {exact} after an edge at {s}",
+                    c.row_sum + unseen * s
+                );
+            }
+            assert!(
+                c.final_ub() + 1e-9 >= exact,
+                "graph {g}: final iUB {} < SO {exact}",
+                c.final_ub()
+            );
+        }
     }
 
     /// A tombstone holds no heap: a candidate's sets are spans into the
@@ -474,7 +476,7 @@ mod tests {
         let mut sets = SpanArena::new();
         let mut c = Cand::new(4);
         for i in 0..50 {
-            c.apply(&mut sets, i, TokenId(i + 100), 0.9, UbMode::SoundRowMax);
+            c.apply(&mut sets, i, TokenId(i + 100), 0.9);
         }
         assert!(!sets.is_empty());
         c.pruned = true;

@@ -2,7 +2,7 @@
 
 use koios_common::fingerprint::Fingerprinter;
 use koios_common::TokenId;
-use koios_core::{KoiosConfig, SearchResult, UbMode};
+use koios_core::{KoiosConfig, SearchResult};
 use koios_embed::repository::Repository;
 use koios_telemetry::trace::TraceContext;
 use std::sync::Arc;
@@ -23,8 +23,10 @@ pub struct SearchRequest {
     pub k: Option<usize>,
     /// Override of the engine's `α`.
     pub alpha: Option<f64>,
-    /// Per-request deadline budget, measured from batch submission; covers
-    /// queue time *and* search time. Falls back to the service default.
+    /// Per-request deadline budget, measured from submission; covers queue
+    /// time *and* search time. There is no service-wide default: `None`
+    /// leaves only the engine config's own `time_budget`, and when both
+    /// are set the earlier of the two limits wins.
     pub time_budget: Option<Duration>,
     /// Skip the result cache for this request (no lookup, no fill).
     pub bypass_cache: bool,
@@ -93,9 +95,12 @@ impl SearchRequest {
     }
 }
 
-/// The full cache key: normalized query plus every engine parameter that
-/// changes results. Stored next to the cached value so a fingerprint
-/// collision can never surface a wrong result.
+/// The full cache key: normalized query plus every parameter a request
+/// can change — `k` and `α` — and the corpus epoch. The filter settings
+/// are not in it: a result cache lives as long as its service, whose
+/// engine config (reloads included) keeps them fixed. Stored next to the
+/// cached value so a fingerprint collision can never surface a wrong
+/// result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheKey {
     /// Sorted, deduplicated query tokens.
@@ -104,11 +109,6 @@ pub struct CacheKey {
     pub k: usize,
     /// Effective `α` (bit pattern — exact-value identity).
     pub alpha_bits: u64,
-    /// Upper-bound mode discriminant.
-    pub ub_mode: u8,
-    /// Filter toggles (`em_early_termination`, `no_em_filter`,
-    /// `iub_filter`, `verify_all`) packed into one byte.
-    pub flags: u8,
     /// Corpus epoch the answer was computed against. Part of the key so a
     /// result cached before a live mutation (or a snapshot reload) can
     /// never be served — or refilled by an in-flight search — after the
@@ -118,26 +118,13 @@ pub struct CacheKey {
 
 impl Eq for CacheKey {}
 
-fn ub_mode_discriminant(mode: UbMode) -> u8 {
-    match mode {
-        UbMode::SoundRowMax => 0,
-        UbMode::PaperGreedy => 1,
-    }
-}
-
 impl CacheKey {
     /// Builds the key for a normalized query under an effective config.
     pub fn new(normalized_tokens: Vec<TokenId>, cfg: &KoiosConfig) -> Self {
-        let flags = (cfg.em_early_termination as u8)
-            | (cfg.no_em_filter as u8) << 1
-            | (cfg.iub_filter as u8) << 2
-            | (cfg.verify_all as u8) << 3;
         CacheKey {
             tokens: normalized_tokens,
             k: cfg.k,
             alpha_bits: cfg.alpha.to_bits(),
-            ub_mode: ub_mode_discriminant(cfg.ub_mode),
-            flags,
             epoch: cfg.epoch,
         }
     }
@@ -148,8 +135,6 @@ impl CacheKey {
         fp.write_u32_ids(self.tokens.iter().map(|t| t.0));
         fp.write_usize(self.k);
         fp.write_u64(self.alpha_bits);
-        fp.write_u32(self.ub_mode as u32);
-        fp.write_u32(self.flags as u32);
         fp.write_u64(self.epoch);
         fp.finish()
     }
@@ -281,10 +266,6 @@ pub(crate) mod tests {
             base,
             key(vec![1, 2, 3], &KoiosConfig::new(5, 0.81)).fingerprint()
         );
-        let paper = KoiosConfig::new(5, 0.8).with_ub_mode(UbMode::PaperGreedy);
-        assert_ne!(base, key(vec![1, 2, 3], &paper).fingerprint());
-        let baseline = KoiosConfig::new(5, 0.8).baseline();
-        assert_ne!(base, key(vec![1, 2, 3], &baseline).fingerprint());
         // A mutated corpus (new epoch) invalidates every earlier entry.
         let bumped = KoiosConfig::new(5, 0.8).with_epoch(1);
         assert_ne!(base, key(vec![1, 2, 3], &bumped).fingerprint());

@@ -154,7 +154,7 @@ pub mod prelude {
     pub use koios_common::prelude::*;
     pub use koios_core::{
         cosine_factory, EngineBackend, Hit, Koios, KoiosConfig, MutableEngine, PartitionedKoios,
-        ScoreBound, SearchResult, ShardExecutor, SharedTheta, SimFactory, UbMode,
+        ScoreBound, SearchResult, ShardExecutor, SharedTheta, SimFactory,
     };
     pub use koios_embed::ops::CorpusOp;
     pub use koios_embed::repository::{Repository, RepositoryBuilder};

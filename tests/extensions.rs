@@ -66,23 +66,3 @@ fn many_to_one_upper_bounds_def1_everywhere() {
         assert!(cap2 >= one - 1e-9 && cap2 <= many + 1e-9);
     }
 }
-
-#[test]
-fn audit_catches_paper_mode_if_it_ever_misfires() {
-    // PaperGreedy is expected-exact on clustered embeddings; the auditor
-    // double-checks a real search end to end.
-    let c = corpus(2003);
-    let repo = Arc::new(c.repository);
-    let sim: Arc<dyn ElementSimilarity> = Arc::new(CosineSimilarity::new(Arc::new(c.embeddings)));
-    let engine = Koios::new(
-        Arc::clone(&repo),
-        sim.clone(),
-        KoiosConfig::new(4, 0.8).with_ub_mode(UbMode::PaperGreedy),
-    );
-    let query = repo.set(SetId(50)).to_vec();
-    let res = engine.search(&query);
-    assert_eq!(
-        audit_result(&repo, sim.as_ref(), 0.8, 4, &query, &res),
-        AuditOutcome::Valid
-    );
-}

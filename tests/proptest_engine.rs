@@ -66,24 +66,15 @@ fn koios_is_exact_on_random_string_repos() {
 
         // Conservation holds on every search, explain or not: each
         // discovered candidate is pruned by a refinement filter or
-        // enters post-processing. The paper's Lemma-6 iUB is not exact,
-        // so its run is held to conservation only — it is what reaches
-        // the `s_final = min(α, last sim)` arm of the end-of-stream collapse.
-        let greedy = Koios::new(
-            Arc::clone(&repo),
-            sim.clone(),
-            cfg.with_ub_mode(UbMode::PaperGreedy),
-        )
-        .search(&query);
-        for (mode, st) in [("sound", &result.stats), ("greedy", &greedy.stats)] {
-            assert!(st.funnel.is_none());
-            if !st.timed_out {
-                assert_eq!(
-                    st.candidates,
-                    st.ub_filter_pruned + st.iub_pruned + st.to_postprocess,
-                    "{mode} no_em={no_em} iub={iub}"
-                );
-            }
+        // enters post-processing.
+        let st = &result.stats;
+        assert!(st.funnel.is_none());
+        if !st.timed_out {
+            assert_eq!(
+                st.candidates,
+                st.ub_filter_pruned + st.iub_pruned + st.to_postprocess,
+                "no_em={no_em} iub={iub}"
+            );
         }
 
         // Oracle.
