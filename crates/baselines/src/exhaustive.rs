@@ -16,7 +16,7 @@ use koios_core::{Koios, KoiosConfig, SearchResult};
 use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Runs the paper's Baseline: no iUB / No-EM / early-termination filters;
 /// every candidate is verified (`em_threads`-way parallel).
@@ -29,11 +29,10 @@ pub fn baseline_search(
     em_threads: usize,
     time_budget: Option<Duration>,
 ) -> SearchResult {
-    let mut cfg = KoiosConfig::new(k, alpha)
+    let cfg = KoiosConfig::new(k, alpha)
         .baseline()
         .with_parallel_em(em_threads);
-    cfg.time_budget = time_budget;
-    Koios::new(owned_copy(repo), sim, cfg).search(query)
+    search_within(Koios::new(owned_copy(repo), sim, cfg), query, time_budget)
 }
 
 /// Runs Baseline+: exhaustive verification, but with the iUB filter
@@ -47,11 +46,16 @@ pub fn baseline_plus_search(
     em_threads: usize,
     time_budget: Option<Duration>,
 ) -> SearchResult {
-    let mut cfg = KoiosConfig::new(k, alpha)
+    let cfg = KoiosConfig::new(k, alpha)
         .baseline_plus()
         .with_parallel_em(em_threads);
-    cfg.time_budget = time_budget;
-    Koios::new(owned_copy(repo), sim, cfg).search(query)
+    search_within(Koios::new(owned_copy(repo), sim, cfg), query, time_budget)
+}
+
+/// Searches with `time_budget` counted from after the index build, as the
+/// paper's per-query timeout counts search time only.
+fn search_within(engine: Koios, query: &[TokenId], time_budget: Option<Duration>) -> SearchResult {
+    engine.search_with_deadline(query, time_budget.map(|b| Instant::now() + b))
 }
 
 /// The one place a repository is deep-copied to build an engine. Engines

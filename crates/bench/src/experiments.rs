@@ -18,7 +18,7 @@ use koios_embed::sim::{ElementSimilarity, QGramJaccard};
 use koios_index::inverted::InvertedIndex;
 use koios_index::knn_cache::TokenKnnCache;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Harness-wide knobs (the paper's defaults are α = 0.8, k = 10,
 /// partitions = 10, 2500 s timeout).
@@ -55,10 +55,9 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    fn koios_config(&self) -> KoiosConfig {
-        let mut c = KoiosConfig::new(self.k, self.alpha);
-        c.time_budget = Some(self.timeout);
-        c
+    /// The deadline of a query starting now: [`Self::timeout`] away.
+    fn deadline(&self) -> Option<Instant> {
+        Some(Instant::now() + self.timeout)
     }
 
     /// The shared corpus-builder: every experiment asking for the same
@@ -86,7 +85,7 @@ fn run_partitioned(run: &ProfileRun, hc: &HarnessConfig) -> Vec<Outcome> {
     let engine = PartitionedKoios::new(
         Arc::clone(&run.repo),
         Arc::clone(&run.sim),
-        hc.koios_config(),
+        KoiosConfig::new(hc.k, hc.alpha),
         hc.partitions.max(1),
         hc.seed,
     );
@@ -95,19 +94,19 @@ fn run_partitioned(run: &ProfileRun, hc: &HarnessConfig) -> Vec<Outcome> {
         .iter()
         .map(|q| Outcome {
             interval: q.interval,
-            result: engine.search(&q.tokens),
+            result: engine.search_with_deadline(&q.tokens, hc.deadline()),
         })
         .collect()
 }
 
-fn run_single(run: &ProfileRun, cfg: KoiosConfig) -> Vec<Outcome> {
+fn run_single(run: &ProfileRun, hc: &HarnessConfig, cfg: KoiosConfig) -> Vec<Outcome> {
     let engine = Koios::new(Arc::clone(&run.repo), Arc::clone(&run.sim), cfg);
     run.benchmark
         .queries
         .iter()
         .map(|q| Outcome {
             interval: q.interval,
-            result: engine.search(&q.tokens),
+            result: engine.search_with_deadline(&q.tokens, hc.deadline()),
         })
         .collect()
 }
@@ -118,9 +117,8 @@ fn run_baseline(run: &ProfileRun, hc: &HarnessConfig, plus: bool) -> Vec<Outcome
     } else {
         KoiosConfig::new(hc.k, hc.alpha).baseline()
     };
-    cfg.time_budget = Some(hc.timeout);
     cfg = cfg.with_parallel_em(hc.partitions.max(1));
-    run_single(run, cfg)
+    run_single(run, hc, cfg)
 }
 
 fn avg(xs: impl Iterator<Item = f64>) -> f64 {
@@ -409,9 +407,7 @@ pub fn fig7(hc: &HarnessConfig) -> String {
     // (b) + (d): α sweep (time and memory).
     let mut t = TextTable::new(vec!["alpha", "time", "refine%", "mem(MB)"]);
     for alpha in [0.5, 0.6, 0.7, 0.8, 0.9] {
-        let mut cfg = KoiosConfig::new(hc.k, alpha);
-        cfg.time_budget = Some(hc.timeout);
-        let outcomes = run_single(&run, cfg);
+        let outcomes = run_single(&run, hc, KoiosConfig::new(hc.k, alpha));
         let time = avg(outcomes
             .iter()
             .map(|o| o.result.stats.response_time().as_secs_f64()));
@@ -472,7 +468,11 @@ pub fn fig8(hc: &HarnessConfig) -> String {
     let run = hc.profile_run(profile);
     let repo = &run.repo;
     let index = InvertedIndex::build(repo);
-    let engine = Koios::new(Arc::clone(repo), Arc::clone(&run.sim), hc.koios_config());
+    let engine = Koios::new(
+        Arc::clone(repo),
+        Arc::clone(&run.sim),
+        KoiosConfig::new(hc.k, hc.alpha),
+    );
 
     let mut t = TextTable::new(vec![
         "query card.",
@@ -493,7 +493,7 @@ pub fn fig8(hc: &HarnessConfig) -> String {
         let mut van_sem = Vec::new();
         let mut inter = Vec::new();
         for q in queries {
-            let sem = engine.search(&q.tokens);
+            let sem = engine.search_with_deadline(&q.tokens, hc.deadline());
             let van = vanilla_topk(repo, &index, &q.tokens, hc.k);
             if sem.hits.is_empty() || van.is_empty() {
                 continue;
@@ -539,13 +539,12 @@ pub fn silkmoth(hc: &HarnessConfig) -> String {
     // the *minimum* θ*k over the benchmark (an advantage for SilkMoth).
     let mut cfg = KoiosConfig::new(hc.k, alpha);
     cfg.no_em_filter = false;
-    cfg.time_budget = Some(hc.timeout);
     let engine = Koios::new(Arc::clone(repo), Arc::clone(&sim), cfg);
     let mut koios_time = Vec::new();
     let mut theta_min = f64::INFINITY;
     let mut results = Vec::new();
     for q in &run.benchmark.queries {
-        let res = engine.search(&q.tokens);
+        let res = engine.search_with_deadline(&q.tokens, hc.deadline());
         koios_time.push(res.stats.response_time().as_secs_f64());
         if let Some(h) = res.hits.last() {
             theta_min = theta_min.min(h.score.lb());
@@ -572,7 +571,7 @@ pub fn silkmoth(hc: &HarnessConfig) -> String {
         let mut cands = Vec::new();
         let mut ver = Vec::new();
         for q in &run.benchmark.queries {
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             let (_, stats) = sm.search_topk(&q.tokens, hc.k, theta_min);
             times.push(t0.elapsed().as_secs_f64());
             cands.push(stats.candidate_sets as f64);
@@ -621,12 +620,20 @@ pub fn token_cache(hc: &HarnessConfig) -> String {
         }
     }
 
-    let plain = Koios::new(Arc::clone(repo), Arc::clone(&run.sim), hc.koios_config());
+    let plain = Koios::new(
+        Arc::clone(repo),
+        Arc::clone(&run.sim),
+        KoiosConfig::new(hc.k, hc.alpha),
+    );
     let cache = Arc::new(TokenKnnCache::new(256 << 20));
-    let caching = plain.with_config(hc.koios_config().with_token_cache(Arc::clone(&cache)));
+    let caching =
+        plain.with_config(KoiosConfig::new(hc.k, hc.alpha).with_token_cache(Arc::clone(&cache)));
 
     let run_pass = |engine: &Koios| -> (Vec<SearchResult>, f64, f64) {
-        let results: Vec<SearchResult> = workload.iter().map(|q| engine.search(q)).collect();
+        let results: Vec<SearchResult> = workload
+            .iter()
+            .map(|q| engine.search_with_deadline(q, hc.deadline()))
+            .collect();
         let refine = avg(results.iter().map(|r| r.stats.refine_time.as_secs_f64()));
         let resp = avg(results
             .iter()
@@ -713,8 +720,7 @@ pub fn ablation(hc: &HarnessConfig) -> String {
         let mut cfg = KoiosConfig::new(hc.k, hc.alpha);
         cfg.iub_filter = iub;
         cfg.no_em_filter = false; // exact scores for the agreement check
-        cfg.time_budget = Some(hc.timeout);
-        let outcomes = run_single(&run, cfg);
+        let outcomes = run_single(&run, hc, cfg);
         let time = avg(outcomes
             .iter()
             .map(|o| o.result.stats.response_time().as_secs_f64()));

@@ -80,15 +80,15 @@ impl EngineBackend {
         }
     }
 
-    /// Runs a top-k search (see [`crate::Koios::search`]).
+    /// Runs a top-k search with no deadline (see [`crate::Koios::search`]).
     pub fn search(&self, query: &[TokenId]) -> SearchResult {
         self.search_with_deadline(query, None)
     }
 
-    /// Runs a top-k search bounded by an absolute deadline; the earlier of
-    /// the deadline and the configuration's relative
-    /// [`KoiosConfig::time_budget`] wins. On the partitioned variant the
-    /// deadline bounds every shard *and* the merge-time verification loop.
+    /// Runs a top-k search bounded by an absolute deadline (a relative
+    /// budget becomes `Some(Instant::now() + budget)` at the call). On the
+    /// partitioned variant the deadline bounds every shard *and* the
+    /// merge-time verification loop.
     pub fn search_with_deadline(
         &self,
         query: &[TokenId],

@@ -2,7 +2,6 @@
 
 use koios_index::knn_cache::TokenKnnCache;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tunable parameters of a Koios search.
 #[derive(Debug, Clone)]
@@ -27,10 +26,6 @@ pub struct KoiosConfig {
     /// instead of pulling by upper bound — the cost model of the paper's
     /// exhaustive Baseline/Baseline+ (§VIII-A4). Off for Koios proper.
     pub verify_all: bool,
-    /// Abort the query after this wall-clock budget (the paper times out
-    /// queries at 2500 s); partial results are returned with
-    /// `stats.timed_out = true`.
-    pub time_budget: Option<Duration>,
     /// Shared token-level kNN cache. When set, [`crate::Koios::search`]
     /// wraps its kNN source in a
     /// [`CachedKnn`](koios_index::knn_cache::CachedKnn) so complete
@@ -79,7 +74,6 @@ impl KoiosConfig {
             iub_filter: true,
             parallel_em: 1,
             verify_all: false,
-            time_budget: None,
             token_cache: None,
             epoch: 0,
             explain: false,
@@ -103,12 +97,6 @@ impl KoiosConfig {
     /// Sets the number of parallel exact matchings.
     pub fn with_parallel_em(mut self, n: usize) -> Self {
         self.parallel_em = n.max(1);
-        self
-    }
-
-    /// Sets the time budget.
-    pub fn with_time_budget(mut self, budget: Duration) -> Self {
-        self.time_budget = Some(budget);
         self
     }
 
@@ -178,11 +166,8 @@ mod tests {
 
     #[test]
     fn builder_methods() {
-        let c = KoiosConfig::new(1, 0.5)
-            .with_parallel_em(0)
-            .with_time_budget(Duration::from_secs(1));
+        let c = KoiosConfig::new(1, 0.5).with_parallel_em(0);
         assert_eq!(c.parallel_em, 1); // clamped
-        assert!(c.time_budget.is_some());
         assert!(c.token_cache.is_none());
         assert_eq!(c.epoch, 0);
         assert!(!c.explain);

@@ -46,19 +46,6 @@ pub struct Koios {
     cfg: KoiosConfig,
 }
 
-/// Combines an absolute caller deadline with a relative configuration
-/// budget: whichever expires first bounds the search.
-pub(crate) fn effective_deadline(
-    external: Option<Instant>,
-    budget: Option<std::time::Duration>,
-) -> Option<Instant> {
-    let from_budget = budget.map(|b| Instant::now() + b);
-    match (external, from_budget) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
-}
-
 impl Koios {
     /// Builds the inverted index and wires up an engine over `repo`.
     pub fn new(repo: Arc<Repository>, sim: Arc<dyn ElementSimilarity>, cfg: KoiosConfig) -> Self {
@@ -122,45 +109,38 @@ impl Koios {
     /// Runs a top-k search for `query` (token ids from
     /// [`Repository::intern_query`]).
     pub fn search(&self, query: &[TokenId]) -> SearchResult {
-        self.search_shared(query, &SharedTheta::new())
+        self.search_shared(query, &SharedTheta::new(), None)
     }
 
-    /// Runs a top-k search that must finish by `deadline` (an *absolute*
-    /// instant, unlike the relative [`KoiosConfig::time_budget`]).
+    /// Runs a top-k search that must finish by `deadline`, an absolute
+    /// instant (the paper times queries out at 2500 s; a caller with a
+    /// relative budget passes `Some(Instant::now() + budget)`).
     ///
     /// Serving layers use this to make a request deadline cover queue time
-    /// plus search time without mutating the engine configuration. When the
-    /// configuration also carries a `time_budget`, the earlier of the two
-    /// limits wins. Expiry returns partial results with
-    /// `stats.timed_out = true`, exactly like a budget expiry.
+    /// plus search time without mutating the engine configuration. Expiry
+    /// returns partial results with `stats.timed_out = true`.
     pub fn search_with_deadline(
         &self,
         query: &[TokenId],
         deadline: Option<Instant>,
     ) -> SearchResult {
-        self.search_shared_deadline(query, &SharedTheta::new(), deadline)
+        self.search_shared(query, &SharedTheta::new(), deadline)
     }
 
     /// Runs a search that publishes and consumes the shared pruning
-    /// threshold `θlb` — the partitioned-search entry point (§VI).
+    /// threshold `θlb` under an absolute `deadline` — the partitioned-search
+    /// entry point (§VI): one query-wide deadline reaches every shard this
+    /// way, so no shard can overrun the budget the merge phase still has to
+    /// fit into.
     ///
     /// The default kNN source is an [`ExactScanKnn`]; when the
     /// configuration carries a [`KoiosConfig::token_cache`], the source is
     /// wrapped in a [`CachedKnn`] so per-element similarity lists are
-    /// shared with every other search using the same cache.
-    pub fn search_shared(&self, query: &[TokenId], theta: &SharedTheta) -> SearchResult {
-        self.search_shared_deadline(query, theta, None)
-    }
-
-    /// [`Self::search_shared`] with an additional absolute `deadline`
-    /// (see [`Self::search_with_deadline`]): partitioned search threads one
-    /// query-wide deadline through every shard this way, so no shard can
-    /// overrun the budget the merge phase still has to fit into.
-    ///
-    /// The source built here is exact (cached lists are complete replays of
-    /// it), so post-processing verifies from the edges refinement drained
+    /// shared with every other search using the same cache. The source is
+    /// exact (cached lists are complete replays of it), so post-processing
+    /// verifies from the edges refinement drained
     /// ([`crate::overlap::QueryEdges`]) instead of recomputing similarities.
-    pub fn search_shared_deadline(
+    pub(crate) fn search_shared(
         &self,
         query: &[TokenId],
         theta: &SharedTheta,
@@ -221,20 +201,7 @@ impl Koios {
         source: K,
         theta: &SharedTheta,
     ) -> SearchResult {
-        self.search_with_source_deadline(q, source, theta, None)
-    }
-
-    /// [`Self::search_with_source`] with an additional absolute `deadline`
-    /// (see [`Self::search_with_deadline`]); the earlier of the deadline and
-    /// the configuration's relative `time_budget` bounds the search.
-    pub fn search_with_source_deadline<K: koios_index::knn::KnnSource>(
-        &self,
-        q: Vec<TokenId>,
-        source: K,
-        theta: &SharedTheta,
-        deadline: Option<Instant>,
-    ) -> SearchResult {
-        self.run(q, source, theta, deadline, false)
+        self.run(q, source, theta, None, false)
     }
 
     /// The pipeline behind every search entry point. `exact_source` says
@@ -260,7 +227,6 @@ impl Koios {
                 stats,
             };
         }
-        let deadline = effective_deadline(deadline, self.cfg.time_budget);
 
         let t0 = Instant::now();
         let mut stream = TokenStream::new(source, q.len());

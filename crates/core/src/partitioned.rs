@@ -9,7 +9,7 @@
 //! verified exactly at merge time so the global ranking is well-defined.
 
 use crate::config::KoiosConfig;
-use crate::engine::{effective_deadline, Koios};
+use crate::engine::Koios;
 use crate::executor::ShardExecutor;
 use crate::overlap::{semantic_overlap, semantic_overlap_bounded_with_effort};
 use crate::result::{Hit, ScoreBound, SearchResult};
@@ -35,10 +35,7 @@ pub struct PartitionedKoios {
     indexes: Vec<Arc<InvertedIndex>>,
     seed: u64,
     /// One engine per shard, built once at partition build / snapshot load
-    /// / reconfiguration time and reused by every request. They carry the
-    /// partition's config with the relative `time_budget` cleared: shards
-    /// receive the query's absolute deadline instead, so the budget is
-    /// never double-applied per shard.
+    /// / reconfiguration time and reused by every request.
     engines: Vec<Arc<Koios>>,
 }
 
@@ -49,8 +46,6 @@ fn shard_engines(
     cfg: &KoiosConfig,
     indexes: &[Arc<InvertedIndex>],
 ) -> Vec<Arc<Koios>> {
-    let mut shard_cfg = cfg.clone();
-    shard_cfg.time_budget = None;
     indexes
         .iter()
         .map(|index| {
@@ -58,7 +53,7 @@ fn shard_engines(
                 Arc::clone(repo),
                 Arc::clone(sim),
                 Arc::clone(index),
-                shard_cfg.clone(),
+                cfg.clone(),
             ))
         })
         .collect()
@@ -197,12 +192,8 @@ impl PartitionedKoios {
         semantic_overlap(&self.repo, self.sim.as_ref(), self.cfg.alpha, &q, set)
     }
 
-    /// Runs the query on all partitions in parallel and merges the results.
-    ///
-    /// The configuration's relative [`KoiosConfig::time_budget`] (when set)
-    /// starts counting here and bounds shards *and* merge; see
-    /// [`Self::search_with_deadline`] for the absolute-deadline variant
-    /// serving layers use.
+    /// Runs the query on all partitions in parallel and merges the results
+    /// (no deadline; see [`Self::search_with_deadline`]).
     pub fn search(&self, query: &[TokenId]) -> SearchResult {
         self.search_with_deadline(query, None)
     }
@@ -210,24 +201,18 @@ impl PartitionedKoios {
     /// Runs the query on all partitions in parallel, bounded by an
     /// *absolute* deadline, and merges the results deadline-safely.
     ///
-    /// The deadline (combined with the configuration's relative
-    /// `time_budget` — the earlier limit wins) is threaded through every
-    /// shard search **and** the merge phase, so a request whose budget
-    /// expires mid-merge stops doing exact-verification work immediately
-    /// instead of burning unbounded time after timing out. Hits left
-    /// unverified by an expiry keep their certified interval scores
-    /// ([`ScoreBound::Range`]) and the result honestly reports
-    /// `stats.timed_out = true`; complete runs return exact scores only.
+    /// The deadline is threaded through every shard search **and** the
+    /// merge phase, so a request whose deadline passes mid-merge stops
+    /// doing exact-verification work immediately instead of burning
+    /// unbounded time after timing out. Hits left unverified by an expiry
+    /// keep their certified interval scores ([`ScoreBound::Range`]) and the
+    /// result honestly reports `stats.timed_out = true`; complete runs
+    /// return exact scores only.
     pub fn search_with_deadline(
         &self,
         query: &[TokenId],
         deadline: Option<Instant>,
     ) -> SearchResult {
-        let deadline = effective_deadline(deadline, self.cfg.time_budget);
-        // The pre-built shard engines already carry this partition's config
-        // with the relative budget cleared; shards get the absolute
-        // deadline directly, so it is not double-applied from each shard's
-        // start time.
         let executor_start = Instant::now();
         // Shard tasks are `'static` and run on the process-wide executor: no
         // per-request thread spawn, and total search threads stay bounded
@@ -245,7 +230,7 @@ impl PartitionedKoios {
                 let query = Arc::clone(&query);
                 move || {
                     let shard_start = Instant::now();
-                    let result = engine.search_shared_deadline(&query, &theta, deadline);
+                    let result = engine.search_shared(&query, &theta, deadline);
                     (result, shard_start.elapsed())
                 }
             })
@@ -465,12 +450,12 @@ mod tests {
         let part = PartitionedKoios::new(
             Arc::clone(&r),
             Arc::new(EqualitySimilarity),
-            KoiosConfig::new(4, 0.9).with_time_budget(std::time::Duration::ZERO),
+            KoiosConfig::new(4, 0.9),
             3,
             1,
         );
-        let res = part.search(&q);
-        assert!(res.stats.timed_out, "expired budget must be reported");
+        let res = part.search_with_deadline(&q, Some(Instant::now()));
+        assert!(res.stats.timed_out, "expired deadline must be reported");
         assert_eq!(res.stats.em_full, 0, "no exact matchings after expiry");
     }
 

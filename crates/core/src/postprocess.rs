@@ -20,7 +20,9 @@
 //!
 //! Every exact matching goes through `Verifier::verify_one`: from the stream's
 //! [`QueryEdges`] when the engine collected them (its own exact source,
-//! drained to the end), from the dense similarity matrix otherwise.
+//! drained to the end), from the dense similarity matrix for a
+//! caller-provided source. A stream the deadline cut verifies nothing: the
+//! deadline has passed, and both verification loops check it first.
 
 use crate::config::KoiosConfig;
 use crate::overlap::{self, MatchingEffort, QueryEdges};
@@ -69,8 +71,9 @@ struct Verifier<'a> {
 
 impl Verifier<'_> {
     /// One exact matching of the query against `set`: looked up from the
-    /// stream's edges when the search has them, recomputed densely when it
-    /// does not (caller-provided source, stream cut by the deadline).
+    /// stream's edges when the search has them, recomputed densely for a
+    /// caller-provided source. A deadline-cut stream never gets here: the
+    /// loops check the deadline before each verification.
     fn verify_one(self, set: SetId, theta: Option<f64>) -> (MatchOutcome, MatchingEffort) {
         match self.edges {
             Some(edges) => edges.overlap_bounded(self.repo.set(set), theta),

@@ -10,7 +10,9 @@
 //!   `S_i` sums the first emitted edge per query element and `m_i` counts
 //!   the rows still unseen, up to `min(|Q|,|C|)`. Lemma 6 takes `S_i` to
 //!   be the greedy score instead, which is unsound (ARCHITECTURE.md,
-//!   Deviations 1).
+//!   Deviations 1). A stream that ran dry has emitted every edge `≥ α`,
+//!   so the final bound is `S_i`; a stream the deadline cut at `s` keeps
+//!   `S_i + m_i·s`, since each unseen row can still hold an edge of `s`.
 //!
 //! Candidates are pruned when their upper bound falls strictly below `θlb`,
 //! the k-th best lower bound seen so far (Lemma 4) — at discovery via the
@@ -68,7 +70,9 @@ pub struct Survivor {
     pub set: SetId,
     /// Final lower bound (greedy matching score over the full stream).
     pub lb: f64,
-    /// Final upper bound (the row-max sum once the stream ran dry).
+    /// Final upper bound: the row-max sum once the stream ran dry; on a
+    /// deadline-cut stream, plus the last emitted similarity for each
+    /// unseen row.
     pub ub: f64,
 }
 
@@ -153,10 +157,12 @@ impl Cand {
         (self.cap - self.seen_q.len() as u32, self.row_sum)
     }
 
-    /// The end-of-stream upper bound: all unseen edges are below `α`, so
-    /// unseen rows contribute 0.
-    fn final_ub(&self) -> f64 {
-        self.row_sum
+    /// The upper bound once the stream stopped, with `residual` the most
+    /// an unseen row can still add: 0 when the stream ran dry (every
+    /// unseen edge is below `α`), the last emitted similarity when a
+    /// deadline cut it.
+    fn final_ub(&self, residual: f64) -> f64 {
+        self.row_sum + (self.cap - self.seen_q.len() as u32) as f64 * residual
     }
 }
 
@@ -221,6 +227,7 @@ pub fn refine<K: KnnSource>(
     let mut buckets = BucketIndex::new();
     let mut llb = TopKList::new(cfg.k);
     let mut tuples: Option<Vec<(TokenId, u32, f64)>> = collect_edges.then(Vec::new);
+    let mut residual = 0.0;
 
     while let Some(tuple) = stream.next() {
         stats.stream_tuples += 1;
@@ -309,6 +316,7 @@ pub fn refine<K: KnnSource>(
                 if Instant::now() >= d {
                     stats.timed_out = true;
                     tuples = None;
+                    residual = s;
                     break;
                 }
             }
@@ -316,14 +324,15 @@ pub fn refine<K: KnnSource>(
     }
     let edges = tuples.map(|ts| QueryEdges::from_tuples(qlen, ts));
 
-    // End-of-stream collapse: every edge ≥ α has been emitted, so the
+    // End-of-stream collapse: once every edge ≥ α has been emitted the
     // residual per-row potential drops to 0 and the bound is the row-max
-    // sum. One pass over the states applies that test to each candidate;
-    // sweeping the lazy heaps would pop every stale entry instead.
+    // sum; a cut stream keeps the last similarity as the residual. One
+    // pass over the states applies that test to each candidate; sweeping
+    // the lazy heaps would pop every stale entry instead.
     let collapse = cfg.iub_filter.then(|| slack(theta.get()));
     let mut survivors: Vec<Survivor> = Vec::new();
     for (&set, c) in states.iter().filter(|(_, c)| !c.pruned) {
-        let ub = c.final_ub();
+        let ub = c.final_ub(residual);
         if collapse.is_some_and(|th| ub < th) {
             stats.iub_pruned += 1;
             continue;
@@ -390,7 +399,7 @@ mod tests {
         c.apply(&mut sets, 2, TokenId(12), 0.6);
         assert!((c.row_sum - 1.6).abs() < 1e-12);
         assert_eq!(c.bucket_key(), (0, 1.6));
-        assert!((c.final_ub() - 1.6).abs() < 1e-12);
+        assert!((c.final_ub(0.0) - 1.6).abs() < 1e-12);
     }
 
     #[test]
@@ -452,17 +461,16 @@ mod tests {
             let mut c = Cand::new(rows.min(cols) as u32);
             for (q, t, s) in edges {
                 c.apply(&mut sets, q, TokenId(t), s);
-                let unseen = (c.cap - c.seen_q.len() as u32) as f64;
                 assert!(
-                    c.row_sum + unseen * s + 1e-9 >= exact,
+                    c.final_ub(s) + 1e-9 >= exact,
                     "graph {g}: iUB {} < SO {exact} after an edge at {s}",
-                    c.row_sum + unseen * s
+                    c.final_ub(s)
                 );
             }
             assert!(
-                c.final_ub() + 1e-9 >= exact,
+                c.final_ub(0.0) + 1e-9 >= exact,
                 "graph {g}: final iUB {} < SO {exact}",
-                c.final_ub()
+                c.final_ub(0.0)
             );
         }
     }
@@ -507,33 +515,33 @@ mod tests {
         }
     }
 
-    fn refine_long_stream(
+    /// A repository over tokens `t0..t{vocab}` holding `sets`.
+    fn repo_of(vocab: u32, sets: impl IntoIterator<Item = Vec<TokenId>>) -> Repository {
+        let mut b = koios_embed::repository::RepositoryBuilder::new();
+        for t in 0..vocab {
+            b.intern(&format!("t{t}"));
+        }
+        for (i, set) in sets.into_iter().enumerate() {
+            b.add_token_set(&format!("s{i}"), set);
+        }
+        b.build()
+    }
+
+    /// Refines `query` (k = 3, α = 0.5) over `source` on `repo`.
+    fn refine_over<K: KnnSource>(
+        repo: &Repository,
+        query: &[TokenId],
+        source: K,
         deadline: Option<Instant>,
         collect_edges: bool,
     ) -> (RefineOutput, SearchStats) {
-        const VOCAB: u32 = 1500;
-        let mut b = koios_embed::repository::RepositoryBuilder::new();
-        for t in 0..VOCAB {
-            b.intern(&format!("t{t}"));
-        }
-        for set in 0..15 {
-            b.add_token_set(
-                &format!("s{set}"),
-                (set * 100..(set + 1) * 100).map(TokenId).collect(),
-            );
-        }
-        let repo = b.build();
-        let index = InvertedIndex::build(&repo);
-        let source = LongSource {
-            next_token: 0,
-            vocab: VOCAB,
-        };
-        let mut stream = TokenStream::new(source, 1);
+        let index = InvertedIndex::build(repo);
+        let mut stream = TokenStream::new(source, query.len());
         let mut stats = SearchStats::default();
         let out = refine(
-            &repo,
+            repo,
             &index,
-            &[TokenId(0)],
+            query,
             &KoiosConfig::new(3, 0.5),
             &SharedTheta::new(),
             &mut stream,
@@ -542,6 +550,25 @@ mod tests {
             collect_edges,
         );
         (out, stats)
+    }
+
+    fn refine_long_stream(
+        deadline: Option<Instant>,
+        collect_edges: bool,
+    ) -> (RefineOutput, SearchStats) {
+        const VOCAB: u32 = 1500;
+        let sets = (0..15).map(|set| (set * 100..(set + 1) * 100).map(TokenId).collect());
+        let source = LongSource {
+            next_token: 0,
+            vocab: VOCAB,
+        };
+        refine_over(
+            &repo_of(VOCAB, sets),
+            &[TokenId(0)],
+            source,
+            deadline,
+            collect_edges,
+        )
     }
 
     #[test]
@@ -571,6 +598,56 @@ mod tests {
         // the one edge it can have.
         assert!(!out.survivors.is_empty());
         assert!(out.survivors.iter().all(|s| s.lb <= s.ub && s.ub <= 1.0));
+    }
+
+    /// Each query row replays its own descending list of edges.
+    struct ScriptedSource {
+        rows: Vec<std::vec::IntoIter<(TokenId, f64)>>,
+    }
+
+    impl KnnSource for ScriptedSource {
+        fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
+            self.rows[q_idx].next()
+        }
+
+        fn heap_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    /// A deadline that cuts the stream while rows are still unseen must not
+    /// count them as 0: each can still hold an edge of the last similarity
+    /// emitted. Row 0 emits `t0` at 1.0 and then 1,197 edges at 0.95 into
+    /// no set; rows 1 and 2 match `t1` and `t2` at 0.9. The cut lands inside
+    /// row 0's run, before S = {t0, t1, t2} has seen rows 1 and 2, whose
+    /// edges lift SO(S) to 1.0 + 0.9 + 0.9.
+    #[test]
+    fn deadline_cut_stream_keeps_a_sound_upper_bound() {
+        const VOCAB: u32 = 1200;
+        let repo = repo_of(VOCAB, [vec![TokenId(0), TokenId(1), TokenId(2)]]);
+        let row0 = std::iter::once((TokenId(0), 1.0))
+            .chain((3..VOCAB).map(|t| (TokenId(t), 0.95)))
+            .collect::<Vec<_>>();
+        let source = ScriptedSource {
+            rows: vec![
+                row0.into_iter(),
+                vec![(TokenId(1), 0.9)].into_iter(),
+                vec![(TokenId(2), 0.9)].into_iter(),
+            ],
+        };
+        let query = [TokenId(0), TokenId(1), TokenId(2)];
+        let (out, stats) = refine_over(&repo, &query, source, Some(Instant::now()), false);
+        assert!(stats.timed_out);
+        assert_eq!(stats.stream_tuples, 1024, "cut inside row 0's run");
+        let so = 1.0 + 0.9 + 0.9;
+        let [s] = out.survivors[..] else {
+            panic!("expected S alone, got {:?}", out.survivors);
+        };
+        assert!(s.lb <= so + 1e-9, "{s:?}");
+        assert!(
+            s.ub + 1e-9 >= so,
+            "{s:?} has an upper bound below SO(S) = {so}"
+        );
     }
 
     /// A caller's source that panics once it has answered `left` probes.

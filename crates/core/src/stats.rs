@@ -176,7 +176,7 @@ pub struct SearchStats {
     /// (empty for single-engine searches). Merges take the element-wise
     /// max — shards of one query run concurrently.
     pub shard_times: Vec<Duration>,
-    /// Whether the time budget expired (partial results). Sticky across
+    /// Whether the deadline expired (partial results). Sticky across
     /// merges: a partitioned search is timed out if *any* shard — or the
     /// merge loop itself — observed the expiry.
     pub timed_out: bool,

@@ -24,9 +24,9 @@ pub struct SearchRequest {
     /// Override of the engine's `α`.
     pub alpha: Option<f64>,
     /// Per-request deadline budget, measured from submission; covers queue
-    /// time *and* search time. There is no service-wide default: `None`
-    /// leaves only the engine config's own `time_budget`, and when both
-    /// are set the earlier of the two limits wins.
+    /// time *and* search time. The service turns it into one absolute
+    /// deadline at submission. There is no service-wide default: `None`
+    /// runs the search unbounded.
     pub time_budget: Option<Duration>,
     /// Skip the result cache for this request (no lookup, no fill).
     pub bypass_cache: bool,
@@ -70,9 +70,11 @@ impl SearchRequest {
     }
 
     /// Sets the request deadline budget.
-    pub fn with_time_budget(mut self, budget: Duration) -> Self {
-        self.time_budget = Some(budget);
-        self
+    pub fn with_time_budget(self, budget: Duration) -> Self {
+        SearchRequest {
+            time_budget: Some(budget),
+            ..self
+        }
     }
 
     /// Disables the result cache for this request.

@@ -9,7 +9,7 @@
 # Without arguments it prints only the two totals every entry quotes: the
 # workspace (`crates/ src/ tests/ examples/`) and `bench/ledger`.
 set -euo pipefail
-cd "$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
+cd "$(dirname "$0")/.."
 
 count() { # <label> <per-file: 0|1> <paths…>
     local label=$1 per_file=$2

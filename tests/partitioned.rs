@@ -73,30 +73,29 @@ fn partitioned_handles_k_larger_than_partition_yield() {
     }
 }
 
-/// Regression (merge-deadline fix): a partitioned search whose budget has
-/// already expired must perform **zero** exact verifications — shard-side
-/// or merge-side — while reporting the timeout honestly.
+/// Regression (merge-deadline fix): a partitioned search whose deadline
+/// has already passed must perform **zero** exact verifications — shard-side
+/// or merge-side — while reporting the timeout honestly, and every interval
+/// it returns must still contain the exact overlap.
 #[test]
 fn expired_budget_runs_no_exact_verification() {
     let (repo, sim) = corpus(903);
     let query = repo.set(SetId(5)).to_vec();
-    let engine = PartitionedKoios::new(
-        Arc::clone(&repo),
-        sim.clone(),
-        KoiosConfig::new(6, 0.8).with_time_budget(std::time::Duration::ZERO),
-        4,
-        7,
-    );
-    let res = engine.search(&query);
-    assert!(res.stats.timed_out);
-    assert_eq!(res.stats.em_full, 0, "expired budget must not verify");
-
-    // Same through the absolute-deadline entry point serving layers use.
     let engine = PartitionedKoios::new(Arc::clone(&repo), sim, KoiosConfig::new(6, 0.8), 4, 7);
     let expired = std::time::Instant::now() - std::time::Duration::from_millis(1);
     let res = engine.search_with_deadline(&query, Some(expired));
     assert!(res.stats.timed_out);
-    assert_eq!(res.stats.em_full, 0);
+    assert_eq!(res.stats.em_full, 0, "expired deadline must not verify");
+    for hit in &res.hits {
+        if let ScoreBound::Range { lb, ub } = hit.score {
+            let truth = engine.exact_overlap(&query, hit.set);
+            assert!(
+                lb <= truth + EPS && truth <= ub + EPS,
+                "{:?}: SO {truth} outside [{lb}, {ub}]",
+                hit.set
+            );
+        }
+    }
 }
 
 /// The absolute-deadline entry point with a generous deadline is exact and

@@ -1,4 +1,4 @@
-//! Operational behaviour: time budgets produce flagged partial results
+//! Operational behaviour: deadlines produce flagged partial results
 //! (the paper's 2500 s query timeouts), and the memory report covers every
 //! search structure of §VIII-D.
 
@@ -7,7 +7,7 @@ use koios_core::overlap::semantic_overlap;
 use koios_datagen::corpus::{Corpus, CorpusSpec};
 use koios_index::knn::ExactScanKnn;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A generated corpus's repository and the cosine similarity over its
 /// embeddings.
@@ -23,10 +23,9 @@ fn corpus() -> (Arc<Repository>, Arc<dyn ElementSimilarity>) {
 #[test]
 fn zero_budget_times_out_gracefully() {
     let (repo, sim) = corpus();
-    let cfg = KoiosConfig::new(5, 0.8).with_time_budget(Duration::from_nanos(1));
-    let engine = Koios::new(Arc::clone(&repo), sim, cfg);
+    let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8));
     let query = repo.set(SetId(0)).to_vec();
-    let res = engine.search(&query);
+    let res = engine.search_with_deadline(&query, Some(Instant::now() + Duration::from_nanos(1)));
     assert!(res.stats.timed_out, "nanosecond budget must time out");
     // Partial results are still structurally sound (no duplicates, sorted).
     let mut ids = res.set_ids();
@@ -39,10 +38,9 @@ fn zero_budget_times_out_gracefully() {
 #[test]
 fn generous_budget_never_times_out() {
     let (repo, sim) = corpus();
-    let cfg = KoiosConfig::new(5, 0.8).with_time_budget(Duration::from_secs(300));
-    let engine = Koios::new(Arc::clone(&repo), sim, cfg);
+    let engine = Koios::new(Arc::clone(&repo), sim, KoiosConfig::new(5, 0.8));
     let query = repo.set(SetId(1)).to_vec();
-    let res = engine.search(&query);
+    let res = engine.search_with_deadline(&query, Some(Instant::now() + Duration::from_secs(300)));
     assert!(!res.stats.timed_out);
     assert_eq!(res.hits.len(), 5);
 }
@@ -112,8 +110,8 @@ fn deadline_in_refinement_drops_the_partial_edges() {
     assert!(complete.stats.stream_tuples > 1024);
     assert!(has_query_edges(&complete));
 
-    let cfg = KoiosConfig::new(5, alpha).with_time_budget(Duration::from_nanos(1));
-    let res = Koios::new(Arc::clone(&repo), sim.clone(), cfg).search(&query);
+    let engine = Koios::new(Arc::clone(&repo), sim.clone(), KoiosConfig::new(5, alpha));
+    let res = engine.search_with_deadline(&query, Some(Instant::now() + Duration::from_nanos(1)));
     assert!(res.stats.timed_out);
     assert_eq!(res.stats.stream_tuples, 1024, "cut at the first check");
     assert!(!has_query_edges(&res), "a partial graph must not survive");
@@ -121,13 +119,15 @@ fn deadline_in_refinement_drops_the_partial_edges() {
     assert_eq!(res.stats.verify_time, Duration::ZERO);
     assert!(!res.hits.is_empty());
     for hit in &res.hits {
-        let ScoreBound::Range { lb, .. } = hit.score else {
+        let ScoreBound::Range { lb, ub } = hit.score else {
             panic!("unverified hit {:?} reported as exact", hit.set);
         };
         // The greedy lower bound is a real matching over edges the stream
-        // did emit, so it stays certified on a cut stream.
+        // did emit, so it stays certified on a cut stream; the upper bound
+        // charges every unseen row the last similarity emitted.
         let truth = semantic_overlap(&repo, sim.as_ref(), alpha, &query, hit.set);
         assert!(lb <= truth + 1e-9, "lb {lb} above SO {truth}");
+        assert!(truth <= ub + 1e-9, "SO {truth} above ub {ub}");
     }
 }
 
