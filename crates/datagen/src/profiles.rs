@@ -213,6 +213,51 @@ mod tests {
         assert!(b.queries.iter().all(|q| q.interval < 2));
     }
 
+    /// The cosine scan is exact on every profile's embeddings: whatever
+    /// the lane count (one tile, a padded tile, many tiles), each token's
+    /// list equals a per-pair `dot` reference bit for bit, in token order,
+    /// self pair and out-of-vocabulary tokens included.
+    #[test]
+    fn cosine_scan_equals_per_pair_dot_on_every_profile() {
+        use koios_common::TokenId;
+        use koios_embed::vectors::dot;
+        use koios_embed::{CosineSimilarity, ElementSimilarity};
+        use std::sync::Arc;
+        for profile in DatasetProfile::all(0.05) {
+            let emb = Arc::new(profile.generate().embeddings);
+            let vocab = emb.vocab();
+            let cosine = CosineSimilarity::new(Arc::clone(&emb));
+            for lanes in [1, 3, 8, 17, 50] {
+                let qs: Vec<TokenId> = (0..lanes)
+                    .map(|i| TokenId((i * 37 % vocab) as u32))
+                    .collect();
+                for alpha in [0.5, 0.8] {
+                    let mut outs = vec![Vec::new(); lanes];
+                    cosine.scores_above_many(&qs, vocab, alpha, &mut outs);
+                    for (&q, got) in qs.iter().zip(&outs) {
+                        let want: Vec<(u64, TokenId)> = (0..vocab as u32)
+                            .map(TokenId)
+                            .filter_map(|t| match (emb.get(q), emb.get(t)) {
+                                _ if t == q => Some((1.0, t)),
+                                (Some(a), Some(b)) => Some((dot(a, b).clamp(0.0, 1.0), t)),
+                                _ => None,
+                            })
+                            .filter(|&(s, t)| t == q || s >= alpha)
+                            .map(|(s, t)| (s.to_bits(), t))
+                            .collect();
+                        let got: Vec<(u64, TokenId)> =
+                            got.iter().map(|&(s, t)| (s.to_bits(), t)).collect();
+                        let at = format!(
+                            "{} {q:?} of {lanes} lanes, alpha {alpha}",
+                            profile.spec.name
+                        );
+                        assert_eq!(got, want, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn stats_shape_is_plausible() {
         let p = dblp(0.05); // 200 sets

@@ -66,11 +66,12 @@ pub trait ElementSimilarity: Send + Sync {
     /// as one call per token. The token stream scores all of a query's
     /// cache-missing tokens with one call, so an implementation with a
     /// columnar layout can make it one pass over the vocabulary:
-    /// [`CosineSimilarity`] runs the blocked kernel `Embeddings::dot_scan`,
-    /// whose lanes add their products in [`dot`]'s order and so stay
-    /// bit-identical. The default calls [`Self::scores_above`] once per
-    /// token, which keeps a wrapper that overrides only that method
-    /// behaving as it did.
+    /// [`CosineSimilarity`] runs the two-stage kernel
+    /// `Embeddings::dot_scan`, whose `f32` filter keeps every pair that can
+    /// reach the floor and whose every visited weight is recomputed by
+    /// [`dot`], so the lists stay bit-identical. The default calls
+    /// [`Self::scores_above`] once per token, which keeps a wrapper that
+    /// overrides only that method behaving as it did.
     ///
     /// # Panics
     ///
@@ -171,8 +172,8 @@ impl ElementSimilarity for CosineSimilarity {
         } else {
             f64::NEG_INFINITY
         };
-        // Unit vectors make cosine a dot product, and the scan's lanes are
-        // `dot` bit for bit — the same weights `sim` and `fill_matrix` give.
+        // Unit vectors make cosine a dot product, and the scan visits only
+        // `dot`'s values — the same weights `sim` and `fill_matrix` give.
         self.emb.dot_scan(&vectors, vocab, floor, |lane, t, d| {
             let (i, q) = (lanes[lane], qs[lanes[lane]]);
             if self_due[lane] && t >= q {

@@ -121,7 +121,8 @@ pub fn parse_search_request(body: &Json, repo: &Repository) -> Result<SearchRequ
 /// Shape: `{"ops": [...]}` where each op is either
 /// `{"op": "insert", "name": "...", "tokens": ["...", ...]}` — optionally
 /// with `"vectors": {"token": [f32, ...], ...}` supplying embedding rows
-/// for tokens new to the corpus — or `{"op": "remove", "set": id}`.
+/// for tokens new to the corpus, every value finite as an `f32` — or
+/// `{"op": "remove", "set": id}`.
 pub fn parse_ingest_request(body: &Json) -> Result<Vec<CorpusOp>, String> {
     if !matches!(body, Json::Obj(_)) {
         return Err("request body must be a JSON object".into());
@@ -168,10 +169,10 @@ fn parse_op(op: &Json) -> Result<CorpusOp, String> {
                         .as_array()
                         .ok_or_else(|| format!("vector for {token:?} must be an array"))?
                         .iter()
-                        .map(|x| {
-                            x.as_f64()
-                                .map(|f| f as f32)
-                                .ok_or_else(|| format!("vector for {token:?} must be numeric"))
+                        .map(|x| match x.as_f64().map(|f| f as f32) {
+                            Some(f) if f.is_finite() => Ok(f),
+                            Some(_) => Err(format!("vector for {token:?} must be finite as f32")),
+                            None => Err(format!("vector for {token:?} must be numeric")),
                         })
                         .collect::<Result<Vec<f32>, String>>()?;
                     vectors.push((token.clone(), row));
@@ -474,15 +475,24 @@ mod tests {
             r#"{"ops": [{"op": "insert", "name": "s", "tokens": [1]}]}"#,
             r#"{"ops": [{"op": "insert", "name": "s", "tokens": ["a"], "vectors": [1]}]}"#,
             r#"{"ops": [{"op": "insert", "name": "s", "tokens": ["a"], "vectors": {"a": "x"}}]}"#,
+            r#"{"ops": [{"op": "insert", "name": "s", "tokens": ["a"], "vectors": {"a": [1e39]}}]}"#,
+            r#"{"ops": [{"op": "insert", "name": "s", "tokens": ["a"], "vectors": {"a": [0.5, -1e400]}}]}"#,
             r#"{"ops": [{"op": "remove"}]}"#,
             r#"{"ops": [{"op": "remove", "set": -1}]}"#,
         ] {
             let body = Json::parse(bad).unwrap();
             assert!(parse_ingest_request(&body).is_err(), "accepted {bad}");
         }
-        // Errors carry the offending op's index.
+        // Errors carry the offending op's index, and a non-finite value
+        // names its token.
         let body = Json::parse(r#"{"ops": [{"op": "remove", "set": 0}, {"op": "x"}]}"#).unwrap();
         assert!(parse_ingest_request(&body).unwrap_err().contains("ops[1]"));
+        let body = Json::parse(
+            r#"{"ops": [{"op": "insert", "name": "s", "tokens": ["zz"], "vectors": {"zz": [1e39]}}]}"#,
+        )
+        .unwrap();
+        let err = parse_ingest_request(&body).unwrap_err();
+        assert!(err.contains("ops[0]") && err.contains("\"zz\""), "{err}");
     }
 
     #[test]

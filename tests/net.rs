@@ -288,6 +288,50 @@ fn malformed_requests_get_4xx_json() {
     assert_eq!(status, 200);
 }
 
+/// An `/ingest` carrying a vector value that is not finite as `f32`
+/// (`1e39` overflows it, `1e400` overflows `f64`) answers 400 naming the
+/// token, applies none of its ops and leaves the epoch where it was: such a
+/// row would score `±∞` or NaN against every query. The bodies go out as
+/// raw bytes, since the client would encode an infinite `f64` as `null`.
+#[test]
+fn ingest_rejects_non_finite_vectors() {
+    let (repo, emb) = corpus_parts();
+    let service = Arc::new(single_service(&repo, &emb, &cosine_factory()));
+    let server = KoiosServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut client = KoiosClient::new(server.addr());
+    let epoch = |client: &mut KoiosClient| {
+        let (status, full) = client.healthz_full().unwrap();
+        assert_eq!(status, 200);
+        full.get("epoch").unwrap().as_u64().unwrap()
+    };
+    let before = epoch(&mut client);
+    let dim = emb.dim();
+    for value in ["1e39", "-1e39", "1e400"] {
+        let row = vec!["0.5"; dim - 1].join(", ");
+        let body = format!(
+            r#"{{"ops": [{{"op": "remove", "set": 0}},
+                {{"op": "insert", "name": "hostile", "tokens": ["never-seen"],
+                  "vectors": {{"never-seen": [{row}, {value}]}}}}]}}"#
+        );
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        write!(
+            raw,
+            "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 400"), "{value}: {reply}");
+        assert!(reply.contains("finite"), "{value}: {reply}");
+        assert!(reply.contains("never-seen"), "{value}: {reply}");
+    }
+    assert_eq!(epoch(&mut client), before);
+    let (_, engine) = client.debug_engine().unwrap();
+    let live = engine.get("sets").unwrap().get("live").unwrap().as_u64();
+    assert_eq!(live, Some(repo.num_sets() as u64), "{engine}");
+}
+
 /// Many client threads hammer one server concurrently; every reply must
 /// equal the sequential in-process answer for its query.
 #[test]
