@@ -24,8 +24,10 @@
 //!   caller that publishes "the world changed" *before* calling
 //!   [`StripedLru::clear`] gets: a racing insert is either rejected by
 //!   `admit` or swept by the clear — never resurrected.
-//! * **TTL is probe-time.** An entry whose age is `>= ttl` is evicted by
-//!   the probe that finds it, counted as one expiration and one miss.
+//! * **No clock.** An entry leaves only by eviction, replacement or
+//!   [`StripedLru::clear`]; its age is reported in a [`CacheSnapshot`],
+//!   never acted on. Both callers key or check their entries so that a
+//!   stale value is never served.
 //! * **A cache is derived data, so poison is survivable.** User `Eq` /
 //!   `Clone` run under the stripe lock; if one panics, the next
 //!   acquisition of that stripe drops its entries (counted as
@@ -56,7 +58,7 @@ pub type LockWaitObserver = Arc<dyn Fn(Duration) + Send + Sync>;
 pub struct CacheCounters {
     /// Probes that returned a value.
     pub hits: u64,
-    /// Probes that found nothing, a colliding key, or an expired entry.
+    /// Probes that found nothing, a colliding key, or a refused entry.
     pub misses: u64,
     /// Values stored (replacements included).
     pub insertions: u64,
@@ -64,8 +66,6 @@ pub struct CacheCounters {
     pub evictions: u64,
     /// Entries dropped by [`StripedLru::clear`] (or poison recovery).
     pub invalidations: u64,
-    /// Entries found past their TTL on probe (each is also a miss).
-    pub expirations: u64,
     /// Inserts refused: heavier than the whole budget, or not admitted.
     pub rejected_inserts: u64,
 }
@@ -78,7 +78,6 @@ impl CacheCounters {
         self.insertions += other.insertions;
         self.evictions += other.evictions;
         self.invalidations += other.invalidations;
-        self.expirations += other.expirations;
         self.rejected_inserts += other.rejected_inserts;
     }
 
@@ -147,7 +146,6 @@ pub struct StripedLru<K, V> {
     // check reads it without taking any stripe lock.
     weight: AtomicUsize,
     budget: usize,
-    ttl: Option<Duration>,
     lock_wait: OnceLock<LockWaitObserver>,
 }
 
@@ -167,21 +165,8 @@ impl<K: Eq, V: Clone> StripedLru<K, V> {
             tick: AtomicU64::new(0),
             weight: AtomicUsize::new(0),
             budget,
-            ttl: None,
             lock_wait: OnceLock::new(),
         }
-    }
-
-    /// Sets a time-to-live (builder style, before the cache is shared);
-    /// `None`, the default, keeps entries until displaced or cleared.
-    pub fn with_ttl(mut self, ttl: Option<Duration>) -> Self {
-        self.ttl = ttl;
-        self
-    }
-
-    /// The configured time-to-live, if any.
-    pub fn ttl(&self) -> Option<Duration> {
-        self.ttl
     }
 
     /// The weight budget.
@@ -261,12 +246,6 @@ impl<K: Eq, V: Clone> StripedLru<K, V> {
                 return None;
             }
         };
-        if self.ttl.is_some_and(|ttl| entry.created.elapsed() >= ttl) {
-            let _dead = self.unlink(stripe, hash);
-            stripe.counters.expirations += 1;
-            stripe.counters.misses += 1;
-            return None;
-        }
         if !accept(&mut entry.value) {
             stripe.counters.misses += 1;
             return None;
@@ -403,7 +382,6 @@ impl<K, V> std::fmt::Debug for StripedLru<K, V> {
         f.debug_struct("StripedLru")
             .field("weight", &self.weight.load(Ordering::Acquire))
             .field("budget", &self.budget)
-            .field("ttl", &self.ttl)
             .finish()
     }
 }
@@ -539,26 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_ttl_expires_on_first_probe() {
-        // `>=`, not `>`: a zero TTL must not depend on the clock having
-        // ticked between insert and probe.
-        both(|unit| {
-            let c = Lru::new(4 * unit).with_ttl(Some(Duration::ZERO));
-            assert_eq!(c.ttl(), Some(Duration::ZERO));
-            put(&c, 1, 11, unit);
-            assert_eq!(c.len(), 1, "stored until probed");
-            assert_eq!(get(&c, 1), None, "already past its TTL");
-            assert_eq!((c.len(), c.weight()), (0, 0), "evicted by the probe");
-            let n = c.counters();
-            assert_eq!((n.misses, n.expirations, n.hits), (1, 1, 0));
-            // Reinsertion works; the entry expires again on the next probe.
-            put(&c, 1, 12, unit);
-            assert_eq!(get(&c, 1), None);
-            assert_eq!(c.counters().expirations, 2);
-        });
-    }
-
-    #[test]
     fn conditional_probe_refuses_as_a_miss_and_updates_in_place() {
         both(|unit| {
             let c = Lru::new(4 * unit);
@@ -574,39 +532,6 @@ mod tests {
             assert_eq!((n.hits, n.misses, n.insertions), (3, 1, 1));
             assert_eq!((c.len(), c.weight()), (1, unit));
         });
-    }
-
-    #[test]
-    fn entries_survive_within_ttl_and_expire_after() {
-        let c = Lru::new(4).with_ttl(Some(Duration::from_millis(40)));
-        put(&c, 1, 11, 1);
-        assert_eq!(get(&c, 1), Some(11), "fresh entry hits");
-        std::thread::sleep(Duration::from_millis(60));
-        assert_eq!(get(&c, 1), None, "aged out");
-        let n = c.counters();
-        assert_eq!((n.hits, n.misses, n.expirations), (1, 1, 1));
-    }
-
-    #[test]
-    fn no_ttl_means_no_expiry() {
-        let c = Lru::new(4);
-        assert_eq!(c.ttl(), None);
-        put(&c, 1, 11, 1);
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(get(&c, 1), Some(11));
-        assert_eq!(c.counters().expirations, 0);
-    }
-
-    #[test]
-    fn expiry_does_not_shadow_collision_semantics() {
-        // A colliding probe (different full key) is a plain miss even under
-        // a zero TTL: expiry only fires for the *matching* key.
-        let c = Lru::new(4).with_ttl(Some(Duration::ZERO));
-        c.insert(7, 100, 1, 1, || true);
-        assert_eq!(c.get(7, &200), None);
-        let n = c.counters();
-        assert_eq!((n.misses, n.expirations), (1, 0));
-        assert_eq!(c.len(), 1, "colliding probe does not evict");
     }
 
     #[test]
@@ -718,7 +643,7 @@ mod tests {
             assert_eq!(snap.weight, snap.entries * unit);
             assert_eq!(
                 snap.entries as u64,
-                n.insertions - n.evictions - n.expirations - n.invalidations
+                n.insertions - n.evictions - n.invalidations
             );
             // Surviving values are never torn — each maps to its own key.
             for key in 0..64 {
@@ -879,7 +804,7 @@ mod tests {
         assert_eq!((snap.weight, snap.entries), (c.weight(), c.len()));
         assert_eq!(
             snap.entries as u64,
-            n.insertions - n.evictions - n.expirations - n.invalidations
+            n.insertions - n.evictions - n.invalidations
         );
     }
 }

@@ -34,10 +34,7 @@ pub struct KoiosConfig {
     /// fresh every time. Cloning a config shares the cache — sibling
     /// engines ([`crate::Koios::with_config`], partition engines) hit the
     /// same entries, which is sound because per-element lists are
-    /// query- and partition-independent. Entry lifetime policies travel
-    /// with the cache itself: build it with [`TokenKnnCache::with_ttl`] to
-    /// have lists expire at probe time (serving layers expose this as
-    /// `ServiceConfig::token_cache_ttl`).
+    /// query- and partition-independent.
     pub token_cache: Option<Arc<TokenKnnCache>>,
     /// Corpus epoch this engine serves. `0` for a freshly built corpus;
     /// the mutable engine (`crate::MutableEngine`) bumps it once per

@@ -55,7 +55,7 @@ use koios_embed::repository::Repository;
 use koios_embed::sim::{CosineSimilarity, ElementSimilarity};
 use koios_embed::vectors::Embeddings;
 use koios_index::inverted::InvertedIndex;
-use koios_index::live::{apply_op, Applied, LiveError};
+use koios_index::live::{apply_op, check_rows, Applied, LiveError};
 use koios_store::snapshot::{SectionKind, SnapshotLayout, SnapshotMeta, SnapshotState, StoreError};
 use std::collections::HashSet;
 use std::path::Path;
@@ -359,18 +359,8 @@ impl MutableEngine {
             match op {
                 CorpusOp::Insert { vectors, .. } => {
                     if let Some(emb) = &self.embeddings {
-                        for (token, row) in vectors {
-                            if row.len() != emb.dim() {
-                                return Err(BatchRejected {
-                                    index,
-                                    error: LiveError::DimMismatch {
-                                        token: token.clone(),
-                                        got: row.len(),
-                                        expected: emb.dim(),
-                                    },
-                                });
-                            }
-                        }
+                        check_rows(vectors, emb.dim())
+                            .map_err(|error| BatchRejected { index, error })?;
                     }
                     next_id += 1;
                 }
@@ -583,12 +573,17 @@ mod tests {
         assert!(Arc::ptr_eq(live.repository(), &repo));
 
         // Dimension mismatch is caught before any mutation too.
-        let bad = vec![CorpusOp::Insert {
-            name: "badrow".into(),
-            tokens: vec!["Nope".into()],
-            vectors: vec![("Nope".into(), vec![1.0; 7])],
-        }];
-        let err = live.apply(&bad).unwrap_err();
+        let bad_row = |row: Vec<f32>| {
+            vec![
+                CorpusOp::insert("good", ["LA"]),
+                CorpusOp::Insert {
+                    name: "badrow".into(),
+                    tokens: vec!["Nope".into()],
+                    vectors: vec![("Nope".into(), row)],
+                },
+            ]
+        };
+        let err = live.apply(&bad_row(vec![1.0; 7])).unwrap_err();
         assert!(matches!(
             err.error,
             LiveError::DimMismatch {
@@ -597,6 +592,19 @@ mod tests {
                 ..
             }
         ));
+
+        // So is a row with an infinite or NaN value.
+        for poison in [f32::INFINITY, f32::NAN] {
+            let mut row = vec![0.25; 16];
+            row[3] = poison;
+            let err = live.apply(&bad_row(row)).unwrap_err();
+            assert_eq!(err.index, 1);
+            assert!(matches!(&err.error, LiveError::NonFinite { token } if token == "Nope"));
+            assert_eq!(live.epoch(), 0);
+            assert_eq!(live.repository().num_sets(), 4);
+            assert_eq!(live.repository().num_live_sets(), 4);
+            assert!(Arc::ptr_eq(live.repository(), &repo));
+        }
 
         // Double-remove within one batch is a batch error.
         let bad = vec![CorpusOp::remove(SetId(0)), CorpusOp::remove(SetId(0))];

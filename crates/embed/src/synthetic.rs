@@ -129,12 +129,6 @@ impl SyntheticEmbeddings {
         self
     }
 
-    /// Like [`Self::synonyms`] for already-interned tokens.
-    pub fn synonym_tokens(mut self, groups: Vec<Vec<TokenId>>) -> Self {
-        self.groups.extend(groups);
-        self
-    }
-
     /// Generates the embedding table for the current vocabulary of `repo`.
     pub fn build(&self, repo: &Repository) -> Embeddings {
         self.build_with_clusters(repo).0

@@ -51,7 +51,7 @@
 //!
 //! Storage is the workspace's striped LRU
 //! ([`koios_common::cache::StripedLru`]) with `list_bytes` weights against a
-//! byte budget: the budget, the recency order and the TTL are global across
+//! byte budget: the budget and the recency order are global across
 //! stripes, every lock is a leaf, and admission is decided under the
 //! stripe lock — the contract is stated once, on the core. This module owns
 //! only what is token-specific: the key, the weights, the coverage rule,
@@ -66,7 +66,6 @@ use koios_embed::sim::ElementSimilarity;
 use koios_telemetry::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
 
 /// A complete per-element kNN list: `(similarity, token)` descending by
 /// similarity, ties by ascending token id — exactly the emission order of
@@ -228,24 +227,6 @@ impl TokenKnnCache {
             // Tag 0 is the untagged namespace of bare `CachedKnn::new`.
             next_sim_tag: AtomicU64::new(1),
         }
-    }
-
-    /// Gives entries a time-to-live (builder style, before the cache is
-    /// shared): a probe that finds an entry at least `ttl` old evicts it
-    /// and misses, so stale similarity lists age out even without memory
-    /// pressure — the knob long-lived services use when embeddings are
-    /// refreshed out of band on a schedule rather than via an explicit
-    /// [`Self::bump_generation`]. `None` (the default) keeps entries until
-    /// displaced or invalidated. Expiries are counted in
-    /// [`KnnCacheCounters::expirations`] (each is also a miss).
-    pub fn with_ttl(mut self, ttl: Option<Duration>) -> Self {
-        self.lru = self.lru.with_ttl(ttl);
-        self
-    }
-
-    /// The entry time-to-live, if one was configured.
-    pub fn ttl(&self) -> Option<Duration> {
-        self.lru.ttl()
     }
 
     /// Installs a histogram that records, in nanoseconds, the time each
@@ -1120,46 +1101,6 @@ mod tests {
         assert_eq!(cache.len(), 1, "budget holds one list");
         assert!(cache.counters().evictions >= 1);
         assert!(cache.bytes() <= cache.budget_bytes());
-    }
-
-    #[test]
-    fn ttl_expires_entries_at_probe_time() {
-        let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20).with_ttl(Some(Duration::ZERO)));
-        assert_eq!(cache.ttl(), Some(Duration::ZERO));
-        let mut a = cached(&cache, &sim, &q, vocab, 0.3);
-        let fresh = drain(&mut a, 0);
-        assert!(!fresh.is_empty());
-        assert_eq!(cache.len(), 1, "entry is stored until probed");
-        // A zero TTL makes every later probe find an expired entry: it is
-        // evicted, counted, and the prober recomputes identically.
-        let mut b = cached(&cache, &sim, &q, vocab, 0.3);
-        assert_eq!(drain(&mut b, 0), fresh);
-        assert_eq!(b.search_stats().hits, 0);
-        assert_eq!(b.search_stats().misses, 1);
-        let c = cache.counters();
-        assert_eq!(c.expirations, 1);
-        // Two misses total: the cold fill, then the expiry-as-miss.
-        assert_eq!(c.misses, 2);
-        assert!(cache.bytes() <= cache.budget_bytes());
-    }
-
-    #[test]
-    fn generous_ttl_never_expires() {
-        let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20).with_ttl(Some(Duration::from_secs(3600))));
-        let mut a = cached(&cache, &sim, &q, vocab, 0.3);
-        drain(&mut a, 0);
-        let mut b = cached(&cache, &sim, &q, vocab, 0.3);
-        drain(&mut b, 0);
-        assert_eq!(b.search_stats().hits, 1);
-        assert_eq!(cache.counters().expirations, 0);
-    }
-
-    #[test]
-    fn no_ttl_is_the_default() {
-        let cache = TokenKnnCache::new(1 << 20);
-        assert_eq!(cache.ttl(), None);
     }
 
     #[test]

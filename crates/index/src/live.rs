@@ -54,6 +54,11 @@ pub enum LiveError {
         /// The embedding table's dimensionality.
         expected: usize,
     },
+    /// An embedding row holds an infinite or NaN value.
+    NonFinite {
+        /// The token the row was supplied for.
+        token: String,
+    },
 }
 
 impl std::fmt::Display for LiveError {
@@ -74,11 +79,36 @@ impl std::fmt::Display for LiveError {
                 f,
                 "embedding row for {token:?} has {got} values, table dimensionality is {expected}"
             ),
+            LiveError::NonFinite { token } => {
+                write!(f, "embedding row for {token:?} has a non-finite value")
+            }
         }
     }
 }
 
 impl std::error::Error for LiveError {}
+
+/// Checks the rows of an insert against a table of dimensionality `dim`:
+/// each must have `dim` values, every one finite. A single non-finite
+/// value would raise the table's scan bound to `+∞`, so every later
+/// vocabulary scan would score every row.
+pub fn check_rows(vectors: &[(String, Vec<f32>)], dim: usize) -> Result<(), LiveError> {
+    for (token, row) in vectors {
+        if row.len() != dim {
+            return Err(LiveError::DimMismatch {
+                token: token.clone(),
+                got: row.len(),
+                expected: dim,
+            });
+        }
+        if !row.iter().all(|v| v.is_finite()) {
+            return Err(LiveError::NonFinite {
+                token: token.clone(),
+            });
+        }
+    }
+    Ok(())
+}
 
 /// Applies one [`CorpusOp`] to a repository plus its derived state.
 ///
@@ -112,15 +142,7 @@ pub fn apply_op(
             vectors,
         } => {
             if let Some(emb) = embeddings.as_deref() {
-                for (token, row) in vectors {
-                    if row.len() != emb.dim() {
-                        return Err(LiveError::DimMismatch {
-                            token: token.clone(),
-                            got: row.len(),
-                            expected: emb.dim(),
-                        });
-                    }
-                }
+                check_rows(vectors, emb.dim())?;
             }
             let vocab_before = repo.vocab_size();
             let id = repo.append_set(name, tokens);
@@ -254,23 +276,37 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, LiveError::UnknownSet(SetId(99)));
 
-        let err = apply_op(
-            &mut repo,
-            Some(&mut emb),
-            &mut [&mut index],
-            None,
-            &|_| 0,
-            &CorpusOp::Insert {
-                name: "bad".into(),
-                tokens: vec!["zz".into()],
-                vectors: vec![("zz".into(), vec![1.0, 2.0, 3.0])],
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, LiveError::DimMismatch { .. }), "{err}");
-        assert_eq!(repo.num_sets(), sets_before);
-        assert_eq!(repo.vocab_size(), vocab_before);
-        assert_eq!(emb.vocab(), vocab_before);
+        let non_finite = LiveError::NonFinite { token: "zz".into() };
+        for (row, expected) in [
+            (
+                vec![1.0, 2.0, 3.0],
+                LiveError::DimMismatch {
+                    token: "zz".into(),
+                    got: 3,
+                    expected: 2,
+                },
+            ),
+            (vec![f32::INFINITY, 0.0], non_finite.clone()),
+            (vec![0.6, f32::NAN], non_finite),
+        ] {
+            let err = apply_op(
+                &mut repo,
+                Some(&mut emb),
+                &mut [&mut index],
+                None,
+                &|_| 0,
+                &CorpusOp::Insert {
+                    name: "bad".into(),
+                    tokens: vec!["zz".into()],
+                    vectors: vec![("zz".into(), row)],
+                },
+            )
+            .unwrap_err();
+            assert_eq!(err, expected, "{err}");
+            assert_eq!(repo.num_sets(), sets_before);
+            assert_eq!(repo.vocab_size(), vocab_before);
+            assert_eq!(emb.vocab(), vocab_before);
+        }
     }
 
     #[test]

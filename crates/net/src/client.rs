@@ -50,10 +50,12 @@ impl From<HttpError> for NetError {
 /// A status code plus the decoded JSON body.
 pub type JsonReply = (u16, Json);
 
+/// Per-read socket timeout of every client connection.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// A blocking client bound to one server address.
 pub struct KoiosClient {
     addr: SocketAddr,
-    timeout: Option<Duration>,
     traceparent: Option<String>,
     conn: Option<BufReader<TcpStream>>,
 }
@@ -64,17 +66,9 @@ impl KoiosClient {
     pub fn new(addr: SocketAddr) -> Self {
         KoiosClient {
             addr,
-            timeout: Some(Duration::from_secs(30)),
             traceparent: None,
             conn: None,
         }
-    }
-
-    /// Sets the per-read socket timeout (default 30 s; `None` blocks
-    /// indefinitely).
-    pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.timeout = timeout;
-        self
     }
 
     /// Attaches a `traceparent` header to every subsequent request (see
@@ -270,7 +264,7 @@ impl KoiosClient {
         if self.conn.is_none() {
             let fresh = (|| {
                 let stream = TcpStream::connect(self.addr)?;
-                stream.set_read_timeout(self.timeout)?;
+                stream.set_read_timeout(Some(READ_TIMEOUT))?;
                 stream.set_nodelay(true)?;
                 Ok::<TcpStream, io::Error>(stream)
             })()

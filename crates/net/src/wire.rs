@@ -320,7 +320,6 @@ pub fn stats_to_json(st: &ServiceStats) -> Json {
             ("generation", Json::num(tc.generation as f64)),
             ("hits", Json::num(tc.counters.hits as f64)),
             ("misses", Json::num(tc.counters.misses as f64)),
-            ("expirations", Json::num(tc.counters.expirations as f64)),
         ]),
     };
     let snapshot = match &st.snapshot {
@@ -355,7 +354,6 @@ pub fn stats_to_json(st: &ServiceStats) -> Json {
                 ("evictions", Json::num(st.cache.evictions as f64)),
                 ("invalidations", Json::num(st.cache.invalidations as f64)),
                 ("insertions", Json::num(st.cache.insertions as f64)),
-                ("expirations", Json::num(st.cache.expirations as f64)),
             ]),
         ),
         ("token_cache", token_cache),

@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
-/// Tunables of a [`SearchService`]: seven settable values — pool width,
-/// the two cache budgets and their TTLs, the slow-query log and tracing.
+/// Tunables of a [`SearchService`]: five settable values — pool width,
+/// the two cache budgets, the slow-query log and tracing.
 ///
 /// Deadlines are per request ([`SearchRequest::time_budget`]); a request
 /// without one runs to completion.
@@ -41,19 +41,10 @@ pub struct ServiceConfig {
     /// per-element similarity lists across *overlapping* queries, cutting
     /// the kNN/refinement work that dominates search time. The two caches
     /// compose: a result hit skips the search entirely, a token hit makes
-    /// the search it cannot skip cheaper.
+    /// the search it cannot skip cheaper. The service always creates this
+    /// cache itself; a cache carried in the engine's configuration is
+    /// replaced by it.
     pub token_cache_bytes: usize,
-    /// Time-to-live of result-cache entries; a probe that finds an older
-    /// entry evicts it and misses. `None` (the default) keeps entries until
-    /// displaced or invalidated.
-    pub result_ttl: Option<Duration>,
-    /// Time-to-live of token-cache entries (the per-element kNN lists):
-    /// a probe that finds an older list evicts it, counts an expiration
-    /// and recomputes. `None` (the default) keeps lists until displaced or
-    /// invalidated. Only applies to the cache the service creates itself —
-    /// a backend-supplied [`TokenKnnCache`] keeps whatever TTL it was
-    /// built with.
-    pub token_cache_ttl: Option<Duration>,
     /// Structured slow-query logging: requests whose end-to-end latency
     /// (queue + search) crosses the configured threshold emit one JSON
     /// line through the configured sink (see [`SlowQueryLog`]). `None`
@@ -78,8 +69,6 @@ impl Default for ServiceConfig {
             workers: 0,
             cache_capacity: 1024,
             token_cache_bytes: 16 << 20,
-            result_ttl: None,
-            token_cache_ttl: None,
             slow_query_log: None,
             tracing: Some(TraceConfig::default()),
         }
@@ -88,7 +77,7 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// Starts from the defaults (auto-sized pool, 1024-entry result cache,
-    /// 16 MiB token cache, no TTLs, no slow-query log, tracing on).
+    /// 16 MiB token cache, no slow-query log, tracing on).
     pub fn new() -> Self {
         Self::default()
     }
@@ -108,18 +97,6 @@ impl ServiceConfig {
     /// Sets the token-level kNN cache byte budget (`0` disables it).
     pub fn with_token_cache_bytes(mut self, bytes: usize) -> Self {
         self.token_cache_bytes = bytes;
-        self
-    }
-
-    /// Sets the result-cache entry time-to-live.
-    pub fn with_result_ttl(mut self, ttl: Duration) -> Self {
-        self.result_ttl = Some(ttl);
-        self
-    }
-
-    /// Sets the token-cache entry time-to-live (per-element kNN lists).
-    pub fn with_token_cache_ttl(mut self, ttl: Duration) -> Self {
-        self.token_cache_ttl = Some(ttl);
         self
     }
 
@@ -294,7 +271,6 @@ impl CacheView {
             ("miss", "misses", n.misses),
             ("eviction", "evictions", n.evictions),
             ("insertion", "insertions", n.insertions),
-            ("expiration", "expirations", n.expirations),
             ("invalidation", "invalidations", n.invalidations),
         ]
         .into_iter()
@@ -460,16 +436,14 @@ impl SearchService {
     /// surface — [`SearchService::ingest`], [`SearchService::snapshot_to`]
     /// and [`SearchService::reload`].
     ///
-    /// The token cache is resolved on the engine's configuration, so every
-    /// backend minted across mutations reuses one [`TokenKnnCache`] (its
-    /// lists replay across batches wherever they still cover the
-    /// vocabulary, see [`SearchService::ingest`]), shared by every
-    /// worker, every per-request config override and every shard engine
-    /// (sound: the `(token, α, generation)` cache key is query- and
-    /// shard-agnostic). When `cfg.token_cache_bytes` is non-zero and the
-    /// engine carries no cache, one is created; an engine-supplied cache is
-    /// kept (its own byte budget wins); `0` disables token caching even
-    /// then, by stripping the cache from the engine configuration.
+    /// The service creates one [`TokenKnnCache`] of
+    /// `cfg.token_cache_bytes` (`0`: none) and installs it on the engine's
+    /// configuration, replacing any cache the engine carried, so every
+    /// backend minted across mutations reuses it (its lists replay across
+    /// batches wherever they still cover the vocabulary, see
+    /// [`SearchService::ingest`]), shared by every worker, every
+    /// per-request config override and every shard engine (sound: the
+    /// `(token, α, generation)` cache key is query- and shard-agnostic).
     pub fn from_mutable(engine: MutableEngine, cfg: ServiceConfig) -> Self {
         Self::build(engine, cfg, None)
     }
@@ -510,14 +484,11 @@ impl SearchService {
         } else {
             cfg.workers
         };
-        // The engine mints every future backend with the resolved cache,
+        // The engine mints every future backend with the service's cache,
         // so mutation invalidation and cache sharing stay coherent across
         // swaps.
-        let token_cache = (cfg.token_cache_bytes > 0).then(|| {
-            engine.config().token_cache.clone().unwrap_or_else(|| {
-                Arc::new(TokenKnnCache::new(cfg.token_cache_bytes).with_ttl(cfg.token_cache_ttl))
-            })
-        });
+        let token_cache = (cfg.token_cache_bytes > 0)
+            .then(|| Arc::new(TokenKnnCache::new(cfg.token_cache_bytes)));
         engine.set_token_cache(token_cache.clone());
         let backend = engine.backend();
         let metrics = ServiceMetrics::new();
@@ -536,7 +507,7 @@ impl SearchService {
         if let Some(tc) = &token_cache {
             tc.install_lock_wait(Arc::clone(&metrics.lock_wait_token));
         }
-        let cache = StripedLru::new(cfg.cache_capacity).with_ttl(cfg.result_ttl);
+        let cache = StripedLru::new(cfg.cache_capacity);
         let lock_wait = Arc::clone(&metrics.lock_wait_result);
         cache.install_lock_wait(Arc::new(move |wait| lock_wait.record_duration(wait)));
         let (snapshot, snapshot_path) = snapshot.unzip();
@@ -1624,12 +1595,15 @@ mod tests {
         let mut b = RepositoryBuilder::new();
         b.add_set("s0", ["a", "b"]);
         let repo = Arc::new(b.build());
-        let engine = single(
-            &repo,
-            KoiosConfig::new(1, 0.9).with_token_cache(Arc::new(TokenKnnCache::new(1 << 20))),
-        );
+        let supplied = Arc::new(TokenKnnCache::new(1 << 20));
+        let engine = || {
+            single(
+                &repo,
+                KoiosConfig::new(1, 0.9).with_token_cache(Arc::clone(&supplied)),
+            )
+        };
         let svc = SearchService::from_mutable(
-            engine,
+            engine(),
             ServiceConfig::new()
                 .with_workers(1)
                 .with_token_cache_bytes(0),
@@ -1642,6 +1616,25 @@ mod tests {
         let q = repo.intern_query(["a", "b"]);
         let r = svc.search(SearchRequest::new(q));
         assert_eq!(r.result.stats.knn_cache, Default::default());
+
+        // A non-zero budget replaces the supplied cache with the service's
+        // own, sized by `token_cache_bytes` and carried by every backend.
+        let svc = SearchService::from_mutable(
+            engine(),
+            ServiceConfig::new()
+                .with_workers(1)
+                .with_token_cache_bytes(4 << 10),
+        );
+        let own = svc.token_cache().expect("enabled");
+        assert_eq!(own.budget_bytes(), 4 << 10);
+        assert!(!Arc::ptr_eq(own, &supplied));
+        let minted = svc
+            .backend()
+            .config()
+            .token_cache
+            .clone()
+            .expect("installed");
+        assert!(Arc::ptr_eq(&minted, own));
     }
 
     #[test]
@@ -1665,28 +1658,6 @@ mod tests {
             tc.counters.hits > 0,
             "later requests reuse earlier lists: {tc:?}"
         );
-    }
-
-    #[test]
-    fn token_cache_ttl_expires_lists() {
-        let (repo, _) = service(1, 8);
-        let svc = SearchService::from_mutable(
-            single(&repo, KoiosConfig::new(2, 0.9)),
-            ServiceConfig::new()
-                .with_workers(1)
-                .with_cache_capacity(0)
-                .with_token_cache_ttl(Duration::ZERO),
-        );
-        assert_eq!(svc.token_cache().unwrap().ttl(), Some(Duration::ZERO));
-        let q = repo.intern_query(["a", "b"]);
-        let first = svc.search(SearchRequest::new(q.clone()));
-        // Every repeat probe finds only expired lists: recompute, identical
-        // results, expirations counted.
-        let second = svc.search(SearchRequest::new(q));
-        assert_eq!(second.result.hits, first.result.hits);
-        assert_eq!(second.result.stats.knn_cache.hits, 0);
-        let tc = svc.stats().token_cache.expect("enabled");
-        assert!(tc.counters.expirations >= 2, "{:?}", tc.counters);
     }
 
     #[test]

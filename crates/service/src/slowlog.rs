@@ -70,11 +70,6 @@ impl SlowQueryLog {
         ))
     }
 
-    /// Logs to standard error (one line per slow query).
-    pub fn to_stderr(threshold: Duration) -> Self {
-        Self::new(threshold, Arc::new(|line| eprintln!("{line}")))
-    }
-
     /// The configured latency threshold.
     pub fn threshold(&self) -> Duration {
         self.threshold

@@ -628,6 +628,13 @@ fn decode_embeddings(payload: &[u8], repo_vocab: usize) -> Result<Embeddings, St
             "trailing bytes in embeddings section".to_string(),
         ));
     }
+    // Absent rows hold zeroes, so this checks exactly the stored values.
+    if let Some(at) = data.iter().position(|v| !v.is_finite()) {
+        return Err(StoreError::Malformed(format!(
+            "embedding row for token {} has a non-finite value",
+            at / dim
+        )));
+    }
     Ok(Embeddings::from_raw(dim, data, present))
 }
 
@@ -1650,5 +1657,31 @@ mod tests {
         let err = read_snapshot(&path).unwrap_err();
         assert!(matches!(err, StoreError::Malformed(_)), "{err}");
         assert!(err.to_string().contains("replay"));
+
+        // A row carrying NaN decodes fine but cannot replay either.
+        write_sample_base(&path);
+        let op = CorpusOp::Insert {
+            name: "valley".into(),
+            tokens: vec!["Fresno".into()],
+            vectors: vec![("Fresno".into(), vec![0.1, f32::NAN, 0.3, 0.4])],
+        };
+        append_delta(&path, &[op], 1).unwrap();
+        let err = read_snapshot(&path).unwrap_err();
+        assert!(matches!(err, StoreError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("non-finite"), "{err}");
+
+        // The base decoder holds a stored table to the same rule.
+        let (repo, mut emb, index) = sample();
+        emb.set_raw_row(TokenId(1), &[0.5, f32::NAN, 0.0, 0.0]);
+        let view = SnapshotView {
+            repository: &repo,
+            embeddings: Some(&emb),
+            layout: SnapshotLayout::Single,
+            indexes: vec![&index],
+        };
+        write_snapshot(&path, &view).unwrap();
+        let err = read_snapshot(&path).unwrap_err();
+        assert!(matches!(err, StoreError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("token 1"), "{err}");
     }
 }

@@ -222,8 +222,8 @@ fn main() {
         stats.get("sets_added").unwrap().as_u64().unwrap(),
     );
     // Prometheus scrape: the same registry an operator would poll. The
-    // CI smoke gate greps this output for the stage/queue/lock-wait
-    // series, so keep the highlight prefixes in sync with ci.yml.
+    // CI smoke gate greps this output for the stage/queue/lock-wait and
+    // cache-op series, so keep the highlight prefixes in sync with ci.yml.
     let (status, text) = client.metrics().expect("metrics");
     let highlights = [
         "koios_stage_seconds_count",
@@ -231,6 +231,7 @@ fn main() {
         "koios_queue_depth",
         "koios_queue_wait_seconds_count",
         "koios_lock_wait_seconds_count",
+        "koios_cache_ops_total",
         "koios_request_seconds_count",
         "koios_trace_exemplar_ns",
     ];

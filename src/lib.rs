@@ -26,9 +26,9 @@
 //! requests on a persistent worker pool fed by a submission queue
 //! (submit-then-await via [`submit`](service::SearchService::submit), or
 //! batch via [`search_batch`](service::SearchService::search_batch)),
-//! enforces per-request deadlines, answers repeated queries from a
-//! TTL-aware LRU result cache, and shares complete per-element kNN lists
-//! across *overlapping* queries through a
+//! enforces per-request deadlines, answers repeated queries from an LRU
+//! result cache keyed by corpus epoch, and shares complete per-element
+//! kNN lists across *overlapping* queries through a
 //! [`TokenKnnCache`](index::knn_cache::TokenKnnCache) (see
 //! `ARCHITECTURE.md` for the seam). To serve remote clients, put a
 //! [`KoiosServer`](net::KoiosServer) in front of the service: a

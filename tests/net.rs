@@ -13,6 +13,14 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 
+/// An object's keys, in wire order.
+fn keys(j: &Json) -> Vec<&str> {
+    match j {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("expected an object, got {other}"),
+    }
+}
+
 fn corpus_parts() -> (Arc<Repository>, Arc<Embeddings>) {
     let corpus = Corpus::generate(CorpusSpec::small(11));
     (Arc::new(corpus.repository), Arc::new(corpus.embeddings))
@@ -208,7 +216,14 @@ fn cache_lifecycle_over_http() {
     assert_eq!(stats.get("searched").unwrap().as_u64(), Some(2));
     let rc = stats.get("result_cache").unwrap();
     assert_eq!(rc.get("invalidations").unwrap().as_u64(), Some(1));
-    assert!(stats.get("token_cache").unwrap().get("entries").is_some());
+    assert_eq!(
+        keys(rc),
+        ["hits", "misses", "evictions", "invalidations", "insertions"]
+    );
+    assert_eq!(
+        keys(stats.get("token_cache").unwrap()),
+        ["entries", "bytes", "generation", "hits", "misses"]
+    );
     assert_eq!(stats.get("partitions").unwrap().as_u64(), Some(1));
 }
 
@@ -591,12 +606,8 @@ fn debug_suite_round_trips_on_both_backends() {
         // /debug/engine: corpus and per-partition index stats, no MinHash.
         let (status, engine) = client.debug_engine().unwrap();
         assert_eq!(status, 200, "{label}");
-        let Json::Obj(fields) = &engine else {
-            panic!("{label}: /debug/engine is not an object: {engine}");
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            keys,
+            keys(&engine),
             [
                 "epoch",
                 "partitions",
@@ -661,6 +672,13 @@ fn debug_suite_round_trips_on_both_backends() {
         // Each cache is rendered from one snapshot, so the token cache's
         // stripe rows sum to the totals printed beside them as well.
         let tc = cache.get("token").unwrap();
+        let counters = ["hits", "misses", "evictions", "insertions", "invalidations"];
+        assert_eq!(keys(rc.get("counters").unwrap()), counters, "{label}");
+        assert_eq!(
+            keys(tc.get("counters").unwrap()),
+            [&counters[..], &["rejected_inserts"]].concat(),
+            "{label}"
+        );
         for field in ["entries", "bytes"] {
             let rows = tc.get("stripes").unwrap().as_array().unwrap().iter();
             let sum: u64 = rows.map(|s| s.get(field).unwrap().as_u64().unwrap()).sum();
@@ -739,12 +757,6 @@ fn explain_funnel_wire_shape_is_pinned() {
         "em_verified",
         "returned",
     ];
-    fn keys(j: &Json) -> Vec<&str> {
-        match j {
-            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
-            other => panic!("expected an object, got {other}"),
-        }
-    }
     let num = |j: &Json, key: &str| j.get(key).unwrap().as_u64().unwrap();
 
     let (repo, emb) = corpus_parts();

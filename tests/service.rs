@@ -367,45 +367,6 @@ fn shutdown_drains_in_flight_tickets() {
     assert_eq!(batch[0].result.hits, expected[1]);
 }
 
-/// `ServiceConfig::result_ttl` bounds staleness: within the TTL a repeat
-/// hits, past it the entry expires (counted, evicted) and the service
-/// searches again.
-#[test]
-fn result_ttl_expires_cached_entries() {
-    let (repo, emb) = corpus_parts(7);
-    let cfg = KoiosConfig::new(5, 0.8);
-    let engine =
-        MutableEngine::single(Arc::clone(&repo), Some(emb), cfg, cosine_factory()).unwrap();
-    let service = SearchService::from_mutable(
-        engine,
-        ServiceConfig::new()
-            .with_workers(1)
-            .with_cache_capacity(16)
-            .with_result_ttl(Duration::from_millis(80)),
-    );
-    let q = repo.set(SetId(4)).to_vec();
-
-    let miss = service.search(SearchRequest::new(q.clone()));
-    assert_eq!(miss.cache, CacheOutcome::Miss);
-    let hit = service.search(SearchRequest::new(q.clone()));
-    assert_eq!(hit.cache, CacheOutcome::Hit, "fresh entry within TTL");
-
-    std::thread::sleep(Duration::from_millis(120));
-    let expired = service.search(SearchRequest::new(q.clone()));
-    assert_eq!(expired.cache, CacheOutcome::Miss, "entry aged out");
-    assert_eq!(
-        expired.result.hits, miss.result.hits,
-        "same answer, recomputed"
-    );
-    let stats = service.stats();
-    assert_eq!(stats.cache.expirations, 1);
-    assert_eq!(stats.searched, 2);
-
-    // The refill is cached again.
-    let rehit = service.search(SearchRequest::new(q));
-    assert_eq!(rehit.cache, CacheOutcome::Hit);
-}
-
 /// Mixed batches keep submission order even when some requests reject.
 #[test]
 fn mixed_batch_keeps_order_and_isolation() {
