@@ -6,7 +6,7 @@
 //! under a shared `θlb` (paper §VI, Fig. 7a). [`EngineBackend`] is that
 //! seam: both variants expose the same configuration plumbing (cheap
 //! `with_config` siblings for per-request `k`/`α` overrides, one
-//! [`KoiosConfig::token_cache`] shared by every shard) and the same
+//! [`KoiosConfig::token_cache`] probed once per query element) and the same
 //! deadline-aware search entry points, so the layers above are
 //! backend-transparent — identical queries produce identical scores and
 //! identical cache keys on either variant.

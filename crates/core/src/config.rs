@@ -26,15 +26,14 @@ pub struct KoiosConfig {
     /// instead of pulling by upper bound — the cost model of the paper's
     /// exhaustive Baseline/Baseline+ (§VIII-A4). Off for Koios proper.
     pub verify_all: bool,
-    /// Shared token-level kNN cache. When set, [`crate::Koios::search`]
-    /// wraps its kNN source in a
-    /// [`CachedKnn`](koios_index::knn_cache::CachedKnn) so complete
-    /// per-element similarity lists are reused across searches that share
-    /// query elements (same `(token, α)`). `None` (the default) scans
-    /// fresh every time. Cloning a config shares the cache — sibling
-    /// engines ([`crate::Koios::with_config`], partition engines) hit the
-    /// same entries, which is sound because per-element lists are
-    /// query- and partition-independent.
+    /// Shared token-level kNN cache. When set, a search fetches its lists
+    /// through it ([`koios_index::knn::lists`]), so complete per-element
+    /// similarity lists are reused across searches that share query
+    /// elements (same `(token, α)`). `None` (the default) scans fresh
+    /// every time. Cloning a config shares the cache — sibling engines
+    /// ([`crate::Koios::with_config`]) hit the same entries, which is
+    /// sound because per-element lists are query-independent. A
+    /// partitioned engine fetches once per query for all its shards.
     pub token_cache: Option<Arc<TokenKnnCache>>,
     /// Corpus epoch this engine serves. `0` for a freshly built corpus;
     /// the mutable engine (`crate::MutableEngine`) bumps it once per

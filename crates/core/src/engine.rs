@@ -1,7 +1,15 @@
 //! The Koios search engine: refinement + post-processing glued together.
+//!
+//! A search fetches every query element's complete kNN list once
+//! ([`koios_index::knn::lists`], through the token cache when the
+//! configuration has one). The lists serve twice: the token stream replays
+//! them for refinement, and the query's α-graph ([`QueryEdges`]) built
+//! from them is what post-processing verifies from. A partitioned engine
+//! does the fetch and the build once per query and hands both to every
+//! shard.
 
 use crate::config::KoiosConfig;
-use crate::overlap::semantic_overlap;
+use crate::overlap::{semantic_overlap, QueryEdges};
 use crate::postprocess::postprocess;
 use crate::refine::{refine, RefineOutput};
 use crate::result::SearchResult;
@@ -11,8 +19,8 @@ use koios_common::{HeapSize, SetId, TokenId};
 use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use koios_index::inverted::InvertedIndex;
-use koios_index::knn::ExactScanKnn;
-use koios_index::knn_cache::CachedKnn;
+use koios_index::knn::{lists, ExactScanKnn, KnnList, KnnSource};
+use koios_index::knn_cache::KnnCacheSearchStats;
 use koios_index::token_stream::TokenStream;
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,10 +29,12 @@ use std::time::Instant;
 ///
 /// A search runs the paper's Fig. 2 pipeline, stage by stage:
 ///
-/// 1. **Token stream `Ie`** ([`koios_index::token_stream`]): per-query-
-///    element kNN sources — optionally wrapped by the shared token cache,
-///    see [`KoiosConfig::token_cache`] — merged into one globally
-///    descending `(query element, token, similarity)` stream (§IV).
+/// 1. **Token stream `Ie`** ([`koios_index::token_stream`]): every query
+///    element's complete kNN list, fetched once — through the shared token
+///    cache when there is one, see [`KoiosConfig::token_cache`] — and
+///    merged into one globally descending `(query element, token,
+///    similarity)` stream (§IV). The lists also give the query's α-graph
+///    ([`QueryEdges`]) that verification reads.
 /// 2. **Refinement filters** ([`crate::refine`]): stream tuples discover
 ///    candidates through the inverted index `Is` and maintain incremental
 ///    lower/upper bounds; the UB-filter (Lemma 2) and the bucketised
@@ -109,7 +119,7 @@ impl Koios {
     /// Runs a top-k search for `query` (token ids from
     /// [`Repository::intern_query`]).
     pub fn search(&self, query: &[TokenId]) -> SearchResult {
-        self.search_shared(query, &SharedTheta::new(), None)
+        self.search_with_deadline(query, None)
     }
 
     /// Runs a top-k search that must finish by `deadline`, an absolute
@@ -119,60 +129,44 @@ impl Koios {
     /// Serving layers use this to make a request deadline cover queue time
     /// plus search time without mutating the engine configuration. Expiry
     /// returns partial results with `stats.timed_out = true`.
+    ///
+    /// The query's lists are fetched once ([`koios_index::knn::lists`],
+    /// through the configuration's [`KoiosConfig::token_cache`] when it
+    /// has one), the stream replays them, and post-processing verifies
+    /// from the [`QueryEdges`] built from them instead of recomputing
+    /// similarities. The fetch counts into `refine_time`.
     pub fn search_with_deadline(
         &self,
         query: &[TokenId],
         deadline: Option<Instant>,
     ) -> SearchResult {
-        self.search_shared(query, &SharedTheta::new(), deadline)
+        let started = Instant::now();
+        let q = normalize(query);
+        let (lists, knn_cache) = fetch_lists(&self.repo, &self.sim, &self.cfg, &q);
+        let edges = query_edges(&lists);
+        let source = ExactScanKnn::replay(lists.into());
+        let theta = SharedTheta::new();
+        let mut result = self.run(&q, source, Some(&edges), &theta, deadline, started);
+        result.stats.knn_cache = knn_cache;
+        result
     }
 
-    /// Runs a search that publishes and consumes the shared pruning
-    /// threshold `θlb` under an absolute `deadline` — the partitioned-search
-    /// entry point (§VI): one query-wide deadline reaches every shard this
-    /// way, so no shard can overrun the budget the merge phase still has to
-    /// fit into.
-    ///
-    /// The default kNN source is an [`ExactScanKnn`]; when the
-    /// configuration carries a [`KoiosConfig::token_cache`], the source is
-    /// wrapped in a [`CachedKnn`] so per-element similarity lists are
-    /// shared with every other search using the same cache. The source is
-    /// exact (cached lists are complete replays of it), so post-processing
-    /// verifies from the edges refinement drained
-    /// ([`crate::overlap::QueryEdges`]) instead of recomputing similarities.
-    pub(crate) fn search_shared(
+    /// One shard of a partitioned search (§VI): replays the lists and
+    /// verifies from the edges the partitioned engine fetched and built
+    /// once for the whole query (`q` sorted and deduplicated), publishing
+    /// and consuming the shared pruning threshold `θlb` under the
+    /// query-wide `deadline`, so no shard can overrun the budget the merge
+    /// phase still has to fit into.
+    pub(crate) fn search_shard(
         &self,
-        query: &[TokenId],
+        q: &[TokenId],
+        lists: Arc<[KnnList]>,
+        edges: &QueryEdges,
         theta: &SharedTheta,
         deadline: Option<Instant>,
     ) -> SearchResult {
-        let mut q = query.to_vec();
-        q.sort_unstable();
-        q.dedup();
-        let vocab = self.repo.vocab_size();
-        let knn = ExactScanKnn::new(Arc::clone(&self.sim), q.clone(), vocab, self.cfg.alpha);
-        match &self.cfg.token_cache {
-            Some(cache) => {
-                // Tag entries with this engine's similarity identity so a
-                // cache shared across engines over *different* metrics can
-                // never replay the wrong lists. Clones, config siblings and
-                // partition engines share the same `Arc`, so they keep
-                // sharing entries.
-                let sim_tag = cache.sim_tag(&self.sim);
-                let sim = Arc::clone(&self.sim);
-                let knn = CachedKnn::new(
-                    Arc::clone(cache),
-                    sim,
-                    vocab,
-                    q.clone(),
-                    self.cfg.alpha,
-                    knn,
-                )
-                .with_sim_tag(sim_tag);
-                self.run(q, knn, theta, deadline, true)
-            }
-            None => self.run(q, knn, theta, deadline, true),
-        }
+        let source = ExactScanKnn::replay(lists);
+        self.run(q, source, Some(edges), theta, deadline, Instant::now())
     }
 
     /// Runs a search over a caller-provided kNN source (§IV: "any index
@@ -183,37 +177,30 @@ impl Koios {
     /// recall. `query` must be sorted and deduplicated, and the source must
     /// have been built for exactly this query vector.
     ///
-    /// This is also the **cache seam**: the stream is index-agnostic, so a
-    /// [`CachedKnn`] decorator wrapping any exact source slots in here
-    /// without the refinement or post-processing stages noticing — cached
-    /// lists are complete (never truncated mid-stream) and replay in the
-    /// exact emission order, preserving exact top-k semantics. When the
-    /// source reports cache counters
-    /// ([`koios_index::knn::KnnSource::cache_counters`]), they are folded
-    /// into [`SearchStats::knn_cache`](crate::stats::SearchStats::knn_cache).
-    ///
     /// Because the source may be approximate, verification here never
     /// trusts the stream's edges: every exact matching recomputes its
     /// similarity matrix through the engine's similarity function.
-    pub fn search_with_source<K: koios_index::knn::KnnSource>(
+    pub fn search_with_source<K: KnnSource>(
         &self,
         q: Vec<TokenId>,
         source: K,
         theta: &SharedTheta,
     ) -> SearchResult {
-        self.run(q, source, theta, None, false)
+        self.run(&q, source, None, theta, None, Instant::now())
     }
 
-    /// The pipeline behind every search entry point. `exact_source` says
-    /// the stream emits *every* `≥ α` edge with the similarity function's
-    /// own weights, which lets verification read them back.
-    fn run<K: koios_index::knn::KnnSource>(
+    /// The pipeline behind every search entry point; `refine_time` counts
+    /// from `started`. `edges` is the query's whole α-graph when the
+    /// source replays exact, complete lists; verification reads it unless
+    /// the deadline cut refinement, after which nothing is verified.
+    fn run<K: KnnSource>(
         &self,
-        q: Vec<TokenId>,
+        q: &[TokenId],
         source: K,
+        edges: Option<&QueryEdges>,
         theta: &SharedTheta,
         deadline: Option<Instant>,
-        exact_source: bool,
+        started: Instant,
     ) -> SearchResult {
         debug_assert!(q.windows(2).all(|w| w[0] < w[1]), "query must be sorted");
         let mut stats = SearchStats {
@@ -228,40 +215,27 @@ impl Koios {
             };
         }
 
-        let t0 = Instant::now();
         let mut stream = TokenStream::new(source, q.len());
-        let RefineOutput {
-            survivors,
-            mut llb,
-            edges,
-        } = refine(
+        let RefineOutput { survivors, mut llb } = refine(
             &self.repo,
             &self.index,
-            &q,
+            q,
             &self.cfg,
             theta,
             &mut stream,
             &mut stats,
             deadline,
-            exact_source,
         );
-        stats.refine_time = t0.elapsed();
-        if let Some(c) = stream.source().cache_counters() {
-            stats.knn_cache = c;
+        let edges = edges.filter(|_| !stats.timed_out);
+        if let Some(e) = edges {
+            stats.memory.add("query edges", e.heap_size());
         }
+        stats.refine_time = started.elapsed();
 
         let t1 = Instant::now();
         let hits = postprocess(
-            &self.repo,
-            &self.sim,
-            &q,
-            &self.cfg,
-            theta,
-            &mut llb,
-            survivors,
-            &mut stats,
-            deadline,
-            edges.as_ref(),
+            &self.repo, &self.sim, q, &self.cfg, theta, &mut llb, survivors, &mut stats, deadline,
+            edges,
         );
         stats.postprocess_time = t1.elapsed();
         stats.memory.add("inverted index", self.index.heap_size());
@@ -277,11 +251,44 @@ impl Koios {
     /// The exact semantic overlap of `query` with one set (verification
     /// without any filtering; used by oracles and result auditing).
     pub fn exact_overlap(&self, query: &[TokenId], set: SetId) -> f64 {
-        let mut q = query.to_vec();
-        q.sort_unstable();
-        q.dedup();
+        let q = normalize(query);
         semantic_overlap(&self.repo, self.sim.as_ref(), self.cfg.alpha, &q, set)
     }
+}
+
+/// `query` sorted and deduplicated: the engine's query vector.
+pub(crate) fn normalize(query: &[TokenId]) -> Vec<TokenId> {
+    let mut q = query.to_vec();
+    q.sort_unstable();
+    q.dedup();
+    q
+}
+
+/// Every element's complete list of `q` over `repo`'s vocabulary
+/// ([`koios_index::knn::lists`]), through `cfg`'s token cache when it has
+/// one. Entries are tagged with the similarity's identity, so a cache
+/// shared across engines over *different* metrics never replays the wrong
+/// lists; clones, config siblings and partition engines share the `Arc`,
+/// so they share entries.
+pub(crate) fn fetch_lists(
+    repo: &Repository,
+    sim: &Arc<dyn ElementSimilarity>,
+    cfg: &KoiosConfig,
+    q: &[TokenId],
+) -> (Vec<KnnList>, KnnCacheSearchStats) {
+    let cache = cfg.token_cache.as_deref().map(|c| (c, c.sim_tag(sim)));
+    lists(sim.as_ref(), q, repo.vocab_size(), cfg.alpha, cache)
+}
+
+/// The α-graph of the query whose complete lists are `lists`: every edge
+/// its stream emits, so verifying from it is exact.
+pub(crate) fn query_edges(lists: &[KnnList]) -> QueryEdges {
+    let tuples = lists
+        .iter()
+        .enumerate()
+        .flat_map(|(q_idx, list)| list.iter().map(move |&(s, t)| (t, q_idx as u32, s)))
+        .collect();
+    QueryEdges::from_tuples(lists.len(), tuples)
 }
 
 #[cfg(test)]

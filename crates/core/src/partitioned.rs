@@ -2,14 +2,17 @@
 //!
 //! The repository is sharded pseudo-randomly into `p` partitions; each
 //! partition runs a full Koios top-k search as a task on the shared
-//! [`ShardExecutor`], and all partitions share the global monotone `θlb`
-//! ([`SharedTheta`]) — a lower bound proven by any partition prunes
-//! candidates in every other. The final result merges the `k·p` partial
-//! results; hits certified by the No-EM filter (interval scores) are
-//! verified exactly at merge time so the global ranking is well-defined.
+//! [`ShardExecutor`]. The query's kNN lists and α-graph do not depend on
+//! the partition, so they are fetched and built once per query, before the
+//! tasks start, and every shard replays them. All partitions share the
+//! global monotone `θlb` ([`SharedTheta`]) — a lower bound proven by any
+//! partition prunes candidates in every other. The final result merges
+//! the `k·p` partial results; hits certified by the No-EM filter (interval
+//! scores) are verified exactly at merge time so the global ranking is
+//! well-defined.
 
 use crate::config::KoiosConfig;
-use crate::engine::Koios;
+use crate::engine::{fetch_lists, normalize, query_edges, Koios};
 use crate::executor::ShardExecutor;
 use crate::overlap::{semantic_overlap, semantic_overlap_bounded_with_effort};
 use crate::result::{Hit, ScoreBound, SearchResult};
@@ -19,6 +22,7 @@ use koios_common::{SetId, TokenId};
 use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use koios_index::inverted::InvertedIndex;
+use koios_index::knn::KnnList;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -186,9 +190,7 @@ impl PartitionedKoios {
     /// The exact semantic overlap of `query` with one set (verification
     /// without any filtering; mirrors [`Koios::exact_overlap`]).
     pub fn exact_overlap(&self, query: &[TokenId], set: SetId) -> f64 {
-        let mut q = query.to_vec();
-        q.sort_unstable();
-        q.dedup();
+        let q = normalize(query);
         semantic_overlap(&self.repo, self.sim.as_ref(), self.cfg.alpha, &q, set)
     }
 
@@ -214,37 +216,43 @@ impl PartitionedKoios {
         deadline: Option<Instant>,
     ) -> SearchResult {
         let executor_start = Instant::now();
+        // One fetch and one α-graph for the whole query: the lists do not
+        // depend on the partition, so every shard replays the same ones.
+        let q: Arc<[TokenId]> = normalize(query).into();
+        let (lists, knn_cache) = fetch_lists(&self.repo, &self.sim, &self.cfg, &q);
+        let edges = Arc::new(query_edges(&lists));
+        let lists: Arc<[KnnList]> = lists.into();
         // Shard tasks are `'static` and run on the process-wide executor: no
         // per-request thread spawn, and total search threads stay bounded
         // by core count across all in-flight requests. Per-shard wall time
         // is measured inside the task (the straggler breakdown
         // `ServiceStats`/`/metrics` surface per partition).
         let theta = Arc::new(SharedTheta::new());
-        let query: Arc<[TokenId]> = Arc::from(query);
         let tasks: Vec<_> = self
             .engines
             .iter()
             .map(|engine| {
                 let engine = Arc::clone(engine);
                 let theta = Arc::clone(&theta);
-                let query = Arc::clone(&query);
+                let q = Arc::clone(&q);
+                let lists = Arc::clone(&lists);
+                let edges = Arc::clone(&edges);
                 move || {
                     let shard_start = Instant::now();
-                    let result = engine.search_shared(&query, &theta, deadline);
+                    let result = engine.search_shard(&q, lists, &edges, &theta, deadline);
                     (result, shard_start.elapsed())
                 }
             })
             .collect();
         let partials: Vec<(SearchResult, Duration)> = ShardExecutor::global().run(tasks);
-        // Submission → last partial back: shard queue wait + shard search
-        // (the `executor` span of a request trace).
+        // Fetch + submission → last partial back: shard queue wait + shard
+        // search (the `executor` span of a request trace).
         let executor_time = executor_start.elapsed();
 
-        let mut q = query.to_vec();
-        q.sort_unstable();
-        q.dedup();
-
-        let mut stats = SearchStats::default();
+        let mut stats = SearchStats {
+            knn_cache,
+            ..SearchStats::default()
+        };
         let mut pool: Vec<Hit> = Vec::new();
         let mut shard_times = Vec::with_capacity(partials.len());
         // EXPLAIN mode: summarize each shard's counts as a sub-funnel row
@@ -309,7 +317,8 @@ impl PartitionedKoios {
         let k = self.cfg.k;
         // The k best exact scores so far, ascending (element 0 is the bar
         // an unverified hit must clear).
-        let mut best: Vec<f64> = Vec::with_capacity(k + 1);
+        // Sized by the pool, never by `k`: a request's `k` is any `u64`.
+        let mut best: Vec<f64> = Vec::with_capacity(k.min(pool.len()) + 1);
         let mut resolved: Vec<Hit> = Vec::new();
         let mut merged: Vec<Hit> = Vec::new();
         for (i, hit) in pool.iter().enumerate() {
@@ -583,10 +592,10 @@ mod tests {
 
     #[test]
     fn owned_engine_runs_on_the_executor_and_matches_borrowed() {
-        // Shard searches run on the caller (the executor runs the first task
-        // inline) or on `koios-shard-*` pool workers — never on threads
-        // spawned per query, which are unnamed. A similarity that records
-        // the thread each `scores_above` call runs on observes that.
+        // The vocabulary is scanned once per query, on the caller's thread,
+        // before any shard task runs: the shards replay the lists. A
+        // similarity that records the thread of each `scores_above` call
+        // observes that.
         struct ThreadRecording {
             names: std::sync::Mutex<Vec<Option<String>>>,
         }
@@ -647,19 +656,9 @@ mod tests {
 
         let own = std::thread::current().name().map(str::to_owned);
         let names = recording.names.lock().unwrap();
-        assert!(!names.is_empty(), "the shards scanned the vocabulary");
-        for name in names.iter() {
-            // The executor lets every submitter help drain the shared queue,
-            // so a test running concurrently may pick up one of these tasks
-            // on its own thread, which the test harness names `…::tests::…`.
-            assert!(
-                *name == own
-                    || name.as_deref().is_some_and(|n| {
-                        n.starts_with("koios-shard-") || n.contains("::tests::")
-                    }),
-                "shard task ran on {name:?}, not the caller or an executor thread"
-            );
-        }
+        // Three searches of four elements: one scan each, not one per shard.
+        assert_eq!(names.len(), 3 * q.len(), "{names:?}");
+        assert!(names.iter().all(|name| *name == own), "{names:?}");
     }
 
     #[test]

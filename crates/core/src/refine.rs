@@ -20,7 +20,6 @@
 
 use crate::buckets::BucketIndex;
 use crate::config::KoiosConfig;
-use crate::overlap::QueryEdges;
 use crate::stats::SearchStats;
 use crate::theta::{slack, SharedTheta};
 use koios_common::sparse::{Span, SpanArena};
@@ -82,10 +81,6 @@ pub struct RefineOutput {
     pub survivors: Vec<Survivor>,
     /// The running top-k lower-bound list (continues into post-processing).
     pub llb: TopKList,
-    /// Every edge the stream emitted, when `collect_edges` asked for them
-    /// and the stream ran dry; `None` when the deadline cut it short — a
-    /// partial graph must never be verified from.
-    pub edges: Option<QueryEdges>,
 }
 
 /// Per-candidate bound state. Its three sets live in the search's
@@ -206,9 +201,7 @@ impl Scratch {
     }
 }
 
-/// Runs the refinement phase over `stream`. With `collect_edges` the
-/// drained tuples are kept as the query's [`QueryEdges`] — sound only for
-/// an exact source, which is the caller's call to make.
+/// Runs the refinement phase over `stream`.
 #[allow(clippy::too_many_arguments)]
 pub fn refine<K: KnnSource>(
     repo: &Repository,
@@ -219,22 +212,17 @@ pub fn refine<K: KnnSource>(
     stream: &mut TokenStream<K>,
     stats: &mut SearchStats,
     deadline: Option<Instant>,
-    collect_edges: bool,
 ) -> RefineOutput {
     let qlen = query.len();
     let mut scratch = Scratch::take();
     let Scratch { states, sets } = &mut scratch;
     let mut buckets = BucketIndex::new();
     let mut llb = TopKList::new(cfg.k);
-    let mut tuples: Option<Vec<(TokenId, u32, f64)>> = collect_edges.then(Vec::new);
     let mut residual = 0.0;
 
     while let Some(tuple) = stream.next() {
         stats.stream_tuples += 1;
         let s = tuple.sim;
-        if let Some(ts) = tuples.as_mut() {
-            ts.push((tuple.token, tuple.q_idx, s));
-        }
         let posting = index.postings(tuple.token);
         if let Some(f) = stats.funnel_mut() {
             f.posting_lengths.push(posting.len());
@@ -315,15 +303,12 @@ pub fn refine<K: KnnSource>(
             if let Some(d) = deadline {
                 if Instant::now() >= d {
                     stats.timed_out = true;
-                    tuples = None;
                     residual = s;
                     break;
                 }
             }
         }
     }
-    let edges = tuples.map(|ts| QueryEdges::from_tuples(qlen, ts));
-
     // End-of-stream collapse: once every edge ≥ α has been emitted the
     // residual per-row potential drops to 0 and the bound is the row-max
     // sum; a cut stream keeps the last similarity as the residual. One
@@ -351,9 +336,6 @@ pub fn refine<K: KnnSource>(
     stats.memory.add("candidate states", states_bytes);
     stats.memory.add("ub buckets", buckets.heap_size());
     stats.memory.add("top-k lb list", llb.heap_size());
-    if let Some(e) = &edges {
-        stats.memory.add("query edges", e.heap_size());
-    }
 
     survivors.sort_by(|a, b| {
         b.ub.partial_cmp(&a.ub)
@@ -361,11 +343,7 @@ pub fn refine<K: KnnSource>(
             .then_with(|| a.set.cmp(&b.set))
     });
     stats.to_postprocess = survivors.len();
-    RefineOutput {
-        survivors,
-        llb,
-        edges,
-    }
+    RefineOutput { survivors, llb }
 }
 
 #[cfg(test)]
@@ -533,7 +511,6 @@ mod tests {
         query: &[TokenId],
         source: K,
         deadline: Option<Instant>,
-        collect_edges: bool,
     ) -> (RefineOutput, SearchStats) {
         let index = InvertedIndex::build(repo);
         let mut stream = TokenStream::new(source, query.len());
@@ -547,57 +524,32 @@ mod tests {
             &mut stream,
             &mut stats,
             deadline,
-            collect_edges,
         );
         (out, stats)
     }
 
-    fn refine_long_stream(
-        deadline: Option<Instant>,
-        collect_edges: bool,
-    ) -> (RefineOutput, SearchStats) {
+    fn refine_long_stream(deadline: Option<Instant>) -> (RefineOutput, SearchStats) {
         const VOCAB: u32 = 1500;
         let sets = (0..15).map(|set| (set * 100..(set + 1) * 100).map(TokenId).collect());
         let source = LongSource {
             next_token: 0,
             vocab: VOCAB,
         };
-        refine_over(
-            &repo_of(VOCAB, sets),
-            &[TokenId(0)],
-            source,
-            deadline,
-            collect_edges,
-        )
+        refine_over(&repo_of(VOCAB, sets), &[TokenId(0)], source, deadline)
     }
 
+    /// A stream that runs dry hands refinement every edge, and each
+    /// survivor's bound collapses onto the one edge its single row holds.
+    /// The α-graph verification reads is the engine's, built from the
+    /// fetched lists, not refinement's.
     #[test]
     fn drained_stream_returns_every_edge() {
-        let (out, stats) = refine_long_stream(None, true);
+        let (out, stats) = refine_long_stream(None);
         assert!(!stats.timed_out);
         assert_eq!(stats.stream_tuples, 1500);
-        assert_eq!(out.edges.expect("stream ran dry").len(), 1500);
-        assert!(stats
-            .memory
-            .iter()
-            .any(|(n, b)| n == "query edges" && b > 0));
-        // Not asked, not collected.
-        let (out, stats) = refine_long_stream(None, false);
-        assert!(out.edges.is_none());
-        assert!(stats.memory.iter().all(|(n, _)| n != "query edges"));
-    }
-
-    #[test]
-    fn deadline_cut_stream_returns_no_edges() {
-        let (out, stats) = refine_long_stream(Some(Instant::now()), true);
-        assert!(stats.timed_out);
-        assert_eq!(stats.stream_tuples, 1024, "stopped at the first check");
-        assert!(out.edges.is_none(), "1024 of 1500 edges is not the graph");
-        assert!(stats.memory.iter().all(|(n, _)| n != "query edges"));
-        // Bounds stay certified: every set seen so far is a survivor with
-        // the one edge it can have.
         assert!(!out.survivors.is_empty());
-        assert!(out.survivors.iter().all(|s| s.lb <= s.ub && s.ub <= 1.0));
+        assert!(out.survivors.iter().all(|s| s.lb == s.ub));
+        assert!(stats.memory.iter().all(|(n, _)| n != "query edges"));
     }
 
     /// Each query row replays its own descending list of edges.
@@ -636,7 +588,7 @@ mod tests {
             ],
         };
         let query = [TokenId(0), TokenId(1), TokenId(2)];
-        let (out, stats) = refine_over(&repo, &query, source, Some(Instant::now()), false);
+        let (out, stats) = refine_over(&repo, &query, source, Some(Instant::now()));
         assert!(stats.timed_out);
         assert_eq!(stats.stream_tuples, 1024, "cut inside row 0's run");
         let so = 1.0 + 0.9 + 0.9;
@@ -661,10 +613,6 @@ mod tests {
             assert!(self.left > 0, "source failed mid-stream");
             self.left -= 1;
             self.inner.next(q_idx)
-        }
-
-        fn prefetch(&mut self, q_idxs: &[usize]) {
-            self.inner.prefetch(q_idxs);
         }
 
         fn heap_bytes(&self) -> usize {

@@ -1,26 +1,27 @@
-//! Per-query-element kNN sources over the vocabulary.
+//! Per-query-element kNN lists over the vocabulary.
 //!
 //! The paper plugs a GPU Faiss index into the token stream; any index that
 //! returns, for a query element, the vocabulary tokens in exact descending
 //! similarity order can take its place (§IV: "K OIOS returns an exact
 //! solution as long as the index returns exact results"). The exact
-//! implementation is [`ExactScanKnn`]: it scores the whole vocabulary for a
-//! query element, keeps everything `≥ α`, and sorts it once; probes pop
-//! from the sorted list.
-//! [`TokenStream::new`](crate::token_stream::TokenStream::new) probes every
-//! element, so every element is scored up front: a search that prunes
-//! early saves only the pops it never makes, not the scan.
+//! implementation fetches every element's list up front: [`lists`] scores
+//! the whole vocabulary for all query elements in one
+//! [`ElementSimilarity::scores_above_many`] call — one blocked pass over
+//! the vocabulary for the whole query — keeps everything `≥ α`, and sorts
+//! each list once. A search that prunes early saves only the pops it never
+//! makes, not the scan. With a [`TokenKnnCache`], the fetch replays every
+//! cached list that covers the vocabulary, scans only the misses, and
+//! publishes each scanned list at once: a fetched list is complete by
+//! construction.
 //!
-//! It scores every element the stream [prefetches](KnnSource::prefetch) in
-//! one [`ElementSimilarity::scores_above_many`] call — one blocked pass over
-//! the vocabulary for the whole query instead of one pass per element. An
-//! element probed without a prefetch is scored alone.
-//!
-//! It honours the stream contract of §V: the **query element itself is the
-//! first result of its own probe** (similarity 1), which seeds the bounds
-//! with the vanilla overlap and covers out-of-vocabulary elements.
+//! [`ExactScanKnn`] replays fetched lists as a [`KnnSource`] for the
+//! [`TokenStream`](crate::token_stream::TokenStream). A list honours the
+//! stream contract of §V: the **query element itself is its first entry**
+//! (similarity 1), which seeds the bounds with the vanilla overlap and
+//! covers out-of-vocabulary elements.
 
-use koios_common::{HeapSize, TokenId};
+use crate::knn_cache::{Key, KnnCacheSearchStats, TokenKnnCache};
+use koios_common::TokenId;
 use koios_embed::sim::ElementSimilarity;
 use std::sync::Arc;
 
@@ -31,108 +32,122 @@ pub trait KnnSource {
     /// tokens with similarity `≥ α` are exhausted.
     fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)>;
 
-    /// Announces that the elements `q_idxs` will all be probed, so a
-    /// source can do their work together ([`ExactScanKnn`] scores them in
-    /// one vocabulary pass). [`TokenStream::new`] calls it with every
-    /// element before its initial probes. A hint: the default does
-    /// nothing, and [`Self::next`] must work whether or not it was called.
-    ///
-    /// [`TokenStream::new`]: crate::token_stream::TokenStream::new
-    fn prefetch(&mut self, q_idxs: &[usize]) {
-        let _ = q_idxs;
-    }
-
     /// Estimated heap bytes held by the source (for the memory experiments).
     fn heap_bytes(&self) -> usize;
-
-    /// Token-cache effectiveness of this source, if it is (or wraps) a
-    /// [`CachedKnn`](crate::knn_cache::CachedKnn). Plain sources report
-    /// `None`; the engine folds `Some` counters into its `SearchStats`.
-    fn cache_counters(&self) -> Option<crate::knn_cache::KnnCacheSearchStats> {
-        None
-    }
 }
 
-/// Exact scan source with fully sorted per-element lists (computed at the
-/// prefetch, or else on the first probe, of each element).
-pub struct ExactScanKnn {
-    sim: Arc<dyn ElementSimilarity>,
-    query: Vec<TokenId>,
+/// A complete per-element kNN list: `(similarity, token)` descending by
+/// similarity, ties by ascending token id — every vocabulary token with
+/// `simα(q, t) ≥ α`, the query token itself always included (sim 1.0).
+pub type KnnList = Arc<Vec<(f64, TokenId)>>;
+
+/// The complete list of every element of `query` over the vocabulary
+/// `0..vocab`, in query order, and what the token cache did for them.
+///
+/// With `cache` — the shared cache and this similarity's tag in it
+/// ([`TokenKnnCache::sim_tag`]) — every element whose entry covers `vocab`
+/// is replayed, the misses are scanned in one
+/// [`ElementSimilarity::scores_above_many`] call, and each scanned list is
+/// published under the generation read on entry: a
+/// [`TokenKnnCache::bump_generation`] during the scan rejects the inserts,
+/// never the lists returned. Without a cache every element is scanned and
+/// the counters stay 0.
+pub fn lists(
+    sim: &dyn ElementSimilarity,
+    query: &[TokenId],
     vocab: usize,
     alpha: f64,
-    lists: Vec<Option<SortedList>>,
+    cache: Option<(&TokenKnnCache, u64)>,
+) -> (Vec<KnnList>, KnnCacheSearchStats) {
+    let mut stats = KnnCacheSearchStats::default();
+    let cache = cache.map(|(cache, sim_tag)| (cache, cache.generation(), sim_tag));
+    let key = |token, generation, sim_tag| Key::new(token, alpha, generation, sim_tag);
+    let mut lists: Vec<Option<KnnList>> = query
+        .iter()
+        .map(|&token| {
+            let (cache, generation, sim_tag) = cache?;
+            let hit = cache.replay(&key(token, generation, sim_tag), sim, vocab);
+            match &hit {
+                Some(list) => {
+                    stats.hits += 1;
+                    stats.bytes_served += list.len() * std::mem::size_of::<(f64, TokenId)>();
+                }
+                None => stats.misses += 1,
+            }
+            hit
+        })
+        .collect();
+    let misses: Vec<usize> = (0..query.len()).filter(|&i| lists[i].is_none()).collect();
+    if !misses.is_empty() {
+        let qs: Vec<TokenId> = misses.iter().map(|&i| query[i]).collect();
+        let mut outs = vec![Vec::new(); qs.len()];
+        sim.scores_above_many(&qs, vocab, alpha, &mut outs);
+        for (i, mut items) in misses.into_iter().zip(outs) {
+            items.sort_unstable_by(|a, b| {
+                b.0.partial_cmp(&a.0)
+                    .expect("similarities are never NaN")
+                    .then_with(|| a.1.cmp(&b.1))
+            });
+            // The cache charges capacity: keep it at the length.
+            items.shrink_to_fit();
+            let list = Arc::new(items);
+            if let Some((cache, generation, sim_tag)) = cache {
+                let published =
+                    cache.publish(key(query[i], generation, sim_tag), Arc::clone(&list), vocab);
+                stats.inserted += usize::from(published);
+            }
+            lists[i] = Some(list);
+        }
+    }
+    let lists = lists
+        .into_iter()
+        .map(|l| l.expect("replayed or scanned"))
+        .collect();
+    (lists, stats)
 }
 
-struct SortedList {
-    /// Descending by similarity, ties by ascending token id.
-    items: Vec<(f64, TokenId)>,
-    pos: usize,
+/// Replays complete per-element lists ([`lists`]) as a [`KnnSource`].
+pub struct ExactScanKnn {
+    lists: Arc<[KnnList]>,
+    pos: Vec<usize>,
 }
 
 impl ExactScanKnn {
-    /// Creates a source for `query` over a vocabulary of `vocab` tokens.
+    /// A source for `query` over a vocabulary of `vocab` tokens: scans
+    /// every element now ([`lists`] without a cache).
     pub fn new(
         sim: Arc<dyn ElementSimilarity>,
         query: Vec<TokenId>,
         vocab: usize,
         alpha: f64,
     ) -> Self {
-        let lists = (0..query.len()).map(|_| None).collect();
-        ExactScanKnn {
-            sim,
-            query,
-            vocab,
-            alpha,
-            lists,
-        }
+        Self::replay(lists(sim.as_ref(), &query, vocab, alpha, None).0.into())
+    }
+
+    /// A source replaying `lists`, one per query element (shared, e.g.
+    /// by the shards of a partitioned search).
+    pub fn replay(lists: Arc<[KnnList]>) -> Self {
+        let pos = vec![0; lists.len()];
+        ExactScanKnn { lists, pos }
     }
 }
 
 impl KnnSource for ExactScanKnn {
     fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
-        if self.lists[q_idx].is_none() {
-            self.prefetch(&[q_idx]);
-        }
-        let list = self.lists[q_idx].as_mut().expect("scored by the prefetch");
-        let &(s, t) = list.items.get(list.pos)?;
-        list.pos += 1;
+        let pos = &mut self.pos[q_idx];
+        let &(s, t) = self.lists[q_idx].get(*pos)?;
+        *pos += 1;
         Some((t, s))
     }
 
-    /// Fills every still-unscored element among `q_idxs` with its list —
-    /// all vocabulary tokens with `simα(q, t) ≥ α`, the query token itself
-    /// always included (sim 1.0) — scoring them all in one
-    /// [`ElementSimilarity::scores_above_many`] call.
-    fn prefetch(&mut self, q_idxs: &[usize]) {
-        let missing: Vec<usize> = q_idxs
-            .iter()
-            .copied()
-            .filter(|&i| self.lists[i].is_none())
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        let qs: Vec<TokenId> = missing.iter().map(|&i| self.query[i]).collect();
-        let mut outs = vec![Vec::new(); qs.len()];
-        self.sim
-            .scores_above_many(&qs, self.vocab, self.alpha, &mut outs);
-        for (i, mut items) in missing.into_iter().zip(outs) {
-            items.sort_unstable_by(|a, b| {
-                b.0.partial_cmp(&a.0)
-                    .expect("similarities are never NaN")
-                    .then_with(|| a.1.cmp(&b.1))
-            });
-            self.lists[i] = Some(SortedList { items, pos: 0 });
-        }
-    }
-
+    /// The lists count in full, shared or not: they are live memory this
+    /// search keeps reachable.
     fn heap_bytes(&self) -> usize {
-        self.query.heap_size()
+        self.pos.capacity() * std::mem::size_of::<usize>()
             + self
                 .lists
                 .iter()
-                .flatten()
-                .map(|l| l.items.capacity() * std::mem::size_of::<(f64, TokenId)>())
+                .map(|l| l.capacity() * std::mem::size_of::<(f64, TokenId)>())
                 .sum::<usize>()
     }
 }

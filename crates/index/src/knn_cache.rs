@@ -1,26 +1,19 @@
 //! A token-level kNN cache shared across similar queries.
 //!
-//! The dominant cost of a Koios search is streaming per-element kNN lists
-//! (paper §IV–§V): for every query element the source scores the whole
+//! The dominant cost of a Koios search is fetching per-element kNN lists
+//! (paper §IV–§V): for every query element the fetch scores the whole
 //! vocabulary against `α`. Two queries that *share* an element repeat that
 //! work verbatim — the per-element list depends only on `(token, α)`, never
-//! on the rest of the query. The PR-1 result LRU only catches exact query
+//! on the rest of the query. The result LRU only catches exact query
 //! repeats; this module catches the much more common *overlapping* repeat.
 //!
 //! [`TokenKnnCache`] is a concurrent, memory-bounded map from
 //! `(token, α, generation, similarity-tag)` to a **complete** descending
-//! similarity list
-//! (every vocabulary token with `simα ≥ α`, self token first). Completeness
-//! is the exactness invariant: a cached list is only ever inserted after its
-//! producing source was drained to exhaustion, so replaying it is
-//! indistinguishable from recomputing it — truncated prefixes are never
-//! stored, because a search that prunes early would otherwise poison later
-//! searches that stream further.
-//!
-//! [`CachedKnn`] is the decorator that any engine wraps around an exact
-//! source ([`ExactScanKnn`](crate::knn::ExactScanKnn)): per query element
-//! it first probes the cache, and on a miss it transparently records the inner source's emissions,
-//! publishing the list once (and only if) the element's stream completes.
+//! similarity list (every vocabulary token with `simα ≥ α`, self token
+//! first). Completeness is the exactness invariant, and it holds by
+//! construction: [`lists`](crate::knn::lists) publishes a list as soon as
+//! its scan sorted it, before any search streams from it, so replaying it
+//! is indistinguishable from recomputing it.
 //!
 //! # A growing vocabulary
 //!
@@ -28,25 +21,25 @@
 //! never rewritten, so the similarity of two existing tokens never changes
 //! (the contract of `koios_core::mutable::SimFactory`). Every entry
 //! therefore records the vocabulary length `covered` its list was scanned
-//! over, and a probe from a source over `vocab` tokens replays it exactly
-//! when a scan of `0..vocab` would emit the same list:
+//! over, and a fetch over `vocab` tokens replays it exactly when a scan of
+//! `0..vocab` would emit the same list:
 //!
 //! * `covered == vocab` — always;
 //! * `covered < vocab` — when every token of `covered..vocab` scores below
-//!   `α` against the key under the prober's similarity (the key's own
+//!   `α` against the key under the fetch's similarity (the key's own
 //!   token, due at 1.0 once interned, always counts). By the
 //!   [`ElementSimilarity::scores_above`] contract that `sim` is the scan's
 //!   weight, so the check is exact; on success the entry is refreshed to
-//!   `vocab`, and the next prober of that vocabulary replays in O(1);
+//!   `vocab`, and the next fetch over that vocabulary replays in O(1);
 //! * `covered > vocab` (an older backend) — when the list names no token
 //!   `≥ vocab`.
 //!
-//! Anything else is a plain miss: the prober rescans and republishes its
+//! Anything else is a plain miss: the fetch rescans and republishes its
 //! own list (lists are never patched in place).
 //!
 //! The `generation` key component is for everything else: reloading a
 //! corpus or swapping the similarity model bumps the generation
-//! ([`TokenKnnCache::bump_generation`]), after which entries recorded by
+//! ([`TokenKnnCache::bump_generation`]), after which entries published by
 //! in-flight searches of the old world can never be served again.
 //!
 //! Storage is the workspace's striped LRU
@@ -55,30 +48,23 @@
 //! stripes, every lock is a leaf, and admission is decided under the
 //! stripe lock — the contract is stated once, on the core. This module owns
 //! only what is token-specific: the key, the weights, the coverage rule,
-//! the generation, the similarity-tag registry and the
-//! completeness-preserving [`CachedKnn`].
+//! the generation and the similarity-tag registry.
 
-use crate::knn::KnnSource;
-use koios_common::cache::{CacheSnapshot, StripeRow, StripedLru, STRIPES};
+use crate::knn::KnnList;
+use koios_common::cache::{CacheSnapshot, LockWaitObserver, StripeRow, StripedLru, STRIPES};
 use koios_common::fingerprint::mix64;
 use koios_common::TokenId;
 use koios_embed::sim::ElementSimilarity;
-use koios_telemetry::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// A complete per-element kNN list: `(similarity, token)` descending by
-/// similarity, ties by ascending token id — exactly the emission order of
-/// the exact sources.
-pub type KnnList = Arc<Vec<(f64, TokenId)>>;
-
 /// Cache key: which element, under which threshold, of which world —
 /// `sim_tag` namespaces entries by similarity function (one tag per
-/// similarity and its registered successors) so engines over *different*
-/// metrics sharing one cache can never replay each other's lists (see
-/// [`CachedKnn::with_sim_tag`]).
+/// similarity and its registered successors, see
+/// [`TokenKnnCache::sim_tag`]) so engines over *different* metrics sharing
+/// one cache can never replay each other's lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Key {
+pub(crate) struct Key {
     token: TokenId,
     alpha_bits: u64,
     generation: u64,
@@ -86,6 +72,15 @@ struct Key {
 }
 
 impl Key {
+    pub(crate) fn new(token: TokenId, alpha: f64, generation: u64, sim_tag: u64) -> Self {
+        Key {
+            token,
+            alpha_bits: alpha.to_bits(),
+            generation,
+            sim_tag,
+        }
+    }
+
     /// The 64-bit hash the LRU files this key under. Mixed per component,
     /// so dense token-id ranges (interning hands them out sequentially)
     /// spread across stripes; the LRU compares the full key, so a collision
@@ -224,25 +219,23 @@ impl TokenKnnCache {
             lru: StripedLru::new(budget_bytes),
             generation: AtomicU64::new(0),
             sim_tags: RwLock::new(Vec::new()),
-            // Tag 0 is the untagged namespace of bare `CachedKnn::new`.
+            // Tag 0 is the untagged namespace of a fetch given tag 0.
             next_sim_tag: AtomicU64::new(1),
         }
     }
 
-    /// Installs a histogram that records, in nanoseconds, the time each
-    /// probe/insert spends **blocked acquiring its stripe mutex**.
-    /// Idempotent: the first installation wins (callers sharing one cache
-    /// share one histogram); before any installation the acquisition path
-    /// does no timing at all. Eviction's cross-stripe scan is not timed —
-    /// the series measures hot-path probe/insert contention only.
-    pub fn install_lock_wait(&self, histogram: Arc<Histogram>) {
-        self.lru
-            .install_lock_wait(Arc::new(move |wait| histogram.record_duration(wait)));
+    /// Installs an observer of the time each probe/insert spends
+    /// **blocked acquiring its stripe mutex** (the striped LRU's
+    /// [`StripedLru::install_lock_wait`]). Idempotent: the first
+    /// installation wins; before any installation the acquisition path
+    /// does no timing at all.
+    pub fn install_lock_wait(&self, observer: LockWaitObserver) {
+        self.lru.install_lock_wait(observer);
     }
 
     /// The stable tag identifying `sim` within this cache (assigned on
     /// first sight, monotonically). Engines pass it to
-    /// [`CachedKnn::with_sim_tag`] so entries are namespaced per
+    /// [`lists`](crate::knn::lists) so entries are namespaced per
     /// similarity function: clones of one `Arc<dyn ElementSimilarity>`
     /// (engine clones, config siblings, partition engines) share a tag,
     /// while a *different* similarity — even one allocated at a reused
@@ -294,8 +287,8 @@ impl TokenKnnCache {
         self.lru.budget()
     }
 
-    /// The current generation. Sources snapshot this at construction so a
-    /// bump mid-search invalidates their inserts, not their reads.
+    /// The current generation. A fetch snapshots this on entry so a bump
+    /// mid-scan invalidates its inserts, not its reads.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
@@ -319,8 +312,8 @@ impl TokenKnnCache {
 
     /// Looks up the list stored for `(token, α, generation, sim_tag)`,
     /// whatever vocabulary it was scanned over, refreshing its recency on
-    /// a hit. Searches probe through [`CachedKnn`], which replays a list
-    /// only where it covers the prober's vocabulary.
+    /// a hit. Searches probe through [`lists`](crate::knn::lists), which
+    /// replays a list only where it covers the fetch's vocabulary.
     pub fn get(
         &self,
         token: TokenId,
@@ -345,7 +338,7 @@ impl TokenKnnCache {
     /// The vocabulary the list was scanned over is not known here, so the
     /// entry claims the least one any complete list covers: up to its
     /// highest token (a scan of a longer vocabulary restricted to it is
-    /// the same list). [`CachedKnn`] publishes with its scan's vocabulary.
+    /// the same list). A fetch publishes with its scan's vocabulary.
     pub fn insert(
         &self,
         token: TokenId,
@@ -364,7 +357,8 @@ impl TokenKnnCache {
         self.publish(key, list, covered)
     }
 
-    fn publish(&self, key: Key, list: KnnList, covered: usize) -> bool {
+    /// Stores a complete list for `key` scanned over `0..covered`.
+    pub(crate) fn publish(&self, key: Key, list: KnnList, covered: usize) -> bool {
         let bytes = list_bytes(&list);
         self.lru
             .insert(key.hash(), key, Scanned { list, covered }, bytes, || {
@@ -372,10 +366,15 @@ impl TokenKnnCache {
             })
     }
 
-    /// The list for `key` if it replays exactly for a source over `vocab`
+    /// The list for `key` if it replays exactly for a fetch over `vocab`
     /// tokens under `sim` (see the module docs); a refused entry counts
     /// as a miss.
-    fn replay(&self, key: &Key, sim: &dyn ElementSimilarity, vocab: usize) -> Option<KnnList> {
+    pub(crate) fn replay(
+        &self,
+        key: &Key,
+        sim: &dyn ElementSimilarity,
+        vocab: usize,
+    ) -> Option<KnnList> {
         let alpha = f64::from_bits(key.alpha_bits);
         self.lru
             .get_if(key.hash(), key, |e| e.covers(key.token, alpha, sim, vocab))
@@ -444,228 +443,13 @@ impl KnnCacheSearchStats {
     }
 }
 
-/// Per-element state of a [`CachedKnn`].
-enum Elem {
-    /// Never probed by this search.
-    Untouched,
-    /// Replaying a complete cached list.
-    Cached { list: KnnList, pos: usize },
-    /// Cache miss: delegating to the inner source and recording its
-    /// emissions; `done` marks inner exhaustion (buffer published).
-    Streaming {
-        buf: Vec<(f64, TokenId)>,
-        done: bool,
-    },
-}
-
-/// A caching decorator over any exact [`KnnSource`].
-///
-/// Per query element the first probe (or the prefetch, which forwards
-/// only the misses to the inner source) consults the shared
-/// [`TokenKnnCache`]; a hit replays the complete cached list (the inner
-/// source never computes that element), a miss falls through to the inner
-/// source while recording every emission. When — and only when — the inner
-/// source reports exhaustion for the element, the recorded list is complete
-/// and is published to the cache. A search that stops pulling mid-stream
-/// therefore caches nothing for that element, which is exactly what keeps
-/// cached replays byte-identical to fresh scans.
-///
-/// A probe replays an entry only where it covers this source's vocabulary
-/// (the rule of the [module docs](self)), and a published list records the
-/// vocabulary it was scanned over.
-pub struct CachedKnn<K: KnnSource> {
-    cache: Arc<TokenKnnCache>,
-    sim: Arc<dyn ElementSimilarity>,
-    vocab: usize,
-    inner: K,
-    query: Vec<TokenId>,
-    alpha_bits: u64,
-    generation: u64,
-    sim_tag: u64,
-    elems: Vec<Elem>,
-    stats: KnnCacheSearchStats,
-}
-
-impl<K: KnnSource> CachedKnn<K> {
-    /// Wraps `inner` — built for exactly `query` under `alpha`, scoring
-    /// the vocabulary `0..vocab` under `sim` — with the shared cache. The
-    /// cache generation is snapshotted here: a
-    /// [`TokenKnnCache::bump_generation`] between construction and search
-    /// start only disables this search's inserts, never its correctness.
-    pub fn new(
-        cache: Arc<TokenKnnCache>,
-        sim: Arc<dyn ElementSimilarity>,
-        vocab: usize,
-        query: Vec<TokenId>,
-        alpha: f64,
-        inner: K,
-    ) -> Self {
-        let elems = (0..query.len()).map(|_| Elem::Untouched).collect();
-        let generation = cache.generation();
-        CachedKnn {
-            cache,
-            sim,
-            vocab,
-            inner,
-            query,
-            alpha_bits: alpha.to_bits(),
-            generation,
-            sim_tag: 0,
-            elems,
-            stats: KnnCacheSearchStats::default(),
-        }
-    }
-
-    /// The cache key of query element `q_idx`.
-    fn key(&self, q_idx: usize) -> Key {
-        Key {
-            token: self.query[q_idx],
-            alpha_bits: self.alpha_bits,
-            generation: self.generation,
-            sim_tag: self.sim_tag,
-        }
-    }
-
-    /// Namespaces this source's cache entries by similarity-function
-    /// identity (builder style). Sources with different tags never share
-    /// entries, so one cache can safely serve engines over *different*
-    /// similarity metrics — obtain the tag from
-    /// [`TokenKnnCache::sim_tag`], which keeps all clones of one engine
-    /// (its partition siblings, and the successors filed with
-    /// [`TokenKnnCache::register_sim_tag`]) sharing while isolating every
-    /// other similarity. Defaults to `0` (one shared untagged namespace)
-    /// when every similarity using the cache agrees on the tokens they
-    /// share.
-    pub fn with_sim_tag(mut self, tag: u64) -> Self {
-        self.sim_tag = tag;
-        self
-    }
-
-    /// This search's cache effectiveness so far.
-    pub fn search_stats(&self) -> KnnCacheSearchStats {
-        self.stats
-    }
-
-    /// The shared cache.
-    pub fn cache(&self) -> &Arc<TokenKnnCache> {
-        &self.cache
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &K {
-        &self.inner
-    }
-
-    /// Resolves an untouched element against the cache: a hit starts its
-    /// replay, a miss starts recording the inner source. Returns whether
-    /// this call resolved `q_idx` to a miss.
-    fn resolve(&mut self, q_idx: usize) -> bool {
-        if !matches!(self.elems[q_idx], Elem::Untouched) {
-            return false;
-        }
-        match self
-            .cache
-            .replay(&self.key(q_idx), self.sim.as_ref(), self.vocab)
-        {
-            Some(list) => {
-                self.stats.hits += 1;
-                self.stats.bytes_served += list.len() * std::mem::size_of::<(f64, TokenId)>();
-                self.elems[q_idx] = Elem::Cached { list, pos: 0 };
-                false
-            }
-            None => {
-                self.stats.misses += 1;
-                self.elems[q_idx] = Elem::Streaming {
-                    buf: Vec::new(),
-                    done: false,
-                };
-                true
-            }
-        }
-    }
-}
-
-impl<K: KnnSource> KnnSource for CachedKnn<K> {
-    /// Probes the cache for every untouched element and forwards only the
-    /// misses to the inner source, so it scores exactly what the cache
-    /// could not serve. Lists are still published only when drained.
-    fn prefetch(&mut self, q_idxs: &[usize]) {
-        let misses: Vec<usize> = q_idxs
-            .iter()
-            .copied()
-            .filter(|&i| self.resolve(i))
-            .collect();
-        if !misses.is_empty() {
-            self.inner.prefetch(&misses);
-        }
-    }
-
-    fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
-        self.resolve(q_idx);
-        match &mut self.elems[q_idx] {
-            Elem::Untouched => unreachable!("resolved above"),
-            Elem::Cached { list, pos } => {
-                let &(s, t) = list.get(*pos)?;
-                *pos += 1;
-                Some((t, s))
-            }
-            Elem::Streaming { buf, done } => {
-                if *done {
-                    return None;
-                }
-                match self.inner.next(q_idx) {
-                    Some((t, s)) => {
-                        buf.push((s, t));
-                        Some((t, s))
-                    }
-                    None => {
-                        *done = true;
-                        // Push-grown buffers can hold up to 2× their length
-                        // in capacity; trim so the cache's byte accounting
-                        // (which charges capacity) stays tight.
-                        buf.shrink_to_fit();
-                        let list: KnnList = Arc::new(std::mem::take(buf));
-                        let key = self.key(q_idx);
-                        if self.cache.publish(key, list, self.vocab) {
-                            self.stats.inserted += 1;
-                        }
-                        None
-                    }
-                }
-            }
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        // Cached `Arc` lists are attributed to the search that holds them:
-        // they are live memory this search keeps reachable, shared or not.
-        self.inner.heap_bytes()
-            + self
-                .elems
-                .iter()
-                .map(|e| match e {
-                    Elem::Untouched => 0,
-                    Elem::Cached { list, .. } => {
-                        list.capacity() * std::mem::size_of::<(f64, TokenId)>()
-                    }
-                    Elem::Streaming { buf, .. } => {
-                        buf.capacity() * std::mem::size_of::<(f64, TokenId)>()
-                    }
-                })
-                .sum::<usize>()
-    }
-
-    fn cache_counters(&self) -> Option<KnnCacheSearchStats> {
-        Some(self.stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::knn::ExactScanKnn;
+    use crate::knn::{lists, ExactScanKnn, KnnSource};
     use koios_embed::repository::{Repository, RepositoryBuilder};
     use koios_embed::sim::{ElementSimilarity, QGramJaccard};
+    use std::sync::atomic::AtomicUsize;
 
     fn setup() -> (Arc<dyn ElementSimilarity>, Vec<TokenId>, usize) {
         let mut b = RepositoryBuilder::new();
@@ -685,64 +469,90 @@ mod tests {
         out
     }
 
-    fn cached(
-        cache: &Arc<TokenKnnCache>,
+    /// A fetch through `cache` under sim tag `tag`: every element's list
+    /// as `(token, weight bits)`, and the fetch's counters.
+    fn fetch_tagged(
+        cache: &TokenKnnCache,
         sim: &Arc<dyn ElementSimilarity>,
         q: &[TokenId],
         vocab: usize,
         alpha: f64,
-    ) -> CachedKnn<ExactScanKnn> {
-        CachedKnn::new(
-            Arc::clone(cache),
-            Arc::clone(sim),
-            vocab,
-            q.to_vec(),
-            alpha,
-            ExactScanKnn::new(Arc::clone(sim), q.to_vec(), vocab, alpha),
-        )
+        tag: u64,
+    ) -> (Vec<Vec<(TokenId, u64)>>, KnnCacheSearchStats) {
+        let (fetched, stats) = lists(sim.as_ref(), q, vocab, alpha, Some((cache, tag)));
+        (fetched.iter().map(|l| bits(l)).collect(), stats)
+    }
+
+    /// [`fetch_tagged`] in the untagged namespace.
+    fn fetch(
+        cache: &TokenKnnCache,
+        sim: &Arc<dyn ElementSimilarity>,
+        q: &[TokenId],
+        vocab: usize,
+        alpha: f64,
+    ) -> (Vec<Vec<(TokenId, u64)>>, KnnCacheSearchStats) {
+        fetch_tagged(cache, sim, q, vocab, alpha, 0)
+    }
+
+    fn bits(list: &[(f64, TokenId)]) -> Vec<(TokenId, u64)> {
+        list.iter().map(|&(s, t)| (t, s.to_bits())).collect()
+    }
+
+    /// What a cold exact scan over `vocab` tokens emits, drained through
+    /// the stream source.
+    fn scan(
+        sim: &Arc<dyn ElementSimilarity>,
+        q: &[TokenId],
+        vocab: usize,
+        alpha: f64,
+    ) -> Vec<Vec<(TokenId, u64)>> {
+        let mut bare = ExactScanKnn::new(Arc::clone(sim), q.to_vec(), vocab, alpha);
+        (0..q.len())
+            .map(|i| {
+                drain(&mut bare, i)
+                    .into_iter()
+                    .map(|(t, s)| (t, s.to_bits()))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
     fn warm_replay_is_identical_to_cold_scan() {
         let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
-        let mut cold = cached(&cache, &sim, &q, vocab, 0.3);
-        let cold_lists: Vec<_> = (0..q.len()).map(|i| drain(&mut cold, i)).collect();
-        assert_eq!(cold.search_stats().misses, q.len());
-        assert_eq!(cold.search_stats().inserted, q.len());
+        let cache = TokenKnnCache::new(1 << 20);
+        let (cold, stats) = fetch(&cache, &sim, &q, vocab, 0.3);
+        assert_eq!((stats.hits, stats.misses), (0, q.len()));
+        assert_eq!(stats.inserted, q.len());
 
-        let mut warm = cached(&cache, &sim, &q, vocab, 0.3);
-        for (i, expect) in cold_lists.iter().enumerate() {
-            assert_eq!(&drain(&mut warm, i), expect);
-        }
-        assert_eq!(warm.search_stats().hits, q.len());
-        assert_eq!(warm.search_stats().misses, 0);
-        assert!(warm.search_stats().bytes_served > 0);
+        let (warm, stats) = fetch(&cache, &sim, &q, vocab, 0.3);
+        assert_eq!(warm, cold);
+        assert_eq!((stats.hits, stats.misses, stats.inserted), (q.len(), 0, 0));
+        assert!(stats.bytes_served > 0);
 
-        // Reference: a bare exact scan agrees too.
-        let mut bare = ExactScanKnn::new(sim, q.clone(), vocab, 0.3);
-        for (i, expect) in cold_lists.iter().enumerate() {
-            assert_eq!(&drain(&mut bare, i), expect);
-        }
+        // Reference: a bare exact scan, drained through the stream source,
+        // agrees too.
+        assert_eq!(scan(&sim, &q, vocab, 0.3), cold);
     }
 
+    /// A fetch publishes complete lists before anything streams from them:
+    /// a search that pulls one tuple and stops leaves the full lists
+    /// behind, never the prefix it consumed.
     #[test]
     fn partial_consumption_is_never_cached() {
         let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
-        let mut src = cached(&cache, &sim, &q, vocab, 0.2);
-        // Pull a single tuple and stop: an incomplete prefix.
+        let cache = TokenKnnCache::new(1 << 20);
+        let (fetched, _) = lists(sim.as_ref(), &q, vocab, 0.2, Some((&cache, 0)));
+        let mut src = ExactScanKnn::replay(fetched.into());
         assert!(src.next(0).is_some());
         drop(src);
-        assert!(cache.is_empty(), "truncated prefix must not be cached");
-        assert_eq!(cache.counters().insertions, 0);
-        // A prefetch scores every element, but publishes none of them.
-        let mut src = cached(&cache, &sim, &q, vocab, 0.2);
-        src.prefetch(&[0, 1]);
-        assert!(src.next(0).is_some());
-        drop(src);
-        assert!(cache.is_empty(), "a prefetched list is not a drained one");
-        assert_eq!(cache.counters().insertions, 0);
+        assert_eq!(cache.counters().insertions, q.len() as u64);
+        let full = scan(&sim, &q, vocab, 0.2);
+        assert!(full[0].len() > 1, "one pulled tuple is a strict prefix");
+        for (i, &t) in q.iter().enumerate() {
+            let cached = cache.get(t, 0.2f64.to_bits(), 0, 0).expect("published");
+            assert_eq!(bits(&cached), full[i]);
+        }
     }
 
     /// Records the tokens of every batched scan it is asked for, and
@@ -799,10 +609,9 @@ mod tests {
         }
     }
 
-    /// On a query whose elements are partly cached, the prefetch probes
-    /// the cache once per element and hands the inner source exactly the
-    /// misses, in one batched scan; the counts and lists are those of a
-    /// probe-by-probe run and of a bare exact scan.
+    /// On a query whose elements are partly cached, the fetch probes the
+    /// cache once per element and scores exactly the misses, in one
+    /// `scores_above_many` call; the lists are those of a bare exact scan.
     #[test]
     fn prefetch_scores_only_the_misses_in_one_scan() {
         let mut b = RepositoryBuilder::new();
@@ -819,48 +628,19 @@ mod tests {
         let warm = repo.intern_query(["Blaine", "Basel"]);
         let q = repo.intern_query(["Blaine", "Zurich", "Bern", "Basel", "Geneva"]);
         let misses: Vec<TokenId> = q.iter().copied().filter(|t| !warm.contains(t)).collect();
-        let warmed = || {
-            let cache = Arc::new(TokenKnnCache::new(1 << 20));
-            let mut src = CachedKnn::new(
-                Arc::clone(&cache),
-                Arc::clone(&inner),
-                vocab,
-                warm.clone(),
-                0.2,
-                ExactScanKnn::new(Arc::clone(&inner), warm.clone(), vocab, 0.2),
-            );
-            for i in 0..warm.len() {
-                drain(&mut src, i);
-            }
-            cache
-        };
 
-        let cache = warmed();
-        let mut batched = cached(&cache, &sim, &q, vocab, 0.2);
-        batched.prefetch(&(0..q.len()).collect::<Vec<_>>());
+        let cache = TokenKnnCache::new(1 << 20);
+        fetch(&cache, &inner, &warm, vocab, 0.2);
+        let (fetched, stats) = fetch(&cache, &sim, &q, vocab, 0.2);
         assert_eq!(*counting.batches.lock().unwrap(), vec![misses]);
-        let lists: Vec<_> = (0..q.len()).map(|i| drain(&mut batched, i)).collect();
-        assert_eq!(counting.batches.lock().unwrap().len(), 1, "no second scan");
         assert!(counting.singles.lock().unwrap().is_empty());
-
-        let mut by_probe = cached(&warmed(), &inner, &q, vocab, 0.2);
-        for (i, list) in lists.iter().enumerate() {
-            assert_eq!(&drain(&mut by_probe, i), list);
-        }
-        assert_eq!(batched.search_stats(), by_probe.search_stats());
-        assert_eq!(
-            (batched.search_stats().hits, batched.search_stats().misses),
-            (2, 3)
-        );
-        let mut bare = ExactScanKnn::new(inner, q.clone(), vocab, 0.2);
-        for (i, list) in lists.iter().enumerate() {
-            assert_eq!(&drain(&mut bare, i), list);
-        }
+        assert_eq!((stats.hits, stats.misses, stats.inserted), (2, 3, 3));
+        assert_eq!(fetched, scan(&inner, &q, vocab, 0.2));
     }
 
     /// One similarity over a vocabulary that grows in three steps — the
     /// old tokens, then far ones, then near duplicates of `Blaine` — and
-    /// the vocabulary length after each step. A source over a prefix is
+    /// the vocabulary length after each step. A fetch over a prefix is
     /// what a backend minted before a batch scans: appending tokens never
     /// changes an existing pair.
     fn growing() -> (Arc<dyn ElementSimilarity>, Repository, [usize; 3]) {
@@ -873,63 +653,38 @@ mod tests {
         (sim, repo, [4, 6, 8])
     }
 
-    /// Every element's list, drained, with weights as bit patterns.
-    fn lists(src: &mut dyn KnnSource, n: usize) -> Vec<Vec<(TokenId, u64)>> {
-        (0..n)
-            .map(|i| {
-                drain(src, i)
-                    .into_iter()
-                    .map(|(t, s)| (t, s.to_bits()))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// What a cold exact scan over `vocab` tokens emits.
-    fn scan(
-        sim: &Arc<dyn ElementSimilarity>,
-        q: &[TokenId],
-        vocab: usize,
-    ) -> Vec<Vec<(TokenId, u64)>> {
-        lists(
-            &mut ExactScanKnn::new(Arc::clone(sim), q.to_vec(), vocab, 0.3),
-            q.len(),
-        )
-    }
-
     /// Publishes every element of `q` as scanned over `vocab` tokens.
     fn publish(
-        cache: &Arc<TokenKnnCache>,
+        cache: &TokenKnnCache,
         sim: &Arc<dyn ElementSimilarity>,
         q: &[TokenId],
         vocab: usize,
     ) {
-        let mut src = cached(cache, sim, q, vocab, 0.3);
-        lists(&mut src, q.len());
-        assert_eq!(src.search_stats().inserted, q.len());
+        let (_, stats) = fetch(cache, sim, q, vocab, 0.3);
+        assert_eq!(stats.inserted, q.len());
     }
 
     #[test]
     fn grown_vocabulary_replays_when_no_new_token_reaches_alpha() {
         let (sim, repo, [old, far, _]) = growing();
         let q = repo.intern_query(["Blaine", "Zurich"]);
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
+        let cache = TokenKnnCache::new(1 << 20);
         publish(&cache, &sim, &q, old);
         let counting = CountingSim::new(Arc::clone(&sim));
         let probe: Arc<dyn ElementSimilarity> = counting.clone();
-        let mut src = cached(&cache, &probe, &q, far, 0.3);
-        assert_eq!(lists(&mut src, q.len()), scan(&sim, &q, far));
-        assert_eq!((src.search_stats().hits, src.search_stats().misses), (2, 0));
+        let (fetched, stats) = fetch(&cache, &probe, &q, far, 0.3);
+        assert_eq!(fetched, scan(&sim, &q, far, 0.3));
+        assert_eq!((stats.hits, stats.misses), (2, 0));
         assert!(
             counting.batches.lock().unwrap().is_empty(),
             "nothing rescanned"
         );
         // Each element scored the two new tokens once, then was refreshed:
-        // the next prober of this vocabulary replays without scoring.
+        // the next fetch over this vocabulary replays without scoring.
         assert_eq!(counting.pairs(), 2 * (far - old) as u64);
-        let mut again = cached(&cache, &probe, &q, far, 0.3);
-        assert_eq!(lists(&mut again, q.len()), scan(&sim, &q, far));
-        assert_eq!(again.search_stats().hits, 2);
+        let (again, stats) = fetch(&cache, &probe, &q, far, 0.3);
+        assert_eq!(again, fetched);
+        assert_eq!(stats.hits, 2);
         assert_eq!(counting.pairs(), 2 * (far - old) as u64);
     }
 
@@ -937,20 +692,19 @@ mod tests {
     fn grown_vocabulary_rescans_when_a_new_token_reaches_alpha() {
         let (sim, repo, [old, _, near]) = growing();
         let q = repo.intern_query(["Blaine", "Zurich"]);
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
+        let cache = TokenKnnCache::new(1 << 20);
         publish(&cache, &sim, &q, old);
         // `Blain` and `Blainey` reach α against `Blaine`, not `Zurich`.
-        let mut src = cached(&cache, &sim, &q, near, 0.3);
-        let fresh = lists(&mut src, q.len());
-        assert_eq!(fresh, scan(&sim, &q, near));
-        assert!(fresh[0].len() > scan(&sim, &q, old)[0].len());
-        assert_eq!((src.search_stats().hits, src.search_stats().misses), (1, 1));
-        assert_eq!(src.search_stats().inserted, 1, "the rescan republishes");
+        let (fresh, stats) = fetch(&cache, &sim, &q, near, 0.3);
+        assert_eq!(fresh, scan(&sim, &q, near, 0.3));
+        assert!(fresh[0].len() > scan(&sim, &q, old, 0.3)[0].len());
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(stats.inserted, 1, "the rescan republishes");
         let c = cache.counters();
         assert_eq!((c.hits, c.misses), (1, 3), "a refused entry is a miss");
-        let mut again = cached(&cache, &sim, &q, near, 0.3);
-        assert_eq!(lists(&mut again, q.len()), fresh);
-        assert_eq!(again.search_stats().hits, 2);
+        let (again, stats) = fetch(&cache, &sim, &q, near, 0.3);
+        assert_eq!(again, fresh);
+        assert_eq!(stats.hits, 2);
     }
 
     #[test]
@@ -958,43 +712,39 @@ mod tests {
         let (sim, repo, [old, far, _]) = growing();
         let q = repo.intern_query(["Geneva"]);
         assert!(q[0].idx() >= old && q[0].idx() < far);
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
+        let cache = TokenKnnCache::new(1 << 20);
         publish(&cache, &sim, &q, old);
-        assert!(scan(&sim, &q, old)[0].iter().all(|&(t, _)| t != q[0]));
+        assert!(scan(&sim, &q, old, 0.3)[0].iter().all(|&(t, _)| t != q[0]));
         // Nothing of the new tokens but the key itself reaches α: it is
         // due at 1.0 once interned, so the entry is refused.
-        let mut src = cached(&cache, &sim, &q, far, 0.3);
-        let fresh = lists(&mut src, q.len());
-        assert_eq!(fresh, scan(&sim, &q, far));
+        let (fresh, stats) = fetch(&cache, &sim, &q, far, 0.3);
+        assert_eq!(fresh, scan(&sim, &q, far, 0.3));
         assert_eq!(fresh[0][0], (q[0], 1.0f64.to_bits()));
-        assert_eq!((src.search_stats().hits, src.search_stats().misses), (0, 1));
+        assert_eq!((stats.hits, stats.misses), (0, 1));
     }
 
     #[test]
     fn shrunk_vocabulary_replays_only_lists_within_it() {
         let (sim, repo, [old, _, near]) = growing();
         let q = repo.intern_query(["Blaine", "Zurich"]);
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
+        let cache = TokenKnnCache::new(1 << 20);
         publish(&cache, &sim, &q, near);
-        // An older source: `Blaine`'s list names tokens it cannot know,
+        // An older backend: `Blaine`'s list names tokens it cannot know,
         // `Zurich`'s does not.
-        let mut src = cached(&cache, &sim, &q, old, 0.3);
-        assert_eq!(lists(&mut src, q.len()), scan(&sim, &q, old));
-        assert_eq!((src.search_stats().hits, src.search_stats().misses), (1, 1));
+        let (older, stats) = fetch(&cache, &sim, &q, old, 0.3);
+        assert_eq!(older, scan(&sim, &q, old, 0.3));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
         // Its republished `Blaine` list is refused by the newer vocabulary
         // again, which rescans the same list it first published.
-        let mut newer = cached(&cache, &sim, &q, near, 0.3);
-        assert_eq!(lists(&mut newer, q.len()), scan(&sim, &q, near));
-        assert_eq!(
-            (newer.search_stats().hits, newer.search_stats().misses),
-            (1, 1)
-        );
+        let (newer, stats) = fetch(&cache, &sim, &q, near, 0.3);
+        assert_eq!(newer, scan(&sim, &q, near, 0.3));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
     fn registered_successors_share_their_predecessors_tag() {
         let (sim, repo, _) = growing();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
+        let cache = TokenKnnCache::new(1 << 20);
         let tag = cache.sim_tag(&sim);
         let successor: Arc<dyn ElementSimilarity> = Arc::new(QGramJaccard::new(&repo, 3));
         cache.register_sim_tag(&successor, tag);
@@ -1008,29 +758,24 @@ mod tests {
     #[test]
     fn alpha_values_do_not_share_entries() {
         let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
-        let mut a = cached(&cache, &sim, &q, vocab, 0.2);
-        drain(&mut a, 0);
-        let mut b = cached(&cache, &sim, &q, vocab, 0.9);
-        drain(&mut b, 0);
-        assert_eq!(b.search_stats().hits, 0, "different α must miss");
+        let cache = TokenKnnCache::new(1 << 20);
+        fetch(&cache, &sim, &q[..1], vocab, 0.2);
+        let (_, stats) = fetch(&cache, &sim, &q[..1], vocab, 0.9);
+        assert_eq!(stats.hits, 0, "different α must miss");
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn sim_tags_namespace_entries() {
         let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
-        let mut a = cached(&cache, &sim, &q, vocab, 0.3); // tag 0
-        drain(&mut a, 0);
-        let mut b = cached(&cache, &sim, &q, vocab, 0.3).with_sim_tag(7);
-        drain(&mut b, 0);
-        assert_eq!(b.search_stats().hits, 0, "different sim tag must miss");
+        let cache = TokenKnnCache::new(1 << 20);
+        fetch(&cache, &sim, &q[..1], vocab, 0.3); // tag 0
+        let (_, stats) = fetch_tagged(&cache, &sim, &q[..1], vocab, 0.3, 7);
+        assert_eq!(stats.hits, 0, "different sim tag must miss");
         assert_eq!(cache.len(), 2, "entries live side by side");
         // Same tag hits its own namespace.
-        let mut c = cached(&cache, &sim, &q, vocab, 0.3);
-        drain(&mut c, 0);
-        assert_eq!(c.search_stats().hits, 1);
+        let (_, stats) = fetch(&cache, &sim, &q[..1], vocab, 0.3);
+        assert_eq!(stats.hits, 1);
     }
 
     #[test]
@@ -1056,48 +801,65 @@ mod tests {
     #[test]
     fn generation_bump_invalidates() {
         let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
-        let mut a = cached(&cache, &sim, &q, vocab, 0.3);
-        drain(&mut a, 0);
+        let cache = TokenKnnCache::new(1 << 20);
+        fetch(&cache, &sim, &q[..1], vocab, 0.3);
         assert_eq!(cache.len(), 1);
         cache.bump_generation();
         assert!(cache.is_empty());
         assert_eq!(cache.counters().invalidations, 1);
-        let mut b = cached(&cache, &sim, &q, vocab, 0.3);
-        drain(&mut b, 0);
-        assert_eq!(b.search_stats().hits, 0);
-        assert_eq!(b.search_stats().misses, 1);
+        let (_, stats) = fetch(&cache, &sim, &q[..1], vocab, 0.3);
+        assert_eq!((stats.hits, stats.misses), (0, 1));
+    }
+
+    /// A similarity that bumps the cache's generation while it scans: the
+    /// world changes between the fetch's entry and its publish.
+    struct BumpingSim {
+        inner: Arc<dyn ElementSimilarity>,
+        cache: Arc<TokenKnnCache>,
+    }
+
+    impl ElementSimilarity for BumpingSim {
+        fn sim(&self, a: TokenId, b: TokenId) -> f64 {
+            self.inner.sim(a, b)
+        }
+        fn name(&self) -> &'static str {
+            "bumping"
+        }
+        fn scores_above(
+            &self,
+            q: TokenId,
+            vocab: usize,
+            alpha: f64,
+            out: &mut Vec<(f64, TokenId)>,
+        ) {
+            self.cache.bump_generation();
+            self.inner.scores_above(q, vocab, alpha, out);
+        }
     }
 
     #[test]
     fn stale_generation_inserts_are_rejected() {
-        let (sim, q, vocab) = setup();
+        let (inner, q, vocab) = setup();
         let cache = Arc::new(TokenKnnCache::new(1 << 20));
-        // Source built against generation 0 …
-        let mut src = cached(&cache, &sim, &q, vocab, 0.3);
-        // … but the world changes mid-search.
-        cache.bump_generation();
-        drain(&mut src, 0);
-        assert_eq!(src.search_stats().inserted, 0);
+        let sim: Arc<dyn ElementSimilarity> = Arc::new(BumpingSim {
+            inner: Arc::clone(&inner),
+            cache: Arc::clone(&cache),
+        });
+        let (fetched, stats) = fetch(&cache, &sim, &q[..1], vocab, 0.3);
+        assert_eq!(fetched, scan(&inner, &q[..1], vocab, 0.3), "reads unharmed");
+        assert_eq!(stats.inserted, 0);
         assert!(cache.is_empty());
-        assert!(cache.counters().rejected_inserts >= 1);
+        assert_eq!(cache.counters().rejected_inserts, 1);
     }
 
     #[test]
     fn byte_budget_evicts_lru() {
         let (sim, q, vocab) = setup();
         // Budget fits roughly one list (payload + overhead).
-        let mut probe = cached(&Arc::new(TokenKnnCache::new(1 << 20)), &sim, &q, vocab, 0.2);
-        let one_list_bytes = list_bytes(&Arc::new(
-            drain(&mut probe, 0)
-                .into_iter()
-                .map(|(t, s)| (s, t))
-                .collect::<Vec<_>>(),
-        ));
-        let cache = Arc::new(TokenKnnCache::new(one_list_bytes + ENTRY_OVERHEAD / 2));
-        let mut src = cached(&cache, &sim, &q, vocab, 0.2);
-        drain(&mut src, 0);
-        drain(&mut src, 1);
+        let (bare, _) = lists(sim.as_ref(), &q, vocab, 0.2, None);
+        let one_list_bytes = list_bytes(&bare[0]);
+        let cache = TokenKnnCache::new(one_list_bytes + ENTRY_OVERHEAD / 2);
+        fetch(&cache, &sim, &q, vocab, 0.2);
         assert_eq!(cache.len(), 1, "budget holds one list");
         assert!(cache.counters().evictions >= 1);
         assert!(cache.bytes() <= cache.budget_bytes());
@@ -1106,10 +868,9 @@ mod tests {
     #[test]
     fn zero_budget_disables_caching() {
         let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(0));
-        let mut src = cached(&cache, &sim, &q, vocab, 0.3);
-        let fresh = drain(&mut src, 0);
-        assert!(!fresh.is_empty(), "search still works without caching");
+        let cache = TokenKnnCache::new(0);
+        let (fresh, _) = fetch(&cache, &sim, &q[..1], vocab, 0.3);
+        assert!(!fresh[0].is_empty(), "search still works without caching");
         assert!(cache.is_empty());
         assert!(cache.counters().rejected_inserts >= 1);
     }
@@ -1117,9 +878,8 @@ mod tests {
     #[test]
     fn snapshot_reports_state() {
         let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
-        let mut src = cached(&cache, &sim, &q, vocab, 0.3);
-        drain(&mut src, 0);
+        let cache = TokenKnnCache::new(1 << 20);
+        fetch(&cache, &sim, &q[..1], vocab, 0.3);
         let snap = cache.snapshot();
         assert_eq!(snap.entries, 1);
         assert!(snap.bytes > 0);
@@ -1132,19 +892,11 @@ mod tests {
     #[test]
     fn concurrent_fill_and_probe_is_safe_and_exact() {
         let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
-        let expect: Vec<Vec<(TokenId, f64)>> = {
-            let mut bare = ExactScanKnn::new(Arc::clone(&sim), q.clone(), vocab, 0.25);
-            (0..q.len()).map(|i| drain(&mut bare, i)).collect()
-        };
+        let cache = TokenKnnCache::new(1 << 20);
+        let expect = scan(&sim, &q, vocab, 0.25);
         std::thread::scope(|sc| {
             for _ in 0..8 {
-                sc.spawn(|| {
-                    let mut src = cached(&cache, &sim, &q, vocab, 0.25);
-                    for (i, exp) in expect.iter().enumerate() {
-                        assert_eq!(&drain(&mut src, i), exp);
-                    }
-                });
+                sc.spawn(|| assert_eq!(fetch(&cache, &sim, &q, vocab, 0.25).0, expect));
             }
         });
         let c = cache.counters();
@@ -1155,24 +907,25 @@ mod tests {
     #[test]
     fn installed_lock_wait_histogram_counts_acquisitions() {
         let (sim, q, vocab) = setup();
-        let cache = Arc::new(TokenKnnCache::new(1 << 20));
-        let lock_wait = Arc::new(Histogram::new());
-        cache.install_lock_wait(Arc::clone(&lock_wait));
-        // A second installation is ignored — the first histogram keeps
+        let cache = TokenKnnCache::new(1 << 20);
+        let count = |n: &Arc<AtomicUsize>| -> LockWaitObserver {
+            let n = Arc::clone(n);
+            Arc::new(move |_| {
+                n.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        let waits = Arc::new(AtomicUsize::new(0));
+        cache.install_lock_wait(count(&waits));
+        // A second installation is ignored — the first observer keeps
         // receiving samples.
-        cache.install_lock_wait(Arc::new(Histogram::new()));
-        let mut src = cached(&cache, &sim, &q, vocab, 0.3);
-        let fresh = drain(&mut src, 0);
-        assert!(!fresh.is_empty());
+        cache.install_lock_wait(count(&Arc::new(AtomicUsize::new(0))));
+        let (fresh, _) = fetch(&cache, &sim, &q[..1], vocab, 0.3);
+        assert!(!fresh[0].is_empty());
         // One probe (miss) + one insert = two timed acquisitions.
-        assert_eq!(lock_wait.snapshot().count(), 2);
-        let mut warm = cached(&cache, &sim, &q, vocab, 0.3);
-        assert_eq!(
-            drain(&mut warm, 0),
-            fresh,
-            "instrumentation changes nothing"
-        );
-        assert_eq!(lock_wait.snapshot().count(), 3);
+        assert_eq!(waits.load(Ordering::Relaxed), 2);
+        let (warm, _) = fetch(&cache, &sim, &q[..1], vocab, 0.3);
+        assert_eq!(warm, fresh, "instrumentation changes nothing");
+        assert_eq!(waits.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //! element itself emitted first so vanilla overlap seeds the bounds and
 //! out-of-vocabulary elements are handled.
 //!
+//! A search fetches every element's complete list once
+//! ([`knn::lists`]), and the stream replays them ([`ExactScanKnn`]).
 //! Because per-element kNN lists depend only on `(token, α)` — never on the
 //! rest of the query — they repeat across *similar* queries. The
 //! [`knn_cache`] module exploits that seam: [`TokenKnnCache`] shares
-//! complete per-element lists across searches and [`CachedKnn`] wraps any
-//! source with transparent probe/record caching.
+//! complete per-element lists across searches, and the fetch replays them.
 
 pub mod inverted;
 pub mod knn;
@@ -30,9 +31,7 @@ pub mod token_stream;
 
 pub use inverted::InvertedIndex;
 pub use knn::{ExactScanKnn, KnnSource};
-pub use knn_cache::{
-    CachedKnn, KnnCacheCounters, KnnCacheSearchStats, KnnCacheSnapshot, TokenKnnCache,
-};
+pub use knn_cache::{KnnCacheCounters, KnnCacheSearchStats, KnnCacheSnapshot, TokenKnnCache};
 pub use live::{apply_op, Applied, LiveError};
 pub use minhash::{MinHashIndex, MinHashKnn, MinHashParams};
 pub use token_stream::{StreamTuple, TokenStream};

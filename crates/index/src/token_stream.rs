@@ -7,6 +7,10 @@
 //! arrive in non-increasing similarity order, which is the property every
 //! refinement bound relies on. The stream ends when the best remaining
 //! similarity drops below `α` (sources enforce the cutoff).
+//!
+//! The engine's source is [`ExactScanKnn`](crate::knn::ExactScanKnn): the
+//! complete lists of the whole query, fetched once before the stream is
+//! built, so a probe is a cursor step.
 
 use crate::knn::KnnSource;
 use koios_common::TokenId;
@@ -60,12 +64,8 @@ pub struct TokenStream<K: KnnSource> {
 
 impl<K: KnnSource> TokenStream<K> {
     /// Builds the stream over `query_len` elements, probing each source once
-    /// to fill the initial queue (the paper's initialisation step). Every
-    /// element is probed here, so the source is first told to
-    /// [prefetch](KnnSource::prefetch) them all: the exact sources then
-    /// score the whole query in one vocabulary pass.
+    /// to fill the initial queue (the paper's initialisation step).
     pub fn new(mut source: K, query_len: usize) -> Self {
-        source.prefetch(&(0..query_len).collect::<Vec<_>>());
         let mut heap = BinaryHeap::with_capacity(query_len);
         for q_idx in 0..query_len {
             if let Some((token, sim)) = source.next(q_idx) {
@@ -117,12 +117,6 @@ impl<K: KnnSource> TokenStream<K> {
     /// Number of tuples emitted so far.
     pub fn emitted(&self) -> usize {
         self.emitted
-    }
-
-    /// The merged kNN source (e.g. to read
-    /// [`KnnSource::cache_counters`] after the stream was consumed).
-    pub fn source(&self) -> &K {
-        &self.source
     }
 
     /// Estimated heap bytes of the stream (queue + sources), for the memory
@@ -209,29 +203,6 @@ mod tests {
                 "self pair for query element {qi} missing from the head"
             );
         }
-    }
-
-    /// A source that only answers probes: `prefetch` is the no-op default.
-    struct ProbeOnly<K>(K);
-
-    impl<K: KnnSource> KnnSource for ProbeOnly<K> {
-        fn next(&mut self, q_idx: usize) -> Option<(TokenId, f64)> {
-            self.0.next(q_idx)
-        }
-        fn heap_bytes(&self) -> usize {
-            self.0.heap_bytes()
-        }
-    }
-
-    #[test]
-    fn prefetching_changes_no_tuple() {
-        let (repo, sim, q) = setup(0.2);
-        let source = || ExactScanKnn::new(sim.clone(), q.clone(), repo.vocab_size(), 0.2);
-        let batched = drain(TokenStream::new(source(), q.len()));
-        assert_eq!(
-            batched,
-            drain(TokenStream::new(ProbeOnly(source()), q.len()))
-        );
     }
 
     #[test]

@@ -184,6 +184,31 @@ fn element_queries_and_overrides_work_over_http() {
     }
 }
 
+/// `{"k": 2⁴⁰}` answers 200 on both backends: the wire passes any `u64`
+/// through, and no layer below sizes an allocation by it.
+#[test]
+fn huge_k_over_http_answers_on_both_backends() {
+    let (repo, emb) = corpus_parts();
+    let factory = cosine_factory();
+    for service in [
+        single_service(&repo, &emb, &factory),
+        partitioned_service(&repo, &emb, &factory),
+    ] {
+        let server = KoiosServer::bind(Arc::new(service), "127.0.0.1:0").unwrap();
+        let mut client = KoiosClient::new(server.addr());
+        let body = Json::obj([
+            (
+                "tokens",
+                Json::arr(repo.set(SetId(2)).iter().map(|t| Json::num(t.0 as f64))),
+            ),
+            ("k", Json::num((1u64 << 40) as f64)),
+        ]);
+        let (status, reply) = client.search(&body).unwrap();
+        assert_eq!(status, 200, "{reply}");
+        assert!(!reply.get("hits").unwrap().as_array().unwrap().is_empty());
+    }
+}
+
 /// The result cache is observable over the wire: a repeated query reports
 /// `"cache": "hit"`, `/invalidate` resets it, `/stats` counts it.
 #[test]

@@ -210,9 +210,11 @@ fn partitioned_service_matches_single_engine_service() {
     }
 }
 
-/// One token cache serves every shard of a partitioned service: overlapping
-/// queries hit lists another shard (or query) filled, and the result cache
-/// stays backend-transparent.
+/// One token cache serves every shard of a partitioned service, probed once
+/// per query element, not once per (element, shard): the query's lists are
+/// fetched once and every shard replays them. Overlapping queries hit the
+/// lists an earlier query published, and the result cache stays
+/// backend-transparent.
 #[test]
 fn partitioned_service_shares_token_cache_across_shards() {
     let (repo, emb) = corpus_parts(11);
@@ -229,27 +231,59 @@ fn partitioned_service_shares_token_cache_across_shards() {
     let cold = svc.search(SearchRequest::new(q.clone()));
     assert_eq!(cold.cache, CacheOutcome::Miss);
     let knn = &cold.result.stats.knn_cache;
-    // Every (element, shard) probe resolved against the one shared cache.
-    // Shards race within a search, so an element can miss in several shards
-    // before the first list is recorded — but never fewer than once.
-    assert_eq!(knn.hits + knn.misses, 4 * q.len());
-    assert!(knn.misses >= q.len(), "first resolver per element misses");
+    // Each element scanned once for all four shards.
+    assert_eq!((knn.hits, knn.misses), (0, q.len()), "{knn:?}");
 
-    // An overlapping (not identical) query reuses the shared lists.
+    // An overlapping (not identical) query replays the shared lists, once
+    // per element.
     let mut overlapping = q.clone();
     overlapping.pop();
     let warm = svc.search(SearchRequest::new(overlapping));
     assert_eq!(warm.cache, CacheOutcome::Miss);
-    assert!(
-        warm.result.stats.knn_cache.hits >= 4 * (q.len() - 1),
-        "shared elements hit in every shard: {:?}",
-        warm.result.stats.knn_cache
-    );
+    let knn = &warm.result.stats.knn_cache;
+    assert_eq!((knn.hits, knn.misses), (q.len() - 1, 0), "{knn:?}");
 
     // Identical resubmission: served by the result cache, backend never runs.
     let hit = svc.search(SearchRequest::new(q));
     assert_eq!(hit.cache, CacheOutcome::Hit);
     assert_eq!(hit.result.hits, cold.result.hits);
+}
+
+/// A `k` no allocation could hold (2⁴⁰) is answered on both backends, with
+/// the hits of a `k` as large as the corpus: nothing is sized by `k`.
+#[test]
+fn huge_k_is_answered_on_both_backends() {
+    let (repo, emb) = corpus_parts(17);
+    let cfg = KoiosConfig::new(5, 0.8);
+    let single = MutableEngine::single(
+        Arc::clone(&repo),
+        Some(Arc::clone(&emb)),
+        cfg.clone(),
+        cosine_factory(),
+    );
+    let partitioned =
+        MutableEngine::partitioned(Arc::clone(&repo), Some(emb), cfg, 4, 3, cosine_factory());
+    let q = repo.set(SetId(3)).to_vec();
+    for engine in [single.unwrap(), partitioned.unwrap()] {
+        let svc = SearchService::from_mutable(engine, ServiceConfig::new().with_workers(1));
+        let huge = svc.search(
+            SearchRequest::new(q.clone())
+                .with_k(1 << 40)
+                .bypassing_cache(),
+        );
+        let all = svc.search(
+            SearchRequest::new(q.clone())
+                .with_k(repo.num_sets())
+                .bypassing_cache(),
+        );
+        assert!(!huge.rejected && !huge.result.stats.timed_out);
+        assert!(
+            huge.result.hits.len() > 5,
+            "{} hits",
+            huge.result.hits.len()
+        );
+        assert_eq!(huge.result.hits, all.result.hits);
+    }
 }
 
 /// Deadline accounting is consistent between responses and service stats on

@@ -181,10 +181,14 @@ fn partitioned_engines_share_the_cache_exactly() {
             "partitioned cached search diverged for {q:?}"
         );
     }
-    // Per-element lists are partition-independent: 4 partitions probing the
-    // same element share one entry, so hits dominate misses.
+    // Per-element lists are partition-independent: a query fetches once for
+    // all 4 partitions, so each distinct element of the workload misses
+    // once, and every later query holding it hits.
+    let distinct: std::collections::BTreeSet<TokenId> = queries.iter().flatten().copied().collect();
+    let probes: usize = queries.iter().map(Vec::len).sum();
     let c = cache.counters();
-    assert!(c.hits > c.misses, "partitions should share lists: {c:?}");
+    assert_eq!(c.misses, distinct.len() as u64, "{c:?}");
+    assert_eq!(c.hits, (probes - distinct.len()) as u64, "{c:?}");
 }
 
 /// The service's token cache across live batches, on both layouts: every
