@@ -18,9 +18,9 @@
 //! * [`memsize::HeapSize`] — heap-footprint accounting used to reproduce the
 //!   paper's memory experiments (Table III, Fig. 5d/6d/7d).
 //! * [`sparse::SpanArena`] — small sorted integer sets stored as
-//!   [`sparse::Span`]s in one shared `u32` arena: the per-candidate
-//!   matched/seen element sets of refinement, which allocate nothing per
-//!   candidate.
+//!   [`sparse::Span`]s in one shared `u32` arena, and [`sparse::RowSet`]s
+//!   that keep rows below 64 in a mask: the per-candidate matched/seen
+//!   element sets of refinement, which allocate nothing per candidate.
 //! * [`json::Json`] — a minimal JSON value with an encoder/decoder (the wire
 //!   format of the `koios-net` HTTP front-end; crates.io — and therefore
 //!   `serde` — is unreachable here).

@@ -8,7 +8,8 @@
 //! pruned per query. So a set is a [`Span`] — offset, length, capacity —
 //! into one [`SpanArena`] of `u32` words that the search owns: a new set
 //! allocates nothing, a pruned candidate frees nothing, and clearing the
-//! arena drops every set of a search at once.
+//! arena drops every set of a search at once. A set of query rows is a
+//! [`RowSet`], whose rows below 64 are mask bits that take no arena word.
 //!
 //! Inside its span a set is sorted and deduplicated, so a lookup is a
 //! binary search and an insert shifts the tail. A full span moves to the
@@ -40,6 +41,51 @@ impl Span {
     #[inline]
     pub fn is_empty(self) -> bool {
         self.len == 0
+    }
+}
+
+/// A set of query rows. Rows below 64 are bits of a mask held in the set
+/// itself, so a query of up to 64 elements never touches the arena; any
+/// higher row goes to a [`Span`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowSet {
+    low: u64,
+    high: Span,
+}
+
+impl RowSet {
+    /// Number of rows.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.low.count_ones() as usize + self.high.len()
+    }
+
+    /// Whether the set is empty.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether `row` is in the set.
+    #[inline]
+    pub fn contains(self, arena: &SpanArena, row: u32) -> bool {
+        match 1u64.checked_shl(row) {
+            Some(bit) => self.low & bit != 0,
+            None => arena.contains(self.high, row),
+        }
+    }
+
+    /// Inserts `row`; returns `true` if it was newly added.
+    #[inline]
+    pub fn insert(&mut self, arena: &mut SpanArena, row: u32) -> bool {
+        match 1u64.checked_shl(row) {
+            Some(bit) => {
+                let added = self.low & bit == 0;
+                self.low |= bit;
+                added
+            }
+            None => arena.insert(&mut self.high, row),
+        }
     }
 }
 
@@ -215,5 +261,35 @@ mod tests {
             }
         }
         assert!(moves > 1000, "{moves} moves");
+    }
+
+    /// Row sets over rows on both sides of the mask's 64, interleaved in
+    /// one arena, against a `BTreeSet` per set; rows below 64 never
+    /// touch the arena.
+    #[test]
+    fn row_sets_match_a_btreeset_oracle() {
+        let mut a = SpanArena::new();
+        let mut sets = [RowSet::default(); 4];
+        let mut oracle = vec![BTreeSet::new(); sets.len()];
+        for step in 0..2000u64 {
+            let h = mix64(step);
+            let i = (h % 4) as usize;
+            let row = (h >> 8) as u32 % 100;
+            if (h >> 16).is_multiple_of(3) {
+                assert_eq!(sets[i].contains(&a, row), oracle[i].contains(&row));
+            } else {
+                assert_eq!(sets[i].insert(&mut a, row), oracle[i].insert(row));
+            }
+            assert_eq!(sets[i].len(), oracle[i].len());
+            assert_eq!(sets[i].is_empty(), oracle[i].is_empty());
+        }
+        let high = oracle.iter().flatten().filter(|&&r| r >= 64).count();
+        assert!(high > 0 && a.len() >= high);
+
+        let mut low = RowSet::default();
+        let mut b = SpanArena::new();
+        assert!((0..64).all(|r| low.insert(&mut b, r)));
+        assert!(!low.insert(&mut b, 63) && low.contains(&b, 0));
+        assert_eq!((low.len(), b.len()), (64, 0));
     }
 }

@@ -146,7 +146,9 @@ impl Koios {
         let edges = query_edges(&lists);
         let source = ExactScanKnn::replay(lists.into());
         let theta = SharedTheta::new();
-        let mut result = self.run(&q, source, Some(&edges), &theta, deadline, started);
+        let fetched = started.elapsed();
+        let mut result = self.run(&q, source, Some(&edges), true, &theta, deadline);
+        result.stats.refine_time += fetched;
         result.stats.knn_cache = knn_cache;
         result
     }
@@ -156,7 +158,9 @@ impl Koios {
     /// once for the whole query (`q` sorted and deduplicated), publishing
     /// and consuming the shared pruning threshold `θlb` under the
     /// query-wide `deadline`, so no shard can overrun the budget the merge
-    /// phase still has to fit into.
+    /// phase still has to fit into. The lists and the edges are the
+    /// partitioned search's, which counts them once: a shard's memory
+    /// report holds its own cursor only.
     pub(crate) fn search_shard(
         &self,
         q: &[TokenId],
@@ -166,7 +170,7 @@ impl Koios {
         deadline: Option<Instant>,
     ) -> SearchResult {
         let source = ExactScanKnn::replay(lists);
-        self.run(q, source, Some(edges), theta, deadline, Instant::now())
+        self.run(q, source, Some(edges), false, theta, deadline)
     }
 
     /// Runs a search over a caller-provided kNN source (§IV: "any index
@@ -186,22 +190,25 @@ impl Koios {
         source: K,
         theta: &SharedTheta,
     ) -> SearchResult {
-        self.run(&q, source, None, theta, None, Instant::now())
+        self.run(&q, source, None, false, theta, None)
     }
 
-    /// The pipeline behind every search entry point; `refine_time` counts
-    /// from `started`. `edges` is the query's whole α-graph when the
-    /// source replays exact, complete lists; verification reads it unless
-    /// the deadline cut refinement, after which nothing is verified.
+    /// The pipeline behind every search entry point. `edges` is the
+    /// query's whole α-graph when the source replays exact, complete
+    /// lists; verification reads it unless the deadline cut refinement,
+    /// after which nothing is verified. `own_edges` counts the edges this
+    /// search verified from into its memory report; a shard's belong to
+    /// the partitioned search, which counts them once.
     fn run<K: KnnSource>(
         &self,
         q: &[TokenId],
         source: K,
         edges: Option<&QueryEdges>,
+        own_edges: bool,
         theta: &SharedTheta,
         deadline: Option<Instant>,
-        started: Instant,
     ) -> SearchResult {
+        let started = Instant::now();
         debug_assert!(q.windows(2).all(|w| w[0] < w[1]), "query must be sorted");
         let mut stats = SearchStats {
             epoch: self.cfg.epoch,
@@ -227,7 +234,7 @@ impl Koios {
             deadline,
         );
         let edges = edges.filter(|_| !stats.timed_out);
-        if let Some(e) = edges {
+        if let Some(e) = edges.filter(|_| own_edges) {
             stats.memory.add("query edges", e.heap_size());
         }
         stats.refine_time = started.elapsed();

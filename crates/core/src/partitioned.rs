@@ -18,11 +18,11 @@ use crate::overlap::{semantic_overlap, semantic_overlap_bounded_with_effort};
 use crate::result::{Hit, ScoreBound, SearchResult};
 use crate::stats::{SearchStats, ShardFunnel};
 use crate::theta::SharedTheta;
-use koios_common::{SetId, TokenId};
+use koios_common::{HeapSize, SetId, TokenId};
 use koios_embed::repository::Repository;
 use koios_embed::sim::ElementSimilarity;
 use koios_index::inverted::InvertedIndex;
-use koios_index::knn::KnnList;
+use koios_index::knn::{lists_heap_bytes, KnnList};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -269,6 +269,12 @@ impl PartitionedKoios {
             stats.merge_parallel(&partial.stats);
             shard_times.push(shard_time);
             pool.extend(partial.hits);
+        }
+        // Every shard counted its own cursor; the lists they replay and the
+        // α-graph they verify from are this search's, so they count once.
+        if !q.is_empty() {
+            stats.memory.add("token stream", lists_heap_bytes(&lists));
+            stats.memory.add("query edges", edges.heap_size());
         }
         // Assigned (not merged): each entry is one shard of *this* search.
         stats.shard_times = shard_times;

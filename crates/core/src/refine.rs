@@ -17,12 +17,19 @@
 //! Candidates are pruned when their upper bound falls strictly below `θlb`,
 //! the k-th best lower bound seen so far (Lemma 4) — at discovery via the
 //! UB-filter (Lemma 2) and continuously via the bucket sweep (§V).
+//!
+//! Every posting entry of every stream tuple looks its set up, so the
+//! candidate states live in a dense table: one `u32` slot per set id
+//! pointing into a vector of candidates, kept per thread between
+//! searches (`Scratch`). An improved lower bound is offered to `Llb`
+//! only when it can enter: while the list is not full, or strictly above
+//! its bottom.
 
 use crate::buckets::BucketIndex;
 use crate::config::KoiosConfig;
 use crate::stats::SearchStats;
 use crate::theta::{slack, SharedTheta};
-use koios_common::sparse::{Span, SpanArena};
+use koios_common::sparse::{RowSet, Span, SpanArena};
 use koios_common::topk::TopKList;
 use koios_common::{HeapSize, SetId, Sim, TokenId};
 use koios_embed::repository::Repository;
@@ -30,37 +37,7 @@ use koios_index::inverted::InvertedIndex;
 use koios_index::knn::KnnSource;
 use koios_index::token_stream::TokenStream;
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
-
-/// The candidate map's hasher: one multiply per set id instead of SipHash.
-/// Set ids are dense indices the corpus assigned, not client-chosen keys,
-/// so there is no flooding to defend against. The rotation brings the
-/// product's well-mixed high bits down to the low bits that pick a slot.
-#[derive(Default)]
-struct SetIdHasher(u64);
-
-impl Hasher for SetIdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(u32::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0 ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-type CandMap = HashMap<SetId, Cand, BuildHasherDefault<SetIdHasher>>;
 
 /// A candidate that survived refinement, with its final certified bounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,9 +60,9 @@ pub struct RefineOutput {
     pub llb: TopKList,
 }
 
-/// Per-candidate bound state. Its three sets live in the search's
-/// [`SpanArena`], so a candidate owns no heap: admitting one allocates
-/// nothing and pruning one frees nothing.
+/// Per-candidate bound state. Its token set and any query row from 64
+/// up live in the search's [`SpanArena`], so a candidate owns no heap:
+/// admitting one allocates nothing and pruning one frees nothing.
 #[derive(Clone, Copy)]
 struct Cand {
     /// `min(|Q|, |C|)` — the maximum matching cardinality.
@@ -93,13 +70,13 @@ struct Cand {
     /// Greedy partial matching score (iLB).
     lb: f64,
     /// Query element indices matched by the greedy matching.
-    matched_q: Span,
+    matched_q: RowSet,
     /// Candidate tokens matched by the greedy matching.
     matched_t: Span,
     /// Row-max sum (the iUB base).
     row_sum: f64,
     /// Query rows counted into `row_sum`, at most `cap`.
-    seen_q: Span,
+    seen_q: RowSet,
     /// Tombstone flag: pruned candidates are remembered so posting hits
     /// cannot resurrect them (Algorithm 1 line 6).
     pruned: bool,
@@ -110,10 +87,10 @@ impl Cand {
         Cand {
             cap,
             lb: 0.0,
-            matched_q: Span::default(),
+            matched_q: RowSet::default(),
             matched_t: Span::default(),
             row_sum: 0.0,
-            seen_q: Span::default(),
+            seen_q: RowSet::default(),
             pruned: false,
         }
     }
@@ -132,13 +109,13 @@ impl Cand {
         // iUB: first emitted edge per query row, capped at `cap` rows (the
         // stream is descending, so the first `cap` rows carry the largest
         // row maxima).
-        if (self.seen_q.len() as u32) < self.cap && sets.insert(&mut self.seen_q, q_idx) {
+        if (self.seen_q.len() as u32) < self.cap && self.seen_q.insert(sets, q_idx) {
             self.row_sum += s;
         }
         // iLB: greedy matching accepts the edge iff both endpoints are free
         // (Lemma 5 — any prefix of greedy choices is a valid matching).
-        if !sets.contains(self.matched_q, q_idx) && !sets.contains(self.matched_t, token.0) {
-            sets.insert(&mut self.matched_q, q_idx);
+        if !self.matched_q.contains(sets, q_idx) && !sets.contains(self.matched_t, token.0) {
+            self.matched_q.insert(sets, q_idx);
             sets.insert(&mut self.matched_t, token.0);
             self.lb += s;
             true
@@ -161,37 +138,57 @@ impl Cand {
     }
 }
 
-/// What refinement keeps between the searches of one thread: the
-/// candidate map and the arena of the candidates' sets, both empty
-/// between searches.
+/// What refinement keeps between the searches of one thread: the dense
+/// candidate table and the arena of the candidates' sets. Between
+/// searches every slot is [`NO_CAND`] and both vectors are empty.
 #[derive(Default)]
 struct Scratch {
-    states: CandMap,
+    /// One entry per set id: the set's index in `cands`, or [`NO_CAND`].
+    slot: Vec<u32>,
+    /// This search's candidates, tombstones included, in discovery order.
+    cands: Vec<(SetId, Cand)>,
     sets: SpanArena,
 }
+
+/// The slot of a set that is not a candidate.
+const NO_CAND: u32 = u32::MAX;
 
 thread_local! {
     static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
 /// A retained scratch larger than this many times what the last search
-/// used is shrunk to that use.
+/// used is shrunk to that use; the slot table's use is the repository's
+/// set count.
 const RETAIN_FACTOR: usize = 4;
 
 impl Scratch {
-    /// This thread's scratch. It is taken, not borrowed: a search that
-    /// panics drops it, and a nested search gets a fresh one.
-    fn take() -> Self {
-        SCRATCH.take()
+    /// This thread's scratch, its table covering `num_sets` set ids. It is
+    /// taken, not borrowed: a search that panics drops it, and a nested
+    /// search gets a fresh one.
+    fn take(num_sets: usize) -> Self {
+        let mut s = SCRATCH.take();
+        if s.slot.len() < num_sets {
+            s.slot.resize(num_sets, NO_CAND);
+        }
+        s
     }
 
-    /// Empties the scratch and gives it back to the thread, shrinking
-    /// each part that is more than [`RETAIN_FACTOR`]× this search's use.
-    fn put_back(mut self) {
-        let (cands, words) = (self.states.len(), self.sets.len());
-        self.states.clear();
-        if self.states.capacity() > RETAIN_FACTOR * cands {
-            self.states.shrink_to(cands);
+    /// Empties the scratch — resetting only the candidates' slots — and
+    /// gives it back to the thread, shrinking each part that is more than
+    /// [`RETAIN_FACTOR`]× this search's use.
+    fn put_back(mut self, num_sets: usize) {
+        for &(set, _) in &self.cands {
+            self.slot[set.idx()] = NO_CAND;
+        }
+        if self.slot.capacity() > RETAIN_FACTOR * num_sets {
+            self.slot.truncate(num_sets);
+            self.slot.shrink_to_fit();
+        }
+        let (cands, words) = (self.cands.len(), self.sets.len());
+        self.cands.clear();
+        if self.cands.capacity() > RETAIN_FACTOR * cands {
+            self.cands.shrink_to(cands);
         }
         self.sets.clear();
         if self.sets.capacity() > RETAIN_FACTOR * words {
@@ -214,10 +211,15 @@ pub fn refine<K: KnnSource>(
     deadline: Option<Instant>,
 ) -> RefineOutput {
     let qlen = query.len();
-    let mut scratch = Scratch::take();
-    let Scratch { states, sets } = &mut scratch;
+    let num_sets = repo.num_sets();
+    let mut scratch = Scratch::take(num_sets);
+    let Scratch { slot, cands, sets } = &mut scratch;
     let mut buckets = BucketIndex::new();
     let mut llb = TopKList::new(cfg.k);
+    // `llb`'s bottom once it is full: an lb at or below it cannot enter.
+    // A listed candidate's lb only rises, so its new lb is strictly above
+    // the bottom and is always offered.
+    let mut floor = f64::NEG_INFINITY;
     let mut residual = 0.0;
 
     while let Some(tuple) = stream.next() {
@@ -234,70 +236,63 @@ pub fn refine<K: KnnSource>(
                 stats.tombstone_skips += 1;
                 continue;
             }
-            match states.entry(set) {
-                Entry::Occupied(mut e) => {
-                    let cand = e.get_mut();
-                    if cand.pruned {
-                        continue;
-                    }
-                    let old_key = cand.bucket_key();
-                    let lb_improved = cand.apply(sets, tuple.q_idx, tuple.token, s);
-                    let new_key = cand.bucket_key();
-                    // A move is one push; the old entry goes stale.
-                    if cfg.iub_filter && new_key != old_key {
-                        buckets.insert(new_key.0, new_key.1, set);
-                        stats.bucket_moves += 1;
-                    }
-                    if lb_improved {
-                        let lb = cand.lb;
-                        if llb.offer(set, Sim::new(lb)) {
-                            stats.theta_raises += 1;
-                            if let Some(b) = llb.bottom() {
-                                theta.raise(b.get());
-                            }
-                        }
-                    }
+            let i = slot[set.idx()];
+            let lb = if i != NO_CAND {
+                let cand = &mut cands[i as usize].1;
+                if cand.pruned {
+                    continue;
                 }
-                Entry::Vacant(v) => {
-                    stats.candidates += 1;
-                    let clen = repo.set_len(set) as u32;
-                    let cap = (qlen as u32).min(clen);
-                    // UB-filter at discovery (Lemma 2 with the §IV cap):
-                    // the first tuple carries the set's maximum similarity.
-                    // Gated with the iUB filter so the Baseline config
-                    // (§VIII-A4) verifies every candidate unpruned.
-                    if cfg.iub_filter && (cap as f64) * s < slack(theta.get()) {
-                        stats.ub_filter_pruned += 1;
-                        v.insert(Cand::tombstone(cap));
-                        continue;
-                    }
-                    let mut cand = Cand::new(cap);
-                    cand.apply(sets, tuple.q_idx, tuple.token, s);
+                let old_key = cand.bucket_key();
+                let lb_improved = cand.apply(sets, tuple.q_idx, tuple.token, s);
+                let new_key = cand.bucket_key();
+                // A move is one push; the old entry goes stale.
+                if cfg.iub_filter && new_key != old_key {
+                    buckets.insert(new_key.0, new_key.1, set);
+                    stats.bucket_moves += 1;
+                }
+                if !lb_improved {
+                    continue;
+                }
+                cand.lb
+            } else {
+                stats.candidates += 1;
+                slot[set.idx()] = cands.len() as u32;
+                let clen = repo.set_len(set) as u32;
+                let cap = (qlen as u32).min(clen);
+                // UB-filter at discovery (Lemma 2 with the §IV cap):
+                // the first tuple carries the set's maximum similarity.
+                // Gated with the iUB filter so the Baseline config
+                // (§VIII-A4) verifies every candidate unpruned.
+                if cfg.iub_filter && (cap as f64) * s < slack(theta.get()) {
+                    stats.ub_filter_pruned += 1;
+                    cands.push((set, Cand::tombstone(cap)));
+                    continue;
+                }
+                let mut cand = Cand::new(cap);
+                cand.apply(sets, tuple.q_idx, tuple.token, s);
+                if cfg.iub_filter {
                     let key = cand.bucket_key();
-                    let lb = cand.lb;
-                    v.insert(cand);
-                    if cfg.iub_filter {
-                        buckets.insert(key.0, key.1, set);
-                    }
-                    if llb.offer(set, Sim::new(lb)) {
-                        stats.theta_raises += 1;
-                        if let Some(b) = llb.bottom() {
-                            theta.raise(b.get());
-                        }
-                    }
+                    buckets.insert(key.0, key.1, set);
+                }
+                cands.push((set, cand));
+                cand.lb
+            };
+            if lb > floor && llb.offer(set, Sim::new(lb)) {
+                stats.theta_raises += 1;
+                if let Some(b) = llb.bottom() {
+                    floor = b.get();
+                    theta.raise(floor);
                 }
             }
         }
         // Prune sweep after every tuple (§V): `s` decays and `θlb` rises.
         if cfg.iub_filter {
-            stats.iub_pruned +=
-                buckets.sweep(s, slack(theta.get()), |set, m| match states.get_mut(&set) {
-                    Some(c) if !c.pruned && c.bucket_key().0 == m => {
-                        c.pruned = true;
-                        true
-                    }
-                    _ => false,
-                });
+            stats.iub_pruned += buckets.sweep(s, slack(theta.get()), |set, m| {
+                let c = &mut cands[slot[set.idx()] as usize].1;
+                let current = !c.pruned && c.bucket_key().0 == m;
+                c.pruned |= current;
+                current
+            });
         }
         if stats.stream_tuples.is_multiple_of(1024) {
             if let Some(d) = deadline {
@@ -312,11 +307,11 @@ pub fn refine<K: KnnSource>(
     // End-of-stream collapse: once every edge ≥ α has been emitted the
     // residual per-row potential drops to 0 and the bound is the row-max
     // sum; a cut stream keeps the last similarity as the residual. One
-    // pass over the states applies that test to each candidate; sweeping
-    // the lazy heaps would pop every stale entry instead.
+    // pass over the candidates applies that test to each; sweeping the
+    // lazy heaps would pop every stale entry instead.
     let collapse = cfg.iub_filter.then(|| slack(theta.get()));
     let mut survivors: Vec<Survivor> = Vec::new();
-    for (&set, c) in states.iter().filter(|(_, c)| !c.pruned) {
+    for &(set, ref c) in cands.iter().filter(|(_, c)| !c.pruned) {
         let ub = c.final_ub(residual);
         if collapse.is_some_and(|th| ub < th) {
             stats.iub_pruned += 1;
@@ -327,11 +322,13 @@ pub fn refine<K: KnnSource>(
 
     // Memory snapshot of the refinement structures (paper §VIII-D sums the
     // footprints of both phases' structures). The candidate states count
-    // what this search used, not what the thread's scratch retains from
-    // earlier ones.
-    let states_bytes = states.len() * (std::mem::size_of::<(SetId, Cand)>() + 1)
+    // what this search used — the slot table over its repository, its
+    // candidates and their sets — not what the thread's scratch retains
+    // from earlier ones.
+    let states_bytes = num_sets * std::mem::size_of::<u32>()
+        + cands.len() * std::mem::size_of::<(SetId, Cand)>()
         + sets.len() * std::mem::size_of::<u32>();
-    scratch.put_back();
+    scratch.put_back(num_sets);
     stats.memory.add("token stream", stream.heap_bytes());
     stats.memory.add("candidate states", states_bytes);
     stats.memory.add("ub buckets", buckets.heap_size());
@@ -455,21 +452,29 @@ mod tests {
 
     /// A tombstone holds no heap: a candidate's sets are spans into the
     /// search's arena, so pruning frees nothing, and the scratch goes
-    /// back to the thread emptied when the search ends.
+    /// back to the thread emptied when the search ends — every slot free
+    /// again, though only the candidates' slots were reset.
     #[test]
     fn tombstone_releases_memory() {
         assert!(!std::mem::needs_drop::<Cand>(), "a candidate owns no heap");
-        let mut sets = SpanArena::new();
+        let mut scratch = Scratch::take(8);
         let mut c = Cand::new(4);
         for i in 0..50 {
-            c.apply(&mut sets, i, TokenId(i + 100), 0.9);
+            c.apply(&mut scratch.sets, i, TokenId(i + 100), 0.9);
         }
-        assert!(!sets.is_empty());
+        assert!(!scratch.sets.is_empty());
         c.pruned = true;
-        let states = CandMap::from_iter([(SetId(0), c), (SetId(1), Cand::tombstone(4))]);
-        Scratch { states, sets }.put_back();
-        let retained = Scratch::take();
-        assert!(retained.states.is_empty() && retained.sets.is_empty());
+        for (i, (set, cand)) in [(SetId(5), c), (SetId(2), Cand::tombstone(4))]
+            .into_iter()
+            .enumerate()
+        {
+            scratch.slot[set.idx()] = i as u32;
+            scratch.cands.push((set, cand));
+        }
+        scratch.put_back(8);
+        let retained = Scratch::take(8);
+        assert!(retained.cands.is_empty() && retained.sets.is_empty());
+        assert_eq!(retained.slot, vec![NO_CAND; 8]);
     }
 
     /// One query element similar to every token of the vocabulary: a
@@ -620,10 +625,18 @@ mod tests {
         }
     }
 
-    /// What this thread's scratch retains: (candidate slots, arena words).
+    /// What this thread's scratch retains: (candidates, arena words).
     fn retained() -> (usize, usize) {
-        let s = Scratch::take();
-        let r = (s.states.capacity(), s.sets.capacity());
+        let s = SCRATCH.take();
+        let r = (s.cands.capacity(), s.sets.capacity());
+        SCRATCH.set(s);
+        r
+    }
+
+    /// The length of this thread's retained slot table.
+    fn retained_slots() -> usize {
+        let s = SCRATCH.take();
+        let r = s.slot.len();
         SCRATCH.set(s);
         r
     }
@@ -631,6 +644,9 @@ mod tests {
     /// Reusing one thread's scratch — after a search that panicked, and
     /// from a large search to small ones — changes no hit and no memory
     /// figure, and a small search shrinks what a large one left behind.
+    /// The `"candidate states"` figure includes the slot table, 4 B per
+    /// set of the repository: what this search used, not what the thread
+    /// retains.
     #[test]
     fn scratch_reuse_is_invisible() {
         use crate::engine::Koios;
@@ -706,5 +722,57 @@ mod tests {
                 "{now:?} retained after {after_large:?}"
             );
         }
+    }
+
+    /// One thread's slot table follows the repository it searches: it
+    /// grows for sets a live insert puts past its end, which then become
+    /// hits, and shrinks when a much smaller repository follows. Every
+    /// search answers what a fresh thread answers.
+    #[test]
+    fn slot_table_follows_the_repository() {
+        use crate::backend::EngineBackend;
+        use crate::mutable::{MutableEngine, SimFactory};
+        use koios_embed::ops::CorpusOp;
+        use koios_embed::sim::{ElementSimilarity, EqualitySimilarity};
+        use std::sync::Arc;
+
+        let equality: SimFactory =
+            Arc::new(|_, _| Ok(Arc::new(EqualitySimilarity) as Arc<dyn ElementSimilarity>));
+        let live = |sets: usize| {
+            let mut b = koios_embed::repository::RepositoryBuilder::new();
+            for i in 0..sets {
+                b.add_set(&format!("s{i}"), [format!("t{}", i % 20), format!("u{i}")]);
+            }
+            let cfg = KoiosConfig::new(3, 0.8);
+            MutableEngine::single(Arc::new(b.build()), None, cfg, equality.clone())
+                .expect("equality needs no embeddings")
+        };
+        let search = |engine: &EngineBackend, tokens: &[&str]| {
+            let q = engine.repository().intern_query(tokens.iter().copied());
+            let fresh = std::thread::scope(|s| s.spawn(|| engine.search(&q)).join())
+                .expect("reference search");
+            let here = engine.search(&q);
+            assert_eq!(format!("{:?}", here.hits), format!("{:?}", fresh.hits));
+            here
+        };
+
+        let mut grown = live(400);
+        search(&grown.backend(), &["t0", "t1", "new", "newer"]);
+        assert_eq!(retained_slots(), 400);
+        let inserts = ["n0", "n1", "n2"].map(|n| CorpusOp::insert(n, ["new", "newer", "t0"]));
+        grown.apply(&inserts).expect("inserts apply");
+        let r = search(&grown.backend(), &["t0", "t1", "new", "newer"]);
+        let ids: Vec<u32> = r.hits.iter().map(|h| h.set.0).collect();
+        assert_eq!(ids, [400, 401, 402], "the inserted sets are the hits");
+        assert_eq!(retained_slots(), 403);
+
+        let small = live(10);
+        const { assert!(403 > RETAIN_FACTOR * 10) };
+        search(&small.backend(), &["t0", "u3"]);
+        assert_eq!(
+            retained_slots(),
+            10,
+            "the table shrinks to the small repository"
+        );
     }
 }

@@ -140,16 +140,26 @@ impl KnnSource for ExactScanKnn {
         Some((t, s))
     }
 
-    /// The lists count in full, shared or not: they are live memory this
-    /// search keeps reachable.
+    /// The cursor, plus the lists when this cursor alone holds them. Lists
+    /// shared between cursors (the shards of a partitioned search) are
+    /// counted once by the search that shares them.
     fn heap_bytes(&self) -> usize {
-        self.pos.capacity() * std::mem::size_of::<usize>()
-            + self
-                .lists
-                .iter()
-                .map(|l| l.capacity() * std::mem::size_of::<(f64, TokenId)>())
-                .sum::<usize>()
+        let lists = if Arc::strong_count(&self.lists) == 1 {
+            lists_heap_bytes(&self.lists)
+        } else {
+            0
+        };
+        self.pos.capacity() * std::mem::size_of::<usize>() + lists
     }
+}
+
+/// The heap bytes of `lists`, counted in full whether or not the token
+/// cache shares them: they are live memory a search keeps reachable.
+pub fn lists_heap_bytes(lists: &[KnnList]) -> usize {
+    lists
+        .iter()
+        .map(|l| l.capacity() * std::mem::size_of::<(f64, TokenId)>())
+        .sum()
 }
 
 #[cfg(test)]

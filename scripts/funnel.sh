@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Funnel diff of the perf ledger: <parent-rev> against the working tree.
 #
-#   scripts/funnel.sh <parent-rev> [workload]        # default workload: small_stream
+#   scripts/funnel.sh <parent-rev> [workload...]     # default workload: small_stream
 #
 # A change that claims to keep every hit and bound (a faster kernel, a
 # cheaper cache path) must leave the search funnel exactly where it was.
@@ -9,17 +9,19 @@
 # deterministic counts, so "unchanged" is an exact comparison, not a
 # statistical one. The parent's committed files are extracted with
 # `git archive` into $(mktemp -d) (set TMPDIR to choose where), both
-# ledgers are built --offline, each side runs `ledger --workload <w>
-# --trace 1` once, and the funnel rows are printed side by side. Exit
-# status: 0 when every row is identical and both runs are "correct":true,
-# 1 otherwise, 2 on bad usage. On `large_sharded` the shards race on θ,
-# so its rows jitter and a difference there proves nothing.
+# ledgers are built --offline once, each side runs `ledger --workload <w>
+# --trace 1` once per workload, and the funnel rows are printed side by
+# side. Exit status: 0 when every row of every workload is identical and
+# every run is "correct":true, 1 otherwise, 2 on bad usage. On
+# `large_sharded` the shards race on θ, so its rows jitter and a
+# difference there proves nothing.
 set -euo pipefail
 
 usage() { sed -n '2,4p' "$0" >&2; exit 2; }
-[ $# -ge 1 ] && [ $# -le 2 ] || usage
+[ $# -ge 1 ] || usage
 parent_rev=$1
-workload=${2:-small_stream}
+shift
+[ $# -ge 1 ] || set -- small_stream
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 parent_sha=$(git -C "$root" rev-parse --verify "$parent_rev^{commit}")
@@ -39,39 +41,42 @@ rows="core.candidates core.postprocess_share core.no_em_share core.em_early_shar
 core.em_per_hit core.matrix_cells_per_hit core.theta_raises core.bucket_moves
 index.postings_scanned"
 
-run() { # <bin> <root> -> the run's last stdout line (the JSON report)
-    "$1" --workload "$workload" --trace 1 --root "$2" | tail -n 1
+run() { # <bin> <root> <workload> -> the run's last stdout line (the JSON report)
+    "$1" --workload "$3" --trace 1 --root "$2" | tail -n 1
 }
-parent_line=$(run "$parent_bin" "$work/parent")
-change_line=$(run "$change_bin" "$root")
 value() { # <line> <metric>
     printf '%s' "$1" | sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p"
 }
 
-echo "# scripts/funnel.sh $* — parent $parent_sha vs working tree at $(git -C "$root" rev-parse --short HEAD)$(git -C "$root" diff --quiet HEAD || echo '+dirty')"
-echo "# ledger --workload $workload --trace 1, one run per side"
+echo "# scripts/funnel.sh $parent_rev $* — parent $parent_sha vs working tree at $(git -C "$root" rev-parse --short HEAD)$(git -C "$root" diff --quiet HEAD || echo '+dirty')"
 status=0
-correct() { # <side> <line>
-    case $2 in
+correct() { # <side> <workload> <line>
+    case $3 in
         *'"correct":true'*) ;;
-        *) echo "funnel.sh: the $1 run is not \"correct\":true" >&2; status=1 ;;
+        *) echo "funnel.sh: the $1 run of $2 is not \"correct\":true" >&2; status=1 ;;
     esac
 }
-correct parent "$parent_line"
-correct change "$change_line"
-printf '%-28s %-22s %-22s %s\n' row parent change verdict
-for m in $rows; do
-    p=$(value "$parent_line" "$m")
-    c=$(value "$change_line" "$m")
-    if [ -z "$p" ] || [ -z "$c" ]; then
-        verdict=MISSING
-        status=1
-    elif [ "$p" = "$c" ]; then
-        verdict=identical
-    else
-        verdict=DIFFERS
-        status=1
-    fi
-    printf '%-28s %-22s %-22s %s\n' "$m" "${p:--}" "${c:--}" "$verdict"
+for workload in "$@"; do
+    parent_line=$(run "$parent_bin" "$work/parent" "$workload")
+    change_line=$(run "$change_bin" "$root" "$workload")
+    echo
+    echo "## ledger --workload $workload --trace 1, one run per side"
+    correct parent "$workload" "$parent_line"
+    correct change "$workload" "$change_line"
+    printf '%-28s %-22s %-22s %s\n' row parent change verdict
+    for m in $rows; do
+        p=$(value "$parent_line" "$m")
+        c=$(value "$change_line" "$m")
+        if [ -z "$p" ] || [ -z "$c" ]; then
+            verdict=MISSING
+            status=1
+        elif [ "$p" = "$c" ]; then
+            verdict=identical
+        else
+            verdict=DIFFERS
+            status=1
+        fi
+        printf '%-28s %-22s %-22s %s\n' "$m" "${p:--}" "${c:--}" "$verdict"
+    done
 done
 exit $status

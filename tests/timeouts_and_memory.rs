@@ -152,3 +152,38 @@ fn parallel_verification_shares_the_query_edges() {
         assert_eq!(par_edges.hits, par_dense.hits);
     }
 }
+
+/// A partitioned search fetches one set of lists and builds one α-graph
+/// for all its shards, so its memory report counts each once: the same
+/// `query edges` as a single engine, and a `token stream` of the lists
+/// plus one replay cursor per shard.
+#[test]
+fn partitioned_memory_counts_shared_structures_once() {
+    let (repo, sim) = corpus();
+    let cfg = KoiosConfig::new(5, 0.8);
+    let query = repo.set(SetId(2)).to_vec();
+    let bytes = |res: &SearchResult, name: &str| {
+        res.stats
+            .memory
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, b)| b)
+            .unwrap_or_else(|| panic!("no {name} entry"))
+    };
+    let single = Koios::new(Arc::clone(&repo), sim.clone(), cfg.clone()).search(&query);
+    let sharded = PartitionedKoios::new(Arc::clone(&repo), sim.clone(), cfg, 4, 7).search(&query);
+    assert_eq!(single.set_ids(), sharded.set_ids());
+    assert_eq!(
+        bytes(&sharded, "query edges"),
+        bytes(&single, "query edges")
+    );
+
+    let mut q = query.clone();
+    q.sort_unstable();
+    q.dedup();
+    let lists = koios_index::knn::lists(sim.as_ref(), &q, repo.vocab_size(), 0.8, None).0;
+    let lists = koios_index::knn::lists_heap_bytes(&lists);
+    let cursor = bytes(&single, "token stream") - lists;
+    assert!(lists > 0 && cursor > 0);
+    assert_eq!(bytes(&sharded, "token stream"), lists + 4 * cursor);
+}
